@@ -1,7 +1,9 @@
 """Command-line pipeline driver.
 
 Commands map one-to-one onto the pipeline stages (ingest, derive, featurize,
-pca, cluster, subset, compare, proxy) plus `report`, which composes them.
+pca, cluster, subset, compare, proxy) plus `report`, which composes the
+stages over one loaded store: each command builds one `Run`, which loads,
+derives, normalizes, fits and clusters at most once.
 Every knob lives in a YAML config file and is overridable by a flag of the
 same name. Outputs are deterministic: rerunning a command on unchanged
 inputs rewrites byte-identical files.
@@ -16,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -99,53 +102,77 @@ def _write_text(path: Path, content: str) -> None:
         fh.write(content)
 
 
-def _load_records(cfg: PipelineConfig) -> list[dataset.RunRecord]:
-    if not cfg.store:
-        raise ConfigError("a store path is required (--store)")
-    return dataset.load_canonical(cfg.store, cfg.scores)
+class Run:
+    """One command's view of the store: each stage's input is computed at most once.
 
+    `records` holds every run in the store; `selected` only the runs on the
+    chosen machines, which is all that derive, PCA and clustering see.
+    """
 
-def _machines(cfg: PipelineConfig, records) -> list[str]:
-    if cfg.machine:
-        return [cfg.machine]
-    return dataset.machines_in(records)
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
 
+    @cached_property
+    def records(self) -> list[dataset.RunRecord]:
+        if not self.cfg.store:
+            raise ConfigError("a store path is required (--store)")
+        return dataset.load_canonical(self.cfg.store, self.cfg.scores)
 
-def _single_machine(cfg: PipelineConfig, records) -> str:
-    if cfg.machine:
-        return cfg.machine
-    machines = dataset.machines_in(records)
-    if len(machines) == 1:
-        return machines[0]
-    raise ConfigError(f"--machine is required; store has {machines}")
+    @cached_property
+    def machines(self) -> list[str]:
+        if self.cfg.machine:
+            return [self.cfg.machine]
+        return dataset.machines_in(self.records)
 
+    @cached_property
+    def machine(self) -> str:
+        if self.cfg.machine or len(self.machines) == 1:
+            return self.machines[0]
+        raise ConfigError(f"--machine is required; store has {self.machines}")
 
-def _derived(records) -> dict[tuple[str, str, str], metrics.MetricVector]:
-    return metrics.derive_store(records)
+    @cached_property
+    def selected(self) -> list[dataset.RunRecord]:
+        return [rec for rec in self.records if rec.machine in self.machines]
 
+    @cached_property
+    def vectors(self) -> dict[tuple[str, str, str], metrics.MetricVector]:
+        return metrics.derive_store(self.selected)
 
-def _feature_matrix(cfg: PipelineConfig, records, vectors) -> features.FeatureMatrix:
-    machines = _machines(cfg, records)
-    workloads = sorted({rec.workload for rec in records if rec.machine in machines})
-    cells = {
-        (workload, machine): vec
-        for (suite, workload, machine), vec in vectors.items()
-        if machine in machines
-    }
-    return features.build_matrix(cells, workloads, machines)
+    @cached_property
+    def matrix(self) -> features.FeatureMatrix:
+        workloads = sorted({rec.workload for rec in self.selected})
+        cells = {(workload, machine): vec for (_, workload, machine), vec in self.vectors.items()}
+        return features.build_matrix(cells, workloads, self.machines)
 
+    @cached_property
+    def normalized(self) -> features.FeatureMatrix:
+        return features.normalize(self.matrix)
 
-def _fit(cfg: PipelineConfig, matrix: features.FeatureMatrix) -> pca.PcaModel:
-    normalized = features.normalize(matrix)
-    if cfg.variance is not None:
-        return pca.fit_pca(normalized, variance_target=cfg.variance)
-    return pca.fit_pca(normalized, fixed_k=cfg.pcs or 8)
+    @cached_property
+    def model(self) -> pca.PcaModel:
+        if self.cfg.variance is not None:
+            return pca.fit_pca(self.normalized, variance_target=self.cfg.variance)
+        return pca.fit_pca(self.normalized, fixed_k=self.cfg.pcs or 8)
 
+    @cached_property
+    def scores(self) -> dict[str, list[float]]:
+        score_rows = pca.project(self.model, self.normalized)
+        return {label: [float(v) for v in score_rows[i]] for i, label in enumerate(self.matrix.rows)}
 
-def _scores_by_label(matrix: features.FeatureMatrix, model: pca.PcaModel) -> dict[str, list[float]]:
-    normalized = features.normalize(matrix) if not matrix.normalized else matrix
-    score_rows = pca.project(model, normalized)
-    return {label: [float(v) for v in score_rows[i]] for i, label in enumerate(matrix.rows)}
+    @cached_property
+    def dendrograms(self) -> dict[str, cluster_mod.Dendrogram]:
+        """Per-suite dendrogram over the suite's workloads that have PCA scores.
+
+        Suites with fewer than two such workloads have none.
+        """
+        suites = [self.cfg.suite] if self.cfg.suite else dataset.suites_in(self.records)
+        built = {}
+        for suite_name in suites:
+            workloads = [w for w in dataset.workloads_in(self.records, suite_name) if w in self.scores]
+            if len(workloads) >= 2:
+                rows = [self.scores[w] for w in workloads]
+                built[suite_name] = cluster_mod.build_dendrogram(rows, workloads, self.cfg.linkage)
+        return built
 
 
 def _suite_scores(records, suite: str, machines: list[str]) -> subset.ScoreTable:
@@ -171,7 +198,8 @@ def _suite_wallclock(records, suite: str, machines: list[str]) -> dict[str, floa
     return clocks
 
 
-def cmd_ingest(cfg: PipelineConfig) -> str:
+def cmd_ingest(run: Run) -> str:
+    cfg = run.cfg
     if not (cfg.raw and cfg.suite and cfg.workload and cfg.machine and cfg.store):
         raise ConfigError("ingest needs --raw, --suite, --workload, --machine and --store")
     if cfg.countermap:
@@ -197,15 +225,12 @@ def cmd_ingest(cfg: PipelineConfig) -> str:
     )
 
 
-def cmd_derive(cfg: PipelineConfig) -> str:
-    records = _load_records(cfg)
-    machines = _machines(cfg, records)
-    records = [rec for rec in records if rec.machine in machines]
-    vectors = _derived(records)
-    out = Path(cfg.out)
+def cmd_derive(run: Run) -> str:
+    vectors = run.vectors
+    out = Path(run.cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics.export_metrics_csv(vectors, out / "metrics.csv")
-    validation = dataset.validate_store(records)
+    validation = dataset.validate_store(run.selected)
     lines = ["machine,metric,status,missing_events"]
     for machine in sorted(validation.per_machine):
         entry = validation.per_machine[machine]
@@ -217,10 +242,9 @@ def cmd_derive(cfg: PipelineConfig) -> str:
     return f"derive: {len(vectors)} metric rows -> {out / 'metrics.csv'}"
 
 
-def cmd_featurize(cfg: PipelineConfig) -> str:
-    records = _load_records(cfg)
-    matrix = _feature_matrix(cfg, records, _derived(records))
-    out = Path(cfg.out)
+def cmd_featurize(run: Run) -> str:
+    matrix = run.matrix
+    out = Path(run.cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     features.export_csv(matrix, out / "features.csv")
     dropped = ["metric,machine"] + [f"{metric},{machine}" for metric, machine in matrix.dropped]
@@ -231,19 +255,13 @@ def cmd_featurize(cfg: PipelineConfig) -> str:
     )
 
 
-def cmd_pca(cfg: PipelineConfig) -> str:
-    records = _load_records(cfg)
-    matrix = _feature_matrix(cfg, records, _derived(records))
-    model = _fit(cfg, matrix)
+def cmd_pca(run: Run) -> str:
+    cfg, model = run.cfg, run.model
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    scores = _scores_by_label(matrix, model)
     if "csv" in cfg.format:
-        pca.export_scores_csv(
-            list(matrix.rows),
-            np.array([scores[w] for w in matrix.rows]),
-            out / "pca_scores.csv",
-        )
+        rows = run.matrix.rows
+        pca.export_scores_csv(list(rows), np.array([run.scores[w] for w in rows]), out / "pca_scores.csv")
         pca.export_variance_csv(model, out / "pca_variance.csv")
     if "md" in cfg.format:
         report = pca.loading_table(model, top_n=4)
@@ -252,59 +270,40 @@ def cmd_pca(cfg: PipelineConfig) -> str:
     return f"pca: k={model.k} capturing {100 * captured:.1f}% of variance -> {out}"
 
 
-def cmd_cluster(cfg: PipelineConfig) -> str:
-    records = _load_records(cfg)
-    matrix = _feature_matrix(cfg, records, _derived(records))
-    model = _fit(cfg, matrix)
-    scores = _scores_by_label(matrix, model)
-    suites = [cfg.suite] if cfg.suite else dataset.suites_in(records)
+def cmd_cluster(run: Run) -> str:
+    cfg = run.cfg
+    dendrograms = run.dendrograms
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    built = 0
-    for suite_name in suites:
-        workloads = dataset.workloads_in(records, suite_name)
-        workloads = [w for w in workloads if w in scores]
-        if len(workloads) < 2:
-            continue
-        rows = [scores[w] for w in workloads]
-        dendrogram = cluster_mod.build_dendrogram(rows, workloads, cfg.linkage)
+    for suite_name, dendrogram in dendrograms.items():
         if "csv" in cfg.format:
             cluster_mod.export_merges_csv(dendrogram, out / f"dendrogram_{suite_name}.csv")
         if "svg" in cfg.format:
             _write_text(out / f"dendrogram_{suite_name}.svg", render.dendrogram_svg(dendrogram))
-        built += 1
-    return f"cluster: {built} dendrograms ({cfg.linkage} linkage) -> {out}"
+    return f"cluster: {len(dendrograms)} dendrograms ({cfg.linkage} linkage) -> {out}"
 
 
-def cmd_subset(cfg: PipelineConfig) -> str:
-    records = _load_records(cfg)
-    matrix = _feature_matrix(cfg, records, _derived(records))
-    model = _fit(cfg, matrix)
-    scores = _scores_by_label(matrix, model)
-    machines = _machines(cfg, records)
-    suites = [cfg.suite] if cfg.suite else dataset.suites_in(records)
+def cmd_subset(run: Run) -> str:
+    cfg = run.cfg
+    dendrograms = run.dendrograms
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
-    for suite_name in suites:
-        workloads = dataset.workloads_in(records, suite_name)
-        if len(workloads) < 2:
-            continue
-        rows = [scores[w] for w in workloads]
-        dendrogram = cluster_mod.build_dendrogram(rows, workloads, cfg.linkage)
+    for suite_name, dendrogram in dendrograms.items():
+        workloads = dendrogram.leaves
         target_groups = cfg.groups or 4
         if cfg.threshold is not None:
             groups = cluster_mod.cut(dendrogram, cfg.threshold).groups
             target_groups = len(groups)
         target_groups = min(target_groups, len(workloads))
-        running = _suite_scores(records, suite_name, machines)
+        running = _suite_scores(run.records, suite_name, run.machines)
         report = subset.select_representatives(
             dendrogram,
-            {w: scores[w] for w in workloads},
+            {w: run.scores[w] for w in workloads},
             running,
             target_groups,
             suite=suite_name,
-            wallclock=_suite_wallclock(records, suite_name, machines),
+            wallclock=_suite_wallclock(run.records, suite_name, run.machines),
         )
         if cfg.subset_k is not None:
             report = replace(
@@ -318,21 +317,21 @@ def cmd_subset(cfg: PipelineConfig) -> str:
     return f"subset: {len(reports)} suite reports -> {out / 'subsets.md'}"
 
 
-def cmd_compare(cfg: PipelineConfig) -> str:
-    records = _load_records(cfg)
+def cmd_compare(run: Run) -> str:
+    cfg, records = run.cfg, run.records
     if not (cfg.suite_a and cfg.suite_b):
         raise ConfigError("compare needs --suite-a and --suite-b")
     if not cfg.machine:
         raise ConfigError("compare needs an explicit --machine")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _compare_pair(cfg, records, cfg.suite_a, cfg.suite_b, cfg.machine, out)
+    summary = _compare_pair(run, cfg.suite_a, cfg.suite_b, cfg.machine, out)
     _write_volume_ratios(cfg, records, out)
     return f"compare: {summary}"
 
 
-def _compare_pair(cfg, records, suite_a, suite_b, machine, out: Path) -> str:
-    vectors = _derived(records)
+def _compare_pair(run: Run, suite_a, suite_b, machine, out: Path) -> str:
+    cfg, vectors = run.cfg, run.vectors
     metrics_a = [vec for (s, w, m), vec in sorted(vectors.items()) if s == suite_a and m == machine]
     metrics_b = [vec for (s, w, m), vec in sorted(vectors.items()) if s == suite_b and m == machine]
     cmp = compare_mod.compare_suites(suite_a, metrics_a, suite_b, metrics_b, machine)
@@ -355,18 +354,18 @@ def _suite_icounts(records, suite_name: str) -> list[float]:
     return values
 
 
+def _rate_speed_pairs(records) -> list[tuple[str, str, str]]:
+    """(prefix, <prefix>_rate, <prefix>_speed) for every such pair of suites in `records`."""
+    suites = dataset.suites_in(records)
+    prefixes = [s[: -len("_rate")] for s in suites if s.endswith("_rate")]
+    return [(p, f"{p}_rate", f"{p}_speed") for p in prefixes if f"{p}_speed" in suites]
+
+
 def _volume_ratios(records) -> list[tuple[str, float, float, float]]:
     """speed/rate mean-icount ratios for every <prefix>_rate / <prefix>_speed pair."""
-    suites = dataset.suites_in(records)
     rows = []
-    for suite_name in suites:
-        if not suite_name.endswith("_rate"):
-            continue
-        prefix = suite_name[: -len("_rate")]
-        speed = f"{prefix}_speed"
-        if speed not in suites:
-            continue
-        rate_counts, speed_counts = _suite_icounts(records, suite_name), _suite_icounts(records, speed)
+    for prefix, rate, speed in _rate_speed_pairs(records):
+        rate_counts, speed_counts = _suite_icounts(records, rate), _suite_icounts(records, speed)
         if rate_counts and speed_counts:
             ratio = compare_mod.instruction_volume_ratio(speed_counts, rate_counts)
             rows.append(
@@ -389,15 +388,15 @@ def _write_volume_ratios(cfg: PipelineConfig, records, out: Path) -> int:
     return len(ratios)
 
 
-def cmd_proxy(cfg: PipelineConfig) -> str:
-    records = _load_records(cfg)
-    machine = _single_machine(cfg, records)
+def cmd_proxy(run: Run) -> str:
+    cfg, records = run.cfg, run.records
+    machine = run.machine
     pool_suite = cfg.suite or dataset.suites_in(records)[0]
     pool_records = dataset.records_for(records, suite=pool_suite, machine=machine)
     pool_records = [rec for rec in pool_records if rec.workload != cfg.target]
     if not pool_records:
         raise ConfigError(f"no candidate runs in suite {pool_suite!r} on {machine!r}")
-    vectors = _derived(records)
+    vectors = run.vectors
     profiles = [proxy.WorkloadProfile.from_record(rec) for rec in pool_records]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -456,25 +455,20 @@ def cmd_proxy(cfg: PipelineConfig) -> str:
     )
 
 
-def cmd_report(cfg: PipelineConfig) -> str:
-    lines = [cmd_derive(cfg), cmd_featurize(cfg), cmd_pca(cfg), cmd_cluster(cfg), cmd_subset(cfg)]
-    records = _load_records(cfg)
+def cmd_report(run: Run) -> str:
+    cfg = run.cfg
+    lines = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
     out = Path(cfg.out)
-    ratio_count = _write_volume_ratios(cfg, records, out)
+    ratio_count = _write_volume_ratios(cfg, run.records, out)
     if ratio_count:
         lines.append(f"volume: {ratio_count} speed/rate ratios -> {out / 'volume_ratios.csv'}")
-    suites = dataset.suites_in(records)
     if cfg.suite_a and cfg.suite_b:
         pairs = [(cfg.suite_a, cfg.suite_b)]
     else:
-        pairs = [
-            (s, s[: -len('_rate')] + "_speed")
-            for s in suites
-            if s.endswith("_rate") and s[: -len('_rate')] + "_speed" in suites
-        ]
-    machine = _single_machine(cfg, records)
+        pairs = [(rate, speed) for _, rate, speed in _rate_speed_pairs(run.records)]
+    machine = run.machine
     for suite_a, suite_b in pairs:
-        lines.append("compare: " + _compare_pair(cfg, records, suite_a, suite_b, machine, out))
+        lines.append("compare: " + _compare_pair(run, suite_a, suite_b, machine, out))
     return "\n".join(lines)
 
 
@@ -535,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     config_path = args.pop("config")
     try:
         cfg = load_config(config_path, args)
-        summary = _COMMANDS[command](cfg)
+        summary = _COMMANDS[command](Run(cfg))
     except ConfigError as exc:
         print(json.dumps({"stage": command, "error": "ConfigError", "message": str(exc)}), file=sys.stderr)
         return 1

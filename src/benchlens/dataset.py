@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -365,9 +365,6 @@ class MachineValidation:
 class StoreValidation:
     per_machine: Mapping[str, MachineValidation]
 
-    def blocked_metrics(self, machine: str) -> tuple[str, ...]:
-        return tuple(self.per_machine[machine].blocked)
-
 
 def validate_store(records: Iterable[RunRecord]) -> StoreValidation:
     """Report, per machine, which metrics are computable on every run there.
@@ -420,7 +417,3 @@ def records_for(
         if (suite is None or rec.suite == suite) and (machine is None or rec.machine == machine)
     ]
     return sorted(out, key=lambda r: r.key)
-
-
-def with_wallclock(record: RunRecord, wallclock_seconds: float) -> RunRecord:
-    return replace(record, wallclock_seconds=wallclock_seconds)

@@ -78,14 +78,6 @@ class EmptySuite(BenchlensError):
     pass
 
 
-class NoPositiveValues(BenchlensError):
-    def __init__(self, metric: str, suite: str = ""):
-        detail = f" in suite {suite!r}" if suite else ""
-        super().__init__(f"metric {metric!r} has no positive values{detail}")
-        self.metric = metric
-        self.suite = suite
-
-
 class ZeroHorizon(BenchlensError):
     pass
 

@@ -55,9 +55,3 @@ METRIC_DEFS: dict[str, tuple[str, str, float]] = {
 }
 
 METRIC_NAMES: tuple[str, ...] = tuple(METRIC_DEFS)
-
-
-def metric_events(metric: str) -> tuple[str, str]:
-    """Return the (numerator, denominator) events a metric depends on."""
-    num, den, _ = METRIC_DEFS[metric]
-    return num, den

@@ -56,9 +56,6 @@ class FeatureMatrix:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("feature matrix contains NaN/Inf cells")
 
-    def column_index(self, metric: str, machine: str) -> int:
-        return self.cols.index((metric, machine))
-
     def scales_for_machine(self, machine: str) -> dict[str, tuple[float, float]]:
         """Per-metric (mean, population stdev) of this machine's columns."""
         if self.col_means is None or self.col_stdevs is None:

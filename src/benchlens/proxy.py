@@ -75,9 +75,6 @@ class BlendProfile:
     distance_to_target: float | None = None
     target: str | None = None
 
-    def per_copy_totals(self) -> dict[str, float]:
-        return {event: value / self.copies for event, value in self.totals.items()}
-
 
 def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> BlendProfile:
     """Accumulate event totals of the staggered mix over the horizon.

@@ -4,11 +4,14 @@ import csv
 import filecmp
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import make_full_record
 
-from benchlens import bundled
+from benchlens import bundled, cli, dataset
 from benchlens.cli import main
 from benchlens.subset import evaluate_subset, oracle_best_subset
 
@@ -25,6 +28,27 @@ def base_args(out_dir: Path) -> list[str]:
         "--scores", str(bundled.sample_scores_path()),
         "--out", str(out_dir),
     ]
+
+
+def two_machine_store(tmp_path: Path, drop=None, strip_cycles=None) -> list[str]:
+    """--store/--scores args of five scored int_rate workloads on M0 and M1.
+
+    The run keyed `drop` is left out; the run keyed `strip_cycles` has no cycles event.
+    """
+    rng = np.random.default_rng(0)
+    records = []
+    for i in range(5):
+        for machine in ("M0", "M1"):
+            rec = make_full_record("int_rate", f"int_rate_{i}", machine, rng)
+            rec = replace(rec, score=float(rng.uniform(1.0, 10.0)))
+            if rec.key == strip_cycles:
+                rec = replace(rec, samples=tuple(s for s in rec.samples if s.event != "cycles"))
+            if rec.key != drop:
+                records.append(rec)
+    store, scores = tmp_path / "store.csv", tmp_path / "scores.csv"
+    dataset.save_canonical(records, store)
+    dataset.save_scores(records, scores)
+    return ["--store", str(store), "--scores", str(scores)]
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -95,6 +119,20 @@ class TestSubset:
         )
         assert code == 0
         assert "1 suite reports" in out
+
+    def test_workload_without_a_run_on_the_machine_is_left_out(self, tmp_path, capsys):
+        store = two_machine_store(tmp_path, drop=("int_rate", "int_rate_3", "M0"))
+        out = tmp_path / "out"
+        code, _, err = run(
+            ["subset", *store, "--machine", "M0", "--suite", "int_rate", "--groups", "4",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        with open(out / "subsets.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["machine"] == "M0"
+        assert row["subset"].split() == ["int_rate_0", "int_rate_1", "int_rate_2", "int_rate_4"]
 
 
 class TestCompareAndProxy:
@@ -175,7 +213,45 @@ class TestIngest:
         assert row["mem_bytes_per_cycle"] == ""  # dram event ingested as unsupported
 
 
+class TestFeaturize:
+    def test_runs_on_unselected_machines_are_not_derived(self, tmp_path, capsys):
+        store = two_machine_store(tmp_path, strip_cycles=("int_rate", "int_rate_2", "M1"))
+        out = tmp_path / "out"
+        code, stdout, err = run(["featurize", *store, "--machine", "M0", "--out", str(out)], capsys)
+        assert code == 0, err
+        assert "5x19 matrix" in stdout
+        code, _, err = run(["featurize", *store, "--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "MissingDenominator"
+
+
 class TestReport:
+    def test_each_stage_runs_once(self, tmp_path, capsys, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli.dataset, "load_canonical")
+        counted(cli.metrics, "derive_store")
+        counted(cli.features, "normalize")
+        counted(cli.pca, "fit_pca")
+        counted(cli.cluster_mod, "build_dendrogram")
+        assert run(["report", *base_args(tmp_path / "out")], capsys)[0] == 0
+        assert calls == {
+            "load_canonical": 1,
+            "derive_store": 1,
+            "normalize": 1,
+            "fit_pca": 1,
+            "build_dendrogram": 4,
+        }
+
     def test_two_runs_are_byte_identical(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["report", *base_args(out_a)], capsys)[0] == 0
