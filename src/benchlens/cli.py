@@ -27,7 +27,7 @@ import yaml
 from . import cluster as cluster_mod
 from . import compare as compare_mod
 from . import dataset, features, metrics, pca, proxy, render, subset
-from .errors import BenchlensError, BudgetExceeded, ConfigError
+from .errors import BenchlensError, BudgetExceeded, ConfigError, DuplicateKey
 
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
 FORMATS = ("csv", "md", "svg")
@@ -140,8 +140,13 @@ class Run:
 
     @cached_property
     def matrix(self) -> features.FeatureMatrix:
+        """Workload rows keyed by id alone, so an id may appear in one suite only."""
         workloads = sorted({rec.workload for rec in self.selected})
-        cells = {(workload, machine): vec for (_, workload, machine), vec in self.vectors.items()}
+        cells = {}
+        for (_, workload, machine), vec in self.vectors.items():
+            if (workload, machine) in cells:
+                raise DuplicateKey(f"workload {workload!r} on {machine!r} appears in more than one suite")
+            cells[workload, machine] = vec
         return features.build_matrix(cells, workloads, self.machines)
 
     @cached_property
@@ -406,6 +411,9 @@ def cmd_proxy(run: Run) -> str:
         target_keys = [key for key in vectors if key[1] == cfg.target and key[2] == machine]
         if not target_keys:
             raise ConfigError(f"target workload {cfg.target!r} has no run on {machine!r}")
+        if len(target_keys) > 1:
+            suites = [suite for suite, _, _ in target_keys]
+            raise ConfigError(f"target workload {cfg.target!r} is in several suites on {machine!r}: {suites}")
         target_vec = vectors[target_keys[0]]
 
     if cfg.mix:
@@ -443,20 +451,21 @@ def cmd_proxy(run: Run) -> str:
         target_name=cfg.target,
         budget=cfg.budget,
     )
+    best_order, best_blend = ranked[0]
     if "csv" in cfg.format:
         proxy.export_mixes_csv(ranked, out / "proxy_mixes.csv")
     if "md" in cfg.format:
-        best_order, best_blend = ranked[0]
         constituents = [p for p in profiles if p.workload in best_order]
         _write_text(out / "proxy_best.md", proxy.blend_markdown(best_blend, target_vec, constituents))
     return (
         f"proxy: {len(ranked)} mixes ranked against {cfg.target} "
-        f"(best: {'+'.join(ranked[0][0])}) -> {out / 'proxy_mixes.csv'}"
+        f"(best: {'+'.join(best_order)}) -> {out / 'proxy_mixes.csv'}"
     )
 
 
 def cmd_report(run: Run) -> str:
     cfg = run.cfg
+    machine = run.machine  # fails on a multi-machine store before anything is written
     lines = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
     out = Path(cfg.out)
     ratio_count = _write_volume_ratios(cfg, run.records, out)
@@ -466,7 +475,6 @@ def cmd_report(run: Run) -> str:
         pairs = [(cfg.suite_a, cfg.suite_b)]
     else:
         pairs = [(rate, speed) for _, rate, speed in _rate_speed_pairs(run.records)]
-    machine = run.machine
     for suite_a, suite_b in pairs:
         lines.append("compare: " + _compare_pair(run, suite_a, suite_b, machine, out))
     return "\n".join(lines)

@@ -20,7 +20,7 @@ from .errors import EmptyGroup, MissingDenominator
 from .events import METRIC_DEFS, METRIC_NAMES
 from .stats import BoxStats, positive_geomean
 
-_BOUNDED_SHARES = ("load_pct", "store_pct", "branch_pct", "frontend_stall_pct", "backend_stall_pct")
+BOUNDED_SHARES = ("load_pct", "store_pct", "branch_pct", "frontend_stall_pct", "backend_stall_pct")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class MetricVector:
                 continue
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{f.name} must be finite and >= 0, got {v!r}")
-            if f.name in _BOUNDED_SHARES and v > 100.0:
+            if f.name in BOUNDED_SHARES and v > 100.0:
                 raise ValueError(f"{f.name} must be <= 100, got {v!r}")
         if self.kernel_pct is not None and self.user_pct is not None:
             if abs(self.kernel_pct + self.user_pct - 100.0) > 1e-6:

@@ -7,22 +7,33 @@ interference-free: blended counters are exact time-weighted sums of the
 constituent rates, so per-instruction metrics of a mix are convex
 combinations of the constituents' values. Measured blends on real hardware
 additionally contain co-run contention that this simulator does not model.
+
+`simulate_rrr` runs any schedule segment by segment. `search_mix` ranks
+every mix of a pool on the equal-duration schedule (k constituents, k copies,
+one unit per pass) in one array pass that replays the simulation's float
+operations in order: copy c adds the rates of segments c, c+1, ..., k-1, 0,
+..., c-1 into one running sum per event shared by all copies, metrics are
+`scale * num / den`, and the distance sums `weight * diff * diff` in
+METRIC_NAMES order. Its values and ranking are therefore bit-identical to
+simulating each mix, which `tests/oracles.py` does.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
-from typing import Mapping, Sequence
+
+import numpy as np
 
 from .dataset import CounterSample, RunRecord
 from .errors import BudgetExceeded, NoCommonMetrics, UnknownWorkload, ZeroHorizon
-from .events import METRIC_NAMES
-from .metrics import MetricVector, derive_metrics
+from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES
+from .metrics import BOUNDED_SHARES, MetricVector, derive_metrics
 
 
 @dataclass(frozen=True)
@@ -187,8 +198,8 @@ def blend_distance(
     used: list[str] = []
     for metric in METRIC_NAMES:
         weight = weights.get(metric, 0.0)
-        if weight < 0:
-            raise ValueError(f"weight for {metric!r} must be >= 0")
+        if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
+            raise ValueError(f"weight for {metric!r} must be finite and >= 0, got {weight!r}")
         if weight == 0:
             continue
         b = blend_metrics.get(metric)
@@ -210,6 +221,61 @@ def blend_distance(
     return DistanceReport(distance=math.sqrt(squared), relative_gaps=gaps, metrics_used=tuple(used))
 
 
+class RankedMixes(Sequence):
+    """The ranking `search_mix` returns: `(order, BlendProfile)` pairs, closest first.
+
+    Each mix is one row of arrays: its pool indices (padded with -1), its
+    distance and its metric values (NaN where unavailable). A BlendProfile is
+    simulated only when its item is read, so ranking builds none.
+    """
+
+    def __init__(self, pool, mixes, distances, metrics, target_name):
+        self._pool = pool  # equal-duration profiles, sorted by workload id
+        self._mixes = mixes
+        self.distances = distances
+        self.metrics = metrics
+        self._target_name = target_name
+
+    def __len__(self) -> int:
+        return len(self.distances)
+
+    def order(self, i: int) -> tuple[str, ...]:
+        return tuple(self._pool[j].workload for j in self._mixes[i] if j >= 0)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        members = [self._pool[j] for j in self._mixes[i] if j >= 0]
+        order = tuple(p.workload for p in members)
+        blend = simulate_rrr(members, RrrSchedule(order=order, copies=len(order)))
+        return order, replace(blend, distance_to_target=float(self.distances[i]), target=self._target_name)
+
+
+def _equal_duration_metrics(rates, mixes, events):
+    """Metric values of each mix (NaN where unavailable) and whether its simulation fails.
+
+    `rates` holds one pool profile per row and one event per column (NaN for
+    an unsupported event); `mixes` one mix per row, as pool indices.
+    """
+    size = mixes.shape[1]
+    totals = np.zeros((len(mixes), len(events)))
+    for copy in range(size):
+        for step in range(size):
+            totals += rates[mixes[:, (copy + step) % size]]
+    num = totals[:, [events.index(n) for n, _, _ in METRIC_DEFS.values()]]
+    den = totals[:, [events.index(d) for _, d, _ in METRIC_DEFS.values()]]
+    scale = np.array([s for _, _, s in METRIC_DEFS.values()])
+    available = ~np.isnan(num) & (den > 0)
+    values = np.where(available, scale * num / den, np.nan)
+    failed = np.isinf(totals).any(axis=1)  # CounterSample rejects the total
+    failed |= ~(totals[:, events.index("instructions")] > 0) | ~(totals[:, events.index("cycles")] > 0)
+    failed |= (available & ~(np.isfinite(values) & (values >= 0))).any(axis=1)
+    failed |= (values[:, [METRIC_NAMES.index(m) for m in BOUNDED_SHARES]] > 100.0).any(axis=1)
+    kernel, user = values[:, METRIC_NAMES.index("kernel_pct")], values[:, METRIC_NAMES.index("user_pct")]
+    failed |= np.abs(kernel + user - 100.0) > 1e-6
+    return values, failed
+
+
 def search_mix(
     profiles: Sequence[WorkloadProfile],
     target: MetricVector,
@@ -219,12 +285,26 @@ def search_mix(
     scales: Mapping[str, tuple[float, float]] | None = None,
     target_name: str | None = None,
     budget: int = 2_000_000,
-) -> list[tuple[tuple[str, ...], BlendProfile]]:
+) -> RankedMixes:
     """Rank all mixes of 1..max_constituents profiles by distance to the target.
 
-    Every candidate mix is simulated on an equal-duration schedule (one pass
+    Every candidate mix is scored on an equal-duration schedule (one pass
     per workload per period, one copy per constituent) so that ranking
-    reflects the blend composition rather than measured pass lengths.
+    reflects the blend composition rather than measured pass lengths. Ties
+    on distance go to the lower order tuple.
+
+    The ranking is computed over arrays, one row per mix, and replays the
+    float operations of `simulate_rrr` + `derive_metrics` + `blend_distance`
+    in their order, so every value is bit-identical to simulating the mix:
+    - totals: copy c adds the rates of segments c, c+1, ..., k-1, 0, ..., c-1
+      into one running sum shared by all copies, starting from 0.0; an event
+      missing from any constituent (NaN) is missing from the blend;
+    - metrics: `scale * num / den` per METRIC_DEFS;
+    - distance: `weight * diff * diff` summed in METRIC_NAMES order from 0.0,
+      then the square root.
+    The checks of that path (finite totals, positive instructions and cycles,
+    MetricVector's bounds, at least one common metric) are applied to the
+    arrays; the first failing mix is replayed through it to raise its error.
     """
     if max_constituents < 1:
         raise ValueError("max_constituents must be >= 1")
@@ -241,17 +321,50 @@ def search_mix(
         raise BudgetExceeded(f"{total} candidate mixes exceed budget {budget}")
 
     equal = [replace(p, duration=1.0) for p in pool]
-    ranked: list[tuple[float, tuple[str, ...], BlendProfile]] = []
+    extra = sorted({event for p in pool for event in p.rates} - set(CANONICAL_EVENTS))
+    events = CANONICAL_EVENTS + tuple(extra)
+    rates = np.array([[p.rates.get(event, np.nan) for event in events] for p in pool])
+    bad_weight = any(not 0 <= weights.get(m, 0.0) < math.inf for m in METRIC_NAMES)
+    terms = []  # (metric column, weight, target value, stdev) of each metric that can count
+    for j, metric in enumerate(METRIC_NAMES):
+        weight, t, stdev = weights.get(metric, 0.0), target.get(metric), 1.0
+        if scales is not None and metric in scales:
+            stdev = scales[metric][1]
+            if stdev <= 0:
+                continue
+        if weight != 0 and t is not None:
+            terms.append((j, weight, t, stdev))
+
+    blocks = []
     for size in range(1, max_constituents + 1):
-        for mix in combinations(range(len(pool)), size):
-            order = tuple(names[i] for i in mix)
-            schedule = RrrSchedule(order=order, copies=size)
-            blend = simulate_rrr([equal[i] for i in mix], schedule)
-            report = blend_distance(blend, target, weights, scales=scales)
-            blend = replace(blend, distance_to_target=report.distance, target=target_name)
-            ranked.append((report.distance, order, blend))
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    return [(order, blend) for _, order, blend in ranked]
+        mixes = np.fromiter(
+            chain.from_iterable(combinations(range(len(pool)), size)),
+            dtype=np.intp,
+            count=comb(len(pool), size) * size,
+        ).reshape(-1, size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values, failed = _equal_duration_metrics(rates, mixes, events)
+            squared = np.zeros(len(mixes))
+            used = np.zeros(len(mixes), dtype=bool)
+            for j, weight, t, stdev in terms:
+                available = ~np.isnan(values[:, j])
+                diff = (values[:, j] - t) / stdev
+                squared = np.where(available, squared + weight * diff * diff, squared)
+                used |= available
+        failed |= bad_weight | ~used
+        if failed.any():  # replay the first failing mix, in enumeration order, to raise its error
+            mix = [equal[j] for j in mixes[np.argmax(failed)]]
+            schedule = RrrSchedule(order=tuple(p.workload for p in mix), copies=size)
+            blend_distance(simulate_rrr(mix, schedule), target, weights, scales=scales)
+            raise AssertionError(f"mix {schedule.order} failed the array checks but not the simulation")
+        padded = np.full((len(mixes), max_constituents), -1, dtype=np.intp)
+        padded[:, :size] = mixes
+        blocks.append((padded, np.sqrt(squared), values))
+
+    mixes, distances, values = (np.concatenate(parts) for parts in zip(*blocks))
+    # order tuples compare like their pool indices, a shorter prefix (-1 padding) first
+    rank = np.lexsort((*mixes.T[::-1], distances))
+    return RankedMixes(equal, mixes[rank], distances[rank], values[rank], target_name)
 
 
 def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
@@ -305,13 +418,28 @@ def export_mixes_csv(
     ranked: Sequence[tuple[tuple[str, ...], BlendProfile]],
     path: str | Path,
 ) -> None:
+    """Write "rank,mix,distance,<metrics...>" with empty cells for unavailable.
+
+    A `RankedMixes` is written straight from its arrays, without simulating
+    a blend; any other sequence from its BlendProfiles.
+    """
+    if isinstance(ranked, RankedMixes):
+        rows = zip(
+            (ranked.order(i) for i in range(len(ranked))),
+            ranked.distances.tolist(),
+            np.where(np.isnan(ranked.metrics), None, ranked.metrics).tolist(),
+        )
+    else:
+        rows = (
+            (order, blend.distance_to_target, [blend.metrics.get(m) for m in METRIC_NAMES])
+            for order, blend in ranked
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "mix", "distance", *METRIC_NAMES])
-        for rank, (order, blend) in enumerate(ranked, start=1):
-            distance = "" if blend.distance_to_target is None else repr(blend.distance_to_target)
-            row = [rank, "+".join(order), distance]
-            row += ["" if (v := blend.metrics.get(m)) is None else repr(v) for m in METRIC_NAMES]
+        for rank, (order, distance, values) in enumerate(rows, start=1):
+            row = [rank, "+".join(order), "" if distance is None else repr(distance)]
+            row += ["" if v is None else repr(v) for v in values]
             writer.writerow(row)
 
 

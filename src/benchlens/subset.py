@@ -57,7 +57,17 @@ def _validate_scores(scores: ScoreTable) -> tuple[str, ...]:
     return tuple(workloads)
 
 
-def _accuracies(scores: ScoreTable, subset: Sequence[str]) -> tuple[dict[str, float], float | None]:
+def _suite_geomeans(scores: ScoreTable) -> dict[str, float]:
+    """Geomean of every machine's whole-suite scores."""
+    return {
+        machine: geometric_mean([table[w] for w in sorted(table)])
+        for machine, table in sorted(scores.items())
+    }
+
+
+def _accuracies(
+    scores: ScoreTable, subset: Sequence[str], suite_geomeans: Mapping[str, float]
+) -> tuple[dict[str, float], float | None]:
     """Per-machine accuracy plus the cross-machine geomean aggregate.
 
     The aggregate is only defined when every per-machine accuracy is positive
@@ -67,7 +77,7 @@ def _accuracies(scores: ScoreTable, subset: Sequence[str]) -> tuple[dict[str, fl
     per_machine: dict[str, float] = {}
     for machine in sorted(scores):
         table = scores[machine]
-        gm_suite = geometric_mean([table[w] for w in sorted(table)])
+        gm_suite = suite_geomeans[machine]
         gm_subset = geometric_mean([table[w] for w in sorted(subset)])
         err = abs(gm_subset - gm_suite) / gm_suite
         per_machine[machine] = 1.0 - err
@@ -91,7 +101,7 @@ def evaluate_subset(
     unknown = [w for w in chosen if w not in workloads]
     if unknown:
         raise UnknownWorkload(f"subset workloads not in suite: {unknown}")
-    per_machine, aggregate = _accuracies(scores, chosen)
+    per_machine, aggregate = _accuracies(scores, chosen, _suite_geomeans(scores))
     runtime_fraction = None
     if wallclock is not None and all(w in wallclock for w in workloads):
         runtime_fraction = sum(wallclock[w] for w in chosen) / sum(wallclock[w] for w in workloads)
@@ -147,10 +157,11 @@ def oracle_best_subset(
         raise ValueError(f"k must be in [1, {len(workloads)}], got {k}")
     if comb(len(workloads), k) > budget:
         raise BudgetExceeded(f"C({len(workloads)}, {k}) exceeds budget {budget}")
+    suite_geomeans = _suite_geomeans(scores)
     best_subset: tuple[str, ...] | None = None
     best_value = -inf
     for candidate in combinations(workloads, k):
-        _, aggregate = _accuracies(scores, candidate)
+        _, aggregate = _accuracies(scores, candidate, suite_geomeans)
         value = aggregate if aggregate is not None else -inf
         if value > best_value:
             best_value = value

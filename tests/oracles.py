@@ -3,15 +3,21 @@
 Each oracle recomputes a result through a different route than the library
 (raw-definition cluster distances instead of Lance-Williams updates,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
-geometric means), so agreement is meaningful.
+geometric means, one RRR simulation per proxy mix instead of arrays over all
+mixes), so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import numpy as np
+
+from benchlens.errors import BudgetExceeded
+from benchlens.proxy import RrrSchedule, blend_distance, simulate_rrr
 
 
 def naive_linkage(points: np.ndarray, linkage: str):
@@ -135,3 +141,38 @@ def exhaustive_medoid(group, scores: dict[str, list[float]]) -> str:
         if total < best_total:
             best_w, best_total = w, total
     return best_w
+
+
+def search_mix_by_simulation(profiles, target, max_constituents, weights, *, scales=None,
+                             target_name=None, budget=2_000_000):
+    """`proxy.search_mix` as one simulate_rrr + blend_distance per candidate mix.
+
+    Same checks, same equal-duration schedule and the same (distance, order)
+    ranking, returned as a list of (order, BlendProfile).
+    """
+    if max_constituents < 1:
+        raise ValueError("max_constituents must be >= 1")
+    if max_constituents > len(profiles):
+        raise ValueError(
+            f"max_constituents {max_constituents} exceeds pool size {len(profiles)}"
+        )
+    pool = sorted(profiles, key=lambda p: p.workload)
+    names = [p.workload for p in pool]
+    if len(set(names)) != len(names):
+        raise ValueError("profile pool contains duplicate workload ids")
+    total = sum(comb(len(pool), size) for size in range(1, max_constituents + 1))
+    if total > budget:
+        raise BudgetExceeded(f"{total} candidate mixes exceed budget {budget}")
+
+    equal = [replace(p, duration=1.0) for p in pool]
+    ranked = []
+    for size in range(1, max_constituents + 1):
+        for mix in combinations(range(len(pool)), size):
+            order = tuple(names[i] for i in mix)
+            schedule = RrrSchedule(order=order, copies=size)
+            blend = simulate_rrr([equal[i] for i in mix], schedule)
+            report = blend_distance(blend, target, weights, scales=scales)
+            blend = replace(blend, distance_to_target=report.distance, target=target_name)
+            ranked.append((report.distance, order, blend))
+    ranked.sort(key=lambda item: (item[0], item[1]))
+    return [(order, blend) for _, order, blend in ranked]

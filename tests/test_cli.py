@@ -51,6 +51,21 @@ def two_machine_store(tmp_path: Path, drop=None, strip_cycles=None) -> list[str]
     return ["--store", str(store), "--scores", str(scores)]
 
 
+def shared_id_store(tmp_path: Path) -> list[str]:
+    """--store/--scores args of one machine whose workload `shared` is in int_rate and int_speed."""
+    rng = np.random.default_rng(1)
+    suites = {"int_rate": ["shared", "i1", "i2"], "int_speed": ["shared", "s1"], "fp_rate": ["f0", "f1", "f2"]}
+    records = [
+        replace(make_full_record(suite, workload, "M0", rng), score=float(rng.uniform(1.0, 10.0)))
+        for suite, workloads in suites.items()
+        for workload in workloads
+    ]
+    store, scores = tmp_path / "store.csv", tmp_path / "scores.csv"
+    dataset.save_canonical(records, store)
+    dataset.save_scores(records, scores)
+    return ["--store", str(store), "--scores", str(scores)]
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -171,6 +186,18 @@ class TestCompareAndProxy:
         assert len(lines) == 1 + 12 + 66  # singletons + pairs of the 12-workload pool
         assert (out / "proxy_best.md").exists()
 
+    def test_proxy_target_in_two_suites_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(
+            ["proxy", *shared_id_store(tmp_path), "--suite", "fp_rate", "--target", "shared",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "int_rate" in payload["message"] and "int_speed" in payload["message"]
+
     def test_proxy_simulates_explicit_mix_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         mix = tmp_path / "mix.txt"
@@ -225,6 +252,13 @@ class TestFeaturize:
         assert json.loads(err)["error"] == "MissingDenominator"
 
 
+    def test_workload_id_in_two_suites_is_duplicate_key(self, tmp_path, capsys):
+        code, _, err = run(["featurize", *shared_id_store(tmp_path), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "DuplicateKey" and "'shared'" in payload["message"]
+
+
 class TestReport:
     def test_each_stage_runs_once(self, tmp_path, capsys, monkeypatch):
         calls = {}
@@ -251,6 +285,15 @@ class TestReport:
             "fit_pca": 1,
             "build_dendrogram": 4,
         }
+
+    def test_multi_machine_store_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run(["report", *two_machine_store(tmp_path), "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_two_runs_are_byte_identical(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

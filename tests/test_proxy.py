@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from benchlens.errors import NoCommonMetrics, UnknownWorkload, ZeroHorizon
+from benchlens.errors import MissingDenominator, NoCommonMetrics, UnknownWorkload, ZeroHorizon
+from benchlens.events import METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_metrics
 from benchlens.proxy import (
     BlendProfile,
@@ -24,6 +27,40 @@ from conftest import (
     make_full_record,
     make_profile,
 )
+from oracles import search_mix_by_simulation
+
+
+def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None):
+    """search_mix equals the per-mix simulation: orders, value reprs, items and CSV bytes.
+
+    When the simulation raises, search_mix raises the same error.
+    """
+    try:
+        expected = search_mix_by_simulation(profiles, target, k, weights, scales=scales, target_name="t")
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            search_mix(profiles, target, k, weights, scales=scales, target_name="t")
+        assert str(raised.value) == str(exc)
+        return None
+    ranked = search_mix(profiles, target, k, weights, scales=scales, target_name="t")
+    assert len(ranked) == len(expected)
+    assert [ranked.order(i) for i in range(len(ranked))] == [order for order, _ in expected]
+    assert [repr(d) for d in ranked.distances.tolist()] == [
+        repr(blend.distance_to_target) for _, blend in expected
+    ]
+    assert [["nan" if v != v else repr(v) for v in row] for row in ranked.metrics.tolist()] == [
+        ["nan" if (v := blend.metrics.get(m)) is None else repr(v) for m in METRIC_NAMES]
+        for _, blend in expected
+    ]
+    assert list(ranked) == expected
+    export_mixes_csv(expected, tmp_dir / "simulated.csv")
+    export_mixes_csv(ranked, tmp_dir / "ranked.csv")
+    assert (tmp_dir / "ranked.csv").read_bytes() == (tmp_dir / "simulated.csv").read_bytes()
+    return ranked
+
+
+def unsupported(profile: WorkloadProfile, *events: str) -> WorkloadProfile:
+    return replace(profile, rates={e: r for e, r in profile.rates.items() if e not in events})
 
 
 class TestSimulateRrr:
@@ -194,6 +231,60 @@ class TestSearchMix:
         pool = [make_profile("a", ipc=1.0, instr_rate=1e9, l1i_mpki=1.0)]
         with pytest.raises(ValueError):
             search_mix(pool, MetricVector(ipc=1.0), 2, {"ipc": 1.0})
+
+    def test_matches_simulation_oracle(self, tmp_path):
+        rng = np.random.default_rng(239)
+        pool = [WorkloadProfile.from_record(make_full_record("s", f"w{i}", "m", rng)) for i in range(6)]
+        pool[1] = unsupported(pool[1], "l2_misses")
+        pool[4] = unsupported(pool[4], "kernel_instructions", "dram_bytes")
+        pool.append(replace(pool[2], workload="twin"))  # identical rates: exact distance ties
+        target = derive_metrics(make_full_record("s", "target", "m", rng))
+        weights = {m: (0.0, 1.0, 0.7)[i % 3] for i, m in enumerate(METRIC_NAMES)}  # every third is zero
+        scales = {"ipc": (1.0, 0.0), "l1d_mpki": (3.0, 2.5), "fp_pct": (10.0, 4.0)}  # ipc: zero stdev
+        for k in (1, 2, 3):
+            ranked = assert_matches_simulation(tmp_path, pool, target, k, weights, scales)
+            distances = ranked.distances.tolist()
+            assert len(set(distances)) < len(distances)
+
+    def test_errors_match_simulation(self, tmp_path):
+        rng = np.random.default_rng(241)
+        pool = [WorkloadProfile.from_record(make_full_record("s", f"w{i}", "m", rng)) for i in range(4)]
+        target = derive_metrics(make_full_record("s", "target", "m", rng))
+        weights = {"ipc": 1.0, "l2_mpki": 1.0}
+        with pytest.raises(MissingDenominator):
+            search_mix([pool[0], unsupported(pool[1], "cycles")], target, 2, weights)
+        with pytest.raises(NoCommonMetrics):
+            search_mix(pool, target, 2, {"l2_mpki": 1.0}, scales={"l2_mpki": (0.0, 0.0)})
+        for weight in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="weight"):
+                search_mix(pool, target, 1, {"ipc": weight})
+        overfull = replace(pool[2], rates={**pool[2].rates, "loads": 2.0 * pool[2].rates["instructions"]})
+        with pytest.raises(ValueError, match="load_pct"):
+            search_mix([pool[0], overfull], target, 2, weights)
+        # 2 copies x 1e308 cycles overflow; no metric shows it (ipc = instructions / inf = 0)
+        overflowing = replace(pool[3], rates={**pool[3].rates, "cycles": 1e308})
+        with pytest.raises(ValueError, match="counter value"):
+            search_mix([pool[0], overflowing], target, 2, weights)
+        cases = [
+            ([pool[0], unsupported(pool[1], "instructions")], weights),
+            ([overflowing, pool[1]], weights),
+            (pool, {"l3_mpki": 0.0}),
+            (pool[:2] + [overfull], weights),
+            ([pool[0], unsupported(pool[1], "kernel_instructions")], {"kernel_pct": 1.0}),
+        ]
+        for case_pool, case_weights in cases:
+            for k in (1, 2):
+                assert_matches_simulation(tmp_path, case_pool, target, k, case_weights)
+
+    def test_items_are_simulated_on_access(self):
+        cactus, fotonik = icache_stress_pair()
+        ranked = search_mix([cactus, fotonik], MetricVector(ipc=BLEND_TARGET_IPC), 2, {"ipc": 1.0})
+        order, blend = ranked[-1]
+        assert ranked[2] == (order, blend)
+        assert ranked[1:] == [ranked[1], ranked[2]]
+        assert blend.copies == len(order) and blend.target is None
+        with pytest.raises(IndexError):
+            ranked[3]
 
     def test_deterministic_tie_order(self):
         pool = [
