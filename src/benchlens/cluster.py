@@ -1,10 +1,15 @@
 """Agglomerative hierarchical clustering in PCA score space.
 
 The merge tree is built with Lance-Williams distance updates over Euclidean
-distances, for ward, average, complete and single linkage. Ties on merge
-height are broken by the lowest leaf index contained in the candidate pair
-(then by the other side's lowest leaf index), which makes dendrograms
-reproducible across platforms.
+distances, for ward, average, complete and single linkage. Each merge takes
+the pair of active clusters with the smallest key
+
+    (height, low min-leaf, high min-leaf, low node id, high node id)
+
+where a cluster's min-leaf is the lowest leaf index it contains and the two
+min-leaves and node ids of a pair are put in ascending order. Two active
+clusters never share a min-leaf, so the node ids never decide; the key makes
+dendrograms reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -77,26 +82,21 @@ class ClusterCut:
                     raise ValueError(f"medoid {medoid!r} is not a member of its group")
 
 
-def _lance_williams(
-    linkage: str,
-    d_ik: float,
-    d_jk: float,
-    d_ij: float,
-    ni: int,
-    nj: int,
-    nk: int,
-) -> float:
+def _lance_williams(linkage: str, d_ik, d_jk, d_ij: float, ni: int, nj: int, nk):
+    """Distance from the merge of clusters i and j to every cluster k at once.
+
+    The operand order of each formula is fixed: it decides the last bit of
+    every later merge height.
+    """
     if linkage == "single":
-        return min(d_ik, d_jk)
+        return np.minimum(d_ik, d_jk)
     if linkage == "complete":
-        return max(d_ik, d_jk)
+        return np.maximum(d_ik, d_jk)
     if linkage == "average":
         return (ni * d_ik + nj * d_jk) / (ni + nj)
-    if linkage == "ward":
-        total = ni + nj + nk
-        value = ((ni + nk) * d_ik * d_ik + (nj + nk) * d_jk * d_jk - nk * d_ij * d_ij) / total
-        return math.sqrt(max(value, 0.0))
-    raise ValueError(f"unknown linkage {linkage!r}")
+    total = ni + nj + nk
+    value = ((ni + nk) * d_ik * d_ik + (nj + nk) * d_jk * d_jk - nk * d_ij * d_ij) / total
+    return np.sqrt(np.maximum(value, 0.0))
 
 
 def build_dendrogram(
@@ -104,7 +104,11 @@ def build_dendrogram(
     labels: Sequence[str],
     linkage: str = "ward",
 ) -> Dendrogram:
-    """Cluster rows of a score matrix under Euclidean distance."""
+    """Cluster rows of a score matrix under Euclidean distance.
+
+    Raises ValueError on a NaN or infinite score, and on distances that
+    overflow float64 (scores of magnitude near 1e154 and above).
+    """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     points = np.asarray(scores, dtype=float)
@@ -115,44 +119,37 @@ def build_dendrogram(
         raise TooFewRows("clustering needs at least 2 rows")
     if len(labels) != n:
         raise ValueError("labels must match the score rows")
+    if not np.isfinite(points).all():
+        raise ValueError("scores must be finite: a row holds NaN or an infinity")
 
-    total_nodes = 2 * n - 1
-    dist = np.zeros((total_nodes, total_nodes))
-    diffs = points[:, None, :] - points[None, :, :]
-    dist[:n, :n] = np.sqrt((diffs * diffs).sum(axis=2))
-    size = [1] * n + [0] * (n - 1)
-    min_leaf = list(range(n)) + [0] * (n - 1)
-    active = list(range(n))
+    # Slot s holds the active cluster whose lowest leaf is s, so slots sort by
+    # lowest leaf, and the first minimum of `dist` in row-major order is the
+    # first pair in tie order. Pairs with an inactive slot, and the diagonal,
+    # hold +inf. Overflow shows up as a non-finite merge height, not a warning.
+    node = list(range(n))
+    size = np.ones(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
     merges: list[Merge] = []
-
-    for t in range(n - 1):
-        best: tuple[float, int, int, int, int] | None = None
-        for a_pos in range(len(active)):
-            for b_pos in range(a_pos + 1, len(active)):
-                a, b = active[a_pos], active[b_pos]
-                low, high = sorted((min_leaf[a], min_leaf[b]))
-                candidate = (dist[a, b], low, high, min(a, b), max(a, b))
-                if best is None or candidate < best:
-                    best = candidate
-        assert best is not None
-        height, _, _, left, right = best
-        new = n + t
-        size[new] = size[left] + size[right]
-        min_leaf[new] = min(min_leaf[left], min_leaf[right])
-        active.remove(left)
-        active.remove(right)
-        for other in active:
-            dist[new, other] = dist[other, new] = _lance_williams(
-                linkage,
-                dist[left, other],
-                dist[right, other],
-                dist[left, right],
-                size[left],
-                size[right],
-                size[other],
-            )
-        active.append(new)
-        merges.append(Merge(left=left, right=right, height=float(height), size=size[new]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = points[:, None, :] - points[None, :, :]
+        dist = np.sqrt((diffs * diffs).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        for t in range(n - 1):
+            a, b = divmod(int(np.argmin(dist)), n)
+            height = float(dist[a, b])
+            if not math.isfinite(height):
+                raise ValueError("merge distances overflow float64; scale the scores down")
+            ni, nj = int(size[a]), int(size[b])
+            active[a] = active[b] = False
+            others = np.flatnonzero(active)
+            row = _lance_williams(linkage, dist[a, others], dist[b, others], height, ni, nj, size[others])
+            dist[b, :] = dist[:, b] = np.inf
+            dist[a, others] = dist[others, a] = row
+            active[a] = True
+            left, right = sorted((node[a], node[b]))
+            merges.append(Merge(left=left, right=right, height=height, size=ni + nj))
+            node[a] = n + t
+            size[a] = ni + nj
 
     return Dendrogram(leaves=tuple(labels), merges=tuple(merges), linkage=linkage)
 

@@ -78,6 +78,10 @@ class EmptySuite(BenchlensError):
     pass
 
 
+class NoDefinedSubset(BenchlensError):
+    pass
+
+
 class ZeroHorizon(BenchlensError):
     pass
 

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, inf
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .cluster import ClusterCut, Dendrogram, cut_to_groups, medoids_for
 from .errors import (
     BudgetExceeded,
     EmptySubset,
     EmptySuite,
+    NoDefinedSubset,
     NonPositiveScore,
     UnknownWorkload,
 )
@@ -28,6 +31,9 @@ from .stats import geometric_mean
 
 # machine -> workload -> positive running score
 ScoreTable = Mapping[str, Mapping[str, float]]
+
+# Candidates per array pass of oracle_best_subset; bounds its memory.
+_ORACLE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -150,24 +156,68 @@ def oracle_best_subset(
     """Exact argmax of aggregate accuracy over all size-k subsets.
 
     Enumeration order is lexicographic, so ties resolve to the first subset
-    in that order. Raises BudgetExceeded when C(n, k) blows the budget.
+    in that order. Raises BudgetExceeded when C(n, k) blows the budget, and
+    NoDefinedSubset when every subset leaves some machine at accuracy <= 0.
+
+    Candidates are scored in chunks of index arrays with the float operations
+    of `_accuracies`, in its order: products from the first member in sorted
+    order, roots by Python's float power (the same libm call as
+    `geometric_mean`; numpy's SIMD power can differ in the last bit). A
+    candidate whose product falls outside (0, inf) takes the log-domain
+    branch, so `_accuracies` itself scores it. Every value is therefore the
+    one `_accuracies` gives.
     """
     workloads = _validate_scores(scores)
-    if not 1 <= k <= len(workloads):
-        raise ValueError(f"k must be in [1, {len(workloads)}], got {k}")
-    if comb(len(workloads), k) > budget:
-        raise BudgetExceeded(f"C({len(workloads)}, {k}) exceeds budget {budget}")
+    n = len(workloads)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if comb(n, k) > budget:
+        raise BudgetExceeded(f"C({n}, {k}) exceeds budget {budget}")
     suite_geomeans = _suite_geomeans(scores)
+    machines = sorted(scores)
+    table = np.array([[scores[m][w] for w in workloads] for m in machines])
+    gm_suite = np.array([[suite_geomeans[m]] for m in machines])
     best_subset: tuple[str, ...] | None = None
     best_value = -inf
-    for candidate in combinations(workloads, k):
-        _, aggregate = _accuracies(scores, candidate, suite_geomeans)
-        value = aggregate if aggregate is not None else -inf
-        if value > best_value:
-            best_value = value
-            best_subset = candidate
-    assert best_subset is not None
+    candidates = combinations(range(n), k)
+    while True:
+        members = np.fromiter(
+            chain.from_iterable(islice(candidates, _ORACLE_CHUNK)), dtype=np.intp
+        ).reshape(-1, k)
+        if not len(members):
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = table[:, members[:, 0]]
+            for j in range(1, k):
+                product = product * table[:, members[:, j]]
+            gm_subset = _powers(product, 1.0 / k)
+            accuracy = 1.0 - np.abs(gm_subset - gm_suite) / gm_suite
+            aggregate = accuracy[0]
+            for row in accuracy[1:]:
+                aggregate = aggregate * row
+        defined = (accuracy > 0).all(axis=0)
+        value = np.full(len(members), -inf)
+        value[defined] = _powers(aggregate[defined], 1.0 / len(machines))
+        in_range = ((product > 0) & (product < inf)).all(axis=0)
+        log_domain = ~in_range | (defined & (aggregate == 0))
+        for c in np.flatnonzero(log_domain):
+            _, exact = _accuracies(scores, [workloads[i] for i in members[c]], suite_geomeans)
+            value[c] = exact if exact is not None else -inf
+        c = int(np.argmax(value))
+        if value[c] > best_value:
+            best_value = float(value[c])
+            best_subset = tuple(workloads[i] for i in members[c])
+    if best_subset is None:
+        raise NoDefinedSubset(
+            f"no size-{k} subset of the {n} workloads has a defined aggregate accuracy: "
+            "each leaves some machine at accuracy <= 0"
+        )
     return best_subset, best_value
+
+
+def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
+    """`values ** exponent` elementwise by Python's float power."""
+    return np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def subset_markdown(reports: Sequence[SubsetReport]) -> str:

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Each oracle recomputes a result through a different route than the library
-(raw-definition cluster distances instead of Lance-Williams updates,
+(raw-definition cluster distances instead of Lance-Williams updates, a
+per-pair Python scan instead of one array minimum per merge,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
 mixes), so agreement is meaningful.
@@ -18,6 +19,7 @@ import numpy as np
 
 from benchlens.errors import BudgetExceeded
 from benchlens.proxy import RrrSchedule, blend_distance, simulate_rrr
+from benchlens.subset import _accuracies, _suite_geomeans
 
 
 def naive_linkage(points: np.ndarray, linkage: str):
@@ -62,6 +64,61 @@ def naive_linkage(points: np.ndarray, linkage: str):
         new_id = n + t
         clusters[new_id] = clusters.pop(min(ida, idb)) + clusters.pop(max(ida, idb))
         merges.append((min(ida, idb), max(ida, idb), key[0], len(clusters[new_id])))
+    return merges
+
+
+def loop_linkage(points: np.ndarray, linkage: str):
+    """The per-pair loop that `cluster.build_dendrogram` replaced.
+
+    Lance-Williams updates over a (2n-1)^2 distance matrix, one Python
+    comparison of (height, low min-leaf, high min-leaf, low node id, high
+    node id) tuples per active pair and merge, and scalar updates with the
+    same operand order. Returns (left, right, height, size) per merge.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    total_nodes = 2 * n - 1
+    dist = np.zeros((total_nodes, total_nodes))
+    diffs = points[:, None, :] - points[None, :, :]
+    dist[:n, :n] = np.sqrt((diffs * diffs).sum(axis=2))
+    size = [1] * n + [0] * (n - 1)
+    min_leaf = list(range(n)) + [0] * (n - 1)
+    active = list(range(n))
+    merges = []
+
+    def update(d_ik, d_jk, d_ij, ni, nj, nk):
+        if linkage == "single":
+            return min(d_ik, d_jk)
+        if linkage == "complete":
+            return max(d_ik, d_jk)
+        if linkage == "average":
+            return (ni * d_ik + nj * d_jk) / (ni + nj)
+        total = ni + nj + nk
+        value = ((ni + nk) * d_ik * d_ik + (nj + nk) * d_jk * d_jk - nk * d_ij * d_ij) / total
+        return math.sqrt(max(value, 0.0))
+
+    for t in range(n - 1):
+        best = None
+        for a_pos in range(len(active)):
+            for b_pos in range(a_pos + 1, len(active)):
+                a, b = active[a_pos], active[b_pos]
+                low, high = sorted((min_leaf[a], min_leaf[b]))
+                candidate = (dist[a, b], low, high, min(a, b), max(a, b))
+                if best is None or candidate < best:
+                    best = candidate
+        height, _, _, left, right = best
+        new = n + t
+        size[new] = size[left] + size[right]
+        min_leaf[new] = min(min_leaf[left], min_leaf[right])
+        active.remove(left)
+        active.remove(right)
+        for other in active:
+            dist[new, other] = dist[other, new] = update(
+                dist[left, other], dist[right, other], dist[left, right],
+                size[left], size[right], size[other],
+            )
+        active.append(new)
+        merges.append((left, right, float(height), size[new]))
     return merges
 
 
@@ -126,6 +183,24 @@ def best_subset_recursive(scores_one_machine: dict[str, float], k: int):
 
     recurse(0, [])
     return best["subset"], best["accuracy"]
+
+
+def loop_best_subset(scores: dict[str, dict[str, float]], k: int):
+    """The per-candidate loop that `subset.oracle_best_subset` replaced.
+
+    One `_accuracies` call per size-k subset in lexicographic order, keeping
+    the first maximum. Returns (None, -inf) when no subset has a defined
+    aggregate.
+    """
+    workloads = sorted(next(iter(scores.values())))
+    suite_geomeans = _suite_geomeans(scores)
+    best_subset, best_value = None, -math.inf
+    for candidate in combinations(workloads, k):
+        _, aggregate = _accuracies(scores, candidate, suite_geomeans)
+        value = aggregate if aggregate is not None else -math.inf
+        if value > best_value:
+            best_subset, best_value = candidate, value
+    return best_subset, best_value
 
 
 def exhaustive_medoid(group, scores: dict[str, list[float]]) -> str:

@@ -149,6 +149,28 @@ class TestSubset:
         assert row["machine"] == "M0"
         assert row["subset"].split() == ["int_rate_0", "int_rate_1", "int_rate_2", "int_rate_4"]
 
+    def test_oracle_without_a_defined_subset_is_a_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        table = {"M0": {"a": 1.0, "b": 100.0}, "M1": {"a": 100.0, "b": 1.0}}
+        records = [
+            replace(make_full_record("int_rate", workload, machine, rng), score=score)
+            for machine, row in table.items()
+            for workload, score in row.items()
+        ]
+        store, scores = tmp_path / "store.csv", tmp_path / "scores.csv"
+        dataset.save_canonical(records, store)
+        dataset.save_scores(records, scores)
+        code, _, err = run(
+            ["subset", "--store", str(store), "--scores", str(scores), "--groups", "1",
+             "--subset-k", "1", "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 2
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert (error["stage"], error["error"]) == ("subset", "NoDefinedSubset")
+        assert "size-1 subset of the 2 workloads" in error["message"]
+
 
 class TestCompareAndProxy:
     def test_compare_emits_artifacts_and_volume_ratios(self, tmp_path, capsys):

@@ -16,9 +16,23 @@ from benchlens.cluster import (
 )
 from benchlens.errors import TooFewRows, UnknownWorkload
 from benchlens.render import dendrogram_svg
-from oracles import exhaustive_medoid, naive_linkage
+from oracles import exhaustive_medoid, loop_linkage, naive_linkage
 
 COLLINEAR = np.array([[0.0], [1.0], [10.0]])
+
+
+def merge_rows(dendrogram):
+    return [(m.left, m.right, repr(m.height), m.size) for m in dendrogram.merges]
+
+
+def replayed_groups(linkage_matrix, labels, merge_count):
+    """Groups after the first merge_count rows of a scipy linkage matrix."""
+    n = len(labels)
+    members = {i: [labels[i]] for i in range(n)}
+    for t in range(merge_count):
+        left, right = int(linkage_matrix[t, 0]), int(linkage_matrix[t, 1])
+        members[n + t] = members.pop(left) + members.pop(right)
+    return tuple(sorted(tuple(sorted(group)) for group in members.values()))
 
 
 class TestBuildDendrogram:
@@ -83,6 +97,55 @@ class TestBuildDendrogram:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             build_dendrogram(np.zeros((1, 2)), ["a"])
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_matches_loop_referee_bit_for_bit(self, linkage):
+        # every odd instance lies on a half-unit grid, where many candidate
+        # pairs share a height, so the tie order decides merges
+        rng = np.random.default_rng(197)
+        tied = 0
+        for i in range(200):
+            n = int(rng.integers(2, 61))
+            points = rng.normal(size=(n, int(rng.integers(1, 4))))
+            if i % 2:
+                points = np.round(points * 2.0) / 2.0
+            dendrogram = build_dendrogram(points, [f"w{j}" for j in range(n)], linkage)
+            expected = [
+                (left, right, repr(height), size)
+                for left, right, height, size in loop_linkage(points, linkage)
+            ]
+            assert merge_rows(dendrogram) == expected
+            heights = [m.height for m in dendrogram.merges]
+            tied += len(heights) - len(set(heights))
+        assert tied > 200
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_matches_scipy_heights_and_partitions(self, linkage):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        rng = np.random.default_rng(199)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            points = rng.normal(size=(n, 3))
+            labels = [f"w{i:02d}" for i in range(n)]
+            ours = build_dendrogram(points, labels, linkage)
+            theirs = hierarchy.linkage(points, method=linkage, metric="euclidean")
+            assert sorted(m.height for m in ours.merges) == pytest.approx(sorted(theirs[:, 2]), rel=1e-12)
+            for groups in range(1, n + 1):
+                assert cut_to_groups(ours, groups).groups == replayed_groups(theirs, labels, n - groups)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_are_rejected(self, bad):
+        points = np.array([[0.0, 1.0], [2.0, bad], [3.0, 4.0]])
+        for linkage in LINKAGES:
+            with pytest.raises(ValueError, match="finite"):
+                build_dendrogram(points, ["a", "b", "c"], linkage)
+
+    def test_overflowing_distances_are_rejected(self):
+        # the first merge is at height 1; every distance to 1e160 overflows
+        points = np.array([[0.0], [1.0], [1e160]])
+        for linkage in LINKAGES:
+            with pytest.raises(ValueError, match="overflow"):
+                build_dendrogram(points, ["a", "b", "c"], linkage)
 
 
 class TestCut:

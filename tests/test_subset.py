@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import benchlens.subset as subset_module
 from benchlens.cluster import build_dendrogram
 from benchlens.errors import (
     BudgetExceeded,
     EmptySubset,
+    NoDefinedSubset,
     NonPositiveScore,
     UnknownWorkload,
 )
@@ -16,11 +18,29 @@ from benchlens.subset import (
     select_representatives,
     subset_markdown,
 )
-from oracles import accuracy_of, best_subset_recursive
+from oracles import accuracy_of, best_subset_recursive, loop_best_subset
 
 
 def one_machine(scores: dict[str, float]) -> dict[str, dict[str, float]]:
     return {"m0": scores}
+
+
+def near_tie_tables(rng, count: int = 40):
+    """Score tables of 1-9 workloads on 1-4 machines whose subsets nearly or
+    exactly tie, or whose products leave the float range."""
+    for i in range(count):
+        n, machines = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        base = rng.uniform(1.0, 10.0, size=n)
+        table = {}
+        for m in range(machines):
+            if i % 3 == 0:
+                values = base * (m + 1) * (1.0 + 1e-13 * rng.uniform(size=n))
+            elif i % 3 == 1:
+                values = np.round(rng.uniform(1.0, 4.0, size=n))
+            else:
+                values = 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+            table[f"m{m}"] = {f"w{j}": float(v) for j, v in enumerate(values)}
+        yield table
 
 
 class TestEvaluateSubset:
@@ -103,13 +123,34 @@ class TestOracleBestSubset:
         assert subset == ("a",)  # both give 50%, a enumerates first
         assert accuracy == 0.5
 
-    def test_matches_recursive_enumerator(self):
+    def test_matches_recursive_enumerator(self, monkeypatch):
         rng = np.random.default_rng(173)
         scores = {f"w{i}": float(rng.uniform(5.0, 10.0)) for i in range(10)}
         ours = oracle_best_subset(one_machine(scores), 4)
         theirs = best_subset_recursive(scores, 4)
         assert ours[0] == theirs[0]
         assert ours[1] == pytest.approx(theirs[1], abs=1e-12)
+
+        # bit for bit against the per-candidate loop, for every k, with
+        # chunks that split the enumeration
+        for chunk in (1, 3, subset_module._ORACLE_CHUNK):
+            monkeypatch.setattr(subset_module, "_ORACLE_CHUNK", chunk)
+            for table in near_tie_tables(np.random.default_rng(211)):
+                for k in range(1, len(table["m0"]) + 1):
+                    expected = loop_best_subset(table, k)
+                    if expected[0] is None:
+                        with pytest.raises(NoDefinedSubset):
+                            oracle_best_subset(table, k)
+                    else:
+                        subset, value = oracle_best_subset(table, k)
+                        assert (subset, repr(value)) == (expected[0], repr(expected[1]))
+
+    def test_no_defined_subset_names_n_and_k(self):
+        # each single workload misses one machine's suite geomean by 900%
+        scores = {"m0": {"a": 1.0, "b": 100.0}, "m1": {"a": 100.0, "b": 1.0}}
+        with pytest.raises(NoDefinedSubset, match="size-1 subset of the 2 workloads"):
+            oracle_best_subset(scores, 1)
+        assert oracle_best_subset(scores, 2) == (("a", "b"), 1.0)
 
     def test_budget(self):
         scores = one_machine({f"w{i}": 1.0 + i for i in range(30)})
