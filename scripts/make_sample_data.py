@@ -8,6 +8,10 @@ IPC: counts are exact integers, so the derived shares reproduce the summary
 numbers exactly and IPC reproduces them at 3 decimals.
 
 Scores are synthetic (proportional to IPC); wallclocks assume a 3 GHz clock.
+
+    python3 scripts/make_sample_data.py [DATA_DIR]
+
+DATA_DIR defaults to the bundled src/benchlens/data/.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from benchlens.dataset import CounterSample, build_records, save_canonical, save_scores
+from benchlens.dataset import Store, save_canonical, save_scores
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "benchlens" / "data"
 
 # workload -> (icount_billions, loads_pct, stores_pct, branches_pct, ipc)
 SUITE_TABLE: dict[str, dict[str, tuple[int, float, float, float, float]]] = {
@@ -123,11 +129,11 @@ def share_count(instructions: int, pct: float) -> int:
     return instructions * round(pct * 10) // 1000
 
 
-def main() -> None:
-    data_dir = Path(__file__).resolve().parents[1] / "src" / "benchlens" / "data"
+def main(data_dir: Path = DATA_DIR) -> None:
+    data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
 
-    samples = []
+    cells = []
     wallclock = {}
     scores = {}
     for suite, workloads in SUITE_TABLE.items():
@@ -142,22 +148,14 @@ def main() -> None:
                 "branches": share_count(instructions, branches),
             }
             for event, value in counters.items():
-                samples.append(
-                    CounterSample(
-                        suite=suite,
-                        workload=workload,
-                        machine=MACHINE,
-                        event=event,
-                        value=float(value),
-                    )
-                )
+                cells.append((suite, workload, MACHINE, event, float(value), True))
             key = (suite, workload, MACHINE)
             wallclock[key] = round(cycles / CLOCK_HZ, 3)
             scores[key] = round(ipc * 10, 2)
 
-    records = build_records(samples, wallclock=wallclock, scores=scores)
-    save_canonical(records, data_dir / "cpu_suite_store.csv")
-    save_scores(records, data_dir / "cpu_suite_scores.csv")
+    store = Store.from_cells(cells, wallclock=wallclock, scores=scores)
+    save_canonical(store, data_dir / "cpu_suite_store.csv")
+    save_scores(store, data_dir / "cpu_suite_scores.csv")
     (data_dir / "countermap_cpu_c.yaml").write_text(COUNTERMAP_YAML, encoding="utf-8")
 
     stockfish = SUITE_TABLE["int_rate"]["706.stockfish_r"]
@@ -178,4 +176,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -4,17 +4,17 @@ from .cluster import ClusterCut, Dendrogram, build_dendrogram, cut, cut_to_group
 from .compare import SuiteComparison, compare_suites, instruction_volume_ratio
 from .dataset import (
     CounterMap,
-    CounterSample,
     ParseResult,
-    RunRecord,
-    load_canonical,
+    Store,
     load_counter_maps,
+    merge_stores,
     parse_counter_file,
+    read_store,
     save_canonical,
     validate_store,
 )
-from .features import FeatureMatrix, build_matrix, denormalize, normalize
-from .metrics import MetricVector, derive_metrics, suite_summary
+from .features import FeatureMatrix, build_matrix, normalize
+from .metrics import MetricVector, derive_store
 from .pca import LoadingReport, PcaModel, fit_pca, loading_table, project
 from .proxy import (
     BlendProfile,
@@ -32,7 +32,6 @@ __all__ = [
     "BlendProfile",
     "ClusterCut",
     "CounterMap",
-    "CounterSample",
     "Dendrogram",
     "FeatureMatrix",
     "LoadingReport",
@@ -40,7 +39,7 @@ __all__ = [
     "ParseResult",
     "PcaModel",
     "RrrSchedule",
-    "RunRecord",
+    "Store",
     "SubsetReport",
     "SuiteComparison",
     "WorkloadProfile",
@@ -50,23 +49,22 @@ __all__ = [
     "compare_suites",
     "cut",
     "cut_to_groups",
-    "denormalize",
-    "derive_metrics",
+    "derive_store",
     "evaluate_subset",
     "fit_pca",
     "instruction_volume_ratio",
-    "load_canonical",
     "load_counter_maps",
     "loading_table",
     "medoid",
+    "merge_stores",
     "normalize",
     "oracle_best_subset",
     "parse_counter_file",
     "project",
+    "read_store",
     "save_canonical",
     "search_mix",
     "select_representatives",
     "simulate_rrr",
-    "suite_summary",
     "validate_store",
 ]

@@ -2,8 +2,10 @@
 
 Commands map one-to-one onto the pipeline stages (ingest, derive, featurize,
 pca, cluster, subset, compare, proxy) plus `report`, which composes the
-stages over one loaded store: each command builds one `Run`, which loads,
-derives, normalizes, fits and clusters at most once.
+stages over one loaded store: each command builds one `Run`, which reads the
+store into one `dataset.Store` and derives, normalizes, fits and clusters at
+most once. Every stage reads the store's columns; none copies the counters
+per run.
 Every knob lives in a YAML config file and is overridable by a flag of the
 same name. Outputs are deterministic: rerunning a command on unchanged
 inputs rewrites byte-identical files.
@@ -105,24 +107,24 @@ def _write_text(path: Path, content: str) -> None:
 class Run:
     """One command's view of the store: each stage's input is computed at most once.
 
-    `records` holds every run in the store; `selected` only the runs on the
-    chosen machines, which is all that derive, PCA and clustering see.
+    `store` holds every run; `selected` only the runs on the chosen machines,
+    which is all that derive, PCA and clustering see.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
 
     @cached_property
-    def records(self) -> list[dataset.RunRecord]:
+    def store(self) -> dataset.Store:
         if not self.cfg.store:
             raise ConfigError("a store path is required (--store)")
-        return dataset.load_canonical(self.cfg.store, self.cfg.scores)
+        return dataset.read_store(self.cfg.store, self.cfg.scores)
 
     @cached_property
     def machines(self) -> list[str]:
         if self.cfg.machine:
             return [self.cfg.machine]
-        return dataset.machines_in(self.records)
+        return dataset.machines_in(self.store)
 
     @cached_property
     def machine(self) -> str:
@@ -131,8 +133,8 @@ class Run:
         raise ConfigError(f"--machine is required; store has {self.machines}")
 
     @cached_property
-    def selected(self) -> list[dataset.RunRecord]:
-        return [rec for rec in self.records if rec.machine in self.machines]
+    def selected(self) -> dataset.Store:
+        return self.store.select(machines=self.machines)
 
     @cached_property
     def vectors(self) -> dict[tuple[str, str, str], metrics.MetricVector]:
@@ -141,7 +143,7 @@ class Run:
     @cached_property
     def matrix(self) -> features.FeatureMatrix:
         """Workload rows keyed by id alone, so an id may appear in one suite only."""
-        workloads = sorted({rec.workload for rec in self.selected})
+        workloads = dataset.workloads_in(self.selected)
         cells = {}
         for (_, workload, machine), vec in self.vectors.items():
             if (workload, machine) in cells:
@@ -170,36 +172,33 @@ class Run:
 
         Suites with fewer than two such workloads have none.
         """
-        suites = [self.cfg.suite] if self.cfg.suite else dataset.suites_in(self.records)
+        suites = [self.cfg.suite] if self.cfg.suite else dataset.suites_in(self.store)
         built = {}
         for suite_name in suites:
-            workloads = [w for w in dataset.workloads_in(self.records, suite_name) if w in self.scores]
+            workloads = [w for w in dataset.workloads_in(self.store, suite_name) if w in self.scores]
             if len(workloads) >= 2:
                 rows = [self.scores[w] for w in workloads]
                 built[suite_name] = cluster_mod.build_dendrogram(rows, workloads, self.cfg.linkage)
         return built
 
 
-def _suite_scores(records, suite: str, machines: list[str]) -> subset.ScoreTable:
+def _suite_scores(store: dataset.Store, suite: str, machines: list[str]) -> subset.ScoreTable:
     table: dict[str, dict[str, float]] = {}
-    for rec in records:
-        if rec.suite != suite or rec.machine not in machines:
-            continue
-        if rec.score is None:
-            raise ConfigError(
-                f"run {rec.key} has no running score; pass a scores CSV with --scores"
-            )
-        table.setdefault(rec.machine, {})[rec.workload] = rec.score
+    runs = store.select(suite=suite, machines=machines)
+    for key, score in zip(runs.runs, runs.scores.tolist()):
+        if score != score:
+            raise ConfigError(f"run {key} has no running score; pass a scores CSV with --scores")
+        table.setdefault(key[2], {})[key[1]] = score
     if not table:
         raise ConfigError(f"no scored runs for suite {suite!r} on machines {machines}")
     return table
 
 
-def _suite_wallclock(records, suite: str, machines: list[str]) -> dict[str, float]:
+def _suite_wallclock(store: dataset.Store, suite: str, machines: list[str]) -> dict[str, float]:
     clocks: dict[str, float] = {}
-    for rec in records:
-        if rec.suite == suite and rec.machine in machines:
-            clocks[rec.workload] = clocks.get(rec.workload, 0.0) + rec.wallclock_seconds
+    runs = store.select(suite=suite, machines=machines)
+    for (_, workload, _), seconds in zip(runs.runs, runs.wallclock.tolist()):
+        clocks[workload] = clocks.get(workload, 0.0) + seconds
     return clocks
 
 
@@ -219,13 +218,14 @@ def cmd_ingest(run: Run) -> str:
     )
     for err in result.errors:
         print(f"warning: {type(err).__name__} at line {err.line_no}: {err.line}", file=sys.stderr)
-    new_records = dataset.build_records(result.samples)
-    existing = dataset.load_canonical(cfg.store) if Path(cfg.store).exists() else []
-    merged = dataset.merge_records(existing, new_records)
+    if Path(cfg.store).exists():
+        merged = dataset.merge_stores(dataset.read_store(cfg.store), result.store)
+    else:
+        merged = result.store
     Path(cfg.store).parent.mkdir(parents=True, exist_ok=True)
     dataset.save_canonical(merged, cfg.store)
     return (
-        f"ingest: {len(result.samples)} samples ({len(result.errors)} bad lines) "
+        f"ingest: {result.store.cell_count} samples ({len(result.errors)} bad lines) "
         f"from {cfg.raw} -> {cfg.store}"
     )
 
@@ -301,14 +301,14 @@ def cmd_subset(run: Run) -> str:
             groups = cluster_mod.cut(dendrogram, cfg.threshold).groups
             target_groups = len(groups)
         target_groups = min(target_groups, len(workloads))
-        running = _suite_scores(run.records, suite_name, run.machines)
+        running = _suite_scores(run.store, suite_name, run.machines)
         report = subset.select_representatives(
             dendrogram,
             {w: run.scores[w] for w in workloads},
             running,
             target_groups,
             suite=suite_name,
-            wallclock=_suite_wallclock(run.records, suite_name, run.machines),
+            wallclock=_suite_wallclock(run.store, suite_name, run.machines),
         )
         if cfg.subset_k is not None:
             report = replace(
@@ -323,7 +323,7 @@ def cmd_subset(run: Run) -> str:
 
 
 def cmd_compare(run: Run) -> str:
-    cfg, records = run.cfg, run.records
+    cfg = run.cfg
     if not (cfg.suite_a and cfg.suite_b):
         raise ConfigError("compare needs --suite-a and --suite-b")
     if not cfg.machine:
@@ -331,7 +331,7 @@ def cmd_compare(run: Run) -> str:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = _compare_pair(run, cfg.suite_a, cfg.suite_b, cfg.machine, out)
-    _write_volume_ratios(cfg, records, out)
+    _write_volume_ratios(cfg, run.store, out)
     return f"compare: {summary}"
 
 
@@ -350,27 +350,23 @@ def _compare_pair(run: Run, suite_a, suite_b, machine, out: Path) -> str:
     return f"{len(cmp.metrics)} metrics compared for {suite_a} vs {suite_b} on {machine} -> {out / stem}.*"
 
 
-def _suite_icounts(records, suite_name: str) -> list[float]:
-    values = []
-    for rec in dataset.records_for(records, suite=suite_name):
-        instructions = rec.event_values().get("instructions")
-        if instructions:
-            values.append(instructions)
-    return values
+def _suite_icounts(store: dataset.Store, suite_name: str) -> list[float]:
+    """The suite's positive instruction counts, in run order."""
+    return [v for v in store.select(suite=suite_name).column("instructions").tolist() if v > 0]
 
 
-def _rate_speed_pairs(records) -> list[tuple[str, str, str]]:
-    """(prefix, <prefix>_rate, <prefix>_speed) for every such pair of suites in `records`."""
-    suites = dataset.suites_in(records)
+def _rate_speed_pairs(store: dataset.Store) -> list[tuple[str, str, str]]:
+    """(prefix, <prefix>_rate, <prefix>_speed) for every such pair of suites in `store`."""
+    suites = dataset.suites_in(store)
     prefixes = [s[: -len("_rate")] for s in suites if s.endswith("_rate")]
     return [(p, f"{p}_rate", f"{p}_speed") for p in prefixes if f"{p}_speed" in suites]
 
 
-def _volume_ratios(records) -> list[tuple[str, float, float, float]]:
+def _volume_ratios(store: dataset.Store) -> list[tuple[str, float, float, float]]:
     """speed/rate mean-icount ratios for every <prefix>_rate / <prefix>_speed pair."""
     rows = []
-    for prefix, rate, speed in _rate_speed_pairs(records):
-        rate_counts, speed_counts = _suite_icounts(records, rate), _suite_icounts(records, speed)
+    for prefix, rate, speed in _rate_speed_pairs(store):
+        rate_counts, speed_counts = _suite_icounts(store, rate), _suite_icounts(store, speed)
         if rate_counts and speed_counts:
             ratio = compare_mod.instruction_volume_ratio(speed_counts, rate_counts)
             rows.append(
@@ -384,8 +380,8 @@ def _volume_ratios(records) -> list[tuple[str, float, float, float]]:
     return rows
 
 
-def _write_volume_ratios(cfg: PipelineConfig, records, out: Path) -> int:
-    ratios = _volume_ratios(records)
+def _write_volume_ratios(cfg: PipelineConfig, store: dataset.Store, out: Path) -> int:
+    ratios = _volume_ratios(store)
     if ratios and "csv" in cfg.format:
         rows = ["pair,mean_speed_icount,mean_rate_icount,speed_over_rate"]
         rows += [f"{p},{s!r},{r!r},{x!r}" for p, s, r, x in ratios]
@@ -394,15 +390,15 @@ def _write_volume_ratios(cfg: PipelineConfig, records, out: Path) -> int:
 
 
 def cmd_proxy(run: Run) -> str:
-    cfg, records = run.cfg, run.records
+    cfg = run.cfg
     machine = run.machine
-    pool_suite = cfg.suite or dataset.suites_in(records)[0]
-    pool_records = dataset.records_for(records, suite=pool_suite, machine=machine)
-    pool_records = [rec for rec in pool_records if rec.workload != cfg.target]
-    if not pool_records:
+    pool_suite = cfg.suite or dataset.suites_in(run.store)[0]
+    pool = run.store.select(suite=pool_suite, machines=[machine])
+    rows = [i for i, (_, workload, _) in enumerate(pool.runs) if workload != cfg.target]
+    if not rows:
         raise ConfigError(f"no candidate runs in suite {pool_suite!r} on {machine!r}")
     vectors = run.vectors
-    profiles = [proxy.WorkloadProfile.from_record(rec) for rec in pool_records]
+    profiles = [proxy.WorkloadProfile.from_store(pool, i) for i in rows]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -431,12 +427,8 @@ def cmd_proxy(run: Run) -> str:
 
     if target_vec is None:
         raise ConfigError("proxy needs --target (or --mix with a mix specification file)")
-    pool_vectors = {
-        (rec.workload, machine): vectors[rec.key] for rec in pool_records
-    }
-    pool_matrix = features.build_matrix(
-        pool_vectors, [rec.workload for rec in pool_records], [machine]
-    )
+    pool_vectors = {(p.workload, machine): vectors[pool.runs[i]] for i, p in zip(rows, profiles)}
+    pool_matrix = features.build_matrix(pool_vectors, [p.workload for p in profiles], [machine])
     scales = features.normalize(pool_matrix).scales_for_machine(machine)
     weights = cfg.weights or {
         metric: 1.0 for metric in target_vec.available()
@@ -468,13 +460,13 @@ def cmd_report(run: Run) -> str:
     machine = run.machine  # fails on a multi-machine store before anything is written
     lines = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
     out = Path(cfg.out)
-    ratio_count = _write_volume_ratios(cfg, run.records, out)
+    ratio_count = _write_volume_ratios(cfg, run.store, out)
     if ratio_count:
         lines.append(f"volume: {ratio_count} speed/rate ratios -> {out / 'volume_ratios.csv'}")
     if cfg.suite_a and cfg.suite_b:
         pairs = [(cfg.suite_a, cfg.suite_b)]
     else:
-        pairs = [(rate, speed) for _, rate, speed in _rate_speed_pairs(run.records)]
+        pairs = [(rate, speed) for _, rate, speed in _rate_speed_pairs(run.store)]
     for suite_a, suite_b in pairs:
         lines.append("compare: " + _compare_pair(run, suite_a, suite_b, machine, out))
     return "\n".join(lines)

@@ -11,6 +11,13 @@ Two on-disk formats are handled here:
   ``suite,workload,machine,event,value,supported`` plus an optional scores
   CSV ``suite,workload,machine,score,wallclock_seconds``.
 
+In memory a store is one read-only `Store` of columns: the sorted run keys
+(suite, workload, machine), the event vocabulary, a runs x events array of
+counter values (NaN where a run has no row for an event), a `supported` mask,
+and the wallclock and score of each run. `Store.from_cells` is its one
+constructor and does every check; reading a store, parsing a raw dump and
+merging two stores all build through it.
+
 Raw platform event names are translated to the canonical vocabulary through a
 per-machine counter map loaded from a YAML manifest.
 """
@@ -19,10 +26,14 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
 import yaml
 
 from .errors import DuplicateKey, SchemaMismatch
@@ -33,58 +44,163 @@ UNSUPPORTED_TOKENS = ("<not supported>", "<not counted>")
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
 
+RunKey = tuple[str, str, str]  # (suite, workload, machine)
+Cell = tuple[str, str, str, str, float, bool]  # (suite, workload, machine, event, value, supported)
 
-@dataclass(frozen=True)
-class CounterSample:
-    """One raw hardware event count for (suite, workload, machine, event)."""
 
-    suite: str
-    workload: str
-    machine: str
-    event: str
-    value: float
-    supported: bool = True
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _count(value: float) -> float:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"counter value must be finite and >= 0, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True, eq=False)
+class Store:
+    """Counters of every run as read-only columns; build one with `from_cells`.
+
+    The events are the canonical vocabulary followed by any unmapped raw
+    names, sorted. A cell with `supported` False keeps its stored value, but
+    `counts()` (what metrics are derived from) shows it as NaN.
+    """
+
+    runs: tuple[RunKey, ...]  # sorted
+    events: tuple[str, ...]
+    values: np.ndarray     # runs x events; NaN where the run has no row for the event
+    supported: np.ndarray  # runs x events; False where unsupported or absent
+    wallclock: np.ndarray  # seconds per run; 1.0 without a scores row
+    scores: np.ndarray     # running score per run; NaN without a scores row
 
     def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"counter value must be finite and >= 0, got {self.value!r}")
+        for name in ("values", "supported", "wallclock", "scores"):
+            _frozen(getattr(self, name))
+
+    @classmethod
+    def from_cells(
+        cls,
+        cells: Iterable[Cell],
+        *,
+        wallclock: Mapping[RunKey, float] | None = None,
+        scores: Mapping[RunKey, float] | None = None,
+    ) -> "Store":
+        """Build a store, checking that (each check raises for its first offender):
+
+        - every value is finite and >= 0 (ValueError, in cell order);
+        - no (run, event) cell repeats (DuplicateKey, in cell order);
+        - a run's wallclock is positive and finite, and its score, when
+          present, finite and > 0 (ValueError, in run order).
+        Wallclocks and scores of runs without cells are ignored.
+        """
+        columns = tuple(zip(*cells)) or ((),) * 6
+        suites, workloads, machines, events, values, supported = columns
+        values = np.array(values, dtype=float)
+        bad = ~((values >= 0) & (values < np.inf))
+        if bad.any():
+            _count(float(values[np.argmax(bad)]))
+        runs = tuple(sorted(set(zip(suites, workloads, machines))))
+        vocabulary = CANONICAL_EVENTS + tuple(sorted(set(events) - set(CANONICAL_EVENTS)))
+        run_index = {key: i for i, key in enumerate(runs)}
+        event_index = {event: j for j, event in enumerate(vocabulary)}
+        keys = zip(suites, workloads, machines)
+        rows = np.fromiter(map(run_index.__getitem__, keys), dtype=np.intp, count=len(events))
+        cols = np.fromiter(map(event_index.__getitem__, events), dtype=np.intp, count=len(events))
+        flat = rows * len(vocabulary) + cols
+        order = np.argsort(flat, kind="stable")
+        repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+        if len(repeats):
+            i = int(repeats.min())
+            raise DuplicateKey(f"duplicate sample key {(suites[i], workloads[i], machines[i], events[i])}")
+        grid = np.full((len(runs), len(vocabulary)), np.nan)
+        grid[rows, cols] = values
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[rows, cols] = np.array(supported, dtype=bool)
+
+        wallclock, scores = wallclock or {}, scores or {}
+        for key in runs:
+            if not 0 < wallclock.get(key, 1.0) < math.inf:
+                raise ValueError("wallclock_seconds must be positive and finite")
+            if key in scores and scores[key] <= 0:
+                raise ValueError("score must be positive when present")
+            if key in scores and not scores[key] < math.inf:
+                raise ValueError(f"score must be finite when present, got {float(scores[key])!r}")
+        clocks = np.array([wallclock.get(key, 1.0) for key in runs], dtype=float)
+        marks = np.array([scores.get(key, math.nan) for key in runs], dtype=float)
+        return cls(runs, vocabulary, grid, mask, clocks, marks)
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Store):
+            return NotImplemented
+        return (
+            self.runs == other.runs
+            and self.events == other.events
+            and np.array_equal(self.values, other.values, equal_nan=True)
+            and np.array_equal(self.supported, other.supported)
+            and np.array_equal(self.wallclock, other.wallclock)
+            and np.array_equal(self.scores, other.scores, equal_nan=True)
+        )
+
+    __hash__ = None
 
     @property
-    def key(self) -> tuple[str, str, str, str]:
-        return (self.suite, self.workload, self.machine, self.event)
+    def cell_count(self) -> int:
+        """Number of (run, event) rows, supported or not."""
+        return int(np.count_nonzero(~np.isnan(self.values)))
 
+    def counts(self) -> np.ndarray:
+        """Counter values with unsupported and absent cells as NaN."""
+        return np.where(self.supported, self.values, np.nan)
 
-@dataclass(frozen=True)
-class RunRecord:
-    """All samples of one benchmark run on one machine, plus its score."""
+    def column(self, event: str) -> np.ndarray:
+        """One event's supported counts per run (NaN where unsupported or absent)."""
+        j = self.events.index(event)
+        return np.where(self.supported[:, j], self.values[:, j], np.nan)
 
-    suite: str
-    workload: str
-    machine: str
-    samples: tuple[CounterSample, ...]
-    wallclock_seconds: float = 1.0
-    score: float | None = None
+    def select(self, *, suite: str | None = None, machines: Iterable[str] | None = None) -> "Store":
+        """The runs of one suite and/or on the given machines, as a store."""
+        machines = None if machines is None else set(machines)
+        rows = [
+            i
+            for i, (s, _, m) in enumerate(self.runs)
+            if (suite is None or s == suite) and (machines is None or m in machines)
+        ]
+        return Store(
+            tuple(self.runs[i] for i in rows),
+            self.events,
+            self.values[rows],
+            self.supported[rows],
+            self.wallclock[rows],
+            self.scores[rows],
+        )
 
-    def __post_init__(self):
-        if self.wallclock_seconds <= 0 or not math.isfinite(self.wallclock_seconds):
-            raise ValueError("wallclock_seconds must be positive and finite")
-        if self.score is not None and self.score <= 0:
-            raise ValueError("score must be positive when present")
-        seen: set[str] = set()
-        for s in self.samples:
-            if (s.suite, s.workload, s.machine) != (self.suite, self.workload, self.machine):
-                raise ValueError(f"sample {s.key} does not belong to run {self.key}")
-            if s.event in seen:
-                raise DuplicateKey(f"duplicate event {s.event!r} in run {self.key}")
-            seen.add(s.event)
+    def columns(self) -> tuple[list, ...]:
+        """The cells as six columns (suite, workload, machine, event, value, supported).
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.suite, self.workload, self.machine)
+        Cells are sorted by run and then by event name, the order of the store CSV.
+        """
+        order = sorted(range(len(self.events)), key=self.events.__getitem__)
+        values = self.values[:, order]
+        present = ~np.isnan(values)
+        rows, cols = np.nonzero(present)
+        keys = [self.runs[i] for i in rows.tolist()]
+        return (
+            [k[0] for k in keys],
+            [k[1] for k in keys],
+            [k[2] for k in keys],
+            [self.events[order[j]] for j in cols.tolist()],
+            values[present].tolist(),
+            self.supported[:, order][present].tolist(),
+        )
 
-    def event_values(self) -> dict[str, float]:
-        """Values of the supported events only; unsupported ones never leak downstream."""
-        return {s.event: s.value for s in self.samples if s.supported}
+    def cells(self) -> Iterable[Cell]:
+        """Every (run, event) cell, in the order of `columns`."""
+        return zip(*self.columns())
 
 
 @dataclass(frozen=True)
@@ -168,7 +284,7 @@ class NonNumericValue:
 
 @dataclass(frozen=True)
 class ParseResult:
-    samples: tuple[CounterSample, ...]
+    store: Store
     errors: tuple[MalformedLine | NonNumericValue, ...]
 
 
@@ -180,13 +296,13 @@ def parse_counter_file(
     suite: str,
     workload: str,
 ) -> ParseResult:
-    """Parse a raw counter dump into samples, collecting per-line errors.
+    """Parse a raw counter dump into a one-run store, collecting per-line errors.
 
     Bad lines never abort the parse: a wrong field count yields MalformedLine
     and an unparseable value field yields NonNumericValue, while all valid
-    lines still come back as samples.
+    lines still reach the store. An event listed twice raises DuplicateKey.
     """
-    samples: list[CounterSample] = []
+    cells: list[Cell] = []
     errors: list[MalformedLine | NonNumericValue] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw_line in enumerate(fh, start=1):
@@ -214,85 +330,41 @@ def parse_counter_file(
             event = cmap.to_canonical(raw_event)
             if event == "dram_bytes" and cmap.dram_bytes_unit == "lines":
                 value *= cmap.cacheline_bytes
-            samples.append(
-                CounterSample(
-                    suite=suite,
-                    workload=workload,
-                    machine=machine,
-                    event=event,
-                    value=value,
-                    supported=supported,
-                )
-            )
-    return ParseResult(tuple(samples), tuple(errors))
+            cells.append((suite, workload, machine, event, value, supported))
+    return ParseResult(Store.from_cells(cells), tuple(errors))
 
 
-def build_records(
-    samples: Iterable[CounterSample],
-    *,
-    wallclock: Mapping[tuple[str, str, str], float] | None = None,
-    scores: Mapping[tuple[str, str, str], float] | None = None,
-) -> list[RunRecord]:
-    """Group samples into runs keyed by (suite, workload, machine)."""
-    grouped: dict[tuple[str, str, str], list[CounterSample]] = {}
-    seen: set[tuple[str, str, str, str]] = set()
-    for s in samples:
-        if s.key in seen:
-            raise DuplicateKey(f"duplicate sample key {s.key}")
-        seen.add(s.key)
-        grouped.setdefault((s.suite, s.workload, s.machine), []).append(s)
-    records = []
-    for key in sorted(grouped):
-        records.append(
-            RunRecord(
-                suite=key[0],
-                workload=key[1],
-                machine=key[2],
-                samples=tuple(sorted(grouped[key], key=lambda s: s.event)),
-                wallclock_seconds=(wallclock or {}).get(key, 1.0),
-                score=(scores or {}).get(key),
-            )
-        )
-    return records
+def _parse_row(path: str | Path, row_no: int, row: list[str]) -> Cell:
+    """One data row of a store CSV as a cell; names are interned, so that runs share one string each."""
+    if len(row) != len(STORE_HEADER):
+        raise SchemaMismatch(f"{path}:{row_no}: expected {len(STORE_HEADER)} columns, got {len(row)}")
+    suite, workload, machine, event, value, supported = row
+    flag = supported.lower()
+    if flag not in ("true", "false"):
+        raise SchemaMismatch(f"{path}:{row_no}: supported must be true/false, got {supported!r}")
+    try:
+        parsed = float(value)
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}:{row_no}: bad value field {value!r}") from exc
+    return (*map(sys.intern, (suite, workload, machine, event)), _count(parsed), flag == "true")
 
 
-def load_canonical(path: str | Path, scores_path: str | Path | None = None) -> list[RunRecord]:
-    """Load the canonical store CSV, optionally joining a scores CSV.
+def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store:
+    """Read the canonical store CSV, optionally joining a scores CSV.
 
     Runs without a scores row keep the default wallclock of 1.0 and no score.
+    Rows are checked in file order, so the first bad row names the error.
     """
-    samples: list[CounterSample] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != STORE_HEADER:
             raise SchemaMismatch(f"{path}: expected header {STORE_HEADER}, got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(STORE_HEADER):
-                raise SchemaMismatch(f"{path}:{row_no}: expected {len(STORE_HEADER)} columns, got {len(row)}")
-            suite, workload, machine, event, value, supported = row
-            if supported.lower() not in ("true", "false"):
-                raise SchemaMismatch(f"{path}:{row_no}: supported must be true/false, got {supported!r}")
-            try:
-                parsed = float(value)
-            except ValueError as exc:
-                raise SchemaMismatch(f"{path}:{row_no}: bad value field {value!r}") from exc
-            samples.append(
-                CounterSample(
-                    suite=suite,
-                    workload=workload,
-                    machine=machine,
-                    event=event,
-                    value=parsed,
-                    supported=supported.lower() == "true",
-                )
-            )
-    wallclock: dict[tuple[str, str, str], float] = {}
-    scores: dict[tuple[str, str, str], float] = {}
+        cells = [_parse_row(path, row_no, row) for row_no, row in enumerate(reader, start=2) if row]
+    wallclock: dict[RunKey, float] = {}
+    scores: dict[RunKey, float] = {}
     if scores_path is not None:
-        run_keys = {(s.suite, s.workload, s.machine) for s in samples}
+        run_keys = set(map(itemgetter(0, 1, 2), cells))
         with open(scores_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -313,45 +385,51 @@ def load_canonical(path: str | Path, scores_path: str | Path | None = None) -> l
                     wallclock[key] = float(row[4])
                 except ValueError as exc:
                     raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
-    return build_records(samples, wallclock=wallclock, scores=scores)
+    return Store.from_cells(cells, wallclock=wallclock, scores=scores)
 
 
-def save_canonical(records: Iterable[RunRecord], path: str | Path) -> None:
+def _write_rows(path: str | Path, header: list[str], rows: Iterable[tuple]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_canonical(store: Store, path: str | Path) -> None:
     """Write the store CSV; float values use repr so reloading is lossless."""
-    rows = []
-    for rec in records:
-        for s in rec.samples:
-            rows.append((s.suite, s.workload, s.machine, s.event, repr(s.value), "true" if s.supported else "false"))
-    rows.sort()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STORE_HEADER)
-        writer.writerows(rows)
+    suites, workloads, machines, events, values, supported = store.columns()
+    flags = ["true" if flag else "false" for flag in supported]
+    _write_rows(path, STORE_HEADER, zip(suites, workloads, machines, events, map(repr, values), flags))
 
 
-def save_scores(records: Iterable[RunRecord], path: str | Path) -> None:
-    rows = []
-    for rec in records:
-        if rec.score is not None:
-            rows.append((rec.suite, rec.workload, rec.machine, repr(rec.score), repr(rec.wallclock_seconds)))
-    rows.sort()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        writer.writerows(rows)
+def save_scores(store: Store, path: str | Path) -> None:
+    """Write the scores CSV: one row per run with a score."""
+    _write_rows(
+        path,
+        SCORES_HEADER,
+        (
+            (*run, repr(score), repr(clock))
+            for run, score, clock in zip(store.runs, store.scores.tolist(), store.wallclock.tolist())
+            if score == score
+        ),
+    )
 
 
-def merge_records(existing: Iterable[RunRecord], new: Iterable[RunRecord]) -> list[RunRecord]:
-    """Union of two stores; any repeated (suite, workload, machine, event) is an error."""
-    samples: list[CounterSample] = []
-    wallclock: dict[tuple[str, str, str], float] = {}
-    scores: dict[tuple[str, str, str], float] = {}
-    for rec in list(existing) + list(new):
-        samples.extend(rec.samples)
-        wallclock[rec.key] = rec.wallclock_seconds
-        if rec.score is not None:
-            scores[rec.key] = rec.score
-    return build_records(samples, wallclock=wallclock, scores=scores)
+def merge_stores(existing: Store, new: Store) -> Store:
+    """Union of the (run, event) cells of two stores; a cell in both raises DuplicateKey.
+
+    A run in both stores takes the new store's wallclock, and its score
+    unless only the existing store has one.
+    """
+    wallclock = dict(zip(existing.runs, existing.wallclock.tolist()))
+    wallclock.update(zip(new.runs, new.wallclock.tolist()))
+    scores = {
+        run: score
+        for store in (existing, new)
+        for run, score in zip(store.runs, store.scores.tolist())
+        if score == score
+    }
+    return Store.from_cells(chain(existing.cells(), new.cells()), wallclock=wallclock, scores=scores)
 
 
 @dataclass(frozen=True)
@@ -366,20 +444,17 @@ class StoreValidation:
     per_machine: Mapping[str, MachineValidation]
 
 
-def validate_store(records: Iterable[RunRecord]) -> StoreValidation:
+def validate_store(store: Store) -> StoreValidation:
     """Report, per machine, which metrics are computable on every run there.
 
     A metric counts as computable on a machine only when each run on that
     machine carries both of its input events with supported values. The store
     itself is never modified.
     """
-    by_machine: dict[str, list[RunRecord]] = {}
-    for rec in records:
-        by_machine.setdefault(rec.machine, []).append(rec)
     report: dict[str, MachineValidation] = {}
-    for machine in sorted(by_machine):
-        event_sets = [set(rec.event_values()) for rec in by_machine[machine]]
-        common = set.intersection(*event_sets) if event_sets else set()
+    for machine in machines_in(store):
+        rows = [i for i, (_, _, m) in enumerate(store.runs) if m == machine]
+        common = {e for e, ok in zip(store.events, store.supported[rows].all(axis=0)) if ok}
         computable = []
         blocked: dict[str, tuple[str, ...]] = {}
         for metric in METRIC_NAMES:
@@ -393,27 +468,13 @@ def validate_store(records: Iterable[RunRecord]) -> StoreValidation:
     return StoreValidation(per_machine=report)
 
 
-def suites_in(records: Iterable[RunRecord]) -> list[str]:
-    return sorted({rec.suite for rec in records})
+def suites_in(store: Store) -> list[str]:
+    return sorted({suite for suite, _, _ in store.runs})
 
 
-def machines_in(records: Iterable[RunRecord]) -> list[str]:
-    return sorted({rec.machine for rec in records})
+def machines_in(store: Store) -> list[str]:
+    return sorted({machine for _, _, machine in store.runs})
 
 
-def workloads_in(records: Iterable[RunRecord], suite: str | None = None) -> list[str]:
-    return sorted({rec.workload for rec in records if suite is None or rec.suite == suite})
-
-
-def records_for(
-    records: Iterable[RunRecord],
-    *,
-    suite: str | None = None,
-    machine: str | None = None,
-) -> list[RunRecord]:
-    out = [
-        rec
-        for rec in records
-        if (suite is None or rec.suite == suite) and (machine is None or rec.machine == machine)
-    ]
-    return sorted(out, key=lambda r: r.key)
+def workloads_in(store: Store, suite: str | None = None) -> list[str]:
+    return sorted({w for s, w, _ in store.runs if suite is None or s == suite})

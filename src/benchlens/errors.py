@@ -23,10 +23,6 @@ class MissingDenominator(BenchlensError):
     pass
 
 
-class EmptyGroup(BenchlensError):
-    pass
-
-
 class MissingCell(BenchlensError):
     def __init__(self, workload: str, machine: str):
         super().__init__(f"no metric vector for workload {workload!r} on machine {machine!r}")

@@ -20,7 +20,6 @@ from .errors import (
     EmptyInput,
     MissingCell,
     NotNormalized,
-    SchemaMismatch,
     TooFewRows,
 )
 from .events import METRIC_NAMES
@@ -109,8 +108,7 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
     """Z-score each column with the population standard deviation.
 
     Constant columns become zero columns and are flagged rather than dropped,
-    which keeps column indexing stable across suites. The original values are
-    recoverable through denormalize().
+    which keeps column indexing stable across suites.
     """
     if matrix.normalized:
         raise AlreadyNormalized("matrix is already normalized")
@@ -131,98 +129,10 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
     )
 
 
-def denormalize(matrix: FeatureMatrix) -> FeatureMatrix:
-    """Invert normalize(), reconstructing the raw cell values."""
-    if not matrix.normalized or matrix.col_means is None or matrix.col_stdevs is None:
-        raise NotNormalized("matrix is not normalized")
-    safe = np.where(matrix.col_stdevs == 0.0, 1.0, matrix.col_stdevs)
-    values = matrix.values * safe + matrix.col_means
-    return replace(
-        matrix,
-        values=values,
-        normalized=False,
-        col_means=None,
-        col_stdevs=None,
-        constant_cols=(),
-    )
-
-
-def _norm_sidecar(path: Path) -> Path:
-    return path.with_name(path.stem + ".norm.csv")
-
-
 def export_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Write the matrix with a two-level "metric:machine" header.
-
-    Normalized matrices additionally get a ``<stem>.norm.csv`` sidecar holding
-    the per-column normalization state so import_csv can restore it.
-    """
-    path = Path(path)
+    """Write the matrix with a two-level "metric:machine" header."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["workload", *(f"{metric}:{machine}" for metric, machine in matrix.cols)])
         for i, workload in enumerate(matrix.rows):
             writer.writerow([workload, *(repr(float(v)) for v in matrix.values[i])])
-    if matrix.normalized:
-        assert matrix.col_means is not None and matrix.col_stdevs is not None
-        with open(_norm_sidecar(path), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "machine", "mean", "stdev", "constant"])
-            for i, (metric, machine) in enumerate(matrix.cols):
-                writer.writerow(
-                    [
-                        metric,
-                        machine,
-                        repr(float(matrix.col_means[i])),
-                        repr(float(matrix.col_stdevs[i])),
-                        "true" if i in matrix.constant_cols else "false",
-                    ]
-                )
-
-
-def import_csv(path: str | Path) -> FeatureMatrix:
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "workload":
-            raise SchemaMismatch(f"{path}: expected feature header starting with 'workload'")
-        cols: list[Column] = []
-        for label in header[1:]:
-            metric, sep, machine = label.partition(":")
-            if not sep or metric not in METRIC_NAMES:
-                raise SchemaMismatch(f"{path}: bad column label {label!r}")
-            cols.append((metric, machine))
-        rows: list[str] = []
-        data: list[list[float]] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(cols) + 1:
-                raise SchemaMismatch(f"{path}: row for {row[0]!r} has wrong arity")
-            rows.append(row[0])
-            data.append([float(v) for v in row[1:]])
-    if not rows:
-        raise EmptyInput(f"{path}: no data rows")
-    matrix = FeatureMatrix(rows=tuple(rows), cols=tuple(cols), values=np.array(data))
-    sidecar = _norm_sidecar(path)
-    if sidecar.exists():
-        means, stdevs, constant = [], [], []
-        with open(sidecar, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for i, row in enumerate(reader):
-                if (row[0], row[1]) != cols[i]:
-                    raise SchemaMismatch(f"{sidecar}: column order does not match {path}")
-                means.append(float(row[2]))
-                stdevs.append(float(row[3]))
-                if row[4] == "true":
-                    constant.append(i)
-        matrix = replace(
-            matrix,
-            normalized=True,
-            col_means=_frozen(np.array(means)),
-            col_stdevs=_frozen(np.array(stdevs)),
-            constant_cols=tuple(constant),
-        )
-    return matrix

@@ -1,10 +1,15 @@
-"""Derived per-run metrics and per-suite distribution summaries.
+"""Derived per-run metrics.
 
 The metric set covers IPC, cache MPKI (L1I/L1D/L2/L3), TLB MPMI
 (iTLB/dTLB/L2 TLB), branch MPKI, frontend/backend stall percentages, the
 instruction-mix shares (kernel/user/load/store/branch/fp/vector) and DRAM
 bytes per cycle. A metric whose input events are unsupported or absent is
 unavailable (None), never zero-filled.
+
+`metric_array` is the one place the metrics are computed from counts: over
+a store's runs (`derive_store`), over one RRR blend or constituent
+(`proxy.simulate_rrr`, `proxy.blend_markdown`) and over every proxy mix at
+once (`proxy.search_mix`).
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .dataset import RunRecord
-from .errors import EmptyGroup, MissingDenominator
+import numpy as np
+
+from .dataset import RunKey, Store
+from .errors import MissingDenominator
 from .events import METRIC_DEFS, METRIC_NAMES
-from .stats import BoxStats, positive_geomean
 
 BOUNDED_SHARES = ("load_pct", "store_pct", "branch_pct", "frontend_stall_pct", "backend_stall_pct")
 
@@ -62,6 +68,11 @@ class MetricVector:
                     f"kernel_pct + user_pct must equal 100, got {self.kernel_pct + self.user_pct!r}"
                 )
 
+    @classmethod
+    def from_row(cls, row: Sequence[float]) -> "MetricVector":
+        """The vector of one row of metric values in METRIC_NAMES order, NaN for unavailable."""
+        return cls(**{name: None if v != v else v for name, v in zip(METRIC_NAMES, row)})
+
     def get(self, metric: str) -> float | None:
         return getattr(self, metric)
 
@@ -72,68 +83,62 @@ class MetricVector:
         return tuple(name for name in METRIC_NAMES if getattr(self, name) is not None)
 
 
-def derive_metrics(record: RunRecord) -> MetricVector:
-    """Derive the full metric vector from one run's counters.
+def metric_array(counts: np.ndarray, events: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The metrics of each row of `counts`, NaN where unavailable, and the rows that fail.
 
-    Raises MissingDenominator unless the run carries positive instruction and
-    cycle counts; everything else degrades to per-metric unavailability.
+    `counts` holds one run or blend per row and one event of `events` per
+    column, NaN where the event is unsupported or absent. Each metric is
+    `scale * num / den` per METRIC_DEFS, unavailable when its numerator is
+    NaN or its denominator is not positive. A row fails when its instructions
+    or cycles are not positive, or when its values break a MetricVector bound.
     """
-    events = record.event_values()
-    if not events.get("instructions") or not events.get("cycles"):
-        raise MissingDenominator(f"run {record.key} lacks positive instructions/cycles counts")
-    values: dict[str, float | None] = {}
-    for metric, (num_event, den_event, scale) in METRIC_DEFS.items():
-        num = events.get(num_event)
-        den = events.get(den_event)
-        if num is None or den is None or den == 0:
-            values[metric] = None
-        else:
-            # scale first: keeps shares exact for integer counters at table precision
-            values[metric] = scale * num / den
-    return MetricVector(**values)
+    column = {event: j for j, event in enumerate(events)}
+    absent = np.full(len(counts), np.nan)
+
+    def count(event: str) -> np.ndarray:
+        return counts[:, column[event]] if event in column else absent
+
+    num = np.stack([count(n) for n, _, _ in METRIC_DEFS.values()], axis=1)
+    den = np.stack([count(d) for _, d, _ in METRIC_DEFS.values()], axis=1)
+    scale = np.array([s for _, _, s in METRIC_DEFS.values()])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        available = ~np.isnan(num) & (den > 0)
+        # scale first: keeps shares exact for integer counters at table precision
+        values = np.where(available, scale * num / den, np.nan)
+        failed = ~(count("instructions") > 0) | ~(count("cycles") > 0)
+        failed |= (available & ~(np.isfinite(values) & (values >= 0))).any(axis=1)
+        failed |= (values[:, [METRIC_NAMES.index(m) for m in BOUNDED_SHARES]] > 100.0).any(axis=1)
+        kernel, user = values[:, METRIC_NAMES.index("kernel_pct")], values[:, METRIC_NAMES.index("user_pct")]
+        failed |= np.abs(kernel + user - 100.0) > 1e-6
+    return values, failed
 
 
-def derive_store(records: Iterable[RunRecord]) -> dict[tuple[str, str, str], MetricVector]:
-    """Metric vectors for every run, keyed by (suite, workload, machine)."""
-    return {rec.key: derive_metrics(rec) for rec in sorted(records, key=lambda r: r.key)}
+def derive_rows(counts: np.ndarray, events: Sequence[str], keys: Sequence) -> np.ndarray:
+    """`metric_array`'s values; the first failing row raises its error.
 
-
-@dataclass(frozen=True)
-class MetricSummary:
-    geomean: float | None
-    excluded_zeros: int
-    box: BoxStats
-    n: int
-
-
-def suite_summary(
-    groups: Mapping[str, Sequence[MetricVector]],
-) -> dict[str, dict[str, MetricSummary]]:
-    """Per-suite, per-metric distribution summary.
-
-    Geomeans cover strictly positive available values (zero count reported);
-    the box statistics cover all available values with linearly interpolated
-    quartiles. Metrics unavailable across a whole group are omitted for it.
+    That row raises MissingDenominator (named by its entry in `keys`) unless
+    it has positive instruction and cycle counts, else MetricVector's
+    ValueError for its values.
     """
-    out: dict[str, dict[str, MetricSummary]] = {}
-    for suite in sorted(groups):
-        vectors = groups[suite]
-        if not vectors:
-            raise EmptyGroup(f"suite {suite!r} has no metric vectors")
-        per_metric: dict[str, MetricSummary] = {}
-        for metric in METRIC_NAMES:
-            values = [v for vec in vectors if (v := vec.get(metric)) is not None]
-            if not values:
-                continue
-            geomean, excluded = positive_geomean(values)
-            per_metric[metric] = MetricSummary(
-                geomean=geomean,
-                excluded_zeros=excluded,
-                box=BoxStats.of(values),
-                n=len(values),
-            )
-        out[suite] = per_metric
-    return out
+    values, failed = metric_array(counts, events)
+    if failed.any():
+        i = int(np.argmax(failed))
+        row = dict(zip(events, counts[i].tolist()))
+        if not (row.get("instructions", math.nan) > 0 and row.get("cycles", math.nan) > 0):
+            raise MissingDenominator(f"run {keys[i]} lacks positive instructions/cycles counts")
+        MetricVector.from_row(values[i].tolist())
+        raise AssertionError(f"run {keys[i]} failed the array checks but not MetricVector's")
+    return values
+
+
+def derive_store(store: Store) -> dict[RunKey, MetricVector]:
+    """Metric vectors for every run, keyed by (suite, workload, machine).
+
+    Raises MissingDenominator unless every run carries positive instruction
+    and cycle counts; everything else degrades to per-metric unavailability.
+    """
+    values = derive_rows(store.counts(), store.events, store.runs)
+    return {key: MetricVector.from_row(row) for key, row in zip(store.runs, values.tolist())}
 
 
 def export_metrics_csv(

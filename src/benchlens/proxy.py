@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CounterSample, RunRecord
+from .dataset import Store
 from .errors import BudgetExceeded, NoCommonMetrics, UnknownWorkload, ZeroHorizon
-from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES
-from .metrics import BOUNDED_SHARES, MetricVector, derive_metrics
+from .events import CANONICAL_EVENTS, METRIC_NAMES
+from .metrics import MetricVector, derive_rows, metric_array
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,22 @@ class WorkloadProfile:
                 raise ValueError(f"rate for {event!r} must be finite and >= 0")
 
     @classmethod
-    def from_record(cls, record: RunRecord) -> "WorkloadProfile":
-        rates = {
-            event: value / record.wallclock_seconds
-            for event, value in record.event_values().items()
-        }
-        return cls(workload=record.workload, rates=rates, duration=record.wallclock_seconds)
+    def from_store(cls, store: Store, row: int) -> "WorkloadProfile":
+        """The profile of one run of a store: its supported counts over its wallclock."""
+        wallclock = float(store.wallclock[row])
+        values, supported = store.values[row].tolist(), store.supported[row].tolist()
+        rates = {event: value / wallclock for event, value, ok in zip(store.events, values, supported) if ok}
+        return cls(workload=store.runs[row][1], rates=rates, duration=wallclock)
+
+
+def _derive_counts(key: tuple[str, str, str], counts: Mapping[str, float]) -> MetricVector:
+    """Metrics of one blend's or constituent's event counts, checked like a store run's."""
+    for _, value in sorted(counts.items()):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"counter value must be finite and >= 0, got {value!r}")
+    events = tuple(counts)
+    values = derive_rows(np.array([[counts[e] for e in events]], dtype=float), events, [key])
+    return MetricVector.from_row(values[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -146,24 +156,8 @@ def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> 
 
     total_time = schedule.copies * horizon
     shares = {w: t / total_time for w, t in sorted(busy_time.items())}
-    record = RunRecord(
-        suite="rrr",
-        workload="+".join(schedule.order),
-        machine="blend",
-        samples=tuple(
-            CounterSample(
-                suite="rrr",
-                workload="+".join(schedule.order),
-                machine="blend",
-                event=event,
-                value=value,
-            )
-            for event, value in sorted(totals.items())
-        ),
-        wallclock_seconds=total_time,
-    )
     return BlendProfile(
-        metrics=derive_metrics(record),
+        metrics=_derive_counts(("rrr", "+".join(schedule.order), "blend"), totals),
         time_shares=shares,
         totals=totals,
         copies=schedule.copies,
@@ -262,18 +256,8 @@ def _equal_duration_metrics(rates, mixes, events):
     for copy in range(size):
         for step in range(size):
             totals += rates[mixes[:, (copy + step) % size]]
-    num = totals[:, [events.index(n) for n, _, _ in METRIC_DEFS.values()]]
-    den = totals[:, [events.index(d) for _, d, _ in METRIC_DEFS.values()]]
-    scale = np.array([s for _, _, s in METRIC_DEFS.values()])
-    available = ~np.isnan(num) & (den > 0)
-    values = np.where(available, scale * num / den, np.nan)
-    failed = np.isinf(totals).any(axis=1)  # CounterSample rejects the total
-    failed |= ~(totals[:, events.index("instructions")] > 0) | ~(totals[:, events.index("cycles")] > 0)
-    failed |= (available & ~(np.isfinite(values) & (values >= 0))).any(axis=1)
-    failed |= (values[:, [METRIC_NAMES.index(m) for m in BOUNDED_SHARES]] > 100.0).any(axis=1)
-    kernel, user = values[:, METRIC_NAMES.index("kernel_pct")], values[:, METRIC_NAMES.index("user_pct")]
-    failed |= np.abs(kernel + user - 100.0) > 1e-6
-    return values, failed
+    values, failed = metric_array(totals, events)
+    return values, failed | np.isinf(totals).any(axis=1)  # simulate_rrr rejects an infinite total
 
 
 def search_mix(
@@ -294,12 +278,12 @@ def search_mix(
     on distance go to the lower order tuple.
 
     The ranking is computed over arrays, one row per mix, and replays the
-    float operations of `simulate_rrr` + `derive_metrics` + `blend_distance`
+    float operations of `simulate_rrr` + `blend_distance`
     in their order, so every value is bit-identical to simulating the mix:
     - totals: copy c adds the rates of segments c, c+1, ..., k-1, 0, ..., c-1
       into one running sum shared by all copies, starting from 0.0; an event
       missing from any constituent (NaN) is missing from the blend;
-    - metrics: `scale * num / den` per METRIC_DEFS;
+    - metrics: `metrics.metric_array`, which simulate_rrr also derives with;
     - distance: `weight * diff * diff` summed in METRIC_NAMES order from 0.0,
       then the square root.
     The checks of that path (finite totals, positive instructions and cycles,
@@ -449,25 +433,12 @@ def blend_markdown(
     constituents: Sequence[WorkloadProfile],
 ) -> str:
     """Per-metric blend vs target vs constituents table."""
-    constituent_metrics: dict[str, MetricVector] = {}
-    for p in constituents:
-        record = RunRecord(
-            suite="constituent",
-            workload=p.workload,
-            machine="blend",
-            samples=tuple(
-                CounterSample(
-                    suite="constituent",
-                    workload=p.workload,
-                    machine="blend",
-                    event=event,
-                    value=rate * p.duration,
-                )
-                for event, rate in sorted(p.rates.items())
-            ),
-            wallclock_seconds=p.duration,
+    constituent_metrics = {
+        p.workload: _derive_counts(
+            ("constituent", p.workload, "blend"), {event: rate * p.duration for event, rate in p.rates.items()}
         )
-        constituent_metrics[p.workload] = derive_metrics(record)
+        for p in constituents
+    }
     names = sorted(constituent_metrics)
     header = "| Metric | Blend |" + (" Target |" if target is not None else "") + "".join(
         f" {n} |" for n in names

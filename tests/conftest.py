@@ -3,15 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from itertools import chain
+
 from benchlens import bundled
-from benchlens.dataset import CounterSample, RunRecord, build_records, load_canonical
+from benchlens.dataset import Store, read_store
 from benchlens.events import CANONICAL_EVENTS
+from benchlens.metrics import MetricVector, derive_store
 from benchlens.proxy import WorkloadProfile
 
 
 @pytest.fixture(scope="session")
-def sample_records():
-    return load_canonical(bundled.sample_store_path(), bundled.sample_scores_path())
+def sample_store():
+    return read_store(bundled.sample_store_path(), bundled.sample_scores_path())
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +34,8 @@ def make_full_record(
     rng: np.random.Generator,
     *,
     base_instructions: float = 1e12,
-) -> RunRecord:
-    """A run with every canonical event populated with consistent counts."""
+) -> Store:
+    """A one-run store with every canonical event populated with consistent counts."""
     instructions = float(round(base_instructions * rng.uniform(0.5, 2.0)))
     cycles = float(round(instructions / rng.uniform(0.5, 4.0)))
     kernel = float(round(instructions * rng.uniform(0.01, 0.2)))
@@ -59,17 +62,33 @@ def make_full_record(
         "dram_bytes": float(round(cycles * rng.uniform(0.0, 8.0))),
     }
     assert set(values) == set(CANONICAL_EVENTS)
-    samples = tuple(
-        CounterSample(suite=suite, workload=workload, machine=machine, event=e, value=v)
-        for e, v in sorted(values.items())
+    key = (suite, workload, machine)
+    return Store.from_cells(
+        [(*key, e, v, True) for e, v in sorted(values.items())],
+        wallclock={key: float(rng.uniform(50.0, 500.0))},
     )
-    return RunRecord(
-        suite=suite,
-        workload=workload,
-        machine=machine,
-        samples=samples,
-        wallclock_seconds=float(rng.uniform(50.0, 500.0)),
+
+
+def combine(stores, *, keep=lambda cell: True) -> Store:
+    """One store of the `keep` cells and the wallclocks and scores of `stores`."""
+    stores = list(stores)
+    return Store.from_cells(
+        (cell for cell in chain.from_iterable(s.cells() for s in stores) if keep(cell)),
+        wallclock={key: w for s in stores for key, w in zip(s.runs, s.wallclock.tolist())},
+        scores={key: v for s in stores for key, v in zip(s.runs, s.scores.tolist()) if v == v},
     )
+
+
+def with_score(store: Store, score: float) -> Store:
+    """A one-run store with its score set."""
+    wallclock = dict(zip(store.runs, store.wallclock.tolist()))
+    return Store.from_cells(store.cells(), wallclock=wallclock, scores={store.runs[0]: score})
+
+
+def derive_one(store: Store) -> MetricVector:
+    """The metric vector of a one-run store."""
+    (vector,) = derive_store(store).values()
+    return vector
 
 
 def make_full_store(
@@ -77,14 +96,11 @@ def make_full_store(
     machines: list[str],
     seed: int = 7,
     suite: str = "synthetic",
-) -> list[RunRecord]:
+) -> Store:
     rng = np.random.default_rng(seed)
-    records = []
-    for workload in workloads:
-        for machine in machines:
-            records.append(make_full_record(suite, workload, machine, rng))
-    return build_records([s for rec in records for s in rec.samples],
-                         wallclock={rec.key: rec.wallclock_seconds for rec in records})
+    return combine(
+        make_full_record(suite, workload, machine, rng) for workload in workloads for machine in machines
+    )
 
 
 def make_profile(

@@ -5,19 +5,24 @@ Each oracle recomputes a result through a different route than the library
 per-pair Python scan instead of one array minimum per merge,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
-mixes), so agreement is meaningful.
+mixes, per-row counter objects instead of a columnar store), so agreement is
+meaningful.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from benchlens.errors import BudgetExceeded
+from benchlens.dataset import SCORES_HEADER, STORE_HEADER
+from benchlens.errors import BudgetExceeded, DuplicateKey, MissingDenominator, SchemaMismatch
+from benchlens.events import METRIC_DEFS
+from benchlens.metrics import MetricVector
 from benchlens.proxy import RrrSchedule, blend_distance, simulate_rrr
 from benchlens.subset import _accuracies, _suite_geomeans
 
@@ -251,3 +256,164 @@ def search_mix_by_simulation(profiles, target, max_constituents, weights, *, sca
             ranked.append((report.distance, order, blend))
     ranked.sort(key=lambda item: (item[0], item[1]))
     return [(order, blend) for _, order, blend in ranked]
+
+
+# The per-row store that `dataset.Store` replaced: one object per counter row,
+# grouped into one object per run, and its loader, merge and metric derivation.
+
+
+@dataclass(frozen=True)
+class CounterSample:
+    suite: str
+    workload: str
+    machine: str
+    event: str
+    value: float
+    supported: bool = True
+
+    def __post_init__(self):
+        if not math.isfinite(self.value) or self.value < 0:
+            raise ValueError(f"counter value must be finite and >= 0, got {self.value!r}")
+
+    @property
+    def key(self):
+        return (self.suite, self.workload, self.machine, self.event)
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    suite: str
+    workload: str
+    machine: str
+    samples: tuple
+    wallclock_seconds: float = 1.0
+    score: float | None = None
+
+    def __post_init__(self):
+        if self.wallclock_seconds <= 0 or not math.isfinite(self.wallclock_seconds):
+            raise ValueError("wallclock_seconds must be positive and finite")
+        if self.score is not None and self.score <= 0:
+            raise ValueError("score must be positive when present")
+        seen = set()
+        for s in self.samples:
+            if (s.suite, s.workload, s.machine) != (self.suite, self.workload, self.machine):
+                raise ValueError(f"sample {s.key} does not belong to run {self.key}")
+            if s.event in seen:
+                raise DuplicateKey(f"duplicate event {s.event!r} in run {self.key}")
+            seen.add(s.event)
+
+    @property
+    def key(self):
+        return (self.suite, self.workload, self.machine)
+
+    def event_values(self):
+        return {s.event: s.value for s in self.samples if s.supported}
+
+
+def build_records(samples, *, wallclock=None, scores=None):
+    grouped = {}
+    seen = set()
+    for s in samples:
+        if s.key in seen:
+            raise DuplicateKey(f"duplicate sample key {s.key}")
+        seen.add(s.key)
+        grouped.setdefault((s.suite, s.workload, s.machine), []).append(s)
+    return [
+        RunRecord(
+            suite=key[0],
+            workload=key[1],
+            machine=key[2],
+            samples=tuple(sorted(grouped[key], key=lambda s: s.event)),
+            wallclock_seconds=(wallclock or {}).get(key, 1.0),
+            score=(scores or {}).get(key),
+        )
+        for key in sorted(grouped)
+    ]
+
+
+def load_canonical(path, scores_path=None):
+    samples = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != STORE_HEADER:
+            raise SchemaMismatch(f"{path}: expected header {STORE_HEADER}, got {header}")
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(STORE_HEADER):
+                raise SchemaMismatch(f"{path}:{row_no}: expected {len(STORE_HEADER)} columns, got {len(row)}")
+            suite, workload, machine, event, value, supported = row
+            if supported.lower() not in ("true", "false"):
+                raise SchemaMismatch(f"{path}:{row_no}: supported must be true/false, got {supported!r}")
+            try:
+                parsed = float(value)
+            except ValueError as exc:
+                raise SchemaMismatch(f"{path}:{row_no}: bad value field {value!r}") from exc
+            samples.append(CounterSample(suite, workload, machine, event, parsed, supported.lower() == "true"))
+    wallclock, scores = {}, {}
+    if scores_path is not None:
+        run_keys = {(s.suite, s.workload, s.machine) for s in samples}
+        with open(scores_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != SCORES_HEADER:
+                raise SchemaMismatch(f"{scores_path}: expected header {SCORES_HEADER}, got {header}")
+            for row_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(SCORES_HEADER):
+                    raise SchemaMismatch(f"{scores_path}:{row_no}: expected {len(SCORES_HEADER)} columns")
+                key = (row[0], row[1], row[2])
+                if key not in run_keys:
+                    raise SchemaMismatch(f"{scores_path}:{row_no}: score for unknown run {key}")
+                if key in scores:
+                    raise DuplicateKey(f"{scores_path}:{row_no}: duplicate score row for {key}")
+                try:
+                    scores[key] = float(row[3])
+                    wallclock[key] = float(row[4])
+                except ValueError as exc:
+                    raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
+    return build_records(samples, wallclock=wallclock, scores=scores)
+
+
+def merge_records(existing, new):
+    samples, wallclock, scores = [], {}, {}
+    for rec in list(existing) + list(new):
+        samples.extend(rec.samples)
+        wallclock[rec.key] = rec.wallclock_seconds
+        if rec.score is not None:
+            scores[rec.key] = rec.score
+    return build_records(samples, wallclock=wallclock, scores=scores)
+
+
+def derive_metrics(record):
+    events = record.event_values()
+    if not events.get("instructions") or not events.get("cycles"):
+        raise MissingDenominator(f"run {record.key} lacks positive instructions/cycles counts")
+    values = {}
+    for metric, (num_event, den_event, scale) in METRIC_DEFS.items():
+        num = events.get(num_event)
+        den = events.get(den_event)
+        values[metric] = None if num is None or den is None or den == 0 else scale * num / den
+    return MetricVector(**values)
+
+
+def records_of(store):
+    """A store as the oracle's records, to hand the same data to both sides."""
+    samples = [CounterSample(*cell) for cell in store.cells()]
+    wallclock = dict(zip(store.runs, store.wallclock.tolist()))
+    scores = {key: s for key, s in zip(store.runs, store.scores.tolist()) if s == s}
+    return build_records(samples, wallclock=wallclock, scores=scores)
+
+
+def assert_same_runs(store, records):
+    """The store holds exactly the records' cells, wallclocks and scores, in run order."""
+    assert list(store.runs) == [rec.key for rec in records]
+    assert [(*cell[:4], repr(cell[4]), cell[5]) for cell in store.cells()] == [
+        (*rec.key, s.event, repr(s.value), s.supported) for rec in records for s in rec.samples
+    ]
+    assert [repr(v) for v in store.wallclock.tolist()] == [repr(rec.wallclock_seconds) for rec in records]
+    assert [None if v != v else repr(v) for v in store.scores.tolist()] == [
+        None if rec.score is None else repr(rec.score) for rec in records
+    ]

@@ -16,9 +16,9 @@ from benchlens import bundled
 from benchlens.cli import main
 from benchlens.cluster import build_dendrogram, cut
 from benchlens.compare import instruction_volume_ratio
-from benchlens.dataset import CounterSample, RunRecord, load_canonical
+from benchlens.dataset import Store, read_store
 from benchlens.features import FeatureMatrix, normalize
-from benchlens.metrics import MetricVector, derive_metrics
+from benchlens.metrics import MetricVector, derive_store
 from benchlens.pca import fit_pca, project
 from benchlens.proxy import RrrSchedule, blend_distance, simulate_rrr
 from benchlens.subset import evaluate_subset, oracle_best_subset, select_representatives
@@ -27,6 +27,7 @@ from conftest import (
     CACTUS_L1I_MPKI,
     FOTONIK_L1I_MPKI,
     STATED_IPC_GAP,
+    derive_one,
     icache_stress_pair,
 )
 from oracles import covariance_eig_pca, naive_linkage
@@ -46,14 +47,14 @@ def passed(criterion: int, note: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def records():
-    return load_canonical(bundled.sample_store_path(), bundled.sample_scores_path())
+def store():
+    return read_store(bundled.sample_store_path(), bundled.sample_scores_path())
 
 
-def test_criterion_1_instruction_volume_ratios(records):
+def test_criterion_1_instruction_volume_ratios(store):
     with budget(1.0):
         def icounts(suite):
-            return [r.event_values()["instructions"] for r in records if r.suite == suite]
+            return store.select(suite=suite).column("instructions").tolist()
 
         int_ratio = instruction_volume_ratio(icounts("int_speed"), icounts("int_rate"))
         fp_ratio = instruction_volume_ratio(icounts("fp_speed"), icounts("fp_rate"))
@@ -62,13 +63,13 @@ def test_criterion_1_instruction_volume_ratios(records):
     passed(1, f"speed/rate icount ratios INT {int_ratio:.1f}x, FP {fp_ratio:.1f}x")
 
 
-def test_criterion_2_metric_derivation_fidelity(records):
+def test_criterion_2_metric_derivation_fidelity(store):
     with budget(1.0):
-        by_key = {rec.key: rec for rec in records}
+        by_key = derive_store(store)
         cells = 0
         for suite, rows in REFERENCE_ROWS.items():
             for workload, (_icount, loads, stores, branches, ipc) in rows.items():
-                vec = derive_metrics(by_key[(suite, workload, "CPU-C")])
+                vec = by_key[(suite, workload, "CPU-C")]
                 assert vec.load_pct == loads, (workload, vec.load_pct)
                 assert vec.store_pct == stores
                 assert vec.branch_pct == branches
@@ -78,18 +79,15 @@ def test_criterion_2_metric_derivation_fidelity(records):
         for _ in range(200):
             instructions = float(rng.integers(10**6, 10**13))
             misses = float(rng.integers(0, 10**8))
-            vec = derive_metrics(
-                RunRecord(
-                    suite="s", workload="w", machine="m",
-                    samples=tuple(
-                        CounterSample(suite="s", workload="w", machine="m", event=e, value=v)
-                        for e, v in {
-                            "instructions": instructions,
-                            "cycles": instructions,
-                            "l1d_misses": misses,
-                            "l1_dtlb_misses": misses,
-                        }.items()
-                    ),
+            vec = derive_one(
+                Store.from_cells(
+                    ("s", "w", "m", e, v, True)
+                    for e, v in {
+                        "instructions": instructions,
+                        "cycles": instructions,
+                        "l1d_misses": misses,
+                        "l1_dtlb_misses": misses,
+                    }.items()
                 )
             )
             if misses:

@@ -4,12 +4,11 @@ import csv
 import filecmp
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_full_record
+from conftest import combine, make_full_record, with_score
 
 from benchlens import bundled, cli, dataset
 from benchlens.cli import main
@@ -40,11 +39,10 @@ def two_machine_store(tmp_path: Path, drop=None, strip_cycles=None) -> list[str]
     for i in range(5):
         for machine in ("M0", "M1"):
             rec = make_full_record("int_rate", f"int_rate_{i}", machine, rng)
-            rec = replace(rec, score=float(rng.uniform(1.0, 10.0)))
-            if rec.key == strip_cycles:
-                rec = replace(rec, samples=tuple(s for s in rec.samples if s.event != "cycles"))
-            if rec.key != drop:
+            rec = with_score(rec, float(rng.uniform(1.0, 10.0)))
+            if rec.runs[0] != drop:
                 records.append(rec)
+    records = combine(records, keep=lambda cell: (cell[:3], cell[3]) != (strip_cycles, "cycles"))
     store, scores = tmp_path / "store.csv", tmp_path / "scores.csv"
     dataset.save_canonical(records, store)
     dataset.save_scores(records, scores)
@@ -55,11 +53,11 @@ def shared_id_store(tmp_path: Path) -> list[str]:
     """--store/--scores args of one machine whose workload `shared` is in int_rate and int_speed."""
     rng = np.random.default_rng(1)
     suites = {"int_rate": ["shared", "i1", "i2"], "int_speed": ["shared", "s1"], "fp_rate": ["f0", "f1", "f2"]}
-    records = [
-        replace(make_full_record(suite, workload, "M0", rng), score=float(rng.uniform(1.0, 10.0)))
+    records = combine(
+        with_score(make_full_record(suite, workload, "M0", rng), float(rng.uniform(1.0, 10.0)))
         for suite, workloads in suites.items()
         for workload in workloads
-    ]
+    )
     store, scores = tmp_path / "store.csv", tmp_path / "scores.csv"
     dataset.save_canonical(records, store)
     dataset.save_scores(records, scores)
@@ -113,12 +111,12 @@ class TestSubset:
         # and can never beat the exhaustive oracle at the same size
         import benchlens.dataset as dataset
 
-        records = dataset.load_canonical(bundled.sample_store_path(), bundled.sample_scores_path())
+        store = dataset.read_store(bundled.sample_store_path(), bundled.sample_scores_path())
+        int_rate = store.select(suite="int_rate")
         scores = {
             "CPU-C": {
-                rec.workload: rec.score
-                for rec in records
-                if rec.suite == "int_rate"
+                workload: score
+                for (_, workload, _), score in zip(int_rate.runs, int_rate.scores.tolist())
             }
         }
         report = evaluate_subset(scores, subset_workloads)
@@ -152,11 +150,11 @@ class TestSubset:
     def test_oracle_without_a_defined_subset_is_a_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         table = {"M0": {"a": 1.0, "b": 100.0}, "M1": {"a": 100.0, "b": 1.0}}
-        records = [
-            replace(make_full_record("int_rate", workload, machine, rng), score=score)
+        records = combine(
+            with_score(make_full_record("int_rate", workload, machine, rng), score)
             for machine, row in table.items()
             for workload, score in row.items()
-        ]
+        )
         store, scores = tmp_path / "store.csv", tmp_path / "scores.csv"
         dataset.save_canonical(records, store)
         dataset.save_scores(records, scores)
@@ -294,14 +292,14 @@ class TestReport:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(cli.dataset, "load_canonical")
+        counted(cli.dataset, "read_store")
         counted(cli.metrics, "derive_store")
         counted(cli.features, "normalize")
         counted(cli.pca, "fit_pca")
         counted(cli.cluster_mod, "build_dendrogram")
         assert run(["report", *base_args(tmp_path / "out")], capsys)[0] == 0
         assert calls == {
-            "load_canonical": 1,
+            "read_store": 1,
             "derive_store": 1,
             "normalize": 1,
             "fit_pca": 1,
@@ -373,6 +371,28 @@ class TestErrorPaths:
             main(["frobnicate"])
         assert excinfo.value.code == 1
         assert "usage" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("score", ["inf", "nan"])
+    def test_non_finite_score_fails_at_load(self, tmp_path, capsys, score):
+        lines = bundled.sample_scores_path().read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1].startswith("fp_rate,709.cactus_r,CPU-C,16.96,")
+        lines[1] = lines[1].replace(",16.96,", f",{score},")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            ["subset", "--store", str(bundled.sample_store_path()), "--scores", str(scores),
+             "--suite", "fp_rate", "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "stage": "subset",
+            "error": "ValueError",
+            "message": f"score must be finite when present, got {float(score)!r}",
+        }
+        assert not out.exists()
 
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         code, _, err = run(["derive", "--out", str(tmp_path)], capsys)

@@ -10,13 +10,13 @@ from benchlens.compare import (
     instruction_volume_ratio,
 )
 from benchlens.errors import EmptySuite
-from benchlens.metrics import MetricVector, derive_metrics
+from benchlens.metrics import MetricVector
 from benchlens.render import boxplot_svg
-from conftest import make_full_record
+from conftest import derive_one, make_full_record
 
 
 def vectors_for(rng, count: int) -> list[MetricVector]:
-    return [derive_metrics(make_full_record("s", f"w{i}", "m", rng)) for i in range(count)]
+    return [derive_one(make_full_record("s", f"w{i}", "m", rng)) for i in range(count)]
 
 
 class TestCompareSuites:
@@ -95,13 +95,9 @@ class TestInstructionVolumeRatio:
     def test_identical_collections(self):
         assert instruction_volume_ratio([5.0, 7.0], [5.0, 7.0]) == 1.0
 
-    def test_sample_store_int_and_fp(self, sample_records):
+    def test_sample_store_int_and_fp(self, sample_store):
         def icounts(suite):
-            return [
-                rec.event_values()["instructions"]
-                for rec in sample_records
-                if rec.suite == suite
-            ]
+            return sample_store.select(suite=suite).column("instructions").tolist()
 
         int_ratio = instruction_volume_ratio(icounts("int_speed"), icounts("int_rate"))
         fp_ratio = instruction_volume_ratio(icounts("fp_speed"), icounts("fp_rate"))

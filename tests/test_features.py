@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
 from benchlens.errors import AlreadyNormalized, EmptyInput, MissingCell, NotNormalized, TooFewRows
-from benchlens.features import FeatureMatrix, build_matrix, denormalize, export_csv, import_csv, normalize
-from benchlens.metrics import MetricVector, derive_metrics
+from benchlens.features import FeatureMatrix, build_matrix, export_csv, normalize
+from benchlens.metrics import MetricVector, derive_store
 from conftest import make_full_store
 from oracles import loop_moments
 
 
 def full_vectors(workloads, machines, seed=7):
-    records = make_full_store(workloads, machines, seed=seed)
-    return {(rec.workload, rec.machine): derive_metrics(rec) for rec in records}
+    vectors = derive_store(make_full_store(workloads, machines, seed=seed))
+    return {(workload, machine): vec for (_, workload, machine), vec in vectors.items()}
 
 
 WORKLOADS4 = [f"w{i}" for i in range(4)]
@@ -108,17 +110,7 @@ class TestNormalize:
         with pytest.raises(TooFewRows):
             normalize(FeatureMatrix(rows=("a",), cols=(("ipc", "m"),), values=np.array([[1.0]])))
         with pytest.raises(NotNormalized):
-            denormalize(matrix)
-
-    def test_denormalize_round_trip(self):
-        rng = np.random.default_rng(23)
-        values = rng.uniform(-5.0, 100.0, size=(6, 5))
-        values[:, 2] = 7.0  # constant column included in the trip
-        cols = tuple(("ipc", f"m{i}") for i in range(5))
-        matrix = FeatureMatrix(rows=tuple(f"w{i}" for i in range(6)), cols=cols, values=values)
-        back = denormalize(normalize(matrix))
-        assert np.max(np.abs(back.values - values)) < 1e-9
-        assert not back.normalized
+            matrix.scales_for_machine("m")
 
     def test_scales_for_machine(self):
         vectors = full_vectors(WORKLOADS4, ["M0", "M1"])
@@ -135,20 +127,9 @@ class TestCsvRoundTrip:
         matrix = build_matrix(vectors, WORKLOADS4, ["M0", "M1"])
         path = tmp_path / "features.csv"
         export_csv(matrix, path)
-        loaded = import_csv(path)
-        assert loaded.rows == matrix.rows
-        assert loaded.cols == matrix.cols
-        assert np.array_equal(loaded.values, matrix.values)
-        assert not loaded.normalized
-
-    def test_normalized_round_trip_with_sidecar(self, tmp_path):
-        vectors = full_vectors(WORKLOADS4, ["M0"])
-        normalized = normalize(build_matrix(vectors, WORKLOADS4, ["M0"]))
-        path = tmp_path / "features.csv"
-        export_csv(normalized, path)
-        loaded = import_csv(path)
-        assert loaded.normalized
-        assert np.array_equal(loaded.values, normalized.values)
-        assert np.array_equal(loaded.col_means, normalized.col_means)
-        assert np.array_equal(loaded.col_stdevs, normalized.col_stdevs)
-        assert loaded.constant_cols == normalized.constant_cols
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["workload", *(f"{metric}:{machine}" for metric, machine in matrix.cols)]
+        assert tuple(row[0] for row in rows) == matrix.rows
+        assert [row[1:] for row in rows] == [[repr(v) for v in row] for row in matrix.values.tolist()]
+        assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]

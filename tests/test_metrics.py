@@ -5,44 +5,45 @@ import csv
 import numpy as np
 import pytest
 
-from benchlens.dataset import CounterSample, RunRecord
-from benchlens.errors import EmptyGroup, MissingDenominator
+from benchlens.compare import compare_suites
+from benchlens.dataset import Store
+from benchlens.errors import EmptySuite, MissingDenominator
 from benchlens.events import METRIC_NAMES
-from benchlens.metrics import MetricVector, derive_metrics, derive_store, export_metrics_csv, suite_summary
-from conftest import make_full_record
+from benchlens.metrics import MetricVector, derive_store, export_metrics_csv
+from conftest import derive_one, make_full_record
 from oracles import log_geomean
 from reference_table import INT_RATE_IPC_GEOMEAN, REFERENCE_ROWS
 
 
-def record_with(events: dict[str, float], unsupported: tuple[str, ...] = ()) -> RunRecord:
-    samples = tuple(
-        CounterSample(
-            suite="s", workload="w", machine="m", event=e,
-            value=0.0 if e in unsupported else v,
-            supported=e not in unsupported,
-        )
-        for e, v in events.items()
+def record_with(events: dict[str, float], unsupported: tuple[str, ...] = ()) -> Store:
+    return Store.from_cells(
+        ("s", "w", "m", e, 0.0 if e in unsupported else v, e not in unsupported) for e, v in events.items()
     )
-    return RunRecord(suite="s", workload="w", machine="m", samples=samples)
+
+
+def summary_of(vectors, metric):
+    """compare_suites' per-suite summary of one metric: (geomean, excluded zeros, box)."""
+    (m,) = [m for m in compare_suites("s", vectors, "s", vectors, "any").metrics if m.metric == metric]
+    return m.geomean_a, m.excluded_zeros_a, m.box_a
 
 
 class TestDeriveMetrics:
-    def test_summary_row_passthrough(self, sample_records):
-        by_key = {rec.key: rec for rec in sample_records}
-        vec = derive_metrics(by_key[("int_rate", "706.stockfish_r", "CPU-C")])
+    def test_summary_row_passthrough(self, sample_store):
+        vectors = derive_store(sample_store)
+        vec = vectors[("int_rate", "706.stockfish_r", "CPU-C")]
         assert vec.load_pct == 22.0
         assert vec.store_pct == 9.9
         assert vec.branch_pct == 10.4
         assert round(vec.ipc, 3) == 3.625
 
     def test_zero_misses_give_zero_mpki(self):
-        vec = derive_metrics(
+        vec = derive_one(
             record_with({"instructions": 1e9, "cycles": 1e9, "branch_misses": 0.0})
         )
         assert vec.branch_mpki == 0.0
 
     def test_mpki_and_mpmi_factors(self):
-        vec = derive_metrics(
+        vec = derive_one(
             record_with(
                 {
                     "instructions": 2e6,
@@ -57,12 +58,12 @@ class TestDeriveMetrics:
 
     def test_missing_denominator(self):
         with pytest.raises(MissingDenominator):
-            derive_metrics(record_with({"instructions": 1e9}))
+            derive_one(record_with({"instructions": 1e9}))
         with pytest.raises(MissingDenominator):
-            derive_metrics(record_with({"instructions": 0.0, "cycles": 1e9}))
+            derive_one(record_with({"instructions": 0.0, "cycles": 1e9}))
 
     def test_unsupported_event_means_unavailable_not_zero(self):
-        vec = derive_metrics(
+        vec = derive_one(
             record_with(
                 {"instructions": 1e9, "cycles": 1e9, "l3_misses": 1000.0},
                 unsupported=("l3_misses",),
@@ -72,24 +73,17 @@ class TestDeriveMetrics:
         assert "l3_mpki" not in vec.available()
 
     def test_absent_event_means_unavailable(self):
-        vec = derive_metrics(record_with({"instructions": 1e9, "cycles": 2e9}))
+        vec = derive_one(record_with({"instructions": 1e9, "cycles": 2e9}))
         assert vec.available() == ("ipc",)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             record = make_full_record("s", "w", "m", rng)
-            base = derive_metrics(record)
+            base = derive_one(record)
             k = float(rng.uniform(0.25, 8.0))
-            scaled_samples = tuple(
-                CounterSample(
-                    suite=s.suite, workload=s.workload, machine=s.machine,
-                    event=s.event, value=s.value * k, supported=s.supported,
-                )
-                for s in record.samples
-            )
-            scaled = derive_metrics(
-                RunRecord(suite="s", workload="w", machine="m", samples=scaled_samples)
+            scaled = derive_one(
+                Store.from_cells((*cell[:4], cell[4] * k, cell[5]) for cell in record.cells())
             )
             for metric in METRIC_NAMES:
                 assert scaled.get(metric) == pytest.approx(base.get(metric), rel=1e-12)
@@ -99,7 +93,7 @@ class TestDeriveMetrics:
         for _ in range(50):
             instructions = float(rng.integers(1e6, 1e13))
             misses = float(rng.integers(0, 1e7))
-            vec = derive_metrics(
+            vec = derive_one(
                 record_with(
                     {
                         "instructions": instructions,
@@ -125,60 +119,56 @@ class TestDeriveMetrics:
 
 
 class TestSuiteSummary:
-    def test_single_workload_geomean_is_the_value(self):
-        vec = MetricVector(ipc=2.5)
-        summary = suite_summary({"suite": [vec]})["suite"]["ipc"]
-        assert summary.geomean == summary.box.minimum == summary.box.maximum == 2.5
+    """The per-suite summary of compare.compare_suites: geomean, excluded zeros and box."""
 
-    def test_int_rate_ipc_column(self, sample_records):
-        vectors = [
-            derive_metrics(rec) for rec in sample_records if rec.suite == "int_rate"
-        ]
-        summary = suite_summary({"int_rate": vectors})["int_rate"]["ipc"]
-        assert summary.geomean == pytest.approx(INT_RATE_IPC_GEOMEAN, abs=1e-12)
-        assert summary.box.minimum == pytest.approx(0.551, abs=1e-9)
-        assert summary.box.maximum == pytest.approx(4.961, abs=1e-9)
-        assert summary.excluded_zeros == 0
+    def test_single_workload_geomean_is_the_value(self):
+        geomean, _, box = summary_of([MetricVector(ipc=2.5)], "ipc")
+        assert geomean == box.minimum == box.maximum == 2.5
+
+    def test_int_rate_ipc_column(self, sample_store):
+        vectors = list(derive_store(sample_store.select(suite="int_rate")).values())
+        geomean, excluded, box = summary_of(vectors, "ipc")
+        assert geomean == pytest.approx(INT_RATE_IPC_GEOMEAN, abs=1e-12)
+        assert box.minimum == pytest.approx(0.551, abs=1e-9)
+        assert box.maximum == pytest.approx(4.961, abs=1e-9)
+        assert excluded == 0
 
     def test_identical_suites_summarize_identically(self):
         vecs = [MetricVector(ipc=1.0, l3_mpki=2.0), MetricVector(ipc=3.0, l3_mpki=0.5)]
-        two = suite_summary({"a": vecs, "b": list(vecs)})
-        for metric in ("ipc", "l3_mpki"):
-            assert two["a"][metric] == two["b"][metric]
+        cmp = compare_suites("a", vecs, "b", list(vecs), "m")
+        for m in cmp.metrics:
+            assert (m.geomean_a, m.excluded_zeros_a, m.box_a) == (m.geomean_b, m.excluded_zeros_b, m.box_b)
+        assert [m.metric for m in cmp.metrics] == ["ipc", "l3_mpki"]
 
     def test_zeros_excluded_from_geomean_and_counted(self):
         vecs = [MetricVector(l3_mpki=0.0), MetricVector(l3_mpki=4.0), MetricVector(l3_mpki=1.0)]
-        summary = suite_summary({"s": vecs})["s"]["l3_mpki"]
-        assert summary.excluded_zeros == 1
-        assert summary.geomean == pytest.approx(2.0)
-        assert summary.box.minimum == 0.0
+        geomean, excluded, box = summary_of(vecs, "l3_mpki")
+        assert excluded == 1
+        assert geomean == pytest.approx(2.0)
+        assert box.minimum == 0.0
 
     def test_geomean_within_min_max(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             vectors = [
-                derive_metrics(make_full_record("s", f"w{i}", "m", rng)) for i in range(6)
+                derive_one(make_full_record("s", f"w{i}", "m", rng)) for i in range(6)
             ]
-            summary = suite_summary({"s": vectors})["s"]
-            for metric, stats in summary.items():
-                if stats.geomean is not None:
-                    assert stats.box.minimum <= stats.geomean <= stats.box.maximum
+            for m in compare_suites("s", vectors, "s", vectors, "m").metrics:
+                assert m.box_a.minimum <= m.geomean_a <= m.box_a.maximum
 
-    def test_geomean_matches_log_oracle(self, sample_records):
-        vectors = [derive_metrics(rec) for rec in sample_records if rec.suite == "fp_rate"]
-        summary = suite_summary({"fp_rate": vectors})["fp_rate"]["load_pct"]
-        assert summary.geomean == pytest.approx(
-            log_geomean([v.load_pct for v in vectors]), rel=1e-12
-        )
+    def test_geomean_matches_log_oracle(self, sample_store):
+        vectors = list(derive_store(sample_store.select(suite="fp_rate")).values())
+        geomean, _, _ = summary_of(vectors, "load_pct")
+        assert geomean == pytest.approx(log_geomean([v.load_pct for v in vectors]), rel=1e-12)
 
     def test_empty_group_rejected(self):
-        with pytest.raises(EmptyGroup):
-            suite_summary({"s": []})
+        with pytest.raises(EmptySuite):
+            compare_suites("s", [], "t", [MetricVector(ipc=1.0)], "m")
 
 
 class TestExport:
-    def test_metrics_csv_has_empty_cells_for_unavailable(self, tmp_path, sample_records):
-        vectors = derive_store(sample_records)
+    def test_metrics_csv_has_empty_cells_for_unavailable(self, tmp_path, sample_store):
+        vectors = derive_store(sample_store)
         path = tmp_path / "metrics.csv"
         export_metrics_csv(vectors, path)
         with open(path, newline="") as fh:
@@ -188,13 +178,14 @@ class TestExport:
         assert float(stockfish["load_pct"]) == 22.0
         assert stockfish["l3_mpki"] == ""
 
-    def test_full_reference_table_passthrough(self, sample_records):
-        by_key = {rec.key: rec for rec in sample_records}
+    def test_full_reference_table_passthrough(self, sample_store):
+        vectors = derive_store(sample_store)
+        instructions = dict(zip(sample_store.runs, sample_store.column("instructions").tolist()))
         for suite, rows in REFERENCE_ROWS.items():
             for workload, (icount_b, loads, stores, branches, ipc) in rows.items():
-                rec = by_key[(suite, workload, "CPU-C")]
-                assert rec.event_values()["instructions"] == icount_b * 1e9
-                vec = derive_metrics(rec)
+                key = (suite, workload, "CPU-C")
+                assert instructions[key] == icount_b * 1e9
+                vec = vectors[key]
                 assert vec.load_pct == loads
                 assert vec.store_pct == stores
                 assert vec.branch_pct == branches

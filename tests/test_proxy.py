@@ -7,7 +7,7 @@ import pytest
 
 from benchlens.errors import MissingDenominator, NoCommonMetrics, UnknownWorkload, ZeroHorizon
 from benchlens.events import METRIC_NAMES
-from benchlens.metrics import MetricVector, derive_metrics
+from benchlens.metrics import MetricVector
 from benchlens.proxy import (
     BlendProfile,
     RrrSchedule,
@@ -23,6 +23,7 @@ from conftest import (
     CACTUS_L1I_MPKI,
     FOTONIK_L1I_MPKI,
     STATED_IPC_GAP,
+    derive_one,
     icache_stress_pair,
     make_full_record,
     make_profile,
@@ -67,8 +68,8 @@ class TestSimulateRrr:
     def test_single_workload_blend_equals_own_metrics(self):
         rng = np.random.default_rng(223)
         record = make_full_record("s", "w", "m", rng)
-        profile = WorkloadProfile.from_record(record)
-        own = derive_metrics(record)
+        profile = WorkloadProfile.from_store(record, 0)
+        own = derive_one(record)
         blend = simulate_rrr([profile], RrrSchedule(order=("w",), copies=3, horizon=profile.duration * 2))
         for metric, value in own.as_dict().items():
             blended = blend.metrics.get(metric)
@@ -234,11 +235,11 @@ class TestSearchMix:
 
     def test_matches_simulation_oracle(self, tmp_path):
         rng = np.random.default_rng(239)
-        pool = [WorkloadProfile.from_record(make_full_record("s", f"w{i}", "m", rng)) for i in range(6)]
+        pool = [WorkloadProfile.from_store(make_full_record("s", f"w{i}", "m", rng), 0) for i in range(6)]
         pool[1] = unsupported(pool[1], "l2_misses")
         pool[4] = unsupported(pool[4], "kernel_instructions", "dram_bytes")
         pool.append(replace(pool[2], workload="twin"))  # identical rates: exact distance ties
-        target = derive_metrics(make_full_record("s", "target", "m", rng))
+        target = derive_one(make_full_record("s", "target", "m", rng))
         weights = {m: (0.0, 1.0, 0.7)[i % 3] for i, m in enumerate(METRIC_NAMES)}  # every third is zero
         scales = {"ipc": (1.0, 0.0), "l1d_mpki": (3.0, 2.5), "fp_pct": (10.0, 4.0)}  # ipc: zero stdev
         for k in (1, 2, 3):
@@ -248,8 +249,8 @@ class TestSearchMix:
 
     def test_errors_match_simulation(self, tmp_path):
         rng = np.random.default_rng(241)
-        pool = [WorkloadProfile.from_record(make_full_record("s", f"w{i}", "m", rng)) for i in range(4)]
-        target = derive_metrics(make_full_record("s", "target", "m", rng))
+        pool = [WorkloadProfile.from_store(make_full_record("s", f"w{i}", "m", rng), 0) for i in range(4)]
+        target = derive_one(make_full_record("s", "target", "m", rng))
         weights = {"ipc": 1.0, "l2_mpki": 1.0}
         with pytest.raises(MissingDenominator):
             search_mix([pool[0], unsupported(pool[1], "cycles")], target, 2, weights)
@@ -312,10 +313,10 @@ class TestExports:
     def test_from_record_rates(self):
         rng = np.random.default_rng(233)
         record = make_full_record("s", "w", "m", rng)
-        profile = WorkloadProfile.from_record(record)
-        events = record.event_values()
-        assert profile.duration == record.wallclock_seconds
-        assert profile.rates["instructions"] == events["instructions"] / record.wallclock_seconds
+        profile = WorkloadProfile.from_store(record, 0)
+        (wallclock,) = record.wallclock.tolist()
+        assert profile.duration == wallclock
+        assert profile.rates["instructions"] == record.column("instructions")[0] / wallclock
 
 
 class TestMixSpecFile:

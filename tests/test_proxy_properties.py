@@ -13,10 +13,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from benchlens.dataset import Store  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
-from benchlens.metrics import derive_metrics  # noqa: E402
 from benchlens.proxy import WorkloadProfile  # noqa: E402
-from conftest import make_full_record  # noqa: E402
+from conftest import derive_one, make_full_record  # noqa: E402
 from test_proxy import assert_matches_simulation  # noqa: E402
 
 DENOMINATORS = ("instructions", "cycles")
@@ -37,17 +37,17 @@ def proxy_cases(draw, faults: bool):
     for i in range(draw(st.integers(1, 5))):
         record = make_full_record("s", f"w{i}", "m", rng)
         dropped = draw(st.sets(st.sampled_from(droppable), max_size=3))
-        samples = tuple(
-            replace(s, value=0.0, supported=False) if s.event in dropped else s for s in record.samples
+        cells = ((*c[:4], 0.0, False) if c[3] in dropped else c for c in record.cells())
+        profile = WorkloadProfile.from_store(
+            Store.from_cells(cells, wallclock=dict(zip(record.runs, record.wallclock.tolist()))), 0
         )
-        profile = WorkloadProfile.from_record(replace(record, samples=samples))
         if faults and draw(st.booleans()):
             event = draw(st.sampled_from(sorted(profile.rates)))
             profile = replace(profile, rates={**profile.rates, event: 5.0 * profile.rates[event]})
         pool.append(profile)
     pool += [replace(pool[0], workload=f"twin{i}") for i in range(draw(st.integers(1, 2)))]
 
-    target = derive_metrics(make_full_record("s", "target", "m", rng))
+    target = derive_one(make_full_record("s", "target", "m", rng))
     blanked = draw(st.sets(st.sampled_from(METRIC_NAMES), max_size=6))
     target = replace(target, **dict.fromkeys(blanked))
     weight = st.sampled_from([0.0, 1.0]) | st.floats(0.01, 10.0)

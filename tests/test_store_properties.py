@@ -1,0 +1,74 @@
+"""Property tests: the columnar store against the per-row store it replaced."""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import oracles  # noqa: E402
+from benchlens.dataset import Store, merge_stores, read_store, save_canonical, save_scores  # noqa: E402
+from benchlens.errors import DuplicateKey  # noqa: E402
+from benchlens.events import CANONICAL_EVENTS  # noqa: E402
+
+NAMES = st.sampled_from(["a", "b", "c,d", 'q"uote', "zz"])
+EVENTS = st.sampled_from(CANONICAL_EVENTS[:6] + ("raw.event", "Z-unmapped"))
+VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.1 + 0.2, 5e-324, 1.7976931348623157e308]) | st.floats(
+    0.0, 1e300, allow_nan=False
+)
+POSITIVE = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stores(draw, max_cells: int = 30):
+    """A store of unique (run, event) cells, some runs with a score and a wallclock."""
+    keyed = draw(
+        st.dictionaries(
+            st.tuples(NAMES, NAMES, NAMES, EVENTS), st.tuples(VALUES, st.booleans()), max_size=max_cells
+        )
+    )
+    cells = [(*key, value, flag) for key, (value, flag) in keyed.items()]
+    runs = sorted({cell[:3] for cell in cells})
+    scored = [run for run in runs if draw(st.booleans())]
+    return Store.from_cells(
+        cells,
+        wallclock={run: draw(POSITIVE) for run in scored},
+        scores={run: draw(POSITIVE) for run in scored},
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(store=stores())
+def test_write_read_write_is_byte_identical_and_matches_the_oracle(store):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_canonical(store, tmp / "store.csv")
+        save_scores(store, tmp / "scores.csv")
+        loaded = read_store(tmp / "store.csv", tmp / "scores.csv")
+        assert loaded == store
+        oracles.assert_same_runs(loaded, oracles.load_canonical(tmp / "store.csv", tmp / "scores.csv"))
+        save_canonical(loaded, tmp / "again.csv")
+        save_scores(loaded, tmp / "again_scores.csv")
+        assert (tmp / "again.csv").read_bytes() == (tmp / "store.csv").read_bytes()
+        assert (tmp / "again_scores.csv").read_bytes() == (tmp / "scores.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(existing=stores(), new=stores(max_cells=8))
+def test_merge_matches_the_oracle(existing, new):
+    try:
+        expected = oracles.merge_records(oracles.records_of(existing), oracles.records_of(new))
+    except DuplicateKey as exc:
+        with pytest.raises(DuplicateKey) as raised:
+            merge_stores(existing, new)
+        assert str(raised.value) == str(exc)
+    else:
+        oracles.assert_same_runs(merge_stores(existing, new), expected)
+    if len(existing):
+        with pytest.raises(DuplicateKey):
+            merge_stores(existing, existing)
