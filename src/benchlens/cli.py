@@ -411,12 +411,12 @@ def cmd_proxy(run: Run) -> str:
             suites = [suite for suite, _, _ in target_keys]
             raise ConfigError(f"target workload {cfg.target!r} is in several suites on {machine!r}: {suites}")
         target_vec = vectors[target_keys[0]]
+        weights = cfg.weights or {metric: 1.0 for metric in target_vec.available()}
 
     if cfg.mix:
         chosen, schedule = proxy.apply_mix_spec(profiles, proxy.read_mix_file(cfg.mix))
         blend = proxy.simulate_rrr(chosen, schedule)
         if target_vec is not None:
-            weights = cfg.weights or {metric: 1.0 for metric in target_vec.available()}
             report = proxy.blend_distance(blend, target_vec, weights)
             blend = replace(blend, distance_to_target=report.distance, target=cfg.target)
         if "csv" in cfg.format:
@@ -430,9 +430,6 @@ def cmd_proxy(run: Run) -> str:
     pool_vectors = {(p.workload, machine): vectors[pool.runs[i]] for i, p in zip(rows, profiles)}
     pool_matrix = features.build_matrix(pool_vectors, [p.workload for p in profiles], [machine])
     scales = features.normalize(pool_matrix).scales_for_machine(machine)
-    weights = cfg.weights or {
-        metric: 1.0 for metric in target_vec.available()
-    }
     mix_k = min(cfg.mix_k, len(profiles))
     ranked = proxy.search_mix(
         profiles,

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import TooFewRows, UnknownWorkload
 
 LINKAGES = ("ward", "average", "complete", "single")
+_BLOCK_ELEMENTS = 1 << 18  # size of the difference cube of one block of rows of the distance matrix
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,11 @@ def build_dendrogram(
     active = np.ones(n, dtype=bool)
     merges: list[Merge] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        diffs = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt((diffs * diffs).sum(axis=2))
+        dist = np.empty((n, n))
+        rows = max(1, _BLOCK_ELEMENTS // max(1, points.size))
+        for start in range(0, n, rows):  # each distance is reduced over the same length-d axis
+            diffs = points[start:start + rows, None, :] - points[None, :, :]
+            dist[start:start + rows] = np.sqrt((diffs * diffs).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
         for t in range(n - 1):
             a, b = divmod(int(np.argmin(dist)), n)

@@ -7,9 +7,8 @@ bytes per cycle. A metric whose input events are unsupported or absent is
 unavailable (None), never zero-filled.
 
 `metric_array` is the one place the metrics are computed from counts: over
-a store's runs (`derive_store`), over one RRR blend or constituent
-(`proxy.simulate_rrr`, `proxy.blend_markdown`) and over every proxy mix at
-once (`proxy.search_mix`).
+a store's runs (`derive_store`) and over RRR blends (`proxy`'s blend law,
+which `simulate_rrr`, `search_mix` and `blend_markdown` share).
 """
 
 from __future__ import annotations

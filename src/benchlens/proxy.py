@@ -8,14 +8,28 @@ constituent rates, so per-instruction metrics of a mix are convex
 combinations of the constituents' values. Measured blends on real hardware
 additionally contain co-run contention that this simulator does not model.
 
-`simulate_rrr` runs any schedule segment by segment. `search_mix` ranks
-every mix of a pool on the equal-duration schedule (k constituents, k copies,
-one unit per pass) in one array pass that replays the simulation's float
-operations in order: copy c adds the rates of segments c, c+1, ..., k-1, 0,
-..., c-1 into one running sum per event shared by all copies, metrics are
-`scale * num / den`, and the distance sums `weight * diff * diff` in
-METRIC_NAMES order. Its values and ranking are therefore bit-identical to
-simulating each mix, which `tests/oracles.py` does.
+Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
+- blend: a schedule is a list of (slot, step) pairs in the order its copies
+  run. Each adds `rate * step` of the workload in that slot to one running
+  total per event, shared by all copies and starting from 0.0. An event
+  missing from any constituent is missing from the blend. The metrics are
+  `metrics.metric_array` of the totals. A blend fails on an infinite total
+  ("counter value must be finite and >= 0"), then as a store run would:
+  MissingDenominator without positive instructions and cycles, else
+  MetricVector's ValueError.
+- distance: `weight * diff * diff` summed from 0.0 in METRIC_NAMES order,
+  then the square root, where `diff = (blend - target) / stdev` and the
+  stdev is 1.0 unless `scales` has one. A metric counts unless its weight is
+  zero, it is missing on either side, or its stdev is not positive. A weight
+  that is negative or not finite raises ValueError (the first in
+  METRIC_NAMES order); a blend with no metric that counts raises
+  NoCommonMetrics.
+
+`simulate_rrr` walks any schedule segment by segment to get its steps, and
+`blend_markdown` blends each constituent over one pass. `search_mix` blends
+every mix of a pool at once on the equal-duration schedule, where copy c
+runs slots c, c+1, ..., c-1 for one unit each, so its values are
+bit-identical to simulating each mix.
 """
 
 from __future__ import annotations
@@ -60,14 +74,32 @@ class WorkloadProfile:
         return cls(workload=store.runs[row][1], rates=rates, duration=wallclock)
 
 
-def _derive_counts(key: tuple[str, str, str], counts: Mapping[str, float]) -> MetricVector:
-    """Metrics of one blend's or constituent's event counts, checked like a store run's."""
-    for _, value in sorted(counts.items()):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"counter value must be finite and >= 0, got {value!r}")
-    events = tuple(counts)
-    values = derive_rows(np.array([[counts[e] for e in events]], dtype=float), events, [key])
-    return MetricVector.from_row(values[0].tolist())
+def _rate_array(profiles: Sequence[WorkloadProfile]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """One row of rates per profile (NaN for an event it lacks) and its events: canonical, then sorted."""
+    extra = sorted({event for p in profiles for event in p.rates} - set(CANONICAL_EVENTS))
+    events = CANONICAL_EVENTS + tuple(extra)
+    rates = [[p.rates.get(event, np.nan) for event in events] for p in profiles]
+    return np.array(rates, dtype=float).reshape(len(profiles), len(events)), events
+
+
+def _blend(rates: np.ndarray, mixes: np.ndarray, steps, events: Sequence[str], key=None):
+    """Each mix's event totals, metric values and whether it fails; a mix is a row of `rates` indices.
+
+    Each (slot, step) of `steps`, in order, adds the rates of every mix's
+    workload in that slot times the step to totals that start from 0.0.
+    With a `key`, a failing first mix raises its error, named by the key.
+    """
+    totals = np.zeros((len(mixes), rates.shape[1]))
+    with np.errstate(over="ignore"):
+        for slot, step in steps:
+            totals += rates[mixes[:, slot]] * step
+    values, failed = metric_array(totals, events)
+    failed |= np.isinf(totals).any(axis=1)
+    if key is not None and failed[0]:
+        if np.isinf(totals[0]).any():
+            raise ValueError("counter value must be finite and >= 0, got inf")
+        derive_rows(totals[:1], events, [key])
+    return totals, values, failed
 
 
 @dataclass(frozen=True)
@@ -125,27 +157,23 @@ def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> 
     else:
         offsets = tuple(i * period / schedule.copies for i in range(schedule.copies))
 
-    events = set(sequence[0].rates)
-    for p in sequence[1:]:
-        events &= set(p.rates)
     boundaries = []
     start = 0.0
     for p in sequence:
-        boundaries.append((start, start + p.duration, p))
+        boundaries.append((start, start + p.duration))
         start += p.duration
 
-    totals = {event: 0.0 for event in sorted(events)}
+    steps = []  # (slot in the sequence, seconds) in the order the copies run
     busy_time = {p.workload: 0.0 for p in sequence}
     for offset in offsets:
         elapsed = 0.0
         position = offset % period
         while elapsed < horizon - 1e-12 * horizon:
-            for seg_start, seg_end, profile in boundaries:
+            for slot, (seg_start, seg_end) in enumerate(boundaries):
                 if seg_start - 1e-12 <= position < seg_end:
                     step = min(seg_end - position, horizon - elapsed)
-                    for event in totals:
-                        totals[event] += profile.rates[event] * step
-                    busy_time[profile.workload] += step
+                    steps.append((slot, step))
+                    busy_time[sequence[slot].workload] += step
                     elapsed += step
                     position += step
                     break
@@ -154,12 +182,15 @@ def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> 
             if position >= period - 1e-12 * max(period, 1.0):
                 position = 0.0
 
+    rates, events = _rate_array(sequence)
+    key = ("rrr", "+".join(schedule.order), "blend")
+    totals, values, _ = _blend(rates, np.arange(len(sequence))[None], steps, events, key)
     total_time = schedule.copies * horizon
     shares = {w: t / total_time for w, t in sorted(busy_time.items())}
     return BlendProfile(
-        metrics=_derive_counts(("rrr", "+".join(schedule.order), "blend"), totals),
+        metrics=MetricVector.from_row(values[0].tolist()),
         time_shares=shares,
-        totals=totals,
+        totals={event: total for event, total in sorted(zip(events, totals[0].tolist())) if total == total},
         copies=schedule.copies,
         horizon=horizon,
     )
@@ -170,6 +201,28 @@ class DistanceReport:
     distance: float
     relative_gaps: Mapping[str, float]  # metric -> |blend - target| / target
     metrics_used: tuple[str, ...]
+
+
+def _distances(values: np.ndarray, target: MetricVector, weights, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distance to the target and which of its metrics count.
+
+    `values` holds one blend's metrics per row, NaN where unavailable.
+    """
+    squared = np.zeros(len(values))
+    used = np.zeros(values.shape, dtype=bool)
+    for j, metric in enumerate(METRIC_NAMES):
+        weight = weights.get(metric, 0.0)
+        if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
+            raise ValueError(f"weight for {metric!r} must be finite and >= 0, got {weight!r}")
+        t = target.get(metric)
+        stdev = scales[metric][1] if scales is not None and metric in scales else 1.0
+        if weight == 0 or t is None or stdev <= 0:  # stdev 0: constant over the pool
+            continue
+        used[:, j] = ~np.isnan(values[:, j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = (values[:, j] - t) / stdev
+            squared = np.where(used[:, j], squared + weight * diff * diff, squared)
+    return np.sqrt(squared), used
 
 
 def blend_distance(
@@ -187,32 +240,17 @@ def blend_distance(
     zero stdev are excluded.
     """
     blend_metrics = blend.metrics if isinstance(blend, BlendProfile) else blend
-    squared = 0.0
-    gaps: dict[str, float] = {}
-    used: list[str] = []
-    for metric in METRIC_NAMES:
-        weight = weights.get(metric, 0.0)
-        if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
-            raise ValueError(f"weight for {metric!r} must be finite and >= 0, got {weight!r}")
-        if weight == 0:
-            continue
-        b = blend_metrics.get(metric)
-        t = target.get(metric)
-        if b is None or t is None:
-            continue
-        stdev = 1.0
-        if scales is not None and metric in scales:
-            stdev = scales[metric][1]
-            if stdev <= 0:
-                continue  # constant over the pool: no discriminating power
-        diff = (b - t) / stdev
-        squared += weight * diff * diff
+    row = [np.nan if (v := blend_metrics.get(m)) is None else v for m in METRIC_NAMES]
+    distances, used = _distances(np.array([row], dtype=float), target, weights, scales)
+    metrics_used = tuple(m for m, counts in zip(METRIC_NAMES, used[0].tolist()) if counts)
+    if not metrics_used:
+        raise NoCommonMetrics("no weighted metric is available on both sides")
+    gaps = {}
+    for metric in metrics_used:
+        b, t = blend_metrics.get(metric), target.get(metric)
         if t != 0:
             gaps[metric] = abs(b - t) / abs(t)
-        used.append(metric)
-    if not used:
-        raise NoCommonMetrics("no weighted metric is available on both sides")
-    return DistanceReport(distance=math.sqrt(squared), relative_gaps=gaps, metrics_used=tuple(used))
+    return DistanceReport(distance=float(distances[0]), relative_gaps=gaps, metrics_used=metrics_used)
 
 
 class RankedMixes(Sequence):
@@ -245,21 +283,6 @@ class RankedMixes(Sequence):
         return order, replace(blend, distance_to_target=float(self.distances[i]), target=self._target_name)
 
 
-def _equal_duration_metrics(rates, mixes, events):
-    """Metric values of each mix (NaN where unavailable) and whether its simulation fails.
-
-    `rates` holds one pool profile per row and one event per column (NaN for
-    an unsupported event); `mixes` one mix per row, as pool indices.
-    """
-    size = mixes.shape[1]
-    totals = np.zeros((len(mixes), len(events)))
-    for copy in range(size):
-        for step in range(size):
-            totals += rates[mixes[:, (copy + step) % size]]
-    values, failed = metric_array(totals, events)
-    return values, failed | np.isinf(totals).any(axis=1)  # simulate_rrr rejects an infinite total
-
-
 def search_mix(
     profiles: Sequence[WorkloadProfile],
     target: MetricVector,
@@ -277,25 +300,14 @@ def search_mix(
     reflects the blend composition rather than measured pass lengths. Ties
     on distance go to the lower order tuple.
 
-    The ranking is computed over arrays, one row per mix, and replays the
-    float operations of `simulate_rrr` + `blend_distance`
-    in their order, so every value is bit-identical to simulating the mix:
-    - totals: copy c adds the rates of segments c, c+1, ..., k-1, 0, ..., c-1
-      into one running sum shared by all copies, starting from 0.0; an event
-      missing from any constituent (NaN) is missing from the blend;
-    - metrics: `metrics.metric_array`, which simulate_rrr also derives with;
-    - distance: `weight * diff * diff` summed in METRIC_NAMES order from 0.0,
-      then the square root.
-    The checks of that path (finite totals, positive instructions and cycles,
-    MetricVector's bounds, at least one common metric) are applied to the
-    arrays; the first failing mix is replayed through it to raise its error.
+    Mixes are blended and measured as rows of arrays, size by size. The first
+    mix that fails, in enumeration order, raises what simulating it would:
+    its blend's error, else a bad weight's, else NoCommonMetrics.
     """
     if max_constituents < 1:
         raise ValueError("max_constituents must be >= 1")
     if max_constituents > len(profiles):
-        raise ValueError(
-            f"max_constituents {max_constituents} exceeds pool size {len(profiles)}"
-        )
+        raise ValueError(f"max_constituents {max_constituents} exceeds pool size {len(profiles)}")
     pool = sorted(profiles, key=lambda p: p.workload)
     names = [p.workload for p in pool]
     if len(set(names)) != len(names):
@@ -304,21 +316,7 @@ def search_mix(
     if total > budget:
         raise BudgetExceeded(f"{total} candidate mixes exceed budget {budget}")
 
-    equal = [replace(p, duration=1.0) for p in pool]
-    extra = sorted({event for p in pool for event in p.rates} - set(CANONICAL_EVENTS))
-    events = CANONICAL_EVENTS + tuple(extra)
-    rates = np.array([[p.rates.get(event, np.nan) for event in events] for p in pool])
-    bad_weight = any(not 0 <= weights.get(m, 0.0) < math.inf for m in METRIC_NAMES)
-    terms = []  # (metric column, weight, target value, stdev) of each metric that can count
-    for j, metric in enumerate(METRIC_NAMES):
-        weight, t, stdev = weights.get(metric, 0.0), target.get(metric), 1.0
-        if scales is not None and metric in scales:
-            stdev = scales[metric][1]
-            if stdev <= 0:
-                continue
-        if weight != 0 and t is not None:
-            terms.append((j, weight, t, stdev))
-
+    rates, events = _rate_array(pool)
     blocks = []
     for size in range(1, max_constituents + 1):
         mixes = np.fromiter(
@@ -326,28 +324,23 @@ def search_mix(
             dtype=np.intp,
             count=comb(len(pool), size) * size,
         ).reshape(-1, size)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values, failed = _equal_duration_metrics(rates, mixes, events)
-            squared = np.zeros(len(mixes))
-            used = np.zeros(len(mixes), dtype=bool)
-            for j, weight, t, stdev in terms:
-                available = ~np.isnan(values[:, j])
-                diff = (values[:, j] - t) / stdev
-                squared = np.where(available, squared + weight * diff * diff, squared)
-                used |= available
-        failed |= bad_weight | ~used
-        if failed.any():  # replay the first failing mix, in enumeration order, to raise its error
-            mix = [equal[j] for j in mixes[np.argmax(failed)]]
-            schedule = RrrSchedule(order=tuple(p.workload for p in mix), copies=size)
-            blend_distance(simulate_rrr(mix, schedule), target, weights, scales=scales)
-            raise AssertionError(f"mix {schedule.order} failed the array checks but not the simulation")
+        steps = [((copy + step) % size, 1.0) for copy in range(size) for step in range(size)]
+        _, values, failed = _blend(rates, mixes, steps, events)
+        if not failed[0]:  # else the first mix raises before a weight is read
+            distances, used = _distances(values, target, weights, scales)
+            failed |= ~used.any(axis=1)
+        if failed.any():  # the first failing mix raises its blend's error, else NoCommonMetrics
+            mix = mixes[np.argmax(failed)]
+            _blend(rates, mix[None], steps, events, ("rrr", "+".join(names[j] for j in mix), "blend"))
+            raise NoCommonMetrics("no weighted metric is available on both sides")
         padded = np.full((len(mixes), max_constituents), -1, dtype=np.intp)
         padded[:, :size] = mixes
-        blocks.append((padded, np.sqrt(squared), values))
+        blocks.append((padded, distances, values))
 
     mixes, distances, values = (np.concatenate(parts) for parts in zip(*blocks))
     # order tuples compare like their pool indices, a shorter prefix (-1 padding) first
     rank = np.lexsort((*mixes.T[::-1], distances))
+    equal = [replace(p, duration=1.0) for p in pool]
     return RankedMixes(equal, mixes[rank], distances[rank], values[rank], target_name)
 
 
@@ -433,12 +426,12 @@ def blend_markdown(
     constituents: Sequence[WorkloadProfile],
 ) -> str:
     """Per-metric blend vs target vs constituents table."""
-    constituent_metrics = {
-        p.workload: _derive_counts(
-            ("constituent", p.workload, "blend"), {event: rate * p.duration for event, rate in p.rates.items()}
-        )
-        for p in constituents
-    }
+    rates, events = _rate_array(constituents)
+    constituent_metrics = {}
+    for i, p in enumerate(constituents):  # each constituent over one pass
+        key = ("constituent", p.workload, "blend")
+        _, values, _ = _blend(rates, np.array([[i]]), [(0, p.duration)], events, key)
+        constituent_metrics[p.workload] = MetricVector.from_row(values[0].tolist())
     names = sorted(constituent_metrics)
     header = "| Metric | Blend |" + (" Target |" if target is not None else "") + "".join(
         f" {n} |" for n in names

@@ -5,7 +5,8 @@ Each oracle recomputes a result through a different route than the library
 per-pair Python scan instead of one array minimum per merge,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
-mixes, per-row counter objects instead of a columnar store), so agreement is
+mixes, per-event and per-metric loops instead of one array pass per law,
+per-row counter objects instead of a columnar store), so agreement is
 meaningful.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
@@ -20,10 +22,13 @@ from math import comb
 import numpy as np
 
 from benchlens.dataset import SCORES_HEADER, STORE_HEADER
-from benchlens.errors import BudgetExceeded, DuplicateKey, MissingDenominator, SchemaMismatch
-from benchlens.events import METRIC_DEFS
-from benchlens.metrics import MetricVector
-from benchlens.proxy import RrrSchedule, blend_distance, simulate_rrr
+from benchlens.errors import (
+    BudgetExceeded, DuplicateKey, MissingDenominator, NoCommonMetrics, SchemaMismatch, UnknownWorkload,
+    ZeroHorizon,
+)
+from benchlens.events import METRIC_DEFS, METRIC_NAMES
+from benchlens.metrics import MetricVector, derive_rows
+from benchlens.proxy import BlendProfile, DistanceReport, RrrSchedule, WorkloadProfile
 from benchlens.subset import _accuracies, _suite_geomeans
 
 
@@ -223,9 +228,138 @@ def exhaustive_medoid(group, scores: dict[str, list[float]]) -> str:
     return best_w
 
 
+# The per-event and per-metric loops that `proxy` replaced with one array pass
+# per law, and the per-mix search built on them.
+
+
+def _derive_counts(key: tuple[str, str, str], counts: Mapping[str, float]) -> MetricVector:
+    """Metrics of one blend's or constituent's event counts, checked like a store run's."""
+    for _, value in sorted(counts.items()):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"counter value must be finite and >= 0, got {value!r}")
+    events = tuple(counts)
+    values = derive_rows(np.array([[counts[e] for e in events]], dtype=float), events, [key])
+    return MetricVector.from_row(values[0].tolist())
+
+
+def loop_simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> BlendProfile:
+    """The per-event dict loop that `proxy.simulate_rrr` replaced.
+
+    Accumulate event totals of the staggered mix over the horizon.
+
+    Only events present in every scheduled profile contribute; a partial sum
+    over a subset of constituents would misstate the blend.
+    """
+    by_name = {p.workload: p for p in profiles}
+    missing = [w for w in schedule.order if w not in by_name]
+    if missing:
+        raise UnknownWorkload(f"schedule references unknown workloads: {missing}")
+    sequence = [by_name[w] for w in schedule.order]
+    period = sum(p.duration for p in sequence)
+
+    horizon = schedule.horizon if schedule.horizon is not None else period
+    if horizon <= 0:
+        raise ZeroHorizon(f"horizon must be positive, got {horizon!r}")
+    if horizon < period * (1 - 1e-12):
+        raise ValueError(f"horizon {horizon} is shorter than one full period {period}")
+
+    if schedule.offsets is not None:
+        offsets = schedule.offsets
+        if any(b <= a for a, b in zip(offsets, offsets[1:])):
+            raise ValueError("offsets must be strictly increasing")
+        if any(o < 0 or o >= period for o in offsets):
+            raise ValueError(f"offsets must lie in [0, period={period})")
+    else:
+        offsets = tuple(i * period / schedule.copies for i in range(schedule.copies))
+
+    events = set(sequence[0].rates)
+    for p in sequence[1:]:
+        events &= set(p.rates)
+    boundaries = []
+    start = 0.0
+    for p in sequence:
+        boundaries.append((start, start + p.duration, p))
+        start += p.duration
+
+    totals = {event: 0.0 for event in sorted(events)}
+    busy_time = {p.workload: 0.0 for p in sequence}
+    for offset in offsets:
+        elapsed = 0.0
+        position = offset % period
+        while elapsed < horizon - 1e-12 * horizon:
+            for seg_start, seg_end, profile in boundaries:
+                if seg_start - 1e-12 <= position < seg_end:
+                    step = min(seg_end - position, horizon - elapsed)
+                    for event in totals:
+                        totals[event] += profile.rates[event] * step
+                    busy_time[profile.workload] += step
+                    elapsed += step
+                    position += step
+                    break
+            else:
+                raise AssertionError(f"position {position} fell outside the period")
+            if position >= period - 1e-12 * max(period, 1.0):
+                position = 0.0
+
+    total_time = schedule.copies * horizon
+    shares = {w: t / total_time for w, t in sorted(busy_time.items())}
+    return BlendProfile(
+        metrics=_derive_counts(("rrr", "+".join(schedule.order), "blend"), totals),
+        time_shares=shares,
+        totals=totals,
+        copies=schedule.copies,
+        horizon=horizon,
+    )
+
+
+def loop_blend_distance(
+    blend: BlendProfile | MetricVector,
+    target: MetricVector,
+    weights: Mapping[str, float],
+    *,
+    scales: Mapping[str, tuple[float, float]] | None = None,
+) -> DistanceReport:
+    """The scalar loop that `proxy.blend_distance` replaced.
+
+    Weighted L2 distance over z-scored metric differences.
+
+    `scales` supplies per-metric (mean, stdev) normalization state, typically
+    from FeatureMatrix.scales_for_machine(); without it raw differences are
+    used. Metrics with zero weight, missing on either side, or z-scaled by a
+    zero stdev are excluded.
+    """
+    blend_metrics = blend.metrics if isinstance(blend, BlendProfile) else blend
+    squared = 0.0
+    gaps: dict[str, float] = {}
+    used: list[str] = []
+    for metric in METRIC_NAMES:
+        weight = weights.get(metric, 0.0)
+        if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
+            raise ValueError(f"weight for {metric!r} must be finite and >= 0, got {weight!r}")
+        if weight == 0:
+            continue
+        b = blend_metrics.get(metric)
+        t = target.get(metric)
+        if b is None or t is None:
+            continue
+        stdev = 1.0
+        if scales is not None and metric in scales:
+            stdev = scales[metric][1]
+            if stdev <= 0:
+                continue  # constant over the pool: no discriminating power
+        diff = (b - t) / stdev
+        squared += weight * diff * diff
+        if t != 0:
+            gaps[metric] = abs(b - t) / abs(t)
+        used.append(metric)
+    if not used:
+        raise NoCommonMetrics("no weighted metric is available on both sides")
+    return DistanceReport(distance=math.sqrt(squared), relative_gaps=gaps, metrics_used=tuple(used))
+
+
 def search_mix_by_simulation(profiles, target, max_constituents, weights, *, scales=None,
                              target_name=None, budget=2_000_000):
-    """`proxy.search_mix` as one simulate_rrr + blend_distance per candidate mix.
+    """`proxy.search_mix` as one loop_simulate_rrr + loop_blend_distance per candidate mix.
 
     Same checks, same equal-duration schedule and the same (distance, order)
     ranking, returned as a list of (order, BlendProfile).
@@ -250,8 +384,8 @@ def search_mix_by_simulation(profiles, target, max_constituents, weights, *, sca
         for mix in combinations(range(len(pool)), size):
             order = tuple(names[i] for i in mix)
             schedule = RrrSchedule(order=order, copies=size)
-            blend = simulate_rrr([equal[i] for i in mix], schedule)
-            report = blend_distance(blend, target, weights, scales=scales)
+            blend = loop_simulate_rrr([equal[i] for i in mix], schedule)
+            report = loop_blend_distance(blend, target, weights, scales=scales)
             blend = replace(blend, distance_to_target=report.distance, target=target_name)
             ranked.append((report.distance, order, blend))
     ranked.sort(key=lambda item: (item[0], item[1]))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from benchlens import cluster
 from benchlens.cluster import (
     LINKAGES,
     build_dendrogram,
@@ -118,6 +120,40 @@ class TestBuildDendrogram:
             heights = [m.height for m in dendrogram.merges]
             tied += len(heights) - len(set(heights))
         assert tied > 200
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_blocked_distances_match_loop_referee_bit_for_bit(self, linkage, monkeypatch):
+        # 300 cube elements: from one row of the distance matrix per block to all rows, the last block often short
+        monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", 300)
+        rng = np.random.default_rng(211)
+        for i in range(40):
+            n = int(rng.integers(2, 61))
+            points = rng.normal(size=(n, int(rng.integers(1, 11))))
+            if i % 2:
+                points = np.round(points * 2.0) / 2.0
+            dendrogram = build_dendrogram(points, [f"w{j}" for j in range(n)], linkage)
+            assert merge_rows(dendrogram) == [
+                (left, right, repr(height), size) for left, right, height, size in loop_linkage(points, linkage)
+            ]
+
+    def test_distances_of_many_rows_take_memory_quadratic_in_rows(self):
+        # n x n x d would be 160 MB here; the distance matrix alone is 8 MB
+        n, d = 1000, 10
+        points = np.random.default_rng(223).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            dendrogram = build_dendrogram(points, [f"w{j}" for j in range(n)], "ward")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
+        assert len(dendrogram.merges) == n - 1
+        # the referee is cubic in Python, so its merges are compared at n = 200, in two blocks of rows
+        small = points[:200]
+        assert 200 * small.size > cluster._BLOCK_ELEMENTS
+        assert merge_rows(build_dendrogram(small, [f"w{j}" for j in range(200)], "ward")) == [
+            (left, right, repr(height), size) for left, right, height, size in loop_linkage(small, "ward")
+        ]
 
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_matches_scipy_heights_and_partitions(self, linkage):

@@ -16,20 +16,11 @@ from pathlib import Path
 from benchlens import bundled
 
 ROOT = Path(__file__).resolve().parents[1]
+STORE = ["--store", str(bundled.sample_store_path()), "--scores", str(bundled.sample_scores_path())]
 
 
-def test_traced_report_and_ingest_calls_exit_0_without_a_traceback(tmp_path):
-    ingest = [
-        "ingest", "--raw", str(bundled.sample_raw_dump_path()),
-        "--countermap", str(bundled.sample_countermap_path()),
-        "--suite", "int_rate", "--machine", "CPU-C", "--store", str(tmp_path / "store.csv"),
-    ]
-    calls = [
-        ["report", "--store", str(bundled.sample_store_path()), "--scores", str(bundled.sample_scores_path()),
-         "--out", str(tmp_path / "out")],
-        [*ingest, "--workload", "706.stockfish_r"],  # into a new store
-        [*ingest, "--workload", "999.copy_r"],       # merged into the store the first ingest wrote
-    ]
+def run_traced(tmp_path, calls):
+    """Each call's (exit code, error) from one traced child, and the names of its spans."""
     spec = {
         "calls": calls,
         "trace": True,
@@ -45,6 +36,33 @@ def test_traced_report_and_ingest_calls_exit_0_without_a_traceback(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
-    assert [(call["code"], call["error"]) for call in result["calls"]] == [(0, None)] * len(calls)
     names = {json.loads(line)[0] for line in (tmp_path / "spans.jsonl").read_text(encoding="utf-8").splitlines()}
+    return [(call["code"], call["error"]) for call in result["calls"]], names
+
+
+def test_traced_report_and_ingest_calls_exit_0_without_a_traceback(tmp_path):
+    ingest = [
+        "ingest", "--raw", str(bundled.sample_raw_dump_path()),
+        "--countermap", str(bundled.sample_countermap_path()),
+        "--suite", "int_rate", "--machine", "CPU-C", "--store", str(tmp_path / "store.csv"),
+    ]
+    calls = [
+        ["report", *STORE, "--out", str(tmp_path / "out")],
+        [*ingest, "--workload", "706.stockfish_r"],  # into a new store
+        [*ingest, "--workload", "999.copy_r"],       # merged into the store the first ingest wrote
+    ]
+    outcomes, names = run_traced(tmp_path, calls)
+    assert outcomes == [(0, None)] * len(calls)
     assert {"metrics.derive_store", "dataset.parse_counter_file", "dataset.save_canonical"} <= names
+
+
+def test_traced_proxy_search_and_mix_calls_exit_0_without_a_traceback(tmp_path):
+    mix = tmp_path / "mix.txt"
+    mix.write_text("709.cactus_r,2.5\n749.fotonik3d_r\n", encoding="utf-8")
+    calls = [
+        ["proxy", *STORE, "--target", "710.omnetpp_r", "--mix-k", "2", "--out", str(tmp_path / "search")],
+        ["proxy", *STORE, "--mix", str(mix), "--out", str(tmp_path / "mix")],
+    ]
+    outcomes, names = run_traced(tmp_path, calls)
+    assert outcomes == [(0, None)] * len(calls)
+    assert {"proxy.search_mix", "proxy.simulate_rrr"} <= names

@@ -266,7 +266,15 @@ class TestSearchMix:
         overflowing = replace(pool[3], rates={**pool[3].rates, "cycles": 1e308})
         with pytest.raises(ValueError, match="counter value"):
             search_mix([pool[0], overflowing], target, 2, weights)
+        # precedence: the first failing mix raises, and a failing blend goes before a bad weight
+        no_l2, no_cycles = unsupported(pool[0], "l2_misses"), unsupported(pool[1], "cycles")
+        with pytest.raises(NoCommonMetrics):
+            search_mix([no_l2, no_cycles], target, 2, {"l2_mpki": 1.0})
+        with pytest.raises(MissingDenominator):
+            search_mix([no_cycles, pool[2]], target, 2, {"ipc": float("nan")})
         cases = [
+            ([no_l2, no_cycles], {"l2_mpki": 1.0}),
+            ([no_cycles, pool[2]], {"ipc": float("nan")}),
             ([pool[0], unsupported(pool[1], "instructions")], weights),
             ([overflowing, pool[1]], weights),
             (pool, {"l3_mpki": 0.0}),
@@ -309,6 +317,15 @@ class TestExports:
         text = blend_markdown(ranked[0][1], target, [cactus, fotonik])
         assert text.splitlines()[0].startswith("| Metric | Blend | Target |")
         assert "ipc" in text
+
+    def test_markdown_blends_constituents_like_mixes(self):
+        # a count of -0.0 sums to 0.0 from the blend's 0.0 start, in both columns
+        cactus, fotonik = icache_stress_pair()
+        cactus = replace(cactus, rates={**cactus.rates, "loads": -0.0})
+        fotonik = replace(fotonik, rates={**fotonik.rates, "loads": 0.0})
+        blend = simulate_rrr([cactus, fotonik], RrrSchedule(order=(cactus.workload, fotonik.workload), copies=2))
+        row = next(line for line in blend_markdown(blend, None, [cactus, fotonik]).splitlines() if "load_pct" in line)
+        assert row.split(" | ")[2] == "0.0000"
 
     def test_from_record_rates(self):
         rng = np.random.default_rng(233)
