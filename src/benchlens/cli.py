@@ -77,7 +77,10 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
     values: dict = {}
     if path:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
+            try:
+                doc = yaml.load(fh, Loader=dataset.YAML_LOADER) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path}: config is not valid YAML: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a key/value mapping")
         known = {f.name for f in fields(PipelineConfig)}

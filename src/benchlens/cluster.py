@@ -204,15 +204,19 @@ def medoid(group: Iterable[str], scores: Mapping[str, Sequence[float]]) -> str:
             raise UnknownWorkload(f"no score row for workload {w!r}")
     if len(members) == 1:
         return members[0]
-    points = {w: np.asarray(scores[w], dtype=float) for w in members}
+    points = np.array([scores[w] for w in members], dtype=float).reshape(len(members), -1)
     best_workload = members[0]
     best_mean = math.inf
-    for w in members:
-        distances = [float(np.linalg.norm(points[w] - points[other])) for other in members if other != w]
-        mean = sum(distances) / len(distances)
-        if mean < best_mean:
-            best_mean = mean
-            best_workload = w
+    rows = max(1, _BLOCK_ELEMENTS // max(1, points.size))
+    for start in range(0, len(members), rows):
+        # each distance is np.linalg.norm's: the square root of one dot product of the difference row
+        diffs = points[start:start + rows, None, :] - points[None, :, :]
+        block = np.sqrt(np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0])
+        for w, row in zip(members[start:start + rows], block.tolist()):
+            mean = sum(row) / (len(members) - 1)  # the distance to itself is 0.0 and leaves the sum as it is
+            if mean < best_mean:
+                best_mean = mean
+                best_workload = w
     return best_workload
 
 

@@ -18,20 +18,28 @@ and the wallclock and score of each run. `Store.from_cells` is its one
 constructor and does every check; reading a store, parsing a raw dump and
 merging two stores all build through it.
 
+CSV files are written by one line law (`_write_lines`), which `proxy` shares:
+each number is its `repr`, each distinct text cell is quoted once by
+`csv.writer(lineterminator="\\n")` itself (`_CsvText`), each row is one joined
+line, and the lines go out `_CHUNK` rows per write. The bytes are those of
+`csv.writer` writing the same cells.
+
 Raw platform event names are translated to the canonical vocabulary through a
-per-machine counter map loaded from a YAML manifest.
+per-machine counter map loaded from a YAML manifest, with libyaml's loader
+when PyYAML has it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -40,9 +48,12 @@ from .errors import DuplicateKey, SchemaMismatch
 from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES
 
 UNSUPPORTED_TOKENS = ("<not supported>", "<not counted>")
+# libyaml's safe loader when PyYAML was built with it: the same documents, about ten times faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
+_CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
 
 RunKey = tuple[str, str, str]  # (suite, workload, machine)
 Cell = tuple[str, str, str, str, float, bool]  # (suite, workload, machine, event, value, supported)
@@ -248,7 +259,10 @@ def load_counter_maps(path: str | Path) -> dict[str, CounterMap]:
               l1d_misses: L1-dcache-load-misses
     """
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.load(fh, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise SchemaMismatch(f"{path}: counter map manifest is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "machines" not in doc:
         raise SchemaMismatch(f"{path}: counter map manifest must have a top-level 'machines' key")
     maps: dict[str, CounterMap] = {}
@@ -388,28 +402,51 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
     return Store.from_cells(cells, wallclock=wallclock, scores=scores)
 
 
-def _write_rows(path: str | Path, header: list[str], rows: Iterable[tuple]) -> None:
+class _CsvText(dict):
+    """Text cells as `csv.writer(lineterminator="\\n")` writes them, asked of csv once per distinct text.
+
+    The quoting rule is csv's own, not a copy of it: it differs between Python
+    versions (3.11 quotes a cell holding "\\n" but not one holding only "\\r").
+    """
+
+    def __missing__(self, text: str) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text, ""])  # a lone "" cell would be quoted
+        quoted = self[text] = buffer.getvalue()[: -len(",\n")]
+        return quoted
+
+
+def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), _CHUNK rows per write."""
+    lines = iter(lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        while chunk := list(islice(lines, _CHUNK)):
+            fh.write("".join(chunk))
 
 
 def save_canonical(store: Store, path: str | Path) -> None:
     """Write the store CSV; float values use repr so reloading is lossless."""
-    suites, workloads, machines, events, values, supported = store.columns()
-    flags = ["true" if flag else "false" for flag in supported]
-    _write_rows(path, STORE_HEADER, zip(suites, workloads, machines, events, map(repr, values), flags))
+    text = _CsvText()
+    _write_lines(
+        path,
+        STORE_HEADER,
+        (
+            f"{text[s]},{text[w]},{text[m]},{text[e]},{v!r},{'true' if ok else 'false'}\n"
+            for s, w, m, e, v, ok in store.cells()
+        ),
+    )
 
 
 def save_scores(store: Store, path: str | Path) -> None:
     """Write the scores CSV: one row per run with a score."""
-    _write_rows(
+    text = _CsvText()
+    _write_lines(
         path,
         SCORES_HEADER,
         (
-            (*run, repr(score), repr(clock))
-            for run, score, clock in zip(store.runs, store.scores.tolist(), store.wallclock.tolist())
+            f"{text[s]},{text[w]},{text[m]},{score!r},{clock!r}\n"
+            for (s, w, m), score, clock in zip(store.runs, store.scores.tolist(), store.wallclock.tolist())
             if score == score
         ),
     )

@@ -34,7 +34,6 @@ bit-identical to simulating each mix.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -44,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Store
+from .dataset import _CHUNK, Store, _CsvText, _write_lines
 from .errors import BudgetExceeded, NoCommonMetrics, UnknownWorkload, ZeroHorizon
 from .events import CANONICAL_EVENTS, METRIC_NAMES
 from .metrics import MetricVector, derive_rows, metric_array
@@ -397,27 +396,43 @@ def export_mixes_csv(
 ) -> None:
     """Write "rank,mix,distance,<metrics...>" with empty cells for unavailable.
 
-    A `RankedMixes` is written straight from its arrays, without simulating
-    a blend; any other sequence from its BlendProfiles.
+    Lines follow the store's law (see `dataset`): the rank, the mix cell,
+    `repr` of the distance (never blanked), and `repr` of each metric, where
+    an unavailable one (NaN, whose repr is the only one holding "nan") is
+    blanked. The a+b+c mix cell is bare when every name is (for a
+    `RankedMixes`, every name of its pool), else csv's quoting of the joined
+    text. A `RankedMixes` is written straight from its arrays, _CHUNK rows
+    at a time, without simulating a blend; any other sequence from its
+    BlendProfiles, where a distance of None is blank.
     """
+    text = _CsvText()
     if isinstance(ranked, RankedMixes):
-        rows = zip(
-            (ranked.order(i) for i in range(len(ranked))),
-            ranked.distances.tolist(),
-            np.where(np.isnan(ranked.metrics), None, ranked.metrics).tolist(),
+        names = [p.workload for p in ranked._pool]
+        bare = all(text[name] == name for name in names)
+        rows = (
+            ("+".join([names[j] for j in mix if j >= 0]), bare, repr(distance), values)
+            for lo in range(0, len(ranked), _CHUNK)
+            for mix, distance, values in zip(
+                ranked._mixes[lo:lo + _CHUNK].tolist(),
+                ranked.distances[lo:lo + _CHUNK].tolist(),
+                ranked.metrics[lo:lo + _CHUNK].tolist(),
+            )
         )
     else:
         rows = (
-            (order, blend.distance_to_target, [blend.metrics.get(m) for m in METRIC_NAMES])
+            (
+                "+".join(order),
+                all(text[name] == name for name in order),
+                "" if blend.distance_to_target is None else repr(blend.distance_to_target),
+                [math.nan if (v := blend.metrics.get(m)) is None else v for m in METRIC_NAMES],
+            )
             for order, blend in ranked
         )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "mix", "distance", *METRIC_NAMES])
-        for rank, (order, distance, values) in enumerate(rows, start=1):
-            row = [rank, "+".join(order), "" if distance is None else repr(distance)]
-            row += ["" if v is None else repr(v) for v in values]
-            writer.writerow(row)
+    lines = (
+        f"{rank},{mix if bare else text[mix]},{distance},{','.join(map(repr, values)).replace('nan', '')}\n"
+        for rank, (mix, bare, distance, values) in enumerate(rows, start=1)
+    )
+    _write_lines(path, ["rank", "mix", "distance", *METRIC_NAMES], lines)
 
 
 def blend_markdown(

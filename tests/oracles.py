@@ -6,8 +6,9 @@ per-pair Python scan instead of one array minimum per merge,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
 mixes, per-event and per-metric loops instead of one array pass per law,
-per-row counter objects instead of a columnar store), so agreement is
-meaningful.
+per-row counter objects instead of a columnar store, csv.writer rows instead
+of joined lines, one norm per pair instead of one array pass per group), so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from benchlens.errors import (
 )
 from benchlens.events import METRIC_DEFS, METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_rows
-from benchlens.proxy import BlendProfile, DistanceReport, RrrSchedule, WorkloadProfile
+from benchlens.proxy import BlendProfile, DistanceReport, RankedMixes, RrrSchedule, WorkloadProfile
 from benchlens.subset import _accuracies, _suite_geomeans
 
 
@@ -551,3 +552,70 @@ def assert_same_runs(store, records):
     assert [None if v != v else repr(v) for v in store.scores.tolist()] == [
         None if rec.score is None else repr(rec.score) for rec in records
     ]
+
+
+# The csv.writer row writers that `dataset._write_lines` replaced, and the
+# per-pair medoid scan that one array pass per group replaced.
+
+
+def _csv_write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def csv_save_canonical(store, path):
+    suites, workloads, machines, events, values, supported = store.columns()
+    flags = ["true" if flag else "false" for flag in supported]
+    _csv_write_rows(path, STORE_HEADER, zip(suites, workloads, machines, events, map(repr, values), flags))
+
+
+def csv_save_scores(store, path):
+    _csv_write_rows(
+        path,
+        SCORES_HEADER,
+        (
+            (*run, repr(score), repr(clock))
+            for run, score, clock in zip(store.runs, store.scores.tolist(), store.wallclock.tolist())
+            if score == score
+        ),
+    )
+
+
+def csv_export_mixes(ranked, path):
+    if isinstance(ranked, RankedMixes):
+        rows = zip(
+            (ranked.order(i) for i in range(len(ranked))),
+            ranked.distances.tolist(),
+            np.where(np.isnan(ranked.metrics), None, ranked.metrics).tolist(),
+        )
+    else:
+        rows = (
+            (order, blend.distance_to_target, [blend.metrics.get(m) for m in METRIC_NAMES])
+            for order, blend in ranked
+        )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["rank", "mix", "distance", *METRIC_NAMES])
+        for rank, (order, distance, values) in enumerate(rows, start=1):
+            row = [rank, "+".join(order), "" if distance is None else repr(distance)]
+            row += ["" if v is None else repr(v) for v in values]
+            writer.writerow(row)
+
+
+def loop_medoid(group, scores) -> str:
+    """One np.linalg.norm per ordered pair, ties to the lowest id: the bits `cluster.medoid` must match."""
+    members = sorted(group)
+    if len(members) == 1:
+        return members[0]
+    points = {w: np.asarray(scores[w], dtype=float) for w in members}
+    best_workload = members[0]
+    best_mean = math.inf
+    for w in members:
+        distances = [float(np.linalg.norm(points[w] - points[other])) for other in members if other != w]
+        mean = sum(distances) / len(distances)
+        if mean < best_mean:
+            best_mean = mean
+            best_workload = w
+    return best_workload

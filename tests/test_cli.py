@@ -394,6 +394,37 @@ class TestErrorPaths:
         }
         assert not out.exists()
 
+    def test_malformed_countermap_yaml_is_one_json_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("machines:\n  CPU-C: [unclosed\n", encoding="utf-8")
+        store = tmp_path / "store.csv"
+        code, stdout, err = run(
+            ["ingest", "--raw", str(bundled.sample_raw_dump_path()), "--countermap", str(bad),
+             "--suite", "int_rate", "--workload", "706.stockfish_r", "--machine", "CPU-C",
+             "--store", str(store)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["stage"] == "ingest" and payload["error"] == "SchemaMismatch"
+        assert payload["message"].startswith(f"{bad}: ")
+        assert not store.exists()
+
+    def test_malformed_config_yaml_is_one_json_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text('out: "unclosed\n', encoding="utf-8")
+        code, stdout, err = run(
+            ["derive", "--config", str(bad), "--store", str(bundled.sample_store_path()),
+             "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["stage"] == "derive" and payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"{bad}: ")
+
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         code, _, err = run(["derive", "--out", str(tmp_path)], capsys)
         assert code == 1

@@ -18,7 +18,7 @@ from benchlens.cluster import (
 )
 from benchlens.errors import TooFewRows, UnknownWorkload
 from benchlens.render import dendrogram_svg
-from oracles import exhaustive_medoid, loop_linkage, naive_linkage
+from oracles import exhaustive_medoid, loop_linkage, loop_medoid, naive_linkage
 
 COLLINEAR = np.array([[0.0], [1.0], [10.0]])
 
@@ -233,6 +233,32 @@ class TestMedoid:
         for _ in range(10):
             scores = {f"w{i:02d}": list(rng.normal(size=4)) for i in range(12)}
             assert medoid(list(scores), scores) == exhaustive_medoid(list(scores), scores)
+
+    @pytest.mark.parametrize("block_elements", [None, 7])
+    def test_matches_loop_referee_bit_for_bit(self, block_elements, monkeypatch):
+        # A third of the groups are integer lattice points, where many members share a mean
+        # distance, so the first member in id order must win every tie. Another third are the
+        # cyclic shifts of one vector: their mean distances are equal in exact arithmetic, so
+        # the member chosen depends on the last bit of every distance.
+        if block_elements is not None:  # from one row of distances per block to several, the last one short
+            monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(223)
+        tied = 0
+        for i in range(150):
+            m, d = int(rng.integers(2, 40)), int(rng.integers(1, 172 if i % 9 == 0 else 6))
+            if i % 3 == 0:
+                points = rng.normal(size=(m, d)) * 10.0 ** int(rng.integers(-3, 4))
+            elif i % 3 == 1:
+                points = rng.integers(-2, 3, size=(m, d)).astype(float)
+            else:
+                vector = rng.normal(size=m + 1)
+                points = np.array([np.roll(vector, shift) for shift in range(m)])
+            scores = {f"w{j:02d}": list(row) for j, row in enumerate(points.tolist())}
+            members = list(rng.permutation(list(scores)))
+            assert medoid(members, scores) == loop_medoid(members, scores)
+            means = [sum(math.dist(a, b) for b in points.tolist()) for a in points.tolist()]
+            tied += len(means) - len(set(means))
+        assert tied > 50
 
     def test_tie_breaks_lexicographically(self):
         scores = {"b": [1.0, 0.0], "a": [-1.0, 0.0], "center": [0.0, 0.0], "z": [0.0, 77.0]}

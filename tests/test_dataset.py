@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from benchlens import bundled
 from benchlens.dataset import (
     SCORES_HEADER,
     STORE_HEADER,
+    YAML_LOADER,
     CounterMap,
     MalformedLine,
     NonNumericValue,
@@ -260,6 +263,24 @@ class TestCounterMapManifest:
         )
         with pytest.raises(SchemaMismatch):
             load_counter_maps(path)
+
+    def test_malformed_yaml_is_a_schema_mismatch_naming_the_file(self, tmp_path):
+        path = write(tmp_path / "map.yaml", "machines:\n  m: [unclosed\n")
+        with pytest.raises(SchemaMismatch, match="map.yaml"):
+            load_counter_maps(path)
+
+    def test_libyaml_and_pure_python_loaders_read_equal_documents(self, monkeypatch):
+        gen_path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", gen_path)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look their module up there
+        spec.loader.exec_module(gen)
+        manifests = [bundled.sample_countermap_path().read_text(encoding="utf-8"), gen.countermap_yaml()]
+        for text in manifests:
+            doc = yaml.load(text, Loader=YAML_LOADER)
+            assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+            assert doc["machines"]
+        assert len(yaml.load(manifests[1], Loader=YAML_LOADER)["machines"]) == 9
 
     def test_identity_map_covers_vocabulary(self):
         cmap = identity_counter_map("m")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -317,6 +318,24 @@ class TestExports:
         text = blend_markdown(ranked[0][1], target, [cactus, fotonik])
         assert text.splitlines()[0].startswith("| Metric | Blend | Target |")
         assert "ipc" in text
+
+    def test_writing_a_k3_ranking_of_50_profiles_stays_under_8_mib(self, tmp_path):
+        # 20,875 rows of 22 cells; joining the whole text or listing every cell at once would peak near 17 MiB
+        rng = np.random.default_rng(5)
+        pool = [
+            WorkloadProfile.from_store(make_full_record("s", f"w{i:02d}", "m", rng), 0) for i in range(50)
+        ]
+        target = derive_one(make_full_record("s", "target", "m", rng))
+        ranked = search_mix(pool, target, 3, dict.fromkeys(target.available(), 1.0))
+        assert len(ranked) == 20_875
+        tracemalloc.start()
+        try:
+            export_mixes_csv(ranked, tmp_path / "mixes.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "mixes.csv").read_text().splitlines()) == 1 + 20_875
+        assert peak < 8 * 2**20
 
     def test_markdown_blends_constituents_like_mixes(self):
         # a count of -0.0 sums to 0.0 from the blend's 0.0 start, in both columns

@@ -1,0 +1,165 @@
+"""Property tests: the joined-line writers equal the csv.writer rows they replaced, byte for byte.
+
+Both `export_mixes_csv` paths (a `RankedMixes` and a list of BlendProfiles)
+and both store writers are compared with the referees in `oracles`, on names
+that csv quotes (or, like a lone "\\r" on Python 3.11, leaves bare), on the
+float cells whose repr is easy to get wrong, and on row counts around one
+write chunk.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import oracles  # noqa: E402
+from benchlens.dataset import _CHUNK, Store, save_canonical, save_scores  # noqa: E402
+from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
+from benchlens.metrics import BOUNDED_SHARES, MetricVector  # noqa: E402
+from benchlens.proxy import BlendProfile, RankedMixes, WorkloadProfile, export_mixes_csv  # noqa: E402
+
+NAMES = st.sampled_from(["plain", "a,b", 'q"uote', "cr\rname", "nl\nname", "two words", "", "ünï", "名前", ","]) | (
+    st.text(max_size=5)
+)
+FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.0001, 1.7976931348623157e308, 0.1 + 0.2]
+)
+METRIC_CELLS = FLOATS | st.just(float("nan")) | st.floats()
+POSITIVE = st.sampled_from([5e-324, 1e16, 1e-05, 0.0001, 1.7976931348623157e308]) | st.floats(
+    1e-300, 1e300, allow_nan=False, allow_infinity=False
+)
+DISTANCES = FLOATS | st.sampled_from([float("inf"), float("nan")]) | st.floats(0.0, allow_nan=False)
+
+
+def assert_same_bytes(write, referee, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write(data, tmp / "joined.csv")
+        referee(data, tmp / "csv.csv")
+        assert (tmp / "joined.csv").read_bytes() == (tmp / "csv.csv").read_bytes()
+
+
+def ranked_mixes(names, mixes, distances, metrics) -> RankedMixes:
+    """A ranking as `search_mix` returns it: pool indices padded with -1, one distance and metric row each."""
+    pool = [WorkloadProfile(workload=name, rates={}, duration=1.0) for name in names]
+    width = max((len(mix) for mix in mixes), default=1)
+    padded = np.array([mix + [-1] * (width - len(mix)) for mix in mixes], dtype=np.intp).reshape(-1, width)
+    values = np.array(metrics, dtype=float).reshape(-1, len(METRIC_NAMES))
+    return RankedMixes(pool, padded, np.array(distances, dtype=float), values, "t")
+
+
+@st.composite
+def rankings(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(0, 12))
+    mixes = [
+        draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=min(3, len(names)), unique=True))
+        for _ in range(count)
+    ]
+    distances = draw(st.lists(DISTANCES, min_size=count, max_size=count))
+    metrics = draw(st.lists(st.lists(METRIC_CELLS, min_size=19, max_size=19), min_size=count, max_size=count))
+    return ranked_mixes(names, mixes, distances, metrics)
+
+
+@st.composite
+def blends(draw):
+    """(order, BlendProfile) pairs as `proxy --mix` writes them: any MetricVector, a distance or None."""
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        order = tuple(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
+        values = {}
+        for metric in METRIC_NAMES:
+            if draw(st.booleans()):
+                continue
+            bounded = metric in BOUNDED_SHARES or metric in ("kernel_pct", "user_pct")
+            values[metric] = draw(FLOATS.filter(lambda v: v <= 100.0) if bounded else FLOATS)
+        if "kernel_pct" in values and "user_pct" in values:
+            values["user_pct"] = 100.0 - values["kernel_pct"]
+        distance = draw(st.none() | DISTANCES)
+        blend = BlendProfile(
+            metrics=MetricVector(**values), time_shares={}, totals={}, copies=len(order), horizon=1.0,
+            distance_to_target=distance,
+        )
+        rows.append((order, blend))
+    return rows
+
+
+@st.composite
+def stores(draw):
+    """A store of unique (run, event) cells over awkward names, some runs scored."""
+    keyed = draw(
+        st.dictionaries(
+            st.tuples(NAMES, NAMES, NAMES, st.sampled_from(CANONICAL_EVENTS[:4]) | NAMES),
+            st.tuples(FLOATS, st.booleans()),
+            max_size=20,
+        )
+    )
+    cells = [(*key, value, flag) for key, (value, flag) in keyed.items()]
+    scored = [run for run in sorted({cell[:3] for cell in cells}) if draw(st.booleans())]
+    return Store.from_cells(
+        cells,
+        wallclock={run: draw(POSITIVE) for run in scored},
+        scores={run: draw(POSITIVE) for run in scored},
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ranked=rankings())
+def test_ranked_mixes_are_written_like_csv_writer(ranked):
+    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ranked=blends())
+def test_blend_profiles_are_written_like_csv_writer(ranked):
+    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(store=stores())
+def test_store_and_scores_are_written_like_csv_writer(store):
+    assert_same_bytes(save_canonical, oracles.csv_save_canonical, store)
+    assert_same_bytes(save_scores, oracles.csv_save_scores, store)
+
+
+def test_only_the_mix_with_a_quoted_name_is_quoted():
+    ranked = ranked_mixes(
+        ["plain", "a,b", "other"], [[0, 2], [0, 1], [1], [2, 0, 1]], [0.5, 1.0, 2.0, float("inf")],
+        [[1.0] * 19] * 4,
+    )
+    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+    with tempfile.TemporaryDirectory() as tmp:
+        export_mixes_csv(ranked, Path(tmp) / "mixes.csv")
+        lines = (Path(tmp) / "mixes.csv").read_text().splitlines()[1:]
+    prefixes = ["1,plain+other,0.5,", '2,"plain+a,b",1.0,', '3,"a,b",2.0,', '4,"other+plain+a,b",inf,']
+    assert [line[: len(prefix)] for line, prefix in zip(lines, prefixes)] == prefixes
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_row_counts_around_one_chunk(count):
+    rng = np.random.default_rng(count)
+    names = ["w0", 'w"1', "w 2", "w,3", "w4"]
+    mixes = [sorted(rng.choice(5, size=int(rng.integers(1, 4)), replace=False).tolist()) for _ in range(count)]
+    metrics = rng.lognormal(size=(count, 19)) * 10.0 ** rng.integers(-6, 17, size=(count, 19))
+    metrics[rng.random(size=metrics.shape) < 0.2] = np.nan
+    ranked = ranked_mixes(names, mixes, np.sort(rng.random(count)), metrics)
+    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+
+    cells = [
+        (f"s{i % 3}", f'w,"{i // 7}', f"m {i % 2}", CANONICAL_EVENTS[i % 5], float(v), bool(i % 4))
+        for i, v in enumerate(rng.lognormal(size=count) * 1e9)
+    ]
+    runs = sorted({cell[:3] for cell in cells})
+    store = Store.from_cells(
+        cells, wallclock=dict.fromkeys(runs, 0.1 + 0.2), scores={run: 1e16 for run in runs[::2]}
+    )
+    assert store.cell_count == count
+    assert_same_bytes(save_canonical, oracles.csv_save_canonical, store)
+    assert_same_bytes(save_scores, oracles.csv_save_scores, store)
