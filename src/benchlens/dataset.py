@@ -14,15 +14,27 @@ Two on-disk formats are handled here:
 In memory a store is one read-only `Store` of columns: the sorted run keys
 (suite, workload, machine), the event vocabulary, a runs x events array of
 counter values (NaN where a run has no row for an event), a `supported` mask,
-and the wallclock and score of each run. `Store.from_cells` is its one
-constructor and does every check; reading a store, parsing a raw dump and
-merging two stores all build through it.
+and the wallclock and score of each run. `Store.from_columns` is its one
+constructor and does every check; `Store.from_cells` hands it the columns of
+a cell list. Reading a store and parsing a raw dump build through it.
+
+A store CSV is read `_READ_CHUNK` rows at a time, and each chunk is checked
+column by column: six fields per row, a true/false `supported` token, a value
+that `float` parses and that is finite and >= 0. Names are interned per
+column. A chunk that fails any check (or holds a blank row) is replayed row
+by row through `_parse_row`, so the first bad row in file order raises its
+own error, as a row-by-row read would.
+
+`merge_stores` joins two stores' arrays: it scatters both grids and masks
+into the union of their runs and events, and names the first cell the new
+store shares with the existing one, in the new store's cell order.
 
 CSV files are written by one line law (`_write_lines`), which `proxy` shares:
 each number is its `repr`, each distinct text cell is quoted once by
 `csv.writer(lineterminator="\\n")` itself (`_CsvText`), each row is one joined
 line, and the lines go out `_CHUNK` rows per write. The bytes are those of
-`csv.writer` writing the same cells.
+`csv.writer` writing the same cells. They go to a temporary file that then
+replaces the target, so a failed or interrupted write leaves the old file.
 
 Raw platform event names are translated to the canonical vocabulary through a
 per-machine counter map loaded from a YAML manifest, with libyaml's loader
@@ -34,10 +46,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -54,6 +66,7 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
 _CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
+_READ_CHUNK = 256  # rows per read check: a chunk's columns are checked at once, a bad chunk row by row
 
 RunKey = tuple[str, str, str]  # (suite, workload, machine)
 Cell = tuple[str, str, str, str, float, bool]  # (suite, workload, machine, event, value, supported)
@@ -72,7 +85,7 @@ def _count(value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Store:
-    """Counters of every run as read-only columns; build one with `from_cells`.
+    """Counters of every run as read-only columns; build one with `from_columns` or `from_cells`.
 
     The events are the canonical vocabulary followed by any unmapped raw
     names, sorted. A cell with `supported` False keeps its stored value, but
@@ -91,14 +104,20 @@ class Store:
             _frozen(getattr(self, name))
 
     @classmethod
-    def from_cells(
+    def from_columns(
         cls,
-        cells: Iterable[Cell],
+        suites: Sequence[str],
+        workloads: Sequence[str],
+        machines: Sequence[str],
+        events: Sequence[str],
+        values: Sequence[float] | np.ndarray,
+        supported: Sequence[bool] | np.ndarray,
         *,
         wallclock: Mapping[RunKey, float] | None = None,
         scores: Mapping[RunKey, float] | None = None,
     ) -> "Store":
-        """Build a store, checking that (each check raises for its first offender):
+        """Build a store from six equal-length cell columns, checking that
+        (each check raises for its first offender):
 
         - every value is finite and >= 0 (ValueError, in cell order);
         - no (run, event) cell repeats (DuplicateKey, in cell order);
@@ -106,9 +125,7 @@ class Store:
           present, finite and > 0 (ValueError, in run order).
         Wallclocks and scores of runs without cells are ignored.
         """
-        columns = tuple(zip(*cells)) or ((),) * 6
-        suites, workloads, machines, events, values, supported = columns
-        values = np.array(values, dtype=float)
+        values = np.asarray(values, dtype=float)
         bad = ~((values >= 0) & (values < np.inf))
         if bad.any():
             _count(float(values[np.argmax(bad)]))
@@ -128,7 +145,7 @@ class Store:
         grid = np.full((len(runs), len(vocabulary)), np.nan)
         grid[rows, cols] = values
         mask = np.zeros(grid.shape, dtype=bool)
-        mask[rows, cols] = np.array(supported, dtype=bool)
+        mask[rows, cols] = np.asarray(supported, dtype=bool)
 
         wallclock, scores = wallclock or {}, scores or {}
         for key in runs:
@@ -141,6 +158,18 @@ class Store:
         clocks = np.array([wallclock.get(key, 1.0) for key in runs], dtype=float)
         marks = np.array([scores.get(key, math.nan) for key in runs], dtype=float)
         return cls(runs, vocabulary, grid, mask, clocks, marks)
+
+    @classmethod
+    def from_cells(
+        cls,
+        cells: Iterable[Cell],
+        *,
+        wallclock: Mapping[RunKey, float] | None = None,
+        scores: Mapping[RunKey, float] | None = None,
+    ) -> "Store":
+        """`from_columns` of (suite, workload, machine, event, value, supported) cells."""
+        columns = tuple(zip(*cells)) or ((),) * 6
+        return cls.from_columns(*columns, wallclock=wallclock, scores=scores)
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -363,22 +392,61 @@ def _parse_row(path: str | Path, row_no: int, row: list[str]) -> Cell:
     return (*map(sys.intern, (suite, workload, machine, event)), _count(parsed), flag == "true")
 
 
+def _checked_columns(rows: list[list[str]]) -> tuple | None:
+    """The six columns of `rows`, or None when a row is blank or breaks a `_parse_row` rule."""
+    if set(map(len, rows)) != {len(STORE_HEADER)}:
+        return None
+    suites, workloads, machines, events, values, supported = zip(*rows)
+    flags = list(map(str.lower, supported))
+    if not set(flags) <= {"true", "false"}:
+        return None
+    try:
+        parsed = np.fromiter(map(float, values), dtype=float, count=len(values))
+    except ValueError:
+        return None
+    if not ((parsed >= 0) & (parsed < np.inf)).all():
+        return None
+    names = (list(map(sys.intern, column)) for column in (suites, workloads, machines, events))
+    return (*names, parsed, np.fromiter(map("true".__eq__, flags), dtype=bool, count=len(flags)))
+
+
+def _replayed_columns(path: str | Path, first_row_no: int, rows: list[list[str]]) -> tuple:
+    """`_checked_columns` through `_parse_row`, row by row: the first bad row raises, blank rows are skipped."""
+    cells = [_parse_row(path, row_no, row) for row_no, row in enumerate(rows, start=first_row_no) if row]
+    *names, values, supported = zip(*cells) if cells else ((),) * 6
+    return (*names, np.array(values, dtype=float), np.array(supported, dtype=bool))
+
+
+def _read_columns(path: str | Path) -> tuple:
+    """The six cell columns of a store CSV, checked _READ_CHUNK rows at a time."""
+    chunks = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != STORE_HEADER:
+            raise SchemaMismatch(f"{path}: expected header {STORE_HEADER}, got {header}")
+        row_no = 2
+        while rows := list(islice(reader, _READ_CHUNK)):
+            chunks.append(_checked_columns(rows) or _replayed_columns(path, row_no, rows))
+            row_no += len(rows)
+    return (
+        *(list(chain.from_iterable(chunk[i] for chunk in chunks)) for i in range(4)),
+        np.concatenate([np.empty(0), *(chunk[4] for chunk in chunks)]),
+        np.concatenate([np.empty(0, dtype=bool), *(chunk[5] for chunk in chunks)]),
+    )
+
+
 def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store:
     """Read the canonical store CSV, optionally joining a scores CSV.
 
     Runs without a scores row keep the default wallclock of 1.0 and no score.
     Rows are checked in file order, so the first bad row names the error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != STORE_HEADER:
-            raise SchemaMismatch(f"{path}: expected header {STORE_HEADER}, got {header}")
-        cells = [_parse_row(path, row_no, row) for row_no, row in enumerate(reader, start=2) if row]
+    suites, workloads, machines, events, values, supported = _read_columns(path)
     wallclock: dict[RunKey, float] = {}
     scores: dict[RunKey, float] = {}
     if scores_path is not None:
-        run_keys = set(map(itemgetter(0, 1, 2), cells))
+        run_keys = set(zip(suites, workloads, machines))
         with open(scores_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -399,7 +467,9 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
                     wallclock[key] = float(row[4])
                 except ValueError as exc:
                     raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
-    return Store.from_cells(cells, wallclock=wallclock, scores=scores)
+    return Store.from_columns(
+        suites, workloads, machines, events, values, supported, wallclock=wallclock, scores=scores
+    )
 
 
 class _CsvText(dict):
@@ -417,12 +487,27 @@ class _CsvText(dict):
 
 
 def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), _CHUNK rows per write."""
+    """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), _CHUNK rows per write.
+
+    The rows go to a temporary file beside `path` that then replaces it, so a
+    write that fails or is interrupted leaves the old file whole and no
+    temporary file behind. A file that is replaced keeps its permissions, and
+    a symbolic link keeps pointing at the file it named.
+    """
+    path = Path(path).resolve()
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     lines = iter(lines)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        while chunk := list(islice(lines, _CHUNK)):
-            fh.write("".join(chunk))
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            while chunk := list(islice(lines, _CHUNK)):
+                fh.write("".join(chunk))
+        if path.exists():
+            os.chmod(partial, path.stat().st_mode & 0o7777)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def save_canonical(store: Store, path: str | Path) -> None:
@@ -455,18 +540,43 @@ def save_scores(store: Store, path: str | Path) -> None:
 def merge_stores(existing: Store, new: Store) -> Store:
     """Union of the (run, event) cells of two stores; a cell in both raises DuplicateKey.
 
-    A run in both stores takes the new store's wallclock, and its score
-    unless only the existing store has one.
+    The first such cell in the new store's cell order (by run, then by event
+    name) is named. A run in both stores takes the new store's wallclock, and
+    its score unless only the existing store has one. An unmapped event
+    without cells in either store leaves the vocabulary.
     """
-    wallclock = dict(zip(existing.runs, existing.wallclock.tolist()))
-    wallclock.update(zip(new.runs, new.wallclock.tolist()))
-    scores = {
-        run: score
+    runs = tuple(sorted(set(existing.runs).union(new.runs)))
+    present = {
+        event
         for store in (existing, new)
-        for run, score in zip(store.runs, store.scores.tolist())
-        if score == score
+        for event, filled in zip(store.events, (~np.isnan(store.values)).any(axis=0).tolist())
+        if filled
     }
-    return Store.from_cells(chain(existing.cells(), new.cells()), wallclock=wallclock, scores=scores)
+    vocabulary = CANONICAL_EVENTS + tuple(sorted(present - set(CANONICAL_EVENTS)))
+    run_index = {key: i for i, key in enumerate(runs)}
+    event_index = {event: j for j, event in enumerate(vocabulary)}
+    grid = np.full((len(runs), len(vocabulary)), np.nan)
+    mask = np.zeros(grid.shape, dtype=bool)
+    clocks = np.ones(len(runs))
+    marks = np.full(len(runs), np.nan)
+    for store in (existing, new):
+        kept = [j for j, event in enumerate(store.events) if event in event_index]
+        names = [store.events[j] for j in kept]
+        rows = np.fromiter(map(run_index.__getitem__, store.runs), dtype=np.intp, count=len(store.runs))
+        block = np.ix_(rows, [event_index[event] for event in names])
+        values, current = store.values[:, kept], grid[block]
+        filled = ~np.isnan(values)
+        taken = filled & ~np.isnan(current)
+        if taken.any():  # only the new store can collide, as neither store repeats a cell
+            by_name = sorted(range(len(names)), key=names.__getitem__)
+            i, j = np.argwhere(taken[:, by_name])[0]
+            raise DuplicateKey(f"duplicate sample key {(*store.runs[i], names[by_name[j]])}")
+        grid[block] = np.where(filled, values, current)
+        mask[block] = np.where(filled, store.supported[:, kept], mask[block])
+        clocks[rows] = store.wallclock
+        scored = ~np.isnan(store.scores)
+        marks[rows[scored]] = store.scores[scored]
+    return Store(runs, vocabulary, grid, mask, clocks, marks)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ bit-identical to simulating each mix.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -346,7 +347,9 @@ def search_mix(
 def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
     """Parse a mix specification: one `workload[,duration_seconds]` per line.
 
-    A duration overrides the profile's measured pass length; `#` starts a
+    Each line is one CSV row, so a workload id holding a comma or a quote is
+    written csv-quoted, as the store and `proxy_mixes.csv` write it. A
+    duration overrides the profile's measured pass length; `#` starts a
     comment.
     """
     entries: list[tuple[str, float | None]] = []
@@ -355,13 +358,19 @@ def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            workload, _, duration_field = line.partition(",")
+            fields = next(csv.reader([line]))
+            if len(fields) > 2:
+                raise ValueError(f"{path}:{line_no}: expected workload[,duration_seconds], got {len(fields)} fields")
+            workload, duration_field = (*fields, "")[:2]
             workload = workload.strip()
             if not workload:
                 raise ValueError(f"{path}:{line_no}: missing workload id")
             duration: float | None = None
             if duration_field.strip():
-                duration = float(duration_field)
+                try:
+                    duration = float(duration_field)
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: bad duration {duration_field!r}") from None
                 if duration <= 0:
                     raise ValueError(f"{path}:{line_no}: duration must be positive")
             entries.append((workload, duration))

@@ -6,7 +6,8 @@ per-pair Python scan instead of one array minimum per merge,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
 mixes, per-event and per-metric loops instead of one array pass per law,
-per-row counter objects instead of a columnar store, csv.writer rows instead
+per-row counter objects instead of a columnar store, one constructor over
+the cells of both stores instead of an array join, csv.writer rows instead
 of joined lines, one norm per pair instead of one array pass per group), so
 agreement is meaningful.
 """
@@ -17,12 +18,12 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
-from benchlens.dataset import SCORES_HEADER, STORE_HEADER
+from benchlens.dataset import SCORES_HEADER, STORE_HEADER, Store
 from benchlens.errors import (
     BudgetExceeded, DuplicateKey, MissingDenominator, NoCommonMetrics, SchemaMismatch, UnknownWorkload,
     ZeroHorizon,
@@ -552,6 +553,19 @@ def assert_same_runs(store, records):
     assert [None if v != v else repr(v) for v in store.scores.tolist()] == [
         None if rec.score is None else repr(rec.score) for rec in records
     ]
+
+
+def cell_merge_stores(existing, new):
+    """The merge that `dataset.merge_stores`' array join replaced: both stores' cells through one constructor."""
+    wallclock = dict(zip(existing.runs, existing.wallclock.tolist()))
+    wallclock.update(zip(new.runs, new.wallclock.tolist()))
+    scores = {
+        run: score
+        for store in (existing, new)
+        for run, score in zip(store.runs, store.scores.tolist())
+        if score == score
+    }
+    return Store.from_cells(chain(existing.cells(), new.cells()), wallclock=wallclock, scores=scores)
 
 
 # The csv.writer row writers that `dataset._write_lines` replaced, and the

@@ -231,6 +231,36 @@ class TestCompareAndProxy:
         assert len(lines) == 2
         assert (out / "proxy_blend.md").exists()
 
+    def test_mix_file_names_a_csv_quoted_workload_id(self, tmp_path, capsys):
+        odd = '709,cactus "r"'
+        sample = dataset.read_store(bundled.sample_store_path(), bundled.sample_scores_path())
+        suites, workloads, *columns = sample.columns()
+        renamed = {"709.cactus_r": odd}
+        store = dataset.Store.from_columns(
+            suites, [renamed.get(w, w) for w in workloads], *columns,
+            wallclock={(s, renamed.get(w, w), m): v for (s, w, m), v in zip(sample.runs, sample.wallclock)},
+            scores={(s, renamed.get(w, w), m): v for (s, w, m), v in zip(sample.runs, sample.scores) if v == v},
+        )
+        args = ["--store", str(tmp_path / "store.csv"), "--scores", str(tmp_path / "scores.csv")]
+        dataset.save_canonical(store, tmp_path / "store.csv")
+        dataset.save_scores(store, tmp_path / "scores.csv")
+        mix = tmp_path / "mix.txt"
+        mix.write_text('"709,cactus ""r""",2.5\n749.fotonik3d_r\n', encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, _ = run(["proxy", *args, "--suite", "fp_rate", "--mix", str(mix), "--out", str(out)], capsys)
+        assert code == 0
+        assert f"simulated mix {odd}+749.fotonik3d_r" in stdout
+        with open(out / "proxy_blend.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1][1] == f"{odd}+749.fotonik3d_r"
+
+        for line in ('709,cactus "r",2.5', '709,cactus "r"'):  # unquoted: three fields, or a bad duration
+            mix.write_text(f"749.fotonik3d_r\n{line}\n", encoding="utf-8")
+            code, _, err = run(["proxy", *args, "--suite", "fp_rate", "--mix", str(mix), "--out", str(out)], capsys)
+            assert code == 2
+            payload = json.loads(err)
+            assert payload["error"] == "ValueError"
+            assert payload["message"].startswith(f"{mix}:2: ")
+
 
 class TestIngest:
     def test_ingest_then_derive_round_trip(self, tmp_path, capsys):

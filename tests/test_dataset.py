@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import stat
 import sys
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import oracles
 from benchlens import bundled
 from benchlens.dataset import (
+    _CHUNK,
+    _READ_CHUNK,
     SCORES_HEADER,
     STORE_HEADER,
     YAML_LOADER,
@@ -31,6 +38,7 @@ from benchlens.dataset import (
     workloads_in,
 )
 from benchlens.errors import DuplicateKey, SchemaMismatch
+from benchlens.events import CANONICAL_EVENTS
 from conftest import combine, make_full_store
 
 
@@ -302,8 +310,17 @@ def swap(rows, index, row):
     return rows[:index] + (row,) + rows[index + 1:]
 
 
+def filler(n, start=0):
+    """`n` good rows of one-event runs that no other row names."""
+    return tuple(f"s,x{i},m,cycles,1.0,true" for i in range(start, start + n))
+
+
+C = _READ_CHUNK  # rows per checked read chunk; GOOD_ROWS fill the first six rows of the first chunk
+
+
 # (store rows, scores rows, header): each store or scores file breaks one rule, or two rules to
-# show that the first bad row wins; the last four are caught when the metrics are derived
+# show that the first bad row wins, also across the edges of read chunks; the cases from
+# missing_cycles on, except bad_row_after_a_blank_line_and_5000_rows, are caught when the metrics are derived
 MALFORMED = {
     "bad_header": (GOOD_ROWS, GOOD_SCORES, "suite,workload,machine,event,value"),
     "wrong_column_count": (swap(GOOD_ROWS, 1, "s,w1,m,cycles,500.0"), GOOD_SCORES, None),
@@ -325,6 +342,25 @@ MALFORMED = {
         swap(GOOD_ROWS, 5, "s,w2,m,dram_bytes,0.0") + ("s,w1,m,loads,1.0,true",), GOOD_SCORES, None
     ),
     "scores_before_duplicate": (GOOD_ROWS + GOOD_ROWS[:1], ("s,nope,m,1.0,1.0",), None),
+    "bad_last_row_of_the_first_chunk": (
+        GOOD_ROWS + filler(C - 7) + ("s,w1,m,stores,-1.0,true",) + filler(5, C), GOOD_SCORES, None
+    ),
+    "bad_first_row_of_the_second_chunk": (
+        GOOD_ROWS + filler(C - 6) + ("s,w1,m,stores,1.0,yes",) + filler(5, C), GOOD_SCORES, None
+    ),
+    "blank_rows_at_a_chunk_edge_count_as_rows": (
+        GOOD_ROWS + filler(C - 7) + ("", "") + ("s,w1,m,stores,1.0",) + filler(5, C), GOOD_SCORES, None
+    ),
+    "first_of_bad_rows_in_two_chunks_wins": (
+        GOOD_ROWS + filler(C - 8) + ("s,w1,m,stores,nan,true", "s,x_,m,cycles,1.0,true")
+        + ("s,w2,m,stores,1.0,maybe",) + filler(5, C),
+        GOOD_SCORES,
+        None,
+    ),
+    "bad_value_in_the_last_partial_chunk": (
+        GOOD_ROWS + filler(2 * C + 10) + ("s,w1,m,stores,12x,true",), GOOD_SCORES, None
+    ),
+    "duplicate_across_a_chunk_edge": (GOOD_ROWS + filler(C - 6) + GOOD_ROWS[1:2], GOOD_SCORES, None),
     "missing_cycles": (GOOD_ROWS[:4] + GOOD_ROWS[5:], GOOD_SCORES, None),
     "unsupported_instructions": (swap(GOOD_ROWS, 0, "s,w1,m,instructions,1000.0,false"), GOOD_SCORES, None),
     "load_share_200_percent": (swap(GOOD_ROWS, 2, "s,w1,m,loads,2000.0,true"), GOOD_SCORES, None),
@@ -378,6 +414,218 @@ class TestMalformedStores:
         (line,) = captured.err.splitlines()
         error_type, message = expected
         assert json.loads(line) == {"stage": "derive", "error": error_type.__name__, "message": message}
+
+
+
+def clean_rows(n):
+    """`n` good store rows: runs of up to 20 events, some unsupported, with varied values."""
+    return tuple(
+        f"s,r{i // 20:04d},m,{CANONICAL_EVENTS[i % 20]},{i * 0.1!r},{'false' if i % 7 == 0 else 'true'}"
+        for i in range(n)
+    )
+
+
+class TestChunkedRead:
+    @pytest.mark.parametrize("n", [C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1])
+    def test_clean_store_at_a_chunk_edge_matches_the_per_row_oracle(self, n, tmp_path):
+        path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *clean_rows(n)]) + "\n")
+        store = read_store(path)
+        assert store.cell_count == n
+        oracles.assert_same_runs(store, oracles.load_canonical(path))
+
+    def test_blank_rows_at_chunk_edges_are_skipped(self, tmp_path):
+        rows = clean_rows(2 * C + 3)
+        rows = rows[: C - 1] + ("",) + rows[C - 1 : 2 * C - 1] + ("", "") + rows[2 * C - 1 :] + ("",)
+        path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *rows]) + "\n")
+        store = read_store(path)
+        assert store.cell_count == 2 * C + 3
+        oracles.assert_same_runs(store, oracles.load_canonical(path))
+
+
+def cells_store(*cells, scores=None, wallclock=None):
+    return Store.from_cells(
+        [(*run.split("/"), event, value, flag) for run, event, value, flag in cells],
+        scores=scores,
+        wallclock=wallclock,
+    )
+
+
+K1, K2, K3 = ("s", "w1", "m"), ("s", "w2", "m"), ("s", "w3", "m")
+EMPTY = Store.from_cells([])
+BASE = cells_store(
+    ("s/w1/m", "instructions", 10.0, True),
+    ("s/w1/m", "cycles", 5.0, True),
+    ("s/w3/m", "instructions", 30.0, True),
+    ("s/w3/m", "raw.only_existing", 1.0, False),
+    ("s/w5/m", "loads", 0.0, False),
+    scores={K1: 2.0},
+    wallclock={K1: 9.0, K3: 3.0},
+)
+
+# (existing, new) pairs that merge cleanly
+MERGES = {
+    "unmapped_events_in_only_one_store": (
+        BASE,
+        cells_store(("s/w2/m", "raw.only_new", 4.0, True), ("s/w2/m", "cycles", 1.0, True)),
+    ),
+    "new_runs_between_existing_runs": (
+        BASE,
+        cells_store(
+            ("s/w0/m", "cycles", 1.0, True),
+            ("s/w2/m", "cycles", 2.0, True),
+            ("s/w4/m", "stores", -0.0, True),
+            ("t/w1/m", "cycles", 3.0, False),
+            scores={K2: 6.0},
+            wallclock={K2: 7.0},
+        ),
+    ),
+    "a_run_in_both_with_disjoint_events": (
+        BASE,
+        cells_store(
+            ("s/w1/m", "loads", 3.0, True),
+            ("s/w1/m", "raw.only_new", 4.0, False),
+            ("s/w3/m", "cycles", 5.0, True),
+            scores={K3: 8.0},
+            wallclock={K1: 11.0},
+        ),
+    ),
+    "an_unmapped_event_left_without_cells": (
+        BASE,
+        cells_store(("s/w8/m", "cycles", 1.0, True), ("s/w9/m2", "raw.elsewhere", 1.0, True)).select(machines=["m"]),
+    ),
+    "empty_existing": (EMPTY, BASE),
+    "empty_new": (BASE, EMPTY),
+    "both_empty": (EMPTY, EMPTY),
+}
+
+# (existing, new, the cell the message names): the first collision in the new store's cell order
+COLLISIONS = {
+    "first_run_wins": (
+        BASE,
+        cells_store(("s/w3/m", "instructions", 1.0, True), ("s/w1/m", "cycles", 1.0, True)),
+        ("s", "w1", "m", "cycles"),
+    ),
+    "event_name_order_not_vocabulary_order": (
+        BASE,
+        cells_store(
+            ("s/w1/m", "instructions", 1.0, True),
+            ("s/w1/m", "cycles", 1.0, True),
+            ("s/w3/m", "raw.only_existing", 1.0, True),
+        ),
+        ("s", "w1", "m", "cycles"),
+    ),
+    "unmapped_before_canonical_by_name": (
+        BASE,
+        cells_store(("s/w3/m", "instructions", 1.0, True), ("s/w3/m", "raw.only_existing", 1.0, True),
+                    ("s/w3/m", "Zz.raw", 1.0, True)),
+        ("s", "w3", "m", "instructions"),
+    ),
+    "merge_with_itself": (BASE, BASE, ("s", "w1", "m", "cycles")),
+}
+
+
+class TestMergeStores:
+    @pytest.mark.parametrize("case", sorted(MERGES))
+    def test_matches_the_per_row_oracle_and_the_cell_merge(self, case):
+        existing, new = MERGES[case]
+        merged = merge_stores(existing, new)
+        oracles.assert_same_runs(
+            merged, oracles.merge_records(oracles.records_of(existing), oracles.records_of(new))
+        )
+        assert merged == oracles.cell_merge_stores(existing, new)  # vocabularies equal too
+
+    @pytest.mark.parametrize("case", sorted(COLLISIONS))
+    def test_a_colliding_cell_names_the_first_in_the_new_stores_order(self, case):
+        existing, new, cell = COLLISIONS[case]
+        message = f"duplicate sample key {cell}"
+        with pytest.raises(DuplicateKey) as oracle:
+            oracles.merge_records(oracles.records_of(existing), oracles.records_of(new))
+        assert str(oracle.value) == message
+        with pytest.raises(DuplicateKey) as raised:
+            merge_stores(existing, new)
+        assert str(raised.value) == message
+
+
+def generated_store(runs=1800):
+    """`runs` runs of the 20 canonical events: 36,000 rows at the default."""
+    rng = np.random.default_rng(5)
+    keys = [(f"suite{i % 4}", f"workload_{i // 9:03d}", f"M{i % 9}") for i in range(runs)]
+    cells = len(keys) * len(CANONICAL_EVENTS)
+    columns = [[key[k] for key in keys for _ in CANONICAL_EVENTS] for k in range(3)]
+    return Store.from_columns(
+        *columns,
+        list(CANONICAL_EVENTS) * len(keys),
+        np.round(rng.uniform(0.0, 1e12, cells)),
+        rng.uniform(size=cells) > 0.05,
+    )
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestStoreMemory:
+    def test_reading_36000_rows_stays_under_7_mib(self, tmp_path):
+        store = generated_store()
+        save_canonical(store, tmp_path / "store.csv")
+        loaded, peak = traced_peak(lambda: read_store(tmp_path / "store.csv"))
+        assert loaded == store and store.cell_count == 36_000
+        assert peak < 7 * 2**20
+
+    def test_merging_one_run_into_36000_rows_stays_under_2_mib(self):
+        store = generated_store()
+        new = cells_store(*(("suite0/new/M0", event, 1.0, True) for event in CANONICAL_EVENTS))
+        merged, peak = traced_peak(lambda: merge_stores(store, new))
+        assert merged.cell_count == 36_020
+        assert peak < 2 * 2**20
+
+
+def failing_copy(store, error):
+    """`store`, but its cells raise `error` after the first written chunk of rows."""
+
+    class Failing(Store):
+        def cells(self):
+            yield from islice(super().cells(), _CHUNK + 1)
+            raise error
+
+    return Failing(store.runs, store.events, store.values, store.supported, store.wallclock, store.scores)
+
+
+class TestSafeSave:
+    @pytest.mark.parametrize("error", [OSError("no space left on device"), KeyboardInterrupt()])
+    def test_a_failed_save_keeps_the_old_bytes_and_leaves_no_temporary_file(self, tmp_path, error):
+        path = tmp_path / "store.csv"
+        save_canonical(BASE, path)
+        before = path.read_bytes()
+        with pytest.raises(type(error)):
+            save_canonical(failing_copy(generated_store(runs=150), error), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["store.csv"]
+
+    def test_a_save_over_a_store_keeps_its_permissions(self, tmp_path):
+        path = tmp_path / "store.csv"
+        save_canonical(EMPTY, path)
+        path.chmod(0o640)
+        save_canonical(BASE, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert list(read_store(path).cells()) == list(BASE.cells())
+        assert os.listdir(tmp_path) == ["store.csv"]
+
+    def test_a_save_through_a_symbolic_link_replaces_the_file_it_names(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "store.csv", tmp_path / "link.csv"
+        save_canonical(EMPTY, target)
+        link.symlink_to(target)
+        save_canonical(BASE, link)
+        assert link.is_symlink()
+        assert list(read_store(target).cells()) == list(BASE.cells())
+        assert sorted(os.listdir(tmp_path / "data")) == ["store.csv"]
 
 
 def test_sample_data_script_regenerates_the_bundled_files(tmp_path):

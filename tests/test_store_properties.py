@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from benchlens.dataset import Store, merge_stores, read_store, save_canonical, save_scores  # noqa: E402
+from benchlens import dataset  # noqa: E402
+from benchlens.dataset import STORE_HEADER, Store, merge_stores, read_store, save_canonical, save_scores  # noqa: E402
 from benchlens.errors import DuplicateKey  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS  # noqa: E402
 
@@ -68,7 +70,56 @@ def test_merge_matches_the_oracle(existing, new):
             merge_stores(existing, new)
         assert str(raised.value) == str(exc)
     else:
-        oracles.assert_same_runs(merge_stores(existing, new), expected)
+        merged = merge_stores(existing, new)
+        oracles.assert_same_runs(merged, expected)
+        assert merged == oracles.cell_merge_stores(existing, new)  # vocabularies equal too
     if len(existing):
         with pytest.raises(DuplicateKey):
             merge_stores(existing, existing)
+
+
+GOOD_ROW = st.builds(
+    lambda suite, run, event, value, flag: f"{suite},w{run},m,{event},{value},{flag}",
+    st.sampled_from(["s", '"c,d"']),
+    st.integers(0, 3),
+    EVENTS,
+    st.sampled_from(["1.0", "0", "-0.0", "5e-324", "1e308", " 2.5", "1_0"]),
+    st.sampled_from(["true", "false", "TRUE", "False"]),
+)
+BAD_ROW = st.sampled_from(
+    [
+        "",
+        "s,w0,m,cycles,1.0",
+        "s,w0,m,cycles,1.0,true,extra",
+        "s,w0,m,cycles,1.0,yes",
+        "s,w0,m,cycles,12x,true",
+        "s,w0,m,cycles,,true",
+        "s,w0,m,cycles,-1.0,true",
+        "s,w0,m,cycles,-inf,false",
+        "s,w0,m,cycles,inf,true",
+        "s,w0,m,cycles,nan,true",
+        '"unclosed,w0,m,cycles,1.0,true',
+    ]
+)
+
+
+def raised_or_none(fn):
+    try:
+        return fn(), None
+    except Exception as exc:  # the test compares whatever either side raises
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(GOOD_ROW | BAD_ROW, max_size=12))
+def test_chunked_read_of_any_rows_matches_the_per_row_oracle(chunk, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.csv"
+        path.write_text("\n".join([",".join(STORE_HEADER), *rows]) + "\n", encoding="utf-8")
+        expected, expected_error = raised_or_none(lambda: oracles.load_canonical(path))
+        with mock.patch.object(dataset, "_READ_CHUNK", chunk):
+            got, error = raised_or_none(lambda: read_store(path))
+    assert error == expected_error
+    if expected is not None:
+        oracles.assert_same_runs(got, expected)
