@@ -28,12 +28,21 @@ import yaml
 
 from . import cluster as cluster_mod
 from . import compare as compare_mod
-from . import dataset, features, metrics, pca, proxy, render, subset
+from . import dataset, features, files, metrics, pca, proxy, render, subset
 from .errors import BenchlensError, BudgetExceeded, ConfigError, DuplicateKey
 
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
 FORMATS = ("csv", "md", "svg")
 COMMANDS = ("ingest", "derive", "featurize", "pca", "cluster", "subset", "compare", "proxy", "report")
+
+
+# the field types PipelineConfig checks, by annotation: the Python types a value may have, its name in messages
+_KINDS = {"str": (str, "a string"), "int": (int, "an integer"), "float": ((int, float), "a number")}
+
+
+def _is(value, kind: str) -> bool:
+    """Whether `value` is of config type `kind`; a bool is no number."""
+    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,14 @@ class PipelineConfig:
     budget: int = 2_000_000
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if kind in _KINDS and not (_is(value, kind) or value is None and kind != f.type):
+                raise ConfigError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
+        if self.weights is not None and not (
+            isinstance(self.weights, dict) and all(_is(k, "str") and _is(v, "float") for k, v in self.weights.items())
+        ):
+            raise ConfigError(f"weights must map metric names to numbers, got {self.weights!r}")
         if self.pcs is not None and self.variance is not None:
             raise ConfigError("pcs and variance are mutually exclusive")
         if self.threshold is not None and self.groups is not None:
@@ -99,12 +116,6 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
         return PipelineConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _write_text(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
 
 
 class Run:
@@ -225,7 +236,6 @@ def cmd_ingest(run: Run) -> str:
         merged = dataset.merge_stores(dataset.read_store(cfg.store), result.store)
     else:
         merged = result.store
-    Path(cfg.store).parent.mkdir(parents=True, exist_ok=True)
     dataset.save_canonical(merged, cfg.store)
     return (
         f"ingest: {result.store.cell_count} samples ({len(result.errors)} bad lines) "
@@ -236,27 +246,27 @@ def cmd_ingest(run: Run) -> str:
 def cmd_derive(run: Run) -> str:
     vectors = run.vectors
     out = Path(run.cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     metrics.export_metrics_csv(vectors, out / "metrics.csv")
     validation = dataset.validate_store(run.selected)
-    lines = ["machine,metric,status,missing_events"]
+    text = files.CsvText()
+    lines = []
     for machine in sorted(validation.per_machine):
         entry = validation.per_machine[machine]
         for metric in entry.computable:
-            lines.append(f"{machine},{metric},computable,")
+            lines.append(f"{text[machine]},{metric},computable,\n")
         for metric, missing in entry.blocked.items():
-            lines.append(f"{machine},{metric},blocked,{' '.join(missing)}")
-    _write_text(out / "metric_availability.csv", "\n".join(lines) + "\n")
+            lines.append(f"{text[machine]},{metric},blocked,{' '.join(missing)}\n")
+    files.write_csv(out / "metric_availability.csv", ["machine", "metric", "status", "missing_events"], lines)
     return f"derive: {len(vectors)} metric rows -> {out / 'metrics.csv'}"
 
 
 def cmd_featurize(run: Run) -> str:
     matrix = run.matrix
     out = Path(run.cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     features.export_csv(matrix, out / "features.csv")
-    dropped = ["metric,machine"] + [f"{metric},{machine}" for metric, machine in matrix.dropped]
-    _write_text(out / "dropped_columns.csv", "\n".join(dropped) + "\n")
+    text = files.CsvText()
+    dropped = (f"{metric},{text[machine]}\n" for metric, machine in matrix.dropped)
+    files.write_csv(out / "dropped_columns.csv", ["metric", "machine"], dropped)
     return (
         f"featurize: {len(matrix.rows)}x{len(matrix.cols)} matrix "
         f"({len(matrix.dropped)} columns dropped) -> {out / 'features.csv'}"
@@ -266,14 +276,13 @@ def cmd_featurize(run: Run) -> str:
 def cmd_pca(run: Run) -> str:
     cfg, model = run.cfg, run.model
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.format:
         rows = run.matrix.rows
         pca.export_scores_csv(list(rows), np.array([run.scores[w] for w in rows]), out / "pca_scores.csv")
         pca.export_variance_csv(model, out / "pca_variance.csv")
     if "md" in cfg.format:
         report = pca.loading_table(model, top_n=4)
-        _write_text(out / "pca_loadings.md", pca.loading_markdown(report))
+        files.write_text(out / "pca_loadings.md", [pca.loading_markdown(report)])
     captured = float(sum(model.explained_ratio))
     return f"pca: k={model.k} capturing {100 * captured:.1f}% of variance -> {out}"
 
@@ -282,12 +291,11 @@ def cmd_cluster(run: Run) -> str:
     cfg = run.cfg
     dendrograms = run.dendrograms
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     for suite_name, dendrogram in dendrograms.items():
         if "csv" in cfg.format:
             cluster_mod.export_merges_csv(dendrogram, out / f"dendrogram_{suite_name}.csv")
         if "svg" in cfg.format:
-            _write_text(out / f"dendrogram_{suite_name}.svg", render.dendrogram_svg(dendrogram))
+            files.write_text(out / f"dendrogram_{suite_name}.svg", [render.dendrogram_svg(dendrogram)])
     return f"cluster: {len(dendrograms)} dendrograms ({cfg.linkage} linkage) -> {out}"
 
 
@@ -295,7 +303,6 @@ def cmd_subset(run: Run) -> str:
     cfg = run.cfg
     dendrograms = run.dendrograms
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     reports = []
     for suite_name, dendrogram in dendrograms.items():
         workloads = dendrogram.leaves
@@ -321,7 +328,7 @@ def cmd_subset(run: Run) -> str:
     if "csv" in cfg.format:
         subset.export_subset_csv(reports, out / "subsets.csv")
     if "md" in cfg.format:
-        _write_text(out / "subsets.md", subset.subset_markdown(reports))
+        files.write_text(out / "subsets.md", [subset.subset_markdown(reports)])
     return f"subset: {len(reports)} suite reports -> {out / 'subsets.md'}"
 
 
@@ -332,7 +339,6 @@ def cmd_compare(run: Run) -> str:
     if not cfg.machine:
         raise ConfigError("compare needs an explicit --machine")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = _compare_pair(run, cfg.suite_a, cfg.suite_b, cfg.machine, out)
     _write_volume_ratios(cfg, run.store, out)
     return f"compare: {summary}"
@@ -347,9 +353,9 @@ def _compare_pair(run: Run, suite_a, suite_b, machine, out: Path) -> str:
     if "csv" in cfg.format:
         compare_mod.export_comparison_csv(cmp, out / f"{stem}.csv")
     if "md" in cfg.format:
-        _write_text(out / f"{stem}.md", compare_mod.comparison_markdown(cmp))
+        files.write_text(out / f"{stem}.md", [compare_mod.comparison_markdown(cmp)])
     if "svg" in cfg.format:
-        _write_text(out / f"{stem}.svg", render.boxplot_svg(cmp))
+        files.write_text(out / f"{stem}.svg", [render.boxplot_svg(cmp)])
     return f"{len(cmp.metrics)} metrics compared for {suite_a} vs {suite_b} on {machine} -> {out / stem}.*"
 
 
@@ -386,9 +392,12 @@ def _volume_ratios(store: dataset.Store) -> list[tuple[str, float, float, float]
 def _write_volume_ratios(cfg: PipelineConfig, store: dataset.Store, out: Path) -> int:
     ratios = _volume_ratios(store)
     if ratios and "csv" in cfg.format:
-        rows = ["pair,mean_speed_icount,mean_rate_icount,speed_over_rate"]
-        rows += [f"{p},{s!r},{r!r},{x!r}" for p, s, r, x in ratios]
-        _write_text(out / "volume_ratios.csv", "\n".join(rows) + "\n")
+        text = files.CsvText()
+        files.write_csv(
+            out / "volume_ratios.csv",
+            ["pair", "mean_speed_icount", "mean_rate_icount", "speed_over_rate"],
+            (f"{text[p]},{s!r},{r!r},{x!r}\n" for p, s, r, x in ratios),
+        )
     return len(ratios)
 
 
@@ -403,7 +412,6 @@ def cmd_proxy(run: Run) -> str:
     vectors = run.vectors
     profiles = [proxy.WorkloadProfile.from_store(pool, i) for i in rows]
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     target_vec = None
     if cfg.target:
@@ -425,7 +433,7 @@ def cmd_proxy(run: Run) -> str:
         if "csv" in cfg.format:
             proxy.export_mixes_csv([(schedule.order, blend)], out / "proxy_blend.csv")
         if "md" in cfg.format:
-            _write_text(out / "proxy_blend.md", proxy.blend_markdown(blend, target_vec, chosen))
+            files.write_text(out / "proxy_blend.md", [proxy.blend_markdown(blend, target_vec, chosen)])
         return f"proxy: simulated mix {'+'.join(schedule.order)} -> {out / 'proxy_blend.csv'}"
 
     if target_vec is None:
@@ -448,7 +456,7 @@ def cmd_proxy(run: Run) -> str:
         proxy.export_mixes_csv(ranked, out / "proxy_mixes.csv")
     if "md" in cfg.format:
         constituents = [p for p in profiles if p.workload in best_order]
-        _write_text(out / "proxy_best.md", proxy.blend_markdown(best_blend, target_vec, constituents))
+        files.write_text(out / "proxy_best.md", [proxy.blend_markdown(best_blend, target_vec, constituents)])
     return (
         f"proxy: {len(ranked)} mixes ranked against {cfg.target} "
         f"(best: {'+'.join(best_order)}) -> {out / 'proxy_mixes.csv'}"
@@ -530,24 +538,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(config_path, args)
         summary = _COMMANDS[command](Run(cfg))
-    except ConfigError as exc:
-        print(json.dumps({"stage": command, "error": "ConfigError", "message": str(exc)}), file=sys.stderr)
-        return 1
-    except BudgetExceeded as exc:
-        print(json.dumps({"stage": command, "error": "BudgetExceeded", "message": str(exc)}), file=sys.stderr)
-        return 3
-    except BenchlensError as exc:
-        print(
-            json.dumps({"stage": command, "error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    except (OSError, ValueError) as exc:
-        print(
-            json.dumps({"stage": command, "error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+    except (BenchlensError, OSError, ValueError) as exc:
+        print(json.dumps({"stage": command, "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, BudgetExceeded) else 2
     print(summary)
     return 0
 

@@ -14,7 +14,6 @@ dendrograms reproducible across platforms.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import TooFewRows, UnknownWorkload
 
 LINKAGES = ("ward", "average", "complete", "single")
@@ -226,8 +226,8 @@ def medoids_for(cut_result: ClusterCut, scores: Mapping[str, Sequence[float]]) -
 
 
 def export_merges_csv(dendrogram: Dendrogram, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["left", "right", "height", "size"])
-        for m in dendrogram.merges:
-            writer.writerow([m.left, m.right, repr(m.height), m.size])
+    files.write_csv(
+        path,
+        ["left", "right", "height", "size"],
+        (f"{m.left},{m.right},{m.height!r},{m.size}\n" for m in dendrogram.merges),
+    )

@@ -8,11 +8,11 @@ Box statistics keep min/max whiskers so outliers stay part of the range.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import files
 from .errors import EmptySuite
 from .events import METRIC_NAMES
 from .metrics import MetricVector
@@ -128,32 +128,16 @@ def comparison_markdown(cmp: SuiteComparison) -> str:
 
 
 def export_comparison_csv(cmp: SuiteComparison, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "metric",
-                "geomean_a",
-                "geomean_b",
-                "ratio",
-                "excluded_zeros_a",
-                "excluded_zeros_b",
-                "min_a", "q1_a", "median_a", "q3_a", "max_a",
-                "min_b", "q1_b", "median_b", "q3_b", "max_b",
-            ]
-        )
-        for m in cmp.metrics:
-            writer.writerow(
-                [
-                    m.metric,
-                    repr(m.geomean_a),
-                    repr(m.geomean_b),
-                    repr(m.ratio),
-                    m.excluded_zeros_a,
-                    m.excluded_zeros_b,
-                    repr(m.box_a.minimum), repr(m.box_a.q1), repr(m.box_a.median),
-                    repr(m.box_a.q3), repr(m.box_a.maximum),
-                    repr(m.box_b.minimum), repr(m.box_b.q1), repr(m.box_b.median),
-                    repr(m.box_b.q3), repr(m.box_b.maximum),
-                ]
-            )
+    text = files.CsvText()
+    stats = {"min": "minimum", "q1": "q1", "median": "median", "q3": "q3", "max": "maximum"}  # column: BoxStats field
+    files.write_csv(
+        path,
+        ["metric", "geomean_a", "geomean_b", "ratio", "excluded_zeros_a", "excluded_zeros_b",
+         *(f"{stat}_{side}" for side in "ab" for stat in stats)],
+        (
+            f"{text[m.metric]},{m.geomean_a!r},{m.geomean_b!r},{m.ratio!r},{m.excluded_zeros_a},{m.excluded_zeros_b},"
+            + ",".join(repr(getattr(box, field)) for box in (m.box_a, m.box_b) for field in stats.values())
+            + "\n"
+            for m in cmp.metrics
+        ),
+    )

@@ -29,13 +29,6 @@ own error, as a row-by-row read would.
 into the union of their runs and events, and names the first cell the new
 store shares with the existing one, in the new store's cell order.
 
-CSV files are written by one line law (`_write_lines`), which `proxy` shares:
-each number is its `repr`, each distinct text cell is quoted once by
-`csv.writer(lineterminator="\\n")` itself (`_CsvText`), each row is one joined
-line, and the lines go out `_CHUNK` rows per write. The bytes are those of
-`csv.writer` writing the same cells. They go to a temporary file that then
-replaces the target, so a failed or interrupted write leaves the old file.
-
 Raw platform event names are translated to the canonical vocabulary through a
 per-machine counter map loaded from a YAML manifest, with libyaml's loader
 when PyYAML has it.
@@ -44,9 +37,7 @@ when PyYAML has it.
 from __future__ import annotations
 
 import csv
-import io
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -56,8 +47,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import yaml
 
+from . import files
 from .errors import DuplicateKey, SchemaMismatch
-from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES
+from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES, event_vocabulary
 
 UNSUPPORTED_TOKENS = ("<not supported>", "<not counted>")
 # libyaml's safe loader when PyYAML was built with it: the same documents, about ten times faster
@@ -65,7 +57,6 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
-_CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
 _READ_CHUNK = 256  # rows per read check: a chunk's columns are checked at once, a bad chunk row by row
 
 RunKey = tuple[str, str, str]  # (suite, workload, machine)
@@ -130,7 +121,7 @@ class Store:
         if bad.any():
             _count(float(values[np.argmax(bad)]))
         runs = tuple(sorted(set(zip(suites, workloads, machines))))
-        vocabulary = CANONICAL_EVENTS + tuple(sorted(set(events) - set(CANONICAL_EVENTS)))
+        vocabulary = event_vocabulary(events)
         run_index = {key: i for i, key in enumerate(runs)}
         event_index = {event: j for j, event in enumerate(vocabulary)}
         keys = zip(suites, workloads, machines)
@@ -294,10 +285,16 @@ def load_counter_maps(path: str | Path) -> dict[str, CounterMap]:
             raise SchemaMismatch(f"{path}: counter map manifest is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "machines" not in doc:
         raise SchemaMismatch(f"{path}: counter map manifest must have a top-level 'machines' key")
+    if not isinstance(doc["machines"], dict):
+        raise SchemaMismatch(f"{path}: 'machines' must map each machine to its entry, got {doc['machines']!r}")
     maps: dict[str, CounterMap] = {}
     for machine, entry in doc["machines"].items():
         entry = entry or {}
-        events = entry.get("events", {})
+        if not isinstance(entry, dict):
+            raise SchemaMismatch(f"{path}: machine {machine!r}: entry must be a mapping, got {entry!r}")
+        events = entry.get("events") or {}
+        if not isinstance(events, dict):
+            raise SchemaMismatch(f"{path}: machine {machine!r}: events must map canonical to raw names, got {events!r}")
         unknown = sorted(set(events) - set(CANONICAL_EVENTS))
         if unknown:
             raise SchemaMismatch(f"{path}: machine {machine!r} maps non-canonical events {unknown}")
@@ -308,7 +305,7 @@ def load_counter_maps(path: str | Path) -> dict[str, CounterMap]:
                 cacheline_bytes=int(entry.get("cacheline_bytes", 64)),
                 dram_bytes_unit=str(entry.get("dram_bytes_unit", "bytes")),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaMismatch(f"{path}: machine {machine!r}: {exc}") from exc
     return maps
 
@@ -472,48 +469,10 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
     )
 
 
-class _CsvText(dict):
-    """Text cells as `csv.writer(lineterminator="\\n")` writes them, asked of csv once per distinct text.
-
-    The quoting rule is csv's own, not a copy of it: it differs between Python
-    versions (3.11 quotes a cell holding "\\n" but not one holding only "\\r").
-    """
-
-    def __missing__(self, text: str) -> str:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow([text, ""])  # a lone "" cell would be quoted
-        quoted = self[text] = buffer.getvalue()[: -len(",\n")]
-        return quoted
-
-
-def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), _CHUNK rows per write.
-
-    The rows go to a temporary file beside `path` that then replaces it, so a
-    write that fails or is interrupted leaves the old file whole and no
-    temporary file behind. A file that is replaced keeps its permissions, and
-    a symbolic link keeps pointing at the file it named.
-    """
-    path = Path(path).resolve()
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    lines = iter(lines)
-    try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            while chunk := list(islice(lines, _CHUNK)):
-                fh.write("".join(chunk))
-        if path.exists():
-            os.chmod(partial, path.stat().st_mode & 0o7777)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
 def save_canonical(store: Store, path: str | Path) -> None:
     """Write the store CSV; float values use repr so reloading is lossless."""
-    text = _CsvText()
-    _write_lines(
+    text = files.CsvText()
+    files.write_csv(
         path,
         STORE_HEADER,
         (
@@ -525,8 +484,8 @@ def save_canonical(store: Store, path: str | Path) -> None:
 
 def save_scores(store: Store, path: str | Path) -> None:
     """Write the scores CSV: one row per run with a score."""
-    text = _CsvText()
-    _write_lines(
+    text = files.CsvText()
+    files.write_csv(
         path,
         SCORES_HEADER,
         (
@@ -552,7 +511,7 @@ def merge_stores(existing: Store, new: Store) -> Store:
         for event, filled in zip(store.events, (~np.isnan(store.values)).any(axis=0).tolist())
         if filled
     }
-    vocabulary = CANONICAL_EVENTS + tuple(sorted(present - set(CANONICAL_EVENTS)))
+    vocabulary = event_vocabulary(present)
     run_index = {key: i for i, key in enumerate(runs)}
     event_index = {event: j for j, event in enumerate(vocabulary)}
     grid = np.full((len(runs), len(vocabulary)), np.nan)

@@ -7,6 +7,8 @@ counter map at parse time.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 CANONICAL_EVENTS: tuple[str, ...] = (
     "instructions",
     "cycles",
@@ -29,6 +31,11 @@ CANONICAL_EVENTS: tuple[str, ...] = (
     "user_instructions",
     "dram_bytes",
 )
+
+
+def event_vocabulary(names: Iterable[str]) -> tuple[str, ...]:
+    """The event order of a store or a blend: the canonical events, then every other name in `names`, sorted."""
+    return CANONICAL_EVENTS + tuple(sorted(set(names) - set(CANONICAL_EVENTS)))
 
 # metric -> (numerator event, denominator event, scale)
 # value = scale * numerator / denominator

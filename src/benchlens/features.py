@@ -8,13 +8,13 @@ imputed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import (
     AlreadyNormalized,
     EmptyInput,
@@ -131,8 +131,6 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
 
 def export_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write the matrix with a two-level "metric:machine" header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["workload", *(f"{metric}:{machine}" for metric, machine in matrix.cols)])
-        for i, workload in enumerate(matrix.rows):
-            writer.writerow([workload, *(repr(float(v)) for v in matrix.values[i])])
+    text, rows = files.CsvText(), zip(matrix.rows, matrix.values.tolist())
+    header = ["workload", *(f"{metric}:{machine}" for metric, machine in matrix.cols)]
+    files.write_csv(path, header, (",".join([text[workload], *map(repr, row)]) + "\n" for workload, row in rows))

@@ -1,0 +1,63 @@
+"""How benchlens writes a file: whole or not at all, CSV rows by one line law.
+
+Every file goes through `write_text`: its parts go to a temporary file beside
+the target (`.NAME.PID.tmp`) that then replaces it, so a write that fails or
+is interrupted leaves the old file whole and no temporary file behind. A file
+that is replaced keeps its permissions, a symbolic link keeps pointing at the
+file it named, and a missing parent directory is created.
+
+CSV files are written by one line law (`write_csv`): each number is its
+`repr`, each distinct text cell is quoted once by
+`csv.writer(lineterminator="\\n")` itself (`CsvText`), each row is one joined
+line, and the lines go out `CHUNK` rows per write. The bytes are those of
+`csv.writer` writing the same cells.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import os
+from itertools import chain, islice
+from pathlib import Path
+from typing import Iterable, Sequence
+
+CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
+
+
+class CsvText(dict):
+    """Text cells as `csv.writer(lineterminator="\\n")` writes them, asked of csv once per distinct text.
+
+    The quoting rule is csv's own, not a copy of it: it differs between Python
+    versions (3.11 quotes a cell holding "\\n" but not one holding only "\\r").
+    """
+
+    def __missing__(self, text: str) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text, ""])  # a lone "" cell would be quoted
+        quoted = self[text] = buffer.getvalue()[: -len(",\n")]
+        return quoted
+
+
+def write_text(path: str | Path, parts: Iterable[str]) -> None:
+    """Write the concatenated `parts` to `path`, replacing it whole (see the module docstring)."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    path = Path(path).resolve()
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            for part in parts:
+                fh.write(part)
+        if path.exists():
+            os.chmod(partial, path.stat().st_mode & 0o7777)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), CHUNK rows per write."""
+    text, lines = CsvText(), iter(lines)
+    chunks = iter(lambda: "".join(islice(lines, CHUNK)), "")  # every line holds at least its "\\n"
+    write_text(path, chain([",".join(map(text.__getitem__, header)) + "\n"], chunks))

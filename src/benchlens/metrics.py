@@ -13,7 +13,6 @@ which `simulate_rrr`, `search_mix` and `blend_markdown` share).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .dataset import RunKey, Store
 from .errors import MissingDenominator
 from .events import METRIC_DEFS, METRIC_NAMES
@@ -145,10 +145,13 @@ def export_metrics_csv(
     path: str | Path,
 ) -> None:
     """Write "suite,workload,machine,<metrics...>" with empty cells for unavailable."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["suite", "workload", "machine", *METRIC_NAMES])
-        for key in sorted(vectors):
-            vec = vectors[key]
-            row = list(key) + ["" if (v := vec.get(m)) is None else repr(v) for m in METRIC_NAMES]
-            writer.writerow(row)
+    text = files.CsvText()
+    files.write_csv(
+        path,
+        ["suite", "workload", "machine", *METRIC_NAMES],
+        (
+            f"{text[s]},{text[w]},{text[m]},"
+            f"{','.join('' if (v := vectors[s, w, m].get(name)) is None else repr(v) for name in METRIC_NAMES)}\n"
+            for s, w, m in sorted(vectors)
+        ),
+    )

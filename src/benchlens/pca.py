@@ -9,13 +9,14 @@ ties broken by the lowest column index.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import files
 from .errors import DimensionMismatch, TargetUnreachable, TooFewRows, UnlabeledColumns
 from .features import Column, FeatureMatrix
 
@@ -157,25 +158,19 @@ def export_scores_csv(
     scores: np.ndarray,
     path: str | Path,
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["workload", *(f"pc{i + 1}" for i in range(scores.shape[1]))])
-        for label, row in zip(labels, scores):
-            writer.writerow([label, *(repr(float(v)) for v in row)])
+    text = files.CsvText()
+    files.write_csv(
+        path,
+        ["workload", *(f"pc{i + 1}" for i in range(scores.shape[1]))],
+        (",".join([text[label], *map(repr, row)]) + "\n" for label, row in zip(labels, scores.tolist())),
+    )
 
 
 def export_variance_csv(model: PcaModel, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pc", "explained_variance", "explained_ratio", "cumulative_ratio"])
-        cumulative = 0.0
-        for i in range(model.k):
-            cumulative += float(model.explained_ratio[i])
-            writer.writerow(
-                [
-                    f"pc{i + 1}",
-                    repr(float(model.explained_variance[i])),
-                    repr(float(model.explained_ratio[i])),
-                    repr(cumulative),
-                ]
-            )
+    variances, ratios = model.explained_variance.tolist(), model.explained_ratio.tolist()
+    cumulative = list(accumulate(ratios, initial=0.0))[1:]  # summed from 0.0 in pc order
+    files.write_csv(
+        path,
+        ["pc", "explained_variance", "explained_ratio", "cumulative_ratio"],
+        (f"pc{i + 1},{variances[i]!r},{ratios[i]!r},{cumulative[i]!r}\n" for i in range(model.k)),
+    )

@@ -44,9 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _CHUNK, Store, _CsvText, _write_lines
+from . import files
+from .dataset import Store
 from .errors import BudgetExceeded, NoCommonMetrics, UnknownWorkload, ZeroHorizon
-from .events import CANONICAL_EVENTS, METRIC_NAMES
+from .events import METRIC_NAMES, event_vocabulary
 from .metrics import MetricVector, derive_rows, metric_array
 
 
@@ -76,8 +77,7 @@ class WorkloadProfile:
 
 def _rate_array(profiles: Sequence[WorkloadProfile]) -> tuple[np.ndarray, tuple[str, ...]]:
     """One row of rates per profile (NaN for an event it lacks) and its events: canonical, then sorted."""
-    extra = sorted({event for p in profiles for event in p.rates} - set(CANONICAL_EVENTS))
-    events = CANONICAL_EVENTS + tuple(extra)
+    events = event_vocabulary(event for p in profiles for event in p.rates)
     rates = [[p.rates.get(event, np.nan) for event in events] for p in profiles]
     return np.array(rates, dtype=float).reshape(len(profiles), len(events)), events
 
@@ -405,26 +405,26 @@ def export_mixes_csv(
 ) -> None:
     """Write "rank,mix,distance,<metrics...>" with empty cells for unavailable.
 
-    Lines follow the store's law (see `dataset`): the rank, the mix cell,
+    Lines follow the one CSV line law (see `files`): the rank, the mix cell,
     `repr` of the distance (never blanked), and `repr` of each metric, where
     an unavailable one (NaN, whose repr is the only one holding "nan") is
     blanked. The a+b+c mix cell is bare when every name is (for a
     `RankedMixes`, every name of its pool), else csv's quoting of the joined
-    text. A `RankedMixes` is written straight from its arrays, _CHUNK rows
+    text. A `RankedMixes` is written straight from its arrays, CHUNK rows
     at a time, without simulating a blend; any other sequence from its
     BlendProfiles, where a distance of None is blank.
     """
-    text = _CsvText()
+    text = files.CsvText()
     if isinstance(ranked, RankedMixes):
         names = [p.workload for p in ranked._pool]
         bare = all(text[name] == name for name in names)
         rows = (
             ("+".join([names[j] for j in mix if j >= 0]), bare, repr(distance), values)
-            for lo in range(0, len(ranked), _CHUNK)
+            for lo in range(0, len(ranked), files.CHUNK)
             for mix, distance, values in zip(
-                ranked._mixes[lo:lo + _CHUNK].tolist(),
-                ranked.distances[lo:lo + _CHUNK].tolist(),
-                ranked.metrics[lo:lo + _CHUNK].tolist(),
+                ranked._mixes[lo:lo + files.CHUNK].tolist(),
+                ranked.distances[lo:lo + files.CHUNK].tolist(),
+                ranked.metrics[lo:lo + files.CHUNK].tolist(),
             )
         )
     else:
@@ -441,7 +441,7 @@ def export_mixes_csv(
         f"{rank},{mix if bare else text[mix]},{distance},{','.join(map(repr, values)).replace('nan', '')}\n"
         for rank, (mix, bare, distance, values) in enumerate(rows, start=1)
     )
-    _write_lines(path, ["rank", "mix", "distance", *METRIC_NAMES], lines)
+    files.write_csv(path, ["rank", "mix", "distance", *METRIC_NAMES], lines)
 
 
 def blend_markdown(

@@ -9,7 +9,6 @@ opt-in optimality check, never as the selector.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb, inf
@@ -18,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .cluster import ClusterCut, Dendrogram, cut_to_groups, medoids_for
 from .errors import (
     BudgetExceeded,
@@ -238,22 +238,15 @@ def subset_markdown(reports: Sequence[SubsetReport]) -> str:
 
 
 def export_subset_csv(reports: Sequence[SubsetReport], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["suite", "subset", "machine", "accuracy", "aggregate_accuracy", "runtime_fraction"]
-        )
-        for report in reports:
-            aggregate = "" if report.aggregate_accuracy is None else repr(report.aggregate_accuracy)
-            fraction = "" if report.runtime_fraction is None else repr(report.runtime_fraction)
-            for machine in sorted(report.per_machine_accuracy):
-                writer.writerow(
-                    [
-                        report.suite,
-                        " ".join(report.subset),
-                        machine,
-                        repr(report.per_machine_accuracy[machine]),
-                        aggregate,
-                        fraction,
-                    ]
-                )
+    text = files.CsvText()
+    files.write_csv(
+        path,
+        ["suite", "subset", "machine", "accuracy", "aggregate_accuracy", "runtime_fraction"],
+        (
+            f"{text[report.suite]},{text[' '.join(report.subset)]},{text[machine]},{accuracy!r},"
+            f"{'' if report.aggregate_accuracy is None else repr(report.aggregate_accuracy)},"
+            f"{'' if report.runtime_fraction is None else repr(report.runtime_fraction)}\n"
+            for report in reports
+            for machine, accuracy in sorted(report.per_machine_accuracy.items())
+        ),
+    )

@@ -568,7 +568,7 @@ def cell_merge_stores(existing, new):
     return Store.from_cells(chain(existing.cells(), new.cells()), wallclock=wallclock, scores=scores)
 
 
-# The csv.writer row writers that `dataset._write_lines` replaced, and the
+# The csv.writer row writers that `files.write_csv` replaced, and the
 # per-pair medoid scan that one array pass per group replaced.
 
 

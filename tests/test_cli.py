@@ -552,3 +552,111 @@ class TestErrorPaths:
         # without `weights:` every available metric counts, so the best singleton changes
         default = ranked_singletons("default_weights", "")
         assert default[0]["mix"] != ipc_only[0]["mix"]
+
+
+def renamed_sample(tmp_path: Path, suites: dict[str, str], machine: str) -> list[str]:
+    """--store/--scores args of the bundled sample with suites renamed by `suites` and its one machine `machine`."""
+    sample = dataset.read_store(bundled.sample_store_path(), bundled.sample_scores_path())
+
+    def key(run_key):
+        suite, workload, _ = run_key
+        return suites.get(suite, suite), workload, machine
+
+    suite_col, workloads, machines, *columns = sample.columns()
+    store = dataset.Store.from_columns(
+        [suites.get(s, s) for s in suite_col], workloads, [machine] * len(machines), *columns,
+        wallclock={key(k): v for k, v in zip(sample.runs, sample.wallclock.tolist())},
+        scores={key(k): v for k, v in zip(sample.runs, sample.scores.tolist()) if v == v},
+    )
+    dataset.save_canonical(store, tmp_path / "store.csv")
+    dataset.save_scores(store, tmp_path / "scores.csv")
+    return ["--store", str(tmp_path / "store.csv"), "--scores", str(tmp_path / "scores.csv")]
+
+
+class TestNamesThatCsvQuotes:
+    def test_every_report_csv_reads_back_at_its_header_width_with_the_names_intact(self, tmp_path, capsys):
+        machine = 'CPU,"C"'
+        args = renamed_sample(tmp_path, {"int_rate": "x,y_rate", "int_speed": "x,y_speed"}, machine)
+        out = tmp_path / "out"
+        code, _, err = run(["report", *args, "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        headers, tables = {}, {}
+        for path in sorted(out.glob("*.csv")):
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert [len(row) for row in rows] == [len(header)] * len(rows), path.name
+            headers[path.name], tables[path.name] = header, [dict(zip(header, row)) for row in rows]
+        suites = {"x,y_rate", "x,y_speed", "fp_rate", "fp_speed"}
+        assert {row["suite"] for row in tables["metrics.csv"]} == suites
+        for name in ("metrics.csv", "metric_availability.csv", "dropped_columns.csv", "subsets.csv"):
+            assert tables[name] and {row["machine"] for row in tables[name]} == {machine}, name
+        assert f"ipc:{machine}" in headers["features.csv"]
+        assert {row["suite"] for row in tables["subsets.csv"]} == suites
+        assert [row["pair"] for row in tables["volume_ratios.csv"]] == ["fp", "x,y"]
+        assert {"dendrogram_x,y_rate.csv", "compare_x,y_rate_vs_x,y_speed.csv"} <= set(tables)
+
+
+PROXY_SEARCH = ["proxy", "--suite", "fp_rate", "--target", "710.omnetpp_r"]
+# each document with a command that reads the field
+CONFIG_TYPE_ERRORS = [
+    ("pcs: 2.5", ["report"]),
+    ('groups: "4"', ["report"]),
+    ('variance: "0.9"', ["report"]),
+    ('threshold: "1"', ["report"]),
+    ("subset_k: true", ["report"]),
+    ('mix_k: "2"', PROXY_SEARCH),
+    ("budget: abc", PROXY_SEARCH),
+    ("weights: [1, 2]", PROXY_SEARCH),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("document, command", CONFIG_TYPE_ERRORS)
+    def test_a_value_of_the_wrong_type_is_one_config_error_line(self, tmp_path, capsys, document, command):
+        config = tmp_path / "config.yaml"
+        config.write_text(document + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run([*command, "--config", str(config), *base_args(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["stage"] == command[0] and payload["error"] == "ConfigError"
+        assert payload["message"].startswith(document.split(":")[0] + " must ")
+        assert not out.exists()
+
+    def test_an_int_is_a_number_and_weights_may_be_ints(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("variance: 1\nthreshold: 2\nweights: {ipc: 1, l1d_mpki: 0.5}\n", encoding="utf-8")
+        cfg = cli.load_config(str(config), {})
+        assert (cfg.variance, cfg.threshold, cfg.weights) == (1, 2, {"ipc": 1, "l1d_mpki": 0.5})
+
+
+COUNTERMAP_SHAPES = [
+    "machines: [CPU-C]\n",
+    "machines:\n  CPU-C: [instructions]\n",
+    "machines:\n  CPU-C: lines\n",
+    "machines:\n  CPU-C:\n    events: [instructions, cycles]\n",
+]
+
+
+class TestCounterMapShapes:
+    @pytest.mark.parametrize("document", COUNTERMAP_SHAPES)
+    def test_a_manifest_of_the_wrong_shape_is_a_schema_mismatch_naming_the_machine(self, tmp_path, capsys, document):
+        manifest = tmp_path / "countermap.yaml"
+        manifest.write_text(document, encoding="utf-8")
+        store = tmp_path / "store.csv"
+        code, stdout, err = run(
+            ["ingest", "--raw", str(bundled.sample_raw_dump_path()), "--countermap", str(manifest),
+             "--suite", "int_rate", "--workload", "706.stockfish_r", "--machine", "CPU-C",
+             "--store", str(store)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["stage"] == "ingest" and payload["error"] == "SchemaMismatch"
+        assert payload["message"].startswith(f"{manifest}: ")
+        assert "CPU-C" in payload["message"]
+        assert not store.exists()

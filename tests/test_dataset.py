@@ -16,7 +16,6 @@ import yaml
 import oracles
 from benchlens import bundled
 from benchlens.dataset import (
-    _CHUNK,
     _READ_CHUNK,
     SCORES_HEADER,
     STORE_HEADER,
@@ -39,6 +38,7 @@ from benchlens.dataset import (
 )
 from benchlens.errors import DuplicateKey, SchemaMismatch
 from benchlens.events import CANONICAL_EVENTS
+from benchlens.files import CHUNK as _CHUNK
 from conftest import combine, make_full_store
 
 

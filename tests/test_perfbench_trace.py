@@ -56,6 +56,9 @@ def test_traced_report_and_ingest_calls_exit_0_without_a_traceback(tmp_path):
     assert {"metrics.derive_store", "dataset.parse_counter_file"} <= names
     # the store's read, merge and save, which an ingest into an existing store times
     assert {"dataset.read_store", "dataset.merge_stores", "dataset.save_canonical"} <= names
+    # each export's time stays in its own layer: the shared writer in files is no layer of its own
+    assert {"metrics.export_metrics_csv", "features.export_csv"} <= names
+    assert not [name for name in names if name.startswith("files.")]
 
 
 def test_traced_proxy_search_and_mix_calls_exit_0_without_a_traceback(tmp_path):
@@ -67,4 +70,5 @@ def test_traced_proxy_search_and_mix_calls_exit_0_without_a_traceback(tmp_path):
     ]
     outcomes, names = run_traced(tmp_path, calls)
     assert outcomes == [(0, None)] * len(calls)
-    assert {"proxy.search_mix", "proxy.simulate_rrr"} <= names
+    assert {"proxy.search_mix", "proxy.simulate_rrr", "proxy.export_mixes_csv"} <= names
+    assert not [name for name in names if name.startswith("files.")]

@@ -1,16 +1,18 @@
 """Property tests: the joined-line writers equal the csv.writer rows they replaced, byte for byte.
 
-Both `export_mixes_csv` paths (a `RankedMixes` and a list of BlendProfiles)
-and both store writers are compared with the referees in `oracles`, on names
-that csv quotes (or, like a lone "\\r" on Python 3.11, leaves bare), on the
-float cells whose repr is easy to get wrong, and on row counts around one
-write chunk.
+`files.write_csv` itself, both `export_mixes_csv` paths (a `RankedMixes` and
+a list of BlendProfiles) and both store writers are compared with csv.writer
+or the referees in `oracles`, on names that csv quotes (or, like a lone
+"\\r" on Python 3.11, leaves bare), on the float cells whose repr is easy to
+get wrong, and on row counts around one write chunk.
 """
 
 from __future__ import annotations
 
+import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from benchlens.dataset import _CHUNK, Store, save_canonical, save_scores  # noqa: E402
+from benchlens.dataset import Store, save_canonical, save_scores  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
+from benchlens import files  # noqa: E402
+from benchlens.files import CHUNK as _CHUNK  # noqa: E402
 from benchlens.metrics import BOUNDED_SHARES, MetricVector  # noqa: E402
 from benchlens.proxy import BlendProfile, RankedMixes, WorkloadProfile, export_mixes_csv  # noqa: E402
 
@@ -36,6 +40,9 @@ POSITIVE = st.sampled_from([5e-324, 1e16, 1e-05, 0.0001, 1.7976931348623157e308]
     1e-300, 1e300, allow_nan=False, allow_infinity=False
 )
 DISTANCES = FLOATS | st.sampled_from([float("inf"), float("nan")]) | st.floats(0.0, allow_nan=False)
+
+
+TEXTS = NAMES | st.sampled_from([",", '"', "\n", "\r", " ", '""', "\r\n", " lead", "trail ", 'a,"b"\nc'])
 
 
 def assert_same_bytes(write, referee, data):
@@ -163,3 +170,27 @@ def test_row_counts_around_one_chunk(count):
     assert store.cell_count == count
     assert_same_bytes(save_canonical, oracles.csv_save_canonical, store)
     assert_same_bytes(save_scores, oracles.csv_save_scores, store)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, _CHUNK])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    header=st.lists(TEXTS, min_size=2, max_size=4),
+    # a row of one empty cell is the one row csv.writer quotes as a whole; benchlens writes none
+    rows=st.lists(st.lists(TEXTS | METRIC_CELLS | DISTANCES, min_size=2, max_size=5), max_size=8),
+)
+def test_write_csv_of_quoted_text_and_repr_floats_is_csv_writer_bytes(chunk, header, rows):
+    text = files.CsvText()
+
+    def write(rows, path):
+        lines = (",".join(text[c] if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
+        with mock.patch.object(files, "CHUNK", chunk):
+            files.write_csv(path, header, lines)
+
+    def referee(rows, path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    assert_same_bytes(write, referee, rows)
