@@ -29,7 +29,7 @@ import yaml
 from . import cluster as cluster_mod
 from . import compare as compare_mod
 from . import dataset, features, files, metrics, pca, proxy, render, subset
-from .errors import BenchlensError, BudgetExceeded, ConfigError, DuplicateKey
+from .errors import BenchlensError, BudgetExceeded, ConfigError, DuplicateKey, EmptyInput
 
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
 FORMATS = ("csv", "md", "svg")
@@ -132,7 +132,10 @@ class Run:
     def store(self) -> dataset.Store:
         if not self.cfg.store:
             raise ConfigError("a store path is required (--store)")
-        return dataset.read_store(self.cfg.store, self.cfg.scores)
+        store = dataset.read_store(self.cfg.store, self.cfg.scores)
+        if not store.runs:
+            raise EmptyInput(f"{self.cfg.store}: the store holds no runs")
+        return store
 
     @cached_property
     def machines(self) -> list[str]:
@@ -173,7 +176,7 @@ class Run:
     def model(self) -> pca.PcaModel:
         if self.cfg.variance is not None:
             return pca.fit_pca(self.normalized, variance_target=self.cfg.variance)
-        return pca.fit_pca(self.normalized, fixed_k=self.cfg.pcs or 8)
+        return pca.fit_pca(self.normalized, fixed_k=8 if self.cfg.pcs is None else self.cfg.pcs)
 
     @cached_property
     def scores(self) -> dict[str, list[float]]:
@@ -306,7 +309,7 @@ def cmd_subset(run: Run) -> str:
     reports = []
     for suite_name, dendrogram in dendrograms.items():
         workloads = dendrogram.leaves
-        target_groups = cfg.groups or 4
+        target_groups = 4 if cfg.groups is None else cfg.groups
         if cfg.threshold is not None:
             groups = cluster_mod.cut(dendrogram, cfg.threshold).groups
             target_groups = len(groups)
@@ -340,7 +343,7 @@ def cmd_compare(run: Run) -> str:
         raise ConfigError("compare needs an explicit --machine")
     out = Path(cfg.out)
     summary = _compare_pair(run, cfg.suite_a, cfg.suite_b, cfg.machine, out)
-    _write_volume_ratios(cfg, run.store, out)
+    _write_volume_ratios(cfg, run.selected, out)
     return f"compare: {summary}"
 
 
@@ -468,7 +471,7 @@ def cmd_report(run: Run) -> str:
     machine = run.machine  # fails on a multi-machine store before anything is written
     lines = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
     out = Path(cfg.out)
-    ratio_count = _write_volume_ratios(cfg, run.store, out)
+    ratio_count = _write_volume_ratios(cfg, run.selected, out)
     if ratio_count:
         lines.append(f"volume: {ratio_count} speed/rate ratios -> {out / 'volume_ratios.csv'}")
     if cfg.suite_a and cfg.suite_b:

@@ -14,16 +14,31 @@ Two on-disk formats are handled here:
 In memory a store is one read-only `Store` of columns: the sorted run keys
 (suite, workload, machine), the event vocabulary, a runs x events array of
 counter values (NaN where a run has no row for an event), a `supported` mask,
-and the wallclock and score of each run. `Store.from_columns` is its one
-constructor and does every check; `Store.from_cells` hands it the columns of
-a cell list. Reading a store and parsing a raw dump build through it.
+and the wallclock and score of each run. `Store.from_codes` is its one
+constructor and does every check, on each cell's run and event index;
+`Store.from_columns` turns six cell columns into those codes and
+`Store.from_cells` hands it the columns of a cell list. Reading a store and
+parsing a raw dump build through it.
 
-A store CSV is read `_READ_CHUNK` rows at a time, and each chunk is checked
-column by column: six fields per row, a true/false `supported` token, a value
-that `float` parses and that is finite and >= 0. Names are interned per
-column. A chunk that fails any check (or holds a blank row) is replayed row
-by row through `_parse_row`, so the first bad row in file order raises its
-own error, as a row-by-row read would.
+A plain store CSV -- its header exactly `STORE_HEADER`, its bytes UTF-8
+without a '"', a CR or a NUL, so that csv would split it at "," and "\n"
+alone -- is read as bytes, in blocks of `_READ_CHUNK` lines cut at a newline,
+and each block is checked column by column with numpy: five commas per line,
+each field gathered into one fixed-width bytes array, a `supported` of
+exactly "true" or "false", a value that `astype(float)` parses (as `float`
+parses it) and that is finite and >= 0. Runs are found where the key changes
+from line to line and events by a hash of their bytes, so only distinct names
+are decoded, and the runs are then sorted as tuples. A block that fails a
+check (or holds a blank line) is replayed row by row through `_parse_row`, so
+the first bad row in file order raises its own error with its row number, as
+a row-by-row read would. Any other file, and one with a line longer than
+csv's field size limit, is read by `csv.reader`, `_READ_CHUNK` rows at a
+time with the same checks, and fails with csv's own messages.
+
+The store CSV is written run by run: each run's quoted key and each event's
+quoted name are made once, and each present cell of the grid is one joined
+line of key, event, `repr(value)` and flag, the bytes `csv.writer` writes for
+the same cells (see `files`).
 
 `merge_stores` joins two stores' arrays: it scatters both grids and masks
 into the union of their runs and events, and names the first cell the new
@@ -36,11 +51,12 @@ when PyYAML has it.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +73,9 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
-_READ_CHUNK = 256  # rows per read check: a chunk's columns are checked at once, a bad chunk row by row
+_READ_CHUNK = 4096  # lines per read check: a block's columns are checked at once, a bad block row by row
+_READ_BYTES = 1 << 18  # bytes per read of a store file; blocks of _READ_CHUNK lines are cut from them
+_HEADER_LINE = (",".join(STORE_HEADER) + "\n").encode()
 
 RunKey = tuple[str, str, str]  # (suite, workload, machine)
 Cell = tuple[str, str, str, str, float, bool]  # (suite, workload, machine, event, value, supported)
@@ -76,7 +94,7 @@ def _count(value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Store:
-    """Counters of every run as read-only columns; build one with `from_columns` or `from_cells`.
+    """Counters of every run as read-only columns; build one with `from_codes`, `from_columns` or `from_cells`.
 
     The events are the canonical vocabulary followed by any unmapped raw
     names, sorted. A cell with `supported` False keeps its stored value, but
@@ -95,45 +113,42 @@ class Store:
             _frozen(getattr(self, name))
 
     @classmethod
-    def from_columns(
+    def from_codes(
         cls,
-        suites: Sequence[str],
-        workloads: Sequence[str],
-        machines: Sequence[str],
+        runs: Sequence[RunKey],
         events: Sequence[str],
+        rows: np.ndarray,
+        cols: np.ndarray,
         values: Sequence[float] | np.ndarray,
         supported: Sequence[bool] | np.ndarray,
         *,
         wallclock: Mapping[RunKey, float] | None = None,
         scores: Mapping[RunKey, float] | None = None,
     ) -> "Store":
-        """Build a store from six equal-length cell columns, checking that
-        (each check raises for its first offender):
+        """Build a store from its sorted runs, its event vocabulary and four
+        equal-length cell columns: each cell's run (an index into `runs`),
+        its event (an index into `events`), its value and its supported flag.
+        Each check raises for its first offender:
 
         - every value is finite and >= 0 (ValueError, in cell order);
         - no (run, event) cell repeats (DuplicateKey, in cell order);
         - a run's wallclock is positive and finite, and its score, when
           present, finite and > 0 (ValueError, in run order).
-        Wallclocks and scores of runs without cells are ignored.
+        Wallclocks and scores of runs that are not in `runs` are ignored.
         """
         values = np.asarray(values, dtype=float)
         bad = ~((values >= 0) & (values < np.inf))
         if bad.any():
             _count(float(values[np.argmax(bad)]))
-        runs = tuple(sorted(set(zip(suites, workloads, machines))))
-        vocabulary = event_vocabulary(events)
-        run_index = {key: i for i, key in enumerate(runs)}
-        event_index = {event: j for j, event in enumerate(vocabulary)}
-        keys = zip(suites, workloads, machines)
-        rows = np.fromiter(map(run_index.__getitem__, keys), dtype=np.intp, count=len(events))
-        cols = np.fromiter(map(event_index.__getitem__, events), dtype=np.intp, count=len(events))
-        flat = rows * len(vocabulary) + cols
+        runs, events = tuple(runs), tuple(events)
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        flat = rows * len(events) + cols
         order = np.argsort(flat, kind="stable")
         repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
         if len(repeats):
             i = int(repeats.min())
-            raise DuplicateKey(f"duplicate sample key {(suites[i], workloads[i], machines[i], events[i])}")
-        grid = np.full((len(runs), len(vocabulary)), np.nan)
+            raise DuplicateKey(f"duplicate sample key {(*runs[rows[i]], events[cols[i]])}")
+        grid = np.full((len(runs), len(events)), np.nan)
         grid[rows, cols] = values
         mask = np.zeros(grid.shape, dtype=bool)
         mask[rows, cols] = np.asarray(supported, dtype=bool)
@@ -148,7 +163,25 @@ class Store:
                 raise ValueError(f"score must be finite when present, got {float(scores[key])!r}")
         clocks = np.array([wallclock.get(key, 1.0) for key in runs], dtype=float)
         marks = np.array([scores.get(key, math.nan) for key in runs], dtype=float)
-        return cls(runs, vocabulary, grid, mask, clocks, marks)
+        return cls(runs, events, grid, mask, clocks, marks)
+
+    @classmethod
+    def from_columns(
+        cls,
+        suites: Sequence[str],
+        workloads: Sequence[str],
+        machines: Sequence[str],
+        events: Sequence[str],
+        values: Sequence[float] | np.ndarray,
+        supported: Sequence[bool] | np.ndarray,
+        *,
+        wallclock: Mapping[RunKey, float] | None = None,
+        scores: Mapping[RunKey, float] | None = None,
+    ) -> "Store":
+        """`from_codes` of six equal-length cell columns: the runs are the sorted
+        distinct (suite, workload, machine) keys, the events their vocabulary."""
+        codes = _codes(*_factorized(zip(suites, workloads, machines)), *_factorized(events))
+        return cls.from_codes(*codes, values, supported, wallclock=wallclock, scores=scores)
 
     @classmethod
     def from_cells(
@@ -433,17 +466,194 @@ def _read_columns(path: str | Path) -> tuple:
     )
 
 
+def _factorized(items: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct `items` in order of first appearance, and the index of each item among them."""
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(item, len(index)) for item in items), dtype=np.intp)
+    return list(index), codes
+
+
+def _codes(keys: list[RunKey], key_codes: np.ndarray, names: list[str], name_codes: np.ndarray) -> tuple:
+    """The runs, events, rows and cols of `Store.from_codes` from distinct run keys and event names, in any
+    order, and each cell's index among them. Runs sort as tuples, not as text: ("a",) < ("a+b",) but "a," > "a+b,"."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.arange(len(keys))
+    vocabulary = event_vocabulary(names)
+    position = {event: j for j, event in enumerate(vocabulary)}
+    cols = np.array([position[name] for name in names], dtype=np.intp)
+    return tuple(keys[i] for i in order), vocabulary, rank[key_codes], cols[name_codes]
+
+
+class _CsvLimit(Exception):
+    """A store line is longer than csv's field size limit, so only csv can say how it reads."""
+
+
+def _plain(fh) -> bool:
+    """Whether the rest of `fh` is UTF-8 without a '"', a CR or a NUL: text csv splits at "," and "\\n" alone."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        for piece in iter(lambda: fh.read(_READ_BYTES), b""):
+            if b'"' in piece or b"\r" in piece or b"\0" in piece:
+                return False
+            decoder.decode(piece)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _line_blocks(fh) -> Iterable[tuple[bytes, np.ndarray]]:
+    """The rest of `fh` in blocks of _READ_CHUNK lines, each with the offset of every line's "\\n" in it.
+
+    Every line ends in "\\n": a last line without one gets it.
+    """
+    data, ends = b"", np.empty(0, dtype=np.intp)
+    while piece := fh.read(_READ_BYTES):
+        ends = np.append(ends, np.flatnonzero(np.frombuffer(piece, dtype=np.uint8) == 10) + len(data))
+        data += piece
+        start = 0
+        for first in range(0, len(ends) - _READ_CHUNK + 1, _READ_CHUNK):
+            stop = int(ends[first + _READ_CHUNK - 1]) + 1
+            yield data[start:stop], ends[first : first + _READ_CHUNK] - start
+            start = stop
+        data, ends = data[start:], ends[len(ends) - len(ends) % _READ_CHUNK :] - start
+    if data:
+        if not data.endswith(b"\n"):
+            data, ends = data + b"\n", np.append(ends, len(data))
+        yield data, ends
+
+
+def _field(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The bytes of `padded` from each start to its stop, as one fixed-width `S` array.
+
+    The width is whole 8-byte words, so that the bytes past each stop are
+    cleared one word at a time. `padded` must hold that width past its last start.
+    """
+    lengths = stops - starts
+    width = -(-int(lengths.max()) // 8) * 8 or 8
+    windows = np.ndarray(len(padded) - width + 1, dtype=f"S{width}", buffer=padded, strides=(1,))  # one per byte
+    cells = windows[starts]
+    kept = (np.arange(width) < np.arange(width + 1)[:, None]).astype(np.uint8) * np.uint8(255)  # row n: n bytes
+    words = cells.view(np.uint64).reshape(len(cells), -1)
+    words &= np.take(kept.view(np.uint64), lengths, axis=0)
+    return cells
+
+
+def _distinct(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cells of a `_field` array, in no set order, and the index of each cell among them.
+
+    Cells are grouped by a hash of their 8-byte words, so that the sort is of
+    integers, not of strings. The cells check the grouping, and a hash
+    collision falls back to sorting the cells.
+    """
+    words = cells.view(np.uint64).reshape(len(cells), -1)
+    hashes = words[:, 0].copy()
+    for column in words.T[1:]:
+        hashes *= np.uint64(0x9E3779B97F4A7C15)
+        hashes ^= column
+    groups, codes = np.unique(hashes, return_inverse=True)
+    distinct = np.empty(len(groups), dtype=cells.dtype)
+    distinct[codes] = cells
+    if (distinct[codes] == cells).all():
+        return distinct, codes
+    return np.unique(cells, return_inverse=True)
+
+
+def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
+    """The cells of a block of lines ending at `ends` as (run keys, each cell's key index, event names, each
+    cell's name index, values, supported), or None when a line is blank or breaks a `_parse_row` rule."""
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    longest = int((ends - starts).max())
+    if longest > csv.field_size_limit():  # csv would refuse a field before it checked any row
+        raise _CsvLimit
+    buf = np.frombuffer(text, dtype=np.uint8)
+    commas = np.flatnonzero(buf == 44)
+    if len(commas) != 5 * len(ends):
+        return None
+    commas = commas.reshape(-1, 5)
+    if not ((commas[:, 0] >= starts) & (commas[:, 4] < ends)).all():
+        return None
+    padded = np.concatenate([buf, np.zeros(longest + 8, dtype=np.uint8)])
+    keys = _field(padded, starts, commas[:, 2])
+    names = _field(padded, commas[:, 2] + 1, commas[:, 3])
+    values = _field(padded, commas[:, 3] + 1, commas[:, 4])
+    flags = _field(padded, commas[:, 4] + 1, ends)
+    supported = flags == b"true"
+    if not (supported | (flags == b"false")).all():
+        return None
+    try:
+        values = values.astype(np.float64)  # float()'s result, or a ValueError where float() raises one
+    except ValueError:
+        return None
+    if not ((values >= 0) & (values < np.inf)).all():
+        return None
+    heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))  # rows come grouped by run
+    unique_keys, head_codes = _distinct(keys[heads])
+    unique_names, name_codes = _distinct(names)
+    # each key holds two of the commas; names are interned, so that runs share one string each
+    parts = list(map(sys.intern, b",".join(unique_keys.tolist()).decode().split(",")))
+    return (
+        list(zip(parts[0::3], parts[1::3], parts[2::3])),
+        np.repeat(head_codes, np.diff(np.append(heads, len(keys)))),
+        [name.decode() for name in unique_names.tolist()],
+        name_codes,
+        values,
+        supported,
+    )
+
+
+def _replayed_block(path: str | Path, first_row_no: int, text: bytes) -> tuple:
+    """`_checked_block` through `_parse_row`, row by row: the first bad row raises, blank rows are skipped."""
+    rows = [line.split(",") if line else [] for line in text.decode().split("\n")[:-1]]
+    suites, workloads, machines, events, values, supported = _replayed_columns(path, first_row_no, rows)
+    return (*_factorized(zip(suites, workloads, machines)), *_factorized(events), values, supported)
+
+
+def _plain_cells(path: str | Path, fh) -> tuple:
+    """The first six arguments of `Store.from_codes` for a plain store, read from `fh` after its header."""
+    run_ids: dict[RunKey, int] = {}  # every run key so far -> its index, in order of first appearance
+    event_ids: dict[str, int] = {}
+    blocks = []
+    for row_no, (text, ends) in zip(count(2, _READ_CHUNK), _line_blocks(fh)):
+        keys, key_codes, names, name_codes, values, supported = (
+            _checked_block(text, ends) or _replayed_block(path, row_no, text)
+        )
+        runs = np.array([run_ids.setdefault(key, len(run_ids)) for key in keys], dtype=np.intp)
+        events = np.array([event_ids.setdefault(name, len(event_ids)) for name in names], dtype=np.intp)
+        blocks.append((runs[key_codes], events[name_codes], values, supported))
+    rows, cols, values, supported = (
+        np.concatenate([np.empty(0, dtype=dtype), *(block[i] for block in blocks)])
+        for i, dtype in enumerate((np.intp, np.intp, float, bool))
+    )
+    return (*_codes(list(run_ids), rows, list(event_ids), cols), values, supported)
+
+
+def _read_cells(path: str | Path) -> tuple:
+    """The first six arguments of `Store.from_codes` for a store CSV: by bytes when it is plain, else through csv."""
+    with open(path, "rb") as fh:
+        # a header without its newline ends the file
+        if fh.read(len(_HEADER_LINE)) in (_HEADER_LINE, _HEADER_LINE[:-1]) and _plain(fh):
+            fh.seek(len(_HEADER_LINE))
+            try:
+                return _plain_cells(path, fh)
+            except _CsvLimit:
+                pass
+    suites, workloads, machines, events, values, supported = _read_columns(path)
+    return (*_codes(*_factorized(zip(suites, workloads, machines)), *_factorized(events)), values, supported)
+
+
 def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store:
     """Read the canonical store CSV, optionally joining a scores CSV.
 
     Runs without a scores row keep the default wallclock of 1.0 and no score.
     Rows are checked in file order, so the first bad row names the error.
     """
-    suites, workloads, machines, events, values, supported = _read_columns(path)
+    runs, events, rows, cols, values, supported = _read_cells(path)
     wallclock: dict[RunKey, float] = {}
     scores: dict[RunKey, float] = {}
     if scores_path is not None:
-        run_keys = set(zip(suites, workloads, machines))
+        run_keys = set(runs)
         with open(scores_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -464,22 +674,26 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
                     wallclock[key] = float(row[4])
                 except ValueError as exc:
                     raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
-    return Store.from_columns(
-        suites, workloads, machines, events, values, supported, wallclock=wallclock, scores=scores
-    )
+    return Store.from_codes(runs, events, rows, cols, values, supported, wallclock=wallclock, scores=scores)
 
 
 def save_canonical(store: Store, path: str | Path) -> None:
-    """Write the store CSV; float values use repr so reloading is lossless."""
+    """Write the store CSV run by run: each run's quoted key and each event's quoted name are made once, and
+    every present cell of the grid is one joined line; float values use repr, so reloading is lossless."""
     text = files.CsvText()
-    files.write_csv(
-        path,
-        STORE_HEADER,
-        (
-            f"{text[s]},{text[w]},{text[m]},{text[e]},{v!r},{'true' if ok else 'false'}\n"
-            for s, w, m, e, v, ok in store.cells()
-        ),
+    order = sorted(range(len(store.events)), key=store.events.__getitem__)
+    events = [f"{text[store.events[j]]}," for j in order]
+    values, supported = store.values[:, order], store.supported[:, order]
+    flags = (",false\n", ",true\n")
+    lines = (
+        f"{prefix}{event}{value!r}{flags[ok]}"
+        for prefix, row, oks in zip(
+            (f"{text[s]},{text[w]},{text[m]}," for s, w, m in store.runs), values.tolist(), supported.tolist()
+        )
+        for event, value, ok in zip(events, row, oks)
+        if value == value
     )
+    files.write_csv(path, STORE_HEADER, lines)
 
 
 def save_scores(store: Store, path: str | Path) -> None:

@@ -33,9 +33,9 @@ def _line(x1: float, y1: float, x2: float, y2: float, color: str = "#333333") ->
 
 
 def _text(x: float, y: float, content: str, anchor: str = "start") -> str:
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} text-anchor="{anchor}">{content}</text>'
-    )
+    # what xml.sax.saxutils.escape does; importing that module would load urllib into every process
+    escaped = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} text-anchor="{anchor}">{escaped}</text>'
 
 
 def _rect(x: float, y: float, w: float, h: float, fill: str) -> str:

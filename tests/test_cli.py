@@ -554,17 +554,19 @@ class TestErrorPaths:
         assert default[0]["mix"] != ipc_only[0]["mix"]
 
 
-def renamed_sample(tmp_path: Path, suites: dict[str, str], machine: str) -> list[str]:
-    """--store/--scores args of the bundled sample with suites renamed by `suites` and its one machine `machine`."""
+def renamed_sample(tmp_path: Path, suites: dict[str, str], machine: str, workloads: dict | None = None) -> list[str]:
+    """--store/--scores args of the bundled sample with suites and workloads renamed and its one machine `machine`."""
+    workloads = workloads or {}
     sample = dataset.read_store(bundled.sample_store_path(), bundled.sample_scores_path())
 
     def key(run_key):
         suite, workload, _ = run_key
-        return suites.get(suite, suite), workload, machine
+        return suites.get(suite, suite), workloads.get(workload, workload), machine
 
-    suite_col, workloads, machines, *columns = sample.columns()
+    suite_col, workload_col, machines, *columns = sample.columns()
     store = dataset.Store.from_columns(
-        [suites.get(s, s) for s in suite_col], workloads, [machine] * len(machines), *columns,
+        [suites.get(s, s) for s in suite_col], [workloads.get(w, w) for w in workload_col], [machine] * len(machines),
+        *columns,
         wallclock={key(k): v for k, v in zip(sample.runs, sample.wallclock.tolist())},
         scores={key(k): v for k, v in zip(sample.runs, sample.scores.tolist()) if v == v},
     )
@@ -660,3 +662,105 @@ class TestCounterMapShapes:
         assert payload["message"].startswith(f"{manifest}: ")
         assert "CPU-C" in payload["message"]
         assert not store.exists()
+
+
+def rate_speed_store() -> dataset.Store:
+    """Four scored int_rate and four int_speed workloads on M0 and M1.
+
+    Speed runs execute about four times the instructions of rate runs on M0, and as many on M1.
+    """
+    rng = np.random.default_rng(3)
+    speed_scale = {"M0": 4e12, "M1": 1e12}
+    return combine(
+        with_score(
+            make_full_record(suite, f"{suite}_{i}", machine, rng,
+                             base_instructions=speed_scale[machine] if suite == "int_speed" else 1e12),
+            float(rng.uniform(1.0, 10.0)),
+        )
+        for suite in ("int_rate", "int_speed")
+        for i in range(4)
+        for machine in ("M0", "M1")
+    )
+
+
+def saved(store: dataset.Store, directory: Path) -> list[str]:
+    """--store/--scores args of `store` written to `directory`."""
+    directory.mkdir()
+    dataset.save_canonical(store, directory / "store.csv")
+    dataset.save_scores(store, directory / "scores.csv")
+    return ["--store", str(directory / "store.csv"), "--scores", str(directory / "scores.csv")]
+
+
+class TestVolumeRatiosPerMachine:
+    @pytest.mark.parametrize("command", [["report"], ["compare", "--suite-a", "int_rate", "--suite-b", "int_speed"]])
+    def test_machine_flag_ratios_count_only_that_machines_runs(self, tmp_path, capsys, command):
+        store = rate_speed_store()
+        both, alone = saved(store, tmp_path / "both"), saved(store.select(machines=["M0"]), tmp_path / "alone")
+        ratios = {}
+        for name, args in (("both", both), ("alone", alone)):
+            out = tmp_path / name / "out"
+            code, _, err = run([*command, *args, "--machine", "M0", "--out", str(out)], capsys)
+            assert (code, err) == (0, "")
+            ratios[name] = (out / "volume_ratios.csv").read_bytes()
+        assert ratios["both"] == ratios["alone"]
+        with open(tmp_path / "both" / "out" / "volume_ratios.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["pair"] == "int" and float(row["speed_over_rate"]) > 2.0  # M1's speed runs would pull it to ~2.5
+
+
+class TestZeroCounts:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["pca", "--pcs", "0"], "fixed_k must be positive"),
+            (["subset", "--suite", "int_rate", "--groups", "0"], "target_groups must be in [1, 14], got 0"),
+        ],
+    )
+    def test_zero_is_refused_like_a_negative_count(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        code, stdout, err = run([*args, *base_args(out)], capsys)
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"stage": args[0], "error": "ValueError", "message": message}
+
+
+class TestEmptyStore:
+    @pytest.mark.parametrize("command", ["report", "derive"])
+    def test_a_store_without_runs_is_a_data_error_naming_the_store(self, tmp_path, capsys, command):
+        store = tmp_path / "store.csv"
+        store.write_text(",".join(dataset.STORE_HEADER) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run([command, "--store", str(store), "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "stage": command, "error": "EmptyInput", "message": f"{store}: the store holds no runs",
+        }
+        assert not out.exists()
+
+    def test_ingest_into_a_store_without_runs_adds_the_run(self, tmp_path, capsys):
+        store = tmp_path / "store.csv"
+        store.write_text(",".join(dataset.STORE_HEADER) + "\n", encoding="utf-8")
+        code, out, err = run(
+            ["ingest", "--raw", str(bundled.sample_raw_dump_path()),
+             "--countermap", str(bundled.sample_countermap_path()), "--suite", "int_rate",
+             "--workload", "706.stockfish_r", "--machine", "CPU-C", "--store", str(store)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert "6 samples (0 bad lines)" in out
+        assert dataset.read_store(store).runs == (("int_rate", "706.stockfish_r", "CPU-C"),)
+
+
+class TestSvgText:
+    def test_a_dendrogram_of_names_holding_xml_markup_is_well_formed(self, tmp_path, capsys):
+        from xml.dom import minidom
+
+        name = "709.cactus<&>"
+        args = renamed_sample(tmp_path, {}, "CPU-C", workloads={"709.cactus_r": name})
+        out = tmp_path / "out"
+        code, _, err = run(["cluster", *args, "--suite", "fp_rate", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        document = minidom.parse(str(out / "dendrogram_fp_rate.svg"))
+        texts = {node.firstChild.data for node in document.getElementsByTagName("text")}
+        assert name in texts

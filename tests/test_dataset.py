@@ -1,20 +1,23 @@
 from __future__ import annotations
 
+import csv
 import importlib.util
 import json
 import os
 import stat
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
 import oracles
-from benchlens import bundled
+from benchlens import bundled, files
 from benchlens.dataset import (
     _READ_CHUNK,
     SCORES_HEADER,
@@ -361,6 +364,10 @@ MALFORMED = {
         GOOD_ROWS + filler(2 * C + 10) + ("s,w1,m,stores,12x,true",), GOOD_SCORES, None
     ),
     "duplicate_across_a_chunk_edge": (GOOD_ROWS + filler(C - 6) + GOOD_ROWS[1:2], GOOD_SCORES, None),
+    # five fields, then seven: their ten commas would cut both lines into six fields that all parse
+    "commas_of_the_next_line": (
+        GOOD_ROWS[:4] + ("s,w2,m,cycles,1000.0", "   ,true,x,y,cycles,2.0,true"), GOOD_SCORES, None
+    ),
     "missing_cycles": (GOOD_ROWS[:4] + GOOD_ROWS[5:], GOOD_SCORES, None),
     "unsupported_instructions": (swap(GOOD_ROWS, 0, "s,w1,m,instructions,1000.0,false"), GOOD_SCORES, None),
     "load_share_200_percent": (swap(GOOD_ROWS, 2, "s,w1,m,loads,2000.0,true"), GOOD_SCORES, None),
@@ -425,13 +432,30 @@ def clean_rows(n):
     )
 
 
+SMALL_C = 256  # a read chunk patched in, so that the stores at its edges stay small
+
+
 class TestChunkedRead:
-    @pytest.mark.parametrize("n", [C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1])
+    @pytest.mark.parametrize("n", [SMALL_C - 1, SMALL_C, SMALL_C + 1, 2 * SMALL_C - 1, 2 * SMALL_C, 2 * SMALL_C + 1])
     def test_clean_store_at_a_chunk_edge_matches_the_per_row_oracle(self, n, tmp_path):
         path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *clean_rows(n)]) + "\n")
-        store = read_store(path)
+        with mock.patch("benchlens.dataset._READ_CHUNK", SMALL_C):
+            store = read_store(path)
         assert store.cell_count == n
         oracles.assert_same_runs(store, oracles.load_canonical(path))
+
+    def test_a_saved_store_is_read_by_bytes_without_replaying_a_row(self, tmp_path):
+        store = Store.from_cells(
+            (s, f"w{i}", m, event, float(i), i % 3 > 0)
+            for i in range(3 * C)
+            for s, m in [("ünï", "名前"), ("a+b", "a")]
+            for event in CANONICAL_EVENTS[i % 3 : i % 3 + 2]
+        )
+        save_canonical(store, tmp_path / "store.csv")
+        with mock.patch("benchlens.dataset._replayed_block", side_effect=AssertionError("replayed")), mock.patch(
+            "benchlens.dataset._read_columns", side_effect=AssertionError("read through csv")
+        ):
+            assert read_store(tmp_path / "store.csv") == store
 
     def test_blank_rows_at_chunk_edges_are_skipped(self, tmp_path):
         rows = clean_rows(2 * C + 3)
@@ -439,6 +463,62 @@ class TestChunkedRead:
         path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *rows]) + "\n")
         store = read_store(path)
         assert store.cell_count == 2 * C + 3
+        oracles.assert_same_runs(store, oracles.load_canonical(path))
+
+
+HEADER_LINE = (",".join(STORE_HEADER) + "\n").encode()
+CLEAN = b"s,w1,m,cycles,1.0,true\ns,w1,m,instructions,2.0,false\n"
+
+# store files that only csv reads right: each must read, or fail, as the per-row oracle does
+CSV_ROUTED = {
+    "crlf_line_ends": HEADER_LINE.replace(b"\n", b"\r\n") + CLEAN.replace(b"\n", b"\r\n"),
+    "lone_cr_line_ends": HEADER_LINE + CLEAN.replace(b"\n", b"\r"),
+    "a_quoted_name": HEADER_LINE + CLEAN + b'"s,t",w2,m,cycles,1.0,true\n',
+    "a_quoted_newline": HEADER_LINE + b'"s\nt",w2,m,cycles,1.0,true\n' + CLEAN,
+    "a_byte_order_mark": b"\xef\xbb\xbf" + HEADER_LINE + CLEAN,
+    "an_invalid_utf8_byte": HEADER_LINE + CLEAN + b"s,w\xff,m,cycles,1.0,true\n",
+    "an_invalid_utf8_byte_after_a_bad_row": HEADER_LINE + b"s,w1,m,cycles,-1.0,true\n" + CLEAN + b"\xc3\n",
+    "a_nul": HEADER_LINE + CLEAN + b"s,w\x00,m,cycles,1.0,true\n",
+    "a_header_with_a_space": HEADER_LINE.replace(b",value", b", value") + CLEAN,
+    "an_empty_file": b"",
+}
+
+
+class TestReadRouting:
+    @pytest.mark.parametrize("case", sorted(CSV_ROUTED))
+    def test_a_file_only_csv_reads_right_reads_as_the_per_row_oracle(self, case, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_bytes(CSV_ROUTED[case])
+        expected = raised(lambda: oracles.load_canonical(path))
+        with mock.patch("benchlens.dataset._plain_cells", side_effect=AssertionError("read by bytes")):
+            assert raised(lambda: read_store(path)) == expected
+            if expected is None:
+                oracles.assert_same_runs(read_store(path), oracles.load_canonical(path))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (GOOD_ROWS[0] + ",x" * 80,),  # long, but every field is short
+            ("s,w,m,cycles," + "1" * 120 + ".0,true",),
+            ("s,w,m,cycles,-1.0,true", "s,w,m,cycles," + "1" * 120 + ".0,true,extra"),
+        ],
+    )
+    def test_a_line_longer_than_the_csv_field_limit_reads_as_csv_reads_it(self, rows, tmp_path):
+        path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *GOOD_ROWS, *rows]) + "\n")
+        limit = csv.field_size_limit(100)
+        try:
+            with mock.patch("benchlens.dataset._plain", return_value=False):
+                expected = raised(lambda: read_store(path))  # csv reads a whole chunk of rows before it checks one
+            assert raised(lambda: read_store(path)) == expected
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_a_hash_collision_of_two_event_names_keeps_them_apart(self, tmp_path):
+        # the two names hash alike under the multiplier of `dataset._distinct`, so the names are sorted instead
+        rows = [f"s,w{i},m,{event},{i}.0,true" for i in range(3) for event in ("instructions.raw", "FJcbR_hOJzxWr60i")]
+        path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *rows]) + "\n")
+        store = read_store(path)
+        assert store.events[-2:] == ("FJcbR_hOJzxWr60i", "instructions.raw")
         oracles.assert_same_runs(store, oracles.load_canonical(path))
 
 
@@ -586,15 +666,20 @@ class TestStoreMemory:
         assert peak < 2 * 2**20
 
 
-def failing_copy(store, error):
-    """`store`, but its cells raise `error` after the first written chunk of rows."""
+@contextmanager
+def failing_rows(error):
+    """Within it, the rows `save_canonical` writes raise `error` after the first written chunk of rows."""
+    write_csv = files.write_csv
 
-    class Failing(Store):
-        def cells(self):
-            yield from islice(super().cells(), _CHUNK + 1)
+    def failing(path, header, lines):
+        def rows():
+            yield from islice(lines, _CHUNK + 1)
             raise error
 
-    return Failing(store.runs, store.events, store.values, store.supported, store.wallclock, store.scores)
+        write_csv(path, header, rows())
+
+    with mock.patch.object(files, "write_csv", failing):
+        yield
 
 
 class TestSafeSave:
@@ -603,8 +688,8 @@ class TestSafeSave:
         path = tmp_path / "store.csv"
         save_canonical(BASE, path)
         before = path.read_bytes()
-        with pytest.raises(type(error)):
-            save_canonical(failing_copy(generated_store(runs=150), error), path)
+        with pytest.raises(type(error)), failing_rows(error):
+            save_canonical(generated_store(runs=150), path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["store.csv"]
 

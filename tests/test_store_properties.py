@@ -123,3 +123,50 @@ def test_chunked_read_of_any_rows_matches_the_per_row_oracle(chunk, rows):
     assert error == expected_error
     if expected is not None:
         oracles.assert_same_runs(got, expected)
+
+
+PLAIN_NAMES = st.sampled_from(["s", "a", "a+b", "ünï", "名前", " sp ", ""])
+
+
+def plain_rows(values, flags):
+    return st.builds(
+        lambda suite, run, event, value, flag: f"{suite},w{run},m,{event},{value},{flag}",
+        PLAIN_NAMES, st.integers(0, 7), EVENTS | PLAIN_NAMES, values, flags,
+    )
+
+
+# rows that parse, among them values that float() and numpy read alike and "１", which only float() reads
+PLAIN_GOOD_ROW = plain_rows(
+    st.sampled_from(["1.0", "0", "-0.0", "5e-324", "1e308", "0.30000000000000004", " 2.5", "1_0", "１"]),
+    st.sampled_from(["true", "false"]),
+)
+PLAIN_BAD_ROW = plain_rows(
+    st.sampled_from(["1.0", "nan", "12x", "-1.0", "inf", "", "1__0"]),
+    st.sampled_from(["true", "TRUE", "False", "yes", ""]),
+) | st.sampled_from(["", " ", "s,w0,m,cycles,1.0", "s,w0,m,cycles,1.0,true,extra", "s,w0,m,cycles,1.0,true,", ",,,,,"])
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(PLAIN_GOOD_ROW, max_size=12),
+    bad=st.lists(st.tuples(st.integers(0, 12), PLAIN_BAD_ROW), max_size=2),
+    grouped=st.booleans(),
+    newline=st.booleans(),
+)
+def test_byte_read_of_unquoted_rows_matches_the_per_row_oracle(chunk, rows, bad, grouped, newline):
+    if grouped:  # the order of a saved store: the rows of a run together
+        rows = sorted(rows, key=lambda row: row.split(",")[:3])
+    for at, row in bad:
+        rows.insert(at, row)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.csv"
+        path.write_text("\n".join([",".join(STORE_HEADER), *rows]) + "\n" * newline, encoding="utf-8")
+        expected, expected_error = raised_or_none(lambda: oracles.load_canonical(path))
+        with mock.patch.object(dataset, "_READ_CHUNK", chunk), mock.patch.object(
+            dataset, "_read_columns", side_effect=AssertionError("a plain store went through csv")
+        ):
+            got, error = raised_or_none(lambda: read_store(path))
+    assert error == expected_error
+    if expected is not None:
+        oracles.assert_same_runs(got, expected)

@@ -117,6 +117,20 @@ def stores(draw):
     )
 
 
+@st.composite
+def grid_stores(draw):
+    """A store of several runs that share events, every name one csv may quote, with holes in the grid."""
+    runs = draw(st.lists(st.tuples(NAMES, NAMES, NAMES), min_size=1, max_size=4, unique=True))
+    events = draw(st.lists(st.sampled_from(CANONICAL_EVENTS[:3]) | NAMES, min_size=1, max_size=5, unique=True))
+    cells = [
+        (*run, event, draw(FLOATS), draw(st.booleans()))
+        for run in runs
+        for event in events
+        if draw(st.integers(0, 3))
+    ]
+    return Store.from_cells(cells)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(ranked=rankings())
 def test_ranked_mixes_are_written_like_csv_writer(ranked):
@@ -134,6 +148,12 @@ def test_blend_profiles_are_written_like_csv_writer(ranked):
 def test_store_and_scores_are_written_like_csv_writer(store):
     assert_same_bytes(save_canonical, oracles.csv_save_canonical, store)
     assert_same_bytes(save_scores, oracles.csv_save_scores, store)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(store=grid_stores())
+def test_a_store_of_runs_that_share_events_is_written_like_csv_writer(store):
+    assert_same_bytes(save_canonical, oracles.csv_save_canonical, store)
 
 
 def test_only_the_mix_with_a_quoted_name_is_quoted():
