@@ -22,18 +22,20 @@ parsing a raw dump build through it.
 
 A plain store CSV -- its header exactly `STORE_HEADER`, its bytes UTF-8
 without a '"', a CR or a NUL, so that csv would split it at "," and "\n"
-alone -- is read as bytes, in blocks of `_READ_CHUNK` lines cut at a newline,
-and each block is checked column by column with numpy: five commas per line,
-each field gathered into one fixed-width bytes array, a `supported` of
-exactly "true" or "false", a value that `astype(float)` parses (as `float`
-parses it) and that is finite and >= 0. Runs are found where the key changes
-from line to line and events by a hash of their bytes, so only distinct names
-are decoded, and the runs are then sorted as tuples. A block that fails a
-check (or holds a blank line) is replayed row by row through `_parse_row`, so
-the first bad row in file order raises its own error with its row number, as
-a row-by-row read would. Any other file, and one with a line longer than
-csv's field size limit, is read by `csv.reader`, `_READ_CHUNK` rows at a
-time with the same checks, and fails with csv's own messages.
+alone -- is read as bytes, in blocks of whole chunks of `_READ_CHUNK` lines
+(as many as each read of `_READ_BYTES` completes), and each block is checked
+column by column with numpy: five commas per line, each field gathered into
+one fixed-width bytes array, a `supported` of exactly "true" or "false", a
+value that `astype(float)` parses (as `float` parses it) and that is finite
+and >= 0. Runs are found where the key changes from line to line, so only
+distinct names are decoded, and the runs are then sorted as tuples. A block
+that fails a check, holds a blank line or a line longer than `_LONG_LINE`
+is replayed row by row through `_parse_row`, so the first bad row in file
+order raises its own error with its row number, as a row-by-row read would.
+Any other file, and one with a line longer than csv's field size limit, is
+read by `csv.reader`, `_READ_CHUNK` rows at a time with the same checks, and
+fails with csv's own messages. Blocks start where those chunks start, so
+both reads name the same first error.
 
 The store CSV is written run by run: each run's quoted key and each event's
 quoted name are made once, and each present cell of the grid is one joined
@@ -56,7 +58,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -73,8 +75,9 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
-_READ_CHUNK = 4096  # lines per read check: a block's columns are checked at once, a bad block row by row
-_READ_BYTES = 1 << 18  # bytes per read of a store file; blocks of _READ_CHUNK lines are cut from them
+_READ_CHUNK = 256  # rows per read check: a chunk's columns are checked at once, a bad chunk row by row
+_READ_BYTES = 1 << 18  # bytes per read of a store file; blocks of whole _READ_CHUNK-line chunks are cut from them
+_LONG_LINE = 256  # bytes; a block with a longer line is replayed row by row rather than gathered into wide fields
 _HEADER_LINE = (",".join(STORE_HEADER) + "\n").encode()
 
 RunKey = tuple[str, str, str]  # (suite, workload, machine)
@@ -180,7 +183,7 @@ class Store:
     ) -> "Store":
         """`from_codes` of six equal-length cell columns: the runs are the sorted
         distinct (suite, workload, machine) keys, the events their vocabulary."""
-        codes = _codes(*_factorized(zip(suites, workloads, machines)), *_factorized(events))
+        codes = _codes(*_factorized_names(suites, workloads, machines, events))
         return cls.from_codes(*codes, values, supported, wallclock=wallclock, scores=scores)
 
     @classmethod
@@ -473,6 +476,11 @@ def _factorized(items: Iterable) -> tuple[list, np.ndarray]:
     return list(index), codes
 
 
+def _factorized_names(suites: Iterable, workloads: Iterable, machines: Iterable, events: Iterable) -> tuple:
+    """`_factorized` of the run keys and of the event names of four cell columns."""
+    return (*_factorized(zip(suites, workloads, machines)), *_factorized(events))
+
+
 def _codes(keys: list[RunKey], key_codes: np.ndarray, names: list[str], name_codes: np.ndarray) -> tuple:
     """The runs, events, rows and cols of `Store.from_codes` from distinct run keys and event names, in any
     order, and each cell's index among them. Runs sort as tuples, not as text: ("a",) < ("a+b",) but "a," > "a+b,"."""
@@ -504,20 +512,21 @@ def _plain(fh) -> bool:
 
 
 def _line_blocks(fh) -> Iterable[tuple[bytes, np.ndarray]]:
-    """The rest of `fh` in blocks of _READ_CHUNK lines, each with the offset of every line's "\\n" in it.
+    """The rest of `fh` in blocks of lines, each with the offset of every line's "\\n" in it.
 
-    Every line ends in "\\n": a last line without one gets it.
+    A block is every whole chunk of _READ_CHUNK lines that a read of
+    _READ_BYTES completes, so blocks start where csv's chunks of rows start;
+    the last block holds the rest. Every line ends in "\\n": a last line
+    without one gets it.
     """
     data, ends = b"", np.empty(0, dtype=np.intp)
     while piece := fh.read(_READ_BYTES):
         ends = np.append(ends, np.flatnonzero(np.frombuffer(piece, dtype=np.uint8) == 10) + len(data))
         data += piece
-        start = 0
-        for first in range(0, len(ends) - _READ_CHUNK + 1, _READ_CHUNK):
-            stop = int(ends[first + _READ_CHUNK - 1]) + 1
-            yield data[start:stop], ends[first : first + _READ_CHUNK] - start
-            start = stop
-        data, ends = data[start:], ends[len(ends) - len(ends) % _READ_CHUNK :] - start
+        if whole := len(ends) - len(ends) % _READ_CHUNK:
+            stop = int(ends[whole - 1]) + 1
+            yield data[:stop], ends[:whole]
+            data, ends = data[stop:], ends[whole:] - stop
     if data:
         if not data.endswith(b"\n"):
             data, ends = data + b"\n", np.append(ends, len(data))
@@ -540,33 +549,16 @@ def _field(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndar
     return cells
 
 
-def _distinct(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct cells of a `_field` array, in no set order, and the index of each cell among them.
-
-    Cells are grouped by a hash of their 8-byte words, so that the sort is of
-    integers, not of strings. The cells check the grouping, and a hash
-    collision falls back to sorting the cells.
-    """
-    words = cells.view(np.uint64).reshape(len(cells), -1)
-    hashes = words[:, 0].copy()
-    for column in words.T[1:]:
-        hashes *= np.uint64(0x9E3779B97F4A7C15)
-        hashes ^= column
-    groups, codes = np.unique(hashes, return_inverse=True)
-    distinct = np.empty(len(groups), dtype=cells.dtype)
-    distinct[codes] = cells
-    if (distinct[codes] == cells).all():
-        return distinct, codes
-    return np.unique(cells, return_inverse=True)
-
-
 def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     """The cells of a block of lines ending at `ends` as (run keys, each cell's key index, event names, each
-    cell's name index, values, supported), or None when a line is blank or breaks a `_parse_row` rule."""
+    cell's name index, values, supported), or None when a line is blank, longer than _LONG_LINE or breaks a
+    `_parse_row` rule."""
     starts = np.concatenate([[0], ends[:-1] + 1])
     longest = int((ends - starts).max())
     if longest > csv.field_size_limit():  # csv would refuse a field before it checked any row
         raise _CsvLimit
+    if longest > _LONG_LINE:
+        return None
     buf = np.frombuffer(text, dtype=np.uint8)
     commas = np.flatnonzero(buf == 44)
     if len(commas) != 5 * len(ends):
@@ -589,8 +581,8 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     if not ((values >= 0) & (values < np.inf)).all():
         return None
     heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))  # rows come grouped by run
-    unique_keys, head_codes = _distinct(keys[heads])
-    unique_names, name_codes = _distinct(names)
+    unique_keys, head_codes = np.unique(keys[heads], return_inverse=True)
+    unique_names, name_codes = np.unique(names, return_inverse=True)
     # each key holds two of the commas; names are interned, so that runs share one string each
     parts = list(map(sys.intern, b",".join(unique_keys.tolist()).decode().split(",")))
     return (
@@ -606,8 +598,8 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
 def _replayed_block(path: str | Path, first_row_no: int, text: bytes) -> tuple:
     """`_checked_block` through `_parse_row`, row by row: the first bad row raises, blank rows are skipped."""
     rows = [line.split(",") if line else [] for line in text.decode().split("\n")[:-1]]
-    suites, workloads, machines, events, values, supported = _replayed_columns(path, first_row_no, rows)
-    return (*_factorized(zip(suites, workloads, machines)), *_factorized(events), values, supported)
+    *names, values, supported = _replayed_columns(path, first_row_no, rows)
+    return (*_factorized_names(*names), values, supported)
 
 
 def _plain_cells(path: str | Path, fh) -> tuple:
@@ -615,13 +607,15 @@ def _plain_cells(path: str | Path, fh) -> tuple:
     run_ids: dict[RunKey, int] = {}  # every run key so far -> its index, in order of first appearance
     event_ids: dict[str, int] = {}
     blocks = []
-    for row_no, (text, ends) in zip(count(2, _READ_CHUNK), _line_blocks(fh)):
+    row_no = 2
+    for text, ends in _line_blocks(fh):
         keys, key_codes, names, name_codes, values, supported = (
             _checked_block(text, ends) or _replayed_block(path, row_no, text)
         )
         runs = np.array([run_ids.setdefault(key, len(run_ids)) for key in keys], dtype=np.intp)
         events = np.array([event_ids.setdefault(name, len(event_ids)) for name in names], dtype=np.intp)
         blocks.append((runs[key_codes], events[name_codes], values, supported))
+        row_no += len(ends)
     rows, cols, values, supported = (
         np.concatenate([np.empty(0, dtype=dtype), *(block[i] for block in blocks)])
         for i, dtype in enumerate((np.intp, np.intp, float, bool))
@@ -639,8 +633,8 @@ def _read_cells(path: str | Path) -> tuple:
                 return _plain_cells(path, fh)
             except _CsvLimit:
                 pass
-    suites, workloads, machines, events, values, supported = _read_columns(path)
-    return (*_codes(*_factorized(zip(suites, workloads, machines)), *_factorized(events)), values, supported)
+    *names, values, supported = _read_columns(path)
+    return (*_codes(*_factorized_names(*names)), values, supported)
 
 
 def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store:

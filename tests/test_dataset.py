@@ -432,15 +432,11 @@ def clean_rows(n):
     )
 
 
-SMALL_C = 256  # a read chunk patched in, so that the stores at its edges stay small
-
-
 class TestChunkedRead:
-    @pytest.mark.parametrize("n", [SMALL_C - 1, SMALL_C, SMALL_C + 1, 2 * SMALL_C - 1, 2 * SMALL_C, 2 * SMALL_C + 1])
+    @pytest.mark.parametrize("n", [C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1])
     def test_clean_store_at_a_chunk_edge_matches_the_per_row_oracle(self, n, tmp_path):
         path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *clean_rows(n)]) + "\n")
-        with mock.patch("benchlens.dataset._READ_CHUNK", SMALL_C):
-            store = read_store(path)
+        store = read_store(path)
         assert store.cell_count == n
         oracles.assert_same_runs(store, oracles.load_canonical(path))
 
@@ -501,25 +497,36 @@ class TestReadRouting:
             (GOOD_ROWS[0] + ",x" * 80,),  # long, but every field is short
             ("s,w,m,cycles," + "1" * 120 + ".0,true",),
             ("s,w,m,cycles,-1.0,true", "s,w,m,cycles," + "1" * 120 + ".0,true,extra"),
+            # a bad row, then a long line in the next chunk: the bad row's error
+            filler(C - 7) + ("s,w,m,cycles,-1.0,true", "s,w,m,cycles," + "1" * 120 + ".0,true"),
         ],
     )
-    def test_a_line_longer_than_the_csv_field_limit_reads_as_csv_reads_it(self, rows, tmp_path):
+    @pytest.mark.parametrize("read_bytes", [64, 1 << 18])
+    def test_a_line_longer_than_the_csv_field_limit_reads_as_csv_reads_it(self, rows, read_bytes, tmp_path):
         path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *GOOD_ROWS, *rows]) + "\n")
         limit = csv.field_size_limit(100)
         try:
             with mock.patch("benchlens.dataset._plain", return_value=False):
                 expected = raised(lambda: read_store(path))  # csv reads a whole chunk of rows before it checks one
-            assert raised(lambda: read_store(path)) == expected
+            with mock.patch("benchlens.dataset._READ_BYTES", read_bytes):  # blocks cut after short reads too
+                assert raised(lambda: read_store(path)) == expected
         finally:
             csv.field_size_limit(limit)
 
-    def test_a_hash_collision_of_two_event_names_keeps_them_apart(self, tmp_path):
-        # the two names hash alike under the multiplier of `dataset._distinct`, so the names are sorted instead
-        rows = [f"s,w{i},m,{event},{i}.0,true" for i in range(3) for event in ("instructions.raw", "FJcbR_hOJzxWr60i")]
+    def test_a_name_of_kilobytes_is_read_by_bytes_in_memory_linear_in_the_file(self, tmp_path):
+        long = "w" * 6000  # gathered into fixed-width fields, its block would take width squared bytes and more
+        rows = clean_rows(C) + (f"s,{long},m,cycles,1.0,true", f"s,{long},m,{long},2.0,false") + filler(3)
         path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *rows]) + "\n")
-        store = read_store(path)
-        assert store.events[-2:] == ("FJcbR_hOJzxWr60i", "instructions.raw")
+        with mock.patch("benchlens.dataset._read_columns", side_effect=AssertionError("read through csv")):
+            tracemalloc.start()
+            try:
+                store = read_store(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         oracles.assert_same_runs(store, oracles.load_canonical(path))
+        assert store.events[-1] == long
+        assert peak < 20 * path.stat().st_size
 
 
 def cells_store(*cells, scores=None, wallclock=None):

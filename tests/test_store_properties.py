@@ -164,8 +164,8 @@ def test_byte_read_of_unquoted_rows_matches_the_per_row_oracle(chunk, rows, bad,
         path.write_text("\n".join([",".join(STORE_HEADER), *rows]) + "\n" * newline, encoding="utf-8")
         expected, expected_error = raised_or_none(lambda: oracles.load_canonical(path))
         with mock.patch.object(dataset, "_READ_CHUNK", chunk), mock.patch.object(
-            dataset, "_read_columns", side_effect=AssertionError("a plain store went through csv")
-        ):
+            dataset, "_READ_BYTES", 16  # a block ends at the first chunk edge after each read
+        ), mock.patch.object(dataset, "_read_columns", side_effect=AssertionError("a plain store went through csv")):
             got, error = raised_or_none(lambda: read_store(path))
     assert error == expected_error
     if expected is not None:
