@@ -198,6 +198,11 @@ class Run:
                 built[suite_name] = cluster_mod.build_dendrogram(rows, workloads, self.cfg.linkage)
         return built
 
+    @cached_property
+    def running(self) -> dict[str, subset.ScoreTable]:
+        """The running scores of each suite that has a dendrogram, on the chosen machines."""
+        return {suite_name: _suite_scores(self.store, suite_name, self.machines) for suite_name in self.dendrograms}
+
 
 def _suite_scores(store: dataset.Store, suite: str, machines: list[str]) -> subset.ScoreTable:
     table: dict[str, dict[str, float]] = {}
@@ -314,7 +319,7 @@ def cmd_subset(run: Run) -> str:
             groups = cluster_mod.cut(dendrogram, cfg.threshold).groups
             target_groups = len(groups)
         target_groups = min(target_groups, len(workloads))
-        running = _suite_scores(run.store, suite_name, run.machines)
+        running = run.running[suite_name]
         report = subset.select_representatives(
             dendrogram,
             {w: run.scores[w] for w in workloads},
@@ -468,7 +473,8 @@ def cmd_proxy(run: Run) -> str:
 
 def cmd_report(run: Run) -> str:
     cfg = run.cfg
-    machine = run.machine  # fails on a multi-machine store before anything is written
+    # a multi-machine store and a suite without running scores fail before anything is written
+    machine, _ = run.machine, run.running
     lines = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
     out = Path(cfg.out)
     ratio_count = _write_volume_ratios(cfg, run.selected, out)

@@ -40,7 +40,16 @@ both reads name the same first error.
 The store CSV is written run by run: each run's quoted key and each event's
 quoted name are made once, and each present cell of the grid is one joined
 line of key, event, `repr(value)` and flag, the bytes `csv.writer` writes for
-the same cells (see `files`).
+the same cells (see `files`). A store file is canonical when it holds exactly
+those bytes: every block was read by bytes without a replay, its lines run in
+(run, event name) order, no name is one csv would quote, every value text is
+`repr` of its value and the file ends in "\n". A store read from a canonical
+file keeps a private `_Source`: the path, the file's (device, inode, size,
+mtime_ns) and each run's byte span. `merge_stores` carries the spans of the
+existing runs when the new store adds runs only, and `save_canonical` copies
+each stretch of carried runs from the file, streamed, after checking that
+its stamp has not changed, and formats every other run by the line law
+above. Any other store is formatted whole.
 
 `merge_stores` joins two stores' arrays: it scatters both grids and masks
 into the union of their runs and events, and names the first cell the new
@@ -56,11 +65,13 @@ from __future__ import annotations
 import codecs
 import csv
 import math
+import os
 import sys
-from dataclasses import dataclass, field
-from itertools import chain, islice
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from itertools import chain, groupby, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -79,6 +90,9 @@ _READ_CHUNK = 256  # rows per read check: a chunk's columns are checked at once,
 _READ_BYTES = 1 << 18  # bytes per read of a store file; blocks of whole _READ_CHUNK-line chunks are cut from them
 _LONG_LINE = 256  # bytes; a block with a longer line is replayed row by row rather than gathered into wide fields
 _HEADER_LINE = (",".join(STORE_HEADER) + "\n").encode()
+# by a value text's length n: the whole numbers of n - 2 digits, [_DIGITS_FROM[n], _DIGITS_BELOW[n]), for n <= 17
+_DIGITS_FROM = np.array([0.0] * 4 + [10.0 ** (n - 3) for n in range(4, _LONG_LINE + 1)])
+_DIGITS_BELOW = np.array([0.0] * 3 + [10.0 ** (n - 2) for n in range(3, 18)] + [0.0] * (_LONG_LINE - 17))
 
 RunKey = tuple[str, str, str]  # (suite, workload, machine)
 Cell = tuple[str, str, str, str, float, bool]  # (suite, workload, machine, event, value, supported)
@@ -87,6 +101,20 @@ Cell = tuple[str, str, str, str, float, bool]  # (suite, workload, machine, even
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+@dataclass(frozen=True, eq=False)
+class _Source:
+    """Where a store's runs sit in the canonical file it was read from (see `read_store`)."""
+
+    path: str
+    stamp: tuple[int, int, int, int]  # the file's (device, inode, size, mtime_ns) when it was read
+    spans: np.ndarray  # runs x 2: each run's [start, stop) bytes in the file; -1 for a run it does not hold
+
+
+def _stamp(fh) -> tuple[int, int, int, int]:
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _count(value: float) -> float:
@@ -110,6 +138,7 @@ class Store:
     supported: np.ndarray  # runs x events; False where unsupported or absent
     wallclock: np.ndarray  # seconds per run; 1.0 without a scores row
     scores: np.ndarray     # running score per run; NaN without a scores row
+    _source: _Source | None = field(default=None, repr=False)  # set by read_store and merge_stores only
 
     def __post_init__(self):
         for name in ("values", "supported", "wallclock", "scores"):
@@ -549,10 +578,47 @@ def _field(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndar
     return cells
 
 
+def _grouped(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct items of `cells`, an `S` array of whole 8-byte words, and each item's index among them.
+
+    Exact like `np.unique(cells, return_inverse=True)`, but the items are
+    sorted by their words rather than as text, several times faster, so the
+    distinct items come in no meaningful order.
+    """
+    words = cells.view(np.uint64).reshape(len(cells), -1)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    heads = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    codes = np.empty(len(cells), dtype=np.intp)
+    codes[order] = np.cumsum(heads) - 1
+    return cells[order[heads]], codes
+
+
+def _written_by_repr(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, values: np.ndarray) -> bool:
+    """Whether each value text, bytes [start, stop) of `buf`, is `repr` of its value as `float` parses it.
+
+    A text that ends in ".0" and reads as a whole number below 10**15, with as
+    many bytes before the "." as the number has digits, is "0.0" or
+    [1-9][0-9]{0,14}".0", its `repr`: a sign, a blank, a "_" or a leading zero
+    would be one byte more. Any other text is checked through `repr`.
+    """
+    lengths = stops - starts
+    whole = (
+        (buf[stops - 1] == 48)  # "0"
+        & (buf[stops - 2] == 46)  # "."
+        & (values == np.floor(values))
+        & (_DIGITS_FROM[lengths] <= values)
+        & (values < _DIGITS_BELOW[lengths])
+    )
+    rest = np.flatnonzero(~whole)
+    texts = zip(starts[rest].tolist(), stops[rest].tolist())
+    return all(repr(value).encode() == buf[a:b].tobytes() for value, (a, b) in zip(values[rest].tolist(), texts))
+
+
 def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     """The cells of a block of lines ending at `ends` as (run keys, each cell's key index, event names, each
-    cell's name index, values, supported), or None when a line is blank, longer than _LONG_LINE or breaks a
-    `_parse_row` rule."""
+    cell's name index, values, supported, whether every value text is `repr` of its value), or None when a
+    line is blank, longer than _LONG_LINE or breaks a `_parse_row` rule."""
     starts = np.concatenate([[0], ends[:-1] + 1])
     longest = int((ends - starts).max())
     if longest > csv.field_size_limit():  # csv would refuse a field before it checked any row
@@ -581,8 +647,8 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     if not ((values >= 0) & (values < np.inf)).all():
         return None
     heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))  # rows come grouped by run
-    unique_keys, head_codes = np.unique(keys[heads], return_inverse=True)
-    unique_names, name_codes = np.unique(names, return_inverse=True)
+    unique_keys, head_codes = _grouped(keys[heads])
+    unique_names, name_codes = _grouped(names)
     # each key holds two of the commas; names are interned, so that runs share one string each
     parts = list(map(sys.intern, b",".join(unique_keys.tolist()).decode().split(",")))
     return (
@@ -592,6 +658,7 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
         name_codes,
         values,
         supported,
+        _written_by_repr(buf, commas[:, 3] + 1, commas[:, 4], values),
     )
 
 
@@ -599,42 +666,68 @@ def _replayed_block(path: str | Path, first_row_no: int, text: bytes) -> tuple:
     """`_checked_block` through `_parse_row`, row by row: the first bad row raises, blank rows are skipped."""
     rows = [line.split(",") if line else [] for line in text.decode().split("\n")[:-1]]
     *names, values, supported = _replayed_columns(path, first_row_no, rows)
-    return (*_factorized_names(*names), values, supported)
+    return (*_factorized_names(*names), values, supported, False)
 
 
-def _plain_cells(path: str | Path, fh) -> tuple:
-    """The first six arguments of `Store.from_codes` for a plain store, read from `fh` after its header."""
+def _spans(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts: np.ndarray, ends: np.ndarray,
+           size: int):
+    """Each run's [start, stop) bytes in a store file of `size` bytes that holds one line per cell, given the
+    cell and the "\\n" offset of the last line of each stretch of lines of one run (`lasts`, `ends`), when its
+    lines run in `save_canonical`'s order, its last line ends it and it quotes no name; else None."""
+    by_name = np.empty(len(events), dtype=np.intp)
+    by_name[sorted(range(len(events)), key=events.__getitem__)] = np.arange(len(events))
+    if not (np.diff(rows * len(events) + by_name[cols]) > 0).all():  # by run, then by event name
+        return None
+    stretches = rows[lasts]  # a run read in two blocks is two stretches
+    bounds = np.concatenate([[len(_HEADER_LINE)], ends[np.flatnonzero(np.diff(stretches, append=len(runs)))] + 1])
+    if bounds[-1] != size or not files.unquoted(list({*events, *chain.from_iterable(runs)})):
+        return None
+    return np.stack([bounds[:-1], bounds[1:]], axis=1)
+
+
+def _plain_cells(path: str | Path, fh, size: int) -> tuple:
+    """The first six arguments of `Store.from_codes` for a plain store of `size` bytes, read from `fh` after
+    its header, and each run's `_spans` when every value is written as `repr` writes it (else None)."""
     run_ids: dict[RunKey, int] = {}  # every run key so far -> its index, in order of first appearance
     event_ids: dict[str, int] = {}
     blocks = []
-    row_no = 2
+    row_no, offset, exact = 2, len(_HEADER_LINE), True
     for text, ends in _line_blocks(fh):
-        keys, key_codes, names, name_codes, values, supported = (
+        keys, key_codes, names, name_codes, values, supported, written_by_repr = (
             _checked_block(text, ends) or _replayed_block(path, row_no, text)
         )
-        runs = np.array([run_ids.setdefault(key, len(run_ids)) for key in keys], dtype=np.intp)
+        runs = np.array([run_ids.setdefault(key, len(run_ids)) for key in keys], dtype=np.intp)[key_codes]
         events = np.array([event_ids.setdefault(name, len(event_ids)) for name in names], dtype=np.intp)
-        blocks.append((runs[key_codes], events[name_codes], values, supported))
-        row_no += len(ends)
-    rows, cols, values, supported = (
+        # the last line of each stretch of one run; its cell index is its line index, as spans need no blank line
+        last = np.flatnonzero(np.diff(runs, append=-1))
+        blocks.append((runs, events[name_codes], values, supported, last + row_no - 2, ends[last] + offset))
+        row_no, offset, exact = row_no + len(ends), offset + len(text), exact and written_by_repr
+    rows, cols, values, supported, lasts, ends = (
         np.concatenate([np.empty(0, dtype=dtype), *(block[i] for block in blocks)])
-        for i, dtype in enumerate((np.intp, np.intp, float, bool))
+        for i, dtype in enumerate((np.intp, np.intp, float, bool, np.intp, np.intp))
     )
-    return (*_codes(list(run_ids), rows, list(event_ids), cols), values, supported)
+    del blocks  # joined: free them before the checks, which would otherwise raise the peak of every read
+    runs, events, rows, cols = _codes(list(run_ids), rows, list(event_ids), cols)
+    spans = _spans(runs, events, rows, cols, lasts, ends, size) if exact else None
+    return runs, events, rows, cols, values, supported, spans
 
 
 def _read_cells(path: str | Path) -> tuple:
-    """The first six arguments of `Store.from_codes` for a store CSV: by bytes when it is plain, else through csv."""
+    """The first six arguments of `Store.from_codes` for a store CSV, by bytes when it is plain, else through
+    csv, and the file's `_Source` when it holds the bytes `save_canonical` would write for them (else None)."""
     with open(path, "rb") as fh:
+        stamp = _stamp(fh)
         # a header without its newline ends the file
         if fh.read(len(_HEADER_LINE)) in (_HEADER_LINE, _HEADER_LINE[:-1]) and _plain(fh):
             fh.seek(len(_HEADER_LINE))
             try:
-                return _plain_cells(path, fh)
+                *cells, spans = _plain_cells(path, fh, stamp[2])
             except _CsvLimit:
                 pass
+            else:
+                return (*cells, None if spans is None else _Source(os.fspath(path), stamp, spans))
     *names, values, supported = _read_columns(path)
-    return (*_codes(*_factorized_names(*names)), values, supported)
+    return (*_codes(*_factorized_names(*names)), values, supported, None)
 
 
 def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store:
@@ -642,8 +735,10 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
 
     Runs without a scores row keep the default wallclock of 1.0 and no score.
     Rows are checked in file order, so the first bad row names the error.
+    A store read from a file that holds exactly the bytes `save_canonical`
+    would write for it keeps where each run's lines are (see `save_canonical`).
     """
-    runs, events, rows, cols, values, supported = _read_cells(path)
+    runs, events, rows, cols, values, supported, source = _read_cells(path)
     wallclock: dict[RunKey, float] = {}
     scores: dict[RunKey, float] = {}
     if scores_path is not None:
@@ -668,26 +763,75 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
                     wallclock[key] = float(row[4])
                 except ValueError as exc:
                     raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
-    return Store.from_codes(runs, events, rows, cols, values, supported, wallclock=wallclock, scores=scores)
+    store = Store.from_codes(runs, events, rows, cols, values, supported, wallclock=wallclock, scores=scores)
+    return replace(store, _source=source)
+
+
+@contextmanager
+def _unchanged(source: _Source | None) -> Iterator:
+    """The file `source` was read from, open for reading, while it is the file that was read; else None."""
+    if source is not None:
+        try:
+            fh = open(source.path, "rb")
+        except OSError:
+            pass
+        else:
+            with fh:
+                if _stamp(fh) == source.stamp:
+                    yield fh
+                    return
+    yield None
+
+
+def _copied(fh, start: int, stop: int) -> Iterator[str]:
+    """Bytes [start, stop) of `fh` as text, read _READ_BYTES at a time as it is iterated."""
+    fh.seek(start)
+    pieces = (fh.read(min(_READ_BYTES, stop - at)) for at in range(start, stop, _READ_BYTES))
+    yield from codecs.iterdecode(pieces, "utf-8")
+    if fh.tell() != stop:
+        raise OSError(f"{fh.name}: the store changed while it was copied")
 
 
 def save_canonical(store: Store, path: str | Path) -> None:
     """Write the store CSV run by run: each run's quoted key and each event's quoted name are made once, and
-    every present cell of the grid is one joined line; float values use repr, so reloading is lossless."""
+    every present cell of the grid is one joined line; float values use repr, so reloading is lossless.
+
+    The runs a store carries from the file it was read from (see `read_store`
+    and `merge_stores`) are copied from that file's bytes, a stretch of runs
+    at a time, when the file still has the device, inode, size and mtime it
+    had when it was read. Every other run is formatted.
+    """
     text = files.CsvText()
     order = sorted(range(len(store.events)), key=store.events.__getitem__)
     events = [f"{text[store.events[j]]}," for j in order]
-    values, supported = store.values[:, order], store.supported[:, order]
     flags = (",false\n", ",true\n")
-    lines = (
-        f"{prefix}{event}{value!r}{flags[ok]}"
-        for prefix, row, oks in zip(
-            (f"{text[s]},{text[w]},{text[m]}," for s, w, m in store.runs), values.tolist(), supported.tolist()
+
+    def lines(runs: slice) -> Iterator[str]:
+        return (
+            f"{prefix}{event}{value!r}{flags[ok]}"
+            for prefix, row, oks in zip(
+                (f"{text[s]},{text[w]},{text[m]}," for s, w, m in store.runs[runs]),
+                store.values[runs, order].tolist(),
+                store.supported[runs, order].tolist(),
+            )
+            for event, value, ok in zip(events, row, oks)
+            if value == value
         )
-        for event, value, ok in zip(events, row, oks)
-        if value == value
-    )
-    files.write_csv(path, STORE_HEADER, lines)
+
+    with _unchanged(store._source) as fh:
+        if fh is None:
+            files.write_csv(path, STORE_HEADER, lines(slice(None)))
+            return
+        starts, stops = store._source.spans.T.tolist()
+        parts = [[_HEADER_LINE.decode()]]
+        for copied, group in groupby(range(len(starts)), lambda i: starts[i] >= 0):
+            runs = list(group)
+            first, stop = runs[0], runs[-1] + 1
+            if copied:  # carried runs next to each other in the store are next to each other in the file
+                parts.append(_copied(fh, starts[first], stops[stop - 1]))
+            else:
+                parts.append(files.chunks(lines(slice(first, stop))))
+        files.write_text(path, chain.from_iterable(parts))
 
 
 def save_scores(store: Store, path: str | Path) -> None:
@@ -710,9 +854,11 @@ def merge_stores(existing: Store, new: Store) -> Store:
     The first such cell in the new store's cell order (by run, then by event
     name) is named. A run in both stores takes the new store's wallclock, and
     its score unless only the existing store has one. An unmapped event
-    without cells in either store leaves the vocabulary.
+    without cells in either store leaves the vocabulary. When the new store
+    adds runs only, the merge keeps where the existing store's runs sit in the
+    file it was read from, so that `save_canonical` can copy them.
     """
-    runs = tuple(sorted(set(existing.runs).union(new.runs)))
+    runs = tuple(sorted(dict.fromkeys(existing.runs + new.runs)))  # two sorted stretches: a merge, not a sort
     present = {
         event
         for store in (existing, new)
@@ -726,10 +872,12 @@ def merge_stores(existing: Store, new: Store) -> Store:
     mask = np.zeros(grid.shape, dtype=bool)
     clocks = np.ones(len(runs))
     marks = np.full(len(runs), np.nan)
+    placed = []
     for store in (existing, new):
         kept = [j for j, event in enumerate(store.events) if event in event_index]
         names = [store.events[j] for j in kept]
         rows = np.fromiter(map(run_index.__getitem__, store.runs), dtype=np.intp, count=len(store.runs))
+        placed.append(rows)
         block = np.ix_(rows, [event_index[event] for event in names])
         values, current = store.values[:, kept], grid[block]
         filled = ~np.isnan(values)
@@ -743,7 +891,12 @@ def merge_stores(existing: Store, new: Store) -> Store:
         clocks[rows] = store.wallclock
         scored = ~np.isnan(store.scores)
         marks[rows[scored]] = store.scores[scored]
-    return Store(runs, vocabulary, grid, mask, clocks, marks)
+    carried = None
+    if existing._source is not None and len(runs) == len(existing.runs) + len(new.runs):  # no run in both
+        spans = np.full((len(runs), 2), -1)
+        spans[placed[0]] = existing._source.spans
+        carried = replace(existing._source, spans=spans)
+    return Store(runs, vocabulary, grid, mask, clocks, marks, carried)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ file it named, and a missing parent directory is created.
 CSV files are written by one line law (`write_csv`): each number is its
 `repr`, each distinct text cell is quoted once by
 `csv.writer(lineterminator="\\n")` itself (`CsvText`), each row is one joined
-line, and the lines go out `CHUNK` rows per write. The bytes are those of
-`csv.writer` writing the same cells.
+line, and the lines go out `CHUNK` rows per write (`chunks`). The bytes are
+those of `csv.writer` writing the same cells.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import io
 import os
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
 
@@ -37,6 +37,13 @@ class CsvText(dict):
         csv.writer(buffer, lineterminator="\n").writerow([text, ""])  # a lone "" cell would be quoted
         quoted = self[text] = buffer.getvalue()[: -len(",\n")]
         return quoted
+
+
+def unquoted(texts: Sequence[str]) -> bool:
+    """Whether each of `texts`, none of which holds a ",", is its own `CsvText` value, asked of csv in one row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([*texts, "", ""])  # no cell is a lone ""
+    return buffer.getvalue() == "".join(f"{text}," for text in texts) + ",\n"  # quoting only ever adds
 
 
 def write_text(path: str | Path, parts: Iterable[str]) -> None:
@@ -56,8 +63,13 @@ def write_text(path: str | Path, parts: Iterable[str]) -> None:
         raise
 
 
+def chunks(lines: Iterable[str]) -> Iterator[str]:
+    """`lines` (each one row ending in "\\n") joined CHUNK at a time."""
+    lines = iter(lines)
+    return iter(lambda: "".join(islice(lines, CHUNK)), "")  # every line holds at least its "\\n"
+
+
 def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), CHUNK rows per write."""
-    text, lines = CsvText(), iter(lines)
-    chunks = iter(lambda: "".join(islice(lines, CHUNK)), "")  # every line holds at least its "\\n"
-    write_text(path, chain([",".join(map(text.__getitem__, header)) + "\n"], chunks))
+    text = CsvText()
+    write_text(path, chain([",".join(map(text.__getitem__, header)) + "\n"], chunks(lines)))

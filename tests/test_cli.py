@@ -3,7 +3,10 @@ from __future__ import annotations
 import csv
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +347,33 @@ class TestReport:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
         assert not out.exists() or not any(out.iterdir())
+
+    def test_a_store_without_scores_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.csv").write_text("kept\n", encoding="utf-8")
+        before = tree_bytes(out)
+        code, stdout, err = run(["report", "--store", str(bundled.sample_store_path()), "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "stage": "report",
+            "error": "ConfigError",
+            "message": "run ('fp_rate', '709.cactus_r', 'CPU-C') has no running score; pass a scores CSV with --scores",
+        }
+        assert tree_bytes(out) == before
+
+    def test_report_does_not_import_numpy_ma(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from benchlens import cli\n"
+            f"assert cli.main(['report', *{base_args(tmp_path / 'out')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_two_runs_are_byte_identical(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

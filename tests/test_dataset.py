@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 import oracles
-from benchlens import bundled, files
+from benchlens import bundled, dataset, files
 from benchlens.dataset import (
     _READ_CHUNK,
     SCORES_HEADER,
@@ -672,6 +672,15 @@ class TestStoreMemory:
         assert merged.cell_count == 36_020
         assert peak < 2 * 2**20
 
+    def test_saving_one_new_run_among_36000_read_rows_streams_the_file(self, tmp_path):
+        path = tmp_path / "store.csv"
+        save_canonical(generated_store(), path)
+        new = cells_store(*(("suite0/new/M0", event, 1.0, True) for event in CANONICAL_EVENTS))
+        merged = merge_stores(read_store(path), new)
+        _, peak = traced_peak(lambda: save_canonical(merged, path))
+        assert read_store(path) == merged
+        assert peak < 1.5 * 2**20 < path.stat().st_size  # formatting them all peaks at about 2.1 MiB
+
 
 @contextmanager
 def failing_rows(error):
@@ -700,6 +709,23 @@ class TestSafeSave:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["store.csv"]
 
+    @pytest.mark.parametrize("error", [OSError("no space left on device"), KeyboardInterrupt()])
+    def test_a_failed_copy_keeps_the_old_bytes_and_leaves_no_temporary_file(self, tmp_path, error):
+        path = tmp_path / "store.csv"
+        save_canonical(generated_store(runs=150), path)
+        before = path.read_bytes()
+        merged = merge_stores(read_store(path), cells_store(("suite0/new/M0", "cycles", 1.0, True)))
+        copied = dataset._copied
+
+        def failing(fh, start, stop):
+            yield from islice(copied(fh, start, stop), 1)
+            raise error
+
+        with pytest.raises(type(error)), mock.patch.object(dataset, "_copied", failing):
+            save_canonical(merged, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["store.csv"]
+
     def test_a_save_over_a_store_keeps_its_permissions(self, tmp_path):
         path = tmp_path / "store.csv"
         save_canonical(EMPTY, path)
@@ -718,6 +744,42 @@ class TestSafeSave:
         assert link.is_symlink()
         assert list(read_store(target).cells()) == list(BASE.cells())
         assert sorted(os.listdir(tmp_path / "data")) == ["store.csv"]
+
+
+class TestSplicedSave:
+    def test_the_runs_of_a_canonical_store_are_copied_and_a_new_run_is_formatted(self, tmp_path):
+        path = tmp_path / "store.csv"
+        save_canonical(generated_store(runs=150), path)
+        merged = merge_stores(read_store(path), cells_store(("suite1/new/M0", "cycles", 1.0, True)))
+        oracles.csv_save_canonical(merged, tmp_path / "expected.csv")
+        with mock.patch.object(dataset, "_copied", wraps=dataset._copied) as copied, mock.patch.object(
+            files, "write_csv", side_effect=AssertionError("formatted the whole store")
+        ):
+            save_canonical(merged, path)
+        assert copied.call_count == 2  # the runs before the new one, and the runs after it
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("change", ["replaced", "rewritten longer", "rewritten in place"])
+    def test_a_source_changed_after_the_read_is_formatted_not_copied(self, tmp_path, change):
+        path, other = tmp_path / "store.csv", tmp_path / "other.csv"
+        store = generated_store(runs=150)
+        save_canonical(store, path)
+        before = path.stat()
+        merged = merge_stores(read_store(path), cells_store(("suite0/new/M0", "cycles", 1.0, True)))
+        if change == "replaced":  # another file of the same size and mtime in its place
+            other.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
+            os.replace(other, path)
+        elif change == "rewritten longer":  # the same file, longer, with the same mtime
+            save_canonical(merge_stores(store, cells_store(("a/first/M0", "cycles", 1.0, True))), other)
+            path.write_bytes(other.read_bytes())
+        else:  # the same file and size, a second later
+            path.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
+        later = 10**9 if change == "rewritten in place" else 0
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + later))
+        oracles.csv_save_canonical(merged, tmp_path / "expected.csv")
+        with mock.patch.object(dataset, "_copied", side_effect=AssertionError("copied")):
+            save_canonical(merged, path)
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_sample_data_script_regenerates_the_bundled_files(tmp_path):

@@ -27,11 +27,11 @@ POSITIVE = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def stores(draw, max_cells: int = 30):
+def stores(draw, max_cells: int = 30, names=NAMES):
     """A store of unique (run, event) cells, some runs with a score and a wallclock."""
     keyed = draw(
         st.dictionaries(
-            st.tuples(NAMES, NAMES, NAMES, EVENTS), st.tuples(VALUES, st.booleans()), max_size=max_cells
+            st.tuples(names, names, names, EVENTS), st.tuples(VALUES, st.booleans()), max_size=max_cells
         )
     )
     cells = [(*key, value, flag) for key, (value, flag) in keyed.items()]
@@ -170,3 +170,69 @@ def test_byte_read_of_unquoted_rows_matches_the_per_row_oracle(chunk, rows, bad,
     assert error == expected_error
     if expected is not None:
         oracles.assert_same_runs(got, expected)
+
+
+def _first_line(edit):
+    """A mutation: `edit` of the first line's (suite and the rest of its key and event, value, flag)."""
+
+    def mutate(lines):
+        head, value, flag = lines[0].rsplit(",", 2)
+        return [",".join(edit(*head.split(",", 1), value, flag)), *lines[1:]]
+
+    return mutate
+
+
+def _events_swapped(lines):
+    """The first two lines of one run swapped (event names hold no ",")."""
+    runs = [line.rsplit(",", 3)[0] for line in lines]
+    at = next((i for i in range(len(lines) - 1) if runs[i] == runs[i + 1]), None)
+    return lines if at is None else [*lines[:at], lines[at + 1], lines[at], *lines[at + 2 :]]
+
+
+# hand edits that leave a saved store readable, each making its bytes differ from what save_canonical writes
+MUTATIONS = {
+    "none": lambda lines: lines,
+    **{
+        f"value {text!r}": _first_line(lambda suite, rest, value, flag, text=text: (suite, rest, text, flag))
+        for text in ("1e3", "01.0", "7.50", " 7.0", "2e0", "70. ")
+    },
+    "flag TRUE": _first_line(lambda suite, rest, value, flag: (suite, rest, value, flag.upper())),
+    "suite quoted": _first_line(
+        lambda suite, rest, value, flag: (suite if suite.startswith('"') else f'"{suite}"', rest, value, flag)
+    ),
+    "two events swapped": _events_swapped,
+    "first row last": lambda lines: [*lines[1:], lines[0]],  # its run split in two, or runs out of order
+    "no final newline": lambda lines: lines,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    store=stores(names=st.sampled_from(["a", "ünï", ""])) | stores(),
+    chunk=st.sampled_from([1, 3]),
+    into_existing=st.booleans(),
+    event=EVENTS,
+)
+def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, chunk, into_existing, event):
+    """The ingest chain on a saved or hand-edited store file: a new run, or one more event of the first run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, expected = Path(tmp) / "store.csv", Path(tmp) / "expected.csv"
+        save_canonical(store, path)
+        saved = path.read_bytes()
+        header, *lines = saved.decode().split("\n")[:-1]
+        lines = MUTATIONS[mutation](lines) if lines else lines
+        path.write_bytes("\n".join([header, *lines]).encode() + b"\n" * (mutation != "no final newline"))
+        canonical = path.read_bytes() == saved and b'"' not in saved
+        # small reads: runs span blocks, and copies cut multi-byte names
+        with mock.patch.object(dataset, "_READ_CHUNK", chunk), mock.patch.object(dataset, "_READ_BYTES", 16):
+            existing = read_store(path)
+            assert (existing._source is not None) == canonical
+            cells = {cell[:4] for cell in existing.cells()}
+            run = existing.runs[0] if into_existing and existing.runs else ("new", "run", "M9")
+            run = ("new", "run", "M9") if (*run, event) in cells else run
+            merged = merge_stores(existing, Store.from_cells([(*run, event, 7.0, True)]))
+            assert (merged._source is not None) == (canonical and run not in existing.runs)
+            save_canonical(merged, path)
+        oracles.csv_save_canonical(merged, expected)
+        assert path.read_bytes() == expected.read_bytes()

@@ -214,3 +214,9 @@ def test_write_csv_of_quoted_text_and_repr_floats_is_csv_writer_bytes(chunk, hea
             writer.writerows(rows)
 
     assert_same_bytes(write, referee, rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(texts=st.lists(NAMES.filter(lambda text: "," not in text), max_size=6))
+def test_unquoted_asks_csv_what_csv_text_asks_it_per_text(texts):
+    assert files.unquoted(texts) == all(files.CsvText()[text] == text for text in texts)
