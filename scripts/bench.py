@@ -5,14 +5,21 @@
 For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 (fresh child processes, untraced; see that file) and records the four
 end-to-end medians it prints, whether the outputs were correct, the host the
-figures come from and the line count of ``src/benchlens``. Standard library
-only, so it runs on any checkout of the program.
+figures come from and the line count of ``src/benchlens``. It also records
+two scaling curves of the super-linear subset stages, timed in one child
+process that imports the checkout's benchlens: the median time of
+``cluster.build_dendrogram`` (ward) at n = 100 ... 1,600 rows of 8 scores,
+and of ``subset.oracle_best_subset`` at k = 2, 3, 4 on 40 workloads x 9
+machines. Each curve carries the exponent b of a least-squares fit of
+time ~ size^b on log scales (size is n, or the C(40, k) candidates). Standard
+library only, so it runs on any checkout of the program.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -34,6 +41,67 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# Runs in the child with the checkout's src on sys.path; prints one JSON object.
+CURVES_CHILD = r"""
+import json, statistics, time
+import numpy as np
+from benchlens.cluster import build_dendrogram
+from benchlens.subset import oracle_best_subset
+
+def median_s(call, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+rng = np.random.default_rng(0)
+dendrogram = []
+for n in (100, 200, 400, 800, 1600):
+    points = rng.normal(size=(n, 8))
+    labels = [f"w{i:04d}" for i in range(n)]
+    dendrogram.append({"n": n, "median_s": median_s(lambda: build_dendrogram(points, labels, "ward"), 5)})
+scores = {f"M{m}": {f"w{i:02d}": float(v) for i, v in enumerate(rng.uniform(1.0, 10.0, 40))} for m in range(9)}
+oracle = [{"k": k, "median_s": median_s(lambda: oracle_best_subset(scores, k), 5)} for k in (2, 3, 4)]
+print(json.dumps({"dendrogram": dendrogram, "oracle": oracle}))
+"""
+
+
+def fitted_exponent(sizes: list[float], times: list[float]) -> float:
+    """Slope of the least-squares line through (log size, log time)."""
+    xs, ys = [math.log(v) for v in sizes], [math.log(t) for t in times]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def scaling_curves() -> dict:
+    """Median times of build_dendrogram and oracle_best_subset over sizes, with fitted exponents."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CURVES_CHILD], cwd=ROOT, env=env, capture_output=True,
+                          text=True, check=True)
+    points = json.loads(proc.stdout.splitlines()[-1])
+    dendrogram, oracle = points["dendrogram"], points["oracle"]
+    for point in oracle:
+        point["candidates"] = math.comb(40, point["k"])
+    return {
+        "build_dendrogram": {
+            "d": 8,
+            "linkage": "ward",
+            "points": dendrogram,
+            "exponent_in_n": fitted_exponent([p["n"] for p in dendrogram], [p["median_s"] for p in dendrogram]),
+        },
+        "oracle_best_subset": {
+            "workloads": 40,
+            "machines": 9,
+            "points": oracle,
+            "exponent_in_candidates": fitted_exponent(
+                [p["candidates"] for p in oracle], [p["median_s"] for p in oracle]
+            ),
+        },
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="workload seed passed to perfbench")
@@ -49,6 +117,8 @@ def main(argv: list[str] | None = None) -> int:
             **{name: metric["value"] for name, metric in result["metrics"].items()},
         }
         print(workload["name"], json.dumps(workloads[workload["name"]]), flush=True)
+    curves = scaling_curves()
+    print("curves", json.dumps(curves), flush=True)
     record = {
         "seed": args.seed,
         "seconds": args.seconds,
@@ -60,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "src_benchlens_lines": source_lines(),
         "workloads": workloads,
+        "curves": curves,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

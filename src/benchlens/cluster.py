@@ -10,6 +10,13 @@ where a cluster's min-leaf is the lowest leaf index it contains and the two
 min-leaves and node ids of a pair are put in ascending order. Two active
 clusters never share a min-leaf, so the node ids never decide; the key makes
 dendrograms reproducible across platforms.
+
+The algorithm is the generic one (every merge updates the merged cluster's
+distances to all others), run without approximation. The distance matrix is
+built one score column at a time and summed in numpy's pairwise order, so it
+holds the floats of the one-shot difference-cube formula without the cube.
+Each row keeps its first minimum, so a merge is found in O(n) and only rows
+whose minimum pointed at a merged cluster are searched again.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ from . import files
 from .errors import TooFewRows, UnknownWorkload
 
 LINKAGES = ("ward", "average", "complete", "single")
-_BLOCK_ELEMENTS = 1 << 18  # size of the difference cube of one block of rows of the distance matrix
+# Elements one block of rows may span: rows x n x d, whether as `medoid`'s
+# difference cube or as `_distances`'s d passes over rows x n.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ class ClusterCut:
                     raise ValueError(f"medoid {medoid!r} is not a member of its group")
 
 
-def _lance_williams(linkage: str, d_ik, d_jk, d_ij: float, ni: int, nj: int, nk):
+def _lance_williams(linkage: str, d_ik, d_jk, d_ij: float, ni, nj, nk):
     """Distance from the merge of clusters i and j to every cluster k at once.
 
     The operand order of each formula is fixed: it decides the last bit of
@@ -98,6 +107,62 @@ def _lance_williams(linkage: str, d_ik, d_jk, d_ij: float, ni: int, nj: int, nk)
     total = ni + nj + nk
     value = ((ni + nk) * d_ik * d_ik + (nj + nk) * d_jk * d_jk - nk * d_ij * d_ij) / total
     return np.sqrt(np.maximum(value, 0.0))
+
+
+def _square_sum(square, start: int, stop: int) -> np.ndarray:
+    """Sum of square(j) for j in [start, stop), added in numpy's pairwise order.
+
+    This is the order `np.add.reduce` uses along a contiguous axis: one
+    running sum below 8 terms, eight strided partial sums up to 128 terms
+    (then the remainder one by one), and two halves, cut at a multiple of 8,
+    above that. Each sum is therefore the float `(diffs * diffs).sum(axis=-1)`
+    gives for the same terms.
+    """
+    count = stop - start
+    if count < 8:
+        total = square(start)
+        for j in range(start + 1, stop):
+            total += square(j)
+        return total
+    if count <= 128:
+        partial = [square(start + j) for j in range(8)]
+        end = stop - count % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                partial[j] += square(i + j)
+        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+            (partial[4] + partial[5]) + (partial[6] + partial[7])
+        )
+        for j in range(end, stop):
+            total += square(j)
+        return total
+    half = count // 2
+    half -= half % 8
+    return _square_sum(square, start, start + half) + _square_sum(square, start + half, stop)
+
+
+def _distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows, the floats of
+    `np.sqrt((diffs * diffs).sum(axis=2))` over the n x n x d difference cube.
+
+    The cube is never built: each block of rows takes one pass per score
+    column, and the squares are summed in the order the cube's sum would use.
+    """
+    n, d = points.shape
+    if d == 0:
+        return np.zeros((n, n))
+    dist = np.empty((n, n))
+    columns = np.ascontiguousarray(points.T)
+    rows = max(1, _BLOCK_ELEMENTS // points.size)
+    for start in range(0, n, rows):
+        block = columns[:, start:start + rows]
+
+        def square(j: int) -> np.ndarray:
+            diff = np.subtract.outer(block[j], columns[j])
+            return np.multiply(diff, diff, out=diff)
+
+        dist[start:start + rows] = np.sqrt(_square_sum(square, 0, d))
+    return dist
 
 
 def build_dendrogram(
@@ -126,34 +191,47 @@ def build_dendrogram(
     # Slot s holds the active cluster whose lowest leaf is s, so slots sort by
     # lowest leaf, and the first minimum of `dist` in row-major order is the
     # first pair in tie order. Pairs with an inactive slot, and the diagonal,
-    # hold +inf. Overflow shows up as a non-finite merge height, not a warning.
+    # hold +inf. `nearest[s]` is the first minimum of row s, so that first
+    # minimum is row a = argmin(nearest_dist), column nearest[a]. A retired
+    # slot has size 0 (its +inf distances stay +inf under every update) and
+    # nearest -1 (never refreshed). Overflow shows up as a non-finite merge
+    # height, not a warning: a NaN in a new row is that row's first minimum.
     node = list(range(n))
-    size = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    size = np.ones(n)  # float64 sizes: the same values the formulas saw as integers
     merges: list[Merge] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.empty((n, n))
-        rows = max(1, _BLOCK_ELEMENTS // max(1, points.size))
-        for start in range(0, n, rows):  # each distance is reduced over the same length-d axis
-            diffs = points[start:start + rows, None, :] - points[None, :, :]
-            dist[start:start + rows] = np.sqrt((diffs * diffs).sum(axis=2))
+        dist = _distances(points)
         np.fill_diagonal(dist, np.inf)
+        nearest = dist.argmin(axis=1)
+        nearest_dist = dist[np.arange(n), nearest]
         for t in range(n - 1):
-            a, b = divmod(int(np.argmin(dist)), n)
-            height = float(dist[a, b])
+            a = int(nearest_dist.argmin())
+            b = int(nearest[a])
+            height = float(nearest_dist[a])
             if not math.isfinite(height):
                 raise ValueError("merge distances overflow float64; scale the scores down")
-            ni, nj = int(size[a]), int(size[b])
-            active[a] = active[b] = False
-            others = np.flatnonzero(active)
-            row = _lance_williams(linkage, dist[a, others], dist[b, others], height, ni, nj, size[others])
-            dist[b, :] = dist[:, b] = np.inf
-            dist[a, others] = dist[others, a] = row
-            active[a] = True
+            ni, nj = size[a], size[b]
+            row = _lance_williams(linkage, dist[a], dist[b], height, ni, nj, size)
+            row[a] = row[b] = np.inf
+            dist[a] = dist[:, a] = row
+            dist[b] = dist[:, b] = np.inf
+            size[a], size[b] = ni + nj, 0.0
             left, right = sorted((node[a], node[b]))
-            merges.append(Merge(left=left, right=right, height=height, size=ni + nj))
+            merges.append(Merge(left=left, right=right, height=height, size=int(ni + nj)))
             node[a] = n + t
-            size[a] = ni + nj
+
+            # Column a changed and column b is +inf in every row: a row whose
+            # first minimum was at a or b is searched again, any other row
+            # only compares its old minimum with its new entry at column a.
+            stale = (nearest == a) | (nearest == b)
+            closer = (row < nearest_dist) | ((row == nearest_dist) & (a < nearest))
+            nearest[closer] = a
+            nearest_dist[closer] = row[closer]
+            nearest[b], nearest_dist[b] = -1, np.inf
+            stale[b] = False
+            stale = np.flatnonzero(stale)
+            nearest[stale] = columns = dist[stale].argmin(axis=1)
+            nearest_dist[stale] = dist[stale, columns]
 
     return Dendrogram(leaves=tuple(labels), merges=tuple(merges), linkage=linkage)
 

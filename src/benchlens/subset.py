@@ -34,6 +34,12 @@ ScoreTable = Mapping[str, Mapping[str, float]]
 
 # Candidates per array pass of oracle_best_subset; bounds its memory.
 _ORACLE_CHUNK = 8192
+# Screening margin of oracle_best_subset. numpy's and libm's power agree to a
+# few units in the last place (about 1e-15 relative), which moves an accuracy
+# in (0, 1] by less than 1e-14, so 1e-12 is a wide margin both on each
+# accuracy (absolute) and on the root of a bound product (relative).
+_SLACK = 1e-12
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -159,13 +165,17 @@ def oracle_best_subset(
     in that order. Raises BudgetExceeded when C(n, k) blows the budget, and
     NoDefinedSubset when every subset leaves some machine at accuracy <= 0.
 
-    Candidates are scored in chunks of index arrays with the float operations
-    of `_accuracies`, in its order: products from the first member in sorted
-    order, roots by Python's float power (the same libm call as
-    `geometric_mean`; numpy's SIMD power can differ in the last bit). A
-    candidate whose product falls outside (0, inf) takes the log-domain
-    branch, so `_accuracies` itself scores it. Every value is therefore the
-    one `_accuracies` gives.
+    Candidates come in chunks of index rows. Each chunk is screened first:
+    numpy's power gives every machine's accuracy to within _SLACK, so each
+    candidate gets an interval that holds its exact aggregate (the product of
+    the machines' bounds, then the root, widened by _SLACK). A candidate
+    whose upper bound falls below the best lower bound, or below the best
+    exact value of an earlier chunk, cannot be the first maximum and is
+    dropped. Candidates whose bounds cannot be trusted (a subset product
+    outside the normal floats, a bound product that is subnormal or 0) are
+    always kept. The kept ones are then scored exactly by `_exact_values`.
+    Every value is therefore the one `_accuracies` gives, and the first
+    maximum is the one the full enumeration finds.
     """
     workloads = _validate_scores(scores)
     n = len(workloads)
@@ -177,36 +187,34 @@ def oracle_best_subset(
     machines = sorted(scores)
     table = np.array([[scores[m][w] for w in workloads] for m in machines])
     gm_suite = np.array([[suite_geomeans[m]] for m in machines])
+    root = 1.0 / len(machines)
     best_subset: tuple[str, ...] | None = None
     best_value = -inf
-    candidates = combinations(range(n), k)
-    while True:
-        members = np.fromiter(
-            chain.from_iterable(islice(candidates, _ORACLE_CHUNK)), dtype=np.intp
-        ).reshape(-1, k)
-        if not len(members):
-            break
+    for members in _subset_rows(n, k, _ORACLE_CHUNK):
         with np.errstate(over="ignore", invalid="ignore"):
-            product = table[:, members[:, 0]]
+            product = table[:, members[:, 0]]  # from the first member in sorted order, as `_accuracies`
             for j in range(1, k):
                 product = product * table[:, members[:, j]]
-            gm_subset = _powers(product, 1.0 / k)
-            accuracy = 1.0 - np.abs(gm_subset - gm_suite) / gm_suite
-            aggregate = accuracy[0]
-            for row in accuracy[1:]:
-                aggregate = aggregate * row
-        defined = (accuracy > 0).all(axis=0)
-        value = np.full(len(members), -inf)
-        value[defined] = _powers(aggregate[defined], 1.0 / len(machines))
-        in_range = ((product > 0) & (product < inf)).all(axis=0)
-        log_domain = ~in_range | (defined & (aggregate == 0))
-        for c in np.flatnonzero(log_domain):
-            _, exact = _accuracies(scores, [workloads[i] for i in members[c]], suite_geomeans)
-            value[c] = exact if exact is not None else -inf
+            accuracy = 1.0 - np.abs(np.power(product, 1.0 / k) - gm_suite) / gm_suite
+            high, low = accuracy + _SLACK, accuracy - _SLACK
+            high_product, low_product = _row_products(high), _row_products(low)
+            trusted = ((product >= _TINY) & (product < inf)).all(axis=0)
+            possible = (high > 0).all(axis=0)  # else some machine is surely at accuracy <= 0
+            upper = np.where(possible, np.power(high_product, root) * (1.0 + _SLACK), -inf)
+            upper[~trusted | possible & (high_product < _TINY)] = inf
+            lower = np.where(
+                trusted & (low > 0).all(axis=0) & (low_product >= _TINY),
+                np.power(low_product, root) * (1.0 - _SLACK),
+                -inf,
+            )
+        keep = np.flatnonzero(~(upper < max(best_value, lower.max())) & (upper != -inf))
+        if not len(keep):
+            continue
+        value = _exact_values(scores, workloads, suite_geomeans, gm_suite, members[keep], product[:, keep])
         c = int(np.argmax(value))
         if value[c] > best_value:
             best_value = float(value[c])
-            best_subset = tuple(workloads[i] for i in members[c])
+            best_subset = tuple(workloads[i] for i in members[keep[c]])
     if best_subset is None:
         raise NoDefinedSubset(
             f"no size-{k} subset of the {n} workloads has a defined aggregate accuracy: "
@@ -215,16 +223,91 @@ def oracle_best_subset(
     return best_subset, best_value
 
 
+def _subset_rows(n: int, k: int, chunk: int):
+    """Index rows of every size-k subset of range(n), in lexicographic order.
+
+    Each subset is a head (its first k - 1 members, from
+    `combinations(range(n - 1), k - 1)`) and a last member that runs from
+    one past the head to n - 1; a chunk holds whole runs of heads, at least
+    `chunk` rows unless it is the last one, and at most chunk + n - 1.
+    """
+    if k == 1:
+        for start in range(0, n, chunk):
+            yield np.arange(start, min(n, start + chunk))[:, None]
+        return
+    heads = combinations(range(n - 1), k - 1)
+    step = max(1, chunk // n)
+    pending: list[np.ndarray] = []
+    count = 0
+    while True:
+        batch = np.fromiter(chain.from_iterable(islice(heads, step)), dtype=np.intp).reshape(-1, k - 1)
+        if len(batch):
+            pending.append(batch)
+            count += int((n - 1 - batch[:, -1]).sum())
+        if pending and (count >= chunk or not len(batch)):
+            head = np.concatenate(pending)
+            length = n - 1 - head[:, -1]
+            rows = np.empty((int(length.sum()), k), dtype=np.intp)
+            rows[:, :-1] = np.repeat(head, length, axis=0)
+            rows[:, -1] = np.arange(len(rows)) - np.repeat(np.cumsum(length) - length - head[:, -1] - 1, length)
+            yield rows
+            pending, count = [], 0
+        if not len(batch):
+            return
+
+
+def _row_products(values: np.ndarray) -> np.ndarray:
+    """Product down the machine axis, from the first machine on."""
+    total = values[0]
+    for row in values[1:]:
+        total = total * row
+    return total
+
+
+def _exact_values(
+    scores: ScoreTable,
+    workloads: Sequence[str],
+    suite_geomeans: Mapping[str, float],
+    gm_suite: np.ndarray,
+    members: np.ndarray,
+    product: np.ndarray,
+) -> np.ndarray:
+    """Aggregate accuracy of each candidate, -inf where it is undefined.
+
+    `product` holds the machines x candidates products of the members'
+    scores, multiplied from the first member in sorted order. The rest
+    follows `_accuracies` operation by operation: roots by Python's float
+    power (the same libm call as `geometric_mean`; numpy's SIMD power can
+    differ in the last bit), then the product over machines in order. A
+    candidate whose product falls outside (0, inf) takes the log-domain
+    branch, so `_accuracies` itself scores it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        accuracy = 1.0 - np.abs(_powers(product, 1.0 / members.shape[1]) - gm_suite) / gm_suite
+        aggregate = _row_products(accuracy)
+    defined = (accuracy > 0).all(axis=0)
+    value = np.full(len(members), -inf)
+    value[defined] = _powers(aggregate[defined], 1.0 / len(gm_suite))
+    in_range = ((product > 0) & (product < inf)).all(axis=0)
+    log_domain = ~in_range | (defined & (aggregate == 0))
+    for c in np.flatnonzero(log_domain):
+        _, exact = _accuracies(scores, [workloads[i] for i in members[c]], suite_geomeans)
+        value[c] = exact if exact is not None else -inf
+    return value
+
+
 def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
     """`values ** exponent` elementwise by Python's float power."""
     return np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def subset_markdown(reports: Sequence[SubsetReport]) -> str:
-    lines = [
-        "| Group | Subset workloads | Accuracy |",
-        "| --- | --- | --- |",
-    ]
+    """One row per suite, with oracle columns when the reports carry the oracle's best subset."""
+    oracle_k = next((len(r.oracle_best[0]) for r in reports if r.oracle_best is not None), None)
+    header = ["Group", "Subset workloads", "Accuracy"]
+    if oracle_k is not None:
+        header += [f"Oracle best (k={oracle_k})", "Oracle accuracy"]
+    lines = ["| " + " | ".join(header) + " |", "|" + " --- |" * len(header)]
     for report in reports:
         accuracy = (
             f"{100.0 * report.aggregate_accuracy:.2f}%"
@@ -233,7 +316,11 @@ def subset_markdown(reports: Sequence[SubsetReport]) -> str:
                 f"{m}: {100.0 * a:.2f}%" for m, a in sorted(report.per_machine_accuracy.items())
             )
         )
-        lines.append(f"| {report.suite} | {', '.join(report.subset)} | {accuracy} |")
+        cells = [report.suite, ", ".join(report.subset), accuracy]
+        if oracle_k is not None:
+            best, value = report.oracle_best or ((), None)
+            cells += [", ".join(best), "" if value is None else f"{100.0 * value:.2f}%"]
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 

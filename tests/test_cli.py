@@ -136,6 +136,29 @@ class TestSubset:
         assert code == 0
         assert "1 suite reports" in out
 
+    def test_oracle_flag_adds_the_oracle_best_to_the_markdown(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(["subset", *base_args(out), "--groups", "4", "--subset-k", "3"], capsys)
+        assert code == 0, err
+        lines = (out / "subsets.md").read_text().splitlines()
+        assert lines[:2] == [
+            "| Group | Subset workloads | Accuracy | Oracle best (k=3) | Oracle accuracy |",
+            "| --- | --- | --- | --- | --- |",
+        ]
+        store = dataset.read_store(bundled.sample_store_path(), bundled.sample_scores_path())
+        for line in lines[2:]:
+            suite, _, _, oracle_cell, accuracy_cell = (cell.strip() for cell in line.strip("|").split("|"))
+            runs = store.select(suite=suite)
+            scores = {"CPU-C": {w: s for (_, w, _), s in zip(runs.runs, runs.scores.tolist())}}
+            best, value = oracle_best_subset(scores, 3)
+            assert oracle_cell == ", ".join(best)
+            assert accuracy_cell == f"{100.0 * value:.2f}%"
+        # the csv and the markdown without the flag keep their bytes
+        plain = tmp_path / "plain"
+        assert run(["subset", *base_args(plain), "--groups", "4"], capsys)[0] == 0
+        assert filecmp.cmp(out / "subsets.csv", plain / "subsets.csv", shallow=False)
+        assert (plain / "subsets.md").read_text().splitlines()[0] == "| Group | Subset workloads | Accuracy |"
+
     def test_workload_without_a_run_on_the_machine_is_left_out(self, tmp_path, capsys):
         store = two_machine_store(tmp_path, drop=("int_rate", "int_rate_3", "M0"))
         out = tmp_path / "out"

@@ -136,6 +136,20 @@ class TestBuildDendrogram:
                 (left, right, repr(height), size) for left, right, height, size in loop_linkage(points, linkage)
             ]
 
+    @pytest.mark.parametrize("block_elements", [300, cluster._BLOCK_ELEMENTS])
+    def test_distances_sum_squares_in_numpys_order(self, block_elements, monkeypatch):
+        # d = 1..300 crosses the 8- and 128-term thresholds of numpy's pairwise
+        # sum; if numpy changes that order, this fails before any merge moves
+        monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(227)
+        for d in range(1, 301):
+            points = rng.normal(size=(9, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+            if d % 2:
+                points = np.round(points * 2.0) / 2.0
+            diffs = points[:, None, :] - points[None, :, :]
+            expected = np.sqrt((diffs * diffs).sum(axis=2))
+            assert cluster._distances(points).tobytes() == expected.tobytes(), f"d = {d}"
+
     def test_distances_of_many_rows_take_memory_quadratic_in_rows(self):
         # n x n x d would be 160 MB here; the distance matrix alone is 8 MB
         n, d = 1000, 10

@@ -20,6 +20,10 @@ from benchlens.subset import (
 )
 from oracles import accuracy_of, best_subset_recursive, loop_best_subset
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 
 def one_machine(scores: dict[str, float]) -> dict[str, dict[str, float]]:
     return {"m0": scores}
@@ -156,6 +160,70 @@ class TestOracleBestSubset:
         scores = one_machine({f"w{i}": 1.0 + i for i in range(30)})
         with pytest.raises(BudgetExceeded):
             oracle_best_subset(scores, 15, budget=1000)
+
+
+@st.composite
+def adversarial_tables(draw):
+    """(table, k) on 1-60 machines whose subsets tie, sit within about 1e-12
+    of accuracy 0, leave the float range, or are all undefined.
+
+    - ties: scores 1-4, so many subsets share a value;
+    - near_zero: some workloads score about 1e-24 of the rest on every
+      machine, so subsets holding more of them than the suite's share score
+      accuracies near 1e-12 and their aggregate underflows;
+    - near_two: machine m scores one workload so high that every subset
+      holding it has a geomean just under twice the suite's, an accuracy
+      within 3e-12 of 0 whose last bits the root decides;
+    - ulps: scores within 8 units in the last place of 1, so subsets tie or
+      differ in the last bits, where numpy's and libm's power disagree;
+    - range: scores from 1e-300 to 1e300, so subset products overflow or
+      underflow;
+    - undefined: machine j puts workload j at 1e200, so every subset short of
+      the whole suite misses some machine's geomean by more than 100%.
+    """
+    kind = draw(st.sampled_from(("ties", "ulps", "near_zero", "near_two", "range", "undefined")))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    machines = n if kind == "undefined" else draw(st.integers(1, 60))
+    tiny = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    exponent = draw(st.sampled_from((23, 24, 25, 26, 200)))
+    table = {}
+    for m in range(machines):
+        jitter = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        if kind == "near_zero":
+            values = [j * 10.0 ** -exponent if t else float(j) for j, t in zip(jitter, tiny)]
+        elif kind == "near_two" and k < n:
+            high = draw(st.integers(0, n - 1))
+            gap = draw(st.integers(1, 30)) * 1e-13
+            peak = (2.0 * (1.0 - gap)) ** (1.0 / (1.0 / k - 1.0 / n))
+            values = [peak if w == high else 1.0 for w in range(n)]
+        elif kind in ("ties", "near_two"):
+            values = [float(j) for j in jitter]
+        elif kind == "ulps":
+            offsets = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+            values = [1.0 + j * 2.0**-52 for j in offsets]
+        elif kind == "range":
+            values = draw(st.lists(st.integers(-300, 300), min_size=n, max_size=n))
+            values = [j * 10.0 ** e for j, e in zip(jitter, values)]
+        else:
+            values = [1e200 if w == m else float(j) for w, j in enumerate(jitter)]
+        table[f"m{m:02d}"] = {f"w{w}": v for w, v in enumerate(values)}
+    return table, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=adversarial_tables(), chunk=st.sampled_from((1, 3, subset_module._ORACLE_CHUNK)))
+def test_screened_oracle_matches_the_per_candidate_loop(case, chunk):
+    table, k = case
+    expected = loop_best_subset(table, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subset_module, "_ORACLE_CHUNK", chunk)
+        if expected[0] is None:
+            with pytest.raises(NoDefinedSubset):
+                oracle_best_subset(table, k)
+        else:
+            subset, value = oracle_best_subset(table, k)
+            assert (subset, repr(value)) == (expected[0], repr(expected[1]))
 
 
 def planted_suite(rng, groups: int, per_group: int, spread: float = 0.05):
