@@ -6,13 +6,15 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 (fresh child processes, untraced; see that file) and records the four
 end-to-end medians it prints, whether the outputs were correct, the host the
 figures come from and the line count of ``src/benchlens``. It also records
-two scaling curves of the super-linear subset stages, timed in one child
-process that imports the checkout's benchlens: the median time of
-``cluster.build_dendrogram`` (ward) at n = 100 ... 1,600 rows of 8 scores,
-and of ``subset.oracle_best_subset`` at k = 2, 3, 4 on 40 workloads x 9
-machines. Each curve carries the exponent b of a least-squares fit of
-time ~ size^b on log scales (size is n, or the C(40, k) candidates). Standard
-library only, so it runs on any checkout of the program.
+four scaling curves, timed in one child process that imports the checkout's
+benchlens: the median time of ``cluster.build_dendrogram`` (ward) at
+n = 100 ... 1,600 rows of 8 scores, of ``subset.oracle_best_subset`` at
+k = 2, 3, 4 on 40 workloads x 9 machines, and of ``proxy.search_mix`` and
+of writing its ranking with ``proxy.export_mixes_csv`` at k = 1, 2, 3 on a
+pool of 50 workloads.
+Each curve carries the exponent b of a least-squares fit of time ~ size^b on
+log scales (size is n, the C(40, k) candidates, or the mixes ranked).
+Standard library only, so it runs on any checkout of the program.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
 
 # Runs in the child with the checkout's src on sys.path; prints one JSON object.
 CURVES_CHILD = r"""
-import json, statistics, time
+import json, statistics, tempfile, time
+from pathlib import Path
 import numpy as np
 from benchlens.cluster import build_dendrogram
+from benchlens.events import METRIC_DEFS
+from benchlens.proxy import RrrSchedule, WorkloadProfile, export_mixes_csv, search_mix, simulate_rrr
 from benchlens.subset import oracle_best_subset
 
 def median_s(call, repeats):
@@ -64,7 +69,29 @@ for n in (100, 200, 400, 800, 1600):
     dendrogram.append({"n": n, "median_s": median_s(lambda: build_dendrogram(points, labels, "ward"), 5)})
 scores = {f"M{m}": {f"w{i:02d}": float(v) for i, v in enumerate(rng.uniform(1.0, 10.0, 40))} for m in range(9)}
 oracle = [{"k": k, "median_s": median_s(lambda: oracle_best_subset(scores, k), 5)} for k in (2, 3, 4)]
-print(json.dumps({"dendrogram": dendrogram, "oracle": oracle}))
+
+def profile(name):  # rates of every canonical event, each metric's event up to 30% of its base
+    instructions = float(rng.uniform(1e9, 4e9))
+    rates = {"instructions": instructions, "cycles": instructions / float(rng.uniform(0.5, 4.0))}
+    for event, base, _ in METRIC_DEFS.values():
+        rates.setdefault(event, rates[base] * float(rng.uniform(0.0, 0.3)))
+    rates["user_instructions"] = instructions - rates["kernel_instructions"]
+    return WorkloadProfile(name, rates, 1.0)
+
+pool = [profile(f"w{i:02d}") for i in range(50)]
+target = simulate_rrr([profile("target")], RrrSchedule(order=("target",), copies=1)).metrics
+weights = dict.fromkeys(target.available(), 1.0)
+proxy = []
+with tempfile.TemporaryDirectory() as tmp:
+    for k in (1, 2, 3):
+        ranked = search_mix(pool, target, k, weights)
+        proxy.append({
+            "k": k,
+            "mixes": len(ranked),
+            "search_median_s": median_s(lambda: search_mix(pool, target, k, weights), 5),
+            "export_median_s": median_s(lambda: export_mixes_csv(ranked, Path(tmp) / "mixes.csv"), 5),
+        })
+print(json.dumps({"dendrogram": dendrogram, "oracle": oracle, "proxy": proxy}))
 """
 
 
@@ -76,12 +103,13 @@ def fitted_exponent(sizes: list[float], times: list[float]) -> float:
 
 
 def scaling_curves() -> dict:
-    """Median times of build_dendrogram and oracle_best_subset over sizes, with fitted exponents."""
+    """Median times of build_dendrogram, oracle_best_subset, search_mix and export_mixes_csv over sizes,
+    with fitted exponents."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", CURVES_CHILD], cwd=ROOT, env=env, capture_output=True,
                           text=True, check=True)
     points = json.loads(proc.stdout.splitlines()[-1])
-    dendrogram, oracle = points["dendrogram"], points["oracle"]
+    dendrogram, oracle, proxy = points["dendrogram"], points["oracle"], points["proxy"]
     for point in oracle:
         point["candidates"] = math.comb(40, point["k"])
     return {
@@ -98,6 +126,14 @@ def scaling_curves() -> dict:
             "exponent_in_candidates": fitted_exponent(
                 [p["candidates"] for p in oracle], [p["median_s"] for p in oracle]
             ),
+        },
+        **{
+            name: {
+                "workloads": 50,
+                "points": [{"k": p["k"], "mixes": p["mixes"], "median_s": p[key]} for p in proxy],
+                "exponent_in_mixes": fitted_exponent([p["mixes"] for p in proxy], [p[key] for p in proxy]),
+            }
+            for name, key in (("search_mix", "search_median_s"), ("export_mixes_csv", "export_median_s"))
         },
     }
 

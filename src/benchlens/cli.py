@@ -337,7 +337,7 @@ def cmd_subset(run: Run) -> str:
         subset.export_subset_csv(reports, out / "subsets.csv")
     if "md" in cfg.format:
         files.write_text(out / "subsets.md", [subset.subset_markdown(reports)])
-    return f"subset: {len(reports)} suite reports -> {out / 'subsets.md'}"
+    return f"subset: {len(reports)} suite reports -> {out}"
 
 
 def cmd_compare(run: Run) -> str:
@@ -442,7 +442,7 @@ def cmd_proxy(run: Run) -> str:
             proxy.export_mixes_csv([(schedule.order, blend)], out / "proxy_blend.csv")
         if "md" in cfg.format:
             files.write_text(out / "proxy_blend.md", [proxy.blend_markdown(blend, target_vec, chosen)])
-        return f"proxy: simulated mix {'+'.join(schedule.order)} -> {out / 'proxy_blend.csv'}"
+        return f"proxy: simulated mix {'+'.join(schedule.order)} -> {out}"
 
     if target_vec is None:
         raise ConfigError("proxy needs --target (or --mix with a mix specification file)")
@@ -467,7 +467,7 @@ def cmd_proxy(run: Run) -> str:
         files.write_text(out / "proxy_best.md", [proxy.blend_markdown(best_blend, target_vec, constituents)])
     return (
         f"proxy: {len(ranked)} mixes ranked against {cfg.target} "
-        f"(best: {'+'.join(best_order)}) -> {out / 'proxy_mixes.csv'}"
+        f"(best: {'+'.join(best_order)}) -> {out}"
     )
 
 
@@ -479,7 +479,7 @@ def cmd_report(run: Run) -> str:
     out = Path(cfg.out)
     ratio_count = _write_volume_ratios(cfg, run.selected, out)
     if ratio_count:
-        lines.append(f"volume: {ratio_count} speed/rate ratios -> {out / 'volume_ratios.csv'}")
+        lines.append(f"volume: {ratio_count} speed/rate ratios -> {out}")
     if cfg.suite_a and cfg.suite_b:
         pairs = [(cfg.suite_a, cfg.suite_b)]
     else:

@@ -794,7 +794,8 @@ def _copied(fh, start: int, stop: int) -> Iterator[str]:
 
 def save_canonical(store: Store, path: str | Path) -> None:
     """Write the store CSV run by run: each run's quoted key and each event's quoted name are made once, and
-    every present cell of the grid is one joined line; float values use repr, so reloading is lossless.
+    every present cell of the grid is one joined line; float values are `repr`'s bytes (formatted by
+    `files.float_rows`), so reloading is lossless.
 
     The runs a store carries from the file it was read from (see `read_store`
     and `merge_stores`) are copied from that file's bytes, a stretch of runs
@@ -808,14 +809,14 @@ def save_canonical(store: Store, path: str | Path) -> None:
 
     def lines(runs: slice) -> Iterator[str]:
         return (
-            f"{prefix}{event}{value!r}{flags[ok]}"
+            f"{prefix}{event}{value}{flags[ok]}"
             for prefix, row, oks in zip(
                 (f"{text[s]},{text[w]},{text[m]}," for s, w, m in store.runs[runs]),
-                store.values[runs, order].tolist(),
+                files.float_rows(store.values[runs, order]),
                 store.supported[runs, order].tolist(),
             )
-            for event, value, ok in zip(events, row, oks)
-            if value == value
+            for event, value, ok in zip(events, row.split(","), oks)
+            if value != "nan"
         )
 
     with _unchanged(store._source) as fh:
@@ -841,9 +842,9 @@ def save_scores(store: Store, path: str | Path) -> None:
         path,
         SCORES_HEADER,
         (
-            f"{text[s]},{text[w]},{text[m]},{score!r},{clock!r}\n"
-            for (s, w, m), score, clock in zip(store.runs, store.scores.tolist(), store.wallclock.tolist())
-            if score == score
+            f"{text[s]},{text[w]},{text[m]},{row}\n"
+            for (s, w, m), row in zip(store.runs, files.float_rows(np.stack([store.scores, store.wallclock], 1)))
+            if not row.startswith("nan,")
         ),
     )
 

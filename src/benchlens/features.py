@@ -131,6 +131,7 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
 
 def export_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write the matrix with a two-level "metric:machine" header."""
-    text, rows = files.CsvText(), zip(matrix.rows, matrix.values.tolist())
+    text, rows = files.CsvText(), zip(matrix.rows, files.float_rows(matrix.values))
     header = ["workload", *(f"{metric}:{machine}" for metric, machine in matrix.cols)]
-    files.write_csv(path, header, (",".join([text[workload], *map(repr, row)]) + "\n" for workload, row in rows))
+    sep = "," if matrix.cols else ""
+    files.write_csv(path, header, (f"{text[workload]}{sep}{row}\n" for workload, row in rows))

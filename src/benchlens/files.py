@@ -11,6 +11,14 @@ CSV files are written by one line law (`write_csv`): each number is its
 `csv.writer(lineterminator="\\n")` itself (`CsvText`), each row is one joined
 line, and the lines go out `CHUNK` rows per write (`chunks`). The bytes are
 those of `csv.writer` writing the same cells.
+
+The rows of a float array are formatted by `float_rows`: a number is still
+`repr`'s bytes, with the digits taken from orjson where the two texts are the
+same. Both write the shortest digits that read back as the same double (orjson
+through Ryū), and both write them without an exponent for 0.0, -0.0 and every
+finite |x| in [1e-4, 1e16). orjson writes NaN as "null", which becomes "nan";
+a row holding any other cell (an infinity, or a finite cell that `repr` writes
+with an exponent) is formatted by `repr`.
 """
 
 from __future__ import annotations
@@ -22,7 +30,11 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+import orjson
+
 CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
+POSITIONAL = (1e-4, 1e16)  # the |x| that repr, like orjson, writes without an exponent: [1e-4, 1e16)
 
 
 class CsvText(dict):
@@ -73,3 +85,20 @@ def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> 
     """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), CHUNK rows per write."""
     text = CsvText()
     write_text(path, chain([",".join(map(text.__getitem__, header)) + "\n"], chunks(lines)))
+
+
+def float_rows(values: np.ndarray) -> Iterator[str]:
+    """Each row of the 2-D float array `values` as `",".join(map(repr, row))` (see the module docstring).
+
+    Rows are formatted CHUNK at a time, one orjson call per chunk, as they are iterated.
+    """
+    low, high = POSITIONAL
+    for lo in range(0, len(values), CHUNK):
+        block = np.ascontiguousarray(values[lo:lo + CHUNK], dtype=np.float64)
+        size = np.abs(block)
+        same = (size == 0.0) | ((size >= low) & (size < high)) | np.isnan(block)
+        rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"null", b"nan")
+        rows = rows.decode().split("],[")
+        for i in np.flatnonzero(~same.all(axis=1)).tolist():
+            rows[i] = ",".join(map(repr, block[i].tolist()))
+        yield from rows

@@ -145,13 +145,15 @@ def export_metrics_csv(
     path: str | Path,
 ) -> None:
     """Write "suite,workload,machine,<metrics...>" with empty cells for unavailable."""
-    text = files.CsvText()
+    text, keys = files.CsvText(), sorted(vectors)
+    values = np.array(  # None is NaN, and only None: a MetricVector's values are finite
+        [[vectors[key].get(name) for name in METRIC_NAMES] for key in keys], dtype=float
+    ).reshape(-1, len(METRIC_NAMES))
     files.write_csv(
         path,
         ["suite", "workload", "machine", *METRIC_NAMES],
         (
-            f"{text[s]},{text[w]},{text[m]},"
-            f"{','.join('' if (v := vectors[s, w, m].get(name)) is None else repr(v) for name in METRIC_NAMES)}\n"
-            for s, w, m in sorted(vectors)
+            f"{text[s]},{text[w]},{text[m]},{row.replace('nan', '')}\n"
+            for (s, w, m), row in zip(keys, files.float_rows(values))
         ),
     )

@@ -158,11 +158,11 @@ def export_scores_csv(
     scores: np.ndarray,
     path: str | Path,
 ) -> None:
-    text = files.CsvText()
+    text, sep = files.CsvText(), "," if scores.shape[1] else ""
     files.write_csv(
         path,
         ["workload", *(f"pc{i + 1}" for i in range(scores.shape[1]))],
-        (",".join([text[label], *map(repr, row)]) + "\n" for label, row in zip(labels, scores.tolist())),
+        (f"{text[label]}{sep}{row}\n" for label, row in zip(labels, files.float_rows(scores))),
     )
 
 

@@ -38,7 +38,7 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from math import comb
 from pathlib import Path
 
@@ -408,38 +408,34 @@ def export_mixes_csv(
     Lines follow the one CSV line law (see `files`): the rank, the mix cell,
     `repr` of the distance (never blanked), and `repr` of each metric, where
     an unavailable one (NaN, whose repr is the only one holding "nan") is
-    blanked. The a+b+c mix cell is bare when every name is (for a
-    `RankedMixes`, every name of its pool), else csv's quoting of the joined
-    text. A `RankedMixes` is written straight from its arrays, CHUNK rows
-    at a time, without simulating a blend; any other sequence from its
-    BlendProfiles, where a distance of None is blank.
+    blanked; the floats of each CHUNK rows are formatted by `files.float_rows`.
+    The a+b+c mix cell is csv's quoting of the joined text, which is the text
+    itself when every name of a `RankedMixes` pool is bare. A `RankedMixes` is
+    written straight from its arrays, CHUNK rows at a time, without simulating
+    a blend; any other sequence from its BlendProfiles, where a distance of
+    None is blank.
     """
     text = files.CsvText()
     if isinstance(ranked, RankedMixes):
         names = [p.workload for p in ranked._pool]
         bare = all(text[name] == name for name in names)
-        rows = (
-            ("+".join([names[j] for j in mix if j >= 0]), bare, repr(distance), values)
+        joined = (
+            "+".join([names[j] for j in mix if j >= 0])
             for lo in range(0, len(ranked), files.CHUNK)
-            for mix, distance, values in zip(
-                ranked._mixes[lo:lo + files.CHUNK].tolist(),
-                ranked.distances[lo:lo + files.CHUNK].tolist(),
-                ranked.metrics[lo:lo + files.CHUNK].tolist(),
-            )
+            for mix in ranked._mixes[lo:lo + files.CHUNK].tolist()
         )
+        mixes = joined if bare else map(text.__getitem__, joined)
+        distances = files.float_rows(ranked.distances[:, None])
+        metrics = ranked.metrics
     else:
-        rows = (
-            (
-                "+".join(order),
-                all(text[name] == name for name in order),
-                "" if blend.distance_to_target is None else repr(blend.distance_to_target),
-                [math.nan if (v := blend.metrics.get(m)) is None else v for m in METRIC_NAMES],
-            )
-            for order, blend in ranked
-        )
+        mixes = [text["+".join(order)] for order, _ in ranked]
+        distances = ["" if blend.distance_to_target is None else repr(blend.distance_to_target) for _, blend in ranked]
+        metrics = np.array(
+            [[blend.metrics.get(m) for m in METRIC_NAMES] for _, blend in ranked], dtype=float
+        ).reshape(-1, len(METRIC_NAMES))  # None is NaN
     lines = (
-        f"{rank},{mix if bare else text[mix]},{distance},{','.join(map(repr, values)).replace('nan', '')}\n"
-        for rank, (mix, bare, distance, values) in enumerate(rows, start=1)
+        f"{rank},{mix},{distance},{values.replace('nan', '')}\n"
+        for rank, mix, distance, values in zip(count(1), mixes, distances, files.float_rows(metrics))
     )
     files.write_csv(path, ["rank", "mix", "distance", *METRIC_NAMES], lines)
 

@@ -8,8 +8,9 @@ geometric means, one RRR simulation per proxy mix instead of arrays over all
 mixes, per-event and per-metric loops instead of one array pass per law,
 per-row counter objects instead of a columnar store, one constructor over
 the cells of both stores instead of an array join, csv.writer rows instead
-of joined lines, one norm per pair instead of one array pass per group), so
-agreement is meaningful.
+of joined lines, one norm per pair instead of one array pass per group, one
+repr per float instead of one orjson call per chunk of rows), so agreement
+is meaningful.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from math import comb
 
 import numpy as np
 
+from benchlens import files
 from benchlens.dataset import SCORES_HEADER, STORE_HEADER, Store
 from benchlens.errors import (
     BudgetExceeded, DuplicateKey, MissingDenominator, NoCommonMetrics, SchemaMismatch, UnknownWorkload,
@@ -566,6 +568,45 @@ def cell_merge_stores(existing, new):
         if score == score
     }
     return Store.from_cells(chain(existing.cells(), new.cells()), wallclock=wallclock, scores=scores)
+
+
+# The per-cell repr that `files.float_rows` replaced with one orjson call per
+# chunk, and the per-row export law that formatted every float of
+# `proxy_mixes.csv` through it.
+
+
+def repr_rows(values) -> list[str]:
+    """Each row of a 2-D float array as its cells' repr joined by ","."""
+    return [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
+
+
+def repr_export_mixes(ranked, path):
+    """`export_mixes_csv` as one line per row, each float its repr: NaN metrics blank, the distance never."""
+    text = files.CsvText()
+    if isinstance(ranked, RankedMixes):
+        names = [p.workload for p in ranked._pool]
+        bare = all(text[name] == name for name in names)
+        rows = (
+            ("+".join([names[j] for j in mix if j >= 0]), bare, repr(distance), values)
+            for mix, distance, values in zip(
+                ranked._mixes.tolist(), ranked.distances.tolist(), ranked.metrics.tolist()
+            )
+        )
+    else:
+        rows = (
+            (
+                "+".join(order),
+                all(text[name] == name for name in order),
+                "" if blend.distance_to_target is None else repr(blend.distance_to_target),
+                [math.nan if (v := blend.metrics.get(m)) is None else v for m in METRIC_NAMES],
+            )
+            for order, blend in ranked
+        )
+    lines = (
+        f"{rank},{mix if bare else text[mix]},{distance},{','.join(map(repr, values)).replace('nan', '')}\n"
+        for rank, (mix, bare, distance, values) in enumerate(rows, start=1)
+    )
+    files.write_csv(path, ["rank", "mix", "distance", *METRIC_NAMES], lines)
 
 
 # The csv.writer row writers that `files.write_csv` replaced, and the

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import glob
 import json
 import os
 import re
@@ -286,6 +287,27 @@ class TestCompareAndProxy:
             payload = json.loads(err)
             assert payload["error"] == "ValueError"
             assert payload["message"].startswith(f"{mix}:2: ")
+
+
+class TestSummaries:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["proxy", "--suite", "fp_rate", "--target", "710.omnetpp_r", "--mix-k", "1", "--format", "md"],
+            ["proxy", "--suite", "fp_rate", "--mix", "MIX", "--format", "md"],
+            ["subset", "--format", "csv"],
+            ["report", "--format", "md"],
+        ],
+    )
+    def test_a_summary_names_only_paths_that_were_written(self, tmp_path, capsys, args):
+        mix = tmp_path / "mix.txt"
+        mix.write_text("709.cactus_r\n749.fotonik3d_r\n", encoding="utf-8")
+        args = [str(mix) if arg == "MIX" else arg for arg in args]
+        code, stdout, err = run([*args, *base_args(tmp_path / "out")], capsys)
+        assert (code, err) == (0, "")
+        named = re.findall(r"-> (\S+)", stdout)
+        assert named
+        assert [path for path in named if not glob.glob(path)] == []
 
 
 class TestIngest:

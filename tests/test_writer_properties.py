@@ -4,7 +4,9 @@
 a list of BlendProfiles) and both store writers are compared with csv.writer
 or the referees in `oracles`, on names that csv quotes (or, like a lone
 "\\r" on Python 3.11, leaves bare), on the float cells whose repr is easy to
-get wrong, and on row counts around one write chunk.
+get wrong, and on row counts around one write chunk. `files.float_rows` is
+compared with repr on the cells where orjson's text and repr's part, and on
+a million doubles where they must agree.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from hypothesis import strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from benchlens.dataset import Store, save_canonical, save_scores  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
+from benchlens.features import FeatureMatrix, export_csv  # noqa: E402
 from benchlens import files  # noqa: E402
 from benchlens.files import CHUNK as _CHUNK  # noqa: E402
 from benchlens.metrics import BOUNDED_SHARES, MetricVector  # noqa: E402
+from benchlens.pca import export_scores_csv  # noqa: E402
 from benchlens.proxy import BlendProfile, RankedMixes, WorkloadProfile, export_mixes_csv  # noqa: E402
 
 NAMES = st.sampled_from(["plain", "a,b", 'q"uote', "cr\rname", "nl\nname", "two words", "", "ünï", "名前", ","]) | (
@@ -220,3 +224,82 @@ def test_write_csv_of_quoted_text_and_repr_floats_is_csv_writer_bytes(chunk, hea
 @given(texts=st.lists(NAMES.filter(lambda text: "," not in text), max_size=6))
 def test_unquoted_asks_csv_what_csv_text_asks_it_per_text(texts):
     assert files.unquoted(texts) == all(files.CsvText()[text] == text for text in texts)
+
+
+POSITIONAL_EDGES = [
+    float(side * edge)
+    for base in (1e-4, 1e15, 1e16)
+    for edge in (np.nextafter(base, 0.0), base, np.nextafter(base, np.inf))
+    for side in (1.0, -1.0)
+]
+ROW_CELLS = (
+    st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+         2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2, *POSITIONAL_EDGES]
+    )
+    | st.floats()
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)  # subnormals
+    | st.integers(-(2**53), 2**53).map(float)
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, _CHUNK])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(width=st.integers(0, 6), data=st.data())
+def test_float_rows_are_the_repr_of_each_cell_joined(chunk, width, data):
+    rows = data.draw(st.lists(st.lists(ROW_CELLS, min_size=width, max_size=width), max_size=8))
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    with mock.patch.object(files, "CHUNK", chunk):
+        assert list(files.float_rows(values)) == oracles.repr_rows(values)
+
+
+def test_a_million_doubles_that_orjson_formats_are_formatted_as_repr():
+    # every double in [1e-4, 1e16) is written by orjson, so a digit it changes in one fails here
+    rng = np.random.default_rng(2018)
+    low, high = np.array(files.POSITIONAL).view(np.int64).tolist()
+    for block in range(16):
+        if block % 2:  # any double of the range, uniform over bit patterns: mostly 16 or 17 digits
+            values = rng.integers(low, high, size=(4096, 16)).view(np.float64)
+        else:  # short decimals k / 10**p
+            k = np.floor(10.0 ** rng.uniform(0.0, 16.0, size=(4096, 16)))
+            values = k / 10.0 ** rng.integers(0, 5, size=k.shape)
+        values = values * rng.choice([-1.0, 1.0], size=values.shape)
+        assert list(files.float_rows(values)) == oracles.repr_rows(values)
+
+
+@pytest.mark.parametrize("names", [["w0", "w1", "w2"], ["w0", "a,b", 'q"2']])
+def test_mixes_are_written_by_the_per_row_repr_law(names):
+    # a NaN and an infinite distance stay; NaN metrics are blanked; metrics on both sides of repr's exponent
+    metrics = np.full((5, len(METRIC_NAMES)), 1.5)
+    metrics[0, :3] = np.nan
+    metrics[1, 3:6] = [5e-05, 1e16, 3.2e17]
+    metrics[2, :] = np.nan
+    metrics[3, 6:8] = [np.nextafter(1e-4, 0.0), 0.0001]
+    ranked = ranked_mixes(names, [[0], [1], [0, 2], [2, 1, 0], [1, 2]], [0.5, float("nan"), float("inf"), 1e-05, 2.0],
+                          metrics)
+    assert_same_bytes(export_mixes_csv, oracles.repr_export_mixes, ranked)
+    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+    blends = [
+        (tuple(names[:2]), BlendProfile(MetricVector(ipc=5e-05, l1i_mpki=1e16), {}, {}, 2, 1.0, float("nan"))),
+        ((names[2],), BlendProfile(MetricVector(ipc=1.5), {}, {}, 1, 1.0, float("inf"))),
+        (tuple(names[::-1]), BlendProfile(MetricVector(), {}, {}, 3, 1.0, None)),
+    ]
+    assert_same_bytes(export_mixes_csv, oracles.repr_export_mixes, blends)
+    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, blends)
+
+
+
+@pytest.mark.parametrize("width", [0, 2])
+def test_feature_and_pca_score_rows_are_written_like_csv_writer(width, tmp_path):
+    labels = ["a", "b,c", 'q"']
+    values = np.array([[1e-05, 0.5], [1e16, -0.0], [3.0, 2.5e-4]])[:, :width]
+    cols = [("ipc", "M0"), ("l1i_mpki", "M0")][:width]
+    export_csv(FeatureMatrix(tuple(labels), tuple(cols), values), tmp_path / "features.csv")
+    export_scores_csv(labels, values, tmp_path / "scores.csv")
+    for name, header in [
+        ("features.csv", ["workload", *(f"{metric}:{machine}" for metric, machine in cols)]),
+        ("scores.csv", ["workload", *(f"pc{i + 1}" for i in range(width))]),
+    ]:
+        rows = ([label, *map(repr, row)] for label, row in zip(labels, values.tolist()))
+        oracles._csv_write_rows(tmp_path / f"csv_{name}", header, rows)
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"csv_{name}").read_bytes()
