@@ -6,14 +6,18 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 (fresh child processes, untraced; see that file) and records the four
 end-to-end medians it prints, whether the outputs were correct, the host the
 figures come from and the line count of ``src/benchlens``. It also records
-four scaling curves, timed in one child process that imports the checkout's
+six scaling curves, timed in one child process that imports the checkout's
 benchlens: the median time of ``cluster.build_dendrogram`` (ward) at
 n = 100 ... 1,600 rows of 8 scores, of ``subset.oracle_best_subset`` at
-k = 2, 3, 4 on 40 workloads x 9 machines, and of ``proxy.search_mix`` and
+k = 2, 3, 4 on 40 workloads x 9 machines, of ``proxy.search_mix`` and
 of writing its ranking with ``proxy.export_mixes_csv`` at k = 1, 2, 3 on a
-pool of 50 workloads.
+pool of 50 workloads, and of ``dataset.read_store`` on stores of 52, 200 and
+500 workloads x 9 machines x 20 events that ``dataset.save_canonical``
+wrote: once with plain names (the byte route) and once with every suite name
+holding a comma, so that csv quotes it (the csv route).
 Each curve carries the exponent b of a least-squares fit of time ~ size^b on
-log scales (size is n, the C(40, k) candidates, or the mixes ranked).
+log scales (size is n, the C(40, k) candidates, the mixes ranked, or the
+store's rows).
 Standard library only, so it runs on any checkout of the program.
 """
 
@@ -49,7 +53,8 @@ import json, statistics, tempfile, time
 from pathlib import Path
 import numpy as np
 from benchlens.cluster import build_dendrogram
-from benchlens.events import METRIC_DEFS
+from benchlens.dataset import Store, read_store, save_canonical
+from benchlens.events import CANONICAL_EVENTS, METRIC_DEFS
 from benchlens.proxy import RrrSchedule, WorkloadProfile, export_mixes_csv, search_mix, simulate_rrr
 from benchlens.subset import oracle_best_subset
 
@@ -91,7 +96,18 @@ with tempfile.TemporaryDirectory() as tmp:
             "search_median_s": median_s(lambda: search_mix(pool, target, k, weights), 5),
             "export_median_s": median_s(lambda: export_mixes_csv(ranked, Path(tmp) / "mixes.csv"), 5),
         })
-print(json.dumps({"dendrogram": dendrogram, "oracle": oracle, "proxy": proxy}))
+    reads = []
+    for workloads in (52, 200, 500):
+        point = {"workloads": workloads, "rows": workloads * 9 * len(CANONICAL_EVENTS)}
+        values = np.round(rng.uniform(0.0, 1e12, point["rows"])).tolist()
+        for route, suites in (("bytes", ("fp_rate", "int_rate")), ("csv", ("fp,rate", "int,rate"))):
+            keys = [(suites[i % 2], f"w{i:03d}", f"M{m}") for i in range(workloads) for m in range(9)]
+            cells = zip((key + (event,) for key in keys for event in CANONICAL_EVENTS), values)
+            path = Path(tmp) / f"{route}.csv"
+            save_canonical(Store.from_cells((*cell, value, True) for cell, value in cells), path)
+            point[f"{route}_median_s"] = median_s(lambda: read_store(path), 7)
+        reads.append(point)
+print(json.dumps({"dendrogram": dendrogram, "oracle": oracle, "proxy": proxy, "read_store": reads}))
 """
 
 
@@ -103,13 +119,13 @@ def fitted_exponent(sizes: list[float], times: list[float]) -> float:
 
 
 def scaling_curves() -> dict:
-    """Median times of build_dendrogram, oracle_best_subset, search_mix and export_mixes_csv over sizes,
-    with fitted exponents."""
+    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv and read_store over
+    sizes, with fitted exponents."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", CURVES_CHILD], cwd=ROOT, env=env, capture_output=True,
                           text=True, check=True)
     points = json.loads(proc.stdout.splitlines()[-1])
-    dendrogram, oracle, proxy = points["dendrogram"], points["oracle"], points["proxy"]
+    dendrogram, oracle, proxy, reads = points["dendrogram"], points["oracle"], points["proxy"], points["read_store"]
     for point in oracle:
         point["candidates"] = math.comb(40, point["k"])
     return {
@@ -134,6 +150,16 @@ def scaling_curves() -> dict:
                 "exponent_in_mixes": fitted_exponent([p["mixes"] for p in proxy], [p[key] for p in proxy]),
             }
             for name, key in (("search_mix", "search_median_s"), ("export_mixes_csv", "export_median_s"))
+        },
+        "read_store": {
+            "machines": 9,
+            "events": 20,
+            "points": reads,
+            **{
+                f"exponent_in_rows_{route}": fitted_exponent([p["rows"] for p in reads],
+                                                             [p[f"{route}_median_s"] for p in reads])
+                for route in ("bytes", "csv")
+            },
         },
     }
 

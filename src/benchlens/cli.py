@@ -254,31 +254,30 @@ def cmd_ingest(run: Run) -> str:
 def cmd_derive(run: Run) -> str:
     vectors = run.vectors
     out = Path(run.cfg.out)
-    metrics.export_metrics_csv(vectors, out / "metrics.csv")
-    validation = dataset.validate_store(run.selected)
-    text = files.CsvText()
-    lines = []
-    for machine in sorted(validation.per_machine):
-        entry = validation.per_machine[machine]
-        for metric in entry.computable:
-            lines.append(f"{text[machine]},{metric},computable,\n")
-        for metric, missing in entry.blocked.items():
-            lines.append(f"{text[machine]},{metric},blocked,{' '.join(missing)}\n")
-    files.write_csv(out / "metric_availability.csv", ["machine", "metric", "status", "missing_events"], lines)
-    return f"derive: {len(vectors)} metric rows -> {out / 'metrics.csv'}"
+    if "csv" in run.cfg.format:
+        metrics.export_metrics_csv(vectors, out / "metrics.csv")
+        validation = dataset.validate_store(run.selected)
+        text = files.CsvText()
+        lines = []
+        for machine in sorted(validation.per_machine):
+            entry = validation.per_machine[machine]
+            for metric in entry.computable:
+                lines.append(f"{text[machine]},{metric},computable,\n")
+            for metric, missing in entry.blocked.items():
+                lines.append(f"{text[machine]},{metric},blocked,{' '.join(missing)}\n")
+        files.write_csv(out / "metric_availability.csv", ["machine", "metric", "status", "missing_events"], lines)
+    return f"derive: {len(vectors)} metric rows -> {out}"
 
 
 def cmd_featurize(run: Run) -> str:
     matrix = run.matrix
     out = Path(run.cfg.out)
-    features.export_csv(matrix, out / "features.csv")
-    text = files.CsvText()
-    dropped = (f"{metric},{text[machine]}\n" for metric, machine in matrix.dropped)
-    files.write_csv(out / "dropped_columns.csv", ["metric", "machine"], dropped)
-    return (
-        f"featurize: {len(matrix.rows)}x{len(matrix.cols)} matrix "
-        f"({len(matrix.dropped)} columns dropped) -> {out / 'features.csv'}"
-    )
+    if "csv" in run.cfg.format:
+        features.export_csv(matrix, out / "features.csv")
+        text = files.CsvText()
+        dropped = (f"{metric},{text[machine]}\n" for metric, machine in matrix.dropped)
+        files.write_csv(out / "dropped_columns.csv", ["metric", "machine"], dropped)
+    return f"featurize: {len(matrix.rows)}x{len(matrix.cols)} matrix ({len(matrix.dropped)} columns dropped) -> {out}"
 
 
 def cmd_pca(run: Run) -> str:

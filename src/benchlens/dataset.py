@@ -16,40 +16,37 @@ In memory a store is one read-only `Store` of columns: the sorted run keys
 counter values (NaN where a run has no row for an event), a `supported` mask,
 and the wallclock and score of each run. `Store.from_codes` is its one
 constructor and does every check, on each cell's run and event index;
-`Store.from_columns` turns six cell columns into those codes and
-`Store.from_cells` hands it the columns of a cell list. Reading a store and
-parsing a raw dump build through it.
+`Store.from_cells` turns a list of cells into those codes. Reading a store
+and parsing a raw dump build through it.
 
-A plain store CSV -- its header exactly `STORE_HEADER`, its bytes UTF-8
-without a '"', a CR or a NUL, so that csv would split it at "," and "\n"
-alone -- is read as bytes, in blocks of whole chunks of `_READ_CHUNK` lines
-(as many as each read of `_READ_BYTES` completes), and each block is checked
-column by column with numpy: five commas per line, each field gathered into
-one fixed-width bytes array, a `supported` of exactly "true" or "false", a
-value that `astype(float)` parses (as `float` parses it) and that is finite
-and >= 0. Runs are found where the key changes from line to line, so only
-distinct names are decoded, and the runs are then sorted as tuples. A block
-that fails a check, holds a blank line or a line longer than `_LONG_LINE`
-is replayed row by row through `_parse_row`, so the first bad row in file
-order raises its own error with its row number, as a row-by-row read would.
-Any other file, and one with a line longer than csv's field size limit, is
-read by `csv.reader`, `_READ_CHUNK` rows at a time with the same checks, and
-fails with csv's own messages. Blocks start where those chunks start, so
-both reads name the same first error.
+A store CSV is read one of two ways. A plain one -- its header exactly
+`STORE_HEADER`, its bytes UTF-8 without a '"', a CR or a NUL, so that csv
+would split it at "," and "\n" alone -- is read as bytes, each read of
+`_READ_BYTES` cut at its last "\n", and each block is checked column by
+column with numpy: five commas per line, each field gathered into one
+fixed-width bytes array, a `supported` of exactly "true" or "false", a value
+that `astype(float)` parses (as `float` parses it) and that is finite and
+>= 0. Runs are found where the key changes from line to line, so only
+distinct names are decoded, and the runs are then sorted as tuples. Any other
+file is read whole by `csv.reader`, row by row through `_parse_row`, and so
+is a plain one as soon as one of its blocks fails a check, holds a blank line
+or holds a line longer than `_LONG_LINE` or csv's field size limit. So csv
+decides every error, on both routes: the first bad row in file order raises
+with its row number, and csv's own errors raise SchemaMismatch.
 
 The store CSV is written run by run: each run's quoted key and each event's
 quoted name are made once, and each present cell of the grid is one joined
 line of key, event, `repr(value)` and flag, the bytes `csv.writer` writes for
 the same cells (see `files`). A store file is canonical when it holds exactly
-those bytes: every block was read by bytes without a replay, its lines run in
-(run, event name) order, no name is one csv would quote, every value text is
-`repr` of its value and the file ends in "\n". A store read from a canonical
-file keeps a private `_Source`: the path, the file's (device, inode, size,
-mtime_ns) and each run's byte span. `merge_stores` carries the spans of the
-existing runs when the new store adds runs only, and `save_canonical` copies
-each stretch of carried runs from the file, streamed, after checking that
-its stamp has not changed, and formats every other run by the line law
-above. Any other store is formatted whole.
+those bytes: it was read by bytes, its lines run in (run, event name) order,
+no name is one csv would quote, every value text is `repr` of its value and
+the file ends in "\n". A store read from a canonical file keeps a private
+`_Source`: the path, the file's (device, inode, size, mtime_ns) and each
+run's byte span. `merge_stores` carries the spans of the existing runs when
+the new store adds runs only, and `save_canonical` copies each stretch of
+carried runs from the file, streamed, after checking that its stamp has not
+changed, and formats every other run by the line law above. Any other store
+is formatted whole.
 
 `merge_stores` joins two stores' arrays: it scatters both grids and masks
 into the union of their runs and events, and names the first cell the new
@@ -69,7 +66,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -86,9 +83,8 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
-_READ_CHUNK = 256  # rows per read check: a chunk's columns are checked at once, a bad chunk row by row
-_READ_BYTES = 1 << 18  # bytes per read of a store file; blocks of whole _READ_CHUNK-line chunks are cut from them
-_LONG_LINE = 256  # bytes; a block with a longer line is replayed row by row rather than gathered into wide fields
+_READ_BYTES = 1 << 18  # bytes per read of a store file; each read is cut at its last "\n" into a block of lines
+_LONG_LINE = 256  # bytes; a file with a longer line is read by csv rather than gathered into wide fields
 _HEADER_LINE = (",".join(STORE_HEADER) + "\n").encode()
 # by a value text's length n: the whole numbers of n - 2 digits, [_DIGITS_FROM[n], _DIGITS_BELOW[n]), for n <= 17
 _DIGITS_FROM = np.array([0.0] * 4 + [10.0 ** (n - 3) for n in range(4, _LONG_LINE + 1)])
@@ -125,7 +121,7 @@ def _count(value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Store:
-    """Counters of every run as read-only columns; build one with `from_codes`, `from_columns` or `from_cells`.
+    """Counters of every run as read-only columns; build one with `from_codes` or `from_cells`.
 
     The events are the canonical vocabulary followed by any unmapped raw
     names, sorted. A cell with `supported` False keeps its stored value, but
@@ -198,24 +194,6 @@ class Store:
         return cls(runs, events, grid, mask, clocks, marks)
 
     @classmethod
-    def from_columns(
-        cls,
-        suites: Sequence[str],
-        workloads: Sequence[str],
-        machines: Sequence[str],
-        events: Sequence[str],
-        values: Sequence[float] | np.ndarray,
-        supported: Sequence[bool] | np.ndarray,
-        *,
-        wallclock: Mapping[RunKey, float] | None = None,
-        scores: Mapping[RunKey, float] | None = None,
-    ) -> "Store":
-        """`from_codes` of six equal-length cell columns: the runs are the sorted
-        distinct (suite, workload, machine) keys, the events their vocabulary."""
-        codes = _codes(*_factorized_names(suites, workloads, machines, events))
-        return cls.from_codes(*codes, values, supported, wallclock=wallclock, scores=scores)
-
-    @classmethod
     def from_cells(
         cls,
         cells: Iterable[Cell],
@@ -223,9 +201,9 @@ class Store:
         wallclock: Mapping[RunKey, float] | None = None,
         scores: Mapping[RunKey, float] | None = None,
     ) -> "Store":
-        """`from_columns` of (suite, workload, machine, event, value, supported) cells."""
-        columns = tuple(zip(*cells)) or ((),) * 6
-        return cls.from_columns(*columns, wallclock=wallclock, scores=scores)
+        """`from_codes` of (suite, workload, machine, event, value, supported) cells: the runs are the sorted
+        distinct (suite, workload, machine) keys, the events their vocabulary."""
+        return cls.from_codes(*_cell_codes(cells), wallclock=wallclock, scores=scores)
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -439,6 +417,23 @@ def parse_counter_file(
     return ParseResult(Store.from_cells(cells), tuple(errors))
 
 
+def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV after its header, which must be `header`, each with its row number; blank rows are
+    skipped, and csv's own errors, such as a field over its size limit, raise SchemaMismatch."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        row_no = 0  # the last row read
+        try:
+            if (first := next(reader, None)) != header:
+                raise SchemaMismatch(f"{path}: expected header {header}, got {first}")
+            row_no = 1
+            for row_no, row in enumerate(reader, start=2):
+                if row:
+                    yield row_no, row
+        except csv.Error as exc:
+            raise SchemaMismatch(f"{path}:{row_no + 1}: {exc}") from exc
+
+
 def _parse_row(path: str | Path, row_no: int, row: list[str]) -> Cell:
     """One data row of a store CSV as a cell; names are interned, so that runs share one string each."""
     if len(row) != len(STORE_HEADER):
@@ -454,50 +449,6 @@ def _parse_row(path: str | Path, row_no: int, row: list[str]) -> Cell:
     return (*map(sys.intern, (suite, workload, machine, event)), _count(parsed), flag == "true")
 
 
-def _checked_columns(rows: list[list[str]]) -> tuple | None:
-    """The six columns of `rows`, or None when a row is blank or breaks a `_parse_row` rule."""
-    if set(map(len, rows)) != {len(STORE_HEADER)}:
-        return None
-    suites, workloads, machines, events, values, supported = zip(*rows)
-    flags = list(map(str.lower, supported))
-    if not set(flags) <= {"true", "false"}:
-        return None
-    try:
-        parsed = np.fromiter(map(float, values), dtype=float, count=len(values))
-    except ValueError:
-        return None
-    if not ((parsed >= 0) & (parsed < np.inf)).all():
-        return None
-    names = (list(map(sys.intern, column)) for column in (suites, workloads, machines, events))
-    return (*names, parsed, np.fromiter(map("true".__eq__, flags), dtype=bool, count=len(flags)))
-
-
-def _replayed_columns(path: str | Path, first_row_no: int, rows: list[list[str]]) -> tuple:
-    """`_checked_columns` through `_parse_row`, row by row: the first bad row raises, blank rows are skipped."""
-    cells = [_parse_row(path, row_no, row) for row_no, row in enumerate(rows, start=first_row_no) if row]
-    *names, values, supported = zip(*cells) if cells else ((),) * 6
-    return (*names, np.array(values, dtype=float), np.array(supported, dtype=bool))
-
-
-def _read_columns(path: str | Path) -> tuple:
-    """The six cell columns of a store CSV, checked _READ_CHUNK rows at a time."""
-    chunks = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != STORE_HEADER:
-            raise SchemaMismatch(f"{path}: expected header {STORE_HEADER}, got {header}")
-        row_no = 2
-        while rows := list(islice(reader, _READ_CHUNK)):
-            chunks.append(_checked_columns(rows) or _replayed_columns(path, row_no, rows))
-            row_no += len(rows)
-    return (
-        *(list(chain.from_iterable(chunk[i] for chunk in chunks)) for i in range(4)),
-        np.concatenate([np.empty(0), *(chunk[4] for chunk in chunks)]),
-        np.concatenate([np.empty(0, dtype=bool), *(chunk[5] for chunk in chunks)]),
-    )
-
-
 def _factorized(items: Iterable) -> tuple[list, np.ndarray]:
     """The distinct `items` in order of first appearance, and the index of each item among them."""
     index: dict = {}
@@ -505,9 +456,10 @@ def _factorized(items: Iterable) -> tuple[list, np.ndarray]:
     return list(index), codes
 
 
-def _factorized_names(suites: Iterable, workloads: Iterable, machines: Iterable, events: Iterable) -> tuple:
-    """`_factorized` of the run keys and of the event names of four cell columns."""
-    return (*_factorized(zip(suites, workloads, machines)), *_factorized(events))
+def _cell_codes(cells: Iterable[Cell]) -> tuple:
+    """The first six arguments of `Store.from_codes` for (suite, workload, machine, event, value, supported) cells."""
+    suites, workloads, machines, events, values, supported = tuple(zip(*cells)) or ((),) * 6
+    return (*_codes(*_factorized(zip(suites, workloads, machines)), *_factorized(events)), values, supported)
 
 
 def _codes(keys: list[RunKey], key_codes: np.ndarray, names: list[str], name_codes: np.ndarray) -> tuple:
@@ -520,10 +472,6 @@ def _codes(keys: list[RunKey], key_codes: np.ndarray, names: list[str], name_cod
     position = {event: j for j, event in enumerate(vocabulary)}
     cols = np.array([position[name] for name in names], dtype=np.intp)
     return tuple(keys[i] for i in order), vocabulary, rank[key_codes], cols[name_codes]
-
-
-class _CsvLimit(Exception):
-    """A store line is longer than csv's field size limit, so only csv can say how it reads."""
 
 
 def _plain(fh) -> bool:
@@ -540,26 +488,19 @@ def _plain(fh) -> bool:
     return True
 
 
-def _line_blocks(fh) -> Iterable[tuple[bytes, np.ndarray]]:
-    """The rest of `fh` in blocks of lines, each with the offset of every line's "\\n" in it.
-
-    A block is every whole chunk of _READ_CHUNK lines that a read of
-    _READ_BYTES completes, so blocks start where csv's chunks of rows start;
-    the last block holds the rest. Every line ends in "\\n": a last line
-    without one gets it.
-    """
-    data, ends = b"", np.empty(0, dtype=np.intp)
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The rest of `fh` in blocks of whole lines: each read of _READ_BYTES is cut at its last "\\n", and what
+    follows it starts the next block. Every line ends in "\\n": a last line without one gets it."""
+    rest = []  # the pieces of a line that no read has ended yet, joined once it ends
     while piece := fh.read(_READ_BYTES):
-        ends = np.append(ends, np.flatnonzero(np.frombuffer(piece, dtype=np.uint8) == 10) + len(data))
-        data += piece
-        if whole := len(ends) - len(ends) % _READ_CHUNK:
-            stop = int(ends[whole - 1]) + 1
-            yield data[:stop], ends[:whole]
-            data, ends = data[stop:], ends[whole:] - stop
-    if data:
-        if not data.endswith(b"\n"):
-            data, ends = data + b"\n", np.append(ends, len(data))
-        yield data, ends
+        cut = piece.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*rest, piece[:cut]])
+            rest = [piece[cut:]]
+        else:
+            rest.append(piece)
+    if last := b"".join(rest):
+        yield last + b"\n"
 
 
 def _field(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -618,12 +559,10 @@ def _written_by_repr(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, val
 def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     """The cells of a block of lines ending at `ends` as (run keys, each cell's key index, event names, each
     cell's name index, values, supported, whether every value text is `repr` of its value), or None when a
-    line is blank, longer than _LONG_LINE or breaks a `_parse_row` rule."""
+    line is blank, longer than _LONG_LINE or csv's field size limit, or breaks a `_parse_row` rule."""
     starts = np.concatenate([[0], ends[:-1] + 1])
     longest = int((ends - starts).max())
-    if longest > csv.field_size_limit():  # csv would refuse a field before it checked any row
-        raise _CsvLimit
-    if longest > _LONG_LINE:
+    if longest > min(_LONG_LINE, csv.field_size_limit()):
         return None
     buf = np.frombuffer(text, dtype=np.uint8)
     commas = np.flatnonzero(buf == 44)
@@ -662,13 +601,6 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     )
 
 
-def _replayed_block(path: str | Path, first_row_no: int, text: bytes) -> tuple:
-    """`_checked_block` through `_parse_row`, row by row: the first bad row raises, blank rows are skipped."""
-    rows = [line.split(",") if line else [] for line in text.decode().split("\n")[:-1]]
-    *names, values, supported = _replayed_columns(path, first_row_no, rows)
-    return (*_factorized_names(*names), values, supported, False)
-
-
 def _spans(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts: np.ndarray, ends: np.ndarray,
            size: int):
     """Each run's [start, stop) bytes in a store file of `size` bytes that holds one line per cell, given the
@@ -685,23 +617,24 @@ def _spans(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts
     return np.stack([bounds[:-1], bounds[1:]], axis=1)
 
 
-def _plain_cells(path: str | Path, fh, size: int) -> tuple:
+def _plain_cells(fh, size: int) -> tuple | None:
     """The first six arguments of `Store.from_codes` for a plain store of `size` bytes, read from `fh` after
-    its header, and each run's `_spans` when every value is written as `repr` writes it (else None)."""
+    its header, and each run's `_spans` when every value is written as `repr` writes it (else None); or None
+    when a block fails a `_checked_block` check."""
     run_ids: dict[RunKey, int] = {}  # every run key so far -> its index, in order of first appearance
     event_ids: dict[str, int] = {}
     blocks = []
-    row_no, offset, exact = 2, len(_HEADER_LINE), True
-    for text, ends in _line_blocks(fh):
-        keys, key_codes, names, name_codes, values, supported, written_by_repr = (
-            _checked_block(text, ends) or _replayed_block(path, row_no, text)
-        )
+    cells, offset, exact = 0, len(_HEADER_LINE), True
+    for text in _line_blocks(fh):
+        ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == 10)
+        if (checked := _checked_block(text, ends)) is None:
+            return None
+        keys, key_codes, names, name_codes, values, supported, written_by_repr = checked
         runs = np.array([run_ids.setdefault(key, len(run_ids)) for key in keys], dtype=np.intp)[key_codes]
         events = np.array([event_ids.setdefault(name, len(event_ids)) for name in names], dtype=np.intp)
-        # the last line of each stretch of one run; its cell index is its line index, as spans need no blank line
-        last = np.flatnonzero(np.diff(runs, append=-1))
-        blocks.append((runs, events[name_codes], values, supported, last + row_no - 2, ends[last] + offset))
-        row_no, offset, exact = row_no + len(ends), offset + len(text), exact and written_by_repr
+        last = np.flatnonzero(np.diff(runs, append=-1))  # the last line of each stretch of one run
+        blocks.append((runs, events[name_codes], values, supported, last + cells, ends[last] + offset))
+        cells, offset, exact = cells + len(ends), offset + len(text), exact and written_by_repr
     rows, cols, values, supported, lasts, ends = (
         np.concatenate([np.empty(0, dtype=dtype), *(block[i] for block in blocks)])
         for i, dtype in enumerate((np.intp, np.intp, float, bool, np.intp, np.intp))
@@ -713,21 +646,18 @@ def _plain_cells(path: str | Path, fh, size: int) -> tuple:
 
 
 def _read_cells(path: str | Path) -> tuple:
-    """The first six arguments of `Store.from_codes` for a store CSV, by bytes when it is plain, else through
-    csv, and the file's `_Source` when it holds the bytes `save_canonical` would write for them (else None)."""
+    """The first six arguments of `Store.from_codes` for a store CSV, by bytes when it is plain and every
+    block passes its checks, else through csv, and the file's `_Source` when it holds the bytes
+    `save_canonical` would write for them (else None)."""
     with open(path, "rb") as fh:
         stamp = _stamp(fh)
         # a header without its newline ends the file
         if fh.read(len(_HEADER_LINE)) in (_HEADER_LINE, _HEADER_LINE[:-1]) and _plain(fh):
             fh.seek(len(_HEADER_LINE))
-            try:
-                *cells, spans = _plain_cells(path, fh, stamp[2])
-            except _CsvLimit:
-                pass
-            else:
+            if (read := _plain_cells(fh, stamp[2])) is not None:
+                *cells, spans = read
                 return (*cells, None if spans is None else _Source(os.fspath(path), stamp, spans))
-    *names, values, supported = _read_columns(path)
-    return (*_codes(*_factorized_names(*names)), values, supported, None)
+    return (*_cell_codes(_parse_row(path, row_no, row) for row_no, row in _csv_rows(path, STORE_HEADER)), None)
 
 
 def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store:
@@ -743,26 +673,19 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
     scores: dict[RunKey, float] = {}
     if scores_path is not None:
         run_keys = set(runs)
-        with open(scores_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != SCORES_HEADER:
-                raise SchemaMismatch(f"{scores_path}: expected header {SCORES_HEADER}, got {header}")
-            for row_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(SCORES_HEADER):
-                    raise SchemaMismatch(f"{scores_path}:{row_no}: expected {len(SCORES_HEADER)} columns")
-                key = (row[0], row[1], row[2])
-                if key not in run_keys:
-                    raise SchemaMismatch(f"{scores_path}:{row_no}: score for unknown run {key}")
-                if key in scores:
-                    raise DuplicateKey(f"{scores_path}:{row_no}: duplicate score row for {key}")
-                try:
-                    scores[key] = float(row[3])
-                    wallclock[key] = float(row[4])
-                except ValueError as exc:
-                    raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
+        for row_no, row in _csv_rows(scores_path, SCORES_HEADER):
+            if len(row) != len(SCORES_HEADER):
+                raise SchemaMismatch(f"{scores_path}:{row_no}: expected {len(SCORES_HEADER)} columns")
+            key = (row[0], row[1], row[2])
+            if key not in run_keys:
+                raise SchemaMismatch(f"{scores_path}:{row_no}: score for unknown run {key}")
+            if key in scores:
+                raise DuplicateKey(f"{scores_path}:{row_no}: duplicate score row for {key}")
+            try:
+                scores[key] = float(row[3])
+                wallclock[key] = float(row[4])
+            except ValueError as exc:
+                raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
     store = Store.from_codes(runs, events, rows, cols, values, supported, wallclock=wallclock, scores=scores)
     return replace(store, _source=source)
 

@@ -358,7 +358,10 @@ def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = next(csv.reader([line]))
+            try:
+                fields = next(csv.reader([line]))
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             if len(fields) > 2:
                 raise ValueError(f"{path}:{line_no}: expected workload[,duration_seconds], got {len(fields)} fields")
             workload, duration_field = (*fields, "")[:2]

@@ -263,8 +263,8 @@ class TestCompareAndProxy:
         sample = dataset.read_store(bundled.sample_store_path(), bundled.sample_scores_path())
         suites, workloads, *columns = sample.columns()
         renamed = {"709.cactus_r": odd}
-        store = dataset.Store.from_columns(
-            suites, [renamed.get(w, w) for w in workloads], *columns,
+        store = dataset.Store.from_cells(
+            zip(suites, [renamed.get(w, w) for w in workloads], *columns),
             wallclock={(s, renamed.get(w, w), m): v for (s, w, m), v in zip(sample.runs, sample.wallclock)},
             scores={(s, renamed.get(w, w), m): v for (s, w, m), v in zip(sample.runs, sample.scores) if v == v},
         )
@@ -384,6 +384,13 @@ class TestReport:
             "build_dendrogram": 4,
         }
 
+    def test_format_md_writes_only_markdown(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["report", *base_args(out), "--format", "md"], capsys)[0] == 0
+        names = set(tree_bytes(out))
+        assert "pca_loadings.md" in names
+        assert {name for name in names if not name.endswith(".md")} == set()
+
     def test_multi_machine_store_fails_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, stdout, err = run(["report", *two_machine_store(tmp_path), "--out", str(out)], capsys)
@@ -468,6 +475,42 @@ class TestReport:
             assert f"dendrogram_{suite}.svg" in names
             assert f"dendrogram_{suite}.csv" in names
         assert "compare_int_rate_vs_int_speed.svg" in names
+
+
+def appended(path: Path, line: str, directory: Path) -> Path:
+    """A copy of `path` in `directory` with one more line."""
+    copy = directory / path.name
+    copy.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    return copy
+
+
+class TestCsvFieldLimit:
+    @pytest.mark.parametrize("where", ["store", "scores", "mix"])
+    def test_a_field_over_the_limit_is_one_json_line_naming_its_row(self, tmp_path, capsys, where):
+        long = "w" * 150
+        store, scores = bundled.sample_store_path(), bundled.sample_scores_path()
+        args = ["derive"]
+        if where == "store":
+            store = bad = appended(store, f"int_rate,{long},CPU-C,cycles,1.0,true", tmp_path)
+            expected = ("SchemaMismatch", f"{bad}:262: field larger than field limit (100)")
+        elif where == "scores":
+            scores = bad = appended(scores, f"int_rate,{long},CPU-C,1.0,1.0", tmp_path)
+            expected = ("SchemaMismatch", f"{bad}:54: field larger than field limit (100)")
+        else:
+            bad = tmp_path / "mix.txt"
+            bad.write_text(f"709.cactus_r\n{long}\n", encoding="utf-8")
+            args = ["proxy", "--suite", "fp_rate", "--mix", str(bad)]
+            expected = ("ValueError", f"{bad}:2: field larger than field limit (100)")
+        limit = csv.field_size_limit(100)
+        try:
+            code, stdout, err = run(
+                [*args, "--store", str(store), "--scores", str(scores), "--out", str(tmp_path / "out")], capsys
+            )
+        finally:
+            csv.field_size_limit(limit)
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"stage": args[0], "error": expected[0], "message": expected[1]}
 
 
 class TestErrorPaths:
@@ -639,9 +682,9 @@ def renamed_sample(tmp_path: Path, suites: dict[str, str], machine: str, workloa
         return suites.get(suite, suite), workloads.get(workload, workload), machine
 
     suite_col, workload_col, machines, *columns = sample.columns()
-    store = dataset.Store.from_columns(
-        [suites.get(s, s) for s in suite_col], [workloads.get(w, w) for w in workload_col], [machine] * len(machines),
-        *columns,
+    store = dataset.Store.from_cells(
+        zip([suites.get(s, s) for s in suite_col], [workloads.get(w, w) for w in workload_col], [machine] * len(machines),
+            *columns),
         wallclock={key(k): v for k, v in zip(sample.runs, sample.wallclock.tolist())},
         scores={key(k): v for k, v in zip(sample.runs, sample.scores.tolist()) if v == v},
     )

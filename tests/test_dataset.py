@@ -19,7 +19,6 @@ import yaml
 import oracles
 from benchlens import bundled, dataset, files
 from benchlens.dataset import (
-    _READ_CHUNK,
     SCORES_HEADER,
     STORE_HEADER,
     YAML_LOADER,
@@ -318,7 +317,7 @@ def filler(n, start=0):
     return tuple(f"s,x{i},m,cycles,1.0,true" for i in range(start, start + n))
 
 
-C = _READ_CHUNK  # rows per checked read chunk; GOOD_ROWS fill the first six rows of the first chunk
+C = 256  # rows per chunk in these cases; GOOD_ROWS fill the first six rows of the first chunk
 
 
 # (store rows, scores rows, header): each store or scores file breaks one rule, or two rules to
@@ -448,10 +447,24 @@ class TestChunkedRead:
             for event in CANONICAL_EVENTS[i % 3 : i % 3 + 2]
         )
         save_canonical(store, tmp_path / "store.csv")
-        with mock.patch("benchlens.dataset._replayed_block", side_effect=AssertionError("replayed")), mock.patch(
-            "benchlens.dataset._read_columns", side_effect=AssertionError("read through csv")
-        ):
+        with mock.patch("benchlens.dataset._csv_rows", side_effect=AssertionError("read through csv")):
             assert read_store(tmp_path / "store.csv") == store
+
+    @pytest.mark.parametrize(
+        "flaw",
+        ["", "s,x_,m,cycles,１,true", "s,x_,m,cycles," + "1" * 300 + ".0,true"],
+        ids=["a_blank_line", "a_value_only_float_reads", "a_long_line"],
+    )
+    def test_a_plain_store_with_a_block_that_fails_a_check_is_read_by_csv_once(self, flaw, tmp_path):
+        rows = clean_rows(3 * C)
+        path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *rows[:C], flaw, *rows[C:]]) + "\n")
+        with mock.patch("benchlens.dataset._READ_BYTES", 1024), mock.patch(
+            "benchlens.dataset._csv_rows", wraps=dataset._csv_rows
+        ) as csv_rows:  # the flaw is in a later block than the first
+            store = read_store(path)
+        csv_rows.assert_called_once_with(path, STORE_HEADER)
+        oracles.assert_same_runs(store, oracles.load_canonical(path))
+        assert store._source is None
 
     def test_blank_rows_at_chunk_edges_are_skipped(self, tmp_path):
         rows = clean_rows(2 * C + 3)
@@ -513,17 +526,18 @@ class TestReadRouting:
         finally:
             csv.field_size_limit(limit)
 
-    def test_a_name_of_kilobytes_is_read_by_bytes_in_memory_linear_in_the_file(self, tmp_path):
+    def test_a_name_of_kilobytes_is_read_by_csv_in_memory_linear_in_the_file(self, tmp_path):
         long = "w" * 6000  # gathered into fixed-width fields, its block would take width squared bytes and more
         rows = clean_rows(C) + (f"s,{long},m,cycles,1.0,true", f"s,{long},m,{long},2.0,false") + filler(3)
         path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *rows]) + "\n")
-        with mock.patch("benchlens.dataset._read_columns", side_effect=AssertionError("read through csv")):
+        with mock.patch("benchlens.dataset._csv_rows", wraps=dataset._csv_rows) as csv_rows:
             tracemalloc.start()
             try:
                 store = read_store(path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+        csv_rows.assert_called_once_with(path, STORE_HEADER)
         oracles.assert_same_runs(store, oracles.load_canonical(path))
         assert store.events[-1] == long
         assert peak < 20 * path.stat().st_size
@@ -639,12 +653,12 @@ def generated_store(runs=1800):
     keys = [(f"suite{i % 4}", f"workload_{i // 9:03d}", f"M{i % 9}") for i in range(runs)]
     cells = len(keys) * len(CANONICAL_EVENTS)
     columns = [[key[k] for key in keys for _ in CANONICAL_EVENTS] for k in range(3)]
-    return Store.from_columns(
+    return Store.from_cells(zip(
         *columns,
         list(CANONICAL_EVENTS) * len(keys),
         np.round(rng.uniform(0.0, 1e12, cells)),
         rng.uniform(size=cells) > 0.05,
-    )
+    ))
 
 
 def traced_peak(fn):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -110,15 +111,15 @@ def raised_or_none(fn):
         return None, (type(exc), str(exc))
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("read_bytes", [1, 3, 64])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(rows=st.lists(GOOD_ROW | BAD_ROW, max_size=12))
-def test_chunked_read_of_any_rows_matches_the_per_row_oracle(chunk, rows):
+def test_chunked_read_of_any_rows_matches_the_per_row_oracle(read_bytes, rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "store.csv"
         path.write_text("\n".join([",".join(STORE_HEADER), *rows]) + "\n", encoding="utf-8")
         expected, expected_error = raised_or_none(lambda: oracles.load_canonical(path))
-        with mock.patch.object(dataset, "_READ_CHUNK", chunk):
+        with mock.patch.object(dataset, "_READ_BYTES", read_bytes):
             got, error = raised_or_none(lambda: read_store(path))
     assert error == expected_error
     if expected is not None:
@@ -146,7 +147,7 @@ PLAIN_BAD_ROW = plain_rows(
 ) | st.sampled_from(["", " ", "s,w0,m,cycles,1.0", "s,w0,m,cycles,1.0,true,extra", "s,w0,m,cycles,1.0,true,", ",,,,,"])
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("read_bytes", [1, 3, 64])
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     rows=st.lists(PLAIN_GOOD_ROW, max_size=12),
@@ -154,7 +155,7 @@ PLAIN_BAD_ROW = plain_rows(
     grouped=st.booleans(),
     newline=st.booleans(),
 )
-def test_byte_read_of_unquoted_rows_matches_the_per_row_oracle(chunk, rows, bad, grouped, newline):
+def test_byte_read_of_unquoted_rows_matches_the_per_row_oracle(read_bytes, rows, bad, grouped, newline):
     if grouped:  # the order of a saved store: the rows of a run together
         rows = sorted(rows, key=lambda row: row.split(",")[:3])
     for at, row in bad:
@@ -163,9 +164,10 @@ def test_byte_read_of_unquoted_rows_matches_the_per_row_oracle(chunk, rows, bad,
         path = Path(tmp) / "store.csv"
         path.write_text("\n".join([",".join(STORE_HEADER), *rows]) + "\n" * newline, encoding="utf-8")
         expected, expected_error = raised_or_none(lambda: oracles.load_canonical(path))
-        with mock.patch.object(dataset, "_READ_CHUNK", chunk), mock.patch.object(
-            dataset, "_READ_BYTES", 16  # a block ends at the first chunk edge after each read
-        ), mock.patch.object(dataset, "_read_columns", side_effect=AssertionError("a plain store went through csv")):
+        # good rows that numpy reads too pass every block's checks; any other row sends the file through csv
+        by_bytes = not bad and not any("１" in row for row in rows)
+        csv_route = mock.patch.object(dataset, "_csv_rows", side_effect=AssertionError("a plain store went through csv"))
+        with mock.patch.object(dataset, "_READ_BYTES", read_bytes), csv_route if by_bytes else nullcontext():
             got, error = raised_or_none(lambda: read_store(path))
     assert error == expected_error
     if expected is not None:
@@ -210,11 +212,11 @@ MUTATIONS = {
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     store=stores(names=st.sampled_from(["a", "ünï", ""])) | stores(),
-    chunk=st.sampled_from([1, 3]),
+    read_bytes=st.sampled_from([1, 16]),
     into_existing=st.booleans(),
     event=EVENTS,
 )
-def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, chunk, into_existing, event):
+def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, read_bytes, into_existing, event):
     """The ingest chain on a saved or hand-edited store file: a new run, or one more event of the first run."""
     with tempfile.TemporaryDirectory() as tmp:
         path, expected = Path(tmp) / "store.csv", Path(tmp) / "expected.csv"
@@ -225,7 +227,7 @@ def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, chunk, 
         path.write_bytes("\n".join([header, *lines]).encode() + b"\n" * (mutation != "no final newline"))
         canonical = path.read_bytes() == saved and b'"' not in saved
         # small reads: runs span blocks, and copies cut multi-byte names
-        with mock.patch.object(dataset, "_READ_CHUNK", chunk), mock.patch.object(dataset, "_READ_BYTES", 16):
+        with mock.patch.object(dataset, "_READ_BYTES", read_bytes):
             existing = read_store(path)
             assert (existing._source is not None) == canonical
             cells = {cell[:4] for cell in existing.cells()}
