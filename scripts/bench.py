@@ -6,7 +6,7 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 (fresh child processes, untraced; see that file) and records the four
 end-to-end medians it prints, whether the outputs were correct, the host the
 figures come from and the line count of ``src/benchlens``. It also records
-six scaling curves, timed in one child process that imports the checkout's
+seven scaling curves, timed in one child process that imports the checkout's
 benchlens: the median time of ``cluster.build_dendrogram`` (ward) at
 n = 100 ... 1,600 rows of 8 scores, of ``subset.oracle_best_subset`` at
 k = 2, 3, 4 on 40 workloads x 9 machines, of ``proxy.search_mix`` and
@@ -14,10 +14,13 @@ of writing its ranking with ``proxy.export_mixes_csv`` at k = 1, 2, 3 on a
 pool of 50 workloads, and of ``dataset.read_store`` on stores of 52, 200 and
 500 workloads x 9 machines x 20 events that ``dataset.save_canonical``
 wrote: once with plain names (the byte route) and once with every suite name
-holding a comma, so that csv quotes it (the csv route).
+holding a comma, so that csv quotes it (the csv route), and of
+``metrics.derive_store`` followed by ``features.build_matrix`` over every
+machine on stores of 52, 200 and 500 workloads x 9 machines whose counts
+make every metric valid.
 Each curve carries the exponent b of a least-squares fit of time ~ size^b on
 log scales (size is n, the C(40, k) candidates, the mixes ranked, or the
-store's rows).
+store's rows or runs).
 Standard library only, so it runs on any checkout of the program.
 """
 
@@ -55,6 +58,8 @@ import numpy as np
 from benchlens.cluster import build_dendrogram
 from benchlens.dataset import Store, read_store, save_canonical
 from benchlens.events import CANONICAL_EVENTS, METRIC_DEFS
+from benchlens.features import build_matrix
+from benchlens.metrics import derive_store
 from benchlens.proxy import RrrSchedule, WorkloadProfile, export_mixes_csv, search_mix, simulate_rrr
 from benchlens.subset import oracle_best_subset
 
@@ -107,7 +112,27 @@ with tempfile.TemporaryDirectory() as tmp:
             save_canonical(Store.from_cells((*cell, value, True) for cell, value in cells), path)
             point[f"{route}_median_s"] = median_s(lambda: read_store(path), 7)
         reads.append(point)
-print(json.dumps({"dendrogram": dendrogram, "oracle": oracle, "proxy": proxy, "read_store": reads}))
+
+def featurize(store, workloads, machines):
+    derived = derive_store(store)
+    if isinstance(derived, dict):  # an older derive_store: one MetricVector per run key
+        derived = {key[1:]: vector for key, vector in derived.items()}
+    return build_matrix(derived, workloads, machines)
+
+featurized = []
+for count in (52, 200, 500):
+    workloads, machines = [f"w{i:03d}" for i in range(count)], [f"M{m}" for m in range(9)]
+    store = Store.from_cells(
+        (("fp_rate", "int_rate")[i % 2], workload, machine, event, rate, True)
+        for i, workload in enumerate(workloads)
+        for machine in machines
+        for event, rate in profile(workload).rates.items()
+    )
+    assert featurize(store, workloads, machines).values.shape == (count, 9 * len(METRIC_DEFS))
+    featurized.append({"workloads": count, "runs": count * 9,
+                       "median_s": median_s(lambda: featurize(store, workloads, machines), 7)})
+print(json.dumps({"dendrogram": dendrogram, "oracle": oracle, "proxy": proxy, "read_store": reads,
+                  "derive_featurize": featurized}))
 """
 
 
@@ -119,13 +144,14 @@ def fitted_exponent(sizes: list[float], times: list[float]) -> float:
 
 
 def scaling_curves() -> dict:
-    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv and read_store over
-    sizes, with fitted exponents."""
+    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv, read_store and
+    derive_store + build_matrix over sizes, with fitted exponents."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", CURVES_CHILD], cwd=ROOT, env=env, capture_output=True,
                           text=True, check=True)
     points = json.loads(proc.stdout.splitlines()[-1])
     dendrogram, oracle, proxy, reads = points["dendrogram"], points["oracle"], points["proxy"], points["read_store"]
+    featurized = points["derive_featurize"]
     for point in oracle:
         point["candidates"] = math.comb(40, point["k"])
     return {
@@ -160,6 +186,11 @@ def scaling_curves() -> dict:
                                                              [p[f"{route}_median_s"] for p in reads])
                 for route in ("bytes", "csv")
             },
+        },
+        "derive_featurize": {
+            "machines": 9,
+            "points": featurized,
+            "exponent_in_runs": fitted_exponent([p["runs"] for p in featurized], [p["median_s"] for p in featurized]),
         },
     }
 

@@ -14,7 +14,7 @@ from .dataset import (
     validate_store,
 )
 from .features import FeatureMatrix, build_matrix, normalize
-from .metrics import MetricVector, derive_store
+from .metrics import Metrics, MetricVector, derive_store
 from .pca import LoadingReport, PcaModel, fit_pca, loading_table, project
 from .proxy import (
     BlendProfile,
@@ -35,6 +35,7 @@ __all__ = [
     "Dendrogram",
     "FeatureMatrix",
     "LoadingReport",
+    "Metrics",
     "MetricVector",
     "ParseResult",
     "PcaModel",

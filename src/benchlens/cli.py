@@ -29,7 +29,7 @@ import yaml
 from . import cluster as cluster_mod
 from . import compare as compare_mod
 from . import dataset, features, files, metrics, pca, proxy, render, subset
-from .errors import BenchlensError, BudgetExceeded, ConfigError, DuplicateKey, EmptyInput
+from .errors import BenchlensError, BudgetExceeded, ConfigError, EmptyInput
 
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
 FORMATS = ("csv", "md", "svg")
@@ -122,7 +122,8 @@ class Run:
     """One command's view of the store: each stage's input is computed at most once.
 
     `store` holds every run; `selected` only the runs on the chosen machines,
-    which is all that derive, PCA and clustering see.
+    which is all that derive, PCA and clustering see. A `--machine` or
+    `--suite` the store does not hold is a ConfigError.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -137,11 +138,19 @@ class Run:
             raise EmptyInput(f"{self.cfg.store}: the store holds no runs")
         return store
 
+    def _held(self, flag: str, value: str | None, held: list[str]) -> list[str]:
+        """[value] if the store holds it, all of `held` without one."""
+        if value and value not in held:
+            raise ConfigError(f"--{flag} {value!r} is not in the store, which holds {held}")
+        return [value] if value else held
+
     @cached_property
     def machines(self) -> list[str]:
-        if self.cfg.machine:
-            return [self.cfg.machine]
-        return dataset.machines_in(self.store)
+        return self._held("machine", self.cfg.machine, dataset.machines_in(self.store))
+
+    @cached_property
+    def suites(self) -> list[str]:
+        return self._held("suite", self.cfg.suite, dataset.suites_in(self.store))
 
     @cached_property
     def machine(self) -> str:
@@ -154,19 +163,12 @@ class Run:
         return self.store.select(machines=self.machines)
 
     @cached_property
-    def vectors(self) -> dict[tuple[str, str, str], metrics.MetricVector]:
+    def metrics(self) -> metrics.Metrics:
         return metrics.derive_store(self.selected)
 
     @cached_property
     def matrix(self) -> features.FeatureMatrix:
-        """Workload rows keyed by id alone, so an id may appear in one suite only."""
-        workloads = dataset.workloads_in(self.selected)
-        cells = {}
-        for (_, workload, machine), vec in self.vectors.items():
-            if (workload, machine) in cells:
-                raise DuplicateKey(f"workload {workload!r} on {machine!r} appears in more than one suite")
-            cells[workload, machine] = vec
-        return features.build_matrix(cells, workloads, self.machines)
+        return features.build_matrix(self.metrics, dataset.workloads_in(self.selected), self.machines)
 
     @cached_property
     def normalized(self) -> features.FeatureMatrix:
@@ -179,9 +181,8 @@ class Run:
         return pca.fit_pca(self.normalized, fixed_k=8 if self.cfg.pcs is None else self.cfg.pcs)
 
     @cached_property
-    def scores(self) -> dict[str, list[float]]:
-        score_rows = pca.project(self.model, self.normalized)
-        return {label: [float(v) for v in score_rows[i]] for i, label in enumerate(self.matrix.rows)}
+    def scores(self) -> dict[str, np.ndarray]:
+        return dict(zip(self.matrix.rows, pca.project(self.model, self.normalized)))
 
     @cached_property
     def dendrograms(self) -> dict[str, cluster_mod.Dendrogram]:
@@ -189,9 +190,8 @@ class Run:
 
         Suites with fewer than two such workloads have none.
         """
-        suites = [self.cfg.suite] if self.cfg.suite else dataset.suites_in(self.store)
         built = {}
-        for suite_name in suites:
+        for suite_name in self.suites:
             workloads = [w for w in dataset.workloads_in(self.store, suite_name) if w in self.scores]
             if len(workloads) >= 2:
                 rows = [self.scores[w] for w in workloads]
@@ -252,10 +252,10 @@ def cmd_ingest(run: Run) -> str:
 
 
 def cmd_derive(run: Run) -> str:
-    vectors = run.vectors
+    derived = run.metrics
     out = Path(run.cfg.out)
     if "csv" in run.cfg.format:
-        metrics.export_metrics_csv(vectors, out / "metrics.csv")
+        metrics.export_metrics_csv(derived, out / "metrics.csv")
         validation = dataset.validate_store(run.selected)
         text = files.CsvText()
         lines = []
@@ -266,7 +266,7 @@ def cmd_derive(run: Run) -> str:
             for metric, missing in entry.blocked.items():
                 lines.append(f"{text[machine]},{metric},blocked,{' '.join(missing)}\n")
         files.write_csv(out / "metric_availability.csv", ["machine", "metric", "status", "missing_events"], lines)
-    return f"derive: {len(vectors)} metric rows -> {out}"
+    return f"derive: {len(derived.runs)} metric rows -> {out}"
 
 
 def cmd_featurize(run: Run) -> str:
@@ -352,10 +352,10 @@ def cmd_compare(run: Run) -> str:
 
 
 def _compare_pair(run: Run, suite_a, suite_b, machine, out: Path) -> str:
-    cfg, vectors = run.cfg, run.vectors
-    metrics_a = [vec for (s, w, m), vec in sorted(vectors.items()) if s == suite_a and m == machine]
-    metrics_b = [vec for (s, w, m), vec in sorted(vectors.items()) if s == suite_b and m == machine]
-    cmp = compare_mod.compare_suites(suite_a, metrics_a, suite_b, metrics_b, machine)
+    cfg = run.cfg
+    values_a = run.metrics.select(suite=suite_a, machine=machine).values
+    values_b = run.metrics.select(suite=suite_b, machine=machine).values
+    cmp = compare_mod.compare_suites(suite_a, values_a, suite_b, values_b, machine)
     stem = f"compare_{suite_a}_vs_{suite_b}"
     if "csv" in cfg.format:
         compare_mod.export_comparison_csv(cmp, out / f"{stem}.csv")
@@ -411,24 +411,24 @@ def _write_volume_ratios(cfg: PipelineConfig, store: dataset.Store, out: Path) -
 def cmd_proxy(run: Run) -> str:
     cfg = run.cfg
     machine = run.machine
-    pool_suite = cfg.suite or dataset.suites_in(run.store)[0]
+    pool_suite = run.suites[0]
     pool = run.store.select(suite=pool_suite, machines=[machine])
     rows = [i for i, (_, workload, _) in enumerate(pool.runs) if workload != cfg.target]
     if not rows:
         raise ConfigError(f"no candidate runs in suite {pool_suite!r} on {machine!r}")
-    vectors = run.vectors
+    derived = run.metrics
     profiles = [proxy.WorkloadProfile.from_store(pool, i) for i in rows]
     out = Path(cfg.out)
 
     target_vec = None
     if cfg.target:
-        target_keys = [key for key in vectors if key[1] == cfg.target and key[2] == machine]
+        target_keys = [key for key in derived.runs if key[1] == cfg.target and key[2] == machine]
         if not target_keys:
             raise ConfigError(f"target workload {cfg.target!r} has no run on {machine!r}")
         if len(target_keys) > 1:
             suites = [suite for suite, _, _ in target_keys]
             raise ConfigError(f"target workload {cfg.target!r} is in several suites on {machine!r}: {suites}")
-        target_vec = vectors[target_keys[0]]
+        target_vec = derived.row(target_keys[0])
         weights = cfg.weights or {metric: 1.0 for metric in target_vec.available()}
 
     if cfg.mix:
@@ -445,8 +445,9 @@ def cmd_proxy(run: Run) -> str:
 
     if target_vec is None:
         raise ConfigError("proxy needs --target (or --mix with a mix specification file)")
-    pool_vectors = {(p.workload, machine): vectors[pool.runs[i]] for i, p in zip(rows, profiles)}
-    pool_matrix = features.build_matrix(pool_vectors, [p.workload for p in profiles], [machine])
+    pool_matrix = features.build_matrix(
+        derived.select(suite=pool_suite, machine=machine), [p.workload for p in profiles], [machine]
+    )
     scales = features.normalize(pool_matrix).scales_for_machine(machine)
     mix_k = min(cfg.mix_k, len(profiles))
     ranked = proxy.search_mix(

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import files
 from .errors import EmptySuite
 from .events import METRIC_NAMES
-from .metrics import MetricVector
 from .stats import BoxStats, positive_geomean
 
 
@@ -42,33 +43,30 @@ class SuiteComparison:
 
 
 def compare_suites(
-    suite_a: str,
-    vectors_a: Sequence[MetricVector],
-    suite_b: str,
-    vectors_b: Sequence[MetricVector],
-    machine: str,
+    suite_a: str, values_a: np.ndarray, suite_b: str, values_b: np.ndarray, machine: str
 ) -> SuiteComparison:
     """Per-metric geomean ratio of suite_a over suite_b on one machine.
 
-    Metrics that cannot be compared are collected instead of aborting the
-    whole comparison: 'skipped' when a side has no available values at all,
-    'no_positive' when a side has values but none positive.
+    Each side holds one run per row of METRIC_NAMES values, NaN where
+    unavailable, such as `Metrics.select(...).values`; geomeans multiply in
+    row order. Metrics that cannot be compared are collected instead of
+    aborting the whole comparison: 'skipped' when a side has no available
+    values at all, 'no_positive' when a side has values but none positive.
     """
-    if not vectors_a:
-        raise EmptySuite(f"suite {suite_a!r} has no metric vectors on {machine!r}")
-    if not vectors_b:
-        raise EmptySuite(f"suite {suite_b!r} has no metric vectors on {machine!r}")
+    if not len(values_a):
+        raise EmptySuite(f"suite {suite_a!r} has no runs on {machine!r}")
+    if not len(values_b):
+        raise EmptySuite(f"suite {suite_b!r} has no runs on {machine!r}")
     comparisons = []
     no_positive: list[str] = []
     skipped: list[str] = []
-    for metric in METRIC_NAMES:
-        values_a = [v for vec in vectors_a if (v := vec.get(metric)) is not None]
-        values_b = [v for vec in vectors_b if (v := vec.get(metric)) is not None]
-        if not values_a or not values_b:
+    for metric, col_a, col_b in zip(METRIC_NAMES, np.transpose(values_a), np.transpose(values_b)):
+        a, b = col_a[~np.isnan(col_a)].tolist(), col_b[~np.isnan(col_b)].tolist()
+        if not a or not b:
             skipped.append(metric)
             continue
-        geomean_a, zeros_a = positive_geomean(values_a)
-        geomean_b, zeros_b = positive_geomean(values_b)
+        geomean_a, zeros_a = positive_geomean(a)
+        geomean_b, zeros_b = positive_geomean(b)
         if geomean_a is None or geomean_b is None:
             no_positive.append(metric)
             continue
@@ -80,8 +78,8 @@ def compare_suites(
                 ratio=geomean_a / geomean_b,
                 excluded_zeros_a=zeros_a,
                 excluded_zeros_b=zeros_b,
-                box_a=BoxStats.of(values_a),
-                box_b=BoxStats.of(values_b),
+                box_a=BoxStats.of(a),
+                box_b=BoxStats.of(b),
             )
         )
     return SuiteComparison(

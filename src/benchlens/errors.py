@@ -25,7 +25,7 @@ class MissingDenominator(BenchlensError):
 
 class MissingCell(BenchlensError):
     def __init__(self, workload: str, machine: str):
-        super().__init__(f"no metric vector for workload {workload!r} on machine {machine!r}")
+        super().__init__(f"no run of workload {workload!r} on machine {machine!r}")
         self.workload = workload
         self.machine = machine
 

@@ -1,29 +1,23 @@
 """Cross-machine feature matrix assembly and z-score normalization.
 
-Each (metric, machine) pair is a distinct column, so a full store with 19
-metrics on 9 machines yields 171 features per workload. Columns where a
-metric is unavailable for any workload on a machine are dropped, never
-imputed.
+`build_matrix` gathers the rows of a `metrics.Metrics` array. Each (metric,
+machine) pair is a distinct column, so a full store with 19 metrics on 9
+machines yields 171 features per workload. Columns where a metric is
+unavailable (NaN) for any workload on a machine are dropped, never imputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import files
-from .errors import (
-    AlreadyNormalized,
-    EmptyInput,
-    MissingCell,
-    NotNormalized,
-    TooFewRows,
-)
+from .errors import AlreadyNormalized, DuplicateKey, EmptyInput, MissingCell, NotNormalized, TooFewRows
 from .events import METRIC_NAMES
-from .metrics import MetricVector
+from .metrics import Metrics
 
 Column = tuple[str, str]  # (metric, machine)
 
@@ -66,41 +60,36 @@ class FeatureMatrix:
         }
 
 
-def build_matrix(
-    vectors: Mapping[tuple[str, str], MetricVector],
-    workloads: Sequence[str],
-    machines: Sequence[str],
-) -> FeatureMatrix:
+def build_matrix(metrics: Metrics, workloads: Sequence[str], machines: Sequence[str]) -> FeatureMatrix:
     """Assemble one row per workload and one column per (metric, machine).
 
-    A column is kept only when its metric is available for every workload on
-    that machine; dropped columns are reported on the result.
+    Rows are keyed by workload id alone, so an id may appear in one suite
+    only (DuplicateKey). A column is kept only when its metric is available
+    for every workload on that machine; dropped columns are reported on the
+    result.
     """
+    row_of: dict[tuple[str, str], int] = {}
+    for i, (_, workload, machine) in enumerate(metrics.runs):
+        if row_of.setdefault((workload, machine), i) != i:
+            raise DuplicateKey(f"workload {workload!r} on {machine!r} appears in more than one suite")
     if not workloads or not machines:
         raise EmptyInput("workloads and machines must be non-empty")
     for workload in workloads:
         for machine in machines:
-            if (workload, machine) not in vectors:
+            if (workload, machine) not in row_of:
                 raise MissingCell(workload, machine)
-    kept: list[Column] = []
-    dropped: list[Column] = []
-    columns: list[list[float]] = []
-    for metric in METRIC_NAMES:
-        for machine in machines:
-            cells = [vectors[(w, machine)].get(metric) for w in workloads]
-            if any(c is None for c in cells):
-                dropped.append((metric, machine))
-            else:
-                kept.append((metric, machine))
-                columns.append(cells)  # type: ignore[arg-type]
-    if not kept:
+    rows = [[row_of[workload, machine] for machine in machines] for workload in workloads]
+    # (workload, machine, metric) cells, laid out as one (metric, machine) column each
+    cells = metrics.values[rows].transpose(0, 2, 1).reshape(len(workloads), -1)
+    cols = [(metric, machine) for metric in METRIC_NAMES for machine in machines]
+    keep = ~np.isnan(cells).any(axis=0)
+    if not keep.any():
         raise EmptyInput("every (metric, machine) column was dropped")
-    values = np.array(columns, dtype=float).T
     return FeatureMatrix(
         rows=tuple(workloads),
-        cols=tuple(kept),
-        values=values,
-        dropped=tuple(dropped),
+        cols=tuple(c for c, k in zip(cols, keep.tolist()) if k),
+        values=cells[:, keep],
+        dropped=tuple(c for c, k in zip(cols, keep.tolist()) if not k),
     )
 
 

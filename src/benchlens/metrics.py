@@ -4,11 +4,13 @@ The metric set covers IPC, cache MPKI (L1I/L1D/L2/L3), TLB MPMI
 (iTLB/dTLB/L2 TLB), branch MPKI, frontend/backend stall percentages, the
 instruction-mix shares (kernel/user/load/store/branch/fp/vector) and DRAM
 bytes per cycle. A metric whose input events are unsupported or absent is
-unavailable (None), never zero-filled.
+unavailable: NaN in an array, None in a MetricVector, never zero-filled.
 
 `metric_array` is the one place the metrics are computed from counts: over
 a store's runs (`derive_store`) and over RRR blends (`proxy`'s blend law,
 which `simulate_rrr`, `search_mix` and `blend_markdown` share).
+`derive_store` returns every run's metrics as one `Metrics` array; a
+`MetricVector` is one row, such as a proxy target or a blend's metrics.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,9 +77,6 @@ class MetricVector:
     def get(self, metric: str) -> float | None:
         return getattr(self, metric)
 
-    def as_dict(self) -> dict[str, float | None]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
     def available(self) -> tuple[str, ...]:
         return tuple(name for name in METRIC_NAMES if getattr(self, name) is not None)
 
@@ -130,30 +129,44 @@ def derive_rows(counts: np.ndarray, events: Sequence[str], keys: Sequence) -> np
     return values
 
 
-def derive_store(store: Store) -> dict[RunKey, MetricVector]:
-    """Metric vectors for every run, keyed by (suite, workload, machine).
+@dataclass(frozen=True)
+class Metrics:
+    """The derived metrics of a store's runs: `values[i]` holds run `runs[i]`'s
+    metrics in METRIC_NAMES order, NaN where unavailable. `values` is read-only."""
+
+    runs: tuple[RunKey, ...]  # sorted
+    values: np.ndarray  # (len(runs), len(METRIC_NAMES))
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+
+    def row(self, key: RunKey) -> MetricVector:
+        """The metrics of run `key`."""
+        return MetricVector.from_row(self.values[self.runs.index(key)].tolist())
+
+    def select(self, *, suite: str, machine: str) -> "Metrics":
+        """The runs of `suite` on `machine`."""
+        rows = [i for i, (s, _, m) in enumerate(self.runs) if s == suite and m == machine]
+        return Metrics(tuple(self.runs[i] for i in rows), self.values[rows])
+
+
+def derive_store(store: Store) -> Metrics:
+    """The metrics of every run of `store`, in its sorted run order.
 
     Raises MissingDenominator unless every run carries positive instruction
     and cycle counts; everything else degrades to per-metric unavailability.
     """
-    values = derive_rows(store.counts(), store.events, store.runs)
-    return {key: MetricVector.from_row(row) for key, row in zip(store.runs, values.tolist())}
+    return Metrics(store.runs, derive_rows(store.counts(), store.events, store.runs))
 
 
-def export_metrics_csv(
-    vectors: Mapping[tuple[str, str, str], MetricVector],
-    path: str | Path,
-) -> None:
+def export_metrics_csv(metrics: Metrics, path: str | Path) -> None:
     """Write "suite,workload,machine,<metrics...>" with empty cells for unavailable."""
-    text, keys = files.CsvText(), sorted(vectors)
-    values = np.array(  # None is NaN, and only None: a MetricVector's values are finite
-        [[vectors[key].get(name) for name in METRIC_NAMES] for key in keys], dtype=float
-    ).reshape(-1, len(METRIC_NAMES))
+    text = files.CsvText()
     files.write_csv(
         path,
         ["suite", "workload", "machine", *METRIC_NAMES],
         (
             f"{text[s]},{text[w]},{text[m]},{row.replace('nan', '')}\n"
-            for (s, w, m), row in zip(keys, files.float_rows(values))
+            for (s, w, m), row in zip(metrics.runs, files.float_rows(metrics.values))
         ),
     )

@@ -35,9 +35,6 @@ class PcaModel:
     def d(self) -> int:
         return self.mean.shape[0]
 
-    def reconstruct(self, scores: np.ndarray) -> np.ndarray:
-        return np.asarray(scores, dtype=float) @ self.components + self.mean
-
 
 def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
     out = components.copy()

@@ -7,7 +7,7 @@ from itertools import chain
 
 from benchlens import bundled
 from benchlens.dataset import Store, read_store
-from benchlens.events import CANONICAL_EVENTS
+from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_store
 from benchlens.proxy import WorkloadProfile
 
@@ -87,8 +87,17 @@ def with_score(store: Store, score: float) -> Store:
 
 def derive_one(store: Store) -> MetricVector:
     """The metric vector of a one-run store."""
-    (vector,) = derive_store(store).values()
-    return vector
+    metrics = derive_store(store)
+    (key,) = metrics.runs
+    return metrics.row(key)
+
+
+def metric_rows(vectors) -> np.ndarray:
+    """One row of METRIC_NAMES values per MetricVector, NaN where unavailable, as compare_suites takes them."""
+    return np.array(
+        [[np.nan if (v := vector.get(name)) is None else v for name in METRIC_NAMES] for vector in vectors],
+        dtype=float,
+    ).reshape(-1, len(METRIC_NAMES))
 
 
 def make_full_store(

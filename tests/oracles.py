@@ -6,7 +6,8 @@ per-pair Python scan instead of one array minimum per merge,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
 mixes, per-event and per-metric loops instead of one array pass per law,
-per-row counter objects instead of a columnar store, one constructor over
+per-row counter objects instead of a columnar store, one MetricVector per
+run read back one metric at a time instead of one metric array, one constructor over
 the cells of both stores instead of an array join, csv.writer rows instead
 of joined lines, one norm per pair instead of one array pass per group, one
 repr per float instead of one orjson call per chunk of rows), so agreement
@@ -25,13 +26,16 @@ from math import comb
 import numpy as np
 
 from benchlens import files
+from benchlens.compare import MetricComparison, SuiteComparison
 from benchlens.dataset import SCORES_HEADER, STORE_HEADER, Store
 from benchlens.errors import (
-    BudgetExceeded, DuplicateKey, MissingDenominator, NoCommonMetrics, SchemaMismatch, UnknownWorkload,
-    ZeroHorizon,
+    BudgetExceeded, DuplicateKey, EmptyInput, EmptySuite, MissingCell, MissingDenominator, NoCommonMetrics,
+    SchemaMismatch, UnknownWorkload, ZeroHorizon,
 )
 from benchlens.events import METRIC_DEFS, METRIC_NAMES
+from benchlens.features import FeatureMatrix
 from benchlens.metrics import MetricVector, derive_rows
+from benchlens.stats import BoxStats, positive_geomean
 from benchlens.proxy import BlendProfile, DistanceReport, RankedMixes, RrrSchedule, WorkloadProfile
 from benchlens.subset import _accuracies, _suite_geomeans
 
@@ -148,6 +152,11 @@ def covariance_eig_pca(values: np.ndarray):
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
     return eigenvalues[order], eigenvectors[:, order].T
+
+
+def reconstruct(model, scores: np.ndarray) -> np.ndarray:
+    """The normalized rows whose PCA scores are `scores`: exact when the model keeps every component."""
+    return np.asarray(scores, dtype=float) @ model.components + model.mean
 
 
 def loop_moments(column) -> tuple[float, float]:
@@ -674,3 +683,84 @@ def loop_medoid(group, scores) -> str:
             best_mean = mean
             best_workload = w
     return best_workload
+
+
+# The per-vector featurize and compare that read one MetricVector per run, one
+# metric at a time, before `derive_store` returned one `Metrics` array.
+
+
+def vector_build_matrix(
+    vectors: Mapping[tuple[str, str, str], MetricVector],
+    workloads: Sequence[str],
+    machines: Sequence[str],
+) -> FeatureMatrix:
+    """One row per workload and one column per (metric, machine) of the vectors of every run.
+
+    A workload id in two suites on one machine raises DuplicateKey; a column
+    is kept only when its metric is available for every workload on that
+    machine.
+    """
+    cells = {}
+    for (_, workload, machine), vec in vectors.items():
+        if (workload, machine) in cells:
+            raise DuplicateKey(f"workload {workload!r} on {machine!r} appears in more than one suite")
+        cells[workload, machine] = vec
+    if not workloads or not machines:
+        raise EmptyInput("workloads and machines must be non-empty")
+    for workload in workloads:
+        for machine in machines:
+            if (workload, machine) not in cells:
+                raise MissingCell(workload, machine)
+    kept, dropped, columns = [], [], []
+    for metric in METRIC_NAMES:
+        for machine in machines:
+            column = [cells[(w, machine)].get(metric) for w in workloads]
+            if any(c is None for c in column):
+                dropped.append((metric, machine))
+            else:
+                kept.append((metric, machine))
+                columns.append(column)
+    if not kept:
+        raise EmptyInput("every (metric, machine) column was dropped")
+    return FeatureMatrix(
+        rows=tuple(workloads), cols=tuple(kept), values=np.array(columns, dtype=float).T, dropped=tuple(dropped)
+    )
+
+
+def vector_compare_suites(
+    suite_a: str,
+    vectors_a: Sequence[MetricVector],
+    suite_b: str,
+    vectors_b: Sequence[MetricVector],
+    machine: str,
+) -> SuiteComparison:
+    """Per-metric geomean ratio of suite_a over suite_b, each metric's values read vector by vector."""
+    if not vectors_a:
+        raise EmptySuite(f"suite {suite_a!r} has no runs on {machine!r}")
+    if not vectors_b:
+        raise EmptySuite(f"suite {suite_b!r} has no runs on {machine!r}")
+    comparisons, no_positive, skipped = [], [], []
+    for metric in METRIC_NAMES:
+        values_a = [v for vec in vectors_a if (v := vec.get(metric)) is not None]
+        values_b = [v for vec in vectors_b if (v := vec.get(metric)) is not None]
+        if not values_a or not values_b:
+            skipped.append(metric)
+            continue
+        geomean_a, zeros_a = positive_geomean(values_a)
+        geomean_b, zeros_b = positive_geomean(values_b)
+        if geomean_a is None or geomean_b is None:
+            no_positive.append(metric)
+            continue
+        comparisons.append(
+            MetricComparison(
+                metric=metric,
+                geomean_a=geomean_a,
+                geomean_b=geomean_b,
+                ratio=geomean_a / geomean_b,
+                excluded_zeros_a=zeros_a,
+                excluded_zeros_b=zeros_b,
+                box_a=BoxStats.of(values_a),
+                box_b=BoxStats.of(values_b),
+            )
+        )
+    return SuiteComparison(suite_a, suite_b, machine, tuple(comparisons), tuple(no_positive), tuple(skipped))

@@ -30,7 +30,7 @@ from conftest import (
     derive_one,
     icache_stress_pair,
 )
-from oracles import covariance_eig_pca, naive_linkage
+from oracles import covariance_eig_pca, naive_linkage, reconstruct
 from reference_table import REFERENCE_ROWS
 
 
@@ -65,11 +65,11 @@ def test_criterion_1_instruction_volume_ratios(store):
 
 def test_criterion_2_metric_derivation_fidelity(store):
     with budget(1.0):
-        by_key = derive_store(store)
+        metrics = derive_store(store)
         cells = 0
         for suite, rows in REFERENCE_ROWS.items():
             for workload, (_icount, loads, stores, branches, ipc) in rows.items():
-                vec = by_key[(suite, workload, "CPU-C")]
+                vec = metrics.row((suite, workload, "CPU-C"))
                 assert vec.load_pct == loads, (workload, vec.load_pct)
                 assert vec.store_pct == stores
                 assert vec.branch_pct == branches
@@ -115,7 +115,7 @@ def test_criterion_3_pca_against_eigendecomposition_oracle():
             gram = model.components @ model.components.T
             assert np.max(np.abs(gram - np.eye(model.k))) < 1e-8
             scores = project(model, matrix)
-            assert np.max(np.abs(model.reconstruct(scores) - matrix.values)) < 1e-8
+            assert np.max(np.abs(reconstruct(model, scores) - matrix.values)) < 1e-8
     passed(3, "50 random fits match the covariance oracle within 1e-8")
 
 

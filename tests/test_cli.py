@@ -513,7 +513,32 @@ class TestCsvFieldLimit:
         assert json.loads(line) == {"stage": args[0], "error": expected[0], "message": expected[1]}
 
 
+UNKNOWN_CHOICE = [
+    *((command, "--machine", "NOPE", "['CPU-C']") for command in cli.COMMANDS if command != "ingest"),
+    *((command, "--suite", "nosuch", "['fp_rate', 'fp_speed', 'int_rate', 'int_speed']")
+      for command in ("cluster", "subset", "proxy", "report")),
+]
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("command,flag,value,held", UNKNOWN_CHOICE)
+    def test_a_machine_or_suite_the_store_lacks_fails_before_writing(self, tmp_path, capsys, command, flag,
+                                                                     value, held):
+        extra = {
+            "compare": ["--suite-a", "int_rate", "--suite-b", "int_speed"],
+            "proxy": ["--target", "709.cactus_r"],
+        }.get(command, [])
+        out = tmp_path / "out"
+        code, stdout, err = run([command, *base_args(out), *extra, flag, value], capsys)
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "stage": command,
+            "error": "ConfigError",
+            "message": f"{flag} {value!r} is not in the store, which holds {held}",
+        }
+        assert not out.exists()
+
     def test_unknown_command_exits_one_with_usage(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

@@ -12,18 +12,18 @@ from benchlens.compare import (
 from benchlens.errors import EmptySuite
 from benchlens.metrics import MetricVector
 from benchlens.render import boxplot_svg
-from conftest import derive_one, make_full_record
+from conftest import derive_one, make_full_record, metric_rows
 
 
-def vectors_for(rng, count: int) -> list[MetricVector]:
-    return [derive_one(make_full_record("s", f"w{i}", "m", rng)) for i in range(count)]
+def vectors_for(rng, count: int) -> np.ndarray:
+    return metric_rows(derive_one(make_full_record("s", f"w{i}", "m", rng)) for i in range(count))
 
 
 class TestCompareSuites:
     def test_suite_against_itself_has_unit_ratios(self):
         rng = np.random.default_rng(193)
         vecs = vectors_for(rng, 8)
-        cmp = compare_suites("a", vecs, "a", list(vecs), "m")
+        cmp = compare_suites("a", vecs, "a", vecs.copy(), "m")
         assert cmp.metrics  # every metric present on this store
         for m in cmp.metrics:
             assert m.ratio == 1.0
@@ -31,16 +31,16 @@ class TestCompareSuites:
 
     def test_published_style_dtlb_ratio(self):
         # single-vector suites make the geomean the value itself
-        old = [MetricVector(l1_dtlb_mpmi=49.32)]
-        new = [MetricVector(l1_dtlb_mpmi=61.23)]
+        old = metric_rows([MetricVector(l1_dtlb_mpmi=49.32)])
+        new = metric_rows([MetricVector(l1_dtlb_mpmi=61.23)])
         cmp = compare_suites("new", new, "old", old, "m")
         (m,) = cmp.metrics
         assert m.metric == "l1_dtlb_mpmi"
         assert round(m.ratio, 2) == 1.24
 
     def test_hand_geomeans(self):
-        a = [MetricVector(ipc=1.0), MetricVector(ipc=4.0)]
-        b = [MetricVector(ipc=2.0), MetricVector(ipc=2.0)]
+        a = metric_rows([MetricVector(ipc=1.0), MetricVector(ipc=4.0)])
+        b = metric_rows([MetricVector(ipc=2.0), MetricVector(ipc=2.0)])
         cmp = compare_suites("a", a, "b", b, "m")
         (m,) = cmp.metrics
         assert m.geomean_a == pytest.approx(2.0)
@@ -59,7 +59,7 @@ class TestCompareSuites:
     def test_box_stats_are_permutation_invariant(self):
         rng = np.random.default_rng(199)
         vecs = vectors_for(rng, 7)
-        shuffled = list(vecs)
+        shuffled = vecs.copy()
         rng.shuffle(shuffled)
         cmp_a = compare_suites("a", vecs, "b", vecs, "m")
         cmp_b = compare_suites("a", shuffled, "b", shuffled, "m")
@@ -67,25 +67,25 @@ class TestCompareSuites:
             assert ma.box_a == mb.box_a
 
     def test_zero_only_metric_collected_not_fatal(self):
-        a = [MetricVector(ipc=1.0, l3_mpki=0.0)]
-        b = [MetricVector(ipc=2.0, l3_mpki=3.0)]
+        a = metric_rows([MetricVector(ipc=1.0, l3_mpki=0.0)])
+        b = metric_rows([MetricVector(ipc=2.0, l3_mpki=3.0)])
         cmp = compare_suites("a", a, "b", b, "m")
         assert "l3_mpki" in cmp.no_positive
         assert [m.metric for m in cmp.metrics] == ["ipc"]
 
     def test_unavailable_metric_skipped(self):
-        a = [MetricVector(ipc=1.0)]
-        b = [MetricVector(ipc=2.0, l3_mpki=3.0)]
+        a = metric_rows([MetricVector(ipc=1.0)])
+        b = metric_rows([MetricVector(ipc=2.0, l3_mpki=3.0)])
         cmp = compare_suites("a", a, "b", b, "m")
         assert "l3_mpki" in cmp.skipped
 
     def test_empty_suite(self):
         with pytest.raises(EmptySuite):
-            compare_suites("a", [], "b", [MetricVector(ipc=1.0)], "m")
+            compare_suites("a", metric_rows([]), "b", metric_rows([MetricVector(ipc=1.0)]), "m")
 
     def test_excluded_zero_counts_reported(self):
-        a = [MetricVector(l3_mpki=0.0), MetricVector(l3_mpki=2.0)]
-        b = [MetricVector(l3_mpki=4.0)]
+        a = metric_rows([MetricVector(l3_mpki=0.0), MetricVector(l3_mpki=2.0)])
+        b = metric_rows([MetricVector(l3_mpki=4.0)])
         (m,) = compare_suites("a", a, "b", b, "m").metrics
         assert (m.excluded_zeros_a, m.excluded_zeros_b) == (1, 0)
         assert m.geomean_a == pytest.approx(2.0)

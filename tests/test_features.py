@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from benchlens.errors import AlreadyNormalized, EmptyInput, MissingCell, NotNormalized, TooFewRows
+from benchlens.events import METRIC_NAMES
 from benchlens.features import FeatureMatrix, build_matrix, export_csv, normalize
-from benchlens.metrics import MetricVector, derive_store
+from benchlens.metrics import Metrics, derive_store
 from conftest import make_full_store
 from oracles import loop_moments
 
 
-def full_vectors(workloads, machines, seed=7):
-    vectors = derive_store(make_full_store(workloads, machines, seed=seed))
-    return {(workload, machine): vec for (_, workload, machine), vec in vectors.items()}
+def full_metrics(workloads, machines, seed=7):
+    return derive_store(make_full_store(workloads, machines, seed=seed))
 
 
 WORKLOADS4 = [f"w{i}" for i in range(4)]
@@ -23,46 +23,45 @@ MACHINES9 = [f"M{i}" for i in range(9)]
 
 class TestBuildMatrix:
     def test_full_store_yields_19_by_9_columns(self):
-        vectors = full_vectors(WORKLOADS4, MACHINES9)
-        matrix = build_matrix(vectors, WORKLOADS4, MACHINES9)
+        metrics = full_metrics(WORKLOADS4, MACHINES9)
+        matrix = build_matrix(metrics, WORKLOADS4, MACHINES9)
         assert matrix.values.shape == (4, 171)
         assert matrix.dropped == ()
 
     def test_single_machine_single_workload(self):
-        vectors = full_vectors(["w0"], ["M0"])
-        matrix = build_matrix(vectors, ["w0"], ["M0"])
+        metrics = full_metrics(["w0"], ["M0"])
+        matrix = build_matrix(metrics, ["w0"], ["M0"])
         assert matrix.values.shape == (1, 19)
 
     def test_unavailable_metric_drops_column_with_report(self):
-        vectors = full_vectors(WORKLOADS4, MACHINES9)
-        crippled = dict(vectors)
-        victim = ("w2", "M3")
-        values = crippled[victim].as_dict()
-        values["mem_bytes_per_cycle"] = None
-        crippled[victim] = MetricVector(**values)
+        metrics = full_metrics(WORKLOADS4, MACHINES9)
+        values = metrics.values.copy()
+        victim = metrics.runs.index(("synthetic", "w2", "M3"))
+        values[victim, METRIC_NAMES.index("mem_bytes_per_cycle")] = np.nan
+        crippled = Metrics(metrics.runs, values)
         matrix = build_matrix(crippled, WORKLOADS4, MACHINES9)
         assert matrix.values.shape == (4, 170)
         assert matrix.dropped == (("mem_bytes_per_cycle", "M3"),)
 
     def test_missing_cell_and_empty_input(self):
-        vectors = full_vectors(["w0"], ["M0"])
+        metrics = full_metrics(["w0"], ["M0"])
         with pytest.raises(MissingCell):
-            build_matrix(vectors, ["w0", "ghost"], ["M0"])
+            build_matrix(metrics, ["w0", "ghost"], ["M0"])
         with pytest.raises(EmptyInput):
-            build_matrix(vectors, [], ["M0"])
+            build_matrix(metrics, [], ["M0"])
 
     def test_order_is_input_order_not_hash_order(self):
-        vectors = full_vectors(WORKLOADS4, ["M0", "M1"])
-        forward = build_matrix(vectors, WORKLOADS4, ["M0", "M1"])
-        reversed_rows = build_matrix(vectors, list(reversed(WORKLOADS4)), ["M0", "M1"])
+        metrics = full_metrics(WORKLOADS4, ["M0", "M1"])
+        forward = build_matrix(metrics, WORKLOADS4, ["M0", "M1"])
+        reversed_rows = build_matrix(metrics, list(reversed(WORKLOADS4)), ["M0", "M1"])
         assert forward.rows == tuple(WORKLOADS4)
         assert reversed_rows.rows == tuple(reversed(WORKLOADS4))
         assert np.array_equal(forward.values[::-1], reversed_rows.values)
 
     def test_dropping_a_row_leaves_other_cells_unchanged(self):
-        vectors = full_vectors(WORKLOADS4, ["M0", "M1"])
-        full = build_matrix(vectors, WORKLOADS4, ["M0", "M1"])
-        partial = build_matrix(vectors, WORKLOADS4[1:], ["M0", "M1"])
+        metrics = full_metrics(WORKLOADS4, ["M0", "M1"])
+        full = build_matrix(metrics, WORKLOADS4, ["M0", "M1"])
+        partial = build_matrix(metrics, WORKLOADS4[1:], ["M0", "M1"])
         assert np.array_equal(full.values[1:], partial.values)
 
 
@@ -113,8 +112,8 @@ class TestNormalize:
             matrix.scales_for_machine("m")
 
     def test_scales_for_machine(self):
-        vectors = full_vectors(WORKLOADS4, ["M0", "M1"])
-        normalized = normalize(build_matrix(vectors, WORKLOADS4, ["M0", "M1"]))
+        metrics = full_metrics(WORKLOADS4, ["M0", "M1"])
+        normalized = normalize(build_matrix(metrics, WORKLOADS4, ["M0", "M1"]))
         scales = normalized.scales_for_machine("M0")
         assert set(scales) <= set(m for m, _ in normalized.cols)
         j = normalized.cols.index(("ipc", "M0"))
@@ -123,8 +122,8 @@ class TestNormalize:
 
 class TestCsvRoundTrip:
     def test_raw_round_trip(self, tmp_path):
-        vectors = full_vectors(WORKLOADS4, ["M0", "M1"])
-        matrix = build_matrix(vectors, WORKLOADS4, ["M0", "M1"])
+        metrics = full_metrics(WORKLOADS4, ["M0", "M1"])
+        matrix = build_matrix(metrics, WORKLOADS4, ["M0", "M1"])
         path = tmp_path / "features.csv"
         export_csv(matrix, path)
         with open(path, newline="", encoding="utf-8") as fh:

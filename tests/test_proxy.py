@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -72,7 +72,7 @@ class TestSimulateRrr:
         profile = WorkloadProfile.from_store(record, 0)
         own = derive_one(record)
         blend = simulate_rrr([profile], RrrSchedule(order=("w",), copies=3, horizon=profile.duration * 2))
-        for metric, value in own.as_dict().items():
+        for metric, value in asdict(own).items():
             blended = blend.metrics.get(metric)
             if value is None:
                 assert blended is None
