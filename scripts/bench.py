@@ -7,7 +7,9 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 end-to-end medians it prints, whether the outputs were correct, the host the
 figures come from and the line count of ``src/benchlens``. It also records
 seven scaling curves, timed in one child process that imports the checkout's
-benchlens: the median time of ``cluster.build_dendrogram`` (ward) at
+benchlens (and, with ``--baseline DIR``, the same curves of the checkout at
+DIR, for a before and after from one script): the median time of
+``cluster.build_dendrogram`` (ward) at
 n = 100 ... 1,600 rows of 8 scores, of ``subset.oracle_best_subset`` at
 k = 2, 3, 4 on 40 workloads x 9 machines, of ``proxy.search_mix`` and
 of writing its ranking with ``proxy.export_mixes_csv`` at k = 1, 2, 3 on a
@@ -20,7 +22,9 @@ machine on stores of 52, 200 and 500 workloads x 9 machines whose counts
 make every metric valid.
 Each curve carries the exponent b of a least-squares fit of time ~ size^b on
 log scales (size is n, the C(40, k) candidates, the mixes ranked, or the
-store's rows or runs).
+store's rows or runs). Each point of the two proxy curves also carries the
+tracemalloc peak of one more call, in MiB: what the call allocates through
+Python and numpy, beyond what it was handed.
 Standard library only, so it runs on any checkout of the program.
 """
 
@@ -52,7 +56,7 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
 
 # Runs in the child with the checkout's src on sys.path; prints one JSON object.
 CURVES_CHILD = r"""
-import json, statistics, tempfile, time
+import json, statistics, tempfile, time, tracemalloc
 from pathlib import Path
 import numpy as np
 from benchlens.cluster import build_dendrogram
@@ -70,6 +74,14 @@ def median_s(call, repeats):
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+def peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 rng = np.random.default_rng(0)
 dendrogram = []
@@ -100,6 +112,8 @@ with tempfile.TemporaryDirectory() as tmp:
             "mixes": len(ranked),
             "search_median_s": median_s(lambda: search_mix(pool, target, k, weights), 5),
             "export_median_s": median_s(lambda: export_mixes_csv(ranked, Path(tmp) / "mixes.csv"), 5),
+            "search_peak_mib": peak_mib(lambda: search_mix(pool, target, k, weights)),
+            "export_peak_mib": peak_mib(lambda: export_mixes_csv(ranked, Path(tmp) / "mixes.csv")),
         })
     reads = []
     for workloads in (52, 200, 500):
@@ -143,11 +157,11 @@ def fitted_exponent(sizes: list[float], times: list[float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def scaling_curves() -> dict:
+def scaling_curves(root: Path) -> dict:
     """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv, read_store and
-    derive_store + build_matrix over sizes, with fitted exponents."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CURVES_CHILD], cwd=ROOT, env=env, capture_output=True,
+    derive_store + build_matrix over sizes, with fitted exponents, for the benchlens of the checkout at `root`."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CURVES_CHILD], cwd=root, env=env, capture_output=True,
                           text=True, check=True)
     points = json.loads(proc.stdout.splitlines()[-1])
     dendrogram, oracle, proxy, reads = points["dendrogram"], points["oracle"], points["proxy"], points["read_store"]
@@ -172,10 +186,15 @@ def scaling_curves() -> dict:
         **{
             name: {
                 "workloads": 50,
-                "points": [{"k": p["k"], "mixes": p["mixes"], "median_s": p[key]} for p in proxy],
-                "exponent_in_mixes": fitted_exponent([p["mixes"] for p in proxy], [p[key] for p in proxy]),
+                "points": [
+                    {"k": p["k"], "mixes": p["mixes"], **{f: p[f"{key}_{f}"] for f in ("median_s", "peak_mib")}}
+                    for p in proxy
+                ],
+                "exponent_in_mixes": fitted_exponent(
+                    [p["mixes"] for p in proxy], [p[f"{key}_median_s"] for p in proxy]
+                ),
             }
-            for name, key in (("search_mix", "search_median_s"), ("export_mixes_csv", "export_median_s"))
+            for name, key in (("search_mix", "search"), ("export_mixes_csv", "export"))
         },
         "read_store": {
             "machines": 9,
@@ -200,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="workload seed passed to perfbench")
     parser.add_argument("--seconds", type=float, required=True, help="run length of each workload")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    parser.add_argument("--baseline", type=Path, help="another checkout whose curves to record as well")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = {}
@@ -210,8 +230,9 @@ def main(argv: list[str] | None = None) -> int:
             **{name: metric["value"] for name, metric in result["metrics"].items()},
         }
         print(workload["name"], json.dumps(workloads[workload["name"]]), flush=True)
-    curves = scaling_curves()
+    curves = scaling_curves(ROOT)
     print("curves", json.dumps(curves), flush=True)
+    baseline = None if args.baseline is None else scaling_curves(args.baseline.resolve())
     record = {
         "seed": args.seed,
         "seconds": args.seconds,
@@ -224,6 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         "src_benchlens_lines": source_lines(),
         "workloads": workloads,
         "curves": curves,
+        **({} if baseline is None else {"baseline_curves": baseline}),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -24,7 +24,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import cluster as cluster_mod
 from . import compare as compare_mod
@@ -93,9 +92,11 @@ class PipelineConfig:
 def load_config(path: str | None, overrides: dict) -> PipelineConfig:
     values: dict = {}
     if path:
+        import yaml  # only a command with a config file reads YAML
+
         with open(path, encoding="utf-8") as fh:
             try:
-                doc = yaml.load(fh, Loader=dataset.YAML_LOADER) or {}
+                doc = yaml.load(fh, Loader=dataset.yaml_loader()) or {}
             except yaml.YAMLError as exc:
                 raise ConfigError(f"{path}: config is not valid YAML: {exc}") from exc
         if not isinstance(doc, dict):
@@ -122,8 +123,9 @@ class Run:
     """One command's view of the store: each stage's input is computed at most once.
 
     `store` holds every run; `selected` only the runs on the chosen machines,
-    which is all that derive, PCA and clustering see. A `--machine` or
-    `--suite` the store does not hold is a ConfigError.
+    which is all that derive, PCA and clustering see. A `--machine`,
+    `--suite`, `--suite-a` or `--suite-b` the store does not hold is a
+    ConfigError.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -159,8 +161,19 @@ class Run:
         raise ConfigError(f"--machine is required; store has {self.machines}")
 
     @cached_property
+    def pairs(self) -> list[tuple[str, str]]:
+        """The suites to compare: --suite-a and --suite-b when both are given, else every <p>_rate, <p>_speed."""
+        held = dataset.suites_in(self.store)
+        suite_a = self._held("suite-a", self.cfg.suite_a, held)
+        suite_b = self._held("suite-b", self.cfg.suite_b, held)
+        if self.cfg.suite_a and self.cfg.suite_b:
+            return [(suite_a[0], suite_b[0])]
+        return [(rate, speed) for _, rate, speed in _rate_speed_pairs(self.store)]
+
+    @cached_property
     def selected(self) -> dataset.Store:
-        return self.store.select(machines=self.machines)
+        machines, _ = self.machines, self.suites  # every stage reads these runs: an unknown --suite fails here
+        return self.store.select(machines=machines)
 
     @cached_property
     def metrics(self) -> metrics.Metrics:
@@ -346,7 +359,8 @@ def cmd_compare(run: Run) -> str:
     if not cfg.machine:
         raise ConfigError("compare needs an explicit --machine")
     out = Path(cfg.out)
-    summary = _compare_pair(run, cfg.suite_a, cfg.suite_b, cfg.machine, out)
+    ((suite_a, suite_b),) = run.pairs
+    summary = _compare_pair(run, suite_a, suite_b, cfg.machine, out)
     _write_volume_ratios(cfg, run.selected, out)
     return f"compare: {summary}"
 
@@ -473,17 +487,13 @@ def cmd_proxy(run: Run) -> str:
 
 def cmd_report(run: Run) -> str:
     cfg = run.cfg
-    # a multi-machine store and a suite without running scores fail before anything is written
-    machine, _ = run.machine, run.running
+    # a multi-machine store, a suite without running scores and an unknown suite fail before anything is written
+    machine, _, pairs = run.machine, run.running, run.pairs
     lines = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
     out = Path(cfg.out)
     ratio_count = _write_volume_ratios(cfg, run.selected, out)
     if ratio_count:
         lines.append(f"volume: {ratio_count} speed/rate ratios -> {out}")
-    if cfg.suite_a and cfg.suite_b:
-        pairs = [(cfg.suite_a, cfg.suite_b)]
-    else:
-        pairs = [(rate, speed) for _, rate, speed in _rate_speed_pairs(run.store)]
     for suite_a, suite_b in pairs:
         lines.append("compare: " + _compare_pair(run, suite_a, suite_b, machine, out))
     return "\n".join(lines)

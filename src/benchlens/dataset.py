@@ -17,7 +17,9 @@ counter values (NaN where a run has no row for an event), a `supported` mask,
 and the wallclock and score of each run. `Store.from_codes` is its one
 constructor and does every check, on each cell's run and event index;
 `Store.from_cells` turns a list of cells into those codes. Reading a store
-and parsing a raw dump build through it.
+and parsing a raw dump build through it. The wallclocks and scores of the
+runs are checked by one array law (`_timed`), whether they come as mappings
+(`from_codes`) or as a scores CSV that `read_store` joins by columns.
 
 A store CSV is read one of two ways. A plain one -- its header exactly
 `STORE_HEADER`, its bytes UTF-8 without a '"', a CR or a NUL, so that csv
@@ -54,13 +56,15 @@ store shares with the existing one, in the new store's cell order.
 
 Raw platform event names are translated to the canonical vocabulary through a
 per-machine counter map loaded from a YAML manifest, with libyaml's loader
-when PyYAML has it.
+when PyYAML has it (`yaml_loader`). PyYAML is imported when a command first
+reads a YAML file, not when benchlens is imported.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import gc
 import math
 import os
 import sys
@@ -71,15 +75,12 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from . import files
 from .errors import DuplicateKey, SchemaMismatch
 from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES, event_vocabulary
 
 UNSUPPORTED_TOKENS = ("<not supported>", "<not counted>")
-# libyaml's safe loader when PyYAML was built with it: the same documents, about ten times faster
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 STORE_HEADER = ["suite", "workload", "machine", "event", "value", "supported"]
 SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
@@ -181,17 +182,16 @@ class Store:
         mask = np.zeros(grid.shape, dtype=bool)
         mask[rows, cols] = np.asarray(supported, dtype=bool)
 
+        store = cls(runs, events, grid, mask, np.ones(len(runs)), np.full(len(runs), math.nan))
+        if not (wallclock or scores):
+            return store
         wallclock, scores = wallclock or {}, scores or {}
-        for key in runs:
-            if not 0 < wallclock.get(key, 1.0) < math.inf:
-                raise ValueError("wallclock_seconds must be positive and finite")
-            if key in scores and scores[key] <= 0:
-                raise ValueError("score must be positive when present")
-            if key in scores and not scores[key] < math.inf:
-                raise ValueError(f"score must be finite when present, got {float(scores[key])!r}")
-        clocks = np.array([wallclock.get(key, 1.0) for key in runs], dtype=float)
-        marks = np.array([scores.get(key, math.nan) for key in runs], dtype=float)
-        return cls(runs, events, grid, mask, clocks, marks)
+        return _timed(
+            store,
+            np.array([wallclock.get(key, 1.0) for key in runs], dtype=float),
+            np.array([scores.get(key, math.nan) for key in runs], dtype=float),
+            np.array([key in scores for key in runs], dtype=bool),
+        )
 
     @classmethod
     def from_cells(
@@ -253,28 +253,21 @@ class Store:
             self.scores[rows],
         )
 
-    def columns(self) -> tuple[list, ...]:
-        """The cells as six columns (suite, workload, machine, event, value, supported).
 
-        Cells are sorted by run and then by event name, the order of the store CSV.
-        """
-        order = sorted(range(len(self.events)), key=self.events.__getitem__)
-        values = self.values[:, order]
-        present = ~np.isnan(values)
-        rows, cols = np.nonzero(present)
-        keys = [self.runs[i] for i in rows.tolist()]
-        return (
-            [k[0] for k in keys],
-            [k[1] for k in keys],
-            [k[2] for k in keys],
-            [self.events[order[j]] for j in cols.tolist()],
-            values[present].tolist(),
-            self.supported[:, order][present].tolist(),
-        )
-
-    def cells(self) -> Iterable[Cell]:
-        """Every (run, event) cell, in the order of `columns`."""
-        return zip(*self.columns())
+def _timed(store: Store, clocks: np.ndarray, marks: np.ndarray, scored: np.ndarray) -> Store:
+    """`store` with the wallclock `clocks` and the scores `marks` of its runs, in run order, where `scored`
+    marks the runs that have a score. The first run that breaks a rule raises ValueError: a wallclock that
+    is not positive and finite, else a score that is not > 0, else one that is not finite (NaN included)."""
+    timeless = ~((clocks > 0) & (clocks < math.inf))
+    low, unbounded = scored & (marks <= 0), scored & ~(marks < math.inf)
+    if (bad := timeless | low | unbounded).any():
+        i = int(np.argmax(bad))
+        if timeless[i]:
+            raise ValueError("wallclock_seconds must be positive and finite")
+        if low[i]:
+            raise ValueError("score must be positive when present")
+        raise ValueError(f"score must be finite when present, got {float(marks[i])!r}")
+    return replace(store, wallclock=clocks, scores=marks)
 
 
 @dataclass(frozen=True)
@@ -308,6 +301,14 @@ def identity_counter_map(machine: str) -> CounterMap:
     return CounterMap(machine=machine, mapping={e: e for e in CANONICAL_EVENTS})
 
 
+def yaml_loader() -> type:
+    """libyaml's safe loader when PyYAML was built with it, else PyYAML's: the same documents, about ten
+    times faster. Importing PyYAML here keeps it out of the commands that read no YAML."""
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_counter_maps(path: str | Path) -> dict[str, CounterMap]:
     """Load per-machine counter maps from a YAML manifest.
 
@@ -321,9 +322,11 @@ def load_counter_maps(path: str | Path) -> dict[str, CounterMap]:
               instructions: instructions
               l1d_misses: L1-dcache-load-misses
     """
+    import yaml
+
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = yaml.load(fh, Loader=YAML_LOADER)
+            doc = yaml.load(fh, Loader=yaml_loader())
         except yaml.YAMLError as exc:
             raise SchemaMismatch(f"{path}: counter map manifest is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "machines" not in doc:
@@ -657,7 +660,13 @@ def _read_cells(path: str | Path) -> tuple:
             if (read := _plain_cells(fh, stamp[2])) is not None:
                 *cells, spans = read
                 return (*cells, None if spans is None else _Source(os.fspath(path), stamp, spans))
-    return (*_cell_codes(_parse_row(path, row_no, row) for row_no, row in _csv_rows(path, STORE_HEADER)), None)
+    collecting = gc.isenabled()
+    gc.disable()  # the route keeps a tuple per cell until the end; collections would rescan them and find no cycle
+    try:
+        return (*_cell_codes(_parse_row(path, row_no, row) for row_no, row in _csv_rows(path, STORE_HEADER)), None)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store:
@@ -669,25 +678,71 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
     would write for it keeps where each run's lines are (see `save_canonical`).
     """
     runs, events, rows, cols, values, supported, source = _read_cells(path)
-    wallclock: dict[RunKey, float] = {}
-    scores: dict[RunKey, float] = {}
-    if scores_path is not None:
-        run_keys = set(runs)
-        for row_no, row in _csv_rows(scores_path, SCORES_HEADER):
-            if len(row) != len(SCORES_HEADER):
-                raise SchemaMismatch(f"{scores_path}:{row_no}: expected {len(SCORES_HEADER)} columns")
-            key = (row[0], row[1], row[2])
-            if key not in run_keys:
-                raise SchemaMismatch(f"{scores_path}:{row_no}: score for unknown run {key}")
-            if key in scores:
-                raise DuplicateKey(f"{scores_path}:{row_no}: duplicate score row for {key}")
-            try:
-                scores[key] = float(row[3])
-                wallclock[key] = float(row[4])
-            except ValueError as exc:
-                raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
-    store = Store.from_codes(runs, events, rows, cols, values, supported, wallclock=wallclock, scores=scores)
-    return replace(store, _source=source)
+    times = None if scores_path is None else _joined_scores(scores_path, runs)
+    store = Store.from_codes(runs, events, rows, cols, values, supported)
+    return replace(store if times is None else _timed(store, *times), _source=source)
+
+
+def _joined_scores(path: str | Path, runs: Sequence[RunKey]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_timed`'s wallclocks, scores and scored runs from the scores CSV at `path`, joined by columns: a run
+    without a row keeps a wallclock of 1.0 and no score.
+
+    The first bad row in file order raises, and each row breaks its rules in
+    this order: a width other than the header's, a run not in `runs`, a run
+    that an earlier row scored, then a score or wallclock that `float` does
+    not parse. csv's own errors raise at the row where csv meets them.
+    """
+    numbered, late = [], None
+    try:
+        for item in _csv_rows(path, SCORES_HEADER):
+            numbered.append(item)
+    except SchemaMismatch as exc:  # the header, or csv's own error after every row before it
+        late = exc
+    row_nos, rows = tuple(zip(*numbered)) or ((), ())
+    wide = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) == len(SCORES_HEADER)
+    joined = int(np.argmin(wide)) if not wide.all() else len(rows)  # the rows before the first one too wide or narrow
+    suites, workloads, machines, score_texts, clock_texts = tuple(zip(*rows[:joined])) or ((),) * 5
+    keys = list(zip(suites, workloads, machines))
+    index = {key: i for i, key in enumerate(runs)}
+    codes = np.fromiter(map(index.get, keys, [-1] * joined), dtype=np.intp, count=joined)
+    order = np.argsort(codes, kind="stable")
+    repeated = np.zeros(joined, dtype=bool)
+    repeated[order[1:]] = codes[order[1:]] == codes[order[:-1]]  # an earlier row has the same run
+    try:
+        marks = np.fromiter(map(float, score_texts), dtype=float, count=joined)
+        clocks = np.fromiter(map(float, clock_texts), dtype=float, count=joined)
+        unparsed = np.zeros(joined, dtype=bool)
+    except ValueError:
+        unparsed = np.array([not (_parses(a) and _parses(b)) for a, b in zip(score_texts, clock_texts)], dtype=bool)
+    bad = (codes < 0) | repeated | unparsed
+    if bad.any():
+        i = int(np.argmax(bad))
+        key, where = keys[i], f"{path}:{row_nos[i]}"
+        if codes[i] < 0:
+            raise SchemaMismatch(f"{where}: score for unknown run {key}")
+        if repeated[i]:
+            raise DuplicateKey(f"{where}: duplicate score row for {key}")
+        try:
+            float(score_texts[i]), float(clock_texts[i])
+        except ValueError as exc:
+            raise SchemaMismatch(f"{where}: bad numeric field") from exc
+    if joined < len(rows):
+        raise SchemaMismatch(f"{path}:{row_nos[joined]}: expected {len(SCORES_HEADER)} columns")
+    if late is not None:
+        raise late
+    times = np.ones(len(runs)), np.full(len(runs), math.nan), np.zeros(len(runs), dtype=bool)
+    for column, joined_values in zip(times, (clocks, marks, True)):
+        column[codes] = joined_values
+    return times
+
+
+def _parses(text: str) -> bool:
+    """Whether `float` parses `text`."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @contextmanager

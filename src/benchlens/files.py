@@ -12,13 +12,15 @@ CSV files are written by one line law (`write_csv`): each number is its
 line, and the lines go out `CHUNK` rows per write (`chunks`). The bytes are
 those of `csv.writer` writing the same cells.
 
-The rows of a float array are formatted by `float_rows`: a number is still
-`repr`'s bytes, with the digits taken from orjson where the two texts are the
-same. Both write the shortest digits that read back as the same double (orjson
-through Ryū), and both write them without an exponent for 0.0, -0.0 and every
-finite |x| in [1e-4, 1e16). orjson writes NaN as "null", which becomes "nan";
-a row holding any other cell (an infinity, or a finite cell that `repr` writes
-with an exponent) is formatted by `repr`.
+The rows of a float array are formatted by `float_rows`, a chunk of rows at a
+time by `float_block`: a number is still `repr`'s bytes, with the digits taken
+from orjson where the two texts are the same. Both write the shortest digits
+that read back as the same double (orjson through Ryū), and both write them
+without an exponent for 0.0, -0.0 and every finite |x| in [1e-4, 1e16).
+orjson writes NaN as "null", which becomes "nan", or the text the caller
+writes for NaN (such as "" for a blank cell); a row holding any other cell (an
+infinity, or a finite cell that `repr` writes with an exponent) is formatted
+by `repr`, with the same text for NaN.
 """
 
 from __future__ import annotations
@@ -87,18 +89,26 @@ def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> 
     write_text(path, chain([",".join(map(text.__getitem__, header)) + "\n"], chunks(lines)))
 
 
-def float_rows(values: np.ndarray) -> Iterator[str]:
-    """Each row of the 2-D float array `values` as `",".join(map(repr, row))` (see the module docstring).
+def float_rows(values: np.ndarray, nan: str = "nan") -> Iterator[str]:
+    """Each row of the 2-D float array `values` as `",".join(map(repr, row))`, NaN cells as `nan`.
 
-    Rows are formatted CHUNK at a time, one orjson call per chunk, as they are iterated.
+    Rows are formatted CHUNK at a time by `float_block`, as they are iterated.
     """
-    low, high = POSITIONAL
     for lo in range(0, len(values), CHUNK):
-        block = np.ascontiguousarray(values[lo:lo + CHUNK], dtype=np.float64)
-        size = np.abs(block)
-        same = (size == 0.0) | ((size >= low) & (size < high)) | np.isnan(block)
-        rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"null", b"nan")
-        rows = rows.decode().split("],[")
-        for i in np.flatnonzero(~same.all(axis=1)).tolist():
-            rows[i] = ",".join(map(repr, block[i].tolist()))
-        yield from rows
+        yield from float_block(values[lo:lo + CHUNK], nan)
+
+
+def float_block(block: np.ndarray, nan: str = "nan") -> list[str]:
+    """Each row of the 2-D float array `block`, which has at least one row, as `",".join(map(repr, row))`,
+    NaN cells as `nan`, by one orjson call (see the module docstring)."""
+    low, high = POSITIONAL
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    size, missing = np.abs(block), np.isnan(block)
+    same = (size == 0.0) | ((size >= low) & (size < high)) | missing
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    if missing.any():
+        text = text.replace(b"null", nan.encode())
+    rows = text.decode().split("],[")
+    for i in np.flatnonzero(~same.all(axis=1)).tolist():
+        rows[i] = ",".join(map(repr, block[i].tolist())).replace("nan", nan)
+    return rows

@@ -28,6 +28,7 @@ from .errors import MissingDenominator
 from .events import METRIC_DEFS, METRIC_NAMES
 
 BOUNDED_SHARES = ("load_pct", "store_pct", "branch_pct", "frontend_stall_pct", "backend_stall_pct")
+_NUMERATORS, _DENOMINATORS, _SCALES = zip(*METRIC_DEFS.values())  # in METRIC_NAMES order
 
 
 @dataclass(frozen=True)
@@ -90,20 +91,16 @@ def metric_array(counts: np.ndarray, events: Sequence[str]) -> tuple[np.ndarray,
     NaN or its denominator is not positive. A row fails when its instructions
     or cycles are not positive, or when its values break a MetricVector bound.
     """
-    column = {event: j for j, event in enumerate(events)}
-    absent = np.full(len(counts), np.nan)
-
-    def count(event: str) -> np.ndarray:
-        return counts[:, column[event]] if event in column else absent
-
-    num = np.stack([count(n) for n, _, _ in METRIC_DEFS.values()], axis=1)
-    den = np.stack([count(d) for _, d, _ in METRIC_DEFS.values()], axis=1)
-    scale = np.array([s for _, _, s in METRIC_DEFS.values()])
+    column = {event: j for j, event in enumerate(events)}  # an event not in `events` is the NaN column
+    inputs = [column.get(event, len(events)) for event in (*_NUMERATORS, *_DENOMINATORS, "instructions", "cycles")]
+    padded = np.concatenate([counts, np.full((len(counts), 1), np.nan)], axis=1)
+    gathered = padded[:, inputs]
+    num, den = gathered[:, :len(METRIC_NAMES)], gathered[:, len(METRIC_NAMES):-2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         available = ~np.isnan(num) & (den > 0)
         # scale first: keeps shares exact for integer counters at table precision
-        values = np.where(available, scale * num / den, np.nan)
-        failed = ~(count("instructions") > 0) | ~(count("cycles") > 0)
+        values = np.where(available, np.array(_SCALES) * num / den, np.nan)
+        failed = ~(gathered[:, -2] > 0) | ~(gathered[:, -1] > 0)
         failed |= (available & ~(np.isfinite(values) & (values >= 0))).any(axis=1)
         failed |= (values[:, [METRIC_NAMES.index(m) for m in BOUNDED_SHARES]] > 100.0).any(axis=1)
         kernel, user = values[:, METRIC_NAMES.index("kernel_pct")], values[:, METRIC_NAMES.index("user_pct")]
@@ -166,7 +163,7 @@ def export_metrics_csv(metrics: Metrics, path: str | Path) -> None:
         path,
         ["suite", "workload", "machine", *METRIC_NAMES],
         (
-            f"{text[s]},{text[w]},{text[m]},{row.replace('nan', '')}\n"
-            for (s, w, m), row in zip(metrics.runs, files.float_rows(metrics.values))
+            f"{text[s]},{text[w]},{text[m]},{row}\n"
+            for (s, w, m), row in zip(metrics.runs, files.float_rows(metrics.values, nan=""))
         ),
     )

@@ -27,9 +27,9 @@ Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
 
 `simulate_rrr` walks any schedule segment by segment to get its steps, and
 `blend_markdown` blends each constituent over one pass. `search_mix` blends
-every mix of a pool at once on the equal-duration schedule, where copy c
-runs slots c, c+1, ..., c-1 for one unit each, so its values are
-bit-identical to simulating each mix.
+the mixes of a pool as rows of arrays, `files.CHUNK` mixes at a time, on the
+equal-duration schedule, where copy c runs slots c, c+1, ..., c-1 for one
+unit each, so its values are bit-identical to simulating each mix.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, count
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 
@@ -86,13 +86,16 @@ def _blend(rates: np.ndarray, mixes: np.ndarray, steps, events: Sequence[str], k
     """Each mix's event totals, metric values and whether it fails; a mix is a row of `rates` indices.
 
     Each (slot, step) of `steps`, in order, adds the rates of every mix's
-    workload in that slot times the step to totals that start from 0.0.
-    With a `key`, a failing first mix raises its error, named by the key.
+    workload in that slot times the step to totals that start from 0.0; each
+    slot's rates are gathered once, and a step of 1.0 adds them as they are,
+    which is exact. With a `key`, a failing first mix raises its error, named
+    by the key.
     """
+    slots = [rates[mixes[:, slot]] for slot in range(mixes.shape[1])]
     totals = np.zeros((len(mixes), rates.shape[1]))
     with np.errstate(over="ignore"):
         for slot, step in steps:
-            totals += rates[mixes[:, slot]] * step
+            totals += slots[slot] if step == 1.0 else slots[slot] * step
     values, failed = metric_array(totals, events)
     failed |= np.isinf(totals).any(axis=1)
     if key is not None and failed[0]:
@@ -256,31 +259,50 @@ def blend_distance(
 class RankedMixes(Sequence):
     """The ranking `search_mix` returns: `(order, BlendProfile)` pairs, closest first.
 
-    Each mix is one row of arrays: its pool indices (padded with -1), its
-    distance and its metric values (NaN where unavailable). A BlendProfile is
-    simulated only when its item is read, so ranking builds none.
+    Each mix is one row of two arrays, in the order the search blended it:
+    `mixes` holds its pool indices (padded with -1), and `scored` its distance
+    followed by its metric values (NaN where unavailable), the floats of its
+    `export_mixes_csv` line. `rank` holds those rows closest first, and `rows`
+    gathers the ranked rows a slice at a time. A BlendProfile is simulated only
+    when its item is read, so ranking builds none.
     """
 
-    def __init__(self, pool, mixes, distances, metrics, target_name):
+    def __init__(self, pool, mixes, scored, rank, target_name):
         self._pool = pool  # equal-duration profiles, sorted by workload id
         self._mixes = mixes
-        self.distances = distances
-        self.metrics = metrics
+        self._scored = scored
+        self._rank = rank
         self._target_name = target_name
 
     def __len__(self) -> int:
-        return len(self.distances)
+        return len(self._rank)
+
+    @property
+    def distances(self) -> np.ndarray:
+        """Every ranked mix's distance, closest first."""
+        return self._scored[self._rank, 0]
+
+    @property
+    def metrics(self) -> np.ndarray:
+        """Every ranked mix's metric values, closest first, NaN where unavailable."""
+        return self._scored[self._rank, 1:]
+
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The `mixes` and `scored` rows of the ranked mixes lo to hi."""
+        rows = self._rank[lo:hi]
+        return self._mixes[rows], self._scored[rows]
 
     def order(self, i: int) -> tuple[str, ...]:
-        return tuple(self._pool[j].workload for j in self._mixes[i] if j >= 0)
+        return tuple(self._pool[j].workload for j in self._mixes[self._rank[i]] if j >= 0)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        members = [self._pool[j] for j in self._mixes[i] if j >= 0]
+        row = self._rank[i]
+        members = [self._pool[j] for j in self._mixes[row] if j >= 0]
         order = tuple(p.workload for p in members)
         blend = simulate_rrr(members, RrrSchedule(order=order, copies=len(order)))
-        return order, replace(blend, distance_to_target=float(self.distances[i]), target=self._target_name)
+        return order, replace(blend, distance_to_target=float(self._scored[row, 0]), target=self._target_name)
 
 
 def search_mix(
@@ -300,7 +322,8 @@ def search_mix(
     reflects the blend composition rather than measured pass lengths. Ties
     on distance go to the lower order tuple.
 
-    Mixes are blended and measured as rows of arrays, size by size. The first
+    Mixes are blended, derived and measured as rows of arrays, size by size and
+    `files.CHUNK` mixes at a time, into arrays that hold every mix. The first
     mix that fails, in enumeration order, raises what simulating it would:
     its blend's error, else a bad weight's, else NoCommonMetrics.
     """
@@ -317,31 +340,30 @@ def search_mix(
         raise BudgetExceeded(f"{total} candidate mixes exceed budget {budget}")
 
     rates, events = _rate_array(pool)
-    blocks = []
+    mixes = np.full((total, max_constituents), -1, dtype=np.intp)
+    scored = np.empty((total, 1 + len(METRIC_NAMES)))  # each mix's distance, then its metrics
+    start = 0
     for size in range(1, max_constituents + 1):
-        mixes = np.fromiter(
-            chain.from_iterable(combinations(range(len(pool)), size)),
-            dtype=np.intp,
-            count=comb(len(pool), size) * size,
+        stop = start + comb(len(pool), size)
+        mixes[start:stop, :size] = np.fromiter(
+            chain.from_iterable(combinations(range(len(pool)), size)), dtype=np.intp, count=(stop - start) * size
         ).reshape(-1, size)
         steps = [((copy + step) % size, 1.0) for copy in range(size) for step in range(size)]
-        _, values, failed = _blend(rates, mixes, steps, events)
-        if not failed[0]:  # else the first mix raises before a weight is read
-            distances, used = _distances(values, target, weights, scales)
-            failed |= ~used.any(axis=1)
-        if failed.any():  # the first failing mix raises its blend's error, else NoCommonMetrics
-            mix = mixes[np.argmax(failed)]
-            _blend(rates, mix[None], steps, events, ("rrr", "+".join(names[j] for j in mix), "blend"))
-            raise NoCommonMetrics("no weighted metric is available on both sides")
-        padded = np.full((len(mixes), max_constituents), -1, dtype=np.intp)
-        padded[:, :size] = mixes
-        blocks.append((padded, distances, values))
-
-    mixes, distances, values = (np.concatenate(parts) for parts in zip(*blocks))
+        for lo in range(start, stop, files.CHUNK):
+            block = slice(lo, min(lo + files.CHUNK, stop))
+            _, scored[block, 1:], failed = _blend(rates, mixes[block, :size], steps, events)
+            if not failed[0]:  # else the block's first mix raises before a weight is read
+                scored[block, 0], used = _distances(scored[block, 1:], target, weights, scales)
+                failed |= ~used.any(axis=1)
+            if failed.any():  # the first failing mix raises its blend's error, else NoCommonMetrics
+                mix = mixes[block, :size][np.argmax(failed)]
+                _blend(rates, mix[None], steps, events, ("rrr", "+".join(names[j] for j in mix), "blend"))
+                raise NoCommonMetrics("no weighted metric is available on both sides")
+        start = stop
     # order tuples compare like their pool indices, a shorter prefix (-1 padding) first
-    rank = np.lexsort((*mixes.T[::-1], distances))
+    rank = np.lexsort((*mixes.T[::-1], scored[:, 0]))
     equal = [replace(p, duration=1.0) for p in pool]
-    return RankedMixes(equal, mixes[rank], distances[rank], values[rank], target_name)
+    return RankedMixes(equal, mixes, scored, rank, target_name)
 
 
 def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
@@ -409,38 +431,52 @@ def export_mixes_csv(
     """Write "rank,mix,distance,<metrics...>" with empty cells for unavailable.
 
     Lines follow the one CSV line law (see `files`): the rank, the mix cell,
-    `repr` of the distance (never blanked), and `repr` of each metric, where
-    an unavailable one (NaN, whose repr is the only one holding "nan") is
-    blanked; the floats of each CHUNK rows are formatted by `files.float_rows`.
-    The a+b+c mix cell is csv's quoting of the joined text, which is the text
-    itself when every name of a `RankedMixes` pool is bare. A `RankedMixes` is
-    written straight from its arrays, CHUNK rows at a time, without simulating
-    a blend; any other sequence from its BlendProfiles, where a distance of
-    None is blank.
+    `repr` of the distance (never blanked; blank for a distance of None) and
+    `repr` of each metric, blank where unavailable. Each CHUNK rows are one
+    text: one `files.float_block` formats their distances and metrics with NaN
+    blank, and a NaN distance is written back. The a+b+c mix cell is csv's
+    quoting of the joined text, which is the text itself when every name is
+    bare; then it is built from one cell per pool member. A `RankedMixes` is
+    written straight from its arrays, a chunk of ranked rows at a time,
+    without simulating a blend; any other sequence from its BlendProfiles.
     """
     text = files.CsvText()
+    starts = range(0, len(ranked), files.CHUNK)
     if isinstance(ranked, RankedMixes):
         names = [p.workload for p in ranked._pool]
-        bare = all(text[name] == name for name in names)
-        joined = (
-            "+".join([names[j] for j in mix if j >= 0])
-            for lo in range(0, len(ranked), files.CHUNK)
-            for mix in ranked._mixes[lo:lo + files.CHUNK].tolist()
+        chunks = ((lo, *ranked.rows(lo, lo + files.CHUNK), True) for lo in starts)
+    else:  # the same arrays: pool indices into the sorted names, the distance and metrics (None is NaN)
+        names = sorted({name for order, _ in ranked for name in order})
+        index = {name: j for j, name in enumerate(names)}
+        width = max((len(order) for order, _ in ranked), default=0)
+        mixes = np.array([[index[n] for n in order] + [-1] * (width - len(order)) for order, _ in ranked])
+        distances = [blend.distance_to_target for _, blend in ranked]
+        scored = np.array(
+            [[distance, *map(blend.metrics.get, METRIC_NAMES)] for distance, (_, blend) in zip(distances, ranked)],
+            dtype=float,
         )
-        mixes = joined if bare else map(text.__getitem__, joined)
-        distances = files.float_rows(ranked.distances[:, None])
-        metrics = ranked.metrics
-    else:
-        mixes = [text["+".join(order)] for order, _ in ranked]
-        distances = ["" if blend.distance_to_target is None else repr(blend.distance_to_target) for _, blend in ranked]
-        metrics = np.array(
-            [[blend.metrics.get(m) for m in METRIC_NAMES] for _, blend in ranked], dtype=float
-        ).reshape(-1, len(METRIC_NAMES))  # None is NaN
-    lines = (
-        f"{rank},{mix},{distance},{values.replace('nan', '')}\n"
-        for rank, mix, distance, values in zip(count(1), mixes, distances, files.float_rows(metrics))
-    )
-    files.write_csv(path, ["rank", "mix", "distance", *METRIC_NAMES], lines)
+        written = np.array([distance is not None for distance in distances])
+        chunks = ((lo, *(part[lo:lo + files.CHUNK] for part in (mixes, scored, written))) for lo in starts)
+    bare = all(text[name] == name for name in names)
+    first, later = (np.array([*cells, ""], dtype=object) for cells in (names, [f"+{name}" for name in names]))
+
+    def lines(lo: int, mixes: np.ndarray, scored: np.ndarray, written) -> str:
+        if bare:  # a -1 of the padding picks the last cell, ""
+            cells = [first[mixes[:, 0]].tolist(), *(later[mixes[:, c]].tolist() for c in range(1, mixes.shape[1]))]
+        else:
+            cells = [[text["+".join(names[j] for j in mix if j >= 0)] for mix in mixes.tolist()]]
+        rows = files.float_block(scored, nan="")
+        for i in np.flatnonzero(np.isnan(scored[:, 0]) & written).tolist():
+            rows[i] = "nan" + rows[i]
+        n = len(rows)
+        columns = [map(str, range(lo + 1, lo + n + 1)), [","] * n, *cells, [","] * n, rows, ["\n"] * n]
+        parts = [""] * (len(columns) * n)
+        for c, column in enumerate(columns):  # line i is parts[i * len(columns):][:len(columns)]
+            parts[c::len(columns)] = column
+        return "".join(parts)
+
+    header = ",".join(["rank", "mix", "distance", *METRIC_NAMES]) + "\n"
+    files.write_text(path, chain([header], (lines(*chunk) for chunk in chunks)))
 
 
 def blend_markdown(

@@ -10,6 +10,7 @@ from benchlens.dataset import Store, read_store
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_store
 from benchlens.proxy import WorkloadProfile
+from oracles import cells
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +74,7 @@ def combine(stores, *, keep=lambda cell: True) -> Store:
     """One store of the `keep` cells and the wallclocks and scores of `stores`."""
     stores = list(stores)
     return Store.from_cells(
-        (cell for cell in chain.from_iterable(s.cells() for s in stores) if keep(cell)),
+        (cell for cell in chain.from_iterable(cells(s) for s in stores) if keep(cell)),
         wallclock={key: w for s in stores for key, w in zip(s.runs, s.wallclock.tolist())},
         scores={key: v for s in stores for key, v in zip(s.runs, s.scores.tolist()) if v == v},
     )
@@ -82,7 +83,7 @@ def combine(stores, *, keep=lambda cell: True) -> Store:
 def with_score(store: Store, score: float) -> Store:
     """A one-run store with its score set."""
     wallclock = dict(zip(store.runs, store.wallclock.tolist()))
-    return Store.from_cells(store.cells(), wallclock=wallclock, scores={store.runs[0]: score})
+    return Store.from_cells(cells(store), wallclock=wallclock, scores={store.runs[0]: score})
 
 
 def derive_one(store: Store) -> MetricVector:

@@ -27,7 +27,7 @@ import numpy as np
 
 from benchlens import files
 from benchlens.compare import MetricComparison, SuiteComparison
-from benchlens.dataset import SCORES_HEADER, STORE_HEADER, Store
+from benchlens.dataset import SCORES_HEADER, STORE_HEADER, Store, _csv_rows, read_store
 from benchlens.errors import (
     BudgetExceeded, DuplicateKey, EmptyInput, EmptySuite, MissingCell, MissingDenominator, NoCommonMetrics,
     SchemaMismatch, UnknownWorkload, ZeroHorizon,
@@ -524,6 +524,39 @@ def load_canonical(path, scores_path=None):
     return build_records(samples, wallclock=wallclock, scores=scores)
 
 
+def loop_scored_store(store_path, scores_path):
+    """`dataset.read_store(store_path, scores_path)` with the scores joined one row at a time through dicts, as
+    `read_store` joined them before its column join, then checked one run at a time, as `Store.from_codes` did."""
+    store = read_store(store_path)
+    wallclock, scores = {}, {}
+    run_keys = set(store.runs)
+    for row_no, row in _csv_rows(scores_path, SCORES_HEADER):
+        if len(row) != len(SCORES_HEADER):
+            raise SchemaMismatch(f"{scores_path}:{row_no}: expected {len(SCORES_HEADER)} columns")
+        key = (row[0], row[1], row[2])
+        if key not in run_keys:
+            raise SchemaMismatch(f"{scores_path}:{row_no}: score for unknown run {key}")
+        if key in scores:
+            raise DuplicateKey(f"{scores_path}:{row_no}: duplicate score row for {key}")
+        try:
+            scores[key] = float(row[3])
+            wallclock[key] = float(row[4])
+        except ValueError as exc:
+            raise SchemaMismatch(f"{scores_path}:{row_no}: bad numeric field") from exc
+    for key in store.runs:
+        if not 0 < wallclock.get(key, 1.0) < math.inf:
+            raise ValueError("wallclock_seconds must be positive and finite")
+        if key in scores and scores[key] <= 0:
+            raise ValueError("score must be positive when present")
+        if key in scores and not scores[key] < math.inf:
+            raise ValueError(f"score must be finite when present, got {float(scores[key])!r}")
+    return replace(
+        store,
+        wallclock=np.array([wallclock.get(key, 1.0) for key in store.runs], dtype=float),
+        scores=np.array([scores.get(key, math.nan) for key in store.runs], dtype=float),
+    )
+
+
 def merge_records(existing, new):
     samples, wallclock, scores = [], {}, {}
     for rec in list(existing) + list(new):
@@ -546,9 +579,35 @@ def derive_metrics(record):
     return MetricVector(**values)
 
 
+def columns(store):
+    """A store's cells as six columns (suite, workload, machine, event, value, supported).
+
+    Cells are sorted by run and then by event name, the order of the store CSV.
+    """
+    order = sorted(range(len(store.events)), key=store.events.__getitem__)
+    values = store.values[:, order]
+    present = ~np.isnan(values)
+    rows, cols = np.nonzero(present)
+    keys = [store.runs[i] for i in rows.tolist()]
+    return (
+        [k[0] for k in keys],
+        [k[1] for k in keys],
+        [k[2] for k in keys],
+        [store.events[order[j]] for j in cols.tolist()],
+        values[present].tolist(),
+        store.supported[:, order][present].tolist(),
+    )
+
+
+def cells(store):
+    """Every (run, event) cell of a store as (suite, workload, machine, event, value, supported), in the order
+    of `columns`."""
+    return zip(*columns(store))
+
+
 def records_of(store):
     """A store as the oracle's records, to hand the same data to both sides."""
-    samples = [CounterSample(*cell) for cell in store.cells()]
+    samples = [CounterSample(*cell) for cell in cells(store)]
     wallclock = dict(zip(store.runs, store.wallclock.tolist()))
     scores = {key: s for key, s in zip(store.runs, store.scores.tolist()) if s == s}
     return build_records(samples, wallclock=wallclock, scores=scores)
@@ -557,7 +616,7 @@ def records_of(store):
 def assert_same_runs(store, records):
     """The store holds exactly the records' cells, wallclocks and scores, in run order."""
     assert list(store.runs) == [rec.key for rec in records]
-    assert [(*cell[:4], repr(cell[4]), cell[5]) for cell in store.cells()] == [
+    assert [(*cell[:4], repr(cell[4]), cell[5]) for cell in cells(store)] == [
         (*rec.key, s.event, repr(s.value), s.supported) for rec in records for s in rec.samples
     ]
     assert [repr(v) for v in store.wallclock.tolist()] == [repr(rec.wallclock_seconds) for rec in records]
@@ -576,7 +635,7 @@ def cell_merge_stores(existing, new):
         for run, score in zip(store.runs, store.scores.tolist())
         if score == score
     }
-    return Store.from_cells(chain(existing.cells(), new.cells()), wallclock=wallclock, scores=scores)
+    return Store.from_cells(chain(cells(existing), cells(new)), wallclock=wallclock, scores=scores)
 
 
 # The per-cell repr that `files.float_rows` replaced with one orjson call per
@@ -598,7 +657,7 @@ def repr_export_mixes(ranked, path):
         rows = (
             ("+".join([names[j] for j in mix if j >= 0]), bare, repr(distance), values)
             for mix, distance, values in zip(
-                ranked._mixes.tolist(), ranked.distances.tolist(), ranked.metrics.tolist()
+                ranked._mixes[ranked._rank].tolist(), ranked.distances.tolist(), ranked.metrics.tolist()
             )
         )
     else:
@@ -630,7 +689,7 @@ def _csv_write_rows(path, header, rows):
 
 
 def csv_save_canonical(store, path):
-    suites, workloads, machines, events, values, supported = store.columns()
+    suites, workloads, machines, events, values, supported = columns(store)
     flags = ["true" if flag else "false" for flag in supported]
     _csv_write_rows(path, STORE_HEADER, zip(suites, workloads, machines, events, map(repr, values), flags))
 

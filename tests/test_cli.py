@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import oracles
 from conftest import combine, make_full_record, with_score
 
 from benchlens import bundled, cli, dataset
@@ -261,7 +262,7 @@ class TestCompareAndProxy:
     def test_mix_file_names_a_csv_quoted_workload_id(self, tmp_path, capsys):
         odd = '709,cactus "r"'
         sample = dataset.read_store(bundled.sample_store_path(), bundled.sample_scores_path())
-        suites, workloads, *columns = sample.columns()
+        suites, workloads, *columns = oracles.columns(sample)
         renamed = {"709.cactus_r": odd}
         store = dataset.Store.from_cells(
             zip(suites, [renamed.get(w, w) for w in workloads], *columns),
@@ -513,10 +514,11 @@ class TestCsvFieldLimit:
         assert json.loads(line) == {"stage": args[0], "error": expected[0], "message": expected[1]}
 
 
+SUITES = "['fp_rate', 'fp_speed', 'int_rate', 'int_speed']"
 UNKNOWN_CHOICE = [
     *((command, "--machine", "NOPE", "['CPU-C']") for command in cli.COMMANDS if command != "ingest"),
-    *((command, "--suite", "nosuch", "['fp_rate', 'fp_speed', 'int_rate', 'int_speed']")
-      for command in ("cluster", "subset", "proxy", "report")),
+    *((command, "--suite", "nosuch", SUITES) for command in cli.COMMANDS if command != "ingest"),
+    *((command, flag, "nosuch", SUITES) for command in ("compare", "report") for flag in ("--suite-a", "--suite-b")),
 ]
 
 
@@ -525,7 +527,8 @@ class TestErrorPaths:
     def test_a_machine_or_suite_the_store_lacks_fails_before_writing(self, tmp_path, capsys, command, flag,
                                                                      value, held):
         extra = {
-            "compare": ["--suite-a", "int_rate", "--suite-b", "int_speed"],
+            "compare": ["--suite-a", "int_rate", "--suite-b", "int_speed", "--machine", "CPU-C"],
+            "report": ["--suite-a", "int_rate", "--suite-b", "int_speed"],
             "proxy": ["--target", "709.cactus_r"],
         }.get(command, [])
         out = tmp_path / "out"
@@ -706,7 +709,7 @@ def renamed_sample(tmp_path: Path, suites: dict[str, str], machine: str, workloa
         suite, workload, _ = run_key
         return suites.get(suite, suite), workloads.get(workload, workload), machine
 
-    suite_col, workload_col, machines, *columns = sample.columns()
+    suite_col, workload_col, machines, *columns = oracles.columns(sample)
     store = dataset.Store.from_cells(
         zip([suites.get(s, s) for s in suite_col], [workloads.get(w, w) for w in workload_col], [machine] * len(machines),
             *columns),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -21,7 +22,6 @@ from benchlens import bundled, dataset, files
 from benchlens.dataset import (
     SCORES_HEADER,
     STORE_HEADER,
-    YAML_LOADER,
     CounterMap,
     MalformedLine,
     NonNumericValue,
@@ -37,6 +37,7 @@ from benchlens.dataset import (
     suites_in,
     validate_store,
     workloads_in,
+    yaml_loader,
 )
 from benchlens.errors import DuplicateKey, SchemaMismatch
 from benchlens.events import CANONICAL_EVENTS
@@ -65,7 +66,7 @@ class TestParseCounterFile:
         raw = write(tmp_path / "perf.txt", "6507000000000,,instructions,598344827586,100.00,,\n")
         result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="int_rate", workload="706.stockfish_r")
         assert result.errors == ()
-        ((suite, workload, machine, event, value, supported),) = result.store.cells()
+        ((suite, workload, machine, event, value, supported),) = oracles.cells(result.store)
         assert event == "instructions"
         assert value == 6.507e12
         assert supported is True
@@ -75,7 +76,7 @@ class TestParseCounterFile:
     def test_unsupported_sentinel(self, tmp_path, token):
         raw = write(tmp_path / "perf.txt", f"{token},,unc_m_cas_count.all,1,100.00,,\n")
         result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        ((*_, event, value, supported),) = result.store.cells()
+        ((*_, event, value, supported),) = oracles.cells(result.store)
         assert supported is False
         assert value == 0.0
         assert event == "dram_bytes"
@@ -98,7 +99,7 @@ class TestParseCounterFile:
     def test_non_numeric_value(self, tmp_path):
         raw = write(tmp_path / "perf.txt", "12x4,,instructions,1,100.00,,\n5,,cycles,1,100.00,,\n")
         result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        assert [cell[3] for cell in result.store.cells()] == ["cycles"]
+        assert [cell[3] for cell in oracles.cells(result.store)] == ["cycles"]
         assert isinstance(result.errors[0], NonNumericValue)
         assert result.errors[0].line_no == 1
 
@@ -110,7 +111,7 @@ class TestParseCounterFile:
     def test_untranslatable_event_kept_verbatim(self, tmp_path):
         raw = write(tmp_path / "perf.txt", "9,,weird.vendor.event,1,100.00,,\n")
         result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        assert [cell[3] for cell in result.store.cells()] == ["weird.vendor.event"]
+        assert [cell[3] for cell in oracles.cells(result.store)] == ["weird.vendor.event"]
 
     def test_dram_lines_scaled_to_bytes(self, tmp_path):
         cmap = CounterMap(
@@ -121,7 +122,7 @@ class TestParseCounterFile:
         )
         raw = write(tmp_path / "perf.txt", "1000,,unc_m_cas_count.all,1,100.00,,\n")
         result = parse_counter_file(raw, "CPU-C", cmap, suite="s", workload="w")
-        assert [cell[4] for cell in result.store.cells()] == [64000.0]
+        assert [cell[4] for cell in oracles.cells(result.store)] == [64000.0]
 
     def test_bundled_raw_dump_parses_cleanly(self):
         maps = load_counter_maps(bundled.sample_countermap_path())
@@ -133,7 +134,7 @@ class TestParseCounterFile:
             workload="706.stockfish_r",
         )
         assert not result.errors
-        values = {event: value for *_, event, value, supported in result.store.cells() if supported}
+        values = {event: value for *_, event, value, supported in oracles.cells(result.store) if supported}
         assert values["instructions"] == 6.507e12
         assert values["loads"] == 1.43154e12
 
@@ -287,10 +288,10 @@ class TestCounterMapManifest:
         spec.loader.exec_module(gen)
         manifests = [bundled.sample_countermap_path().read_text(encoding="utf-8"), gen.countermap_yaml()]
         for text in manifests:
-            doc = yaml.load(text, Loader=YAML_LOADER)
+            doc = yaml.load(text, Loader=yaml_loader())
             assert doc == yaml.load(text, Loader=yaml.SafeLoader)
             assert doc["machines"]
-        assert len(yaml.load(manifests[1], Loader=YAML_LOADER)["machines"]) == 9
+        assert len(yaml.load(manifests[1], Loader=yaml_loader())["machines"]) == 9
 
     def test_identity_map_covers_vocabulary(self):
         cmap = identity_counter_map("m")
@@ -526,6 +527,27 @@ class TestReadRouting:
         finally:
             csv.field_size_limit(limit)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("value", [b"1.0", b"-1.0"], ids=["read", "raised"])
+    def test_the_csv_route_pauses_the_garbage_collector_and_restores_it(self, value, enabled, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_bytes(HEADER_LINE + CLEAN + b'"s,t",w2,m,cycles,' + value + b",true\n")
+        collecting = []  # whether the collector was on while each row was parsed
+        parse = dataset._parse_row
+
+        def parse_row(*row):
+            collecting.append(gc.isenabled())
+            return parse(*row)
+
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with mock.patch.object(dataset, "_parse_row", parse_row):
+                raised(lambda: read_store(path))
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert collecting and not any(collecting)
+
     def test_a_name_of_kilobytes_is_read_by_csv_in_memory_linear_in_the_file(self, tmp_path):
         long = "w" * 6000  # gathered into fixed-width fields, its block would take width squared bytes and more
         rows = clean_rows(C) + (f"s,{long},m,cycles,1.0,true", f"s,{long},m,{long},2.0,false") + filler(3)
@@ -746,7 +768,7 @@ class TestSafeSave:
         path.chmod(0o640)
         save_canonical(BASE, path)
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
-        assert list(read_store(path).cells()) == list(BASE.cells())
+        assert list(oracles.cells(read_store(path))) == list(oracles.cells(BASE))
         assert os.listdir(tmp_path) == ["store.csv"]
 
     def test_a_save_through_a_symbolic_link_replaces_the_file_it_names(self, tmp_path):
@@ -756,7 +778,7 @@ class TestSafeSave:
         link.symlink_to(target)
         save_canonical(BASE, link)
         assert link.is_symlink()
-        assert list(read_store(target).cells()) == list(BASE.cells())
+        assert list(oracles.cells(read_store(target))) == list(oracles.cells(BASE))
         assert sorted(os.listdir(tmp_path / "data")) == ["store.csv"]
 
 

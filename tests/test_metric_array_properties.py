@@ -44,7 +44,7 @@ def stores(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = []
     for i, key in enumerate(keys):
-        for *_, event, value, _ in make_full_record(*key, rng).cells():
+        for *_, event, value, _ in oracles.cells(make_full_record(*key, rng)):
             if (i, event) not in holes:
                 off = (i, event) in unsupported or event in missing_on[key[2]]
                 cells.append((*key, event, 0.0 if (i, event) in zeros else value, not off))

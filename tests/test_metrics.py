@@ -11,7 +11,7 @@ from benchlens.errors import EmptySuite, MissingDenominator
 from benchlens.events import METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_store, export_metrics_csv
 from conftest import derive_one, make_full_record, metric_rows
-from oracles import log_geomean
+from oracles import cells, log_geomean
 from reference_table import INT_RATE_IPC_GEOMEAN, REFERENCE_ROWS
 
 
@@ -94,7 +94,7 @@ class TestDeriveMetrics:
             base = derive_one(record)
             k = float(rng.uniform(0.25, 8.0))
             scaled = derive_one(
-                Store.from_cells((*cell[:4], cell[4] * k, cell[5]) for cell in record.cells())
+                Store.from_cells((*cell[:4], cell[4] * k, cell[5]) for cell in cells(record))
             )
             for metric in METRIC_NAMES:
                 assert scaled.get(metric) == pytest.approx(base.get(metric), rel=1e-12)

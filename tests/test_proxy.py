@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from benchlens import files
 from benchlens.errors import MissingDenominator, NoCommonMetrics, UnknownWorkload, ZeroHorizon
 from benchlens.events import METRIC_NAMES
 from benchlens.metrics import MetricVector
@@ -285,6 +287,43 @@ class TestSearchMix:
         for case_pool, case_weights in cases:
             for k in (1, 2):
                 assert_matches_simulation(tmp_path, case_pool, target, k, case_weights)
+
+    def test_errors_in_later_blocks_match_simulation(self, tmp_path):
+        # blocks of 3 mixes: each failing mix below sits past the first block, some first in their block
+        rng = np.random.default_rng(243)
+        pool = [WorkloadProfile.from_store(make_full_record("s", f"w{i}", "m", rng), 0) for i in range(7)]
+        target = derive_one(make_full_record("s", "target", "m", rng))
+        weights = {"ipc": 1.0, "l2_mpki": 1.0}
+        overflowing = replace(pool[6], rates={**pool[6].rates, "cycles": 1e308})  # alone finite, in a pair inf
+        cases = [
+            (pool[:5] + [unsupported(pool[5], "cycles"), pool[6]], weights, 1, MissingDenominator),  # mix 5
+            (pool[:3] + [unsupported(pool[3], "cycles")] + pool[4:], weights, 1, MissingDenominator),  # mix 3
+            (pool[:4] + [unsupported(pool[4], "l2_misses")] + pool[5:], {"l2_mpki": 1.0}, 1, NoCommonMetrics),
+            (pool[:6] + [overflowing], weights, 2, ValueError),  # mix 7 + 5, the pair w0+w6
+            (pool, {"ipc": float("nan")}, 3, ValueError),
+        ]
+        with mock.patch.object(files, "CHUNK", 3):
+            for case_pool, case_weights, k, error in cases:
+                with pytest.raises(error):
+                    search_mix(case_pool, target, k, case_weights)
+                assert assert_matches_simulation(tmp_path, case_pool, target, k, case_weights) is None
+            assert_matches_simulation(tmp_path, pool, target, 3, weights)
+
+    def test_searching_a_k3_ranking_of_50_profiles_stays_under_8_mib(self):
+        # whole-pool copies of each size's blends, metrics and ranking peaked near 16 MiB
+        rng = np.random.default_rng(5)
+        pool = [
+            WorkloadProfile.from_store(make_full_record("s", f"w{i:02d}", "m", rng), 0) for i in range(50)
+        ]
+        target = derive_one(make_full_record("s", "target", "m", rng))
+        tracemalloc.start()
+        try:
+            ranked = search_mix(pool, target, 3, dict.fromkeys(target.available(), 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == 20_875
+        assert peak < 8 * 2**20
 
     def test_items_are_simulated_on_access(self):
         cactus, fotonik = icache_stress_pair()

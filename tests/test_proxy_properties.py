@@ -1,6 +1,7 @@
 """Property tests: the array laws of `proxy` equal the loops they replaced.
 
-search_mix's ranking equals one simulation per mix, simulate_rrr equals the
+search_mix's ranking equals one simulation per mix, also when its blocks of
+mixes are small enough to cut every size apart, simulate_rrr equals the
 per-event loop on general schedules and blend_distance equals the scalar
 loop, value for value or error for error.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from benchlens import files  # noqa: E402
 from benchlens.dataset import Store  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
-from benchlens.proxy import BlendProfile, RrrSchedule, WorkloadProfile, blend_distance, simulate_rrr  # noqa: E402
+from benchlens.proxy import (  # noqa: E402
+    BlendProfile, RrrSchedule, WorkloadProfile, blend_distance, export_mixes_csv, simulate_rrr,
+)
 from conftest import derive_one, make_full_record  # noqa: E402
-from oracles import loop_blend_distance, loop_simulate_rrr  # noqa: E402
+from oracles import cells, loop_blend_distance, loop_simulate_rrr, repr_export_mixes  # noqa: E402
 from test_proxy import assert_matches_simulation  # noqa: E402
 
 DENOMINATORS = ("instructions", "cycles")
@@ -43,9 +48,9 @@ def proxy_cases(draw, faults: bool):
     for i in range(draw(st.integers(1, 5))):
         record = make_full_record("s", f"w{i}", "m", rng)
         dropped = draw(st.sets(st.sampled_from(droppable), max_size=3))
-        cells = ((*c[:4], 0.0, False) if c[3] in dropped else c for c in record.cells())
+        kept = ((*c[:4], 0.0, False) if c[3] in dropped else c for c in cells(record))
         profile = WorkloadProfile.from_store(
-            Store.from_cells(cells, wallclock=dict(zip(record.runs, record.wallclock.tolist()))), 0
+            Store.from_cells(kept, wallclock=dict(zip(record.runs, record.wallclock.tolist()))), 0
         )
         if faults and draw(st.booleans()):
             event = draw(st.sampled_from(sorted(profile.rates)))
@@ -79,6 +84,19 @@ def test_search_mix_matches_simulation(case):
 def test_search_mix_errors_match_simulation(case):
     with tempfile.TemporaryDirectory() as tmp:
         ranked = assert_matches_simulation(Path(tmp), *case)
+    event("raised" if ranked is None else "ranked")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=proxy_cases(faults=True), chunk=st.sampled_from([1, 2, 7]))
+def test_blocks_of_mixes_match_simulation_across_block_edges(case, chunk):
+    # pools of up to 7 profiles give up to 63 mixes, so blocks of `chunk` mixes cut sizes and rankings apart
+    with mock.patch.object(files, "CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
+        ranked = assert_matches_simulation(Path(tmp), *case)
+        if ranked is not None:
+            export_mixes_csv(ranked, Path(tmp) / "chunked.csv")
+            repr_export_mixes(ranked, Path(tmp) / "repr.csv")
+            assert (Path(tmp) / "chunked.csv").read_bytes() == (Path(tmp) / "repr.csv").read_bytes()
     event("raised" if ranked is None else "ranked")
 
 

@@ -1,7 +1,10 @@
-"""Property tests: the columnar store against the per-row store it replaced."""
+"""Property tests: the columnar store against the per-row store it replaced, and the scores join by columns
+against the row loop it replaced."""
 
 from __future__ import annotations
 
+import csv
+import io
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
@@ -15,7 +18,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from benchlens import dataset  # noqa: E402
-from benchlens.dataset import STORE_HEADER, Store, merge_stores, read_store, save_canonical, save_scores  # noqa: E402
+from benchlens.dataset import (  # noqa: E402
+    SCORES_HEADER, STORE_HEADER, Store, merge_stores, read_store, save_canonical, save_scores,
+)
 from benchlens.errors import DuplicateKey  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS  # noqa: E402
 
@@ -126,6 +131,45 @@ def test_chunked_read_of_any_rows_matches_the_per_row_oracle(read_bytes, rows):
         oracles.assert_same_runs(got, expected)
 
 
+NUMBER_TEXTS = st.sampled_from(["1.0", "2.5e3", " 7 ", "1_0", "0", "-0.0", "-1.5", "inf", "nan", "1e999", "abc", ""])
+
+
+@st.composite
+def damaged_scores(draw, runs):
+    """Scores CSV lines for `runs`: rows that score a run, mostly well, and rows that break a rule: an unknown
+    run, a run scored twice, a width other than five, a number `float` does not take or a check refuses, a
+    blank line, a field longer than csv's field size limit, or a bad header."""
+    known = st.sampled_from(runs) if runs else st.nothing()
+    run = known | st.tuples(NAMES, NAMES, NAMES)
+    good = st.builds(lambda key, score, clock: [*key, repr(score), repr(clock)], known, POSITIVE, POSITIVE)
+    refused = st.sampled_from(["0", "-1.5", "inf", "nan"])  # numbers `float` takes and the checks refuse
+    row = good | st.builds(lambda key, score, clock: [*key, score, clock], run, NUMBER_TEXTS, NUMBER_TEXTS)
+    row |= st.builds(lambda key, score, clock: [*key, score, clock], known, refused, refused)
+    narrow_or_wide = st.builds(lambda cells, width: [*cells, "1.0"][:width], row, st.sampled_from([1, 4, 6]))
+    long_field = st.builds(lambda cells: [*cells[:3], "9" * 131_073, cells[4]], row)
+    rows = draw(st.lists(good | good | row | narrow_or_wide | st.just([]) | long_field, max_size=10))
+    header = draw(st.sampled_from([SCORES_HEADER] * 9 + [SCORES_HEADER[:4]]))
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    return buffer.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), store=stores(max_cells=12))
+def test_column_join_of_damaged_scores_matches_the_row_loop(data, store):
+    text = data.draw(damaged_scores(list(store.runs)))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_canonical(store, Path(tmp) / "store.csv")
+        (Path(tmp) / "scores.csv").write_text(text, encoding="utf-8")
+        expected, expected_error = raised_or_none(
+            lambda: oracles.loop_scored_store(Path(tmp) / "store.csv", Path(tmp) / "scores.csv")
+        )
+        got, error = raised_or_none(lambda: read_store(Path(tmp) / "store.csv", Path(tmp) / "scores.csv"))
+    hypothesis.event("raised" if error else "joined")
+    assert error == expected_error
+    assert got == expected
+
+
 PLAIN_NAMES = st.sampled_from(["s", "a", "a+b", "ünï", "名前", " sp ", ""])
 
 
@@ -230,7 +274,7 @@ def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, read_by
         with mock.patch.object(dataset, "_READ_BYTES", read_bytes):
             existing = read_store(path)
             assert (existing._source is not None) == canonical
-            cells = {cell[:4] for cell in existing.cells()}
+            cells = {cell[:4] for cell in oracles.cells(existing)}
             run = existing.runs[0] if into_existing and existing.runs else ("new", "run", "M9")
             run = ("new", "run", "M9") if (*run, event) in cells else run
             merged = merge_stores(existing, Store.from_cells([(*run, event, 7.0, True)]))

@@ -63,7 +63,8 @@ def ranked_mixes(names, mixes, distances, metrics) -> RankedMixes:
     width = max((len(mix) for mix in mixes), default=1)
     padded = np.array([mix + [-1] * (width - len(mix)) for mix in mixes], dtype=np.intp).reshape(-1, width)
     values = np.array(metrics, dtype=float).reshape(-1, len(METRIC_NAMES))
-    return RankedMixes(pool, padded, np.array(distances, dtype=float), values, "t")
+    scored = np.column_stack([np.array(distances, dtype=float), values])
+    return RankedMixes(pool, padded, scored, np.arange(len(mixes)), "t")
 
 
 @st.composite
