@@ -25,6 +25,14 @@ log scales (size is n, the C(40, k) candidates, the mixes ranked, or the
 store's rows or runs). Each point of the two proxy curves also carries the
 tracemalloc peak of one more call, in MiB: what the call allocates through
 Python and numpy, beyond what it was handed.
+It also splits start-up, the part of perfbench's ``setup_s`` before a
+command runs, in fresh interpreters with BLAS at one thread (medians of
+``STARTUP_ROUNDS``): the bare interpreter (``-c pass``), then, timed in one
+child, ``import numpy``, ``import orjson, yaml`` and ``import benchlens.cli``.
+The benchlens import is timed compiled from source and from cached
+bytecode, with all bytecode kept in a ``PYTHONPYCACHEPREFIX`` directory
+outside the checkout that holds every other module's bytecode throughout
+(``--baseline DIR`` splits that checkout's start-up as well).
 Standard library only, so it runs on any checkout of the program.
 """
 
@@ -35,8 +43,12 @@ import json
 import math
 import os
 import platform
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +78,13 @@ from benchlens.features import build_matrix
 from benchlens.metrics import derive_store
 from benchlens.proxy import RrrSchedule, WorkloadProfile, export_mixes_csv, search_mix, simulate_rrr
 from benchlens.subset import oracle_best_subset
+try:
+    from benchlens.files import commit
+except ImportError:  # an older benchlens: the export takes the path
+    export = export_mixes_csv
+else:
+    def export(ranked, path):
+        commit([(path, lambda fh: export_mixes_csv(ranked, fh))])
 
 def median_s(call, repeats):
     times = []
@@ -111,9 +130,9 @@ with tempfile.TemporaryDirectory() as tmp:
             "k": k,
             "mixes": len(ranked),
             "search_median_s": median_s(lambda: search_mix(pool, target, k, weights), 5),
-            "export_median_s": median_s(lambda: export_mixes_csv(ranked, Path(tmp) / "mixes.csv"), 5),
+            "export_median_s": median_s(lambda: export(ranked, Path(tmp) / "mixes.csv"), 5),
             "search_peak_mib": peak_mib(lambda: search_mix(pool, target, k, weights)),
-            "export_peak_mib": peak_mib(lambda: export_mixes_csv(ranked, Path(tmp) / "mixes.csv")),
+            "export_peak_mib": peak_mib(lambda: export(ranked, Path(tmp) / "mixes.csv")),
         })
     reads = []
     for workloads in (52, 200, 500):
@@ -214,6 +233,55 @@ def scaling_curves(root: Path) -> dict:
     }
 
 
+STARTUP_ROUNDS = 15
+# Runs in the child with the checkout's src on sys.path; prints the seconds of each import step.
+STARTUP_CHILD = r"""
+import json, time
+start = time.perf_counter()
+import numpy
+numpy_done = time.perf_counter()
+import orjson, yaml
+third_done = time.perf_counter()
+import benchlens.cli
+done = time.perf_counter()
+print(json.dumps({"numpy_s": numpy_done - start, "orjson_yaml_s": third_done - numpy_done,
+                  "benchlens_s": done - third_done}))
+"""
+
+
+def startup_split(root: Path) -> dict:
+    """Median seconds of each start-up step of the benchlens at `root` (see the module docstring)."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONPYCACHEPREFIX": cache,
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        measured = {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+
+        def child(code: str, environ: dict) -> str:
+            return subprocess.run([sys.executable, "-c", code], cwd=root, env=environ, capture_output=True,
+                                  text=True, check=True).stdout
+
+        def rounds() -> list[dict]:
+            steps = []
+            for _ in range(STARTUP_ROUNDS):
+                start = time.perf_counter()
+                child("pass", measured)
+                bare = time.perf_counter() - start
+                steps.append({"interpreter_s": bare, **json.loads(child(STARTUP_CHILD, measured))})
+            return steps
+
+        child("import numpy, orjson, yaml, benchlens.cli", env)  # the bytecode of every module they import
+        shutil.rmtree(Path(cache, *root.parts[1:], "src"))  # but benchlens' own, which then compiles from source
+        source = rounds()
+        child("import benchlens.cli", env)
+        cached = rounds()
+    split = {name: statistics.median(step[name] for step in source + cached)
+             for name in ("interpreter_s", "numpy_s", "orjson_yaml_s")}
+    return {"rounds": STARTUP_ROUNDS, **split,
+            "benchlens_source_s": statistics.median(step["benchlens_s"] for step in source),
+            "benchlens_cached_s": statistics.median(step["benchlens_s"] for step in cached)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="workload seed passed to perfbench")
@@ -232,7 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         print(workload["name"], json.dumps(workloads[workload["name"]]), flush=True)
     curves = scaling_curves(ROOT)
     print("curves", json.dumps(curves), flush=True)
+    startup = startup_split(ROOT)
+    print("startup", json.dumps(startup), flush=True)
     baseline = None if args.baseline is None else scaling_curves(args.baseline.resolve())
+    baseline_startup = None if args.baseline is None else startup_split(args.baseline.resolve())
     record = {
         "seed": args.seed,
         "seconds": args.seconds,
@@ -245,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         "src_benchlens_lines": source_lines(),
         "workloads": workloads,
         "curves": curves,
-        **({} if baseline is None else {"baseline_curves": baseline}),
+        "startup": startup,
+        **({} if baseline is None else {"baseline_curves": baseline, "baseline_startup": baseline_startup}),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -7,8 +7,13 @@ store into one `dataset.Store` and derives, normalizes, fits and clusters at
 most once. Every stage reads the store's columns; none copies the counters
 per run.
 Every knob lives in a YAML config file and is overridable by a flag of the
-same name. Outputs are deterministic: rerunning a command on unchanged
-inputs rewrites byte-identical files.
+same name. Each command returns its summary line and its artifacts, each a
+file name and the writer that formats it; `main` keeps those whose suffix is
+in `--format` and writes them through one `files.commit`, so a command that
+fails leaves `out/` as it was. Outputs are deterministic: rerunning a
+command on unchanged inputs rewrites byte-identical files. `ingest` holds an
+exclusive lock on the store's directory while it reads, merges and replaces
+the store, so concurrent ingests into one store keep every run.
 
 Exit codes: 0 success, 1 usage/config, 2 data error, 3 budget exceeded.
 """
@@ -16,12 +21,15 @@ Exit codes: 0 success, 1 usage/config, 2 data error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +41,7 @@ from .errors import BenchlensError, BudgetExceeded, ConfigError, EmptyInput
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
 FORMATS = ("csv", "md", "svg")
 COMMANDS = ("ingest", "derive", "featurize", "pca", "cluster", "subset", "compare", "proxy", "report")
+BY_SUITE = ("derive", "featurize", "pca")  # the commands that `--suite` restricts to the suite's runs
 
 
 # the field types PipelineConfig checks, by annotation: the Python types a value may have, its name in messages
@@ -123,13 +132,15 @@ class Run:
     """One command's view of the store: each stage's input is computed at most once.
 
     `store` holds every run; `selected` only the runs on the chosen machines,
-    which is all that derive, PCA and clustering see. A `--machine`,
-    `--suite`, `--suite-a` or `--suite-b` the store does not hold is a
-    ConfigError.
+    and of the chosen suite when `by_suite`, which is all that derive, PCA and
+    clustering see. A `--machine`, `--suite`, `--suite-a` or `--suite-b` the
+    store does not hold is a ConfigError.
     """
 
-    def __init__(self, cfg: PipelineConfig):
+    def __init__(self, cfg: PipelineConfig, by_suite: bool = False):
         self.cfg = cfg
+        self.by_suite = by_suite
+        self.out = Path(cfg.out)
 
     @cached_property
     def store(self) -> dataset.Store:
@@ -173,7 +184,7 @@ class Run:
     @cached_property
     def selected(self) -> dataset.Store:
         machines, _ = self.machines, self.suites  # every stage reads these runs: an unknown --suite fails here
-        return self.store.select(machines=machines)
+        return self.store.select(machines=machines, suite=self.cfg.suite if self.by_suite else None)
 
     @cached_property
     def metrics(self) -> metrics.Metrics:
@@ -237,7 +248,15 @@ def _suite_wallclock(store: dataset.Store, suite: str, machines: list[str]) -> d
     return clocks
 
 
-def cmd_ingest(run: Run) -> str:
+Artifacts = list[tuple[str, files.Writer]]  # each file a command writes: its name in out/ and its writer
+
+
+def _text(render_text: Callable[..., str], *args) -> files.Writer:
+    """A writer of the text `render_text(*args)`, which it formats when it writes."""
+    return lambda fh: fh.write(render_text(*args))
+
+
+def cmd_ingest(run: Run) -> tuple[str, Artifacts]:
     cfg = run.cfg
     if not (cfg.raw and cfg.suite and cfg.workload and cfg.machine and cfg.store):
         raise ConfigError("ingest needs --raw, --suite, --workload, --machine and --store")
@@ -248,83 +267,79 @@ def cmd_ingest(run: Run) -> str:
         cmap = maps[cfg.machine]
     else:
         cmap = dataset.identity_counter_map(cfg.machine)
-    result = dataset.parse_counter_file(
-        cfg.raw, cfg.machine, cmap, suite=cfg.suite, workload=cfg.workload
-    )
+    result = dataset.parse_counter_file(cfg.raw, cfg.machine, cmap, suite=cfg.suite, workload=cfg.workload)
     for err in result.errors:
         print(f"warning: {type(err).__name__} at line {err.line_no}: {err.line}", file=sys.stderr)
-    if Path(cfg.store).exists():
-        merged = dataset.merge_stores(dataset.read_store(cfg.store), result.store)
-    else:
-        merged = result.store
-    dataset.save_canonical(merged, cfg.store)
-    return (
-        f"ingest: {result.store.cell_count} samples ({len(result.errors)} bad lines) "
-        f"from {cfg.raw} -> {cfg.store}"
+    directory = Path(cfg.store).resolve().parent  # where the store is replaced
+    directory.mkdir(parents=True, exist_ok=True)
+    lock = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # one ingest at a time reads, merges and replaces a store there
+        if Path(cfg.store).exists():
+            merged = dataset.merge_stores(dataset.read_store(cfg.store), result.store)
+        else:
+            merged = result.store
+        dataset.save_canonical(merged, cfg.store)
+    finally:
+        os.close(lock)  # and so unlock
+    samples = f"{result.store.cell_count} samples ({len(result.errors)} bad lines)"
+    return f"ingest: {samples} from {cfg.raw} -> {cfg.store}", []
+
+
+def cmd_derive(run: Run) -> tuple[str, Artifacts]:
+    derived, validation = run.metrics, dataset.validate_store(run.selected)
+    text = files.CsvText()
+    availability = (
+        f"{text[machine]},{metric},{status}\n"
+        for machine, entry in sorted(validation.per_machine.items())
+        for metric, status in chain(
+            ((metric, "computable,") for metric in entry.computable),
+            ((metric, f"blocked,{' '.join(missing)}") for metric, missing in entry.blocked.items()),
+        )
     )
+    return f"derive: {len(derived.runs)} metric rows -> {run.out}", [
+        ("metrics.csv", partial(metrics.export_metrics_csv, derived)),
+        ("metric_availability.csv", partial(
+            files.write_csv, header=["machine", "metric", "status", "missing_events"], lines=availability
+        )),
+    ]
 
 
-def cmd_derive(run: Run) -> str:
-    derived = run.metrics
-    out = Path(run.cfg.out)
-    if "csv" in run.cfg.format:
-        metrics.export_metrics_csv(derived, out / "metrics.csv")
-        validation = dataset.validate_store(run.selected)
-        text = files.CsvText()
-        lines = []
-        for machine in sorted(validation.per_machine):
-            entry = validation.per_machine[machine]
-            for metric in entry.computable:
-                lines.append(f"{text[machine]},{metric},computable,\n")
-            for metric, missing in entry.blocked.items():
-                lines.append(f"{text[machine]},{metric},blocked,{' '.join(missing)}\n")
-        files.write_csv(out / "metric_availability.csv", ["machine", "metric", "status", "missing_events"], lines)
-    return f"derive: {len(derived.runs)} metric rows -> {out}"
-
-
-def cmd_featurize(run: Run) -> str:
+def cmd_featurize(run: Run) -> tuple[str, Artifacts]:
     matrix = run.matrix
-    out = Path(run.cfg.out)
-    if "csv" in run.cfg.format:
-        features.export_csv(matrix, out / "features.csv")
-        text = files.CsvText()
-        dropped = (f"{metric},{text[machine]}\n" for metric, machine in matrix.dropped)
-        files.write_csv(out / "dropped_columns.csv", ["metric", "machine"], dropped)
-    return f"featurize: {len(matrix.rows)}x{len(matrix.cols)} matrix ({len(matrix.dropped)} columns dropped) -> {out}"
+    text = files.CsvText()
+    dropped = (f"{metric},{text[machine]}\n" for metric, machine in matrix.dropped)
+    summary = f"featurize: {len(matrix.rows)}x{len(matrix.cols)} matrix ({len(matrix.dropped)} columns dropped)"
+    return f"{summary} -> {run.out}", [
+        ("features.csv", partial(features.export_csv, matrix)),
+        ("dropped_columns.csv", partial(files.write_csv, header=["metric", "machine"], lines=dropped)),
+    ]
 
 
-def cmd_pca(run: Run) -> str:
-    cfg, model = run.cfg, run.model
-    out = Path(cfg.out)
-    if "csv" in cfg.format:
-        rows = run.matrix.rows
-        pca.export_scores_csv(list(rows), np.array([run.scores[w] for w in rows]), out / "pca_scores.csv")
-        pca.export_variance_csv(model, out / "pca_variance.csv")
-    if "md" in cfg.format:
-        report = pca.loading_table(model, top_n=4)
-        files.write_text(out / "pca_loadings.md", [pca.loading_markdown(report)])
+def cmd_pca(run: Run) -> tuple[str, Artifacts]:
+    model, rows = run.model, list(run.matrix.rows)
     captured = float(sum(model.explained_ratio))
-    return f"pca: k={model.k} capturing {100 * captured:.1f}% of variance -> {out}"
+    return f"pca: k={model.k} capturing {100 * captured:.1f}% of variance -> {run.out}", [
+        ("pca_scores.csv", partial(pca.export_scores_csv, rows, np.array([run.scores[w] for w in rows]))),
+        ("pca_variance.csv", partial(pca.export_variance_csv, model)),
+        ("pca_loadings.md", _text(pca.loading_markdown, pca.loading_table(model, top_n=4))),
+    ]
 
 
-def cmd_cluster(run: Run) -> str:
+def cmd_cluster(run: Run) -> tuple[str, Artifacts]:
+    artifacts = []
+    for suite_name, dendrogram in run.dendrograms.items():
+        artifacts += [
+            (f"dendrogram_{suite_name}.csv", partial(cluster_mod.export_merges_csv, dendrogram)),
+            (f"dendrogram_{suite_name}.svg", _text(render.dendrogram_svg, dendrogram)),
+        ]
+    return f"cluster: {len(run.dendrograms)} dendrograms ({run.cfg.linkage} linkage) -> {run.out}", artifacts
+
+
+def cmd_subset(run: Run) -> tuple[str, Artifacts]:
     cfg = run.cfg
-    dendrograms = run.dendrograms
-    out = Path(cfg.out)
-    for suite_name, dendrogram in dendrograms.items():
-        if "csv" in cfg.format:
-            cluster_mod.export_merges_csv(dendrogram, out / f"dendrogram_{suite_name}.csv")
-        if "svg" in cfg.format:
-            files.write_text(out / f"dendrogram_{suite_name}.svg", [render.dendrogram_svg(dendrogram)])
-    return f"cluster: {len(dendrograms)} dendrograms ({cfg.linkage} linkage) -> {out}"
-
-
-def cmd_subset(run: Run) -> str:
-    cfg = run.cfg
-    dendrograms = run.dendrograms
-    out = Path(cfg.out)
     reports = []
-    for suite_name, dendrogram in dendrograms.items():
+    for suite_name, dendrogram in run.dendrograms.items():
         workloads = dendrogram.leaves
         target_groups = 4 if cfg.groups is None else cfg.groups
         if cfg.threshold is not None:
@@ -345,39 +360,33 @@ def cmd_subset(run: Run) -> str:
                 report, oracle_best=subset.oracle_best_subset(running, cfg.subset_k, budget=cfg.budget)
             )
         reports.append(report)
-    if "csv" in cfg.format:
-        subset.export_subset_csv(reports, out / "subsets.csv")
-    if "md" in cfg.format:
-        files.write_text(out / "subsets.md", [subset.subset_markdown(reports)])
-    return f"subset: {len(reports)} suite reports -> {out}"
+    return f"subset: {len(reports)} suite reports -> {run.out}", [
+        ("subsets.csv", partial(subset.export_subset_csv, reports)),
+        ("subsets.md", _text(subset.subset_markdown, reports)),
+    ]
 
 
-def cmd_compare(run: Run) -> str:
+def cmd_compare(run: Run) -> tuple[str, Artifacts]:
     cfg = run.cfg
     if not (cfg.suite_a and cfg.suite_b):
         raise ConfigError("compare needs --suite-a and --suite-b")
     if not cfg.machine:
         raise ConfigError("compare needs an explicit --machine")
-    out = Path(cfg.out)
     ((suite_a, suite_b),) = run.pairs
-    summary = _compare_pair(run, suite_a, suite_b, cfg.machine, out)
-    _write_volume_ratios(cfg, run.selected, out)
-    return f"compare: {summary}"
+    summary, artifacts = _compare_pair(run, suite_a, suite_b, cfg.machine)
+    return f"compare: {summary}", artifacts + _volume_artifacts(run.selected)[1]
 
 
-def _compare_pair(run: Run, suite_a, suite_b, machine, out: Path) -> str:
-    cfg = run.cfg
+def _compare_pair(run: Run, suite_a, suite_b, machine) -> tuple[str, Artifacts]:
     values_a = run.metrics.select(suite=suite_a, machine=machine).values
     values_b = run.metrics.select(suite=suite_b, machine=machine).values
     cmp = compare_mod.compare_suites(suite_a, values_a, suite_b, values_b, machine)
     stem = f"compare_{suite_a}_vs_{suite_b}"
-    if "csv" in cfg.format:
-        compare_mod.export_comparison_csv(cmp, out / f"{stem}.csv")
-    if "md" in cfg.format:
-        files.write_text(out / f"{stem}.md", [compare_mod.comparison_markdown(cmp)])
-    if "svg" in cfg.format:
-        files.write_text(out / f"{stem}.svg", [render.boxplot_svg(cmp)])
-    return f"{len(cmp.metrics)} metrics compared for {suite_a} vs {suite_b} on {machine} -> {out / stem}.*"
+    return f"{len(cmp.metrics)} metrics compared for {suite_a} vs {suite_b} on {machine} -> {run.out / stem}.*", [
+        (f"{stem}.csv", partial(compare_mod.export_comparison_csv, cmp)),
+        (f"{stem}.md", _text(compare_mod.comparison_markdown, cmp)),
+        (f"{stem}.svg", _text(render.boxplot_svg, cmp)),
+    ]
 
 
 def _suite_icounts(store: dataset.Store, suite_name: str) -> list[float]:
@@ -392,37 +401,21 @@ def _rate_speed_pairs(store: dataset.Store) -> list[tuple[str, str, str]]:
     return [(p, f"{p}_rate", f"{p}_speed") for p in prefixes if f"{p}_speed" in suites]
 
 
-def _volume_ratios(store: dataset.Store) -> list[tuple[str, float, float, float]]:
-    """speed/rate mean-icount ratios for every <prefix>_rate / <prefix>_speed pair."""
-    rows = []
+def _volume_artifacts(store: dataset.Store) -> tuple[int, Artifacts]:
+    """The number of speed/rate mean-icount ratios in `store`, one for each <prefix>_rate / <prefix>_speed pair
+    with instruction counts on both sides, and volume_ratios.csv when there is one."""
+    text, lines = files.CsvText(), []
     for prefix, rate, speed in _rate_speed_pairs(store):
         rate_counts, speed_counts = _suite_icounts(store, rate), _suite_icounts(store, speed)
         if rate_counts and speed_counts:
             ratio = compare_mod.instruction_volume_ratio(speed_counts, rate_counts)
-            rows.append(
-                (
-                    prefix,
-                    sum(speed_counts) / len(speed_counts),
-                    sum(rate_counts) / len(rate_counts),
-                    ratio,
-                )
-            )
-    return rows
+            means = sum(speed_counts) / len(speed_counts), sum(rate_counts) / len(rate_counts)
+            lines.append(f"{text[prefix]},{means[0]!r},{means[1]!r},{ratio!r}\n")
+    header = ["pair", "mean_speed_icount", "mean_rate_icount", "speed_over_rate"]
+    return len(lines), [("volume_ratios.csv", partial(files.write_csv, header=header, lines=lines))] if lines else []
 
 
-def _write_volume_ratios(cfg: PipelineConfig, store: dataset.Store, out: Path) -> int:
-    ratios = _volume_ratios(store)
-    if ratios and "csv" in cfg.format:
-        text = files.CsvText()
-        files.write_csv(
-            out / "volume_ratios.csv",
-            ["pair", "mean_speed_icount", "mean_rate_icount", "speed_over_rate"],
-            (f"{text[p]},{s!r},{r!r},{x!r}\n" for p, s, r, x in ratios),
-        )
-    return len(ratios)
-
-
-def cmd_proxy(run: Run) -> str:
+def cmd_proxy(run: Run) -> tuple[str, Artifacts]:
     cfg = run.cfg
     machine = run.machine
     pool_suite = run.suites[0]
@@ -432,7 +425,6 @@ def cmd_proxy(run: Run) -> str:
         raise ConfigError(f"no candidate runs in suite {pool_suite!r} on {machine!r}")
     derived = run.metrics
     profiles = [proxy.WorkloadProfile.from_store(pool, i) for i in rows]
-    out = Path(cfg.out)
 
     target_vec = None
     if cfg.target:
@@ -451,11 +443,10 @@ def cmd_proxy(run: Run) -> str:
         if target_vec is not None:
             report = proxy.blend_distance(blend, target_vec, weights)
             blend = replace(blend, distance_to_target=report.distance, target=cfg.target)
-        if "csv" in cfg.format:
-            proxy.export_mixes_csv([(schedule.order, blend)], out / "proxy_blend.csv")
-        if "md" in cfg.format:
-            files.write_text(out / "proxy_blend.md", [proxy.blend_markdown(blend, target_vec, chosen)])
-        return f"proxy: simulated mix {'+'.join(schedule.order)} -> {out}"
+        return f"proxy: simulated mix {'+'.join(schedule.order)} -> {run.out}", [
+            ("proxy_blend.csv", partial(proxy.export_mixes_csv, [(schedule.order, blend)])),
+            ("proxy_blend.md", _text(proxy.blend_markdown, blend, target_vec, chosen)),
+        ]
 
     if target_vec is None:
         raise ConfigError("proxy needs --target (or --mix with a mix specification file)")
@@ -464,39 +455,27 @@ def cmd_proxy(run: Run) -> str:
     )
     scales = features.normalize(pool_matrix).scales_for_machine(machine)
     mix_k = min(cfg.mix_k, len(profiles))
-    ranked = proxy.search_mix(
-        profiles,
-        target_vec,
-        mix_k,
-        weights,
-        scales=scales,
-        target_name=cfg.target,
-        budget=cfg.budget,
-    )
+    ranked = proxy.search_mix(profiles, target_vec, mix_k, weights, scales=scales, target_name=cfg.target,
+                              budget=cfg.budget)
     best_order, best_blend = ranked[0]
-    if "csv" in cfg.format:
-        proxy.export_mixes_csv(ranked, out / "proxy_mixes.csv")
-    if "md" in cfg.format:
-        constituents = [p for p in profiles if p.workload in best_order]
-        files.write_text(out / "proxy_best.md", [proxy.blend_markdown(best_blend, target_vec, constituents)])
-    return (
-        f"proxy: {len(ranked)} mixes ranked against {cfg.target} "
-        f"(best: {'+'.join(best_order)}) -> {out}"
-    )
+    constituents = [p for p in profiles if p.workload in best_order]
+    return f"proxy: {len(ranked)} mixes ranked against {cfg.target} (best: {'+'.join(best_order)}) -> {run.out}", [
+        ("proxy_mixes.csv", partial(proxy.export_mixes_csv, ranked)),
+        ("proxy_best.md", _text(proxy.blend_markdown, best_blend, target_vec, constituents)),
+    ]
 
 
-def cmd_report(run: Run) -> str:
-    cfg = run.cfg
-    # a multi-machine store, a suite without running scores and an unknown suite fail before anything is written
+def cmd_report(run: Run) -> tuple[str, Artifacts]:
+    # a multi-machine store, a suite without running scores and an unknown suite fail before any stage runs
     machine, _, pairs = run.machine, run.running, run.pairs
-    lines = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
-    out = Path(cfg.out)
-    ratio_count = _write_volume_ratios(cfg, run.selected, out)
+    stages = [cmd_derive(run), cmd_featurize(run), cmd_pca(run), cmd_cluster(run), cmd_subset(run)]
+    ratio_count, volume = _volume_artifacts(run.selected)
     if ratio_count:
-        lines.append(f"volume: {ratio_count} speed/rate ratios -> {out}")
+        stages.append((f"volume: {ratio_count} speed/rate ratios -> {run.out}", volume))
     for suite_a, suite_b in pairs:
-        lines.append("compare: " + _compare_pair(run, suite_a, suite_b, machine, out))
-    return "\n".join(lines)
+        line, artifacts = _compare_pair(run, suite_a, suite_b, machine)
+        stages.append((f"compare: {line}", artifacts))
+    return "\n".join(line for line, _ in stages), [artifact for _, artifacts in stages for artifact in artifacts]
 
 
 _COMMANDS = {
@@ -556,7 +535,10 @@ def main(argv: list[str] | None = None) -> int:
     config_path = args.pop("config")
     try:
         cfg = load_config(config_path, args)
-        summary = _COMMANDS[command](Run(cfg))
+        run = Run(cfg, by_suite=command in BY_SUITE)
+        summary, artifacts = _COMMANDS[command](run)
+        suffixes = tuple(f".{fmt}" for fmt in cfg.format)  # the artifacts --format keeps
+        files.commit((run.out / name, write) for name, write in artifacts if name.endswith(suffixes))
     except (BenchlensError, OSError, ValueError) as exc:
         print(json.dumps({"stage": command, "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, BudgetExceeded) else 2

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -303,9 +302,9 @@ def medoids_for(cut_result: ClusterCut, scores: Mapping[str, Sequence[float]]) -
     return ClusterCut(threshold=cut_result.threshold, groups=cut_result.groups, medoids=meds)
 
 
-def export_merges_csv(dendrogram: Dendrogram, path: str | Path) -> None:
+def export_merges_csv(dendrogram: Dendrogram, fh: TextIO) -> None:
     files.write_csv(
-        path,
+        fh,
         ["left", "right", "height", "size"],
         (f"{m.left},{m.right},{m.height!r},{m.size}\n" for m in dendrogram.merges),
     )

@@ -9,8 +9,7 @@ Box statistics keep min/max whiskers so outliers stay part of the range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -125,11 +124,11 @@ def comparison_markdown(cmp: SuiteComparison) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_comparison_csv(cmp: SuiteComparison, path: str | Path) -> None:
+def export_comparison_csv(cmp: SuiteComparison, fh: TextIO) -> None:
     text = files.CsvText()
     stats = {"min": "minimum", "q1": "q1", "median": "median", "q3": "q3", "max": "maximum"}  # column: BoxStats field
     files.write_csv(
-        path,
+        fh,
         ["metric", "geomean_a", "geomean_b", "ratio", "excluded_zeros_a", "excluded_zeros_b",
          *(f"{stat}_{side}" for side in "ab" for stat in stats)],
         (

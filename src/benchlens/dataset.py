@@ -42,13 +42,14 @@ line of key, event, `repr(value)` and flag, the bytes `csv.writer` writes for
 the same cells (see `files`). A store file is canonical when it holds exactly
 those bytes: it was read by bytes, its lines run in (run, event name) order,
 no name is one csv would quote, every value text is `repr` of its value and
-the file ends in "\n". A store read from a canonical file keeps a private
-`_Source`: the path, the file's (device, inode, size, mtime_ns) and each
-run's byte span. `merge_stores` carries the spans of the existing runs when
-the new store adds runs only, and `save_canonical` copies each stretch of
-carried runs from the file, streamed, after checking that its stamp has not
-changed, and formats every other run by the line law above. Any other store
-is formatted whole.
+the file ends in "\n". A store read from a file keeps a private `_Source`:
+the path, the file's (device, inode, size, mtime_ns) and, for a canonical
+file, each run's byte span. `merge_stores` carries the source of the existing
+store, and the spans of its runs when the new store adds runs only.
+`save_canonical` refuses to write a store whose file changed after it was
+read (`StoreChanged`), so a run that another writer added is never lost; it
+copies each stretch of carried runs from the file, streamed, and formats
+every other run by the line law above.
 
 `merge_stores` joins two stores' arrays: it scatters both grids and masks
 into the union of their runs and events, and names the first cell the new
@@ -68,16 +69,15 @@ import gc
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from . import files
-from .errors import DuplicateKey, SchemaMismatch
+from .errors import DuplicateKey, SchemaMismatch, StoreChanged
 from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES, event_vocabulary
 
 UNSUPPORTED_TOKENS = ("<not supported>", "<not counted>")
@@ -106,12 +106,18 @@ class _Source:
 
     path: str
     stamp: tuple[int, int, int, int]  # the file's (device, inode, size, mtime_ns) when it was read
-    spans: np.ndarray  # runs x 2: each run's [start, stop) bytes in the file; -1 for a run it does not hold
+    spans: np.ndarray | None  # runs x 2: each run's [start, stop) bytes in a canonical file; -1 for a run it
+    # does not hold
 
 
-def _stamp(fh) -> tuple[int, int, int, int]:
-    st = os.fstat(fh.fileno())
+def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _check_unchanged(source: _Source, st: os.stat_result) -> None:
+    """Raise StoreChanged unless `st` is the stat of the file `source` was read from, as it was then."""
+    if _stamp(st) != source.stamp:
+        raise StoreChanged(f"{source.path}: the store changed after it was read; it was not replaced")
 
 
 def _count(value: float) -> float:
@@ -650,20 +656,21 @@ def _plain_cells(fh, size: int) -> tuple | None:
 
 def _read_cells(path: str | Path) -> tuple:
     """The first six arguments of `Store.from_codes` for a store CSV, by bytes when it is plain and every
-    block passes its checks, else through csv, and the file's `_Source` when it holds the bytes
-    `save_canonical` would write for them (else None)."""
+    block passes its checks, else through csv, and the file's `_Source`, with spans when it holds the bytes
+    `save_canonical` would write for them."""
     with open(path, "rb") as fh:
-        stamp = _stamp(fh)
+        stamp = _stamp(os.fstat(fh.fileno()))
         # a header without its newline ends the file
         if fh.read(len(_HEADER_LINE)) in (_HEADER_LINE, _HEADER_LINE[:-1]) and _plain(fh):
             fh.seek(len(_HEADER_LINE))
             if (read := _plain_cells(fh, stamp[2])) is not None:
                 *cells, spans = read
-                return (*cells, None if spans is None else _Source(os.fspath(path), stamp, spans))
+                return (*cells, _Source(os.fspath(path), stamp, spans))
     collecting = gc.isenabled()
     gc.disable()  # the route keeps a tuple per cell until the end; collections would rescan them and find no cycle
     try:
-        return (*_cell_codes(_parse_row(path, row_no, row) for row_no, row in _csv_rows(path, STORE_HEADER)), None)
+        cells = _cell_codes(_parse_row(path, row_no, row) for row_no, row in _csv_rows(path, STORE_HEADER))
+        return (*cells, _Source(os.fspath(path), stamp, None))
     finally:
         if collecting:
             gc.enable()
@@ -674,8 +681,9 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
 
     Runs without a scores row keep the default wallclock of 1.0 and no score.
     Rows are checked in file order, so the first bad row names the error.
-    A store read from a file that holds exactly the bytes `save_canonical`
-    would write for it keeps where each run's lines are (see `save_canonical`).
+    The store keeps the file's stamp, and, when the file holds exactly the
+    bytes `save_canonical` would write for it, where each run's lines are (see
+    `save_canonical`).
     """
     runs, events, rows, cols, values, supported, source = _read_cells(path)
     times = None if scores_path is None else _joined_scores(scores_path, runs)
@@ -745,22 +753,6 @@ def _parses(text: str) -> bool:
     return True
 
 
-@contextmanager
-def _unchanged(source: _Source | None) -> Iterator:
-    """The file `source` was read from, open for reading, while it is the file that was read; else None."""
-    if source is not None:
-        try:
-            fh = open(source.path, "rb")
-        except OSError:
-            pass
-        else:
-            with fh:
-                if _stamp(fh) == source.stamp:
-                    yield fh
-                    return
-    yield None
-
-
 def _copied(fh, start: int, stop: int) -> Iterator[str]:
     """Bytes [start, stop) of `fh` as text, read _READ_BYTES at a time as it is iterated."""
     fh.seek(start)
@@ -775,15 +767,18 @@ def save_canonical(store: Store, path: str | Path) -> None:
     every present cell of the grid is one joined line; float values are `repr`'s bytes (formatted by
     `files.float_rows`), so reloading is lossless.
 
-    The runs a store carries from the file it was read from (see `read_store`
-    and `merge_stores`) are copied from that file's bytes, a stretch of runs
-    at a time, when the file still has the device, inode, size and mtime it
-    had when it was read. Every other run is formatted.
+    A store read from a file (see `read_store` and `merge_stores`) is written
+    only while that file has the device, inode, size and mtime it had when it
+    was read, checked before and after the store is written; else nothing is
+    replaced and StoreChanged names the file. The runs it carries from a
+    canonical file are copied from that file's bytes, a stretch of runs at a
+    time. Every other run is formatted.
     """
     text = files.CsvText()
     order = sorted(range(len(store.events)), key=store.events.__getitem__)
     events = [f"{text[store.events[j]]}," for j in order]
     flags = (",false\n", ",true\n")
+    source = store._source
 
     def lines(runs: slice) -> Iterator[str]:
         return (
@@ -797,34 +792,36 @@ def save_canonical(store: Store, path: str | Path) -> None:
             if value != "nan"
         )
 
-    with _unchanged(store._source) as fh:
-        if fh is None:
-            files.write_csv(path, STORE_HEADER, lines(slice(None)))
-            return
-        starts, stops = store._source.spans.T.tolist()
-        parts = [[_HEADER_LINE.decode()]]
-        for copied, group in groupby(range(len(starts)), lambda i: starts[i] >= 0):
-            runs = list(group)
-            first, stop = runs[0], runs[-1] + 1
-            if copied:  # carried runs next to each other in the store are next to each other in the file
-                parts.append(_copied(fh, starts[first], stops[stop - 1]))
-            else:
-                parts.append(files.chunks(lines(slice(first, stop))))
-        files.write_text(path, chain.from_iterable(parts))
+    def write(fh: TextIO) -> None:
+        if source is None or source.spans is None:
+            files.write_csv(fh, STORE_HEADER, lines(slice(None)))
+        else:
+            with open(source.path, "rb") as old:
+                _check_unchanged(source, os.fstat(old.fileno()))
+                starts, stops = source.spans.T.tolist()
+                fh.write(_HEADER_LINE.decode())
+                for copied, group in groupby(range(len(starts)), lambda i: starts[i] >= 0):
+                    runs = list(group)
+                    first, stop = runs[0], runs[-1] + 1
+                    if copied:  # carried runs next to each other in the store are next to each other in the file
+                        fh.writelines(_copied(old, starts[first], stops[stop - 1]))
+                    else:
+                        fh.writelines(files.chunks(lines(slice(first, stop))))
+        if source is not None:  # checked again just before the replace: a writer need not have taken the lock
+            _check_unchanged(source, os.stat(source.path))
+
+    files.commit([(path, write)])
 
 
 def save_scores(store: Store, path: str | Path) -> None:
     """Write the scores CSV: one row per run with a score."""
     text = files.CsvText()
-    files.write_csv(
-        path,
-        SCORES_HEADER,
-        (
-            f"{text[s]},{text[w]},{text[m]},{row}\n"
-            for (s, w, m), row in zip(store.runs, files.float_rows(np.stack([store.scores, store.wallclock], 1)))
-            if not row.startswith("nan,")
-        ),
+    lines = (
+        f"{text[s]},{text[w]},{text[m]},{row}\n"
+        for (s, w, m), row in zip(store.runs, files.float_rows(np.stack([store.scores, store.wallclock], 1)))
+        if not row.startswith("nan,")
     )
+    files.commit([(path, lambda fh: files.write_csv(fh, SCORES_HEADER, lines))])
 
 
 def merge_stores(existing: Store, new: Store) -> Store:
@@ -833,9 +830,10 @@ def merge_stores(existing: Store, new: Store) -> Store:
     The first such cell in the new store's cell order (by run, then by event
     name) is named. A run in both stores takes the new store's wallclock, and
     its score unless only the existing store has one. An unmapped event
-    without cells in either store leaves the vocabulary. When the new store
-    adds runs only, the merge keeps where the existing store's runs sit in the
-    file it was read from, so that `save_canonical` can copy them.
+    without cells in either store leaves the vocabulary. The merge keeps the
+    stamp of the file the existing store was read from, so that
+    `save_canonical` refuses a file that changed since, and, when the new store
+    adds runs only, where the existing runs sit in it, so that it can copy them.
     """
     runs = tuple(sorted(dict.fromkeys(existing.runs + new.runs)))  # two sorted stretches: a merge, not a sort
     present = {
@@ -870,11 +868,11 @@ def merge_stores(existing: Store, new: Store) -> Store:
         clocks[rows] = store.wallclock
         scored = ~np.isnan(store.scores)
         marks[rows[scored]] = store.scores[scored]
-    carried = None
-    if existing._source is not None and len(runs) == len(existing.runs) + len(new.runs):  # no run in both
+    carried = existing._source
+    if carried is not None and carried.spans is not None:  # the runs keep their spans when no run is in both
         spans = np.full((len(runs), 2), -1)
-        spans[placed[0]] = existing._source.spans
-        carried = replace(existing._source, spans=spans)
+        spans[placed[0]] = carried.spans
+        carried = replace(carried, spans=spans if len(runs) == len(existing.runs) + len(new.runs) else None)
     return Store(runs, vocabulary, grid, mask, clocks, marks, carried)
 
 

@@ -86,6 +86,10 @@ class NoCommonMetrics(BenchlensError):
     pass
 
 
+class StoreChanged(BenchlensError):
+    pass
+
+
 class BudgetExceeded(BenchlensError):
     pass
 

@@ -9,8 +9,7 @@ unavailable (NaN) for any workload on a machine are dropped, never imputed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -118,9 +117,9 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
     )
 
 
-def export_csv(matrix: FeatureMatrix, path: str | Path) -> None:
+def export_csv(matrix: FeatureMatrix, fh: TextIO) -> None:
     """Write the matrix with a two-level "metric:machine" header."""
     text, rows = files.CsvText(), zip(matrix.rows, files.float_rows(matrix.values))
     header = ["workload", *(f"{metric}:{machine}" for metric, machine in matrix.cols)]
     sep = "," if matrix.cols else ""
-    files.write_csv(path, header, (f"{text[workload]}{sep}{row}\n" for workload, row in rows))
+    files.write_csv(fh, header, (f"{text[workload]}{sep}{row}\n" for workload, row in rows))

@@ -1,10 +1,13 @@
-"""How benchlens writes a file: whole or not at all, CSV rows by one line law.
+"""How benchlens writes files: a command's files whole and together, or none of them; CSV rows by one line law.
 
-Every file goes through `write_text`: its parts go to a temporary file beside
-the target (`.NAME.PID.tmp`) that then replaces it, so a write that fails or
-is interrupted leaves the old file whole and no temporary file behind. A file
-that is replaced keeps its permissions, a symbolic link keeps pointing at the
-file it named, and a missing parent directory is created.
+Every file goes through `commit`, which takes (path, writer) pairs. A writer
+is called with a text file open on a temporary file beside its target
+(`.NAME.PID.tmp`) and streams the file's text into it; the writers run one
+after another. Only when every writer has returned do the temporary files
+replace their targets, so a writer that fails, or an interrupt, removes every
+temporary file and leaves every target as it was. A file that is replaced
+keeps its permissions, a symbolic link keeps pointing at the file it named,
+and a missing parent directory is created. No pair, no directory.
 
 CSV files are written by one line law (`write_csv`): each number is its
 `repr`, each distinct text cell is quoted once by
@@ -28,15 +31,16 @@ from __future__ import annotations
 import csv
 import io
 import os
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import orjson
 
 CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
 POSITIONAL = (1e-4, 1e16)  # the |x| that repr, like orjson, writes without an exponent: [1e-4, 1e16)
+Writer = Callable[[TextIO], object]  # streams one file's text into the open file it is given
 
 
 class CsvText(dict):
@@ -60,20 +64,24 @@ def unquoted(texts: Sequence[str]) -> bool:
     return buffer.getvalue() == "".join(f"{text}," for text in texts) + ",\n"  # quoting only ever adds
 
 
-def write_text(path: str | Path, parts: Iterable[str]) -> None:
-    """Write the concatenated `parts` to `path`, replacing it whole (see the module docstring)."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    path = Path(path).resolve()
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def commit(artifacts: Iterable[tuple[str | Path, Writer]]) -> None:
+    """Write each (path, writer) pair's file, then replace every target (see the module docstring)."""
+    written = []  # (temporary file, target) of each file begun
     try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            for part in parts:
-                fh.write(part)
-        if path.exists():
-            os.chmod(partial, path.stat().st_mode & 0o7777)
-        os.replace(partial, path)
+        for path, write in artifacts:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            path = Path(path).resolve()
+            partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            written.append((partial, path))
+            with open(partial, "w", newline="", encoding="utf-8") as fh:
+                write(fh)
+            if path.exists():
+                os.chmod(partial, path.stat().st_mode & 0o7777)
+        for partial, path in written:
+            os.replace(partial, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for partial, _ in written:
+            partial.unlink(missing_ok=True)
         raise
 
 
@@ -83,10 +91,11 @@ def chunks(lines: Iterable[str]) -> Iterator[str]:
     return iter(lambda: "".join(islice(lines, CHUNK)), "")  # every line holds at least its "\\n"
 
 
-def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a CSV: the header row, then `lines` (each one row ending in "\\n"), CHUNK rows per write."""
+def write_csv(fh: TextIO, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV to `fh`: the header row, then `lines` (each one row ending in "\\n"), CHUNK rows per write."""
     text = CsvText()
-    write_text(path, chain([",".join(map(text.__getitem__, header)) + "\n"], chunks(lines)))
+    fh.write(",".join(map(text.__getitem__, header)) + "\n")
+    fh.writelines(chunks(lines))
 
 
 def float_rows(values: np.ndarray, nan: str = "nan") -> Iterator[str]:

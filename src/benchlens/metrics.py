@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -156,11 +155,11 @@ def derive_store(store: Store) -> Metrics:
     return Metrics(store.runs, derive_rows(store.counts(), store.events, store.runs))
 
 
-def export_metrics_csv(metrics: Metrics, path: str | Path) -> None:
+def export_metrics_csv(metrics: Metrics, fh: TextIO) -> None:
     """Write "suite,workload,machine,<metrics...>" with empty cells for unavailable."""
     text = files.CsvText()
     files.write_csv(
-        path,
+        fh,
         ["suite", "workload", "machine", *METRIC_NAMES],
         (
             f"{text[s]},{text[w]},{text[m]},{row}\n"

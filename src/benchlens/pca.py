@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -150,24 +149,20 @@ def loading_markdown(report: LoadingReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_scores_csv(
-    labels: Sequence[str],
-    scores: np.ndarray,
-    path: str | Path,
-) -> None:
+def export_scores_csv(labels: Sequence[str], scores: np.ndarray, fh: TextIO) -> None:
     text, sep = files.CsvText(), "," if scores.shape[1] else ""
     files.write_csv(
-        path,
+        fh,
         ["workload", *(f"pc{i + 1}" for i in range(scores.shape[1]))],
         (f"{text[label]}{sep}{row}\n" for label, row in zip(labels, files.float_rows(scores))),
     )
 
 
-def export_variance_csv(model: PcaModel, path: str | Path) -> None:
+def export_variance_csv(model: PcaModel, fh: TextIO) -> None:
     variances, ratios = model.explained_variance.tolist(), model.explained_ratio.tolist()
     cumulative = list(accumulate(ratios, initial=0.0))[1:]  # summed from 0.0 in pc order
     files.write_csv(
-        path,
+        fh,
         ["pc", "explained_variance", "explained_ratio", "cumulative_ratio"],
         (f"pc{i + 1},{variances[i]!r},{ratios[i]!r},{cumulative[i]!r}\n" for i in range(model.k)),
     )

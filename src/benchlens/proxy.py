@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from math import comb
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -424,10 +425,7 @@ def apply_mix_spec(
     return chosen, RrrSchedule(order=order, copies=len(order))
 
 
-def export_mixes_csv(
-    ranked: Sequence[tuple[tuple[str, ...], BlendProfile]],
-    path: str | Path,
-) -> None:
+def export_mixes_csv(ranked: Sequence[tuple[tuple[str, ...], BlendProfile]], fh: TextIO) -> None:
     """Write "rank,mix,distance,<metrics...>" with empty cells for unavailable.
 
     Lines follow the one CSV line law (see `files`): the rank, the mix cell,
@@ -476,7 +474,8 @@ def export_mixes_csv(
         return "".join(parts)
 
     header = ",".join(["rank", "mix", "distance", *METRIC_NAMES]) + "\n"
-    files.write_text(path, chain([header], (lines(*chunk) for chunk in chunks)))
+    fh.write(header)
+    fh.writelines(lines(*chunk) for chunk in chunks)
 
 
 def blend_markdown(

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb, inf
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -324,10 +323,10 @@ def subset_markdown(reports: Sequence[SubsetReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_subset_csv(reports: Sequence[SubsetReport], path: str | Path) -> None:
+def export_subset_csv(reports: Sequence[SubsetReport], fh: TextIO) -> None:
     text = files.CsvText()
     files.write_csv(
-        path,
+        fh,
         ["suite", "subset", "machine", "accuracy", "aggregate_accuracy", "runtime_fraction"],
         (
             f"{text[report.suite]},{text[' '.join(report.subset)]},{text[machine]},{accuracy!r},"

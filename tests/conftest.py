@@ -3,14 +3,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from functools import partial
 from itertools import chain
 
-from benchlens import bundled
+from benchlens import bundled, files
 from benchlens.dataset import Store, read_store
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_store
 from benchlens.proxy import WorkloadProfile
 from oracles import cells
+
+
+def write_file(path, export, *args) -> None:
+    """Write what `export(*args, fh)` writes into `fh` to `path`, through `files.commit` as the CLI does."""
+    files.commit([(path, partial(export, *args))])
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, combinations
 from math import comb
 
@@ -674,7 +675,7 @@ def repr_export_mixes(ranked, path):
         f"{rank},{mix if bare else text[mix]},{distance},{','.join(map(repr, values)).replace('nan', '')}\n"
         for rank, (mix, bare, distance, values) in enumerate(rows, start=1)
     )
-    files.write_csv(path, ["rank", "mix", "distance", *METRIC_NAMES], lines)
+    files.commit([(path, partial(files.write_csv, header=["rank", "mix", "distance", *METRIC_NAMES], lines=lines))])
 
 
 # The csv.writer row writers that `files.write_csv` replaced, and the

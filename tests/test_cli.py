@@ -910,3 +910,37 @@ class TestSvgText:
         document = minidom.parse(str(out / "dendrogram_fp_rate.svg"))
         texts = {node.firstChild.data for node in document.getElementsByTagName("text")}
         assert name in texts
+
+
+class TestSuiteFlag:
+    INT_RATE = sorted(w for s, w, _ in dataset.read_store(bundled.sample_store_path()).runs if s == "int_rate")
+
+    @staticmethod
+    def column(path: Path, name: str) -> list[str]:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [row[name] for row in csv.DictReader(fh)]
+
+    def test_derive_featurize_and_pca_cover_only_the_suites_runs(self, tmp_path, capsys):
+        every, one = tmp_path / "every", tmp_path / "one"
+        for command in ("derive", "featurize", "pca"):
+            assert run([command, *base_args(every)], capsys)[0] == 0
+            code, stdout, err = run([command, *base_args(one), "--suite", "int_rate"], capsys)
+            assert (code, err) == (0, ""), command
+        assert len(self.INT_RATE) == 14
+        assert self.column(one / "metrics.csv", "suite") == ["int_rate"] * 14
+        with open(every / "metrics.csv", encoding="utf-8") as fh:  # each run's metrics are its own
+            rows = [line for line in fh if line.startswith(("suite,", "int_rate,"))]
+        assert (one / "metrics.csv").read_text(encoding="utf-8") == "".join(rows)
+        assert sorted(self.column(one / "features.csv", "workload")) == self.INT_RATE
+        assert sorted(self.column(one / "pca_scores.csv", "workload")) == self.INT_RATE
+        assert len(self.column(every / "pca_scores.csv", "workload")) == 52
+
+    def test_cluster_and_report_still_fit_pca_on_every_suite(self, tmp_path, capsys):
+        every, one, report = tmp_path / "every", tmp_path / "one", tmp_path / "report"
+        assert run(["cluster", *base_args(every)], capsys)[0] == 0
+        assert run(["cluster", *base_args(one), "--suite", "int_rate"], capsys)[0] == 0
+        assert run(["report", *base_args(report), "--suite", "int_rate"], capsys)[0] == 0
+        assert sorted(tree_bytes(one)) == ["dendrogram_int_rate.csv", "dendrogram_int_rate.svg"]
+        assert tree_bytes(one).items() <= tree_bytes(every).items()
+        assert tree_bytes(one).items() <= tree_bytes(report).items()
+        assert len(self.column(report / "metrics.csv", "suite")) == 52

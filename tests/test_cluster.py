@@ -18,6 +18,7 @@ from benchlens.cluster import (
 )
 from benchlens.errors import TooFewRows, UnknownWorkload
 from benchlens.render import dendrogram_svg
+from conftest import write_file
 from oracles import exhaustive_medoid, loop_linkage, loop_medoid, naive_linkage
 
 COLLINEAR = np.array([[0.0], [1.0], [10.0]])
@@ -304,7 +305,7 @@ class TestExports:
     def test_merges_csv(self, tmp_path):
         dendrogram = build_dendrogram(COLLINEAR, ["p0", "p1", "p10"], "single")
         path = tmp_path / "merges.csv"
-        export_merges_csv(dendrogram, path)
+        write_file(path, export_merges_csv, dendrogram)
         lines = path.read_text().splitlines()
         assert lines[0] == "left,right,height,size"
         assert lines[1].startswith("0,1,")

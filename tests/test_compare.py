@@ -12,7 +12,7 @@ from benchlens.compare import (
 from benchlens.errors import EmptySuite
 from benchlens.metrics import MetricVector
 from benchlens.render import boxplot_svg
-from conftest import derive_one, make_full_record, metric_rows
+from conftest import derive_one, make_full_record, metric_rows, write_file
 
 
 def vectors_for(rng, count: int) -> np.ndarray:
@@ -118,7 +118,7 @@ class TestExports:
         assert text.splitlines()[0] == "Machine: m"
         assert "| ipc |" in text
         path = tmp_path / "cmp.csv"
-        export_comparison_csv(cmp, path)
+        write_file(path, export_comparison_csv, cmp)
         header = path.read_text().splitlines()[0]
         assert header.startswith("metric,geomean_a,geomean_b,ratio")
         svg_a = boxplot_svg(cmp)

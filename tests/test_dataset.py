@@ -5,6 +5,7 @@ import gc
 import importlib.util
 import json
 import os
+import re
 import stat
 import sys
 import tracemalloc
@@ -39,7 +40,7 @@ from benchlens.dataset import (
     workloads_in,
     yaml_loader,
 )
-from benchlens.errors import DuplicateKey, SchemaMismatch
+from benchlens.errors import DuplicateKey, SchemaMismatch, StoreChanged
 from benchlens.events import CANONICAL_EVENTS
 from benchlens.files import CHUNK as _CHUNK
 from conftest import combine, make_full_store
@@ -465,7 +466,7 @@ class TestChunkedRead:
             store = read_store(path)
         csv_rows.assert_called_once_with(path, STORE_HEADER)
         oracles.assert_same_runs(store, oracles.load_canonical(path))
-        assert store._source is None
+        assert store._source.spans is None
 
     def test_blank_rows_at_chunk_edges_are_skipped(self, tmp_path):
         rows = clean_rows(2 * C + 3)
@@ -723,12 +724,12 @@ def failing_rows(error):
     """Within it, the rows `save_canonical` writes raise `error` after the first written chunk of rows."""
     write_csv = files.write_csv
 
-    def failing(path, header, lines):
+    def failing(fh, header, lines):
         def rows():
             yield from islice(lines, _CHUNK + 1)
             raise error
 
-        write_csv(path, header, rows())
+        write_csv(fh, header, rows())
 
     with mock.patch.object(files, "write_csv", failing):
         yield
@@ -796,7 +797,7 @@ class TestSplicedSave:
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("change", ["replaced", "rewritten longer", "rewritten in place"])
-    def test_a_source_changed_after_the_read_is_formatted_not_copied(self, tmp_path, change):
+    def test_a_source_changed_after_the_read_is_refused_and_kept(self, tmp_path, change):
         path, other = tmp_path / "store.csv", tmp_path / "other.csv"
         store = generated_store(runs=150)
         save_canonical(store, path)
@@ -812,10 +813,11 @@ class TestSplicedSave:
             path.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
         later = 10**9 if change == "rewritten in place" else 0
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + later))
-        oracles.csv_save_canonical(merged, tmp_path / "expected.csv")
-        with mock.patch.object(dataset, "_copied", side_effect=AssertionError("copied")):
+        changed = path.read_bytes()
+        with pytest.raises(StoreChanged, match=re.escape(str(path))):
             save_canonical(merged, path)
-        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert path.read_bytes() == changed
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
 def test_sample_data_script_regenerates_the_bundled_files(tmp_path):

@@ -9,7 +9,7 @@ from benchlens.errors import AlreadyNormalized, EmptyInput, MissingCell, NotNorm
 from benchlens.events import METRIC_NAMES
 from benchlens.features import FeatureMatrix, build_matrix, export_csv, normalize
 from benchlens.metrics import Metrics, derive_store
-from conftest import make_full_store
+from conftest import make_full_store, write_file
 from oracles import loop_moments
 
 
@@ -125,7 +125,7 @@ class TestCsvRoundTrip:
         metrics = full_metrics(WORKLOADS4, ["M0", "M1"])
         matrix = build_matrix(metrics, WORKLOADS4, ["M0", "M1"])
         path = tmp_path / "features.csv"
-        export_csv(matrix, path)
+        write_file(path, export_csv, matrix)
         with open(path, newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == ["workload", *(f"{metric}:{machine}" for metric, machine in matrix.cols)]

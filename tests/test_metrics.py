@@ -10,7 +10,7 @@ from benchlens.dataset import Store
 from benchlens.errors import EmptySuite, MissingDenominator
 from benchlens.events import METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_store, export_metrics_csv
-from conftest import derive_one, make_full_record, metric_rows
+from conftest import derive_one, make_full_record, metric_rows, write_file
 from oracles import cells, log_geomean
 from reference_table import INT_RATE_IPC_GEOMEAN, REFERENCE_ROWS
 
@@ -181,7 +181,7 @@ class TestSuiteSummary:
 class TestExport:
     def test_metrics_csv_has_empty_cells_for_unavailable(self, tmp_path, sample_store):
         path = tmp_path / "metrics.csv"
-        export_metrics_csv(derive_store(sample_store), path)
+        write_file(path, export_metrics_csv, derive_store(sample_store))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 52

@@ -30,6 +30,7 @@ from conftest import (
     icache_stress_pair,
     make_full_record,
     make_profile,
+    write_file,
 )
 from oracles import search_mix_by_simulation
 
@@ -57,8 +58,8 @@ def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None
         for _, blend in expected
     ]
     assert list(ranked) == expected
-    export_mixes_csv(expected, tmp_dir / "simulated.csv")
-    export_mixes_csv(ranked, tmp_dir / "ranked.csv")
+    write_file(tmp_dir / "simulated.csv", export_mixes_csv, expected)
+    write_file(tmp_dir / "ranked.csv", export_mixes_csv, ranked)
     assert (tmp_dir / "ranked.csv").read_bytes() == (tmp_dir / "simulated.csv").read_bytes()
     return ranked
 
@@ -350,7 +351,7 @@ class TestExports:
         target = MetricVector(ipc=BLEND_TARGET_IPC)
         ranked = search_mix([cactus, fotonik], target, 2, {"ipc": 1.0})
         path = tmp_path / "mixes.csv"
-        export_mixes_csv(ranked, path)
+        write_file(path, export_mixes_csv, ranked)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("rank,mix,distance,ipc")
         assert len(lines) == 1 + 3
@@ -369,7 +370,7 @@ class TestExports:
         assert len(ranked) == 20_875
         tracemalloc.start()
         try:
-            export_mixes_csv(ranked, tmp_path / "mixes.csv")
+            write_file(tmp_path / "mixes.csv", export_mixes_csv, ranked)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

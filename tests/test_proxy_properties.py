@@ -26,7 +26,7 @@ from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
 from benchlens.proxy import (  # noqa: E402
     BlendProfile, RrrSchedule, WorkloadProfile, blend_distance, export_mixes_csv, simulate_rrr,
 )
-from conftest import derive_one, make_full_record  # noqa: E402
+from conftest import derive_one, make_full_record, write_file  # noqa: E402
 from oracles import cells, loop_blend_distance, loop_simulate_rrr, repr_export_mixes  # noqa: E402
 from test_proxy import assert_matches_simulation  # noqa: E402
 
@@ -94,7 +94,7 @@ def test_blocks_of_mixes_match_simulation_across_block_edges(case, chunk):
     with mock.patch.object(files, "CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
         ranked = assert_matches_simulation(Path(tmp), *case)
         if ranked is not None:
-            export_mixes_csv(ranked, Path(tmp) / "chunked.csv")
+            write_file(Path(tmp) / "chunked.csv", export_mixes_csv, ranked)
             repr_export_mixes(ranked, Path(tmp) / "repr.csv")
             assert (Path(tmp) / "chunked.csv").read_bytes() == (Path(tmp) / "repr.csv").read_bytes()
     event("raised" if ranked is None else "ranked")

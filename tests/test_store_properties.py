@@ -273,12 +273,12 @@ def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, read_by
         # small reads: runs span blocks, and copies cut multi-byte names
         with mock.patch.object(dataset, "_READ_BYTES", read_bytes):
             existing = read_store(path)
-            assert (existing._source is not None) == canonical
+            assert (existing._source.spans is not None) == canonical
             cells = {cell[:4] for cell in oracles.cells(existing)}
             run = existing.runs[0] if into_existing and existing.runs else ("new", "run", "M9")
             run = ("new", "run", "M9") if (*run, event) in cells else run
             merged = merge_stores(existing, Store.from_cells([(*run, event, 7.0, True)]))
-            assert (merged._source is not None) == (canonical and run not in existing.runs)
+            assert (merged._source.spans is not None) == (canonical and run not in existing.runs)
             save_canonical(merged, path)
         oracles.csv_save_canonical(merged, expected)
         assert path.read_bytes() == expected.read_bytes()

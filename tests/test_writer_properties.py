@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import tempfile
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +25,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
+from conftest import write_file  # noqa: E402
 from benchlens.dataset import Store, save_canonical, save_scores  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
 from benchlens.features import FeatureMatrix, export_csv  # noqa: E402
@@ -55,6 +57,10 @@ def assert_same_bytes(write, referee, data):
         write(data, tmp / "joined.csv")
         referee(data, tmp / "csv.csv")
         assert (tmp / "joined.csv").read_bytes() == (tmp / "csv.csv").read_bytes()
+
+
+def mixes_file(ranked, path):
+    write_file(path, export_mixes_csv, ranked)
 
 
 def ranked_mixes(names, mixes, distances, metrics) -> RankedMixes:
@@ -139,13 +145,13 @@ def grid_stores(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(ranked=rankings())
 def test_ranked_mixes_are_written_like_csv_writer(ranked):
-    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+    assert_same_bytes(mixes_file, oracles.csv_export_mixes, ranked)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(ranked=blends())
 def test_blend_profiles_are_written_like_csv_writer(ranked):
-    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+    assert_same_bytes(mixes_file, oracles.csv_export_mixes, ranked)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -166,9 +172,9 @@ def test_only_the_mix_with_a_quoted_name_is_quoted():
         ["plain", "a,b", "other"], [[0, 2], [0, 1], [1], [2, 0, 1]], [0.5, 1.0, 2.0, float("inf")],
         [[1.0] * 19] * 4,
     )
-    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+    assert_same_bytes(mixes_file, oracles.csv_export_mixes, ranked)
     with tempfile.TemporaryDirectory() as tmp:
-        export_mixes_csv(ranked, Path(tmp) / "mixes.csv")
+        write_file(Path(tmp) / "mixes.csv", export_mixes_csv, ranked)
         lines = (Path(tmp) / "mixes.csv").read_text().splitlines()[1:]
     prefixes = ["1,plain+other,0.5,", '2,"plain+a,b",1.0,', '3,"a,b",2.0,', '4,"other+plain+a,b",inf,']
     assert [line[: len(prefix)] for line, prefix in zip(lines, prefixes)] == prefixes
@@ -182,7 +188,7 @@ def test_row_counts_around_one_chunk(count):
     metrics = rng.lognormal(size=(count, 19)) * 10.0 ** rng.integers(-6, 17, size=(count, 19))
     metrics[rng.random(size=metrics.shape) < 0.2] = np.nan
     ranked = ranked_mixes(names, mixes, np.sort(rng.random(count)), metrics)
-    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+    assert_same_bytes(mixes_file, oracles.csv_export_mixes, ranked)
 
     cells = [
         (f"s{i % 3}", f'w,"{i // 7}', f"m {i % 2}", CANONICAL_EVENTS[i % 5], float(v), bool(i % 4))
@@ -210,7 +216,7 @@ def test_write_csv_of_quoted_text_and_repr_floats_is_csv_writer_bytes(chunk, hea
     def write(rows, path):
         lines = (",".join(text[c] if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
         with mock.patch.object(files, "CHUNK", chunk):
-            files.write_csv(path, header, lines)
+            files.commit([(path, partial(files.write_csv, header=header, lines=lines))])
 
     def referee(rows, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -278,15 +284,15 @@ def test_mixes_are_written_by_the_per_row_repr_law(names):
     metrics[3, 6:8] = [np.nextafter(1e-4, 0.0), 0.0001]
     ranked = ranked_mixes(names, [[0], [1], [0, 2], [2, 1, 0], [1, 2]], [0.5, float("nan"), float("inf"), 1e-05, 2.0],
                           metrics)
-    assert_same_bytes(export_mixes_csv, oracles.repr_export_mixes, ranked)
-    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, ranked)
+    assert_same_bytes(mixes_file, oracles.repr_export_mixes, ranked)
+    assert_same_bytes(mixes_file, oracles.csv_export_mixes, ranked)
     blends = [
         (tuple(names[:2]), BlendProfile(MetricVector(ipc=5e-05, l1i_mpki=1e16), {}, {}, 2, 1.0, float("nan"))),
         ((names[2],), BlendProfile(MetricVector(ipc=1.5), {}, {}, 1, 1.0, float("inf"))),
         (tuple(names[::-1]), BlendProfile(MetricVector(), {}, {}, 3, 1.0, None)),
     ]
-    assert_same_bytes(export_mixes_csv, oracles.repr_export_mixes, blends)
-    assert_same_bytes(export_mixes_csv, oracles.csv_export_mixes, blends)
+    assert_same_bytes(mixes_file, oracles.repr_export_mixes, blends)
+    assert_same_bytes(mixes_file, oracles.csv_export_mixes, blends)
 
 
 
@@ -295,8 +301,8 @@ def test_feature_and_pca_score_rows_are_written_like_csv_writer(width, tmp_path)
     labels = ["a", "b,c", 'q"']
     values = np.array([[1e-05, 0.5], [1e16, -0.0], [3.0, 2.5e-4]])[:, :width]
     cols = [("ipc", "M0"), ("l1i_mpki", "M0")][:width]
-    export_csv(FeatureMatrix(tuple(labels), tuple(cols), values), tmp_path / "features.csv")
-    export_scores_csv(labels, values, tmp_path / "scores.csv")
+    write_file(tmp_path / "features.csv", export_csv, FeatureMatrix(tuple(labels), tuple(cols), values))
+    write_file(tmp_path / "scores.csv", export_scores_csv, labels, values)
     for name, header in [
         ("features.csv", ["workload", *(f"{metric}:{machine}" for metric, machine in cols)]),
         ("scores.csv", ["workload", *(f"pc{i + 1}" for i in range(width))]),
