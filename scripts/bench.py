@@ -15,8 +15,9 @@ k = 2, 3, 4 on 40 workloads x 9 machines, of ``proxy.search_mix`` and
 of writing its ranking with ``proxy.export_mixes_csv`` at k = 1, 2, 3 on a
 pool of 50 workloads, and of ``dataset.read_store`` on stores of 52, 200 and
 500 workloads x 9 machines x 20 events that ``dataset.save_canonical``
-wrote: once with plain names (the byte route) and once with every suite name
-holding a comma, so that csv quotes it (the csv route), and of
+wrote: once with plain names (the byte route), once with every suite name
+holding a comma, so that csv quotes it (the csv route), and once with plain
+names and a scores CSV of one row per run joined (scored), and of
 ``metrics.derive_store`` followed by ``features.build_matrix`` over every
 machine on stores of 52, 200 and 500 workloads x 9 machines whose counts
 make every metric valid.
@@ -68,7 +69,7 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
 
 # Runs in the child with the checkout's src on sys.path; prints one JSON object.
 CURVES_CHILD = r"""
-import json, statistics, tempfile, time, tracemalloc
+import csv, json, statistics, tempfile, time, tracemalloc
 from pathlib import Path
 import numpy as np
 from benchlens.cluster import build_dendrogram
@@ -144,6 +145,14 @@ with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{route}.csv"
             save_canonical(Store.from_cells((*cell, value, True) for cell, value in cells), path)
             point[f"{route}_median_s"] = median_s(lambda: read_store(path), 7)
+        scores = Path(tmp) / "scores.csv"  # one row per run of the plain store
+        with open(scores, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [["suite", "workload", "machine", "score", "wallclock_seconds"]]
+                + [[("fp_rate", "int_rate")[i % 2], f"w{i:03d}", f"M{m}", repr(1.0 + i / 7), repr(10.0 + m)]
+                   for i in range(workloads) for m in range(9)]
+            )
+        point["scored_median_s"] = median_s(lambda: read_store(Path(tmp) / "bytes.csv", scores), 7)
         reads.append(point)
 
 def featurize(store, workloads, machines):
@@ -222,7 +231,7 @@ def scaling_curves(root: Path) -> dict:
             **{
                 f"exponent_in_rows_{route}": fitted_exponent([p["rows"] for p in reads],
                                                              [p[f"{route}_median_s"] for p in reads])
-                for route in ("bytes", "csv")
+                for route in ("bytes", "csv", "scored")
             },
         },
         "derive_featurize": {

@@ -36,7 +36,7 @@ import numpy as np
 from . import cluster as cluster_mod
 from . import compare as compare_mod
 from . import dataset, features, files, metrics, pca, proxy, render, subset
-from .errors import BenchlensError, BudgetExceeded, ConfigError, EmptyInput
+from .errors import BenchlensError, BudgetExceeded, ConfigError, EmptyInput, SchemaMismatch
 
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
 FORMATS = ("csv", "md", "svg")
@@ -537,6 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(config_path, args)
         run = Run(cfg, by_suite=command in BY_SUITE)
         summary, artifacts = _COMMANDS[command](run)
+        for name, _ in artifacts:  # a name holds suite names, and each is one file in out/
+            if os.sep in name:
+                raise SchemaMismatch(f"artifact name {name!r} is not a single file name")
         suffixes = tuple(f".{fmt}" for fmt in cfg.format)  # the artifacts --format keeps
         files.commit((run.out / name, write) for name, write in artifacts if name.endswith(suffixes))
     except (BenchlensError, OSError, ValueError) as exc:

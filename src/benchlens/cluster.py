@@ -251,7 +251,7 @@ def cut(dendrogram: Dendrogram, threshold: float) -> ClusterCut:
     Threshold 0 yields singletons; anything above the root height yields one
     group.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too: it would cut below no merge
         raise ValueError("threshold must be >= 0")
     count = 0
     for m in dendrogram.merges:

@@ -19,7 +19,7 @@ constructor and does every check, on each cell's run and event index;
 `Store.from_cells` turns a list of cells into those codes. Reading a store
 and parsing a raw dump build through it. The wallclocks and scores of the
 runs are checked by one array law (`_timed`), whether they come as mappings
-(`from_codes`) or as a scores CSV that `read_store` joins by columns.
+(`from_codes`) or as a scores CSV that `read_store` joins row by row.
 
 A store CSV is read one of two ways. A plain one -- its header exactly
 `STORE_HEADER`, its bytes UTF-8 without a '"', a CR or a NUL, so that csv
@@ -692,7 +692,7 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
 
 
 def _joined_scores(path: str | Path, runs: Sequence[RunKey]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_timed`'s wallclocks, scores and scored runs from the scores CSV at `path`, joined by columns: a run
+    """`_timed`'s wallclocks, scores and scored runs from the scores CSV at `path`, joined row by row: a run
     without a row keeps a wallclock of 1.0 and no score.
 
     The first bad row in file order raises, and each row breaks its rules in
@@ -700,57 +700,22 @@ def _joined_scores(path: str | Path, runs: Sequence[RunKey]) -> tuple[np.ndarray
     that an earlier row scored, then a score or wallclock that `float` does
     not parse. csv's own errors raise at the row where csv meets them.
     """
-    numbered, late = [], None
-    try:
-        for item in _csv_rows(path, SCORES_HEADER):
-            numbered.append(item)
-    except SchemaMismatch as exc:  # the header, or csv's own error after every row before it
-        late = exc
-    row_nos, rows = tuple(zip(*numbered)) or ((), ())
-    wide = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) == len(SCORES_HEADER)
-    joined = int(np.argmin(wide)) if not wide.all() else len(rows)  # the rows before the first one too wide or narrow
-    suites, workloads, machines, score_texts, clock_texts = tuple(zip(*rows[:joined])) or ((),) * 5
-    keys = list(zip(suites, workloads, machines))
     index = {key: i for i, key in enumerate(runs)}
-    codes = np.fromiter(map(index.get, keys, [-1] * joined), dtype=np.intp, count=joined)
-    order = np.argsort(codes, kind="stable")
-    repeated = np.zeros(joined, dtype=bool)
-    repeated[order[1:]] = codes[order[1:]] == codes[order[:-1]]  # an earlier row has the same run
-    try:
-        marks = np.fromiter(map(float, score_texts), dtype=float, count=joined)
-        clocks = np.fromiter(map(float, clock_texts), dtype=float, count=joined)
-        unparsed = np.zeros(joined, dtype=bool)
-    except ValueError:
-        unparsed = np.array([not (_parses(a) and _parses(b)) for a, b in zip(score_texts, clock_texts)], dtype=bool)
-    bad = (codes < 0) | repeated | unparsed
-    if bad.any():
-        i = int(np.argmax(bad))
-        key, where = keys[i], f"{path}:{row_nos[i]}"
-        if codes[i] < 0:
-            raise SchemaMismatch(f"{where}: score for unknown run {key}")
-        if repeated[i]:
-            raise DuplicateKey(f"{where}: duplicate score row for {key}")
+    clocks, marks, scored = np.ones(len(runs)), np.full(len(runs), math.nan), np.zeros(len(runs), dtype=bool)
+    for row_no, row in _csv_rows(path, SCORES_HEADER):
+        if len(row) != len(SCORES_HEADER):
+            raise SchemaMismatch(f"{path}:{row_no}: expected {len(SCORES_HEADER)} columns")
+        key = (row[0], row[1], row[2])
+        if (i := index.get(key)) is None:
+            raise SchemaMismatch(f"{path}:{row_no}: score for unknown run {key}")
+        if scored[i]:
+            raise DuplicateKey(f"{path}:{row_no}: duplicate score row for {key}")
         try:
-            float(score_texts[i]), float(clock_texts[i])
+            marks[i], clocks[i] = float(row[3]), float(row[4])
         except ValueError as exc:
-            raise SchemaMismatch(f"{where}: bad numeric field") from exc
-    if joined < len(rows):
-        raise SchemaMismatch(f"{path}:{row_nos[joined]}: expected {len(SCORES_HEADER)} columns")
-    if late is not None:
-        raise late
-    times = np.ones(len(runs)), np.full(len(runs), math.nan), np.zeros(len(runs), dtype=bool)
-    for column, joined_values in zip(times, (clocks, marks, True)):
-        column[codes] = joined_values
-    return times
-
-
-def _parses(text: str) -> bool:
-    """Whether `float` parses `text`."""
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+            raise SchemaMismatch(f"{path}:{row_no}: bad numeric field") from exc
+        scored[i] = True
+    return clocks, marks, scored
 
 
 def _copied(fh, start: int, stop: int) -> Iterator[str]:

@@ -74,7 +74,7 @@ def fit_pca(
     if variance_target is not None:
         if variance_target > 1.0:
             raise TargetUnreachable(f"variance_target {variance_target} exceeds 1.0")
-        if variance_target <= 0.0:
+        if not variance_target > 0.0:  # NaN too: no cumulative share would reach it
             raise ValueError("variance_target must be in (0, 1]")
         cumulative = np.cumsum(ratios)
         reached = np.flatnonzero(cumulative >= variance_target - 1e-12)

@@ -27,9 +27,10 @@ Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
 
 `simulate_rrr` walks any schedule segment by segment to get its steps, and
 `blend_markdown` blends each constituent over one pass. `search_mix` blends
-the mixes of a pool as rows of arrays, `files.CHUNK` mixes at a time, on the
-equal-duration schedule, where copy c runs slots c, c+1, ..., c-1 for one
-unit each, so its values are bit-identical to simulating each mix.
+the mixes of a pool as rows of arrays, one `stats.subset_rows` chunk at a
+time, on the equal-duration schedule, where copy c runs slots c, c+1, ...,
+c-1 for one unit each, so its values are bit-identical to simulating each
+mix.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 from typing import TextIO
@@ -50,6 +50,7 @@ from .dataset import Store
 from .errors import BudgetExceeded, NoCommonMetrics, UnknownWorkload, ZeroHorizon
 from .events import METRIC_NAMES, event_vocabulary
 from .metrics import MetricVector, derive_rows, metric_array
+from .stats import subset_rows
 
 
 @dataclass(frozen=True)
@@ -278,23 +279,10 @@ class RankedMixes(Sequence):
     def __len__(self) -> int:
         return len(self._rank)
 
-    @property
-    def distances(self) -> np.ndarray:
-        """Every ranked mix's distance, closest first."""
-        return self._scored[self._rank, 0]
-
-    @property
-    def metrics(self) -> np.ndarray:
-        """Every ranked mix's metric values, closest first, NaN where unavailable."""
-        return self._scored[self._rank, 1:]
-
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The `mixes` and `scored` rows of the ranked mixes lo to hi."""
         rows = self._rank[lo:hi]
         return self._mixes[rows], self._scored[rows]
-
-    def order(self, i: int) -> tuple[str, ...]:
-        return tuple(self._pool[j].workload for j in self._mixes[self._rank[i]] if j >= 0)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -324,9 +312,10 @@ def search_mix(
     on distance go to the lower order tuple.
 
     Mixes are blended, derived and measured as rows of arrays, size by size and
-    `files.CHUNK` mixes at a time, into arrays that hold every mix. The first
-    mix that fails, in enumeration order, raises what simulating it would:
-    its blend's error, else a bad weight's, else NoCommonMetrics.
+    one `stats.subset_rows` chunk (`files.CHUNK` mixes or a few more) at a
+    time, into arrays that hold every mix. The first mix that fails, in
+    enumeration order, raises what simulating it would: its blend's error,
+    else a bad weight's, else NoCommonMetrics.
     """
     if max_constituents < 1:
         raise ValueError("max_constituents must be >= 1")
@@ -343,24 +332,21 @@ def search_mix(
     rates, events = _rate_array(pool)
     mixes = np.full((total, max_constituents), -1, dtype=np.intp)
     scored = np.empty((total, 1 + len(METRIC_NAMES)))  # each mix's distance, then its metrics
-    start = 0
+    lo = 0
     for size in range(1, max_constituents + 1):
-        stop = start + comb(len(pool), size)
-        mixes[start:stop, :size] = np.fromiter(
-            chain.from_iterable(combinations(range(len(pool)), size)), dtype=np.intp, count=(stop - start) * size
-        ).reshape(-1, size)
         steps = [((copy + step) % size, 1.0) for copy in range(size) for step in range(size)]
-        for lo in range(start, stop, files.CHUNK):
-            block = slice(lo, min(lo + files.CHUNK, stop))
-            _, scored[block, 1:], failed = _blend(rates, mixes[block, :size], steps, events)
+        for rows in subset_rows(len(pool), size, files.CHUNK):
+            block = slice(lo, lo + len(rows))
+            lo = block.stop
+            mixes[block, :size] = rows
+            _, scored[block, 1:], failed = _blend(rates, rows, steps, events)
             if not failed[0]:  # else the block's first mix raises before a weight is read
                 scored[block, 0], used = _distances(scored[block, 1:], target, weights, scales)
                 failed |= ~used.any(axis=1)
             if failed.any():  # the first failing mix raises its blend's error, else NoCommonMetrics
-                mix = mixes[block, :size][np.argmax(failed)]
+                mix = rows[np.argmax(failed)]
                 _blend(rates, mix[None], steps, events, ("rrr", "+".join(names[j] for j in mix), "blend"))
                 raise NoCommonMetrics("no weighted metric is available on both sides")
-        start = stop
     # order tuples compare like their pool indices, a shorter prefix (-1 padding) first
     rank = np.lexsort((*mixes.T[::-1], scored[:, 0]))
     equal = [replace(p, duration=1.0) for p in pool]

@@ -1,10 +1,11 @@
-"""Small shared statistics helpers: geometric means and order statistics."""
+"""Small shared statistics helpers: geometric means, order statistics and the k-subsets of range(n)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, combinations, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,3 +75,35 @@ class BoxStats:
         # np.percentile would import numpy.ma, about 15 ms per process, for three interpolations
         q1, med, q3 = (_percentile(ordered, q) for q in (0.25, 0.5, 0.75))
         return cls(float(arr.min()), q1, med, q3, float(arr.max()))
+
+
+def subset_rows(n: int, k: int, chunk: int) -> Iterator[np.ndarray]:
+    """Index rows of every size-k subset of range(n), in lexicographic order, a chunk at a time.
+
+    Each subset is a head (its first k - 1 members, from
+    `combinations(range(n - 1), k - 1)`) and a last member that runs from
+    one past the head to n - 1. A chunk holds whole runs of heads: the fewest
+    that reach `chunk` rows, so at least `chunk` rows unless it is the last
+    one, and fewer than chunk + n.
+    """
+    if k == 1:
+        for start in range(0, n, chunk):
+            yield np.arange(start, min(n, start + chunk))[:, None]
+        return
+    heads = combinations(range(n - 1), k - 1)
+    step = max(1, chunk // n)
+    pending = np.empty((0, k - 1), dtype=np.intp)
+    while True:
+        batch = np.fromiter(chain.from_iterable(islice(heads, step)), dtype=np.intp).reshape(-1, k - 1)
+        pending = np.concatenate((pending, batch))
+        ends = np.cumsum(n - 1 - pending[:, -1])  # rows up to and including each head, each head 1 or more
+        while len(pending) and (ends[-1] >= chunk or not len(batch)):
+            cut = min(int(np.searchsorted(ends, chunk)) + 1, len(pending))
+            head, length = pending[:cut], n - 1 - pending[:cut, -1]
+            rows = np.empty((int(ends[cut - 1]), k), dtype=np.intp)
+            rows[:, :-1] = np.repeat(head, length, axis=0)
+            rows[:, -1] = np.arange(len(rows)) - np.repeat(ends[:cut] - length - head[:, -1] - 1, length)
+            yield rows
+            pending, ends = pending[cut:], ends[cut:] - ends[cut - 1]
+        if not len(batch):
+            return

@@ -10,7 +10,6 @@ opt-in optimality check, never as the selector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from math import comb, inf
 from typing import Mapping, Sequence, TextIO
 
@@ -26,7 +25,7 @@ from .errors import (
     NonPositiveScore,
     UnknownWorkload,
 )
-from .stats import geometric_mean
+from .stats import geometric_mean, subset_rows
 
 # machine -> workload -> positive running score
 ScoreTable = Mapping[str, Mapping[str, float]]
@@ -189,7 +188,7 @@ def oracle_best_subset(
     root = 1.0 / len(machines)
     best_subset: tuple[str, ...] | None = None
     best_value = -inf
-    for members in _subset_rows(n, k, _ORACLE_CHUNK):
+    for members in subset_rows(n, k, _ORACLE_CHUNK):
         with np.errstate(over="ignore", invalid="ignore"):
             product = table[:, members[:, 0]]  # from the first member in sorted order, as `_accuracies`
             for j in range(1, k):
@@ -220,39 +219,6 @@ def oracle_best_subset(
             "each leaves some machine at accuracy <= 0"
         )
     return best_subset, best_value
-
-
-def _subset_rows(n: int, k: int, chunk: int):
-    """Index rows of every size-k subset of range(n), in lexicographic order.
-
-    Each subset is a head (its first k - 1 members, from
-    `combinations(range(n - 1), k - 1)`) and a last member that runs from
-    one past the head to n - 1; a chunk holds whole runs of heads, at least
-    `chunk` rows unless it is the last one, and at most chunk + n - 1.
-    """
-    if k == 1:
-        for start in range(0, n, chunk):
-            yield np.arange(start, min(n, start + chunk))[:, None]
-        return
-    heads = combinations(range(n - 1), k - 1)
-    step = max(1, chunk // n)
-    pending: list[np.ndarray] = []
-    count = 0
-    while True:
-        batch = np.fromiter(chain.from_iterable(islice(heads, step)), dtype=np.intp).reshape(-1, k - 1)
-        if len(batch):
-            pending.append(batch)
-            count += int((n - 1 - batch[:, -1]).sum())
-        if pending and (count >= chunk or not len(batch)):
-            head = np.concatenate(pending)
-            length = n - 1 - head[:, -1]
-            rows = np.empty((int(length.sum()), k), dtype=np.intp)
-            rows[:, :-1] = np.repeat(head, length, axis=0)
-            rows[:, -1] = np.arange(len(rows)) - np.repeat(np.cumsum(length) - length - head[:, -1] - 1, length)
-            yield rows
-            pending, count = [], 0
-        if not len(batch):
-            return
 
 
 def _row_products(values: np.ndarray) -> np.ndarray:

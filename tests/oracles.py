@@ -406,6 +406,26 @@ def search_mix_by_simulation(profiles, target, max_constituents, weights, *, sca
     return [(order, blend) for _, order, blend in ranked]
 
 
+# What a `proxy.RankedMixes` holds, read from its arrays without simulating a
+# blend; only the tests read a ranking this way.
+
+
+def ranked_distances(ranked: RankedMixes) -> np.ndarray:
+    """Every ranked mix's distance, closest first."""
+    return ranked.rows(0, len(ranked))[1][:, 0]
+
+
+def ranked_metrics(ranked: RankedMixes) -> np.ndarray:
+    """Every ranked mix's metric values, closest first, NaN where unavailable."""
+    return ranked.rows(0, len(ranked))[1][:, 1:]
+
+
+def ranked_order(ranked: RankedMixes, i: int) -> tuple[str, ...]:
+    """The workloads of the i-th ranked mix, without simulating its blend."""
+    mix = ranked.rows(i, i + 1)[0][0]
+    return tuple(ranked._pool[j].workload for j in mix.tolist() if j >= 0)
+
+
 # The per-row store that `dataset.Store` replaced: one object per counter row,
 # grouped into one object per run, and its loader, merge and metric derivation.
 
@@ -658,7 +678,9 @@ def repr_export_mixes(ranked, path):
         rows = (
             ("+".join([names[j] for j in mix if j >= 0]), bare, repr(distance), values)
             for mix, distance, values in zip(
-                ranked._mixes[ranked._rank].tolist(), ranked.distances.tolist(), ranked.metrics.tolist()
+                ranked._mixes[ranked._rank].tolist(),
+                ranked_distances(ranked).tolist(),
+                ranked_metrics(ranked).tolist(),
             )
         )
     else:
@@ -710,9 +732,9 @@ def csv_save_scores(store, path):
 def csv_export_mixes(ranked, path):
     if isinstance(ranked, RankedMixes):
         rows = zip(
-            (ranked.order(i) for i in range(len(ranked))),
-            ranked.distances.tolist(),
-            np.where(np.isnan(ranked.metrics), None, ranked.metrics).tolist(),
+            (ranked_order(ranked, i) for i in range(len(ranked))),
+            ranked_distances(ranked).tolist(),
+            np.where(np.isnan(ranked_metrics(ranked)), None, ranked_metrics(ranked)).tolist(),
         )
     else:
         rows = (

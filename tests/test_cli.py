@@ -944,3 +944,53 @@ class TestSuiteFlag:
         assert tree_bytes(one).items() <= tree_bytes(every).items()
         assert tree_bytes(one).items() <= tree_bytes(report).items()
         assert len(self.column(report / "metrics.csv", "suite")) == 52
+
+
+class TestNotANumber:
+    CASES = [
+        (["subset"], "threshold", "threshold must be >= 0"),
+        (["pca"], "variance", "variance_target must be in (0, 1]"),
+    ]
+
+    @pytest.mark.parametrize("args, flag, message", CASES)
+    def test_a_nan_flag_is_refused_like_a_negative_one(self, tmp_path, capsys, args, flag, message):
+        out = tmp_path / "out"
+        for value in ("nan", "-1"):
+            code, stdout, err = run([*args, *base_args(out), f"--{flag}", value], capsys)
+            assert (code, stdout) == (2, ""), value
+            (line,) = err.splitlines()
+            assert json.loads(line) == {"stage": args[0], "error": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flag, message", CASES)
+    def test_a_yaml_nan_is_refused(self, tmp_path, capsys, args, flag, message):
+        config, out = tmp_path / "config.yaml", tmp_path / "out"
+        config.write_text(f"{flag}: .nan\n", encoding="utf-8")
+        code, stdout, err = run([*args, *base_args(out), "--config", str(config)], capsys)
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"stage": args[0], "error": "ValueError", "message": message}
+        assert not out.exists()
+
+
+class TestArtifactNames:
+    COMMANDS = [
+        (["cluster"], "dendrogram_{}.csv"),
+        (["compare", "--suite-a", "{}", "--suite-b", "int_speed", "--machine", "CPU-C"], "compare_{}_vs_int_speed.csv"),
+        (["report"], "dendrogram_{}.csv"),
+    ]
+
+    @pytest.mark.parametrize("suite", ["x/../../escaped", "a/b"])
+    @pytest.mark.parametrize("command, artifact", COMMANDS)
+    def test_a_suite_name_holding_a_slash_writes_nothing(self, tmp_path, capsys, suite, command, artifact):
+        args = renamed_sample(tmp_path, {"int_rate": suite}, "CPU-C")
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "o" / "out"
+        code, stdout, err = run([*(arg.format(suite) for arg in command), *args, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        name = artifact.format(suite)
+        assert json.loads(line) == {
+            "stage": command[0], "error": "SchemaMismatch", "message": f"artifact name {name!r} is not a single file name",
+        }
+        assert sorted(tmp_path.rglob("*")) == before

@@ -339,6 +339,10 @@ MALFORMED = {
     "bad_numeric_score_field": (GOOD_ROWS, ("s,w1,m,abc,120.0",), None),
     "non_positive_wallclock": (GOOD_ROWS, ("s,w1,m,5.0,120.0", "s,w2,m,7.5,0"), None),
     "non_positive_score": (GOOD_ROWS, ("s,w1,m,0,120.0",), None),
+    "column_count_before_unknown_run": (GOOD_ROWS, GOOD_SCORES + ("s,ghost,m,1.0",), None),
+    "unknown_run_before_bad_numeric_score": (GOOD_ROWS, GOOD_SCORES + ("s,ghost,m,abc,1.0",), None),
+    "duplicate_before_bad_numeric_score": (GOOD_ROWS, GOOD_SCORES + ("s,w1,m,abc,100.0",), None),
+    "first_bad_score_row_wins": (GOOD_ROWS, ("s,w1,m,5.0,x", "s,ghost,m,1.0,1.0", "s,w2"), None),
     "value_before_column_count": (
         swap(swap(GOOD_ROWS, 1, "s,w1,m,cycles,-2.0,true"), 4, "s,w2,m,cycles"), GOOD_SCORES, None
     ),

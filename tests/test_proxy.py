@@ -32,7 +32,7 @@ from conftest import (
     make_profile,
     write_file,
 )
-from oracles import search_mix_by_simulation
+from oracles import ranked_distances, ranked_metrics, ranked_order, search_mix_by_simulation
 
 
 def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None):
@@ -49,11 +49,11 @@ def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None
         return None
     ranked = search_mix(profiles, target, k, weights, scales=scales, target_name="t")
     assert len(ranked) == len(expected)
-    assert [ranked.order(i) for i in range(len(ranked))] == [order for order, _ in expected]
-    assert [repr(d) for d in ranked.distances.tolist()] == [
+    assert [ranked_order(ranked, i) for i in range(len(ranked))] == [order for order, _ in expected]
+    assert [repr(d) for d in ranked_distances(ranked).tolist()] == [
         repr(blend.distance_to_target) for _, blend in expected
     ]
-    assert [["nan" if v != v else repr(v) for v in row] for row in ranked.metrics.tolist()] == [
+    assert [["nan" if v != v else repr(v) for v in row] for row in ranked_metrics(ranked).tolist()] == [
         ["nan" if (v := blend.metrics.get(m)) is None else repr(v) for m in METRIC_NAMES]
         for _, blend in expected
     ]
@@ -248,7 +248,7 @@ class TestSearchMix:
         scales = {"ipc": (1.0, 0.0), "l1d_mpki": (3.0, 2.5), "fp_pct": (10.0, 4.0)}  # ipc: zero stdev
         for k in (1, 2, 3):
             ranked = assert_matches_simulation(tmp_path, pool, target, k, weights, scales)
-            distances = ranked.distances.tolist()
+            distances = ranked_distances(ranked).tolist()
             assert len(set(distances)) < len(distances)
 
     def test_errors_match_simulation(self, tmp_path):
