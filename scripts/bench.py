@@ -5,7 +5,8 @@
 For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 (fresh child processes, untraced; see that file) and records the four
 end-to-end medians it prints, whether the outputs were correct, the host the
-figures come from and the line count of ``src/benchlens``. It also records
+figures come from and the line count of ``src/benchlens`` (of the
+``--baseline`` checkout's too). It also records
 seven scaling curves, timed in one child process that imports the checkout's
 benchlens (and, with ``--baseline DIR``, the same curves of the checkout at
 DIR, for a before and after from one script): the median time of
@@ -55,8 +56,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def source_lines() -> int:
-    return sum(path.read_bytes().count(b"\n") for path in sorted((ROOT / "src" / "benchlens").rglob("*.py")))
+def source_lines(root: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in sorted((root / "src" / "benchlens").rglob("*.py")))
 
 
 def run_workload(name: str, seed: int, seconds: float) -> dict:
@@ -322,11 +323,15 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
-        "src_benchlens_lines": source_lines(),
+        "src_benchlens_lines": source_lines(ROOT),
         "workloads": workloads,
         "curves": curves,
         "startup": startup,
-        **({} if baseline is None else {"baseline_curves": baseline, "baseline_startup": baseline_startup}),
+        **({} if baseline is None else {
+            "baseline_src_benchlens_lines": source_lines(args.baseline.resolve()),
+            "baseline_curves": baseline,
+            "baseline_startup": baseline_startup,
+        }),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

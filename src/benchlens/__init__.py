@@ -1,10 +1,9 @@
 """benchlens: benchmark suite characterization from hardware counters."""
 
-from .cluster import ClusterCut, Dendrogram, build_dendrogram, cut, cut_to_groups, medoid
+from .cluster import Dendrogram, build_dendrogram, cut, cut_to_groups, medoid
 from .compare import SuiteComparison, compare_suites, instruction_volume_ratio
 from .dataset import (
     CounterMap,
-    ParseResult,
     Store,
     load_counter_maps,
     merge_stores,
@@ -15,7 +14,7 @@ from .dataset import (
 )
 from .features import FeatureMatrix, build_matrix, normalize
 from .metrics import Metrics, MetricVector, derive_store
-from .pca import LoadingReport, PcaModel, fit_pca, loading_table, project
+from .pca import PcaModel, fit_pca, loading_table, project
 from .proxy import (
     BlendProfile,
     RrrSchedule,
@@ -30,14 +29,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlendProfile",
-    "ClusterCut",
     "CounterMap",
     "Dendrogram",
     "FeatureMatrix",
-    "LoadingReport",
     "Metrics",
     "MetricVector",
-    "ParseResult",
     "PcaModel",
     "RrrSchedule",
     "Store",

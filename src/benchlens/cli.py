@@ -27,7 +27,6 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -225,14 +224,17 @@ class Run:
     @cached_property
     def running(self) -> dict[str, subset.ScoreTable]:
         """The running scores of each suite that has a dendrogram, on the chosen machines."""
-        return {suite_name: _suite_scores(self.store, suite_name, self.machines) for suite_name in self.dendrograms}
+        return {name: _suite_scores(self.store, name, self.machines, self.cfg.scores) for name in self.dendrograms}
 
 
-def _suite_scores(store: dataset.Store, suite: str, machines: list[str]) -> subset.ScoreTable:
+def _suite_scores(store: dataset.Store, suite: str, machines: list[str], scores_path: str | None) -> subset.ScoreTable:
+    """A run without a score is a SchemaMismatch naming the scores CSV, or a ConfigError when none was passed."""
     table: dict[str, dict[str, float]] = {}
     runs = store.select(suite=suite, machines=machines)
     for key, score in zip(runs.runs, runs.scores.tolist()):
         if score != score:
+            if scores_path:
+                raise SchemaMismatch(f"{scores_path}: no score row for run {key}")
             raise ConfigError(f"run {key} has no running score; pass a scores CSV with --scores")
         table.setdefault(key[2], {})[key[1]] = score
     if not table:
@@ -267,8 +269,8 @@ def cmd_ingest(run: Run) -> tuple[str, Artifacts]:
         cmap = maps[cfg.machine]
     else:
         cmap = dataset.identity_counter_map(cfg.machine)
-    result = dataset.parse_counter_file(cfg.raw, cfg.machine, cmap, suite=cfg.suite, workload=cfg.workload)
-    for err in result.errors:
+    parsed, bad_lines = dataset.parse_counter_file(cfg.raw, cfg.machine, cmap, suite=cfg.suite, workload=cfg.workload)
+    for err in bad_lines:
         print(f"warning: {type(err).__name__} at line {err.line_no}: {err.line}", file=sys.stderr)
     directory = Path(cfg.store).resolve().parent  # where the store is replaced
     directory.mkdir(parents=True, exist_ok=True)
@@ -276,13 +278,13 @@ def cmd_ingest(run: Run) -> tuple[str, Artifacts]:
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)  # one ingest at a time reads, merges and replaces a store there
         if Path(cfg.store).exists():
-            merged = dataset.merge_stores(dataset.read_store(cfg.store), result.store)
+            merged = dataset.merge_stores(dataset.read_store(cfg.store), parsed)
         else:
-            merged = result.store
+            merged = parsed
         dataset.save_canonical(merged, cfg.store)
     finally:
         os.close(lock)  # and so unlock
-    samples = f"{result.store.cell_count} samples ({len(result.errors)} bad lines)"
+    samples = f"{parsed.cell_count} samples ({len(bad_lines)} bad lines)"
     return f"ingest: {samples} from {cfg.raw} -> {cfg.store}", []
 
 
@@ -290,12 +292,9 @@ def cmd_derive(run: Run) -> tuple[str, Artifacts]:
     derived, validation = run.metrics, dataset.validate_store(run.selected)
     text = files.CsvText()
     availability = (
-        f"{text[machine]},{metric},{status}\n"
-        for machine, entry in sorted(validation.per_machine.items())
-        for metric, status in chain(
-            ((metric, "computable,") for metric in entry.computable),
-            ((metric, f"blocked,{' '.join(missing)}") for metric, missing in entry.blocked.items()),
-        )
+        f"{text[machine]},{metric},{'blocked,' + ' '.join(missing) if missing else 'computable,'}\n"
+        for machine, entry in validation.items()
+        for metric, missing in sorted(entry.items(), key=lambda item: bool(item[1]))  # computable rows first
     )
     return f"derive: {len(derived.runs)} metric rows -> {run.out}", [
         ("metrics.csv", partial(metrics.export_metrics_csv, derived)),
@@ -322,7 +321,7 @@ def cmd_pca(run: Run) -> tuple[str, Artifacts]:
     return f"pca: k={model.k} capturing {100 * captured:.1f}% of variance -> {run.out}", [
         ("pca_scores.csv", partial(pca.export_scores_csv, rows, np.array([run.scores[w] for w in rows]))),
         ("pca_variance.csv", partial(pca.export_variance_csv, model)),
-        ("pca_loadings.md", _text(pca.loading_markdown, pca.loading_table(model, top_n=4))),
+        ("pca_loadings.md", _text(pca.loading_markdown, model, 4)),
     ]
 
 
@@ -343,8 +342,7 @@ def cmd_subset(run: Run) -> tuple[str, Artifacts]:
         workloads = dendrogram.leaves
         target_groups = 4 if cfg.groups is None else cfg.groups
         if cfg.threshold is not None:
-            groups = cluster_mod.cut(dendrogram, cfg.threshold).groups
-            target_groups = len(groups)
+            target_groups = len(cluster_mod.cut(dendrogram, cfg.threshold))
         target_groups = min(target_groups, len(workloads))
         running = run.running[suite_name]
         report = subset.select_representatives(
@@ -506,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scores", help="scores CSV (suite,workload,machine,score,wallclock_seconds)")
     parser.add_argument("--countermap", help="counter map manifest (YAML)")
     parser.add_argument("--raw", help="raw counter dump to ingest")
-    parser.add_argument("--suite", help="suite to operate on (ingest/cluster/subset/proxy)")
+    parser.add_argument("--suite", help="suite to operate on (ingest/derive/featurize/pca/cluster/subset/proxy/report)")
     parser.add_argument("--workload", help="workload id (ingest)")
     parser.add_argument("--machine", help="machine id")
     parser.add_argument("--suite-a", dest="suite_a", help="left suite for compare")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -70,25 +71,6 @@ class Dendrogram:
     @property
     def root_height(self) -> float:
         return self.merges[-1].height if self.merges else 0.0
-
-
-@dataclass(frozen=True)
-class ClusterCut:
-    threshold: float | None
-    groups: tuple[tuple[str, ...], ...]
-    medoids: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for group in self.groups:
-            for w in group:
-                if w in seen:
-                    raise ValueError(f"workload {w!r} appears in two groups")
-                seen.add(w)
-        if self.medoids is not None:
-            for medoid, group in zip(self.medoids, self.groups):
-                if medoid not in group:
-                    raise ValueError(f"medoid {medoid!r} is not a member of its group")
 
 
 def _lance_williams(linkage: str, d_ik, d_jk, d_ij: float, ni, nj, nk):
@@ -245,29 +227,25 @@ def _groups_from_merges(dendrogram: Dendrogram, merge_count: int) -> tuple[tuple
     return tuple(sorted(groups))
 
 
-def cut(dendrogram: Dendrogram, threshold: float) -> ClusterCut:
-    """Groups formed by the merges strictly below the threshold.
+def cut(dendrogram: Dendrogram, threshold: float) -> tuple[tuple[str, ...], ...]:
+    """Groups formed by the merges strictly below the threshold, each a sorted
+    tuple of workload ids, in sorted order.
 
     Threshold 0 yields singletons; anything above the root height yields one
     group.
     """
     if not threshold >= 0:  # NaN too: it would cut below no merge
         raise ValueError("threshold must be >= 0")
-    count = 0
-    for m in dendrogram.merges:
-        if m.height < threshold:
-            count += 1
-        else:
-            break
-    return ClusterCut(threshold=threshold, groups=_groups_from_merges(dendrogram, count))
+    below = takewhile(lambda m: m.height < threshold, dendrogram.merges)
+    return _groups_from_merges(dendrogram, sum(1 for _ in below))
 
 
-def cut_to_groups(dendrogram: Dendrogram, target_groups: int) -> ClusterCut:
-    """Cut so that exactly target_groups groups remain."""
+def cut_to_groups(dendrogram: Dendrogram, target_groups: int) -> tuple[tuple[str, ...], ...]:
+    """The groups of the cut that leaves exactly target_groups, as `cut` gives them."""
     n = len(dendrogram.leaves)
     if not 1 <= target_groups <= n:
         raise ValueError(f"target_groups must be in [1, {n}], got {target_groups}")
-    return ClusterCut(threshold=None, groups=_groups_from_merges(dendrogram, n - target_groups))
+    return _groups_from_merges(dendrogram, n - target_groups)
 
 
 def medoid(group: Iterable[str], scores: Mapping[str, Sequence[float]]) -> str:
@@ -295,11 +273,6 @@ def medoid(group: Iterable[str], scores: Mapping[str, Sequence[float]]) -> str:
                 best_mean = mean
                 best_workload = w
     return best_workload
-
-
-def medoids_for(cut_result: ClusterCut, scores: Mapping[str, Sequence[float]]) -> ClusterCut:
-    meds = tuple(medoid(group, scores) for group in cut_result.groups)
-    return ClusterCut(threshold=cut_result.threshold, groups=cut_result.groups, medoids=meds)
 
 
 def export_merges_csv(dendrogram: Dendrogram, fh: TextIO) -> None:

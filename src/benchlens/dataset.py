@@ -78,7 +78,7 @@ import numpy as np
 
 from . import files
 from .errors import DuplicateKey, SchemaMismatch, StoreChanged
-from .events import CANONICAL_EVENTS, METRIC_DEFS, METRIC_NAMES, event_vocabulary
+from .events import CANONICAL_EVENTS, METRIC_DEFS, event_vocabulary
 
 UNSUPPORTED_TOKENS = ("<not supported>", "<not counted>")
 
@@ -374,12 +374,6 @@ class NonNumericValue:
     line: str
 
 
-@dataclass(frozen=True)
-class ParseResult:
-    store: Store
-    errors: tuple[MalformedLine | NonNumericValue, ...]
-
-
 def parse_counter_file(
     path: str | Path,
     machine: str,
@@ -387,8 +381,8 @@ def parse_counter_file(
     *,
     suite: str,
     workload: str,
-) -> ParseResult:
-    """Parse a raw counter dump into a one-run store, collecting per-line errors.
+) -> tuple[Store, tuple[MalformedLine | NonNumericValue, ...]]:
+    """Parse a raw counter dump into a one-run store and its bad lines, in file order.
 
     Bad lines never abort the parse: a wrong field count yields MalformedLine
     and an unparseable value field yields NonNumericValue, while all valid
@@ -423,7 +417,7 @@ def parse_counter_file(
             if event == "dram_bytes" and cmap.dram_bytes_unit == "lines":
                 value *= cmap.cacheline_bytes
             cells.append((suite, workload, machine, event, value, supported))
-    return ParseResult(Store.from_cells(cells), tuple(errors))
+    return Store.from_cells(cells), tuple(errors)
 
 
 def _csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -841,40 +835,22 @@ def merge_stores(existing: Store, new: Store) -> Store:
     return Store(runs, vocabulary, grid, mask, clocks, marks, carried)
 
 
-@dataclass(frozen=True)
-class MachineValidation:
-    machine: str
-    computable: tuple[str, ...]
-    blocked: Mapping[str, tuple[str, ...]]  # metric -> missing events
-
-
-@dataclass(frozen=True)
-class StoreValidation:
-    per_machine: Mapping[str, MachineValidation]
-
-
-def validate_store(store: Store) -> StoreValidation:
-    """Report, per machine, which metrics are computable on every run there.
+def validate_store(store: Store) -> dict[str, dict[str, tuple[str, ...]]]:
+    """{machine: {metric: missing events}} for each machine in sorted order,
+    its metrics in METRIC_NAMES order; `()` marks a computable metric.
 
     A metric counts as computable on a machine only when each run on that
     machine carries both of its input events with supported values. The store
     itself is never modified.
     """
-    report: dict[str, MachineValidation] = {}
+    report: dict[str, dict[str, tuple[str, ...]]] = {}
     for machine in machines_in(store):
         rows = [i for i, (_, _, m) in enumerate(store.runs) if m == machine]
         common = {e for e, ok in zip(store.events, store.supported[rows].all(axis=0)) if ok}
-        computable = []
-        blocked: dict[str, tuple[str, ...]] = {}
-        for metric in METRIC_NAMES:
-            num, den, _ = METRIC_DEFS[metric]
-            missing = tuple(e for e in (num, den) if e not in common)
-            if missing:
-                blocked[metric] = missing
-            else:
-                computable.append(metric)
-        report[machine] = MachineValidation(machine=machine, computable=tuple(computable), blocked=blocked)
-    return StoreValidation(per_machine=report)
+        report[machine] = {
+            metric: tuple(e for e in (num, den) if e not in common) for metric, (num, den, _) in METRIC_DEFS.items()
+        }
+    return report
 
 
 def suites_in(store: Store) -> list[str]:

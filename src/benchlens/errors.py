@@ -54,10 +54,6 @@ class DimensionMismatch(BenchlensError):
     pass
 
 
-class UnlabeledColumns(BenchlensError):
-    pass
-
-
 class UnknownWorkload(BenchlensError):
     pass
 

@@ -35,7 +35,6 @@ class FeatureMatrix:
     normalized: bool = False
     col_means: np.ndarray | None = None
     col_stdevs: np.ndarray | None = None
-    constant_cols: tuple[int, ...] = ()
     dropped: tuple[Column, ...] = ()
 
     def __post_init__(self):
@@ -95,8 +94,8 @@ def build_matrix(metrics: Metrics, workloads: Sequence[str], machines: Sequence[
 def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
     """Z-score each column with the population standard deviation.
 
-    Constant columns become zero columns and are flagged rather than dropped,
-    which keeps column indexing stable across suites.
+    Constant columns become zero columns rather than being dropped, which
+    keeps column indexing stable across suites.
     """
     if matrix.normalized:
         raise AlreadyNormalized("matrix is already normalized")
@@ -104,7 +103,6 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
         raise TooFewRows("normalization needs at least 2 rows")
     means = matrix.values.mean(axis=0)
     stdevs = matrix.values.std(axis=0)  # population (n denominator)
-    constant = tuple(int(i) for i in np.flatnonzero(stdevs == 0.0))
     safe = np.where(stdevs == 0.0, 1.0, stdevs)
     values = (matrix.values - means) / safe
     return replace(
@@ -113,7 +111,6 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
         normalized=True,
         col_means=_frozen(means),
         col_stdevs=_frozen(stdevs),
-        constant_cols=constant,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import files
-from .errors import DimensionMismatch, TargetUnreachable, TooFewRows, UnlabeledColumns
+from .errors import DimensionMismatch, TargetUnreachable, TooFewRows
 from .features import Column, FeatureMatrix
 
 
@@ -28,7 +28,7 @@ class PcaModel:
     explained_ratio: np.ndarray      # (k,), fractions of total_variance
     total_variance: float
     k: int
-    col_labels: tuple[Column, ...] | None = None
+    col_labels: tuple[Column, ...]  # (metric, machine) of each of the d columns
 
     @property
     def d(self) -> int:
@@ -106,46 +106,27 @@ def project(model: PcaModel, matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
     return (values - model.mean) @ model.components.T
 
 
-@dataclass(frozen=True)
-class PcLoadings:
-    pc: int  # 1-based
-    entries: tuple[tuple[str, float], ...]  # (metric, mean loading over machines)
-
-
-@dataclass(frozen=True)
-class LoadingReport:
-    per_pc: tuple[PcLoadings, ...]
-    top_n: int
-
-
-def loading_table(model: PcaModel, top_n: int) -> LoadingReport:
-    """Per PC, metric loadings averaged (signed) over machines, top_n by |mean|."""
-    if model.col_labels is None:
-        raise UnlabeledColumns("model was fitted without (metric, machine) column labels")
+def loading_table(model: PcaModel, top_n: int) -> tuple[tuple[tuple[str, float], ...], ...]:
+    """Per PC, the top_n (metric, mean loading) pairs by |mean|, each loading
+    averaged (signed) over the metric's machines."""
     if top_n <= 0:
         raise ValueError("top_n must be positive")
     metric_cols: dict[str, list[int]] = {}
     for i, (metric, _machine) in enumerate(model.col_labels):
         metric_cols.setdefault(metric, []).append(i)
-    report = []
-    for pc_index in range(model.k):
-        loadings = model.components[pc_index]
-        means = [
-            (metric, float(np.mean(loadings[cols]))) for metric, cols in metric_cols.items()
-        ]
+    table = []
+    for loadings in model.components:
+        means = [(metric, float(np.mean(loadings[cols]))) for metric, cols in metric_cols.items()]
         means.sort(key=lambda item: (-abs(item[1]), item[0]))
-        report.append(PcLoadings(pc=pc_index + 1, entries=tuple(means[:top_n])))
-    return LoadingReport(per_pc=tuple(report), top_n=top_n)
+        table.append(tuple(means[:top_n]))
+    return tuple(table)
 
 
-def loading_markdown(report: LoadingReport) -> str:
-    lines = [
-        f"| PC | Top {report.top_n} metrics (mean loading over machines) |",
-        "| --- | --- |",
-    ]
-    for pc in report.per_pc:
-        cells = ", ".join(f"{metric} ({value:+.2f})" for metric, value in pc.entries)
-        lines.append(f"| PC{pc.pc} | {cells} |")
+def loading_markdown(model: PcaModel, top_n: int) -> str:
+    lines = [f"| PC | Top {top_n} metrics (mean loading over machines) |", "| --- | --- |"]
+    for pc, entries in enumerate(loading_table(model, top_n), start=1):
+        cells = ", ".join(f"{metric} ({value:+.2f})" for metric, value in entries)
+        lines.append(f"| PC{pc} | {cells} |")
     return "\n".join(lines) + "\n"
 
 

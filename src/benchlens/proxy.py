@@ -21,8 +21,9 @@ Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
   then the square root, where `diff = (blend - target) / stdev` and the
   stdev is 1.0 unless `scales` has one. A metric counts unless its weight is
   zero, it is missing on either side, or its stdev is not positive. A weight
-  that is negative or not finite raises ValueError (the first in
-  METRIC_NAMES order); a blend with no metric that counts raises
+  that is negative or not finite, or a stdev that is NaN or infinite, raises
+  ValueError (the first metric in METRIC_NAMES order, its weight checked
+  before its stdev); a blend with no metric that counts raises
   NoCommonMetrics.
 
 `simulate_rrr` walks any schedule segment by segment to get its steps, and
@@ -219,8 +220,10 @@ def _distances(values: np.ndarray, target: MetricVector, weights, scales) -> tup
         weight = weights.get(metric, 0.0)
         if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
             raise ValueError(f"weight for {metric!r} must be finite and >= 0, got {weight!r}")
-        t = target.get(metric)
         stdev = scales[metric][1] if scales is not None and metric in scales else 1.0
+        if not math.isfinite(stdev):  # as with a weight
+            raise ValueError(f"stdev for {metric!r} must be finite, got {stdev!r}")
+        t = target.get(metric)
         if weight == 0 or t is None or stdev <= 0:  # stdev 0: constant over the pool
             continue
         used[:, j] = ~np.isnan(values[:, j])
@@ -242,7 +245,7 @@ def blend_distance(
     `scales` supplies per-metric (mean, stdev) normalization state, typically
     from FeatureMatrix.scales_for_machine(); without it raw differences are
     used. Metrics with zero weight, missing on either side, or z-scaled by a
-    zero stdev are excluded.
+    stdev <= 0 are excluded; a NaN or infinite stdev raises ValueError.
     """
     blend_metrics = blend.metrics if isinstance(blend, BlendProfile) else blend
     row = [np.nan if (v := blend_metrics.get(m)) is None else v for m in METRIC_NAMES]
@@ -315,7 +318,7 @@ def search_mix(
     one `stats.subset_rows` chunk (`files.CHUNK` mixes or a few more) at a
     time, into arrays that hold every mix. The first mix that fails, in
     enumeration order, raises what simulating it would: its blend's error,
-    else a bad weight's, else NoCommonMetrics.
+    else a bad weight's or stdev's, else NoCommonMetrics.
     """
     if max_constituents < 1:
         raise ValueError("max_constituents must be >= 1")

@@ -11,6 +11,9 @@ from .cluster import Dendrogram
 from .compare import SuiteComparison
 
 _FONT = "font-family=\"monospace\" font-size=\"11\""
+# (row height, plot width) of each chart, in px: one row per leaf or per metric
+_DENDROGRAM_ROW, _DENDROGRAM_WIDTH = 18.0, 420.0
+_BOXPLOT_ROW, _BOXPLOT_WIDTH = 42.0, 380.0
 
 
 def _fmt(x: float) -> str:
@@ -45,13 +48,13 @@ def _rect(x: float, y: float, w: float, h: float, fill: str) -> str:
     )
 
 
-def dendrogram_svg(dendrogram: Dendrogram, *, row_height: float = 18.0, plot_width: float = 420.0) -> str:
+def dendrogram_svg(dendrogram: Dendrogram) -> str:
     """Horizontal dendrogram: labeled leaves on the left, merge height on x."""
     n = len(dendrogram.leaves)
     label_width = 10.0 + 7.0 * max(len(label) for label in dendrogram.leaves)
     margin = 12.0
-    height = 2 * margin + n * row_height
-    width = label_width + plot_width + margin
+    height = 2 * margin + n * _DENDROGRAM_ROW
+    width = label_width + _DENDROGRAM_WIDTH + margin
 
     # depth-first leaf order so subtrees render contiguously
     order: list[int] = []
@@ -65,10 +68,10 @@ def dendrogram_svg(dendrogram: Dendrogram, *, row_height: float = 18.0, plot_wid
             visit(merge.right)
 
     visit(2 * n - 2)
-    leaf_y = {leaf: margin + (pos + 0.5) * row_height for pos, leaf in enumerate(order)}
+    leaf_y = {leaf: margin + (pos + 0.5) * _DENDROGRAM_ROW for pos, leaf in enumerate(order)}
 
     max_height = dendrogram.root_height or 1.0
-    scale = plot_width / max_height
+    scale = _DENDROGRAM_WIDTH / max_height
 
     def node_x(height_value: float) -> float:
         return label_width + height_value * scale
@@ -90,20 +93,20 @@ def dendrogram_svg(dendrogram: Dendrogram, *, row_height: float = 18.0, plot_wid
         position[n + t] = (mx, (ly + ry) / 2.0)
 
     axis_y = height - margin / 2.0
-    body.append(_line(label_width, axis_y, label_width + plot_width, axis_y, "#888888"))
+    body.append(_line(label_width, axis_y, label_width + _DENDROGRAM_WIDTH, axis_y, "#888888"))
     body.append(_text(label_width, axis_y - 3.0, "0"))
-    body.append(_text(label_width + plot_width, axis_y - 3.0, f"{max_height:.3g}", anchor="end"))
+    body.append(_text(label_width + _DENDROGRAM_WIDTH, axis_y - 3.0, f"{max_height:.3g}", anchor="end"))
     return _svg(width, height, body)
 
 
-def boxplot_svg(cmp: SuiteComparison, *, row_height: float = 42.0, plot_width: float = 380.0) -> str:
+def boxplot_svg(cmp: SuiteComparison) -> str:
     """One row per metric with the two suites' boxes on a shared linear scale."""
     label_width = 150.0
     margin = 14.0
     legend_height = 20.0
     rows = cmp.metrics
-    height = 2 * margin + legend_height + len(rows) * row_height
-    width = label_width + plot_width + 90.0
+    height = 2 * margin + legend_height + len(rows) * _BOXPLOT_ROW
+    width = label_width + _BOXPLOT_WIDTH + 90.0
 
     colors = {"a": "#7fa8d9", "b": "#e3a869"}
     body = [
@@ -114,21 +117,22 @@ def boxplot_svg(cmp: SuiteComparison, *, row_height: float = 42.0, plot_width: f
     ]
 
     for i, m in enumerate(rows):
-        top = margin + legend_height + i * row_height
+        top = margin + legend_height + i * _BOXPLOT_ROW
         low = min(m.box_a.minimum, m.box_b.minimum)
         high = max(m.box_a.maximum, m.box_b.maximum)
         span = (high - low) or 1.0
 
         def x(value: float) -> float:
-            return label_width + (value - low) / span * plot_width
+            return label_width + (value - low) / span * _BOXPLOT_WIDTH
 
-        body.append(_text(4.0, top + row_height / 2.0 + 4.0, m.metric))
+        label_y = top + _BOXPLOT_ROW / 2.0 + 4.0
+        body.append(_text(4.0, label_y, m.metric))
         for which, box in (("a", m.box_a), ("b", m.box_b)):
-            mid = top + (row_height * (0.30 if which == "a" else 0.70))
-            box_h = row_height * 0.26
+            mid = top + (_BOXPLOT_ROW * (0.30 if which == "a" else 0.70))
+            box_h = _BOXPLOT_ROW * 0.26
             body.append(_line(x(box.minimum), mid, x(box.maximum), mid))
             body.append(_rect(x(box.q1), mid - box_h / 2.0, max(x(box.q3) - x(box.q1), 0.5), box_h, colors[which]))
             body.append(_line(x(box.median), mid - box_h / 2.0, x(box.median), mid + box_h / 2.0))
-        body.append(_text(label_width + plot_width + 6.0, top + row_height / 2.0 + 4.0, f"[{low:.3g}, {high:.3g}]"))
+        body.append(_text(label_width + _BOXPLOT_WIDTH + 6.0, label_y, f"[{low:.3g}, {high:.3g}]"))
 
     return _svg(width, height, body)

@@ -9,14 +9,14 @@ opt-in optimality check, never as the selector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, inf
 from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
 from . import files
-from .cluster import ClusterCut, Dendrogram, cut_to_groups, medoids_for
+from .cluster import Dendrogram, cut_to_groups, medoid
 from .errors import (
     BudgetExceeded,
     EmptySubset,
@@ -134,21 +134,9 @@ def select_representatives(
     wallclock: Mapping[str, float] | None = None,
 ) -> SubsetReport:
     """Cut to target_groups groups, take each medoid, evaluate the subset."""
-    if target_groups > len(dendrogram.leaves):
-        raise ValueError(
-            f"target_groups {target_groups} exceeds the {len(dendrogram.leaves)} leaves"
-        )
-    cut_result: ClusterCut = medoids_for(cut_to_groups(dendrogram, target_groups), pca_scores)
-    assert cut_result.medoids is not None
-    report = evaluate_subset(scores, cut_result.medoids, suite=suite, wallclock=wallclock)
-    return SubsetReport(
-        suite=report.suite,
-        subset=report.subset,
-        per_machine_accuracy=report.per_machine_accuracy,
-        aggregate_accuracy=report.aggregate_accuracy,
-        runtime_fraction=report.runtime_fraction,
-        groups=cut_result.groups,
-    )
+    groups = cut_to_groups(dendrogram, target_groups)
+    medoids = [medoid(group, pca_scores) for group in groups]
+    return replace(evaluate_subset(scores, medoids, suite=suite, wallclock=wallclock), groups=groups)
 
 
 def oracle_best_subset(

@@ -340,7 +340,7 @@ def loop_blend_distance(
     `scales` supplies per-metric (mean, stdev) normalization state, typically
     from FeatureMatrix.scales_for_machine(); without it raw differences are
     used. Metrics with zero weight, missing on either side, or z-scaled by a
-    zero stdev are excluded.
+    zero stdev are excluded; a NaN or infinite stdev raises ValueError.
     """
     blend_metrics = blend.metrics if isinstance(blend, BlendProfile) else blend
     squared = 0.0
@@ -350,6 +350,8 @@ def loop_blend_distance(
         weight = weights.get(metric, 0.0)
         if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
             raise ValueError(f"weight for {metric!r} must be finite and >= 0, got {weight!r}")
+        if scales is not None and metric in scales and not math.isfinite(scales[metric][1]):
+            raise ValueError(f"stdev for {metric!r} must be finite, got {scales[metric][1]!r}")
         if weight == 0:
             continue
         b = blend_metrics.get(metric)

@@ -136,7 +136,7 @@ def test_criterion_4_clustering_matches_naive_oracle():
             dendrogram = build_dendrogram(points, labels, "ward")
             previous = None
             for threshold in np.linspace(0.0, dendrogram.root_height * 1.05, 20):
-                groups = cut(dendrogram, float(threshold)).groups
+                groups = cut(dendrogram, float(threshold))
                 if previous is not None:
                     assert len(groups) <= len(previous)
                     for group in previous:

@@ -416,6 +416,23 @@ class TestReport:
         }
         assert tree_bytes(out) == before
 
+    @pytest.mark.parametrize("command", ["subset", "report"])
+    def test_a_scores_csv_without_a_run_is_a_data_error_naming_it(self, tmp_path, capsys, command):
+        scores = tmp_path / "scores.csv"
+        lines = bundled.sample_scores_path().read_text(encoding="utf-8").splitlines(keepends=True)
+        scores.write_text("".join(line for line in lines if ",709.cactus_r," not in line), encoding="utf-8")
+        out = tmp_path / "out"
+        args = [command, "--store", str(bundled.sample_store_path()), "--scores", str(scores), "--out", str(out)]
+        code, stdout, err = run(args, capsys)
+        assert (code, stdout) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "stage": command,
+            "error": "SchemaMismatch",
+            "message": f"{scores}: no score row for run ('fp_rate', '709.cactus_r', 'CPU-C')",
+        }
+        assert not out.exists()
+
     def test_report_does_not_import_numpy_ma(self, tmp_path):
         script = (
             "import sys\n"

@@ -14,7 +14,6 @@ from benchlens.cluster import (
     cut_to_groups,
     export_merges_csv,
     medoid,
-    medoids_for,
 )
 from benchlens.errors import TooFewRows, UnknownWorkload
 from benchlens.render import dendrogram_svg
@@ -88,7 +87,7 @@ class TestBuildDendrogram:
             sorted(m.height for m in permuted.merges)
         )
         for threshold in (0.5, 1.0, 2.0, 3.0):
-            assert cut(dendrogram, threshold).groups == cut(permuted, threshold).groups
+            assert cut(dendrogram, threshold) == cut(permuted, threshold)
 
     def test_tie_break_prefers_lowest_leaf(self):
         # unit square: all four nearest-neighbor edges have length 1
@@ -182,7 +181,7 @@ class TestBuildDendrogram:
             theirs = hierarchy.linkage(points, method=linkage, metric="euclidean")
             assert sorted(m.height for m in ours.merges) == pytest.approx(sorted(theirs[:, 2]), rel=1e-12)
             for groups in range(1, n + 1):
-                assert cut_to_groups(ours, groups).groups == replayed_groups(theirs, labels, n - groups)
+                assert cut_to_groups(ours, groups) == replayed_groups(theirs, labels, n - groups)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_are_rejected(self, bad):
@@ -204,20 +203,20 @@ class TestCut:
         return build_dendrogram(COLLINEAR, ["p0", "p1", "p10"], "single")
 
     def test_zero_threshold_gives_singletons(self):
-        assert cut(self.make(), 0.0).groups == (("p0",), ("p1",), ("p10",))
+        assert cut(self.make(), 0.0) == (("p0",), ("p1",), ("p10",))
 
     def test_above_root_gives_one_group(self):
         dendrogram = self.make()
-        assert cut(dendrogram, dendrogram.root_height + 1.0).groups == (("p0", "p1", "p10"),)
+        assert cut(dendrogram, dendrogram.root_height + 1.0) == (("p0", "p1", "p10"),)
 
     def test_mid_threshold(self):
-        assert cut(self.make(), 5.0).groups == (("p0", "p1"), ("p10",))
+        assert cut(self.make(), 5.0) == (("p0", "p1"), ("p10",))
 
     def test_cut_to_groups_exact_counts(self):
         dendrogram = self.make()
-        assert len(cut_to_groups(dendrogram, 1).groups) == 1
-        assert len(cut_to_groups(dendrogram, 2).groups) == 2
-        assert cut_to_groups(dendrogram, 3).groups == (("p0",), ("p1",), ("p10",))
+        assert len(cut_to_groups(dendrogram, 1)) == 1
+        assert len(cut_to_groups(dendrogram, 2)) == 2
+        assert cut_to_groups(dendrogram, 3) == (("p0",), ("p1",), ("p10",))
 
     def test_monotone_nesting_over_thresholds(self):
         rng = np.random.default_rng(137)
@@ -226,12 +225,12 @@ class TestCut:
         thresholds = np.linspace(0.0, dendrogram.root_height * 1.05, 20)
         previous = None
         for threshold in thresholds:
-            result = cut(dendrogram, float(threshold))
+            groups = cut(dendrogram, float(threshold))
             if previous is not None:
-                assert len(result.groups) <= len(previous)
+                assert len(groups) <= len(previous)
                 for group in previous:
-                    assert any(set(group) <= set(larger) for larger in result.groups)
-            previous = result.groups
+                    assert any(set(group) <= set(larger) for larger in groups)
+            previous = groups
 
 
 class TestMedoid:
@@ -297,8 +296,8 @@ class TestMedoid:
     def test_medoids_for_cut(self):
         dendrogram = build_dendrogram(COLLINEAR, ["p0", "p1", "p10"], "single")
         scores = {"p0": [0.0], "p1": [1.0], "p10": [10.0]}
-        result = medoids_for(cut(dendrogram, 5.0), scores)
-        assert result.medoids == ("p0", "p10")  # {p0,p1} tie at distance 1 -> lexicographic
+        medoids = tuple(medoid(group, scores) for group in cut(dendrogram, 5.0))
+        assert medoids == ("p0", "p10")  # {p0,p1} tie at distance 1 -> lexicographic
 
 
 class TestExports:

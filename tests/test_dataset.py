@@ -41,7 +41,7 @@ from benchlens.dataset import (
     yaml_loader,
 )
 from benchlens.errors import DuplicateKey, SchemaMismatch, StoreChanged
-from benchlens.events import CANONICAL_EVENTS
+from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES
 from benchlens.files import CHUNK as _CHUNK
 from conftest import combine, make_full_store
 
@@ -65,9 +65,9 @@ CPU_C_MAP = CounterMap(
 class TestParseCounterFile:
     def test_parses_instruction_line(self, tmp_path):
         raw = write(tmp_path / "perf.txt", "6507000000000,,instructions,598344827586,100.00,,\n")
-        result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="int_rate", workload="706.stockfish_r")
-        assert result.errors == ()
-        ((suite, workload, machine, event, value, supported),) = oracles.cells(result.store)
+        store, errors = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="int_rate", workload="706.stockfish_r")
+        assert errors == ()
+        ((suite, workload, machine, event, value, supported),) = oracles.cells(store)
         assert event == "instructions"
         assert value == 6.507e12
         assert supported is True
@@ -76,8 +76,8 @@ class TestParseCounterFile:
     @pytest.mark.parametrize("token", ["<not supported>", "<not counted>"])
     def test_unsupported_sentinel(self, tmp_path, token):
         raw = write(tmp_path / "perf.txt", f"{token},,unc_m_cas_count.all,1,100.00,,\n")
-        result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        ((*_, event, value, supported),) = oracles.cells(result.store)
+        store, _ = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
+        ((*_, event, value, supported),) = oracles.cells(store)
         assert supported is False
         assert value == 0.0
         assert event == "dram_bytes"
@@ -91,28 +91,28 @@ class TestParseCounterFile:
             "400,,br_inst_retired.all_branches,1,100.00,,",
         ]
         raw = write(tmp_path / "perf.txt", "\n".join(lines) + "\n")
-        result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        assert result.store.cell_count == 4
-        assert len(result.errors) == 1
-        assert isinstance(result.errors[0], MalformedLine)
-        assert result.errors[0].line_no == 3
+        store, errors = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
+        assert store.cell_count == 4
+        assert len(errors) == 1
+        assert isinstance(errors[0], MalformedLine)
+        assert errors[0].line_no == 3
 
     def test_non_numeric_value(self, tmp_path):
         raw = write(tmp_path / "perf.txt", "12x4,,instructions,1,100.00,,\n5,,cycles,1,100.00,,\n")
-        result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        assert [cell[3] for cell in oracles.cells(result.store)] == ["cycles"]
-        assert isinstance(result.errors[0], NonNumericValue)
-        assert result.errors[0].line_no == 1
+        store, errors = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
+        assert [cell[3] for cell in oracles.cells(store)] == ["cycles"]
+        assert isinstance(errors[0], NonNumericValue)
+        assert errors[0].line_no == 1
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         raw = write(tmp_path / "perf.txt", "# started\n\n7,,cycles,1,100.00,,\n")
-        result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        assert result.store.cell_count == 1 and not result.errors
+        store, errors = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
+        assert store.cell_count == 1 and not errors
 
     def test_untranslatable_event_kept_verbatim(self, tmp_path):
         raw = write(tmp_path / "perf.txt", "9,,weird.vendor.event,1,100.00,,\n")
-        result = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
-        assert [cell[3] for cell in oracles.cells(result.store)] == ["weird.vendor.event"]
+        store, _ = parse_counter_file(raw, "CPU-C", CPU_C_MAP, suite="s", workload="w")
+        assert [cell[3] for cell in oracles.cells(store)] == ["weird.vendor.event"]
 
     def test_dram_lines_scaled_to_bytes(self, tmp_path):
         cmap = CounterMap(
@@ -122,20 +122,20 @@ class TestParseCounterFile:
             dram_bytes_unit="lines",
         )
         raw = write(tmp_path / "perf.txt", "1000,,unc_m_cas_count.all,1,100.00,,\n")
-        result = parse_counter_file(raw, "CPU-C", cmap, suite="s", workload="w")
-        assert [cell[4] for cell in oracles.cells(result.store)] == [64000.0]
+        store, _ = parse_counter_file(raw, "CPU-C", cmap, suite="s", workload="w")
+        assert [cell[4] for cell in oracles.cells(store)] == [64000.0]
 
     def test_bundled_raw_dump_parses_cleanly(self):
         maps = load_counter_maps(bundled.sample_countermap_path())
-        result = parse_counter_file(
+        store, errors = parse_counter_file(
             bundled.sample_raw_dump_path(),
             "CPU-C",
             maps["CPU-C"],
             suite="int_rate",
             workload="706.stockfish_r",
         )
-        assert not result.errors
-        values = {event: value for *_, event, value, supported in oracles.cells(result.store) if supported}
+        assert not errors
+        values = {event: value for *_, event, value, supported in oracles.cells(store) if supported}
         assert values["instructions"] == 6.507e12
         assert values["loads"] == 1.43154e12
 
@@ -237,19 +237,19 @@ class TestRunRecord:
 class TestValidateStore:
     def test_full_vocabulary_has_no_blocked_metrics(self):
         report = validate_store(make_full_store(["w1", "w2"], ["m1"]))
-        assert report.per_machine["m1"].blocked == {}
-        assert len(report.per_machine["m1"].computable) == 19
+        assert list(report["m1"]) == list(METRIC_NAMES)
+        assert all(missing == () for missing in report["m1"].values())
 
     def test_missing_event_blocks_only_that_machine(self):
         records = make_full_store(["w1", "w2"], ["m1", "m2"])
         trimmed = combine([records], keep=lambda cell: cell[2] != "m2" or cell[3] != "l2_tlb_misses")
         report = validate_store(trimmed)
-        assert "l2_tlb_mpmi" not in report.per_machine["m1"].blocked
-        assert report.per_machine["m2"].blocked["l2_tlb_mpmi"] == ("l2_tlb_misses",)
+        assert report["m1"]["l2_tlb_mpmi"] == ()
+        assert report["m2"]["l2_tlb_mpmi"] == ("l2_tlb_misses",)
 
     def test_sample_store_computable_set(self, sample_store):
         report = validate_store(sample_store)
-        assert set(report.per_machine["CPU-C"].computable) == {
+        assert {metric for metric, missing in report["CPU-C"].items() if not missing} == {
             "ipc",
             "load_pct",
             "store_pct",

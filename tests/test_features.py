@@ -80,7 +80,6 @@ class TestNormalize:
             values=np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]),
         )
         normalized = normalize(matrix)
-        assert normalized.constant_cols == (0,)
         assert np.all(normalized.values[:, 0] == 0.0)
         assert len(normalized.cols) == 2  # kept, not dropped
 

@@ -43,9 +43,10 @@ def spawn(store: Path, workload: str) -> subprocess.Popen:
 
 def parsed(workload: str) -> dataset.Store:
     cmap = dataset.load_counter_maps(bundled.sample_countermap_path())["CPU-C"]
-    return dataset.parse_counter_file(
+    store, _ = dataset.parse_counter_file(
         bundled.sample_raw_dump_path(), "CPU-C", cmap, suite="int_rate", workload=workload
-    ).store
+    )
+    return store
 
 
 def workloads(store: Path) -> set[str]:

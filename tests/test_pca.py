@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchlens.errors import DimensionMismatch, TargetUnreachable, TooFewRows, UnlabeledColumns
+from benchlens.errors import DimensionMismatch, TargetUnreachable, TooFewRows
 from benchlens.features import FeatureMatrix, normalize
 from benchlens.pca import fit_pca, loading_markdown, loading_table, project
 from oracles import covariance_eig_pca, reconstruct
@@ -155,8 +155,7 @@ class TestLoadingTable:
         rng = np.random.default_rng(79)
         matrix = labeled_matrix(rng.uniform(size=(8, 4)), ["ipc", "l2_mpki", "l3_mpki", "branch_mpki"], ["m0"])
         model = fit_pca(matrix, fixed_k=2)
-        report = loading_table(model, top_n=4)
-        pc1 = dict(report.per_pc[0].entries)
+        pc1 = dict(loading_table(model, top_n=4)[0])
         for j, (metric, _machine) in enumerate(model.col_labels):
             assert pc1[metric] == pytest.approx(float(model.components[0, j]), abs=1e-15)
 
@@ -164,11 +163,10 @@ class TestLoadingTable:
         rng = np.random.default_rng(83)
         matrix = labeled_matrix(rng.uniform(size=(8, 6)), ["ipc", "l2_mpki", "l3_mpki"], ["m0", "m1"])
         model = fit_pca(matrix, fixed_k=3)
-        report = loading_table(model, top_n=3)
-        for pc in report.per_pc:
-            magnitudes = [abs(v) for _, v in pc.entries]
+        for entries in loading_table(model, top_n=3):
+            magnitudes = [abs(v) for _, v in entries]
             assert magnitudes == sorted(magnitudes, reverse=True)
-            assert len(pc.entries) == 3
+            assert len(entries) == 3
 
     def test_dominant_variance_metric_leads_pc1(self):
         rng = np.random.default_rng(89)
@@ -191,31 +189,22 @@ class TestLoadingTable:
         assert abs(model.explained_variance[0] - eigenvalues[0]) < 1e-8
         lead_col = int(np.argmax(np.abs(eigenvectors[0])))
         assert cols[lead_col][0] == "l3_mpki"
-        report = loading_table(model, top_n=1)
-        assert report.per_pc[0].entries[0][0] == "l3_mpki"
+        assert loading_table(model, top_n=1)[0][0][0] == "l3_mpki"
 
     def test_mean_loading_bounded_by_max_column_loading(self):
         rng = np.random.default_rng(97)
         matrix = labeled_matrix(rng.uniform(size=(10, 9)), ["ipc", "l2_mpki", "l3_mpki"], ["m0", "m1", "m2"])
         model = fit_pca(matrix, fixed_k=4)
-        report = loading_table(model, top_n=3)
-        for pc_index, pc in enumerate(report.per_pc):
-            for metric, mean_loading in pc.entries:
+        for pc_index, entries in enumerate(loading_table(model, top_n=3)):
+            for metric, mean_loading in entries:
                 cols = [j for j, (m, _) in enumerate(model.col_labels) if m == metric]
                 assert abs(mean_loading) <= max(abs(model.components[pc_index, j]) for j in cols) + 1e-15
-
-    def test_unlabeled_columns_rejected(self):
-        rng = np.random.default_rng(101)
-        model = fit_pca(random_normalized(rng, 6, 3), fixed_k=2)
-        object.__setattr__(model, "col_labels", None)
-        with pytest.raises(UnlabeledColumns):
-            loading_table(model, top_n=2)
 
     def test_markdown_shape(self):
         rng = np.random.default_rng(103)
         matrix = labeled_matrix(rng.uniform(size=(8, 4)), ["ipc", "l2_mpki"], ["m0", "m1"])
         model = fit_pca(matrix, fixed_k=2)
-        text = loading_markdown(loading_table(model, top_n=2))
+        text = loading_markdown(model, top_n=2)
         lines = text.strip().splitlines()
         assert lines[0].startswith("| PC |")
         assert len(lines) == 2 + model.k

@@ -207,6 +207,17 @@ class TestBlendDistance:
         with pytest.raises(NoCommonMetrics):
             blend_distance(MetricVector(ipc=1.0), MetricVector(l3_mpki=1.0), {"ipc": 1.0})
 
+    def test_non_finite_stdev_rejected_and_non_positive_left_out(self):
+        blend_metrics, target = MetricVector(ipc=2.0, l2_mpki=3.0), MetricVector(ipc=1.0, l2_mpki=1.0)
+        weights = {"ipc": 1.0, "l2_mpki": 1.0}
+        for stdev in (float("nan"), float("inf"), -float("inf")):
+            # the first metric in METRIC_NAMES order is named, whatever the mapping's order
+            scales = {"l2_mpki": (1.0, float("nan")), "ipc": (2.0, stdev)}
+            with pytest.raises(ValueError, match=r"stdev for 'ipc' must be finite"):
+                blend_distance(blend_metrics, target, weights, scales=scales)
+        report = blend_distance(blend_metrics, target, weights, scales={"ipc": (2.0, -1.0)})
+        assert (report.metrics_used, report.distance) == (("l2_mpki",), 2.0)
+
 
 class TestSearchMix:
     def test_exact_member_target_ranks_first(self):
@@ -231,6 +242,16 @@ class TestSearchMix:
         assert ranked[0][0] == (cactus.workload, fotonik.workload)
         assert ranked[0][1].distance_to_target == pytest.approx(0.0, abs=1e-9)
         assert len(ranked) == 3  # two singletons + the pair
+
+    def test_non_finite_stdev_rejected(self):
+        pool = [
+            make_profile("a", ipc=1.0, instr_rate=1e9, l1i_mpki=5.0),
+            make_profile("b", ipc=2.0, instr_rate=2e9, l1i_mpki=40.0),
+        ]
+        weights = {"ipc": 1.0, "l1i_mpki": 1.0}
+        for stdev in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"stdev for 'ipc' must be finite, got"):
+                search_mix(pool, MetricVector(ipc=1.5, l1i_mpki=20.0), 2, weights, scales={"ipc": (2.0, stdev)})
 
     def test_oversized_k_rejected(self):
         pool = [make_profile("a", ipc=1.0, instr_rate=1e9, l1i_mpki=1.0)]
