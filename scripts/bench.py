@@ -8,8 +8,13 @@ end-to-end medians it prints, whether the outputs were correct, the host the
 figures come from and the line count of ``src/benchlens`` (of the
 ``--baseline`` checkout's too). It also records
 seven scaling curves, timed in one child process that imports the checkout's
-benchlens (and, with ``--baseline DIR``, the same curves of the checkout at
-DIR, for a before and after from one script): the median time of
+benchlens. With ``--baseline DIR`` they are timed for the checkout at DIR as
+well, for a before and after from one script: ``CURVE_ROUNDS`` rounds each
+run one child per checkout, the two in alternating order (A B B A ...), each
+curve is the median over the rounds, and ``paired_curves`` holds, for each
+time of each point, both medians and the median and quartiles of the
+per-round ratio checkout / baseline, so that the host's drift between the
+two does not read as a difference. The curves are the median time of
 ``cluster.build_dendrogram`` (ward) at
 n = 100 ... 1,600 rows of 8 scores, of ``subset.oracle_best_subset`` at
 k = 2, 3, 4 on 40 workloads x 9 machines, of ``proxy.search_mix`` and
@@ -186,13 +191,55 @@ def fitted_exponent(sizes: list[float], times: list[float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def scaling_curves(root: Path) -> dict:
-    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv, read_store and
-    derive_store + build_matrix over sizes, with fitted exponents, for the benchlens of the checkout at `root`."""
+def curve_points(root: Path) -> dict:
+    """The points of every curve, timed in one child process that imports the benchlens of the checkout at `root`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", CURVES_CHILD], cwd=root, env=env, capture_output=True,
                           text=True, check=True)
-    points = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+CURVE_ROUNDS = 6  # with --baseline: rounds of one curves child per checkout, the two in alternating order
+
+
+def median_points(rounds: list[dict]) -> dict:
+    """The points of `rounds` of `curve_points`, each float (a time or a peak) the median over the rounds."""
+    return {
+        curve: [
+            {key: statistics.median(r[curve][i][key] for r in rounds) if isinstance(value, float) else value
+             for key, value in point.items()}
+            for i, point in enumerate(points)
+        ]
+        for curve, points in rounds[0].items()
+    }
+
+
+def paired_curves(root: Path, baseline: Path) -> tuple[dict, dict, dict]:
+    """The curve points of the checkouts at `root` and at `baseline`, each the median of CURVE_ROUNDS children
+    run in alternating order (A B B A ...), so that a drift of the host weighs on both alike; and for each
+    time of each point both medians and the median and quartiles of the per-round ratio `root` / `baseline`."""
+    rounds = {root: [], baseline: []}
+    for r in range(CURVE_ROUNDS):
+        for tree in (root, baseline) if r % 2 == 0 else (baseline, root):
+            rounds[tree].append(curve_points(tree))
+    checkout, base = median_points(rounds[root]), median_points(rounds[baseline])
+    paired = {}
+    for curve, points in checkout.items():
+        paired[curve] = []
+        for i, point in enumerate(points):
+            pair = {key: value for key, value in point.items() if not isinstance(value, float)}
+            for key in (key for key in point if key.endswith("median_s")):
+                ratios = [a[curve][i][key] / b[curve][i][key] for a, b in zip(rounds[root], rounds[baseline])]
+                q1, median, q3 = statistics.quantiles(ratios, n=4)
+                pair[key] = {"checkout": point[key], "baseline": base[curve][i][key], "ratio_median": median,
+                             "ratio_q1": q1, "ratio_q3": q3}
+            paired[curve].append(pair)
+    return checkout, base, paired
+
+
+def scaling_curves(points: dict) -> dict:
+    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv, read_store and
+    derive_store + build_matrix over sizes (`curve_points`), with fitted exponents."""
     dendrogram, oracle, proxy, reads = points["dendrogram"], points["oracle"], points["proxy"], points["read_store"]
     featurized = points["derive_featurize"]
     for point in oracle:
@@ -308,11 +355,16 @@ def main(argv: list[str] | None = None) -> int:
             **{name: metric["value"] for name, metric in result["metrics"].items()},
         }
         print(workload["name"], json.dumps(workloads[workload["name"]]), flush=True)
-    curves = scaling_curves(ROOT)
+    baseline = paired = None
+    if args.baseline is None:
+        curves = scaling_curves(curve_points(ROOT))
+    else:
+        checkout, baseline, paired = paired_curves(ROOT, args.baseline.resolve())
+        curves, baseline = scaling_curves(checkout), scaling_curves(baseline)
+        print("paired_curves", json.dumps(paired), flush=True)
     print("curves", json.dumps(curves), flush=True)
     startup = startup_split(ROOT)
     print("startup", json.dumps(startup), flush=True)
-    baseline = None if args.baseline is None else scaling_curves(args.baseline.resolve())
     baseline_startup = None if args.baseline is None else startup_split(args.baseline.resolve())
     record = {
         "seed": args.seed,
@@ -330,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         **({} if baseline is None else {
             "baseline_src_benchlens_lines": source_lines(args.baseline.resolve()),
             "baseline_curves": baseline,
+            "curve_rounds": CURVE_ROUNDS,
+            "paired_curves": paired,
             "baseline_startup": baseline_startup,
         }),
     }

@@ -90,6 +90,8 @@ class PipelineConfig:
             raise ConfigError("pcs and variance are mutually exclusive")
         if self.threshold is not None and self.groups is not None:
             raise ConfigError("threshold and groups are mutually exclusive")
+        if self.budget < 0:
+            raise ConfigError(f"budget must be >= 0, got {self.budget}")
         if self.linkage not in cluster_mod.LINKAGES:
             raise ConfigError(f"linkage must be one of {cluster_mod.LINKAGES}")
         unknown = [f for f in self.format if f not in FORMATS]
@@ -366,6 +368,8 @@ def cmd_subset(run: Run) -> tuple[str, Artifacts]:
 
 def cmd_compare(run: Run) -> tuple[str, Artifacts]:
     cfg = run.cfg
+    if cfg.suite and run.suites:  # `run.suites` refuses a --suite the store lacks first, as on every command
+        raise ConfigError("compare refuses --suite: it takes --suite-a and --suite-b")
     if not (cfg.suite_a and cfg.suite_b):
         raise ConfigError("compare needs --suite-a and --suite-b")
     if not cfg.machine:
@@ -504,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scores", help="scores CSV (suite,workload,machine,score,wallclock_seconds)")
     parser.add_argument("--countermap", help="counter map manifest (YAML)")
     parser.add_argument("--raw", help="raw counter dump to ingest")
-    parser.add_argument("--suite", help="suite to operate on (ingest/derive/featurize/pca/cluster/subset/proxy/report)")
+    parser.add_argument("--suite", help="suite to operate on (ingest/derive/featurize/pca/cluster/subset/proxy/"
+                        "report); compare refuses it: it takes --suite-a and --suite-b")
     parser.add_argument("--workload", help="workload id (ingest)")
     parser.add_argument("--machine", help="machine id")
     parser.add_argument("--suite-a", dest="suite_a", help="left suite for compare")

@@ -25,16 +25,21 @@ A store CSV is read one of two ways. A plain one -- its header exactly
 `STORE_HEADER`, its bytes UTF-8 without a '"', a CR or a NUL, so that csv
 would split it at "," and "\n" alone -- is read as bytes, each read of
 `_READ_BYTES` cut at its last "\n", and each block is checked column by
-column with numpy: five commas per line, each field gathered into one
-fixed-width bytes array, a `supported` of exactly "true" or "false", a value
-that `astype(float)` parses (as `float` parses it) and that is finite and
->= 0. Runs are found where the key changes from line to line, so only
-distinct names are decoded, and the runs are then sorted as tuples. Any other
-file is read whole by `csv.reader`, row by row through `_parse_row`, and so
-is a plain one as soon as one of its blocks fails a check, holds a blank line
-or holds a line longer than `_LONG_LINE` or csv's field size limit. So csv
-decides every error, on both routes: the first bad row in file order raises
-with its row number, and csv's own errors raise SchemaMismatch.
+column with numpy on 8-byte words: five commas per line, a `supported` that
+is one word equal to "true" or "false", and a value. A value text that is
+"0.0" or [1-9][0-9]{0,14}".0" -- what `save_canonical` writes for a whole
+number below 10**15 -- is parsed from its digits, to the value `float`
+parses; any other one is gathered into a fixed-width bytes array that
+`astype(float)` parses (as `float` parses it), and it must be finite and
+>= 0. Runs are found where the words of the key change from line to line,
+so only distinct names are decoded, and the runs are then sorted as tuples.
+When every event name equals the one a run's length earlier, only the first
+run's names are grouped. Any other file is read whole by `csv.reader`, row
+by row through `_parse_row`, and so is a plain one as soon as one of its
+blocks fails a check, holds a blank line or holds a line longer than
+`_LONG_LINE` or csv's field size limit. So csv decides every error, on both
+routes: the first bad row in file order raises with its row number, and
+csv's own errors raise SchemaMismatch.
 
 The store CSV is written run by run: each run's quoted key and each event's
 quoted name are made once, and each present cell of the grid is one joined
@@ -87,9 +92,9 @@ SCORES_HEADER = ["suite", "workload", "machine", "score", "wallclock_seconds"]
 _READ_BYTES = 1 << 18  # bytes per read of a store file; each read is cut at its last "\n" into a block of lines
 _LONG_LINE = 256  # bytes; a file with a longer line is read by csv rather than gathered into wide fields
 _HEADER_LINE = (",".join(STORE_HEADER) + "\n").encode()
-# by a value text's length n: the whole numbers of n - 2 digits, [_DIGITS_FROM[n], _DIGITS_BELOW[n]), for n <= 17
-_DIGITS_FROM = np.array([0.0] * 4 + [10.0 ** (n - 3) for n in range(4, _LONG_LINE + 1)])
-_DIGITS_BELOW = np.array([0.0] * 3 + [10.0 ** (n - 2) for n in range(3, 18)] + [0.0] * (_LONG_LINE - 17))
+_LOW = ((np.arange(8) < np.arange(9)[:, None]) * np.uint8(255)).view("<u8").ravel()  # row n: a word's first n bytes
+_EACH = 0x0101010101010101  # times a byte: that byte in each of a word's eight
+_TRUE, _FALSE = np.frombuffer(b"true\0\0\0\0false\0\0\0", dtype="<u8")
 
 RunKey = tuple[str, str, str]  # (suite, workload, machine)
 Cell = tuple[str, str, str, str, float, bool]  # (suite, workload, machine, event, value, supported)
@@ -538,25 +543,30 @@ def _grouped(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells[order[heads]], codes
 
 
-def _written_by_repr(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, values: np.ndarray) -> bool:
-    """Whether each value text, bytes [start, stop) of `buf`, is `repr` of its value as `float` parses it.
+def _whole_numbers(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple:
+    """Which value texts, bytes [start, stop) of `padded`, are "0.0" or [1-9][0-9]{0,14}".0" -- `repr` of a
+    whole number below 10**15, which float64 holds exactly -- and each one's value (meaningless for the rest).
 
-    A text that ends in ".0" and reads as a whole number below 10**15, with as
-    many bytes before the "." as the number has digits, is "0.0" or
-    [1-9][0-9]{0,14}".0", its `repr`: a sign, a blank, a "_" or a leading zero
-    would be one byte more. Any other text is checked through `repr`.
+    Each is read from the two 8-byte words that end at its "." (`padded` must
+    hold 16 bytes before the first text): the bytes before the text read as
+    "0", all sixteen are tested for ASCII digits at once and each word's eight
+    digits are combined with three multiplies (Lemire, "Number parsing at a
+    gigabyte per second", 2021).
     """
-    lengths = stops - starts
-    whole = (
-        (buf[stops - 1] == 48)  # "0"
-        & (buf[stops - 2] == 46)  # "."
-        & (values == np.floor(values))
-        & (_DIGITS_FROM[lengths] <= values)
-        & (values < _DIGITS_BELOW[lengths])
-    )
-    rest = np.flatnonzero(~whole)
-    texts = zip(starts[rest].tolist(), stops[rest].tolist())
-    return all(repr(value).encode() == buf[a:b].tobytes() for value, (a, b) in zip(values[rest].tolist(), texts))
+    dots = stops - 2
+    digits = dots - starts
+    whole = (padded[stops - 1] == 48) & (padded[dots] == 46) & (1 <= digits) & (digits <= 15)  # "0", "."
+    whole &= (padded[starts] != 48) | (digits == 1)  # no leading "0" but that of "0.0"
+    pairs = np.ndarray(len(padded) - 15, dtype="V16", buffer=padded, strides=(1,))[dots - 16].view("<u8")
+    number, mask = np.zeros(len(starts), dtype=np.uint64), 0x000000FF000000FF
+    for low in (0, 1):  # the word of the high eight digits, then that of the low eight
+        # each byte of the text, "0" to "9", as 0 to 9; each byte before the text as 0
+        word = (pairs[low::2] ^ 0x30 * _EACH) & ~_LOW[8 - np.clip(digits - 8 + 8 * low, 0, 8)]
+        whole &= ((word | (word + 0x76 * _EACH)) & 0x80 * _EACH) == 0  # each byte below 10
+        word = word * 10 + (word >> 8)  # each pair of digits in its even byte
+        word = ((word & mask) * (100 + (1_000_000 << 32)) + ((word >> 16) & mask) * (1 + (10_000 << 32))) >> 32
+        number = number * 100_000_000 + word
+    return whole, number.astype(np.float64)
 
 
 def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
@@ -567,30 +577,49 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     longest = int((ends - starts).max())
     if longest > min(_LONG_LINE, csv.field_size_limit()):
         return None
-    buf = np.frombuffer(text, dtype=np.uint8)
-    commas = np.flatnonzero(buf == 44)
+    # 16 bytes before the block, for the words before a short first value; a field's width after its end
+    padded = np.concatenate([np.zeros(16, dtype=np.uint8), np.frombuffer(text, dtype=np.uint8),
+                             np.zeros(longest + 8, dtype=np.uint8)])
+    starts, ends = starts + 16, ends + 16
+    commas = np.flatnonzero(padded == 44)
     if len(commas) != 5 * len(ends):
         return None
     commas = commas.reshape(-1, 5)
     if not ((commas[:, 0] >= starts) & (commas[:, 4] < ends)).all():
         return None
-    padded = np.concatenate([buf, np.zeros(longest + 8, dtype=np.uint8)])
+    lengths = ends - commas[:, 4] - 1
+    if lengths.max() > 8:
+        return None
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))  # the word at each byte
+    flags = words[commas[:, 4] + 1] & _LOW[lengths]  # each flag as one word, the bytes past it cleared
+    supported = flags == _TRUE
+    if not (supported | (flags == _FALSE)).all():
+        return None
+    whole, values = _whole_numbers(padded, commas[:, 3] + 1, commas[:, 4])
+    exact = True
+    if len(rest := np.flatnonzero(~whole)):  # any other text: parsed as `float` parses it, then checked
+        firsts, stops = commas[rest, 3] + 1, commas[rest, 4]
+        try:
+            values[rest] = parsed = _field(padded, firsts, stops).astype(np.float64)  # float()'s or a ValueError
+        except ValueError:
+            return None
+        if not ((parsed >= 0) & (parsed < np.inf)).all():
+            return None
+        texts = zip(firsts.tolist(), stops.tolist())
+        exact = all(repr(value).encode() == padded[a:b].tobytes() for value, (a, b) in zip(parsed.tolist(), texts))
     keys = _field(padded, starts, commas[:, 2])
     names = _field(padded, commas[:, 2] + 1, commas[:, 3])
-    values = _field(padded, commas[:, 3] + 1, commas[:, 4])
-    flags = _field(padded, commas[:, 4] + 1, ends)
-    supported = flags == b"true"
-    if not (supported | (flags == b"false")).all():
-        return None
-    try:
-        values = values.astype(np.float64)  # float()'s result, or a ValueError where float() raises one
-    except ValueError:
-        return None
-    if not ((values >= 0) & (values < np.inf)).all():
-        return None
-    heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))  # rows come grouped by run
+    changed = np.zeros(len(keys) - 1, dtype=bool)
+    for column in keys.view(np.uint64).reshape(len(keys), -1).T:
+        changed |= column[1:] != column[:-1]
+    heads = np.flatnonzero(np.concatenate([[True], changed]))  # rows come grouped by run
     unique_keys, head_codes = _grouped(keys[heads])
-    unique_names, name_codes = _grouped(names)
+    # the names of a block of runs that each hold the same events repeat with the period of a whole run
+    period = int(np.diff(heads[:3]).max()) if len(heads) > 1 else len(names)
+    name_words = names.view(np.uint64).reshape(len(names), -1)
+    periodic = period < len(names) and np.array_equal(name_words[period:], name_words[:-period])
+    unique_names, name_codes = _grouped(names[:period] if periodic else names)
+    name_codes = np.resize(name_codes, len(names))  # a period's codes, repeated
     # each key holds two of the commas; names are interned, so that runs share one string each
     parts = list(map(sys.intern, b",".join(unique_keys.tolist()).decode().split(",")))
     return (
@@ -600,7 +629,7 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
         name_codes,
         values,
         supported,
-        _written_by_repr(buf, commas[:, 3] + 1, commas[:, 4], values),
+        exact,
     )
 
 

@@ -630,6 +630,34 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    def test_compare_refuses_a_suite_the_store_holds(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            ["compare", *base_args(out), "--suite-a", "int_rate", "--suite-b", "int_speed", "--machine", "CPU-C",
+             "--suite", "int_rate"],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "stage": "compare",
+            "error": "ConfigError",
+            "message": "compare refuses --suite: it takes --suite-a and --suite-b",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_negative_budget_is_a_config_error(self, tmp_path, capsys, source):
+        config = tmp_path / "config.yaml"
+        config.write_text("budget: -1\n", encoding="utf-8")
+        given = ["--budget", "-1"] if source == "flag" else ["--config", str(config)]
+        out = tmp_path / "out"
+        code, stdout, err = run([*PROXY_SEARCH, *base_args(out), *given], capsys)
+        assert (code, stdout) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"stage": "proxy", "error": "ConfigError", "message": "budget must be >= 0, got -1"}
+        assert not out.exists()
+
     def test_budget_exceeded_exit_code(self, tmp_path, capsys):
         code, _, err = run(
             ["subset", *base_args(tmp_path / "out"), "--suite", "int_rate", "--groups", "4",

@@ -472,6 +472,23 @@ class TestChunkedRead:
         oracles.assert_same_runs(store, oracles.load_canonical(path))
         assert store._source.spans is None
 
+    @pytest.mark.parametrize("read_bytes", [1024, 1 << 18])
+    def test_names_that_do_not_repeat_run_by_run_read_as_csv_reads_them(self, read_bytes, tmp_path):
+        cells = [
+            ("s", f"w{i:02d}", "m", event, float(i), True)
+            for i in range(60)
+            for event in CANONICAL_EVENTS
+            if (i, event) != (13, "cycles")  # a run missing an event
+        ]
+        store = Store.from_cells([*cells, ("s", "w41", "m", "zz.raw", 1.0, False)])  # and one with an extra one
+        save_canonical(store, tmp_path / "store.csv")
+        with mock.patch("benchlens.dataset._plain", return_value=False):
+            by_csv = read_store(tmp_path / "store.csv")
+        with mock.patch("benchlens.dataset._READ_BYTES", read_bytes), mock.patch(
+            "benchlens.dataset._csv_rows", side_effect=AssertionError("read through csv")
+        ):
+            assert read_store(tmp_path / "store.csv") == by_csv == store
+
     def test_blank_rows_at_chunk_edges_are_skipped(self, tmp_path):
         rows = clean_rows(2 * C + 3)
         rows = rows[: C - 1] + ("",) + rows[C - 1 : 2 * C - 1] + ("", "") + rows[2 * C - 1 :] + ("",)

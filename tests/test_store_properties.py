@@ -10,6 +10,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -282,3 +283,40 @@ def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, read_by
             save_canonical(merged, path)
         oracles.csv_save_canonical(merged, expected)
         assert path.read_bytes() == expected.read_bytes()
+
+
+# value texts at the edges of the whole-number law, "0.0" or [1-9][0-9]{0,14}".0", which a block parses from its
+# digits: texts one byte off it, among them "/" and ":", the bytes around the digits, "٣.0", which only float reads,
+# and whole numbers of 1 to 17 digits
+EDGE_TEXTS = st.sampled_from(
+    ["0.0", "00.0", "-0.0", "+1.0", "1_0.0", " 1.0", "1.00", "1.", "0.5", "1/0.0", "1:0.0", "٣.0", "9007199254740993.0"]
+) | st.integers(0, 16).flatmap(lambda digits: st.integers(10**digits, 10 ** (digits + 1) - 1)).map(lambda n: f"{n}.0")
+
+
+@pytest.mark.parametrize("read_bytes", [1, 7, 64])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(texts=st.lists(EDGE_TEXTS, min_size=1, max_size=12), events=st.integers(1, 3))
+def test_value_texts_at_the_edges_of_the_whole_number_law_read_as_float_reads_them(read_bytes, texts, events):
+    names = sorted(CANONICAL_EVENTS[:events])
+    lines = [f"s,w{i // events:02d},m,{names[i % events]},{text},true" for i, text in enumerate(texts)]
+    header = ",".join(STORE_HEADER)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.csv"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        expected, expected_error = raised_or_none(lambda: oracles.load_canonical(path))
+        by_bytes = not any(char in text for text in texts for char in "٣/:")
+        csv_route = mock.patch.object(dataset, "_csv_rows", side_effect=AssertionError("a plain store went through csv"))
+        with mock.patch.object(dataset, "_READ_BYTES", read_bytes), csv_route if by_bytes else nullcontext():
+            got, error = raised_or_none(lambda: read_store(path))
+    assert error == expected_error
+    if expected is None:
+        return
+    oracles.assert_same_runs(got, expected)
+    canonical = all(repr(float(text)) == text for text in texts)
+    hypothesis.event("canonical" if canonical else "not canonical")
+    if canonical:  # the bytes save_canonical writes: each run's span of lines
+        stops = np.cumsum([len(header) + 1] + [len(line.encode()) + 1 for line in lines]).tolist()
+        firsts = range(0, len(lines), events)
+        assert got._source.spans.tolist() == [[stops[i], stops[min(i + events, len(lines))]] for i in firsts]
+    else:
+        assert got._source.spans is None
