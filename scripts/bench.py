@@ -36,10 +36,12 @@ It also splits start-up, the part of perfbench's ``setup_s`` before a
 command runs, in fresh interpreters with BLAS at one thread (medians of
 ``STARTUP_ROUNDS``): the bare interpreter (``-c pass``), then, timed in one
 child, ``import numpy``, ``import orjson, yaml`` and ``import benchlens.cli``.
-The benchlens import is timed compiled from source and from cached
-bytecode, with all bytecode kept in a ``PYTHONPYCACHEPREFIX`` directory
-outside the checkout that holds every other module's bytecode throughout
-(``--baseline DIR`` splits that checkout's start-up as well).
+The benchlens import is timed compiled from source and, in a third child,
+from cached bytecode; each child reads the bytecode of every other module
+from a ``PYTHONPYCACHEPREFIX`` directory outside the checkout. With
+``--baseline DIR`` that checkout's start-up is split as well, the rounds of
+the two in alternating order as for the curves, and ``paired_startup`` holds
+each step's two medians and the median and quartiles of its per-round ratio.
 Standard library only, so it runs on any checkout of the program.
 """
 
@@ -56,7 +58,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import Callable, Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -214,14 +218,26 @@ def median_points(rounds: list[dict]) -> dict:
     }
 
 
+def alternating(trees: tuple[Path, ...], rounds: int, measure: Callable[[Path], dict]) -> dict[Path, list[dict]]:
+    """`rounds` results of `measure` for each of `trees`, the trees run in alternating order (A B B A ...), so
+    that a drift of the host weighs on each alike."""
+    results = {tree: [] for tree in trees}
+    for r in range(rounds):
+        for tree in trees if r % 2 == 0 else trees[::-1]:
+            results[tree].append(measure(tree))
+    return results
+
+
+def paired_time(checkout: float, baseline: float, ratios: list[float]) -> dict:
+    """Both medians of one time and the median and quartiles of its per-round ratios checkout / baseline."""
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {"checkout": checkout, "baseline": baseline, "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3}
+
+
 def paired_curves(root: Path, baseline: Path) -> tuple[dict, dict, dict]:
     """The curve points of the checkouts at `root` and at `baseline`, each the median of CURVE_ROUNDS children
-    run in alternating order (A B B A ...), so that a drift of the host weighs on both alike; and for each
-    time of each point both medians and the median and quartiles of the per-round ratio `root` / `baseline`."""
-    rounds = {root: [], baseline: []}
-    for r in range(CURVE_ROUNDS):
-        for tree in (root, baseline) if r % 2 == 0 else (baseline, root):
-            rounds[tree].append(curve_points(tree))
+    run in alternating order, and for each time of each point its `paired_time`."""
+    rounds = alternating((root, baseline), CURVE_ROUNDS, curve_points)
     checkout, base = median_points(rounds[root]), median_points(rounds[baseline])
     paired = {}
     for curve, points in checkout.items():
@@ -230,9 +246,7 @@ def paired_curves(root: Path, baseline: Path) -> tuple[dict, dict, dict]:
             pair = {key: value for key, value in point.items() if not isinstance(value, float)}
             for key in (key for key in point if key.endswith("median_s")):
                 ratios = [a[curve][i][key] / b[curve][i][key] for a, b in zip(rounds[root], rounds[baseline])]
-                q1, median, q3 = statistics.quantiles(ratios, n=4)
-                pair[key] = {"checkout": point[key], "baseline": base[curve][i][key], "ratio_median": median,
-                             "ratio_q1": q1, "ratio_q3": q3}
+                pair[key] = paired_time(point[key], base[curve][i][key], ratios)
             paired[curve].append(pair)
     return checkout, base, paired
 
@@ -306,37 +320,52 @@ print(json.dumps({"numpy_s": numpy_done - start, "orjson_yaml_s": third_done - n
 """
 
 
-def startup_split(root: Path) -> dict:
-    """Median seconds of each start-up step of the benchlens at `root` (see the module docstring)."""
-    with tempfile.TemporaryDirectory() as cache:
-        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONPYCACHEPREFIX": cache,
-               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-        measured = {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+@contextmanager
+def startup_timer(root: Path) -> Iterator[Callable[[], dict]]:
+    """A call that times one round of the start-up steps of the benchlens at `root` in three fresh children
+    (see the module docstring): a bare interpreter, then the imports with benchlens compiled from source, then
+    with benchlens from cached bytecode. Each reads its bytecode from its own `PYTHONPYCACHEPREFIX` directory,
+    which holds that of every other module throughout, and writes none."""
+    with tempfile.TemporaryDirectory() as source, tempfile.TemporaryDirectory() as cached:
+        base = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+                "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        base.pop("PYTHONDONTWRITEBYTECODE", None)
 
-        def child(code: str, environ: dict) -> str:
-            return subprocess.run([sys.executable, "-c", code], cwd=root, env=environ, capture_output=True,
+        def child(code: str, cache: str, write: bool = False) -> str:
+            env = {**base, "PYTHONPYCACHEPREFIX": cache, **({} if write else {"PYTHONDONTWRITEBYTECODE": "1"})}
+            return subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
                                   text=True, check=True).stdout
 
-        def rounds() -> list[dict]:
-            steps = []
-            for _ in range(STARTUP_ROUNDS):
-                start = time.perf_counter()
-                child("pass", measured)
-                bare = time.perf_counter() - start
-                steps.append({"interpreter_s": bare, **json.loads(child(STARTUP_CHILD, measured))})
-            return steps
+        for cache in (source, cached):
+            child("import numpy, orjson, yaml, benchlens.cli", cache, write=True)
+        shutil.rmtree(Path(source, *root.parts[1:], "src"))  # benchlens' own, which then compiles from source
 
-        child("import numpy, orjson, yaml, benchlens.cli", env)  # the bytecode of every module they import
-        shutil.rmtree(Path(cache, *root.parts[1:], "src"))  # but benchlens' own, which then compiles from source
-        source = rounds()
-        child("import benchlens.cli", env)
-        cached = rounds()
-    split = {name: statistics.median(step[name] for step in source + cached)
-             for name in ("interpreter_s", "numpy_s", "orjson_yaml_s")}
-    return {"rounds": STARTUP_ROUNDS, **split,
-            "benchlens_source_s": statistics.median(step["benchlens_s"] for step in source),
-            "benchlens_cached_s": statistics.median(step["benchlens_s"] for step in cached)}
+        def one_round() -> dict:
+            start = time.perf_counter()
+            child("pass", source)
+            bare = time.perf_counter() - start
+            steps = json.loads(child(STARTUP_CHILD, source))
+            return {"interpreter_s": bare, "numpy_s": steps["numpy_s"], "orjson_yaml_s": steps["orjson_yaml_s"],
+                    "benchlens_source_s": steps["benchlens_s"],
+                    "benchlens_cached_s": json.loads(child(STARTUP_CHILD, cached))["benchlens_s"]}
+
+        yield one_round
+
+
+def startup_split(*trees: Path) -> tuple[list[dict], dict | None]:
+    """For each of `trees`, the median seconds of each start-up step of its benchlens over STARTUP_ROUNDS rounds
+    run in alternating order; and, for two trees, each step's `paired_time` of the first against the second."""
+    with ExitStack() as stack:
+        timers = {tree: stack.enter_context(startup_timer(tree)) for tree in trees}
+        rounds = alternating(trees, STARTUP_ROUNDS, lambda tree: timers[tree]())
+    steps = list(rounds[trees[0]][0])
+    splits = [{"rounds": STARTUP_ROUNDS, **{step: statistics.median(r[step] for r in rounds[tree]) for step in steps}}
+              for tree in trees]
+    if len(trees) == 1:
+        return splits, None
+    pairs = list(zip(*rounds.values()))
+    return splits, {step: paired_time(splits[0][step], splits[1][step], [a[step] / b[step] for a, b in pairs])
+                    for step in steps}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -355,17 +384,16 @@ def main(argv: list[str] | None = None) -> int:
             **{name: metric["value"] for name, metric in result["metrics"].items()},
         }
         print(workload["name"], json.dumps(workloads[workload["name"]]), flush=True)
-    baseline = paired = None
-    if args.baseline is None:
+    trees = (ROOT,) if args.baseline is None else (ROOT, args.baseline.resolve())
+    if len(trees) == 1:
         curves = scaling_curves(curve_points(ROOT))
     else:
-        checkout, baseline, paired = paired_curves(ROOT, args.baseline.resolve())
+        checkout, baseline, paired = paired_curves(*trees)
         curves, baseline = scaling_curves(checkout), scaling_curves(baseline)
         print("paired_curves", json.dumps(paired), flush=True)
     print("curves", json.dumps(curves), flush=True)
-    startup = startup_split(ROOT)
-    print("startup", json.dumps(startup), flush=True)
-    baseline_startup = None if args.baseline is None else startup_split(args.baseline.resolve())
+    startups, paired_startup = startup_split(*trees)
+    print("startup", json.dumps(startups[0]), flush=True)
     record = {
         "seed": args.seed,
         "seconds": args.seconds,
@@ -378,13 +406,14 @@ def main(argv: list[str] | None = None) -> int:
         "src_benchlens_lines": source_lines(ROOT),
         "workloads": workloads,
         "curves": curves,
-        "startup": startup,
-        **({} if baseline is None else {
-            "baseline_src_benchlens_lines": source_lines(args.baseline.resolve()),
+        "startup": startups[0],
+        **({} if len(trees) == 1 else {
+            "baseline_src_benchlens_lines": source_lines(trees[1]),
             "baseline_curves": baseline,
             "curve_rounds": CURVE_ROUNDS,
             "paired_curves": paired,
-            "baseline_startup": baseline_startup,
+            "baseline_startup": startups[1],
+            "paired_startup": paired_startup,
         }),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -274,6 +274,8 @@ def cmd_ingest(run: Run) -> tuple[str, Artifacts]:
     parsed, bad_lines = dataset.parse_counter_file(cfg.raw, cfg.machine, cmap, suite=cfg.suite, workload=cfg.workload)
     for err in bad_lines:
         print(f"warning: {type(err).__name__} at line {err.line_no}: {err.line}", file=sys.stderr)
+    if not parsed.runs:  # refused before the store's directory is made or locked: nothing is written
+        raise EmptyInput(f"{cfg.raw}: the dump holds no samples")
     directory = Path(cfg.store).resolve().parent  # where the store is replaced
     directory.mkdir(parents=True, exist_ok=True)
     lock = os.open(directory, os.O_RDONLY)

@@ -21,25 +21,27 @@ and parsing a raw dump build through it. The wallclocks and scores of the
 runs are checked by one array law (`_timed`), whether they come as mappings
 (`from_codes`) or as a scores CSV that `read_store` joins row by row.
 
-A store CSV is read one of two ways. A plain one -- its header exactly
-`STORE_HEADER`, its bytes UTF-8 without a '"', a CR or a NUL, so that csv
-would split it at "," and "\n" alone -- is read as bytes, each read of
-`_READ_BYTES` cut at its last "\n", and each block is checked column by
-column with numpy on 8-byte words: five commas per line, a `supported` that
-is one word equal to "true" or "false", and a value. A value text that is
-"0.0" or [1-9][0-9]{0,14}".0" -- what `save_canonical` writes for a whole
-number below 10**15 -- is parsed from its digits, to the value `float`
-parses; any other one is gathered into a fixed-width bytes array that
-`astype(float)` parses (as `float` parses it), and it must be finite and
->= 0. Runs are found where the words of the key change from line to line,
-so only distinct names are decoded, and the runs are then sorted as tuples.
-When every event name equals the one a run's length earlier, only the first
-run's names are grouped. Any other file is read whole by `csv.reader`, row
-by row through `_parse_row`, and so is a plain one as soon as one of its
-blocks fails a check, holds a blank line or holds a line longer than
-`_LONG_LINE` or csv's field size limit. So csv decides every error, on both
-routes: the first bad row in file order raises with its row number, and
-csv's own errors raise SchemaMismatch.
+A store CSV is read one of two ways. One whose header is exactly
+`STORE_HEADER` is read as bytes, in one pass: each read of `_READ_BYTES` is
+cut at its last "\n", and each block is checked as it is read. It must be
+plain -- UTF-8 without a '"', a CR or a NUL, so that csv would split it at
+"," and "\n" alone (a block ends at a "\n", so no UTF-8 sequence straddles
+two) -- and then, column by column with numpy on 8-byte words, hold five
+commas per line, a `supported` that is one word equal to "true" or "false",
+and a value. A value text that is "0.0" or [1-9][0-9]{0,14}".0" -- what
+`save_canonical` writes for a whole number below 10**15 -- is parsed from its
+digits, to the value `float` parses; any other one is gathered into a
+fixed-width bytes array that `astype(float)` parses (as `float` parses it),
+and it must be finite and >= 0. Runs are found where the words of the key
+change from line to line, so only distinct names are decoded, and the runs
+are then sorted as tuples. When every event name equals the one a run's
+length earlier, only the first run's names are grouped. Any other file is
+read whole by `csv.reader`, row by row through `_parse_row`, and so is one
+whose header matches as soon as one of its blocks is not plain, fails a
+check, holds a blank line or holds a line longer than `_LONG_LINE` or csv's
+field size limit. So csv decides every error, on both routes: the first bad
+row in file order raises with its row number, and csv's own errors raise
+SchemaMismatch.
 
 The store CSV is written run by run: each run's quoted key and each event's
 quoted name are made once, and each present cell of the grid is one joined
@@ -53,8 +55,8 @@ file, each run's byte span. `merge_stores` carries the source of the existing
 store, and the spans of its runs when the new store adds runs only.
 `save_canonical` refuses to write a store whose file changed after it was
 read (`StoreChanged`), so a run that another writer added is never lost; it
-copies each stretch of carried runs from the file, streamed, and formats
-every other run by the line law above.
+copies each stretch of carried runs from the file as bytes, streamed, and
+formats every other run by the line law above.
 
 `merge_stores` joins two stores' arrays: it scatters both grids and masks
 into the union of their runs and events, and names the first cell the new
@@ -68,7 +70,6 @@ reads a YAML file, not when benchlens is imported.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import gc
 import math
@@ -482,20 +483,6 @@ def _codes(keys: list[RunKey], key_codes: np.ndarray, names: list[str], name_cod
     return tuple(keys[i] for i in order), vocabulary, rank[key_codes], cols[name_codes]
 
 
-def _plain(fh) -> bool:
-    """Whether the rest of `fh` is UTF-8 without a '"', a CR or a NUL: text csv splits at "," and "\\n" alone."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    try:
-        for piece in iter(lambda: fh.read(_READ_BYTES), b""):
-            if b'"' in piece or b"\r" in piece or b"\0" in piece:
-                return False
-            decoder.decode(piece)
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        return False
-    return True
-
-
 def _line_blocks(fh) -> Iterator[bytes]:
     """The rest of `fh` in blocks of whole lines: each read of _READ_BYTES is cut at its last "\\n", and what
     follows it starts the next block. Every line ends in "\\n": a last line without one gets it."""
@@ -569,18 +556,26 @@ def _whole_numbers(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) ->
     return whole, number.astype(np.float64)
 
 
-def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
-    """The cells of a block of lines ending at `ends` as (run keys, each cell's key index, event names, each
-    cell's name index, values, supported, whether every value text is `repr` of its value), or None when a
-    line is blank, longer than _LONG_LINE or csv's field size limit, or breaks a `_parse_row` rule."""
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    longest = int((ends - starts).max())
+def _checked_block(text: bytes) -> tuple | None:
+    """The cells of a block of whole lines as (each line's "\\n" offset, run keys, each cell's key index, event
+    names, each cell's name index, values, supported, whether every value text is `repr` of its value), or None
+    when the block is not text csv splits at "," and "\\n" alone (it holds a '"', a CR or a NUL, or is not
+    UTF-8) or a line is blank, longer than _LONG_LINE or csv's field size limit, or breaks a `_parse_row` rule."""
+    if b'"' in text or b"\r" in text or b"\0" in text:
+        return None
+    try:
+        text.decode()  # a block ends at a "\n", so no UTF-8 sequence straddles two
+    except UnicodeDecodeError:
+        return None
+    raw = np.frombuffer(text, dtype=np.uint8)
+    newlines = np.flatnonzero(raw == 10)
+    starts = np.concatenate([[0], newlines[:-1] + 1])
+    longest = int((newlines - starts).max())
     if longest > min(_LONG_LINE, csv.field_size_limit()):
         return None
     # 16 bytes before the block, for the words before a short first value; a field's width after its end
-    padded = np.concatenate([np.zeros(16, dtype=np.uint8), np.frombuffer(text, dtype=np.uint8),
-                             np.zeros(longest + 8, dtype=np.uint8)])
-    starts, ends = starts + 16, ends + 16
+    padded = np.concatenate([np.zeros(16, dtype=np.uint8), raw, np.zeros(longest + 8, dtype=np.uint8)])
+    starts, ends = starts + 16, newlines + 16
     commas = np.flatnonzero(padded == 44)
     if len(commas) != 5 * len(ends):
         return None
@@ -623,6 +618,7 @@ def _checked_block(text: bytes, ends: np.ndarray) -> tuple | None:
     # each key holds two of the commas; names are interned, so that runs share one string each
     parts = list(map(sys.intern, b",".join(unique_keys.tolist()).decode().split(",")))
     return (
+        newlines,
         list(zip(parts[0::3], parts[1::3], parts[2::3])),
         np.repeat(head_codes, np.diff(np.append(heads, len(keys)))),
         [name.decode() for name in unique_names.tolist()],
@@ -650,18 +646,17 @@ def _spans(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts
 
 
 def _plain_cells(fh, size: int) -> tuple | None:
-    """The first six arguments of `Store.from_codes` for a plain store of `size` bytes, read from `fh` after
-    its header, and each run's `_spans` when every value is written as `repr` writes it (else None); or None
-    when a block fails a `_checked_block` check."""
+    """The first six arguments of `Store.from_codes` for a store of `size` bytes, read from `fh` after its
+    header, and each run's `_spans` when every value is written as `repr` writes it (else None); or None when
+    a block fails a `_checked_block` check."""
     run_ids: dict[RunKey, int] = {}  # every run key so far -> its index, in order of first appearance
     event_ids: dict[str, int] = {}
     blocks = []
     cells, offset, exact = 0, len(_HEADER_LINE), True
     for text in _line_blocks(fh):
-        ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == 10)
-        if (checked := _checked_block(text, ends)) is None:
+        if (checked := _checked_block(text)) is None:
             return None
-        keys, key_codes, names, name_codes, values, supported, written_by_repr = checked
+        ends, keys, key_codes, names, name_codes, values, supported, written_by_repr = checked
         runs = np.array([run_ids.setdefault(key, len(run_ids)) for key in keys], dtype=np.intp)[key_codes]
         events = np.array([event_ids.setdefault(name, len(event_ids)) for name in names], dtype=np.intp)
         last = np.flatnonzero(np.diff(runs, append=-1))  # the last line of each stretch of one run
@@ -678,17 +673,16 @@ def _plain_cells(fh, size: int) -> tuple | None:
 
 
 def _read_cells(path: str | Path) -> tuple:
-    """The first six arguments of `Store.from_codes` for a store CSV, by bytes when it is plain and every
-    block passes its checks, else through csv, and the file's `_Source`, with spans when it holds the bytes
-    `save_canonical` would write for them."""
+    """The first six arguments of `Store.from_codes` for a store CSV, by bytes when its header is
+    `STORE_HEADER` and every block passes its checks, else through csv, and the file's `_Source`, with spans
+    when it holds the bytes `save_canonical` would write for them."""
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
         # a header without its newline ends the file
-        if fh.read(len(_HEADER_LINE)) in (_HEADER_LINE, _HEADER_LINE[:-1]) and _plain(fh):
-            fh.seek(len(_HEADER_LINE))
-            if (read := _plain_cells(fh, stamp[2])) is not None:
-                *cells, spans = read
-                return (*cells, _Source(os.fspath(path), stamp, spans))
+        header = fh.read(len(_HEADER_LINE))
+        if header in (_HEADER_LINE, _HEADER_LINE[:-1]) and (read := _plain_cells(fh, stamp[2])) is not None:
+            *cells, spans = read
+            return (*cells, _Source(os.fspath(path), stamp, spans))
     collecting = gc.isenabled()
     gc.disable()  # the route keeps a tuple per cell until the end; collections would rescan them and find no cycle
     try:
@@ -741,11 +735,10 @@ def _joined_scores(path: str | Path, runs: Sequence[RunKey]) -> tuple[np.ndarray
     return clocks, marks, scored
 
 
-def _copied(fh, start: int, stop: int) -> Iterator[str]:
-    """Bytes [start, stop) of `fh` as text, read _READ_BYTES at a time as it is iterated."""
+def _copied(fh, start: int, stop: int) -> Iterator[bytes]:
+    """Bytes [start, stop) of `fh`, read _READ_BYTES at a time as it is iterated."""
     fh.seek(start)
-    pieces = (fh.read(min(_READ_BYTES, stop - at)) for at in range(start, stop, _READ_BYTES))
-    yield from codecs.iterdecode(pieces, "utf-8")
+    yield from (fh.read(min(_READ_BYTES, stop - at)) for at in range(start, stop, _READ_BYTES))
     if fh.tell() != stop:
         raise OSError(f"{fh.name}: the store changed while it was copied")
 
@@ -787,12 +780,13 @@ def save_canonical(store: Store, path: str | Path) -> None:
             with open(source.path, "rb") as old:
                 _check_unchanged(source, os.fstat(old.fileno()))
                 starts, stops = source.spans.T.tolist()
-                fh.write(_HEADER_LINE.decode())
+                fh.buffer.write(_HEADER_LINE)
                 for copied, group in groupby(range(len(starts)), lambda i: starts[i] >= 0):
                     runs = list(group)
                     first, stop = runs[0], runs[-1] + 1
                     if copied:  # carried runs next to each other in the store are next to each other in the file
-                        fh.writelines(_copied(old, starts[first], stops[stop - 1]))
+                        fh.flush()  # the text written so far goes first
+                        fh.buffer.writelines(_copied(old, starts[first], stops[stop - 1]))
                     else:
                         fh.writelines(files.chunks(lines(slice(first, stop))))
         if source is not None:  # checked again just before the replace: a writer need not have taken the lock

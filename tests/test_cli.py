@@ -942,6 +942,48 @@ class TestEmptyStore:
         assert "6 samples (0 bad lines)" in out
         assert dataset.read_store(store).runs == (("int_rate", "706.stockfish_r", "CPU-C"),)
 
+    @pytest.mark.parametrize("into", ["an_existing_store", "a_new_path"])
+    @pytest.mark.parametrize(
+        "dump, warnings",
+        [
+            ("", []),
+            ("# perf stat -x,\n\n# no counters\n", []),
+            ("abc\n12,,\nx,u,cycles\n", [
+                "warning: MalformedLine at line 1: abc",
+                "warning: MalformedLine at line 2: 12,,",
+                "warning: NonNumericValue at line 3: x,u,cycles",
+            ]),
+        ],
+        ids=["empty", "comments_only", "every_line_bad"],
+    )
+    def test_ingest_of_a_dump_without_samples_is_a_data_error_and_writes_nothing(
+        self, tmp_path, capsys, dump, warnings, into
+    ):
+        raw = tmp_path / "dump.txt"
+        raw.write_text(dump, encoding="utf-8")
+        if into == "an_existing_store":
+            store = tmp_path / "store.csv"
+            store.write_bytes(bundled.sample_store_path().read_bytes())
+            os.utime(store, ns=(0, 10**18))
+        else:
+            store = tmp_path / "new" / "store.csv"
+        before = os.listdir(tmp_path)
+        code, stdout, err = run(
+            ["ingest", "--raw", str(raw), "--suite", "int_rate", "--workload", "w", "--machine", "CPU-C",
+             "--store", str(store)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        *warned, line = err.splitlines()
+        assert warned == warnings
+        assert json.loads(line) == {
+            "stage": "ingest", "error": "EmptyInput", "message": f"{raw}: the dump holds no samples",
+        }
+        assert os.listdir(tmp_path) == before
+        if into == "an_existing_store":
+            assert store.read_bytes() == bundled.sample_store_path().read_bytes()
+            assert store.stat().st_mtime_ns == 10**18
+
 
 class TestSvgText:
     def test_a_dendrogram_of_names_holding_xml_markup_is_well_formed(self, tmp_path, capsys):

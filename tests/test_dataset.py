@@ -472,6 +472,54 @@ class TestChunkedRead:
         oracles.assert_same_runs(store, oracles.load_canonical(path))
         assert store._source.spans is None
 
+    @pytest.mark.parametrize(
+        "flaw",
+        [b'"s",x_,m,cycles,1.0,true', b"s,x\0,m,cycles,1.0,true", b"s,x\r_,m,cycles,1.0,true",
+         b"s,x\xff,m,cycles,1.0,true"],
+        ids=["a_quoted_name", "a_nul", "a_cr", "an_invalid_utf8_byte"],
+    )
+    def test_a_block_that_is_not_plain_is_read_by_csv_once(self, flaw, tmp_path):
+        rows = [row.encode() for row in clean_rows(3 * C)]
+        path = tmp_path / "store.csv"
+        path.write_bytes(b"\n".join([",".join(STORE_HEADER).encode(), *rows[:C], flaw, *rows[C:]]) + b"\n")
+        expected = raised(lambda: oracles.load_canonical(path))
+        with mock.patch("benchlens.dataset._READ_BYTES", 1024), mock.patch(
+            "benchlens.dataset._csv_rows", wraps=dataset._csv_rows
+        ) as csv_rows:  # the flaw is in a later block than the first, which passes every check
+            assert raised(lambda: read_store(path)) == expected
+        csv_rows.assert_called_once_with(path, STORE_HEADER)
+        if expected is None:
+            oracles.assert_same_runs(read_store(path), oracles.load_canonical(path))
+
+    def test_a_plain_store_is_read_once(self, tmp_path):
+        path = tmp_path / "store.csv"
+        save_canonical(generated_store(runs=150), path)
+        real_open, read = open, []  # the size of each read
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def read(self, size=-1):
+                read.append(len(data := self.fh.read(size)))
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        with mock.patch("benchlens.dataset._READ_BYTES", 4096), mock.patch(
+            "benchlens.dataset.open", lambda *args, **kwargs: Counted(real_open(*args, **kwargs)), create=True
+        ):
+            store = read_store(path)
+        assert store._source.spans is not None  # read by bytes
+        assert sum(read) == path.stat().st_size
+
     @pytest.mark.parametrize("read_bytes", [1024, 1 << 18])
     def test_names_that_do_not_repeat_run_by_run_read_as_csv_reads_them(self, read_bytes, tmp_path):
         cells = [
@@ -482,7 +530,7 @@ class TestChunkedRead:
         ]
         store = Store.from_cells([*cells, ("s", "w41", "m", "zz.raw", 1.0, False)])  # and one with an extra one
         save_canonical(store, tmp_path / "store.csv")
-        with mock.patch("benchlens.dataset._plain", return_value=False):
+        with mock.patch("benchlens.dataset._plain_cells", return_value=None):
             by_csv = read_store(tmp_path / "store.csv")
         with mock.patch("benchlens.dataset._READ_BYTES", read_bytes), mock.patch(
             "benchlens.dataset._csv_rows", side_effect=AssertionError("read through csv")
@@ -522,10 +570,17 @@ class TestReadRouting:
         path = tmp_path / "store.csv"
         path.write_bytes(CSV_ROUTED[case])
         expected = raised(lambda: oracles.load_canonical(path))
-        with mock.patch("benchlens.dataset._plain_cells", side_effect=AssertionError("read by bytes")):
+        plain_cells, read = dataset._plain_cells, []  # what each read by bytes returned
+
+        def reading(*args):
+            read.append(plain_cells(*args))
+            return read[-1]
+
+        with mock.patch.object(dataset, "_plain_cells", reading):
             assert raised(lambda: read_store(path)) == expected
             if expected is None:
                 oracles.assert_same_runs(read_store(path), oracles.load_canonical(path))
+        assert read == [None] * len(read)  # no block of the file is accepted
 
     @pytest.mark.parametrize(
         "rows",
@@ -542,7 +597,7 @@ class TestReadRouting:
         path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *GOOD_ROWS, *rows]) + "\n")
         limit = csv.field_size_limit(100)
         try:
-            with mock.patch("benchlens.dataset._plain", return_value=False):
+            with mock.patch("benchlens.dataset._plain_cells", return_value=None):
                 expected = raised(lambda: read_store(path))  # csv reads a whole chunk of rows before it checks one
             with mock.patch("benchlens.dataset._READ_BYTES", read_bytes):  # blocks cut after short reads too
                 assert raised(lambda: read_store(path)) == expected
@@ -815,6 +870,24 @@ class TestSplicedSave:
         ):
             save_canonical(merged, path)
         assert copied.call_count == 2  # the runs before the new one, and the runs after it
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_runs_with_names_of_several_bytes_are_copied_as_the_oracle_writes_them(self, tmp_path):
+        path = tmp_path / "store.csv"
+        save_canonical(Store.from_cells(
+            (s, f"w{i:02d}", m, event, float(i), i % 3 > 0)
+            for i in range(40)
+            for s, m in [("ünï", "名前"), ("a+b", "ünï")]
+            for event in CANONICAL_EVENTS[i % 3 : i % 3 + 2]
+        ), path)
+        with mock.patch("benchlens.dataset._READ_BYTES", 7):  # reads that end inside a character
+            merged = merge_stores(read_store(path), cells_store(("ünï/w20x/名前", "cycles", 1.0, True)))
+            oracles.csv_save_canonical(merged, tmp_path / "expected.csv")
+            with mock.patch.object(dataset, "_copied", wraps=dataset._copied) as copied, mock.patch.object(
+                files, "write_csv", side_effect=AssertionError("formatted the whole store")
+            ):
+                save_canonical(merged, path)
+        assert copied.call_count == 2
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("change", ["replaced", "rewritten longer", "rewritten in place"])
