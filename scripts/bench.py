@@ -42,7 +42,8 @@ from a ``PYTHONPYCACHEPREFIX`` directory outside the checkout. With
 ``--baseline DIR`` that checkout's start-up is split as well, the rounds of
 the two in alternating order as for the curves, and ``paired_startup`` holds
 each step's two medians and the median and quartiles of its per-round ratio.
-Standard library only, so it runs on any checkout of the program.
+Standard library only. A ``--baseline`` checkout must be recent enough to have
+``files.commit`` and a ``derive_store`` that returns one ``Metrics`` array.
 """
 
 from __future__ import annotations
@@ -86,16 +87,13 @@ from benchlens.cluster import build_dendrogram
 from benchlens.dataset import Store, read_store, save_canonical
 from benchlens.events import CANONICAL_EVENTS, METRIC_DEFS
 from benchlens.features import build_matrix
+from benchlens.files import commit
 from benchlens.metrics import derive_store
 from benchlens.proxy import RrrSchedule, WorkloadProfile, export_mixes_csv, search_mix, simulate_rrr
 from benchlens.subset import oracle_best_subset
-try:
-    from benchlens.files import commit
-except ImportError:  # an older benchlens: the export takes the path
-    export = export_mixes_csv
-else:
-    def export(ranked, path):
-        commit([(path, lambda fh: export_mixes_csv(ranked, fh))])
+
+def export(ranked, path):
+    commit([(path, lambda fh: export_mixes_csv(ranked, fh))])
 
 def median_s(call, repeats):
     times = []
@@ -166,10 +164,7 @@ with tempfile.TemporaryDirectory() as tmp:
         reads.append(point)
 
 def featurize(store, workloads, machines):
-    derived = derive_store(store)
-    if isinstance(derived, dict):  # an older derive_store: one MetricVector per run key
-        derived = {key[1:]: vector for key, vector in derived.items()}
-    return build_matrix(derived, workloads, machines)
+    return build_matrix(derive_store(store), workloads, machines)
 
 featurized = []
 for count in (52, 200, 500):

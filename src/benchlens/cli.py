@@ -36,6 +36,7 @@ from . import cluster as cluster_mod
 from . import compare as compare_mod
 from . import dataset, features, files, metrics, pca, proxy, render, subset
 from .errors import BenchlensError, BudgetExceeded, ConfigError, EmptyInput, SchemaMismatch
+from .events import METRIC_NAMES
 
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
 FORMATS = ("csv", "md", "svg")
@@ -86,6 +87,9 @@ class PipelineConfig:
             isinstance(self.weights, dict) and all(_is(k, "str") and _is(v, "float") for k, v in self.weights.items())
         ):
             raise ConfigError(f"weights must map metric names to numbers, got {self.weights!r}")
+        unknown = sorted(set(self.weights or ()) - set(METRIC_NAMES))
+        if unknown:
+            raise ConfigError(f"weights must name metrics, got unknown keys {unknown}")
         if self.pcs is not None and self.variance is not None:
             raise ConfigError("pcs and variance are mutually exclusive")
         if self.threshold is not None and self.groups is not None:

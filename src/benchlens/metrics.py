@@ -11,12 +11,17 @@ a store's runs (`derive_store`) and over RRR blends (`proxy`'s blend law,
 which `simulate_rrr`, `search_mix` and `blend_markdown` share).
 `derive_store` returns every run's metrics as one `Metrics` array; a
 `MetricVector` is one row, such as a proxy target or a blend's metrics.
+
+`_first_broken` states the metric bounds once, for `metric_array` and
+`MetricVector`. A row fails on an infinite count, then without positive
+instructions and cycles (MissingDenominator), then on its first broken
+bound (ValueError); `row_error` makes the error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -28,6 +33,40 @@ from .events import METRIC_DEFS, METRIC_NAMES
 
 BOUNDED_SHARES = ("load_pct", "store_pct", "branch_pct", "frontend_stall_pct", "backend_stall_pct")
 _NUMERATORS, _DENOMINATORS, _SCALES = zip(*METRIC_DEFS.values())  # in METRIC_NAMES order
+_SHARES = np.array([METRIC_NAMES.index(m) for m in BOUNDED_SHARES])
+_KERNEL, _USER = METRIC_NAMES.index("kernel_pct"), METRIC_NAMES.index("user_pct")
+# the bounds by code, in the order they are checked: metric j's are 2j and 2j + 1, then the sum
+_BOUNDS = (*(f"{name} must be {bound}" for name in METRIC_NAMES for bound in ("finite and >= 0", "<= 100")),
+           "kernel_pct + user_pct must equal 100")
+_NO_DENOMINATOR, _INFINITE = len(_BOUNDS), len(_BOUNDS) + 1
+
+
+def _first_broken(values: np.ndarray, available: np.ndarray) -> np.ndarray:
+    """Each row's first broken bound, its code in `_BOUNDS`, or -1 where it breaks none.
+
+    `values` holds rows in METRIC_NAMES order and `available` which of them
+    count. Metric by metric, an available value is finite and >= 0, and a
+    BOUNDED_SHARES one <= 100; then kernel_pct + user_pct is within 1e-6 of 100.
+    """
+    v, a = values.T, available.T  # bounds as rows, runs as columns: `any` over a run's bounds ORs whole rows
+    broken = np.zeros((len(_BOUNDS), len(values)), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        broken[0:-1:2] = a & ~(np.isfinite(v) & (v >= 0))
+        broken[1 + 2 * _SHARES] = a[_SHARES] & (v[_SHARES] > 100.0)
+        broken[-1] = a[_KERNEL] & a[_USER] & (np.abs(v[_KERNEL] + v[_USER] - 100.0) > 1e-6)
+    failure, failed = np.full(len(values), -1), broken.any(axis=0)
+    failure[failed] = broken[:, failed].argmax(axis=0)  # only a failing run is searched for its first bound
+    return failure
+
+
+def row_error(key, row: Sequence[float], failure: int) -> Exception:
+    """The error of a row failing with code `failure`: `row` holds its metric values, and `key` names its run."""
+    if failure == _INFINITE:
+        return ValueError("counter value must be finite and >= 0, got inf")
+    if failure == _NO_DENOMINATOR:
+        return MissingDenominator(f"run {key} lacks positive instructions/cycles counts")
+    got = row[_KERNEL] + row[_USER] if failure == len(_BOUNDS) - 1 else row[failure // 2]
+    return ValueError(f"{_BOUNDS[failure]}, got {got!r}")
 
 
 @dataclass(frozen=True)
@@ -55,19 +94,11 @@ class MetricVector:
     mem_bytes_per_cycle: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{f.name} must be finite and >= 0, got {v!r}")
-            if f.name in BOUNDED_SHARES and v > 100.0:
-                raise ValueError(f"{f.name} must be <= 100, got {v!r}")
-        if self.kernel_pct is not None and self.user_pct is not None:
-            if abs(self.kernel_pct + self.user_pct - 100.0) > 1e-6:
-                raise ValueError(
-                    f"kernel_pct + user_pct must equal 100, got {self.kernel_pct + self.user_pct!r}"
-                )
+        row = [getattr(self, name) for name in METRIC_NAMES]
+        values = np.array([[math.nan if v is None else v for v in row]], dtype=float)
+        failure = _first_broken(values, np.array([[v is not None for v in row]]))[0]
+        if failure >= 0:
+            raise row_error(None, row, failure)
 
     @classmethod
     def from_row(cls, row: Sequence[float]) -> "MetricVector":
@@ -82,13 +113,12 @@ class MetricVector:
 
 
 def metric_array(counts: np.ndarray, events: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The metrics of each row of `counts`, NaN where unavailable, and the rows that fail.
+    """The metrics of each row of `counts`, NaN where unavailable, and each row's `row_error` code, -1 if it passes.
 
     `counts` holds one run or blend per row and one event of `events` per
     column, NaN where the event is unsupported or absent. Each metric is
     `scale * num / den` per METRIC_DEFS, unavailable when its numerator is
-    NaN or its denominator is not positive. A row fails when its instructions
-    or cycles are not positive, or when its values break a MetricVector bound.
+    NaN or its denominator is not positive. A row fails as the module docstring says.
     """
     column = {event: j for j, event in enumerate(events)}  # an event not in `events` is the NaN column
     inputs = [column.get(event, len(events)) for event in (*_NUMERATORS, *_DENOMINATORS, "instructions", "cycles")]
@@ -99,29 +129,19 @@ def metric_array(counts: np.ndarray, events: Sequence[str]) -> tuple[np.ndarray,
         available = ~np.isnan(num) & (den > 0)
         # scale first: keeps shares exact for integer counters at table precision
         values = np.where(available, np.array(_SCALES) * num / den, np.nan)
-        failed = ~(gathered[:, -2] > 0) | ~(gathered[:, -1] > 0)
-        failed |= (available & ~(np.isfinite(values) & (values >= 0))).any(axis=1)
-        failed |= (values[:, [METRIC_NAMES.index(m) for m in BOUNDED_SHARES]] > 100.0).any(axis=1)
-        kernel, user = values[:, METRIC_NAMES.index("kernel_pct")], values[:, METRIC_NAMES.index("user_pct")]
-        failed |= np.abs(kernel + user - 100.0) > 1e-6
-    return values, failed
+    failure = _first_broken(values, available)  # a later line wins: it names an earlier failure
+    failure[~(gathered[:, -2] > 0) | ~(gathered[:, -1] > 0)] = _NO_DENOMINATOR
+    if np.isinf(counts).any():  # a blend's totals may overflow; a store's counts never do
+        failure[np.isinf(counts).any(axis=1)] = _INFINITE
+    return values, failure
 
 
 def derive_rows(counts: np.ndarray, events: Sequence[str], keys: Sequence) -> np.ndarray:
-    """`metric_array`'s values; the first failing row raises its error.
-
-    That row raises MissingDenominator (named by its entry in `keys`) unless
-    it has positive instruction and cycle counts, else MetricVector's
-    ValueError for its values.
-    """
-    values, failed = metric_array(counts, events)
-    if failed.any():
-        i = int(np.argmax(failed))
-        row = dict(zip(events, counts[i].tolist()))
-        if not (row.get("instructions", math.nan) > 0 and row.get("cycles", math.nan) > 0):
-            raise MissingDenominator(f"run {keys[i]} lacks positive instructions/cycles counts")
-        MetricVector.from_row(values[i].tolist())
-        raise AssertionError(f"run {keys[i]} failed the array checks but not MetricVector's")
+    """`metric_array`'s values; the first failing row raises its `row_error`, named by its entry in `keys`."""
+    values, failure = metric_array(counts, events)
+    if (failure >= 0).any():
+        i = np.argmax(failure >= 0)
+        raise row_error(keys[i], values[i].tolist(), failure[i])
     return values
 
 

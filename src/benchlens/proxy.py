@@ -12,11 +12,10 @@ Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
 - blend: a schedule is a list of (slot, step) pairs in the order its copies
   run. Each adds `rate * step` of the workload in that slot to one running
   total per event, shared by all copies and starting from 0.0. An event
-  missing from any constituent is missing from the blend. The metrics are
-  `metrics.metric_array` of the totals. A blend fails on an infinite total
-  ("counter value must be finite and >= 0"), then as a store run would:
-  MissingDenominator without positive instructions and cycles, else
-  MetricVector's ValueError.
+  missing from any constituent is missing from the blend. Its metrics are
+  `metrics.metric_array` of the totals, and it fails as a store run does
+  (`metrics._first_broken` states the bounds): on an infinite total, then
+  without positive instructions and cycles, then on a broken metric bound.
 - distance: `weight * diff * diff` summed from 0.0 in METRIC_NAMES order,
   then the square root, where `diff = (blend - target) / stdev` and the
   stdev is 1.0 unless `scales` has one. A metric counts unless its weight is
@@ -28,10 +27,9 @@ Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
 
 `simulate_rrr` walks any schedule segment by segment to get its steps, and
 `blend_markdown` blends each constituent over one pass. `search_mix` blends
-the mixes of a pool as rows of arrays, one `stats.subset_rows` chunk at a
-time, on the equal-duration schedule, where copy c runs slots c, c+1, ...,
-c-1 for one unit each, so its values are bit-identical to simulating each
-mix.
+a pool's mixes as rows of arrays, one `stats.subset_rows` chunk at a time, on
+the equal-duration schedule (copy c runs slots c, c+1, ..., c-1 for one unit
+each), so its values are bit-identical to simulating each mix.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 from typing import TextIO
@@ -50,7 +49,7 @@ from . import files
 from .dataset import Store
 from .errors import BudgetExceeded, NoCommonMetrics, UnknownWorkload, ZeroHorizon
 from .events import METRIC_NAMES, event_vocabulary
-from .metrics import MetricVector, derive_rows, metric_array
+from .metrics import MetricVector, derive_rows, metric_array, row_error
 from .stats import subset_rows
 
 
@@ -85,27 +84,20 @@ def _rate_array(profiles: Sequence[WorkloadProfile]) -> tuple[np.ndarray, tuple[
     return np.array(rates, dtype=float).reshape(len(profiles), len(events)), events
 
 
-def _blend(rates: np.ndarray, mixes: np.ndarray, steps, events: Sequence[str], key=None):
-    """Each mix's event totals, metric values and whether it fails; a mix is a row of `rates` indices.
+def _blend(rates: np.ndarray, mixes: np.ndarray, steps) -> np.ndarray:
+    """Each mix's event totals; a mix is a row of `rates` indices.
 
     Each (slot, step) of `steps`, in order, adds the rates of every mix's
     workload in that slot times the step to totals that start from 0.0; each
     slot's rates are gathered once, and a step of 1.0 adds them as they are,
-    which is exact. With a `key`, a failing first mix raises its error, named
-    by the key.
+    which is exact.
     """
     slots = [rates[mixes[:, slot]] for slot in range(mixes.shape[1])]
     totals = np.zeros((len(mixes), rates.shape[1]))
     with np.errstate(over="ignore"):
         for slot, step in steps:
             totals += slots[slot] if step == 1.0 else slots[slot] * step
-    values, failed = metric_array(totals, events)
-    failed |= np.isinf(totals).any(axis=1)
-    if key is not None and failed[0]:
-        if np.isinf(totals[0]).any():
-            raise ValueError("counter value must be finite and >= 0, got inf")
-        derive_rows(totals[:1], events, [key])
-    return totals, values, failed
+    return totals
 
 
 @dataclass(frozen=True)
@@ -163,11 +155,8 @@ def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> 
     else:
         offsets = tuple(i * period / schedule.copies for i in range(schedule.copies))
 
-    boundaries = []
-    start = 0.0
-    for p in sequence:
-        boundaries.append((start, start + p.duration))
-        start += p.duration
+    edges = [0.0, *accumulate(p.duration for p in sequence)]
+    boundaries = list(zip(edges, edges[1:]))
 
     steps = []  # (slot in the sequence, seconds) in the order the copies run
     busy_time = {p.workload: 0.0 for p in sequence}
@@ -189,8 +178,8 @@ def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> 
                 position = 0.0
 
     rates, events = _rate_array(sequence)
-    key = ("rrr", "+".join(schedule.order), "blend")
-    totals, values, _ = _blend(rates, np.arange(len(sequence))[None], steps, events, key)
+    totals = _blend(rates, np.arange(len(sequence))[None], steps)
+    values = derive_rows(totals, events, [("rrr", "+".join(schedule.order), "blend")])
     total_time = schedule.copies * horizon
     shares = {w: t / total_time for w, t in sorted(busy_time.items())}
     return BlendProfile(
@@ -210,10 +199,7 @@ class DistanceReport:
 
 
 def _distances(values: np.ndarray, target: MetricVector, weights, scales) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's distance to the target and which of its metrics count.
-
-    `values` holds one blend's metrics per row, NaN where unavailable.
-    """
+    """Each row's distance to the target and which of its metrics count; a row holds one blend's metrics."""
     squared = np.zeros(len(values))
     used = np.zeros(values.shape, dtype=bool)
     for j, metric in enumerate(METRIC_NAMES):
@@ -253,11 +239,7 @@ def blend_distance(
     metrics_used = tuple(m for m, counts in zip(METRIC_NAMES, used[0].tolist()) if counts)
     if not metrics_used:
         raise NoCommonMetrics("no weighted metric is available on both sides")
-    gaps = {}
-    for metric in metrics_used:
-        b, t = blend_metrics.get(metric), target.get(metric)
-        if t != 0:
-            gaps[metric] = abs(b - t) / abs(t)
+    gaps = {m: abs(blend_metrics.get(m) - t) / abs(t) for m in metrics_used if (t := target.get(m)) != 0}
     return DistanceReport(distance=float(distances[0]), relative_gaps=gaps, metrics_used=metrics_used)
 
 
@@ -342,18 +324,20 @@ def search_mix(
             block = slice(lo, lo + len(rows))
             lo = block.stop
             mixes[block, :size] = rows
-            _, scored[block, 1:], failed = _blend(rates, rows, steps, events)
+            scored[block, 1:], failure = metric_array(_blend(rates, rows, steps), events)
+            failed = failure >= 0
             if not failed[0]:  # else the block's first mix raises before a weight is read
                 scored[block, 0], used = _distances(scored[block, 1:], target, weights, scales)
                 failed |= ~used.any(axis=1)
             if failed.any():  # the first failing mix raises its blend's error, else NoCommonMetrics
-                mix = rows[np.argmax(failed)]
-                _blend(rates, mix[None], steps, events, ("rrr", "+".join(names[j] for j in mix), "blend"))
+                i = np.argmax(failed)
+                if failure[i] >= 0:
+                    key = ("rrr", "+".join(names[j] for j in rows[i]), "blend")
+                    raise row_error(key, scored[block.start + i, 1:].tolist(), failure[i])
                 raise NoCommonMetrics("no weighted metric is available on both sides")
     # order tuples compare like their pool indices, a shorter prefix (-1 padding) first
     rank = np.lexsort((*mixes.T[::-1], scored[:, 0]))
-    equal = [replace(p, duration=1.0) for p in pool]
-    return RankedMixes(equal, mixes, scored, rank, target_name)
+    return RankedMixes([replace(p, duration=1.0) for p in pool], mixes, scored, rank, target_name)
 
 
 def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
@@ -473,16 +457,12 @@ def blend_markdown(
     constituents: Sequence[WorkloadProfile],
 ) -> str:
     """Per-metric blend vs target vs constituents table."""
-    rates, events = _rate_array(constituents)
-    constituent_metrics = {}
-    for i, p in enumerate(constituents):  # each constituent over one pass
-        key = ("constituent", p.workload, "blend")
-        _, values, _ = _blend(rates, np.array([[i]]), [(0, p.duration)], events, key)
-        constituent_metrics[p.workload] = MetricVector.from_row(values[0].tolist())
+    rates, events = _rate_array(constituents)  # each constituent over one pass
+    totals = np.concatenate([_blend(rates, np.array([[i]]), [(0, p.duration)]) for i, p in enumerate(constituents)])
+    values = derive_rows(totals, events, [("constituent", p.workload, "blend") for p in constituents])
+    constituent_metrics = {p.workload: MetricVector.from_row(row) for p, row in zip(constituents, values.tolist())}
     names = sorted(constituent_metrics)
-    header = "| Metric | Blend |" + (" Target |" if target is not None else "") + "".join(
-        f" {n} |" for n in names
-    )
+    header = "| Metric | Blend |" + (" Target |" if target is not None else "") + "".join(f" {n} |" for n in names)
     divider = "| --- | --- |" + (" --- |" if target is not None else "") + " --- |" * len(names)
     lines = [header, divider]
     for metric in METRIC_NAMES:

@@ -7,7 +7,8 @@ covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
 mixes, per-event and per-metric loops instead of one array pass per law,
 per-row counter objects instead of a columnar store, one MetricVector per
-run read back one metric at a time instead of one metric array, one constructor over
+run read back one metric at a time instead of one metric array, a per-field
+loop of the metric bounds instead of one array pass, one constructor over
 the cells of both stores instead of an array join, csv.writer rows instead
 of joined lines, one norm per pair instead of one array pass per group, one
 repr per float instead of one orjson call per chunk of rows), so agreement
@@ -35,7 +36,7 @@ from benchlens.errors import (
 )
 from benchlens.events import METRIC_DEFS, METRIC_NAMES
 from benchlens.features import FeatureMatrix
-from benchlens.metrics import MetricVector, derive_rows
+from benchlens.metrics import BOUNDED_SHARES, MetricVector
 from benchlens.stats import BoxStats, positive_geomean
 from benchlens.proxy import BlendProfile, DistanceReport, RankedMixes, RrrSchedule, WorkloadProfile
 from benchlens.subset import _accuracies, _suite_geomeans
@@ -246,14 +247,43 @@ def exhaustive_medoid(group, scores: dict[str, list[float]]) -> str:
 # per law, and the per-mix search built on them.
 
 
-def _derive_counts(key: tuple[str, str, str], counts: Mapping[str, float]) -> MetricVector:
-    """Metrics of one blend's or constituent's event counts, checked like a store run's."""
+def metric_bounds(values: Mapping[str, float | None]) -> None:
+    """The per-field loop `MetricVector.__post_init__` ran before `metrics._first_broken`.
+
+    Raises the ValueError of the first bound `values` (metric -> value, None
+    for unavailable) breaks: a metric not finite and >= 0, a bounded share
+    above 100, then kernel_pct + user_pct off 100 by more than 1e-6.
+    """
+    for name in METRIC_NAMES:
+        v = values.get(name)
+        if v is None:
+            continue
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        if name in BOUNDED_SHARES and v > 100.0:
+            raise ValueError(f"{name} must be <= 100, got {v!r}")
+    kernel, user = values.get("kernel_pct"), values.get("user_pct")
+    if kernel is not None and user is not None and abs(kernel + user - 100.0) > 1e-6:
+        raise ValueError(f"kernel_pct + user_pct must equal 100, got {kernel + user!r}")
+
+
+def metric_values(key, counts: Mapping[str, float]) -> dict[str, float | None]:
+    """Metric -> value (None for unavailable) of one run's or blend's supported event counts, one metric at a time.
+
+    Fails as `metrics.derive_rows` does: on an infinite count, then without
+    positive instructions and cycles, then by `metric_bounds`.
+    """
     for _, value in sorted(counts.items()):
         if not 0 <= value < math.inf:
             raise ValueError(f"counter value must be finite and >= 0, got {value!r}")
-    events = tuple(counts)
-    values = derive_rows(np.array([[counts[e] for e in events]], dtype=float), events, [key])
-    return MetricVector.from_row(values[0].tolist())
+    if not (counts.get("instructions", 0.0) > 0 and counts.get("cycles", 0.0) > 0):
+        raise MissingDenominator(f"run {key} lacks positive instructions/cycles counts")
+    values = {}
+    for metric, (num_event, den_event, scale) in METRIC_DEFS.items():
+        num, den = counts.get(num_event), counts.get(den_event)
+        values[metric] = None if num is None or den is None or not den > 0 else scale * num / den
+    metric_bounds(values)
+    return values
 
 
 def loop_simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> BlendProfile:
@@ -318,7 +348,7 @@ def loop_simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule
     total_time = schedule.copies * horizon
     shares = {w: t / total_time for w, t in sorted(busy_time.items())}
     return BlendProfile(
-        metrics=_derive_counts(("rrr", "+".join(schedule.order), "blend"), totals),
+        metrics=MetricVector(**metric_values(("rrr", "+".join(schedule.order), "blend"), totals)),
         time_shares=shares,
         totals=totals,
         copies=schedule.copies,
@@ -591,15 +621,7 @@ def merge_records(existing, new):
 
 
 def derive_metrics(record):
-    events = record.event_values()
-    if not events.get("instructions") or not events.get("cycles"):
-        raise MissingDenominator(f"run {record.key} lacks positive instructions/cycles counts")
-    values = {}
-    for metric, (num_event, den_event, scale) in METRIC_DEFS.items():
-        num = events.get(num_event)
-        den = events.get(den_event)
-        values[metric] = None if num is None or den is None or den == 0 else scale * num / den
-    return MetricVector(**values)
+    return MetricVector(**metric_values(record.key, record.event_values()))
 
 
 def columns(store):

@@ -800,6 +800,7 @@ CONFIG_TYPE_ERRORS = [
     ('mix_k: "2"', PROXY_SEARCH),
     ("budget: abc", PROXY_SEARCH),
     ("weights: [1, 2]", PROXY_SEARCH),
+    ("weights: {ipcc: 1.0, ipc: 1.0}", PROXY_SEARCH),  # a misspelled metric would count for nothing
 ]
 
 
@@ -823,6 +824,13 @@ class TestConfigTypes:
         config.write_text("variance: 1\nthreshold: 2\nweights: {ipc: 1, l1d_mpki: 0.5}\n", encoding="utf-8")
         cfg = cli.load_config(str(config), {})
         assert (cfg.variance, cfg.threshold, cfg.weights) == (1, 2, {"ipc": 1, "l1d_mpki": 0.5})
+
+    def test_weights_keys_that_name_no_metric_are_named(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("weights: {ipcc: 1.0, ipc: 1.0, l9_mpki: 2}\n", encoding="utf-8")
+        message = r"^weights must name metrics, got unknown keys \['ipcc', 'l9_mpki'\]$"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(str(config), {})
 
 
 COUNTERMAP_SHAPES = [
