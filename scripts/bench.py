@@ -1,6 +1,7 @@
 """Run the benchmark's end-to-end workloads and write their medians to one JSON file.
 
     python3 scripts/bench.py --seed 0 --seconds 30 --out BENCH_<n>.json
+    python3 scripts/bench.py --seed 300 --seconds 6 --baseline ../parent --out BENCH_<n>.json
 
 For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 (fresh child processes, untraced; see that file) and records the four
@@ -42,6 +43,11 @@ from a ``PYTHONPYCACHEPREFIX`` directory outside the checkout. With
 ``--baseline DIR`` that checkout's start-up is split as well, the rounds of
 the two in alternating order as for the curves, and ``paired_startup`` holds
 each step's two medians and the median and quartiles of its per-round ratio.
+With ``--baseline DIR`` each workload also runs end to end in
+``WORKLOAD_PAIRS`` pairs, each checkout's own ``perfbench/run.py --trace 0``,
+the two in alternating order, pair i on seed ``--seed`` + 1 + i for both;
+``paired_workloads`` holds, for each end-to-end metric, both medians, each
+side's quartiles and in how many pairs the checkout's value was lower.
 Standard library only. A ``--baseline`` checkout must be recent enough to have
 ``files.commit`` and a ``derive_store`` that returns one ``Metrics`` array.
 """
@@ -70,11 +76,11 @@ def source_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in sorted((root / "src" / "benchlens").rglob("*.py")))
 
 
-def run_workload(name: str, seed: int, seconds: float) -> dict:
-    """The result line `perfbench/run.py` prints for one workload."""
-    command = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name, "--seed", str(seed),
+def run_workload(name: str, seed: int, seconds: float, root: Path = ROOT) -> dict:
+    """The result line the `perfbench/run.py` of the checkout at `root` prints for one workload."""
+    command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", name, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=True)
+    proc = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -199,6 +205,7 @@ def curve_points(root: Path) -> dict:
 
 
 CURVE_ROUNDS = 6  # with --baseline: rounds of one curves child per checkout, the two in alternating order
+WORKLOAD_PAIRS = 10  # with --baseline: end-to-end runs of each workload per checkout, the two in alternating order
 
 
 def median_points(rounds: list[dict]) -> dict:
@@ -213,13 +220,13 @@ def median_points(rounds: list[dict]) -> dict:
     }
 
 
-def alternating(trees: tuple[Path, ...], rounds: int, measure: Callable[[Path], dict]) -> dict[Path, list[dict]]:
-    """`rounds` results of `measure` for each of `trees`, the trees run in alternating order (A B B A ...), so
-    that a drift of the host weighs on each alike."""
+def alternating(trees: tuple[Path, ...], rounds: int, measure: Callable[[Path, int], dict]) -> dict[Path, list[dict]]:
+    """`rounds` results of `measure(tree, round)` for each of `trees`, the trees run in alternating order
+    (A B B A ...), so that a drift of the host weighs on each alike."""
     results = {tree: [] for tree in trees}
     for r in range(rounds):
         for tree in trees if r % 2 == 0 else trees[::-1]:
-            results[tree].append(measure(tree))
+            results[tree].append(measure(tree, r))
     return results
 
 
@@ -232,7 +239,7 @@ def paired_time(checkout: float, baseline: float, ratios: list[float]) -> dict:
 def paired_curves(root: Path, baseline: Path) -> tuple[dict, dict, dict]:
     """The curve points of the checkouts at `root` and at `baseline`, each the median of CURVE_ROUNDS children
     run in alternating order, and for each time of each point its `paired_time`."""
-    rounds = alternating((root, baseline), CURVE_ROUNDS, curve_points)
+    rounds = alternating((root, baseline), CURVE_ROUNDS, lambda tree, _: curve_points(tree))
     checkout, base = median_points(rounds[root]), median_points(rounds[baseline])
     paired = {}
     for curve, points in checkout.items():
@@ -352,7 +359,7 @@ def startup_split(*trees: Path) -> tuple[list[dict], dict | None]:
     run in alternating order; and, for two trees, each step's `paired_time` of the first against the second."""
     with ExitStack() as stack:
         timers = {tree: stack.enter_context(startup_timer(tree)) for tree in trees}
-        rounds = alternating(trees, STARTUP_ROUNDS, lambda tree: timers[tree]())
+        rounds = alternating(trees, STARTUP_ROUNDS, lambda tree, _: timers[tree]())
     steps = list(rounds[trees[0]][0])
     splits = [{"rounds": STARTUP_ROUNDS, **{step: statistics.median(r[step] for r in rounds[tree]) for step in steps}}
               for tree in trees]
@@ -363,12 +370,35 @@ def startup_split(*trees: Path) -> tuple[list[dict], dict | None]:
                     for step in steps}
 
 
+def paired_workloads(root: Path, baseline: Path, seed: int, seconds: float) -> dict:
+    """For each workload of BENCHMARK.json, WORKLOAD_PAIRS runs of `perfbench/run.py --trace 0` of each checkout,
+    the two in alternating order, pair i of both on seed `seed + 1 + i`; and for each end-to-end metric both
+    medians, each side's quartiles and in how many pairs the checkout's value is lower."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    paired = {}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        runs = alternating((root, baseline), WORKLOAD_PAIRS,
+                           lambda tree, i: run_workload(name, seed + 1 + i, seconds, tree))
+        paired[name] = {"correct": [sum(r["correct"] for r in runs[tree]) for tree in (root, baseline)]}
+        for metric in runs[root][0]["metrics"]:
+            checkout, base = ([r["metrics"][metric]["value"] for r in runs[tree]] for tree in (root, baseline))
+            (q1, median, q3), (b1, b_median, b3) = statistics.quantiles(checkout, n=4), statistics.quantiles(base, n=4)
+            paired[name][metric] = {
+                "checkout": median, "checkout_q1": q1, "checkout_q3": q3,
+                "baseline": b_median, "baseline_q1": b1, "baseline_q3": b3,
+                "lower_in": sum(a < b for a, b in zip(checkout, base)), "pairs": WORKLOAD_PAIRS,
+            }
+        print("paired", name, json.dumps(paired[name]), flush=True)
+    return paired
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="workload seed passed to perfbench")
     parser.add_argument("--seconds", type=float, required=True, help="run length of each workload")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--baseline", type=Path, help="another checkout whose curves to record as well")
+    parser.add_argument("--baseline", type=Path, help="another checkout whose curves and end-to-end pairs to record as well")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = {}
@@ -383,6 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     if len(trees) == 1:
         curves = scaling_curves(curve_points(ROOT))
     else:
+        pairs = paired_workloads(*trees, args.seed, args.seconds)
         checkout, baseline, paired = paired_curves(*trees)
         curves, baseline = scaling_curves(checkout), scaling_curves(baseline)
         print("paired_curves", json.dumps(paired), flush=True)
@@ -409,6 +440,8 @@ def main(argv: list[str] | None = None) -> int:
             "paired_curves": paired,
             "baseline_startup": startups[1],
             "paired_startup": paired_startup,
+            "pair_seeds": [args.seed + 1, args.seed + WORKLOAD_PAIRS],
+            "paired_workloads": pairs,
         }),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -6,6 +6,7 @@ from .dataset import (
     CounterMap,
     Store,
     load_counter_maps,
+    merge_into,
     merge_stores,
     parse_counter_file,
     read_store,
@@ -53,6 +54,7 @@ __all__ = [
     "load_counter_maps",
     "loading_table",
     "medoid",
+    "merge_into",
     "merge_stores",
     "normalize",
     "oracle_best_subset",

@@ -285,11 +285,7 @@ def cmd_ingest(run: Run) -> tuple[str, Artifacts]:
     lock = os.open(directory, os.O_RDONLY)
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)  # one ingest at a time reads, merges and replaces a store there
-        if Path(cfg.store).exists():
-            merged = dataset.merge_stores(dataset.read_store(cfg.store), parsed)
-        else:
-            merged = parsed
-        dataset.save_canonical(merged, cfg.store)
+        dataset.merge_into(cfg.store, parsed)
     finally:
         os.close(lock)  # and so unlock
     samples = f"{parsed.cell_count} samples ({len(bad_lines)} bad lines)"

@@ -43,20 +43,24 @@ field size limit. So csv decides every error, on both routes: the first bad
 row in file order raises with its row number, and csv's own errors raise
 SchemaMismatch.
 
-The store CSV is written run by run: each run's quoted key and each event's
-quoted name are made once, and each present cell of the grid is one joined
-line of key, event, `repr(value)` and flag, the bytes `csv.writer` writes for
-the same cells (see `files`). A store file is canonical when it holds exactly
-those bytes: it was read by bytes, its lines run in (run, event name) order,
-no name is one csv would quote, every value text is `repr` of its value and
-the file ends in "\n". A store read from a file keeps a private `_Source`:
-the path, the file's (device, inode, size, mtime_ns) and, for a canonical
-file, each run's byte span. `merge_stores` carries the source of the existing
-store, and the spans of its runs when the new store adds runs only.
-`save_canonical` refuses to write a store whose file changed after it was
-read (`StoreChanged`), so a run that another writer added is never lost; it
-copies each stretch of carried runs from the file as bytes, streamed, and
-formats every other run by the line law above.
+The store CSV is written run by run (`_lines`): each run's quoted key and
+each event's quoted name are made once, and each present cell of the grid is
+one joined line of key, event, `repr(value)` and flag, the bytes `csv.writer`
+writes for the same cells (see `files`). A store file is canonical when it
+holds exactly those bytes: it was read by bytes, its lines run in (run, event
+name) order, no name is one csv would quote, every value text is `repr` of
+its value and the file ends in "\n". A store read from a file keeps a private
+`_Source`: the path and the file's (device, inode, size, mtime_ns).
+`merge_stores` carries the source of the existing store, and
+`save_canonical`, which formats every run, refuses to write a store whose
+file changed after it was read (`StoreChanged`), so a run that another
+writer added is never lost.
+
+`merge_into` is the ingest step: it reads a store file once. Into a canonical
+file that does not hold the new run it splices the run's lines, copying the
+file's bytes around them as they are, streamed, and builds no store of the
+file's cells; that splice is the only copy of a file's runs. Any other file
+is merged and saved from the cells already read.
 
 `merge_stores` joins two stores' arrays: it scatters both grids and masks
 into the union of their runs and events, and names the first cell the new
@@ -75,8 +79,9 @@ import gc
 import math
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -108,12 +113,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Source:
-    """Where a store's runs sit in the canonical file it was read from (see `read_store`)."""
+    """The store file a store was read from, as it was then (see `read_store`)."""
 
     path: str
     stamp: tuple[int, int, int, int]  # the file's (device, inode, size, mtime_ns) when it was read
-    spans: np.ndarray | None  # runs x 2: each run's [start, stop) bytes in a canonical file; -1 for a run it
-    # does not hold
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
@@ -391,8 +394,10 @@ def parse_counter_file(
     """Parse a raw counter dump into a one-run store and its bad lines, in file order.
 
     Bad lines never abort the parse: a wrong field count yields MalformedLine
-    and an unparseable value field yields NonNumericValue, while all valid
-    lines still reach the store. An event listed twice raises DuplicateKey.
+    and a value field that does not parse, or whose count is negative or not
+    finite (once a dram count in lines is scaled to bytes, too), yields
+    NonNumericValue, while all valid lines still reach the store. An event
+    listed twice raises DuplicateKey.
     """
     cells: list[Cell] = []
     errors: list[MalformedLine | NonNumericValue] = []
@@ -415,13 +420,13 @@ def parse_counter_file(
                 except ValueError:
                     errors.append(NonNumericValue(line_no, line))
                     continue
-                if not math.isfinite(value) or value < 0:
-                    errors.append(NonNumericValue(line_no, line))
-                    continue
                 supported = True
             event = cmap.to_canonical(raw_event)
             if event == "dram_bytes" and cmap.dram_bytes_unit == "lines":
                 value *= cmap.cacheline_bytes
+            if not math.isfinite(value) or value < 0:  # as read, or once scaled to bytes
+                errors.append(NonNumericValue(line_no, line))
+                continue
             cells.append((suite, workload, machine, event, value, supported))
     return Store.from_cells(cells), tuple(errors)
 
@@ -629,11 +634,11 @@ def _checked_block(text: bytes) -> tuple | None:
     )
 
 
-def _spans(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts: np.ndarray, ends: np.ndarray,
-           size: int):
-    """Each run's [start, stop) bytes in a store file of `size` bytes that holds one line per cell, given the
-    cell and the "\\n" offset of the last line of each stretch of lines of one run (`lasts`, `ends`), when its
-    lines run in `save_canonical`'s order, its last line ends it and it quotes no name; else None."""
+def _starts(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts: np.ndarray, ends: np.ndarray,
+            size: int):
+    """The offset of each run's first line in a store file of `size` bytes that holds one line per cell, given
+    the cell and the "\\n" offset of the last line of each stretch of lines of one run (`lasts`, `ends`), when
+    its lines run in `save_canonical`'s order, its last line ends it and it quotes no name; else None."""
     by_name = np.empty(len(events), dtype=np.intp)
     by_name[sorted(range(len(events)), key=events.__getitem__)] = np.arange(len(events))
     if not (np.diff(rows * len(events) + by_name[cols]) > 0).all():  # by run, then by event name
@@ -642,12 +647,12 @@ def _spans(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts
     bounds = np.concatenate([[len(_HEADER_LINE)], ends[np.flatnonzero(np.diff(stretches, append=len(runs)))] + 1])
     if bounds[-1] != size or not files.unquoted(list({*events, *chain.from_iterable(runs)})):
         return None
-    return np.stack([bounds[:-1], bounds[1:]], axis=1)
+    return bounds[:-1]
 
 
 def _plain_cells(fh, size: int) -> tuple | None:
     """The first six arguments of `Store.from_codes` for a store of `size` bytes, read from `fh` after its
-    header, and each run's `_spans` when every value is written as `repr` writes it (else None); or None when
+    header, and each run's `_starts` when every value is written as `repr` writes it (else None); or None when
     a block fails a `_checked_block` check."""
     run_ids: dict[RunKey, int] = {}  # every run key so far -> its index, in order of first appearance
     event_ids: dict[str, int] = {}
@@ -668,26 +673,25 @@ def _plain_cells(fh, size: int) -> tuple | None:
     )
     del blocks  # joined: free them before the checks, which would otherwise raise the peak of every read
     runs, events, rows, cols = _codes(list(run_ids), rows, list(event_ids), cols)
-    spans = _spans(runs, events, rows, cols, lasts, ends, size) if exact else None
-    return runs, events, rows, cols, values, supported, spans
+    starts = _starts(runs, events, rows, cols, lasts, ends, size) if exact else None
+    return runs, events, rows, cols, values, supported, starts
 
 
 def _read_cells(path: str | Path) -> tuple:
     """The first six arguments of `Store.from_codes` for a store CSV, by bytes when its header is
-    `STORE_HEADER` and every block passes its checks, else through csv, and the file's `_Source`, with spans
-    when it holds the bytes `save_canonical` would write for them."""
+    `STORE_HEADER` and every block passes its checks, else through csv; the offset of each run's first line
+    when the file holds the bytes `save_canonical` would write for them, else None; and the file's `_Source`."""
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
         # a header without its newline ends the file
         header = fh.read(len(_HEADER_LINE))
         if header in (_HEADER_LINE, _HEADER_LINE[:-1]) and (read := _plain_cells(fh, stamp[2])) is not None:
-            *cells, spans = read
-            return (*cells, _Source(os.fspath(path), stamp, spans))
+            return (*read, _Source(os.fspath(path), stamp))
     collecting = gc.isenabled()
     gc.disable()  # the route keeps a tuple per cell until the end; collections would rescan them and find no cycle
     try:
         cells = _cell_codes(_parse_row(path, row_no, row) for row_no, row in _csv_rows(path, STORE_HEADER))
-        return (*cells, _Source(os.fspath(path), stamp, None))
+        return (*cells, None, _Source(os.fspath(path), stamp))
     finally:
         if collecting:
             gc.enable()
@@ -698,11 +702,9 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
 
     Runs without a scores row keep the default wallclock of 1.0 and no score.
     Rows are checked in file order, so the first bad row names the error.
-    The store keeps the file's stamp, and, when the file holds exactly the
-    bytes `save_canonical` would write for it, where each run's lines are (see
-    `save_canonical`).
+    The store keeps the file's stamp (see `save_canonical`).
     """
-    runs, events, rows, cols, values, supported, source = _read_cells(path)
+    runs, events, rows, cols, values, supported, _, source = _read_cells(path)
     times = None if scores_path is None else _joined_scores(scores_path, runs)
     store = Store.from_codes(runs, events, rows, cols, values, supported)
     return replace(store if times is None else _timed(store, *times), _source=source)
@@ -743,52 +745,40 @@ def _copied(fh, start: int, stop: int) -> Iterator[bytes]:
         raise OSError(f"{fh.name}: the store changed while it was copied")
 
 
-def save_canonical(store: Store, path: str | Path) -> None:
-    """Write the store CSV run by run: each run's quoted key and each event's quoted name are made once, and
-    every present cell of the grid is one joined line; float values are `repr`'s bytes (formatted by
-    `files.float_rows`), so reloading is lossless.
-
-    A store read from a file (see `read_store` and `merge_stores`) is written
-    only while that file has the device, inode, size and mtime it had when it
-    was read, checked before and after the store is written; else nothing is
-    replaced and StoreChanged names the file. The runs it carries from a
-    canonical file are copied from that file's bytes, a stretch of runs at a
-    time. Every other run is formatted.
-    """
+def _lines(store: Store) -> Iterator[str]:
+    """The store CSV lines of `store`, run by run: each run's quoted key and each event's quoted name are made
+    once, and every present cell of the grid is one joined line, in event name order; float values are
+    `repr`'s bytes (formatted by `files.float_rows`), so reloading is lossless."""
     text = files.CsvText()
     order = sorted(range(len(store.events)), key=store.events.__getitem__)
     events = [f"{text[store.events[j]]}," for j in order]
     flags = (",false\n", ",true\n")
+    return (
+        f"{prefix}{event}{value}{flags[ok]}"
+        for prefix, row, oks in zip(
+            (f"{text[s]},{text[w]},{text[m]}," for s, w, m in store.runs),
+            files.float_rows(store.values[:, order]),
+            store.supported[:, order].tolist(),
+        )
+        for event, value, ok in zip(events, row.split(","), oks)
+        if value != "nan"
+    )
+
+
+def save_canonical(store: Store, path: str | Path) -> None:
+    """Write the store CSV, every run formatted by `_lines`.
+
+    A store read from a file (see `read_store` and `merge_stores`) is written
+    only while that file has the device, inode, size and mtime it had when it
+    was read, checked before and after the store is written; else nothing is
+    replaced and StoreChanged names the file.
+    """
     source = store._source
 
-    def lines(runs: slice) -> Iterator[str]:
-        return (
-            f"{prefix}{event}{value}{flags[ok]}"
-            for prefix, row, oks in zip(
-                (f"{text[s]},{text[w]},{text[m]}," for s, w, m in store.runs[runs]),
-                files.float_rows(store.values[runs, order]),
-                store.supported[runs, order].tolist(),
-            )
-            for event, value, ok in zip(events, row.split(","), oks)
-            if value != "nan"
-        )
-
     def write(fh: TextIO) -> None:
-        if source is None or source.spans is None:
-            files.write_csv(fh, STORE_HEADER, lines(slice(None)))
-        else:
-            with open(source.path, "rb") as old:
-                _check_unchanged(source, os.fstat(old.fileno()))
-                starts, stops = source.spans.T.tolist()
-                fh.buffer.write(_HEADER_LINE)
-                for copied, group in groupby(range(len(starts)), lambda i: starts[i] >= 0):
-                    runs = list(group)
-                    first, stop = runs[0], runs[-1] + 1
-                    if copied:  # carried runs next to each other in the store are next to each other in the file
-                        fh.flush()  # the text written so far goes first
-                        fh.buffer.writelines(_copied(old, starts[first], stops[stop - 1]))
-                    else:
-                        fh.writelines(files.chunks(lines(slice(first, stop))))
+        if source is not None:
+            _check_unchanged(source, os.stat(source.path))
+        files.write_csv(fh, STORE_HEADER, _lines(store))
         if source is not None:  # checked again just before the replace: a writer need not have taken the lock
             _check_unchanged(source, os.stat(source.path))
 
@@ -814,8 +804,7 @@ def merge_stores(existing: Store, new: Store) -> Store:
     its score unless only the existing store has one. An unmapped event
     without cells in either store leaves the vocabulary. The merge keeps the
     stamp of the file the existing store was read from, so that
-    `save_canonical` refuses a file that changed since, and, when the new store
-    adds runs only, where the existing runs sit in it, so that it can copy them.
+    `save_canonical` refuses a file that changed since.
     """
     runs = tuple(sorted(dict.fromkeys(existing.runs + new.runs)))  # two sorted stretches: a merge, not a sort
     present = {
@@ -831,12 +820,10 @@ def merge_stores(existing: Store, new: Store) -> Store:
     mask = np.zeros(grid.shape, dtype=bool)
     clocks = np.ones(len(runs))
     marks = np.full(len(runs), np.nan)
-    placed = []
     for store in (existing, new):
         kept = [j for j, event in enumerate(store.events) if event in event_index]
         names = [store.events[j] for j in kept]
         rows = np.fromiter(map(run_index.__getitem__, store.runs), dtype=np.intp, count=len(store.runs))
-        placed.append(rows)
         block = np.ix_(rows, [event_index[event] for event in names])
         values, current = store.values[:, kept], grid[block]
         filled = ~np.isnan(values)
@@ -850,12 +837,43 @@ def merge_stores(existing: Store, new: Store) -> Store:
         clocks[rows] = store.wallclock
         scored = ~np.isnan(store.scores)
         marks[rows[scored]] = store.scores[scored]
-    carried = existing._source
-    if carried is not None and carried.spans is not None:  # the runs keep their spans when no run is in both
-        spans = np.full((len(runs), 2), -1)
-        spans[placed[0]] = carried.spans
-        carried = replace(carried, spans=spans if len(runs) == len(existing.runs) + len(new.runs) else None)
-    return Store(runs, vocabulary, grid, mask, clocks, marks, carried)
+    return Store(runs, vocabulary, grid, mask, clocks, marks, existing._source)
+
+
+def merge_into(path: str | Path, new: Store) -> None:
+    """Merge `new` into the store file at `path`: the bytes and the errors of
+    `save_canonical(merge_stores(read_store(path), new), path)`. A missing
+    file is written as `new`.
+
+    The file is read once (`_read_cells`). When `new` is one run that a
+    canonical file does not hold, the file is spliced: its bytes before the
+    run's place in run order are copied as they are, streamed, then come the
+    run's lines (`_lines`), then the rest of its bytes; no store of its cells
+    is built. Any other file or `new` is merged from the cells already read.
+    Either way the file is replaced only while it has the stamp it had when
+    it was read (StoreChanged).
+    """
+    if not Path(path).exists():
+        save_canonical(new, path)
+        return
+    *cells, starts, source = _read_cells(path)
+    if starts is None or len(new.runs) != 1 or new.runs[0] in cells[0]:
+        save_canonical(merge_stores(replace(Store.from_codes(*cells), _source=source), new), path)
+        return
+    place = bisect_left(cells[0], new.runs[0])  # runs sort as tuples, not as bytes
+    end = source.stamp[2]  # the file's size when it was read
+    cut = int(starts[place]) if place < len(starts) else end  # where the new run's lines go
+
+    def write(fh: TextIO) -> None:
+        with open(source.path, "rb") as old:
+            _check_unchanged(source, os.fstat(old.fileno()))
+            fh.buffer.writelines(_copied(old, 0, cut))  # the header and the runs before the new one
+            fh.writelines(files.chunks(_lines(new)))
+            fh.flush()  # the new run's text goes before the runs after it
+            fh.buffer.writelines(_copied(old, cut, end))
+        _check_unchanged(source, os.stat(source.path))  # as in save_canonical
+
+    files.commit([(path, write)])
 
 
 def validate_store(store: Store) -> dict[str, dict[str, tuple[str, ...]]]:

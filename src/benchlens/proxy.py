@@ -139,10 +139,14 @@ def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> 
         raise UnknownWorkload(f"schedule references unknown workloads: {missing}")
     sequence = [by_name[w] for w in schedule.order]
     period = sum(p.duration for p in sequence)
+    if not math.isfinite(period):  # finite durations whose sum overflows
+        raise ValueError(f"mix period must be finite, got {period!r}")
 
     horizon = schedule.horizon if schedule.horizon is not None else period
     if horizon <= 0:
         raise ZeroHorizon(f"horizon must be positive, got {horizon!r}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
     if horizon < period * (1 - 1e-12):
         raise ValueError(f"horizon {horizon} is shorter than one full period {period}")
 

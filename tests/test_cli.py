@@ -290,6 +290,20 @@ class TestCompareAndProxy:
             assert payload["message"].startswith(f"{mix}:2: ")
 
 
+    def test_proxy_mix_whose_period_overflows_names_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        mix = tmp_path / "mix.txt"
+        mix.write_text("709.cactus_r,1e308\n722.palm_r,1e308\n", encoding="utf-8")  # each finite, not their sum
+        code, stdout, err = run(
+            ["proxy", *base_args(out), "--machine", "CPU-C", "--suite", "fp_rate", "--mix", str(mix)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(err) == {
+            "stage": "proxy", "error": "ValueError", "message": "mix period must be finite, got inf",
+        }
+        assert not out.exists()
+
+
 class TestSummaries:
     @pytest.mark.parametrize(
         "args",
@@ -312,6 +326,29 @@ class TestSummaries:
 
 
 class TestIngest:
+    def test_ingest_of_a_dram_count_that_overflows_once_scaled_warns_and_keeps_the_other_samples(
+        self, tmp_path, capsys
+    ):
+        def ingest(raw: Path, store: Path) -> tuple[int, str, str]:
+            return run(
+                ["ingest", "--raw", str(raw), "--countermap", str(bundled.sample_countermap_path()),
+                 "--suite", "int_rate", "--workload", "706.stockfish_r", "--machine", "CPU-C", "--store", str(store)],
+                capsys,
+            )
+
+        dump = bundled.sample_raw_dump_path().read_text(encoding="utf-8")
+        raw = tmp_path / "dump.txt"
+        raw.write_text(dump.replace("<not supported>,,unc_m_cas", "1e307,,unc_m_cas"), encoding="utf-8")
+        code, out, err = ingest(raw, tmp_path / "store.csv")  # CPU-C counts dram in lines of 64 bytes
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: NonNumericValue at line 7: 1e307,,unc_m_cas_count.all,598344827586,100.00,,",
+        ]
+        assert "5 samples (1 bad lines)" in out
+        assert ingest(bundled.sample_raw_dump_path(), tmp_path / "bundled.csv")[0] == 0
+        kept = [line for line in (tmp_path / "bundled.csv").read_text().splitlines() if ",dram_bytes," not in line]
+        assert (tmp_path / "store.csv").read_text().splitlines() == kept
+
     def test_ingest_then_derive_round_trip(self, tmp_path, capsys):
         store = tmp_path / "store.csv"
         code, out, err = run(

@@ -30,6 +30,7 @@ from benchlens.dataset import (
     identity_counter_map,
     load_counter_maps,
     machines_in,
+    merge_into,
     merge_stores,
     parse_counter_file,
     read_store,
@@ -124,6 +125,18 @@ class TestParseCounterFile:
         raw = write(tmp_path / "perf.txt", "1000,,unc_m_cas_count.all,1,100.00,,\n")
         store, _ = parse_counter_file(raw, "CPU-C", cmap, suite="s", workload="w")
         assert [cell[4] for cell in oracles.cells(store)] == [64000.0]
+
+    def test_a_dram_line_count_that_overflows_once_scaled_is_a_bad_line(self, tmp_path):
+        dump = bundled.sample_raw_dump_path().read_text(encoding="utf-8")
+        raw = write(tmp_path / "perf.txt", dump.replace("<not supported>,,unc_m_cas", "1e307,,unc_m_cas"))
+        cmap = load_counter_maps(bundled.sample_countermap_path())["CPU-C"]  # lines of 64 bytes: 1e307 * 64 is inf
+        store, errors = parse_counter_file(raw, "CPU-C", cmap, suite="int_rate", workload="706.stockfish_r")
+        assert errors == (NonNumericValue(7, "1e307,,unc_m_cas_count.all,598344827586,100.00,,"),)
+        bundled_store, _ = parse_counter_file(
+            bundled.sample_raw_dump_path(), "CPU-C", cmap, suite="int_rate", workload="706.stockfish_r"
+        )
+        kept = [cell for cell in oracles.cells(bundled_store) if cell[3] != "dram_bytes"]
+        assert list(oracles.cells(store)) == kept and len(kept) == 5
 
     def test_bundled_raw_dump_parses_cleanly(self):
         maps = load_counter_maps(bundled.sample_countermap_path())
@@ -470,7 +483,7 @@ class TestChunkedRead:
             store = read_store(path)
         csv_rows.assert_called_once_with(path, STORE_HEADER)
         oracles.assert_same_runs(store, oracles.load_canonical(path))
-        assert store._source.spans is None
+        assert dataset._read_cells(path)[-2] is None  # no run starts: not canonical
 
     @pytest.mark.parametrize(
         "flaw",
@@ -517,7 +530,7 @@ class TestChunkedRead:
             "benchlens.dataset.open", lambda *args, **kwargs: Counted(real_open(*args, **kwargs)), create=True
         ):
             store = read_store(path)
-        assert store._source.spans is not None  # read by bytes
+        assert dataset._read_cells(path)[-2] is not None  # read by bytes: each run's start
         assert sum(read) == path.stat().st_size
 
     @pytest.mark.parametrize("read_bytes", [1024, 1 << 18])
@@ -790,9 +803,12 @@ class TestStoreMemory:
         save_canonical(generated_store(), path)
         new = cells_store(*(("suite0/new/M0", event, 1.0, True) for event in CANONICAL_EVENTS))
         merged = merge_stores(read_store(path), new)
-        _, peak = traced_peak(lambda: save_canonical(merged, path))
+        commit, peaks = files.commit, []
+        with mock.patch.object(files, "commit", lambda pairs: peaks.append(traced_peak(lambda: commit(pairs))[1])):
+            merge_into(path, new)  # the splice's write, traced apart from the read
+        (peak,) = peaks
         assert read_store(path) == merged
-        assert peak < 1.5 * 2**20 < path.stat().st_size  # formatting them all peaks at about 2.1 MiB
+        assert peak < 1.5 * 2**20 < path.stat().st_size  # formatting them all peaks at about 2.9 MiB
 
 
 @contextmanager
@@ -827,7 +843,6 @@ class TestSafeSave:
         path = tmp_path / "store.csv"
         save_canonical(generated_store(runs=150), path)
         before = path.read_bytes()
-        merged = merge_stores(read_store(path), cells_store(("suite0/new/M0", "cycles", 1.0, True)))
         copied = dataset._copied
 
         def failing(fh, start, stop):
@@ -835,7 +850,7 @@ class TestSafeSave:
             raise error
 
         with pytest.raises(type(error)), mock.patch.object(dataset, "_copied", failing):
-            save_canonical(merged, path)
+            merge_into(path, cells_store(("suite0/new/M0", "cycles", 1.0, True)))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["store.csv"]
 
@@ -860,16 +875,22 @@ class TestSafeSave:
 
 
 class TestSplicedSave:
+    @staticmethod
+    def splice(path, new):
+        """`merge_into(path, new)`, failing if it formats the whole store or merges the stores; and the calls
+        of `_copied` it made."""
+        with mock.patch.object(dataset, "_copied", wraps=dataset._copied) as copied, mock.patch.object(
+            files, "write_csv", side_effect=AssertionError("formatted the whole store")
+        ), mock.patch.object(dataset, "merge_stores", side_effect=AssertionError("merged the stores")):
+            merge_into(path, new)
+        return copied.call_count
+
     def test_the_runs_of_a_canonical_store_are_copied_and_a_new_run_is_formatted(self, tmp_path):
         path = tmp_path / "store.csv"
         save_canonical(generated_store(runs=150), path)
-        merged = merge_stores(read_store(path), cells_store(("suite1/new/M0", "cycles", 1.0, True)))
-        oracles.csv_save_canonical(merged, tmp_path / "expected.csv")
-        with mock.patch.object(dataset, "_copied", wraps=dataset._copied) as copied, mock.patch.object(
-            files, "write_csv", side_effect=AssertionError("formatted the whole store")
-        ):
-            save_canonical(merged, path)
-        assert copied.call_count == 2  # the runs before the new one, and the runs after it
+        new = cells_store(("suite1/new/M0", "cycles", 1.0, True))
+        oracles.csv_save_canonical(merge_stores(read_store(path), new), tmp_path / "expected.csv")
+        assert self.splice(path, new) == 2  # the runs before the new one, and the runs after it
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_runs_with_names_of_several_bytes_are_copied_as_the_oracle_writes_them(self, tmp_path):
@@ -881,13 +902,9 @@ class TestSplicedSave:
             for event in CANONICAL_EVENTS[i % 3 : i % 3 + 2]
         ), path)
         with mock.patch("benchlens.dataset._READ_BYTES", 7):  # reads that end inside a character
-            merged = merge_stores(read_store(path), cells_store(("ünï/w20x/名前", "cycles", 1.0, True)))
-            oracles.csv_save_canonical(merged, tmp_path / "expected.csv")
-            with mock.patch.object(dataset, "_copied", wraps=dataset._copied) as copied, mock.patch.object(
-                files, "write_csv", side_effect=AssertionError("formatted the whole store")
-            ):
-                save_canonical(merged, path)
-        assert copied.call_count == 2
+            new = cells_store(("ünï/w20x/名前", "cycles", 1.0, True))
+            oracles.csv_save_canonical(merge_stores(read_store(path), new), tmp_path / "expected.csv")
+            assert self.splice(path, new) == 2
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("change", ["replaced", "rewritten longer", "rewritten in place"])
@@ -896,21 +913,28 @@ class TestSplicedSave:
         store = generated_store(runs=150)
         save_canonical(store, path)
         before = path.stat()
-        merged = merge_stores(read_store(path), cells_store(("suite0/new/M0", "cycles", 1.0, True)))
-        if change == "replaced":  # another file of the same size and mtime in its place
-            other.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
-            os.replace(other, path)
-        elif change == "rewritten longer":  # the same file, longer, with the same mtime
-            save_canonical(merge_stores(store, cells_store(("a/first/M0", "cycles", 1.0, True))), other)
-            path.write_bytes(other.read_bytes())
-        else:  # the same file and size, a second later
-            path.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
-        later = 10**9 if change == "rewritten in place" else 0
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + later))
-        changed = path.read_bytes()
-        with pytest.raises(StoreChanged, match=re.escape(str(path))):
-            save_canonical(merged, path)
-        assert path.read_bytes() == changed
+        read_cells, changed = dataset._read_cells, []
+
+        def read_then_change(read_path):
+            cells = read_cells(read_path)
+            if change == "replaced":  # another file of the same size and mtime in its place
+                other.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
+                os.replace(other, path)
+            elif change == "rewritten longer":  # the same file, longer, with the same mtime
+                save_canonical(merge_stores(store, cells_store(("a/first/M0", "cycles", 1.0, True))), other)
+                path.write_bytes(other.read_bytes())
+            else:  # the same file and size, a second later
+                path.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
+            later = 10**9 if change == "rewritten in place" else 0
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + later))
+            changed.append(path.read_bytes())
+            return cells
+
+        with pytest.raises(StoreChanged, match=re.escape(str(path))), mock.patch.object(
+            dataset, "_read_cells", read_then_change
+        ), mock.patch.object(dataset, "merge_stores", side_effect=AssertionError("merged the stores")):
+            merge_into(path, cells_store(("suite0/new/M0", "cycles", 1.0, True)))  # spliced
+        assert path.read_bytes() == changed[0]
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from benchlens import bundled, dataset
+from benchlens import bundled, dataset, files
 from benchlens.cli import main
 from benchlens.errors import StoreChanged
 
@@ -61,6 +61,16 @@ def store(tmp_path) -> Path:
     return path
 
 
+@pytest.fixture(params=["canonical", "quoted"])
+def either_store(request, store) -> Path:
+    """The bundled store, which an ingest splices, or the same store with a suite name that csv quotes, which it
+    merges and saves."""
+    if request.param == "quoted":
+        store.write_bytes(store.read_bytes().replace(b"\nfp_rate,", b'\n"fp,rate",'))
+    assert (dataset._read_cells(store)[-2] is None) == (request.param == "quoted")  # no run starts to splice at
+    return store
+
+
 def test_a_reader_that_saves_after_an_ingest_ran_to_the_end_is_refused(store, capsys):
     merged = dataset.merge_stores(dataset.read_store(store), parsed("900.first_r"))  # 1. read and merge
     assert main(ingest_args(store, "901.second_r")) == 0  # 2. an ingest runs to the end
@@ -72,14 +82,15 @@ def test_a_reader_that_saves_after_an_ingest_ran_to_the_end_is_refused(store, ca
     assert os.listdir(store.parent) == ["store.csv"]
 
 
-def test_an_ingest_whose_store_another_writer_replaced_exits_2_naming_the_store(store, capsys, monkeypatch):
-    merge = dataset.merge_stores
+def test_an_ingest_whose_store_another_writer_replaced_exits_2_naming_the_store(either_store, capsys, monkeypatch):
+    store, commit = either_store, files.commit
 
-    def merge_then_write_without_the_lock(existing, new):
-        dataset.save_canonical(merge(dataset.read_store(store), parsed("901.second_r")), store)
-        return merge(existing, new)
+    def write_without_the_lock_then_commit(artifacts):
+        monkeypatch.setattr(files, "commit", commit)  # the other writer's own save commits as usual
+        dataset.save_canonical(dataset.merge_stores(dataset.read_store(store), parsed("901.second_r")), store)
+        return commit(artifacts)
 
-    monkeypatch.setattr(dataset, "merge_stores", merge_then_write_without_the_lock)
+    monkeypatch.setattr(files, "commit", write_without_the_lock_then_commit)
     code = main(ingest_args(store, "900.first_r"))
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -91,17 +102,18 @@ def test_an_ingest_whose_store_another_writer_replaced_exits_2_naming_the_store(
     assert os.listdir(store.parent) == ["store.csv"]
 
 
-def test_an_ingest_that_starts_during_another_waits_for_it_and_both_runs_are_kept(store, capsys, monkeypatch):
-    merge = dataset.merge_stores
+def test_an_ingest_that_starts_during_another_waits_for_it_and_both_runs_are_kept(either_store, capsys, monkeypatch):
+    store, commit = either_store, files.commit
     second = []
 
-    def merge_while_another_ingest_starts(existing, new):
+    def commit_while_another_ingest_starts(artifacts):
+        monkeypatch.setattr(files, "commit", commit)  # the store's commit only, not that of `out/`
         second.append(spawn(store, "901.second_r"))
         with pytest.raises(subprocess.TimeoutExpired):  # it waits for this ingest's lock
             second[0].wait(timeout=2)
-        return merge(existing, new)
+        return commit(artifacts)
 
-    monkeypatch.setattr(dataset, "merge_stores", merge_while_another_ingest_starts)
+    monkeypatch.setattr(files, "commit", commit_while_another_ingest_starts)
     code = main(ingest_args(store, "900.first_r"))
     monkeypatch.undo()
     _, err = second[0].communicate(timeout=120)

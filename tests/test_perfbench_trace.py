@@ -46,16 +46,20 @@ def test_traced_report_and_ingest_calls_exit_0_without_a_traceback(tmp_path):
         "--countermap", str(bundled.sample_countermap_path()),
         "--suite", "int_rate", "--machine", "CPU-C", "--store", str(tmp_path / "store.csv"),
     ]
+    quoted = tmp_path / "quoted.csv"  # a store with a suite name that csv quotes, which an ingest cannot splice
+    quoted.write_bytes(bundled.sample_store_path().read_bytes().replace(b"\nfp_rate,", b'\n"fp,rate",'))
     calls = [
         ["report", *STORE, "--out", str(tmp_path / "out")],
         [*ingest, "--workload", "706.stockfish_r"],  # into a new store
-        [*ingest, "--workload", "999.copy_r"],       # merged into the store the first ingest wrote
+        [*ingest, "--workload", "999.copy_r"],       # spliced into the store the first ingest wrote
+        [*ingest[:-1], str(quoted), "--workload", "999.copy_r"],  # merged into the quoted store and saved
     ]
     outcomes, names = run_traced(tmp_path, calls)
     assert outcomes == [(0, None)] * len(calls)
     assert {"metrics.derive_store", "dataset.parse_counter_file"} <= names
-    # the store's read, merge and save, which an ingest into an existing store times
+    # the store's read, and the merge and save of an ingest into a store it cannot splice
     assert {"dataset.read_store", "dataset.merge_stores", "dataset.save_canonical"} <= names
+    assert "dataset.merge_into" in names  # the ingest step, a layer function of its own
     # each export's time stays in its own layer: the shared writer in files is no layer of its own
     assert {"metrics.export_metrics_csv", "features.export_csv"} <= names
     assert not [name for name in names if name.startswith("files.")]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import asdict, replace
 from unittest import mock
@@ -171,6 +172,18 @@ class TestSimulateRrr:
                 [profile],
                 RrrSchedule(order=("w",), copies=2, offsets=(0.5, 0.25)),
             )
+
+    @pytest.mark.parametrize("horizon, message", [(math.inf, "horizon must be finite, got inf"),
+                                                  (math.nan, "horizon must be finite, got nan")])
+    def test_a_horizon_that_is_not_finite_is_named(self, horizon, message):
+        profile = make_profile("w", ipc=1.0, instr_rate=1e9, l1i_mpki=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_rrr([profile], RrrSchedule(order=("w",), copies=1, horizon=horizon))
+
+    def test_a_period_that_overflows_is_named(self):
+        cactus, fotonik = (replace(p, duration=1e308) for p in icache_stress_pair())
+        with pytest.raises(ValueError, match="^mix period must be finite, got inf$"):
+            simulate_rrr([cactus, fotonik], RrrSchedule(order=(cactus.workload, fotonik.workload), copies=2))
 
 
 class TestBlendDistance:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from benchlens import dataset  # noqa: E402
 from benchlens.dataset import (  # noqa: E402
-    SCORES_HEADER, STORE_HEADER, Store, merge_stores, read_store, save_canonical, save_scores,
+    SCORES_HEADER, STORE_HEADER, Store, merge_into, merge_stores, read_store, save_canonical, save_scores,
 )
 from benchlens.errors import DuplicateKey  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS  # noqa: E402
@@ -274,15 +275,88 @@ def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, read_by
         # small reads: runs span blocks, and copies cut multi-byte names
         with mock.patch.object(dataset, "_READ_BYTES", read_bytes):
             existing = read_store(path)
-            assert (existing._source.spans is not None) == canonical
+            assert (dataset._read_cells(path)[-2] is not None) == canonical
             cells = {cell[:4] for cell in oracles.cells(existing)}
             run = existing.runs[0] if into_existing and existing.runs else ("new", "run", "M9")
             run = ("new", "run", "M9") if (*run, event) in cells else run
-            merged = merge_stores(existing, Store.from_cells([(*run, event, 7.0, True)]))
-            assert (merged._source.spans is not None) == (canonical and run not in existing.runs)
-            save_canonical(merged, path)
+            new = Store.from_cells([(*run, event, 7.0, True)])
+            merged = merge_stores(existing, new)
+            with mock.patch.object(dataset, "merge_stores", wraps=merge_stores) as merge:
+                merge_into(path, new)
+            assert (not merge.called) == (canonical and run not in existing.runs)  # spliced
         oracles.csv_save_canonical(merged, expected)
         assert path.read_bytes() == expected.read_bytes()
+
+
+# names whose order as tuples differs from that of their bytes: ("a",) < ("a+b",), but "a," > "a+b,"
+SPLICE_NAMES = st.sampled_from(["a", "a+b", "ab", "ünï", "名前", ""])
+
+
+@st.composite
+def one_run_stores(draw, runs):
+    """A store of one run, one of `runs` or a new one, with a few events."""
+    run = draw((st.sampled_from(runs) if runs else st.nothing()) | st.tuples(SPLICE_NAMES, SPLICE_NAMES, SPLICE_NAMES))
+    events = draw(st.dictionaries(EVENTS, st.tuples(VALUES, st.booleans()), min_size=1, max_size=4))
+    return Store.from_cells([(*run, event, value, flag) for event, (value, flag) in events.items()])
+
+
+@pytest.mark.parametrize("read_bytes", [7, 1 << 18])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    store=stores(names=SPLICE_NAMES),
+    damage=st.none() | st.tuples(st.integers(0, 1 << 16), st.sampled_from([None, *b'0,".\n\r\x00x-e\xff'])),
+)
+def test_merge_into_writes_the_bytes_of_read_merge_save_or_raises_its_error(read_bytes, data, store, damage):
+    """On a saved store file, or one with one byte changed or removed, `merge_into` writes what reading,
+    merging and saving write, or raises their first error, which is the read's when it fails, and keeps the
+    file's bytes."""
+    new = data.draw(one_run_stores(list(store.runs)))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataset, "_READ_BYTES", read_bytes):
+        path = Path(tmp) / "store.csv"
+        save_canonical(store, path)
+        if damage is not None:
+            saved, (at, byte) = path.read_bytes(), damage
+            at %= len(saved)
+            path.write_bytes(saved[:at] + (b"" if byte is None else bytes([byte])) + saved[at + 1:])
+        before = path.read_bytes()
+        _, read_error = raised_or_none(lambda: read_store(path))
+        _, expected_error = raised_or_none(lambda: save_canonical(merge_stores(read_store(path), new), path))
+        expected = path.read_bytes()
+        path.write_bytes(before)
+        with mock.patch.object(dataset, "merge_stores", wraps=merge_stores) as merge:
+            _, error = raised_or_none(lambda: merge_into(path, new))
+        hypothesis.event(f"raised {error[0].__name__}" if error else "merged" if merge.called else "spliced")
+        assert error == expected_error
+        if read_error is not None:  # a damaged store: ingest refuses it as the read does
+            assert error == read_error
+        assert path.read_bytes() == (before if error else expected)
+        assert os.listdir(tmp) == ["store.csv"]
+
+
+@pytest.mark.parametrize(
+    "runs, spliced",
+    [
+        ([("a", "w0", "m")], False),  # a run the store holds: merged, one more event
+        ([("", "w", "m")], True),  # sorts first
+        ([("名前", "w", "m")], True),  # sorts last
+        ([("a", "zz", "m")], True),  # after ("a", "w1", "m") and before ("a+b", ...), though "a,zz" > "a+b,"
+        ([("a", "zz", "m"), ("a+b", "w2", "m"), ("ab", "w", "m")], False),  # several new runs: merged
+    ],
+    ids=["held", "first", "last", "tuple_order", "several_runs"],
+)
+def test_merge_into_splices_a_new_run_at_its_place_in_tuple_order(runs, spliced, tmp_path):
+    path, expected = tmp_path / "store.csv", tmp_path / "expected.csv"
+    save_canonical(Store.from_cells(
+        (suite, f"w{i}", "m", event, float(i), True) for suite in ("a", "a+b", "ab") for i in range(2)
+        for event in ("cycles", "instructions")
+    ), path)
+    new = Store.from_cells([(*run, "loads", 7.5 + i, False) for i, run in enumerate(runs)])
+    oracles.csv_save_canonical(merge_stores(read_store(path), new), expected)
+    with mock.patch.object(dataset, "merge_stores", wraps=merge_stores) as merge:
+        merge_into(path, new)
+    assert (not merge.called) == spliced
+    assert path.read_bytes() == expected.read_bytes()
 
 
 # value texts at the edges of the whole-number law, "0.0" or [1-9][0-9]{0,14}".0", which a block parses from its
@@ -308,15 +382,15 @@ def test_value_texts_at_the_edges_of_the_whole_number_law_read_as_float_reads_th
         csv_route = mock.patch.object(dataset, "_csv_rows", side_effect=AssertionError("a plain store went through csv"))
         with mock.patch.object(dataset, "_READ_BYTES", read_bytes), csv_route if by_bytes else nullcontext():
             got, error = raised_or_none(lambda: read_store(path))
+            starts = None if error else dataset._read_cells(path)[-2]
     assert error == expected_error
     if expected is None:
         return
     oracles.assert_same_runs(got, expected)
     canonical = all(repr(float(text)) == text for text in texts)
     hypothesis.event("canonical" if canonical else "not canonical")
-    if canonical:  # the bytes save_canonical writes: each run's span of lines
+    if canonical:  # the bytes save_canonical writes: where each run's lines start
         stops = np.cumsum([len(header) + 1] + [len(line.encode()) + 1 for line in lines]).tolist()
-        firsts = range(0, len(lines), events)
-        assert got._source.spans.tolist() == [[stops[i], stops[min(i + events, len(lines))]] for i in firsts]
+        assert starts.tolist() == [stops[i] for i in range(0, len(lines), events)]
     else:
-        assert got._source.spans is None
+        assert starts is None
