@@ -8,7 +8,7 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 end-to-end medians it prints, whether the outputs were correct, the host the
 figures come from and the line count of ``src/benchlens`` (of the
 ``--baseline`` checkout's too). It also records
-seven scaling curves, timed in one child process that imports the checkout's
+eight scaling curves, timed in one child process that imports the checkout's
 benchlens. With ``--baseline DIR`` they are timed for the checkout at DIR as
 well, for a before and after from one script: ``CURVE_ROUNDS`` rounds each
 run one child per checkout, the two in alternating order (A B B A ...), each
@@ -24,7 +24,11 @@ pool of 50 workloads, and of ``dataset.read_store`` on stores of 52, 200 and
 500 workloads x 9 machines x 20 events that ``dataset.save_canonical``
 wrote: once with plain names (the byte route), once with every suite name
 holding a comma, so that csv quotes it (the csv route), and once with plain
-names and a scores CSV of one row per run joined (scored), and of
+names and a scores CSV of one row per run joined (scored), of
+``dataset.merge_into`` of one 20-event run into a fresh copy of two of those
+stores, each on the merge route rather than the splice: 20 events that one
+run of the plain store lacks (held), and a new run into the store that csv
+quotes (quoted), and of
 ``metrics.derive_store`` followed by ``features.build_matrix`` over every
 machine on stores of 52, 200 and 500 workloads x 9 machines whose counts
 make every metric valid.
@@ -49,7 +53,8 @@ the two in alternating order, pair i on seed ``--seed`` + 1 + i for both;
 ``paired_workloads`` holds, for each end-to-end metric, both medians, each
 side's quartiles and in how many pairs the checkout's value was lower.
 Standard library only. A ``--baseline`` checkout must be recent enough to have
-``files.commit`` and a ``derive_store`` that returns one ``Metrics`` array.
+``files.commit``, ``dataset.merge_into`` and a ``derive_store`` that returns
+one ``Metrics`` array.
 """
 
 from __future__ import annotations
@@ -86,11 +91,11 @@ def run_workload(name: str, seed: int, seconds: float, root: Path = ROOT) -> dic
 
 # Runs in the child with the checkout's src on sys.path; prints one JSON object.
 CURVES_CHILD = r"""
-import csv, json, statistics, tempfile, time, tracemalloc
+import csv, json, shutil, statistics, tempfile, time, tracemalloc
 from pathlib import Path
 import numpy as np
 from benchlens.cluster import build_dendrogram
-from benchlens.dataset import Store, read_store, save_canonical
+from benchlens.dataset import Store, merge_into, read_store, save_canonical
 from benchlens.events import CANONICAL_EVENTS, METRIC_DEFS
 from benchlens.features import build_matrix
 from benchlens.files import commit
@@ -106,6 +111,16 @@ def median_s(call, repeats):
     for _ in range(repeats):
         start = time.perf_counter()
         call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+def merge_s(store_path, new, repeats):  # merge_into of `new` into a fresh copy of the store file each time
+    times = []
+    for _ in range(repeats):
+        path = store_path.with_name("merged.csv")
+        shutil.copyfile(store_path, path)
+        start = time.perf_counter()
+        merge_into(path, new)
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
@@ -149,7 +164,11 @@ with tempfile.TemporaryDirectory() as tmp:
             "search_peak_mib": peak_mib(lambda: search_mix(pool, target, k, weights)),
             "export_peak_mib": peak_mib(lambda: export(ranked, Path(tmp) / "mixes.csv")),
         })
-    reads = []
+    reads, merges = [], []
+    # a run the plain store holds with 20 events it lacks, and a new run of the 20 canonical events for the
+    # store that csv quotes: neither is spliced, so both take the merge route
+    held = Store.from_cells(("fp_rate", "w000", "M0", f"raw.event{e:02d}", 1.0, True) for e in range(20))
+    fresh = Store.from_cells(("fp,rate", "new", "M0", event, 1.0, True) for event in CANONICAL_EVENTS)
     for workloads in (52, 200, 500):
         point = {"workloads": workloads, "rows": workloads * 9 * len(CANONICAL_EVENTS)}
         values = np.round(rng.uniform(0.0, 1e12, point["rows"])).tolist()
@@ -168,6 +187,9 @@ with tempfile.TemporaryDirectory() as tmp:
             )
         point["scored_median_s"] = median_s(lambda: read_store(Path(tmp) / "bytes.csv", scores), 7)
         reads.append(point)
+        merges.append({"workloads": workloads, "rows": point["rows"],
+                       "held_median_s": merge_s(Path(tmp) / "bytes.csv", held, 7),
+                       "quoted_median_s": merge_s(Path(tmp) / "csv.csv", fresh, 7)})
 
 def featurize(store, workloads, machines):
     return build_matrix(derive_store(store), workloads, machines)
@@ -185,7 +207,7 @@ for count in (52, 200, 500):
     featurized.append({"workloads": count, "runs": count * 9,
                        "median_s": median_s(lambda: featurize(store, workloads, machines), 7)})
 print(json.dumps({"dendrogram": dendrogram, "oracle": oracle, "proxy": proxy, "read_store": reads,
-                  "derive_featurize": featurized}))
+                  "merge_into": merges, "derive_featurize": featurized}))
 """
 
 
@@ -254,10 +276,10 @@ def paired_curves(root: Path, baseline: Path) -> tuple[dict, dict, dict]:
 
 
 def scaling_curves(points: dict) -> dict:
-    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv, read_store and
-    derive_store + build_matrix over sizes (`curve_points`), with fitted exponents."""
+    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv, read_store,
+    merge_into and derive_store + build_matrix over sizes (`curve_points`), with fitted exponents."""
     dendrogram, oracle, proxy, reads = points["dendrogram"], points["oracle"], points["proxy"], points["read_store"]
-    featurized = points["derive_featurize"]
+    merges, featurized = points["merge_into"], points["derive_featurize"]
     for point in oracle:
         point["candidates"] = math.comb(40, point["k"])
     return {
@@ -296,6 +318,16 @@ def scaling_curves(points: dict) -> dict:
                 f"exponent_in_rows_{route}": fitted_exponent([p["rows"] for p in reads],
                                                              [p[f"{route}_median_s"] for p in reads])
                 for route in ("bytes", "csv", "scored")
+            },
+        },
+        "merge_into": {
+            "machines": 9,
+            "events": 20,
+            "points": merges,
+            **{
+                f"exponent_in_rows_{case}": fitted_exponent([p["rows"] for p in merges],
+                                                            [p[f"{case}_median_s"] for p in merges])
+                for case in ("held", "quoted")
             },
         },
         "derive_featurize": {

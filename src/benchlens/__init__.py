@@ -7,7 +7,6 @@ from .dataset import (
     Store,
     load_counter_maps,
     merge_into,
-    merge_stores,
     parse_counter_file,
     read_store,
     save_canonical,
@@ -55,7 +54,6 @@ __all__ = [
     "loading_table",
     "medoid",
     "merge_into",
-    "merge_stores",
     "normalize",
     "oracle_best_subset",
     "parse_counter_file",

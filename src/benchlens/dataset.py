@@ -51,7 +51,6 @@ holds exactly those bytes: it was read by bytes, its lines run in (run, event
 name) order, no name is one csv would quote, every value text is `repr` of
 its value and the file ends in "\n". A store read from a file keeps a private
 `_Source`: the path and the file's (device, inode, size, mtime_ns).
-`merge_stores` carries the source of the existing store, and
 `save_canonical`, which formats every run, refuses to write a store whose
 file changed after it was read (`StoreChanged`), so a run that another
 writer added is never lost.
@@ -60,11 +59,8 @@ writer added is never lost.
 file that does not hold the new run it splices the run's lines, copying the
 file's bytes around them as they are, streamed, and builds no store of the
 file's cells; that splice is the only copy of a file's runs. Any other file
-is merged and saved from the cells already read.
-
-`merge_stores` joins two stores' arrays: it scatters both grids and masks
-into the union of their runs and events, and names the first cell the new
-store shares with the existing one, in the new store's cell order.
+is merged from the cells already read by `from_codes`, the one law of a
+repeated cell (`_merged`), and that store keeps the file's `_Source`.
 
 Raw platform event names are translated to the canonical vocabulary through a
 per-machine counter map loaded from a YAML manifest, with libyaml's loader
@@ -150,7 +146,7 @@ class Store:
     supported: np.ndarray  # runs x events; False where unsupported or absent
     wallclock: np.ndarray  # seconds per run; 1.0 without a scores row
     scores: np.ndarray     # running score per run; NaN without a scores row
-    _source: _Source | None = field(default=None, repr=False)  # set by read_store and merge_stores only
+    _source: _Source | None = field(default=None, repr=False)  # set by read_store and merge_into only
 
     def __post_init__(self):
         for name in ("values", "supported", "wallclock", "scores"):
@@ -187,10 +183,9 @@ class Store:
         runs, events = tuple(runs), tuple(events)
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         flat = rows * len(events) + cols
-        order = np.argsort(flat, kind="stable")
-        repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
-        if len(repeats):
-            i = int(repeats.min())
+        if len(flat) and np.bincount(flat).max() > 1:  # a cell repeats: find the first repeat in cell order
+            order = np.argsort(flat, kind="stable")
+            i = int(order[1:][flat[order[1:]] == flat[order[:-1]]].min())
             raise DuplicateKey(f"duplicate sample key {(*runs[rows[i]], events[cols[i]])}")
         grid = np.full((len(runs), len(events)), np.nan)
         grid[rows, cols] = values
@@ -768,7 +763,7 @@ def _lines(store: Store) -> Iterator[str]:
 def save_canonical(store: Store, path: str | Path) -> None:
     """Write the store CSV, every run formatted by `_lines`.
 
-    A store read from a file (see `read_store` and `merge_stores`) is written
+    A store read from a file (see `read_store` and `merge_into`) is written
     only while that file has the device, inode, size and mtime it had when it
     was read, checked before and after the store is written; else nothing is
     replaced and StoreChanged names the file.
@@ -796,54 +791,28 @@ def save_scores(store: Store, path: str | Path) -> None:
     files.commit([(path, lambda fh: files.write_csv(fh, SCORES_HEADER, lines))])
 
 
-def merge_stores(existing: Store, new: Store) -> Store:
-    """Union of the (run, event) cells of two stores; a cell in both raises DuplicateKey.
-
-    The first such cell in the new store's cell order (by run, then by event
-    name) is named. A run in both stores takes the new store's wallclock, and
-    its score unless only the existing store has one. An unmapped event
-    without cells in either store leaves the vocabulary. The merge keeps the
-    stamp of the file the existing store was read from, so that
-    `save_canonical` refuses a file that changed since.
-    """
-    runs = tuple(sorted(dict.fromkeys(existing.runs + new.runs)))  # two sorted stretches: a merge, not a sort
-    present = {
-        event
-        for store in (existing, new)
-        for event, filled in zip(store.events, (~np.isnan(store.values)).any(axis=0).tolist())
-        if filled
-    }
-    vocabulary = event_vocabulary(present)
-    run_index = {key: i for i, key in enumerate(runs)}
-    event_index = {event: j for j, event in enumerate(vocabulary)}
-    grid = np.full((len(runs), len(vocabulary)), np.nan)
-    mask = np.zeros(grid.shape, dtype=bool)
-    clocks = np.ones(len(runs))
-    marks = np.full(len(runs), np.nan)
-    for store in (existing, new):
-        kept = [j for j, event in enumerate(store.events) if event in event_index]
-        names = [store.events[j] for j in kept]
-        rows = np.fromiter(map(run_index.__getitem__, store.runs), dtype=np.intp, count=len(store.runs))
-        block = np.ix_(rows, [event_index[event] for event in names])
-        values, current = store.values[:, kept], grid[block]
-        filled = ~np.isnan(values)
-        taken = filled & ~np.isnan(current)
-        if taken.any():  # only the new store can collide, as neither store repeats a cell
-            by_name = sorted(range(len(names)), key=names.__getitem__)
-            i, j = np.argwhere(taken[:, by_name])[0]
-            raise DuplicateKey(f"duplicate sample key {(*store.runs[i], names[by_name[j]])}")
-        grid[block] = np.where(filled, values, current)
-        mask[block] = np.where(filled, store.supported[:, kept], mask[block])
-        clocks[rows] = store.wallclock
-        scored = ~np.isnan(store.scores)
-        marks[rows[scored]] = store.scores[scored]
-    return Store(runs, vocabulary, grid, mask, clocks, marks, existing._source)
+def _merged(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, values, supported, new: Store) -> Store:
+    """`Store.from_codes` of a store file's cells (`_read_cells`), then `new`'s present cells in (run, event
+    name) order: a repeat within the file is named first, then the first cell of `new` that the file holds."""
+    by_name = np.array(sorted(range(len(new.events)), key=new.events.__getitem__), dtype=np.intp)
+    new_rows, at = np.nonzero(~np.isnan(new.values[:, by_name]))
+    new_cols = by_name[at]
+    keys = list(dict.fromkeys(runs + new.runs))  # the file's runs keep their indices, and its events theirs
+    names = list(dict.fromkeys(events + new.events))
+    key_at, name_at = {key: i for i, key in enumerate(keys)}, {name: j for j, name in enumerate(names)}
+    new_keys = np.array([key_at[key] for key in new.runs], dtype=np.intp)
+    new_names = np.array([name_at[name] for name in new.events], dtype=np.intp)
+    return Store.from_codes(
+        *_codes(keys, np.concatenate([rows, new_keys[new_rows]]), names, np.concatenate([cols, new_names[new_cols]])),
+        np.concatenate([values, new.values[new_rows, new_cols]]),
+        np.concatenate([supported, new.supported[new_rows, new_cols]]),
+    )
 
 
 def merge_into(path: str | Path, new: Store) -> None:
-    """Merge `new` into the store file at `path`: the bytes and the errors of
-    `save_canonical(merge_stores(read_store(path), new), path)`. A missing
-    file is written as `new`.
+    """Write the cells of the store file at `path` and of `new` to that file,
+    or raise the first error of reading it, of a repeated (run, event) cell
+    (`_merged`) or of the save. A missing file is written as `new`.
 
     The file is read once (`_read_cells`). When `new` is one run that a
     canonical file does not hold, the file is spliced: its bytes before the
@@ -858,7 +827,7 @@ def merge_into(path: str | Path, new: Store) -> None:
         return
     *cells, starts, source = _read_cells(path)
     if starts is None or len(new.runs) != 1 or new.runs[0] in cells[0]:
-        save_canonical(merge_stores(replace(Store.from_codes(*cells), _source=source), new), path)
+        save_canonical(replace(_merged(*cells, new), _source=source), path)
         return
     place = bisect_left(cells[0], new.runs[0])  # runs sort as tuples, not as bytes
     end = source.stamp[2]  # the file's size when it was read

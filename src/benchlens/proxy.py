@@ -349,8 +349,8 @@ def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
 
     Each line is one CSV row, so a workload id holding a comma or a quote is
     written csv-quoted, as the store and `proxy_mixes.csv` write it. A
-    duration overrides the profile's measured pass length; `#` starts a
-    comment.
+    duration, finite and positive, overrides the profile's measured pass
+    length; `#` starts a comment.
     """
     entries: list[tuple[str, float | None]] = []
     with open(path, encoding="utf-8") as fh:
@@ -374,6 +374,8 @@ def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
                     duration = float(duration_field)
                 except ValueError:
                     raise ValueError(f"{path}:{line_no}: bad duration {duration_field!r}") from None
+                if not math.isfinite(duration):
+                    raise ValueError(f"{path}:{line_no}: duration must be finite, got {duration!r}")
                 if duration <= 0:
                     raise ValueError(f"{path}:{line_no}: duration must be positive")
             entries.append((workload, duration))

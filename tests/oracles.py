@@ -671,7 +671,8 @@ def assert_same_runs(store, records):
 
 
 def cell_merge_stores(existing, new):
-    """The merge that `dataset.merge_stores`' array join replaced: both stores' cells through one constructor."""
+    """Both stores' cells through one constructor, the new store's wallclocks and scores over the existing's:
+    the reference for `dataset.merge_into`, which writes a store file and so keeps neither (see `untimed`)."""
     wallclock = dict(zip(existing.runs, existing.wallclock.tolist()))
     wallclock.update(zip(new.runs, new.wallclock.tolist()))
     scores = {
@@ -681,6 +682,11 @@ def cell_merge_stores(existing, new):
         if score == score
     }
     return Store.from_cells(chain(cells(existing), cells(new)), wallclock=wallclock, scores=scores)
+
+
+def untimed(store):
+    """`store` as a store file holds it: every run's wallclock 1.0 and no score."""
+    return replace(store, wallclock=np.ones(len(store)), scores=np.full(len(store), np.nan))
 
 
 # The per-cell repr that `files.float_rows` replaced with one orjson call per

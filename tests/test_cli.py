@@ -290,6 +290,20 @@ class TestCompareAndProxy:
             assert payload["message"].startswith(f"{mix}:2: ")
 
 
+    @pytest.mark.parametrize("text, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+    def test_proxy_mix_with_a_duration_that_is_not_finite_names_its_line(self, tmp_path, capsys, text, shown):
+        out = tmp_path / "out"
+        mix = tmp_path / "mix.txt"
+        mix.write_text(f"709.cactus_r,{text}\n", encoding="utf-8")
+        code, stdout, err = run(
+            ["proxy", *base_args(out), "--machine", "CPU-C", "--suite", "fp_rate", "--mix", str(mix)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(err) == {
+            "stage": "proxy", "error": "ValueError", "message": f"{mix}:1: duration must be finite, got {shown}",
+        }
+        assert not out.exists()
+
     def test_proxy_mix_whose_period_overflows_names_it(self, tmp_path, capsys):
         out = tmp_path / "out"
         mix = tmp_path / "mix.txt"

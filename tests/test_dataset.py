@@ -31,7 +31,6 @@ from benchlens.dataset import (
     load_counter_maps,
     machines_in,
     merge_into,
-    merge_stores,
     parse_counter_file,
     read_store,
     save_canonical,
@@ -228,9 +227,13 @@ class TestCanonicalStore:
         with pytest.raises(SchemaMismatch):
             read_store(store, scores)
 
-    def test_merge_rejects_colliding_samples(self, sample_store):
+    def test_merge_rejects_colliding_samples(self, sample_store, tmp_path):
+        path = tmp_path / "store.csv"
+        save_canonical(sample_store, path)
+        before = path.read_bytes()
         with pytest.raises(DuplicateKey):
-            merge_stores(sample_store, sample_store.select(suite="int_rate"))
+            merge_into(path, sample_store.select(suite="int_rate"))
+        assert path.read_bytes() == before
 
 
 class TestRunRecord:
@@ -737,26 +740,53 @@ COLLISIONS = {
 }
 
 
-class TestMergeStores:
+class TestMergeInto:
+    """`merge_into` of a new store into a saved store file; the file holds no wallclocks or scores."""
+
     @pytest.mark.parametrize("case", sorted(MERGES))
-    def test_matches_the_per_row_oracle_and_the_cell_merge(self, case):
-        existing, new = MERGES[case]
-        merged = merge_stores(existing, new)
+    def test_matches_the_per_row_oracle_and_the_cell_merge(self, case, tmp_path):
+        existing, new = (oracles.untimed(store) for store in MERGES[case])
+        path = tmp_path / "store.csv"
+        save_canonical(existing, path)
+        merge_into(path, new)
+        merged = read_store(path)
         oracles.assert_same_runs(
             merged, oracles.merge_records(oracles.records_of(existing), oracles.records_of(new))
         )
         assert merged == oracles.cell_merge_stores(existing, new)  # vocabularies equal too
 
     @pytest.mark.parametrize("case", sorted(COLLISIONS))
-    def test_a_colliding_cell_names_the_first_in_the_new_stores_order(self, case):
+    def test_a_colliding_cell_names_the_first_in_the_new_stores_order(self, case, tmp_path):
         existing, new, cell = COLLISIONS[case]
         message = f"duplicate sample key {cell}"
         with pytest.raises(DuplicateKey) as oracle:
             oracles.merge_records(oracles.records_of(existing), oracles.records_of(new))
         assert str(oracle.value) == message
+        path = tmp_path / "store.csv"
+        save_canonical(existing, path)
+        before = path.read_bytes()
         with pytest.raises(DuplicateKey) as raised:
-            merge_stores(existing, new)
+            merge_into(path, new)
         assert str(raised.value) == message
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "lines, cell",
+        [
+            (["s,w3,m,cycles,1.0,true", "s,w1,m,cycles,1.0,true"], ("s", "w1", "m", "cycles")),
+            (
+                ["s,w1,m,cycles,1.0,true", "s,w3,m,cycles,1.0,true", "s,w3,m,cycles,2.0,true"],
+                ("s", "w3", "m", "cycles"),
+            ),
+        ],
+        ids=["runs_out_of_order", "a_repeat_within_the_file"],
+    )
+    def test_a_repeat_within_the_file_is_named_first_then_the_new_stores_first(self, tmp_path, lines, cell):
+        """Whatever the file's line order, its own repeat comes first, then the new store's first collision."""
+        path = write(tmp_path / "store.csv", "\n".join([",".join(STORE_HEADER), *lines]) + "\n")
+        new = cells_store(("s/w1/m", "cycles", 5.0, True), ("s/w3/m", "cycles", 5.0, True))
+        with pytest.raises(DuplicateKey, match=re.escape(f"duplicate sample key {cell}")):
+            merge_into(path, new)
 
 
 def generated_store(runs=1800):
@@ -791,10 +821,11 @@ class TestStoreMemory:
         assert loaded == store and store.cell_count == 36_000
         assert peak < 7 * 2**20
 
-    def test_merging_one_run_into_36000_rows_stays_under_2_mib(self):
-        store = generated_store()
+    def test_merging_one_run_into_36000_rows_stays_under_2_mib(self, tmp_path):
+        save_canonical(generated_store(), tmp_path / "store.csv")
+        *cells, _, _ = dataset._read_cells(tmp_path / "store.csv")
         new = cells_store(*(("suite0/new/M0", event, 1.0, True) for event in CANONICAL_EVENTS))
-        merged, peak = traced_peak(lambda: merge_stores(store, new))
+        merged, peak = traced_peak(lambda: dataset._merged(*cells, new))  # the merge route's step
         assert merged.cell_count == 36_020
         assert peak < 2 * 2**20
 
@@ -802,7 +833,7 @@ class TestStoreMemory:
         path = tmp_path / "store.csv"
         save_canonical(generated_store(), path)
         new = cells_store(*(("suite0/new/M0", event, 1.0, True) for event in CANONICAL_EVENTS))
-        merged = merge_stores(read_store(path), new)
+        merged = oracles.cell_merge_stores(read_store(path), new)
         commit, peaks = files.commit, []
         with mock.patch.object(files, "commit", lambda pairs: peaks.append(traced_peak(lambda: commit(pairs))[1])):
             merge_into(path, new)  # the splice's write, traced apart from the read
@@ -877,11 +908,11 @@ class TestSafeSave:
 class TestSplicedSave:
     @staticmethod
     def splice(path, new):
-        """`merge_into(path, new)`, failing if it formats the whole store or merges the stores; and the calls
+        """`merge_into(path, new)`, failing if it formats the whole store or merges the cells; and the calls
         of `_copied` it made."""
         with mock.patch.object(dataset, "_copied", wraps=dataset._copied) as copied, mock.patch.object(
             files, "write_csv", side_effect=AssertionError("formatted the whole store")
-        ), mock.patch.object(dataset, "merge_stores", side_effect=AssertionError("merged the stores")):
+        ), mock.patch.object(dataset, "_merged", side_effect=AssertionError("merged the cells")):
             merge_into(path, new)
         return copied.call_count
 
@@ -889,7 +920,7 @@ class TestSplicedSave:
         path = tmp_path / "store.csv"
         save_canonical(generated_store(runs=150), path)
         new = cells_store(("suite1/new/M0", "cycles", 1.0, True))
-        oracles.csv_save_canonical(merge_stores(read_store(path), new), tmp_path / "expected.csv")
+        oracles.csv_save_canonical(oracles.cell_merge_stores(read_store(path), new), tmp_path / "expected.csv")
         assert self.splice(path, new) == 2  # the runs before the new one, and the runs after it
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
@@ -903,7 +934,7 @@ class TestSplicedSave:
         ), path)
         with mock.patch("benchlens.dataset._READ_BYTES", 7):  # reads that end inside a character
             new = cells_store(("ünï/w20x/名前", "cycles", 1.0, True))
-            oracles.csv_save_canonical(merge_stores(read_store(path), new), tmp_path / "expected.csv")
+            oracles.csv_save_canonical(oracles.cell_merge_stores(read_store(path), new), tmp_path / "expected.csv")
             assert self.splice(path, new) == 2
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
@@ -921,7 +952,8 @@ class TestSplicedSave:
                 other.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
                 os.replace(other, path)
             elif change == "rewritten longer":  # the same file, longer, with the same mtime
-                save_canonical(merge_stores(store, cells_store(("a/first/M0", "cycles", 1.0, True))), other)
+                first = cells_store(("a/first/M0", "cycles", 1.0, True))
+                save_canonical(oracles.cell_merge_stores(store, first), other)
                 path.write_bytes(other.read_bytes())
             else:  # the same file and size, a second later
                 path.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
@@ -932,7 +964,7 @@ class TestSplicedSave:
 
         with pytest.raises(StoreChanged, match=re.escape(str(path))), mock.patch.object(
             dataset, "_read_cells", read_then_change
-        ), mock.patch.object(dataset, "merge_stores", side_effect=AssertionError("merged the stores")):
+        ), mock.patch.object(dataset, "_merged", side_effect=AssertionError("merged the cells")):
             merge_into(path, cells_store(("suite0/new/M0", "cycles", 1.0, True)))  # spliced
         assert path.read_bytes() == changed[0]
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from benchlens.dataset import Store, merge_stores
+from benchlens.dataset import Store, merge_into, read_store, save_canonical
 from benchlens.events import CANONICAL_EVENTS, event_vocabulary
 from benchlens.proxy import WorkloadProfile, _rate_array
 
@@ -14,12 +14,14 @@ def test_canonical_events_come_first_and_the_rest_sorted_once():
     assert event_vocabulary([]) == CANONICAL_EVENTS
 
 
-def test_store_merge_and_blend_rates_share_the_order():
+def test_store_merge_and_blend_rates_share_the_order(tmp_path):
     def store(workload, events):
         return Store.from_cells([("s", workload, "m", event, 1.0, True) for event in events])
 
     expected = event_vocabulary(UNMAPPED)
     assert store("w1", UNMAPPED).events == expected
-    assert merge_stores(store("w1", UNMAPPED[:2]), store("w2", UNMAPPED[2:])).events == expected
+    save_canonical(store("w1", UNMAPPED[:2]), tmp_path / "store.csv")
+    merge_into(tmp_path / "store.csv", store("w2", UNMAPPED[2:]))
+    assert read_store(tmp_path / "store.csv").events == expected
     profiles = [WorkloadProfile(workload=f"w{i}", rates={event: 1.0}, duration=1.0) for i, event in enumerate(UNMAPPED)]
     assert _rate_array(profiles)[1] == expected

@@ -72,11 +72,11 @@ def either_store(request, store) -> Path:
 
 
 def test_a_reader_that_saves_after_an_ingest_ran_to_the_end_is_refused(store, capsys):
-    merged = dataset.merge_stores(dataset.read_store(store), parsed("900.first_r"))  # 1. read and merge
+    held = dataset.read_store(store)  # 1. read
     assert main(ingest_args(store, "901.second_r")) == 0  # 2. an ingest runs to the end
     after = store.read_bytes()
     with pytest.raises(StoreChanged, match=re.escape(str(store))):
-        dataset.save_canonical(merged, store)  # 3. save
+        dataset.save_canonical(held, store)  # 3. save
     assert store.read_bytes() == after
     assert "901.second_r" in workloads(store)
     assert os.listdir(store.parent) == ["store.csv"]
@@ -87,7 +87,7 @@ def test_an_ingest_whose_store_another_writer_replaced_exits_2_naming_the_store(
 
     def write_without_the_lock_then_commit(artifacts):
         monkeypatch.setattr(files, "commit", commit)  # the other writer's own save commits as usual
-        dataset.save_canonical(dataset.merge_stores(dataset.read_store(store), parsed("901.second_r")), store)
+        dataset.merge_into(store, parsed("901.second_r"))
         return commit(artifacts)
 
     monkeypatch.setattr(files, "commit", write_without_the_lock_then_commit)

@@ -57,8 +57,8 @@ def test_traced_report_and_ingest_calls_exit_0_without_a_traceback(tmp_path):
     outcomes, names = run_traced(tmp_path, calls)
     assert outcomes == [(0, None)] * len(calls)
     assert {"metrics.derive_store", "dataset.parse_counter_file"} <= names
-    # the store's read, and the merge and save of an ingest into a store it cannot splice
-    assert {"dataset.read_store", "dataset.merge_stores", "dataset.save_canonical"} <= names
+    # the store's read, and the save of an ingest into a store it cannot splice
+    assert {"dataset.read_store", "dataset.save_canonical"} <= names
     assert "dataset.merge_into" in names  # the ingest step, a layer function of its own
     # each export's time stays in its own layer: the shared writer in files is no layer of its own
     assert {"metrics.export_metrics_csv", "features.export_csv"} <= names

@@ -461,3 +461,23 @@ class TestMixSpecFile:
         cactus, _ = icache_stress_pair()
         with pytest.raises(UnknownWorkload):
             apply_mix_spec([cactus], [("ghost", None)])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nan", "duration must be finite, got nan"),
+            ("inf", "duration must be finite, got inf"),
+            ("-inf", "duration must be finite, got -inf"),
+            ("1e400", "duration must be finite, got inf"),
+            ("0", "duration must be positive"),
+            ("-0.0", "duration must be positive"),
+        ],
+    )
+    def test_a_duration_that_is_not_positive_and_finite_names_its_line(self, tmp_path, text, message):
+        from benchlens.proxy import read_mix_file
+
+        spec = tmp_path / "mix.txt"
+        spec.write_text(f"749.fotonik3d_r\n709.cactus_r,{text}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            read_mix_file(spec)
+        assert str(raised.value) == f"{spec}:2: {message}"

@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from benchlens import dataset  # noqa: E402
 from benchlens.dataset import (  # noqa: E402
-    SCORES_HEADER, STORE_HEADER, Store, merge_into, merge_stores, read_store, save_canonical, save_scores,
+    SCORES_HEADER, STORE_HEADER, Store, merge_into, read_store, save_canonical, save_scores,
 )
 from benchlens.errors import DuplicateKey  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS  # noqa: E402
@@ -71,19 +71,25 @@ def test_write_read_write_is_byte_identical_and_matches_the_oracle(store):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(existing=stores(), new=stores(max_cells=8))
 def test_merge_matches_the_oracle(existing, new):
-    try:
-        expected = oracles.merge_records(oracles.records_of(existing), oracles.records_of(new))
-    except DuplicateKey as exc:
-        with pytest.raises(DuplicateKey) as raised:
-            merge_stores(existing, new)
-        assert str(raised.value) == str(exc)
-    else:
-        merged = merge_stores(existing, new)
-        oracles.assert_same_runs(merged, expected)
-        assert merged == oracles.cell_merge_stores(existing, new)  # vocabularies equal too
-    if len(existing):
-        with pytest.raises(DuplicateKey):
-            merge_stores(existing, existing)
+    """`merge_into` of `new` into a file of `existing`; the file holds no wallclocks or scores."""
+    existing, new = oracles.untimed(existing), oracles.untimed(new)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.csv"
+        save_canonical(existing, path)
+        try:
+            expected = oracles.merge_records(oracles.records_of(existing), oracles.records_of(new))
+        except DuplicateKey as exc:
+            with pytest.raises(DuplicateKey) as raised:
+                merge_into(path, new)
+            assert str(raised.value) == str(exc)
+        else:
+            merge_into(path, new)
+            merged = read_store(path)
+            oracles.assert_same_runs(merged, expected)
+            assert merged == oracles.cell_merge_stores(existing, new)  # vocabularies equal too
+        if len(existing):
+            with pytest.raises(DuplicateKey):
+                merge_into(path, existing)
 
 
 GOOD_ROW = st.builds(
@@ -280,8 +286,8 @@ def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, read_by
             run = existing.runs[0] if into_existing and existing.runs else ("new", "run", "M9")
             run = ("new", "run", "M9") if (*run, event) in cells else run
             new = Store.from_cells([(*run, event, 7.0, True)])
-            merged = merge_stores(existing, new)
-            with mock.patch.object(dataset, "merge_stores", wraps=merge_stores) as merge:
+            merged = oracles.cell_merge_stores(existing, new)
+            with mock.patch.object(dataset, "_merged", wraps=dataset._merged) as merge:
                 merge_into(path, new)
             assert (not merge.called) == (canonical and run not in existing.runs)  # spliced
         oracles.csv_save_canonical(merged, expected)
@@ -321,10 +327,12 @@ def test_merge_into_writes_the_bytes_of_read_merge_save_or_raises_its_error(read
             path.write_bytes(saved[:at] + (b"" if byte is None else bytes([byte])) + saved[at + 1:])
         before = path.read_bytes()
         _, read_error = raised_or_none(lambda: read_store(path))
-        _, expected_error = raised_or_none(lambda: save_canonical(merge_stores(read_store(path), new), path))
+        _, expected_error = raised_or_none(
+            lambda: save_canonical(oracles.cell_merge_stores(read_store(path), new), path)
+        )
         expected = path.read_bytes()
         path.write_bytes(before)
-        with mock.patch.object(dataset, "merge_stores", wraps=merge_stores) as merge:
+        with mock.patch.object(dataset, "_merged", wraps=dataset._merged) as merge:
             _, error = raised_or_none(lambda: merge_into(path, new))
         hypothesis.event(f"raised {error[0].__name__}" if error else "merged" if merge.called else "spliced")
         assert error == expected_error
@@ -352,8 +360,8 @@ def test_merge_into_splices_a_new_run_at_its_place_in_tuple_order(runs, spliced,
         for event in ("cycles", "instructions")
     ), path)
     new = Store.from_cells([(*run, "loads", 7.5 + i, False) for i, run in enumerate(runs)])
-    oracles.csv_save_canonical(merge_stores(read_store(path), new), expected)
-    with mock.patch.object(dataset, "merge_stores", wraps=merge_stores) as merge:
+    oracles.csv_save_canonical(oracles.cell_merge_stores(read_store(path), new), expected)
+    with mock.patch.object(dataset, "_merged", wraps=dataset._merged) as merge:
         merge_into(path, new)
     assert (not merge.called) == spliced
     assert path.read_bytes() == expected.read_bytes()
