@@ -20,7 +20,8 @@ two does not read as a difference. The curves are the median time of
 n = 100 ... 1,600 rows of 8 scores, of ``subset.oracle_best_subset`` at
 k = 2, 3, 4 on 40 workloads x 9 machines, of ``proxy.search_mix`` and
 of writing its ranking with ``proxy.export_mixes_csv`` at k = 1, 2, 3 on a
-pool of 50 workloads, and of ``dataset.read_store`` on stores of 52, 200 and
+pool of 50 workloads (and at k = 3 once more with one name that csv quotes,
+so every mix cell holding it is quoted), and of ``dataset.read_store`` on stores of 52, 200 and
 500 workloads x 9 machines x 20 events that ``dataset.save_canonical``
 wrote: once with plain names (the byte route), once with every suite name
 holding a comma, so that csv quotes it (the csv route), and once with plain
@@ -164,6 +165,8 @@ with tempfile.TemporaryDirectory() as tmp:
             "search_peak_mib": peak_mib(lambda: search_mix(pool, target, k, weights)),
             "export_peak_mib": peak_mib(lambda: export(ranked, Path(tmp) / "mixes.csv")),
         })
+    quoted = search_mix([WorkloadProfile("w,00", pool[0].rates, 1.0), *pool[1:]], target, 3, weights)
+    proxy[-1]["quoted_export_median_s"] = median_s(lambda: export(quoted, Path(tmp) / "mixes.csv"), 5)
     reads, merges = [], []
     # a run the plain store holds with 20 events it lacks, and a new run of the 20 canonical events for the
     # store that csv quotes: neither is spliced, so both take the merge route
@@ -276,8 +279,9 @@ def paired_curves(root: Path, baseline: Path) -> tuple[dict, dict, dict]:
 
 
 def scaling_curves(points: dict) -> dict:
-    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv, read_store,
-    merge_into and derive_store + build_matrix over sizes (`curve_points`), with fitted exponents."""
+    """Median times of build_dendrogram, oracle_best_subset, search_mix, export_mixes_csv (also of a pool with
+    a quoted name), read_store, merge_into and derive_store + build_matrix over sizes (`curve_points`), with
+    fitted exponents."""
     dendrogram, oracle, proxy, reads = points["dendrogram"], points["oracle"], points["proxy"], points["read_store"]
     merges, featurized = points["merge_into"], points["derive_featurize"]
     for point in oracle:
@@ -310,6 +314,8 @@ def scaling_curves(points: dict) -> dict:
             }
             for name, key in (("search_mix", "search"), ("export_mixes_csv", "export"))
         },
+        "export_mixes_csv_quoted": {"workloads": 50, "k": 3, "mixes": proxy[-1]["mixes"],
+                                    "median_s": proxy[-1]["quoted_export_median_s"]},
         "read_store": {
             "machines": 9,
             "events": 20,

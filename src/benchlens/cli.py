@@ -96,6 +96,13 @@ class PipelineConfig:
             raise ConfigError("threshold and groups are mutually exclusive")
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget}")
+        for name in ("mix_k", "groups", "subset_k", "pcs"):
+            if (value := getattr(self, name)) is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.threshold is not None and not self.threshold >= 0:  # NaN too
+            raise ConfigError(f"threshold must be >= 0, got {self.threshold!r}")
+        if self.variance is not None and not 0 < self.variance <= 1:
+            raise ConfigError(f"variance must be in (0, 1], got {self.variance!r}")
         if self.linkage not in cluster_mod.LINKAGES:
             raise ConfigError(f"linkage must be one of {cluster_mod.LINKAGES}")
         unknown = [f for f in self.format if f not in FORMATS]

@@ -16,7 +16,7 @@ line, and the lines go out `CHUNK` rows per write (`chunks`). The bytes are
 those of `csv.writer` writing the same cells.
 
 The rows of a float array are formatted by `float_rows`, a chunk of rows at a
-time by `float_block`: a number is still `repr`'s bytes, with the digits taken
+time through `float_json`: a number is still `repr`'s bytes, with the digits taken
 from orjson where the two texts are the same. Both write the shortest digits
 that read back as the same double (orjson through Ryū), and both write them
 without an exponent for 0.0, -0.0 and every finite |x| in [1e-4, 1e16).
@@ -101,23 +101,24 @@ def write_csv(fh: TextIO, header: Sequence[str], lines: Iterable[str]) -> None:
 def float_rows(values: np.ndarray, nan: str = "nan") -> Iterator[str]:
     """Each row of the 2-D float array `values` as `",".join(map(repr, row))`, NaN cells as `nan`.
 
-    Rows are formatted CHUNK at a time by `float_block`, as they are iterated.
+    Rows are formatted CHUNK at a time, each chunk by one `float_json` call, as they are iterated.
     """
     for lo in range(0, len(values), CHUNK):
-        yield from float_block(values[lo:lo + CHUNK], nan)
+        block = np.ascontiguousarray(values[lo:lo + CHUNK], dtype=np.float64)
+        text, unlike = float_json(block, nan)
+        rows = text[2:-2].decode().split("],[")
+        for i in np.flatnonzero(unlike).tolist():
+            rows[i] = ",".join(map(repr, block[i].tolist())).replace("nan", nan)
+        yield from rows
 
 
-def float_block(block: np.ndarray, nan: str = "nan") -> list[str]:
-    """Each row of the 2-D float array `block`, which has at least one row, as `",".join(map(repr, row))`,
-    NaN cells as `nan`, by one orjson call (see the module docstring)."""
+def float_json(block: np.ndarray, nan: str) -> tuple[bytes, np.ndarray]:
+    """orjson's text of the C-contiguous float64 `block`, `[[a,b],[c,d]]` with NaN cells as `nan`, and which of
+    its rows hold a cell that orjson writes unlike `repr` (see the module docstring)."""
     low, high = POSITIONAL
-    block = np.ascontiguousarray(block, dtype=np.float64)
     size, missing = np.abs(block), np.isnan(block)
     same = (size == 0.0) | ((size >= low) & (size < high)) | missing
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-    if missing.any():
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    if missing.any():  # a search for "null" costs a third of the dumps
         text = text.replace(b"null", nan.encode())
-    rows = text.decode().split("],[")
-    for i in np.flatnonzero(~same.all(axis=1)).tolist():
-        rows[i] = ",".join(map(repr, block[i].tolist())).replace("nan", nan)
-    return rows
+    return text, ~same.all(axis=1)

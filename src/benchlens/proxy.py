@@ -25,6 +25,10 @@ Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
   before its stdev); a blend with no metric that counts raises
   NoCommonMetrics.
 
+A ranking puts mixes closest first: by distance, then by order tuple (names
+in sorted order, a shorter prefix first). `search_mix` sorts stably by
+distance, then puts each run of equal distances in order tuple order.
+
 `simulate_rrr` walks any schedule segment by segment to get its steps, and
 `blend_markdown` blends each constituent over one pass. `search_mix` blends
 a pool's mixes as rows of arrays, one `stats.subset_rows` chunk at a time, on
@@ -204,8 +208,7 @@ class DistanceReport:
 
 def _distances(values: np.ndarray, target: MetricVector, weights, scales) -> tuple[np.ndarray, np.ndarray]:
     """Each row's distance to the target and which of its metrics count; a row holds one blend's metrics."""
-    squared = np.zeros(len(values))
-    used = np.zeros(values.shape, dtype=bool)
+    factors = np.zeros((len(METRIC_NAMES), 3))  # each counted metric's target, stdev and weight; else weight 0
     for j, metric in enumerate(METRIC_NAMES):
         weight = weights.get(metric, 0.0)
         if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
@@ -214,12 +217,18 @@ def _distances(values: np.ndarray, target: MetricVector, weights, scales) -> tup
         if not math.isfinite(stdev):  # as with a weight
             raise ValueError(f"stdev for {metric!r} must be finite, got {stdev!r}")
         t = target.get(metric)
-        if weight == 0 or t is None or stdev <= 0:  # stdev 0: constant over the pool
-            continue
-        used[:, j] = ~np.isnan(values[:, j])
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = (values[:, j] - t) / stdev
-            squared = np.where(used[:, j], squared + weight * diff * diff, squared)
+        if weight != 0 and t is not None and stdev > 0:  # stdev 0: constant over the pool
+            factors[j] = t, stdev, weight
+    t, stdev, weight = factors.T
+    used = ~np.isnan(values) & (weight != 0)
+    with np.errstate(all="ignore"):
+        diff = (values - t) / stdev
+        terms = weight * diff
+        terms *= diff  # in place, so a block holds no more than two temporaries
+    terms[~used] = 0.0
+    squared = np.zeros(len(values))
+    for term in terms.T:  # in METRIC_NAMES order, as the per-metric loop adds (a sum would add pairwise);
+        squared += term   # a 0.0 term leaves a sum of nonnegative terms as it was
     return np.sqrt(squared), used
 
 
@@ -297,8 +306,8 @@ def search_mix(
 
     Every candidate mix is scored on an equal-duration schedule (one pass
     per workload per period, one copy per constituent) so that ranking
-    reflects the blend composition rather than measured pass lengths. Ties
-    on distance go to the lower order tuple.
+    reflects the blend composition rather than measured pass lengths. Mixes
+    are ranked as the module docstring states.
 
     Mixes are blended, derived and measured as rows of arrays, size by size and
     one `stats.subset_rows` chunk (`files.CHUNK` mixes or a few more) at a
@@ -339,8 +348,10 @@ def search_mix(
                     key = ("rrr", "+".join(names[j] for j in rows[i]), "blend")
                     raise row_error(key, scored[block.start + i, 1:].tolist(), failure[i])
                 raise NoCommonMetrics("no weighted metric is available on both sides")
-    # order tuples compare like their pool indices, a shorter prefix (-1 padding) first
-    rank = np.lexsort((*mixes.T[::-1], scored[:, 0]))
+    rank = np.argsort(scored[:, 0], kind="stable")
+    tied = np.append(scored[rank[1:], 0] == scored[rank[:-1], 0], False)  # rank[i] ties with rank[i + 1]
+    tied = np.flatnonzero(tied | np.roll(tied, 1))  # the runs of equal distances, each put in order tuple order
+    rank[tied] = rank[tied][np.lexsort((*mixes[rank[tied]].T[::-1], scored[rank[tied], 0]))]
     return RankedMixes([replace(p, duration=1.0) for p in pool], mixes, scored, rank, target_name)
 
 
@@ -410,12 +421,15 @@ def export_mixes_csv(ranked: Sequence[tuple[tuple[str, ...], BlendProfile]], fh:
     Lines follow the one CSV line law (see `files`): the rank, the mix cell,
     `repr` of the distance (never blanked; blank for a distance of None) and
     `repr` of each metric, blank where unavailable. Each CHUNK rows are one
-    text: one `files.float_block` formats their distances and metrics with NaN
-    blank, and a NaN distance is written back. The a+b+c mix cell is csv's
-    quoting of the joined text, which is the text itself when every name is
-    bare; then it is built from one cell per pool member. A `RankedMixes` is
-    written straight from its arrays, a chunk of ranked rows at a time,
-    without simulating a blend; any other sequence from its BlendProfiles.
+    byte template filled by one `%`: `files.float_json` writes their floats
+    `[[d,m,...],...]`, NaN blank, and a row it writes unlike `repr`, or with a
+    NaN distance, is spliced in from `files.float_rows`. Each `]` becomes a
+    line end and the next `%d` rank, each `[` the `%b` pieces of a mix cell,
+    so names never enter the template. The a+b+c cell is csv's quoting of the
+    joined text; when every name is bare its pieces are the first name, then
+    `+name` each, `b""` for padding. A `RankedMixes` is written straight from
+    its arrays, a chunk of ranked rows at a time, without simulating a blend;
+    any other sequence from its BlendProfiles.
     """
     text = files.CsvText()
     starts = range(0, len(ranked), files.CHUNK)
@@ -432,29 +446,33 @@ def export_mixes_csv(ranked: Sequence[tuple[tuple[str, ...], BlendProfile]], fh:
             [[distance, *map(blend.metrics.get, METRIC_NAMES)] for distance, (_, blend) in zip(distances, ranked)],
             dtype=float,
         )
-        written = np.array([distance is not None for distance in distances])
-        chunks = ((lo, *(part[lo:lo + files.CHUNK] for part in (mixes, scored, written))) for lo in starts)
+        arrays = (mixes, scored, np.array([distance is not None for distance in distances]))  # last: written
+        chunks = ((lo, *(array[lo:lo + files.CHUNK] for array in arrays)) for lo in starts)
     bare = all(text[name] == name for name in names)
-    first, later = (np.array([*cells, ""], dtype=object) for cells in (names, [f"+{name}" for name in names]))
-
-    def lines(lo: int, mixes: np.ndarray, scored: np.ndarray, written) -> str:
-        if bare:  # a -1 of the padding picks the last cell, ""
-            cells = [first[mixes[:, 0]].tolist(), *(later[mixes[:, c]].tolist() for c in range(1, mixes.shape[1]))]
+    first, later = (np.array([*(name.encode() for name in cells), b""], dtype=object)
+                    for cells in (names, [f"+{name}" for name in names]))
+    fh.write(",".join(["rank", "mix", "distance", *METRIC_NAMES]) + "\n")
+    fh.flush()  # the chunks go to the bytes below it
+    for lo, mixes, scored, written in chunks:
+        if bare:  # a -1 of the padding picks the last piece, b""
+            pieces = [first[mixes[:, 0]], *(later[mixes[:, c]] for c in range(1, mixes.shape[1]))]
         else:
-            cells = [[text["+".join(names[j] for j in mix if j >= 0)] for mix in mixes.tolist()]]
-        rows = files.float_block(scored, nan="")
-        for i in np.flatnonzero(np.isnan(scored[:, 0]) & written).tolist():
-            rows[i] = "nan" + rows[i]
-        n = len(rows)
-        columns = [map(str, range(lo + 1, lo + n + 1)), [","] * n, *cells, [","] * n, rows, ["\n"] * n]
-        parts = [""] * (len(columns) * n)
-        for c, column in enumerate(columns):  # line i is parts[i * len(columns):][:len(columns)]
-            parts[c::len(columns)] = column
-        return "".join(parts)
-
-    header = ",".join(["rank", "mix", "distance", *METRIC_NAMES]) + "\n"
-    fh.write(header)
-    fh.writelines(lines(*chunk) for chunk in chunks)
+            pieces = [[text["+".join(names[j] for j in mix if j >= 0)].encode() for mix in mixes.tolist()]]
+        ranks = range(lo + 2, lo + len(mixes) + 2)  # each row's pieces are followed by the next row's rank
+        args = np.array([*pieces, ranks], dtype=object).T.ravel()[:-1].tolist()
+        body, unlike = files.float_json(scored, "")
+        nan = np.isnan(scored[:, 0]) & written  # a NaN distance is "nan"; one of None is blank
+        rows = np.flatnonzero(unlike | nan).tolist()
+        if rows:  # row i's text lies between the "]" of row i - 1 and its own
+            ends, parts, at = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("]")).tolist(), [], 0
+            for i, line in zip(rows, files.float_rows(scored[rows], "")):
+                parts += [body[at:ends[i - 1] + 3 if i else 2], (("nan" if nan[i] else "") + line).encode()]
+                at = ends[i]
+            body = b"".join([*parts, body[at:]])
+        body = body[1:-2]  # one statement per copy, so no more than two copies are alive
+        body = body.replace(b"]", b"\n%d")
+        body = body.replace(b"[", b"%b" * len(pieces) + b",")
+        fh.buffer.writelines([b"%d," % (lo + 1), body % tuple(args), b"\n"])
 
 
 def blend_markdown(

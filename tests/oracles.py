@@ -6,6 +6,7 @@ per-pair Python scan instead of one array minimum per merge,
 covariance eigendecomposition instead of SVD, plain-loop moments, log-domain
 geometric means, one RRR simulation per proxy mix instead of arrays over all
 mixes, per-event and per-metric loops instead of one array pass per law,
+a lexsort over every key of a ranking instead of a stable sort that repairs ties,
 per-row counter objects instead of a columnar store, one MetricVector per
 run read back one metric at a time instead of one metric array, a per-field
 loop of the metric bounds instead of one array pass, one constructor over
@@ -436,6 +437,38 @@ def search_mix_by_simulation(profiles, target, max_constituents, weights, *, sca
             ranked.append((report.distance, order, blend))
     ranked.sort(key=lambda item: (item[0], item[1]))
     return [(order, blend) for _, order, blend in ranked]
+
+
+# The per-metric loop and the 4-key lexsort that `proxy._distances` and
+# `proxy.search_mix` replaced with one array pass over all counted metrics and
+# a stable distance sort whose ties are put in order.
+
+
+def loop_distances(values: np.ndarray, target: MetricVector, weights, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distance to the target and which of its metrics count, one metric column at a time."""
+    squared = np.zeros(len(values))
+    used = np.zeros(values.shape, dtype=bool)
+    for j, metric in enumerate(METRIC_NAMES):
+        weight = weights.get(metric, 0.0)
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"weight for {metric!r} must be finite and >= 0, got {weight!r}")
+        stdev = scales[metric][1] if scales is not None and metric in scales else 1.0
+        if not math.isfinite(stdev):
+            raise ValueError(f"stdev for {metric!r} must be finite, got {stdev!r}")
+        t = target.get(metric)
+        if weight == 0 or t is None or stdev <= 0:
+            continue
+        used[:, j] = ~np.isnan(values[:, j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = (values[:, j] - t) / stdev
+            squared = np.where(used[:, j], squared + weight * diff * diff, squared)
+    return np.sqrt(squared), used
+
+
+def lexsort_rank(mixes: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """The rows of `mixes` (pool indices padded with -1) by distance, then by their order tuple: the
+    indices compare as the names of the sorted pool do, and the -1 padding puts a shorter prefix first."""
+    return np.lexsort((*mixes.T[::-1], distances))
 
 
 # What a `proxy.RankedMixes` holds, read from its arrays without simulating a

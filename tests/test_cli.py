@@ -962,16 +962,26 @@ class TestZeroCounts:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["pca", "--pcs", "0"], "fixed_k must be positive"),
-            (["subset", "--suite", "int_rate", "--groups", "0"], "target_groups must be in [1, 14], got 0"),
+            ([*PROXY_SEARCH, "--mix-k", "0"], "mix_k must be >= 1, got 0"),
+            ([*PROXY_SEARCH, "--mix-k", "-1"], "mix_k must be >= 1, got -1"),
+            (["pca", "--pcs", "0"], "pcs must be >= 1, got 0"),
+            (["pca", "--variance", "0"], "variance must be in (0, 1], got 0.0"),
+            (["pca", "--variance", "1.5"], "variance must be in (0, 1], got 1.5"),
+            (["subset", "--suite", "int_rate", "--groups", "0"], "groups must be >= 1, got 0"),
+            (["subset", "--suite", "int_rate", "--subset-k", "0"], "subset_k must be >= 1, got 0"),
+            (["subset", "--suite", "int_rate", "--threshold", "-1"], "threshold must be >= 0, got -1.0"),
         ],
     )
     def test_zero_is_refused_like_a_negative_count(self, tmp_path, capsys, args, message):
+        # a usage error, refused with the config before the store is read: exit 1, and out/ as it was
         out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.csv").write_text("kept\n", encoding="utf-8")
         code, stdout, err = run([*args, *base_args(out)], capsys)
-        assert (code, stdout) == (2, "")
+        assert (code, stdout) == (1, "")
         (line,) = err.splitlines()
-        assert json.loads(line) == {"stage": args[0], "error": "ValueError", "message": message}
+        assert json.loads(line) == {"stage": args[0], "error": "ConfigError", "message": message}
+        assert tree_bytes(out) == {"kept.csv": b"kept\n"}
 
 
 class TestEmptyStore:
@@ -1094,8 +1104,8 @@ class TestSuiteFlag:
 
 class TestNotANumber:
     CASES = [
-        (["subset"], "threshold", "threshold must be >= 0"),
-        (["pca"], "variance", "variance_target must be in (0, 1]"),
+        (["subset"], "threshold", "threshold must be >= 0, got {}"),
+        (["pca"], "variance", "variance must be in (0, 1], got {}"),
     ]
 
     @pytest.mark.parametrize("args, flag, message", CASES)
@@ -1103,9 +1113,10 @@ class TestNotANumber:
         out = tmp_path / "out"
         for value in ("nan", "-1"):
             code, stdout, err = run([*args, *base_args(out), f"--{flag}", value], capsys)
-            assert (code, stdout) == (2, ""), value
+            assert (code, stdout) == (1, ""), value
             (line,) = err.splitlines()
-            assert json.loads(line) == {"stage": args[0], "error": "ValueError", "message": message}
+            shown = repr(float(value))
+            assert json.loads(line) == {"stage": args[0], "error": "ConfigError", "message": message.format(shown)}
         assert not out.exists()
 
     @pytest.mark.parametrize("args, flag, message", CASES)
@@ -1113,9 +1124,9 @@ class TestNotANumber:
         config, out = tmp_path / "config.yaml", tmp_path / "out"
         config.write_text(f"{flag}: .nan\n", encoding="utf-8")
         code, stdout, err = run([*args, *base_args(out), "--config", str(config)], capsys)
-        assert (code, stdout) == (2, "")
+        assert (code, stdout) == (1, "")
         (line,) = err.splitlines()
-        assert json.loads(line) == {"stage": args[0], "error": "ValueError", "message": message}
+        assert json.loads(line) == {"stage": args[0], "error": "ConfigError", "message": message.format("nan")}
         assert not out.exists()
 
 

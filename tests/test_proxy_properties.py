@@ -1,9 +1,11 @@
 """Property tests: the array laws of `proxy` equal the loops they replaced.
 
 search_mix's ranking equals one simulation per mix, also when its blocks of
-mixes are small enough to cut every size apart, simulate_rrr equals the
-per-event loop on general schedules and blend_distance equals the scalar
-loop, value for value or error for error.
+mixes are small enough to cut every size apart, and its order equals a
+lexsort over every key when distances tie within and across sizes;
+simulate_rrr equals the per-event loop on general schedules; `_distances`
+equals the per-metric column loop and blend_distance the scalar loop, value
+for value or error for error.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ from hypothesis import strategies as st  # noqa: E402
 from benchlens import files  # noqa: E402
 from benchlens.dataset import Store  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
+from benchlens.errors import NoCommonMetrics  # noqa: E402
 from benchlens.proxy import (  # noqa: E402
-    BlendProfile, RrrSchedule, WorkloadProfile, blend_distance, export_mixes_csv, simulate_rrr,
+    BlendProfile, RrrSchedule, WorkloadProfile, _distances, blend_distance, export_mixes_csv, search_mix, simulate_rrr,
 )
 from conftest import derive_one, make_full_record, write_file  # noqa: E402
-from oracles import cells, loop_blend_distance, loop_simulate_rrr, repr_export_mixes  # noqa: E402
+from oracles import (  # noqa: E402
+    cells, lexsort_rank, loop_blend_distance, loop_distances, loop_simulate_rrr, repr_export_mixes,
+)
 from test_proxy import assert_matches_simulation  # noqa: E402
 
 DENOMINATORS = ("instructions", "cycles")
@@ -98,6 +103,25 @@ def test_blocks_of_mixes_match_simulation_across_block_edges(case, chunk):
             repr_export_mixes(ranked, Path(tmp) / "repr.csv")
             assert (Path(tmp) / "chunked.csv").read_bytes() == (Path(tmp) / "repr.csv").read_bytes()
     event("raised" if ranked is None else "ranked")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=proxy_cases(faults=False), overflow=st.booleans())
+def test_the_ranking_is_a_lexsort_by_distance_then_order(case, overflow):
+    # twins tie within a size; over a stdev this small every difference overflows, so mixes tie at inf across sizes
+    pool, target, k, weights, scales = case
+    if overflow:
+        scales = dict.fromkeys(METRIC_NAMES, (0.0, 5e-324))
+    try:
+        ranked = search_mix(pool, target, k, weights, scales=scales)
+    except NoCommonMetrics:
+        event("no common metric")
+        return
+    distances = ranked._scored[:, 0]
+    sizes = (ranked._mixes >= 0).sum(axis=1)
+    tied = (distances[:, None] == distances) & ~np.eye(len(distances), dtype=bool)
+    event("ties across sizes" if (tied & (sizes[:, None] != sizes)).any() else "ties" if tied.any() else "no tie")
+    assert ranked._rank.tolist() == lexsort_rank(ranked._mixes, distances).tolist()
 
 
 def same_outcome(function, referee, *args, **kwargs):
@@ -192,3 +216,34 @@ def test_blend_distance_matches_the_loop(case):
         assert repr(report.distance) == repr(expected.distance)
         assert repr(list(report.relative_gaps.items())) == repr(list(expected.relative_gaps.items()))
         assert report.metrics_used == expected.metrics_used
+
+
+@st.composite
+def distance_blocks(draw):
+    """Rows of blend metrics with NaN cells and cells far enough from the target that a difference over a small
+    stdev overflows, a target with metrics blanked, weights that are zero or bad, and stdevs that are zero,
+    negative, tiny or not finite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.lognormal(size=(draw(st.integers(1, 9)), len(METRIC_NAMES)))
+    values[rng.random(values.shape) < 0.2] = np.nan
+    values[rng.random(values.shape) < 0.05] = 1e300
+    target = derive_one(make_full_record("s", "target", "m", rng))
+    target = replace(target, **dict.fromkeys(draw(st.sets(st.sampled_from(METRIC_NAMES), max_size=8))))
+    weight = st.sampled_from([1.0, 0.0, -0.0, 1e300]) | st.floats(0.01, 10.0)
+    weights = draw(st.dictionaries(st.sampled_from(METRIC_NAMES), weight, min_size=4))
+    bad = draw(st.sampled_from([None] * 4 + [-1.0, float("nan"), float("inf")]))
+    if bad is not None:
+        weights[draw(st.sampled_from(METRIC_NAMES))] = bad
+    stdev = st.sampled_from([1.0, 0.0, -1.0, 1e-300, float("nan"), float("inf")]) | st.floats(0.01, 100.0)
+    scales = draw(st.none() | st.dictionaries(st.sampled_from(METRIC_NAMES), st.tuples(st.floats(-10, 10), stdev)))
+    return values, target, weights, scales
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=distance_blocks())
+def test_distances_of_a_block_match_the_column_loop(case):
+    outcome = same_outcome(_distances, loop_distances, *case)
+    if outcome is not None:
+        (distances, used), (expected, expected_used) = outcome
+        assert distances.tobytes() == expected.tobytes()
+        assert used.tolist() == expected_used.tolist()

@@ -35,9 +35,10 @@ from benchlens.metrics import BOUNDED_SHARES, MetricVector  # noqa: E402
 from benchlens.pca import export_scores_csv  # noqa: E402
 from benchlens.proxy import BlendProfile, RankedMixes, WorkloadProfile, export_mixes_csv  # noqa: E402
 
-NAMES = st.sampled_from(["plain", "a,b", 'q"uote', "cr\rname", "nl\nname", "two words", "", "ünï", "名前", ","]) | (
-    st.text(max_size=5)
-)
+NAMES = st.sampled_from(
+    ["plain", "a,b", 'q"uote', "cr\rname", "nl\nname", "two words", "", "ünï", "名前", ",",
+     "%", "%b", "%d", "[", "]", "],["]  # the export's byte template is built of these
+) | st.text(max_size=5)
 FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.0001, 1.7976931348623157e308, 0.1 + 0.2]
 )
@@ -294,6 +295,30 @@ def test_mixes_are_written_by_the_per_row_repr_law(names):
     assert_same_bytes(mixes_file, oracles.repr_export_mixes, blends)
     assert_same_bytes(mixes_file, oracles.csv_export_mixes, blends)
 
+
+
+@pytest.mark.parametrize("names", [["w0", "w1", "w2"], ["w0", "a,b", "%d"]])
+@pytest.mark.parametrize("at", [0, 2, 3, 5])
+def test_a_row_written_by_repr_first_or_last_in_a_chunk(names, at):
+    # chunks of 3 rows: the rare row is the first or the last of the first or the second chunk
+    mixes = [[0], [1], [2], [0, 1], [1, 2], [0, 1, 2]]
+    metrics = np.full((len(mixes), len(METRIC_NAMES)), 1.5)
+    metrics[:, METRIC_NAMES.index("user_pct")] = 98.5
+    metrics[:, 4] = np.nan
+    for distance, value, small in [(np.nan, 2.5, 0.25), (np.inf, 2.5, 0.25), (0.5, 2.5, 1e-05), (0.5, np.inf, 0.25)]:
+        distances = [0.5] * len(mixes)
+        distances[at] = distance
+        metrics[at, :2] = [value, small]
+        inputs = [ranked_mixes(names, mixes, distances, metrics)]
+        if value < np.inf:  # a MetricVector holds no infinity
+            inputs.append([
+                (tuple(names[j] for j in mix), BlendProfile(MetricVector.from_row(row), {}, {}, 1, 1.0, d))
+                for mix, row, d in zip(mixes, metrics.tolist(), distances)
+            ])
+        with mock.patch.object(files, "CHUNK", 3):
+            for rows in inputs:
+                assert_same_bytes(mixes_file, oracles.csv_export_mixes, rows)
+                assert_same_bytes(mixes_file, oracles.repr_export_mixes, rows)
 
 
 @pytest.mark.parametrize("width", [0, 2])
