@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 import orjson
 
-CHUNK = 2048  # rows per write: a chunk's lines are joined, the whole file's never are
+CHUNK = 512  # rows per write and mixes per proxy block: a chunk's temporaries stay cache-sized, a file's never exist
 POSITIONAL = (1e-4, 1e16)  # the |x| that repr, like orjson, writes without an exponent: [1e-4, 1e16)
 Writer = Callable[[TextIO], object]  # streams one file's text into the open file it is given
 

@@ -310,10 +310,12 @@ def search_mix(
     are ranked as the module docstring states.
 
     Mixes are blended, derived and measured as rows of arrays, size by size and
-    one `stats.subset_rows` chunk (`files.CHUNK` mixes or a few more) at a
-    time, into arrays that hold every mix. The first mix that fails, in
-    enumeration order, raises what simulating it would: its blend's error,
-    else a bad weight's or stdev's, else NoCommonMetrics.
+    one `stats.subset_rows` chunk (`files.CHUNK` mixes, or fewer than a pool
+    size more) at a time, into arrays that hold every mix: its distance
+    and metrics as 20 floats, its pool indices in the narrowest signed dtype
+    that holds -1 and the pool size (int8 up to 128 workloads). The first mix
+    that fails, in enumeration order, raises what simulating it would: its
+    blend's error, else a bad weight's or stdev's, else NoCommonMetrics.
     """
     if max_constituents < 1:
         raise ValueError("max_constituents must be >= 1")
@@ -328,7 +330,7 @@ def search_mix(
         raise BudgetExceeded(f"{total} candidate mixes exceed budget {budget}")
 
     rates, events = _rate_array(pool)
-    mixes = np.full((total, max_constituents), -1, dtype=np.intp)
+    mixes = np.full((total, max_constituents), -1, dtype=np.min_scalar_type(-len(pool)))
     scored = np.empty((total, 1 + len(METRIC_NAMES)))  # each mix's distance, then its metrics
     lo = 0
     for size in range(1, max_constituents + 1):
@@ -420,16 +422,18 @@ def export_mixes_csv(ranked: Sequence[tuple[tuple[str, ...], BlendProfile]], fh:
 
     Lines follow the one CSV line law (see `files`): the rank, the mix cell,
     `repr` of the distance (never blanked; blank for a distance of None) and
-    `repr` of each metric, blank where unavailable. Each CHUNK rows are one
-    byte template filled by one `%`: `files.float_json` writes their floats
-    `[[d,m,...],...]`, NaN blank, and a row it writes unlike `repr`, or with a
-    NaN distance, is spliced in from `files.float_rows`. Each `]` becomes a
-    line end and the next `%d` rank, each `[` the `%b` pieces of a mix cell,
-    so names never enter the template. The a+b+c cell is csv's quoting of the
-    joined text; when every name is bare its pieces are the first name, then
-    `+name` each, `b""` for padding. A `RankedMixes` is written straight from
-    its arrays, a chunk of ranked rows at a time, without simulating a blend;
-    any other sequence from its BlendProfiles.
+    `repr` of each metric, blank where unavailable. Each `files.CHUNK` (512)
+    rows are one byte template filled by one `%`: `files.float_json` writes
+    their floats `[[d,m,...],...]`, NaN blank, and a row it writes unlike
+    `repr`, or with a NaN distance, is spliced in from `files.float_rows`.
+    Each `]` becomes a line end and the next `%d` rank, each `[` the `%b`
+    pieces of a mix cell, so names never enter the template. The a+b+c cell
+    is csv's quoting of the joined text. A mix of bare names is bare, so its
+    pieces are the first name, then `+name` each, `b""` for padding; only a
+    mix that holds a name csv quotes asks csv, and its first piece is the
+    whole cell. A `RankedMixes` is written straight from its arrays, a chunk
+    of ranked rows at a time, without simulating a blend; any other sequence
+    from its BlendProfiles.
     """
     text = files.CsvText()
     starts = range(0, len(ranked), files.CHUNK)
@@ -448,16 +452,18 @@ def export_mixes_csv(ranked: Sequence[tuple[tuple[str, ...], BlendProfile]], fh:
         )
         arrays = (mixes, scored, np.array([distance is not None for distance in distances]))  # last: written
         chunks = ((lo, *(array[lo:lo + files.CHUNK] for array in arrays)) for lo in starts)
-    bare = all(text[name] == name for name in names)
+    quoted = np.array([text[name] != name for name in names] + [False])  # last: the -1 padding
     first, later = (np.array([*(name.encode() for name in cells), b""], dtype=object)
                     for cells in (names, [f"+{name}" for name in names]))
     fh.write(",".join(["rank", "mix", "distance", *METRIC_NAMES]) + "\n")
     fh.flush()  # the chunks go to the bytes below it
     for lo, mixes, scored, written in chunks:
-        if bare:  # a -1 of the padding picks the last piece, b""
-            pieces = [first[mixes[:, 0]], *(later[mixes[:, c]] for c in range(1, mixes.shape[1]))]
-        else:
-            pieces = [[text["+".join(names[j] for j in mix if j >= 0)].encode() for mix in mixes.tolist()]]
+        # a -1 of the padding picks the last piece, b""
+        pieces = [first[mixes[:, 0]], *(later[mixes[:, c]] for c in range(1, mixes.shape[1]))]
+        for i in np.flatnonzero(quoted[mixes].any(axis=1)).tolist():  # csv quotes the whole cell, in one piece
+            pieces[0][i] = text["+".join(names[j] for j in mixes[i].tolist() if j >= 0)].encode()
+            for piece in pieces[1:]:
+                piece[i] = b""
         ranks = range(lo + 2, lo + len(mixes) + 2)  # each row's pieces are followed by the next row's rank
         args = np.array([*pieces, ranks], dtype=object).T.ravel()[:-1].tolist()
         body, unlike = files.float_json(scored, "")

@@ -33,7 +33,9 @@ from conftest import (
     make_profile,
     write_file,
 )
-from oracles import ranked_distances, ranked_metrics, ranked_order, search_mix_by_simulation
+from oracles import (
+    csv_export_mixes, lexsort_rank, ranked_distances, ranked_metrics, ranked_order, search_mix_by_simulation,
+)
 
 
 def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None):
@@ -67,6 +69,15 @@ def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None
 
 def unsupported(profile: WorkloadProfile, *events: str) -> WorkloadProfile:
     return replace(profile, rates={e: r for e, r in profile.rates.items() if e not in events})
+
+
+def generated_case(size: int, seed: int = 5) -> tuple[list[WorkloadProfile], MetricVector, dict[str, float]]:
+    """A pool of `size` generated profiles named w000, w001, ..., a generated target and a weight of 1.0 for
+    each of its metrics."""
+    rng = np.random.default_rng(seed)
+    pool = [WorkloadProfile.from_store(make_full_record("s", f"w{i:03d}", "m", rng), 0) for i in range(size)]
+    target = derive_one(make_full_record("s", "target", "m", rng))
+    return pool, target, dict.fromkeys(target.available(), 1.0)
 
 
 class TestSimulateRrr:
@@ -344,21 +355,37 @@ class TestSearchMix:
                 assert assert_matches_simulation(tmp_path, case_pool, target, k, case_weights) is None
             assert_matches_simulation(tmp_path, pool, target, 3, weights)
 
-    def test_searching_a_k3_ranking_of_50_profiles_stays_under_8_mib(self):
-        # whole-pool copies of each size's blends, metrics and ranking peaked near 16 MiB
-        rng = np.random.default_rng(5)
-        pool = [
-            WorkloadProfile.from_store(make_full_record("s", f"w{i:02d}", "m", rng), 0) for i in range(50)
-        ]
-        target = derive_one(make_full_record("s", "target", "m", rng))
+    def test_a_k3_search_peaks_under_4_5_mib_and_its_export_adds_under_1_5_mib(self, tmp_path):
+        # blocks of 2,048 mixes and pool indices as intp peaked at 5.7 MiB searching and at 2.7 MiB more writing;
+        # whole-pool temporaries, a joined text or every cell listed at once peaked near 16 MiB for either
+        pool, target, weights = generated_case(50)
         tracemalloc.start()
         try:
-            ranked = search_mix(pool, target, 3, dict.fromkeys(target.available(), 1.0))
-            _, peak = tracemalloc.get_traced_memory()
+            ranked = search_mix(pool, target, 3, weights)
+            _, search_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            write_file(tmp_path / "mixes.csv", export_mixes_csv, ranked)
+            _, export_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(ranked) == 20_875
-        assert peak < 8 * 2**20
+        assert len((tmp_path / "mixes.csv").read_text().splitlines()) == 1 + 20_875
+        assert search_peak < 4.5 * 2**20
+        assert export_peak - held < 1.5 * 2**20
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("size", [128, 129])  # the largest pool of int8 indices, and the smallest of int16
+    def test_pools_at_an_index_width_edge_rank_and_export_as_the_oracles(self, tmp_path, size, quoted):
+        pool, target, weights = generated_case(size - 1, seed=size)
+        # a twin of the first profile ties with it; csv quotes "w,twin", which sorts first, and not "wtwin", last
+        pool.append(replace(pool[0], workload="w,twin" if quoted else "wtwin"))
+        ranked = search_mix(pool, target, 2, weights)
+        assert ranked._mixes.dtype == (np.int8 if size == 128 else np.int16)
+        assert ranked._rank.tolist() == lexsort_rank(ranked._mixes, ranked._scored[:, 0]).tolist()
+        write_file(tmp_path / "mixes.csv", export_mixes_csv, ranked)
+        csv_export_mixes(ranked, tmp_path / "oracle.csv")
+        assert (tmp_path / "mixes.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_items_are_simulated_on_access(self):
         cactus, fotonik = icache_stress_pair()
@@ -392,24 +419,6 @@ class TestExports:
         text = blend_markdown(ranked[0][1], target, [cactus, fotonik])
         assert text.splitlines()[0].startswith("| Metric | Blend | Target |")
         assert "ipc" in text
-
-    def test_writing_a_k3_ranking_of_50_profiles_stays_under_8_mib(self, tmp_path):
-        # 20,875 rows of 22 cells; joining the whole text or listing every cell at once would peak near 17 MiB
-        rng = np.random.default_rng(5)
-        pool = [
-            WorkloadProfile.from_store(make_full_record("s", f"w{i:02d}", "m", rng), 0) for i in range(50)
-        ]
-        target = derive_one(make_full_record("s", "target", "m", rng))
-        ranked = search_mix(pool, target, 3, dict.fromkeys(target.available(), 1.0))
-        assert len(ranked) == 20_875
-        tracemalloc.start()
-        try:
-            write_file(tmp_path / "mixes.csv", export_mixes_csv, ranked)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len((tmp_path / "mixes.csv").read_text().splitlines()) == 1 + 20_875
-        assert peak < 8 * 2**20
 
     def test_markdown_blends_constituents_like_mixes(self):
         # a count of -0.0 sums to 0.0 from the blend's 0.0 start, in both columns

@@ -181,7 +181,7 @@ def test_only_the_mix_with_a_quoted_name_is_quoted():
     assert [line[: len(prefix)] for line, prefix in zip(lines, prefixes)] == prefixes
 
 
-@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("count", [0, 1, *(size + d for size in (_CHUNK, 2048) for d in (-1, 0, 1))])
 def test_row_counts_around_one_chunk(count):
     rng = np.random.default_rng(count)
     names = ["w0", 'w"1', "w 2", "w,3", "w4"]
@@ -204,7 +204,7 @@ def test_row_counts_around_one_chunk(count):
     assert_same_bytes(save_scores, oracles.csv_save_scores, store)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, _CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, _CHUNK, 2048])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     header=st.lists(TEXTS, min_size=2, max_size=4),
@@ -251,7 +251,7 @@ ROW_CELLS = (
 )
 
 
-@pytest.mark.parametrize("chunk", [1, 3, _CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, _CHUNK, 2048])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(width=st.integers(0, 6), data=st.data())
 def test_float_rows_are_the_repr_of_each_cell_joined(chunk, width, data):
