@@ -27,17 +27,17 @@ wrote: once with plain names (the byte route), once with every suite name
 holding a comma, so that csv quotes it (the csv route), and once with plain
 names and a scores CSV of one row per run joined (scored), of
 ``dataset.merge_into`` of one 20-event run into a fresh copy of two of those
-stores, each on the merge route rather than the splice: 20 events that one
-run of the plain store lacks (held), and a new run into the store that csv
-quotes (quoted), and of
+stores: a new run into the plain store (spliced, the route ``ingest`` takes),
+and on the merge route 20 events that one run of the plain store lacks (held)
+and a new run into the store that csv quotes (quoted), and of
 ``metrics.derive_store`` followed by ``features.build_matrix`` over every
 machine on stores of 52, 200 and 500 workloads x 9 machines whose counts
 make every metric valid.
 Each curve carries the exponent b of a least-squares fit of time ~ size^b on
 log scales (size is n, the C(40, k) candidates, the mixes ranked, or the
-store's rows or runs). Each point of the two proxy curves also carries the
-tracemalloc peak of one more call, in MiB: what the call allocates through
-Python and numpy, beyond what it was handed.
+store's rows or runs). Each point of the two proxy curves, and each spliced
+merge, also carries the tracemalloc peak of one more call, in MiB: what the
+call allocates through Python and numpy, beyond what it was handed.
 It also splits start-up, the part of perfbench's ``setup_s`` before a
 command runs, in fresh interpreters with BLAS at one thread (medians of
 ``STARTUP_ROUNDS``): the bare interpreter (``-c pass``), then, timed in one
@@ -115,13 +115,17 @@ def median_s(call, repeats):
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
-def merge_s(store_path, new, repeats):  # merge_into of `new` into a fresh copy of the store file each time
+def merge(store_path, new):  # merge_into of `new` into a fresh copy of the store file, made before the call
+    path = store_path.with_name("merged.csv")
+    shutil.copyfile(store_path, path)
+    return lambda: merge_into(path, new)
+
+def merge_s(store_path, new, repeats):
     times = []
     for _ in range(repeats):
-        path = store_path.with_name("merged.csv")
-        shutil.copyfile(store_path, path)
+        call = merge(store_path, new)
         start = time.perf_counter()
-        merge_into(path, new)
+        call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
@@ -168,8 +172,9 @@ with tempfile.TemporaryDirectory() as tmp:
     quoted = search_mix([WorkloadProfile("w,00", pool[0].rates, 1.0), *pool[1:]], target, 3, weights)
     proxy[-1]["quoted_export_median_s"] = median_s(lambda: export(quoted, Path(tmp) / "mixes.csv"), 5)
     reads, merges = [], []
-    # a run the plain store holds with 20 events it lacks, and a new run of the 20 canonical events for the
-    # store that csv quotes: neither is spliced, so both take the merge route
+    # a new run of the 20 canonical events for the plain store, which it splices; a run the plain store holds
+    # with 20 events it lacks, and a new run for the store that csv quotes, which both take the merge route
+    spliced = Store.from_cells(("fp_rate", "new", "M0", event, 1.0, True) for event in CANONICAL_EVENTS)
     held = Store.from_cells(("fp_rate", "w000", "M0", f"raw.event{e:02d}", 1.0, True) for e in range(20))
     fresh = Store.from_cells(("fp,rate", "new", "M0", event, 1.0, True) for event in CANONICAL_EVENTS)
     for workloads in (52, 200, 500):
@@ -191,6 +196,8 @@ with tempfile.TemporaryDirectory() as tmp:
         point["scored_median_s"] = median_s(lambda: read_store(Path(tmp) / "bytes.csv", scores), 7)
         reads.append(point)
         merges.append({"workloads": workloads, "rows": point["rows"],
+                       "spliced_median_s": merge_s(Path(tmp) / "bytes.csv", spliced, 7),
+                       "spliced_peak_mib": peak_mib(merge(Path(tmp) / "bytes.csv", spliced)),
                        "held_median_s": merge_s(Path(tmp) / "bytes.csv", held, 7),
                        "quoted_median_s": merge_s(Path(tmp) / "csv.csv", fresh, 7)})
 
@@ -333,7 +340,7 @@ def scaling_curves(points: dict) -> dict:
             **{
                 f"exponent_in_rows_{case}": fitted_exponent([p["rows"] for p in merges],
                                                             [p[f"{case}_median_s"] for p in merges])
-                for case in ("held", "quoted")
+                for case in ("spliced", "held", "quoted")
             },
         },
         "derive_featurize": {

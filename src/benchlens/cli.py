@@ -214,7 +214,11 @@ class Run:
     def model(self) -> pca.PcaModel:
         if self.cfg.variance is not None:
             return pca.fit_pca(self.normalized, variance_target=self.cfg.variance)
-        return pca.fit_pca(self.normalized, fixed_k=8 if self.cfg.pcs is None else self.cfg.pcs)
+        model = pca.fit_pca(self.normalized, fixed_k=8 if self.cfg.pcs is None else self.cfg.pcs)
+        if self.cfg.pcs is not None and model.k < self.cfg.pcs:  # the default of 8 is capped quietly
+            print(f"warning: --pcs {self.cfg.pcs} is above the {model.k} components PCA can give; using {model.k}",
+                  file=sys.stderr)
+        return model
 
     @cached_property
     def scores(self) -> dict[str, np.ndarray]:
@@ -354,6 +358,9 @@ def cmd_subset(run: Run) -> tuple[str, Artifacts]:
         target_groups = 4 if cfg.groups is None else cfg.groups
         if cfg.threshold is not None:
             target_groups = len(cluster_mod.cut(dendrogram, cfg.threshold))
+        if cfg.groups is not None and cfg.groups > len(workloads):  # the default of 4 is capped quietly
+            print(f"warning: --groups {cfg.groups} is above the {len(workloads)} workloads of suite {suite_name}; "
+                  f"using {len(workloads)}", file=sys.stderr)
         target_groups = min(target_groups, len(workloads))
         running = run.running[suite_name]
         report = subset.select_representatives(

@@ -47,20 +47,21 @@ The store CSV is written run by run (`_lines`): each run's quoted key and
 each event's quoted name are made once, and each present cell of the grid is
 one joined line of key, event, `repr(value)` and flag, the bytes `csv.writer`
 writes for the same cells (see `files`). A store file is canonical when it
-holds exactly those bytes: it was read by bytes, its lines run in (run, event
-name) order, no name is one csv would quote, every value text is `repr` of
-its value and the file ends in "\n". A store read from a file keeps a private
-`_Source`: the path and the file's (device, inode, size, mtime_ns).
-`save_canonical`, which formats every run, refuses to write a store whose
-file changed after it was read (`StoreChanged`), so a run that another
-writer added is never lost.
+holds exactly those bytes: its header line is exact, every block passes the
+byte route's checks, its lines run in (run, event name) order, no name is one
+csv would quote, every value text is `repr` of its value and the file ends in
+"\n". A store read from a file keeps a private `_Source`: the path and the
+file's (device, inode, size, mtime_ns). `save_canonical`, which formats every
+run, refuses to write a store whose file changed after it was read
+(`StoreChanged`), so a run that another writer added is never lost.
 
-`merge_into` is the ingest step: it reads a store file once. Into a canonical
-file that does not hold the new run it splices the run's lines, copying the
-file's bytes around them as they are, streamed, and builds no store of the
-file's cells; that splice is the only copy of a file's runs. Any other file
-is merged from the cells already read by `from_codes`, the one law of a
-repeated cell (`_merged`), and that store keeps the file's `_Source`.
+`merge_into` is the ingest step. A new run goes into a canonical file that
+does not hold it by one streamed pass (`_splice`): each block is checked,
+canonical checks included, and copied as it is into the new file, the run's
+lines at their place in run order, so memory is bounded by one block, not by
+the file. A file found not to be canonical, or holding the run, or a new
+store of several runs, is merged from its cells by `from_codes`, the one law
+of a repeated cell (`_merged`), and saved.
 
 Raw platform event names are translated to the canonical vocabulary through a
 per-machine counter map loaded from a YAML manifest, with libyaml's loader
@@ -75,7 +76,6 @@ import gc
 import math
 import os
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -474,13 +474,18 @@ def _cell_codes(cells: Iterable[Cell]) -> tuple:
 def _codes(keys: list[RunKey], key_codes: np.ndarray, names: list[str], name_codes: np.ndarray) -> tuple:
     """The runs, events, rows and cols of `Store.from_codes` from distinct run keys and event names, in any
     order, and each cell's index among them. Runs sort as tuples, not as text: ("a",) < ("a+b",) but "a," > "a+b,"."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[order] = np.arange(len(keys))
+    rank = _ranks(keys)
     vocabulary = event_vocabulary(names)
     position = {event: j for j, event in enumerate(vocabulary)}
     cols = np.array([position[name] for name in names], dtype=np.intp)
-    return tuple(keys[i] for i in order), vocabulary, rank[key_codes], cols[name_codes]
+    return tuple(sorted(keys)), vocabulary, rank[key_codes], cols[name_codes]
+
+
+def _ranks(items: list) -> np.ndarray:
+    """The index of each of the distinct `items` among them sorted."""
+    rank = np.empty(len(items), dtype=np.intp)
+    rank[sorted(range(len(items)), key=items.__getitem__)] = np.arange(len(items))
+    return rank
 
 
 def _line_blocks(fh) -> Iterator[bytes]:
@@ -490,8 +495,10 @@ def _line_blocks(fh) -> Iterator[bytes]:
     while piece := fh.read(_READ_BYTES):
         cut = piece.rfind(b"\n") + 1
         if cut:
-            yield b"".join([*rest, piece[:cut]])
+            block = b"".join([*rest, memoryview(piece)[:cut]])
             rest = [piece[cut:]]
+            del piece  # not held while the block is used
+            yield block
         else:
             rest.append(piece)
     if last := b"".join(rest):
@@ -629,64 +636,41 @@ def _checked_block(text: bytes) -> tuple | None:
     )
 
 
-def _starts(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, lasts: np.ndarray, ends: np.ndarray,
-            size: int):
-    """The offset of each run's first line in a store file of `size` bytes that holds one line per cell, given
-    the cell and the "\\n" offset of the last line of each stretch of lines of one run (`lasts`, `ends`), when
-    its lines run in `save_canonical`'s order, its last line ends it and it quotes no name; else None."""
-    by_name = np.empty(len(events), dtype=np.intp)
-    by_name[sorted(range(len(events)), key=events.__getitem__)] = np.arange(len(events))
-    if not (np.diff(rows * len(events) + by_name[cols]) > 0).all():  # by run, then by event name
-        return None
-    stretches = rows[lasts]  # a run read in two blocks is two stretches
-    bounds = np.concatenate([[len(_HEADER_LINE)], ends[np.flatnonzero(np.diff(stretches, append=len(runs)))] + 1])
-    if bounds[-1] != size or not files.unquoted(list({*events, *chain.from_iterable(runs)})):
-        return None
-    return bounds[:-1]
-
-
-def _plain_cells(fh, size: int) -> tuple | None:
-    """The first six arguments of `Store.from_codes` for a store of `size` bytes, read from `fh` after its
-    header, and each run's `_starts` when every value is written as `repr` writes it (else None); or None when
+def _plain_cells(fh) -> tuple | None:
+    """The first six arguments of `Store.from_codes` for a store read from `fh` after its header, or None when
     a block fails a `_checked_block` check."""
     run_ids: dict[RunKey, int] = {}  # every run key so far -> its index, in order of first appearance
     event_ids: dict[str, int] = {}
     blocks = []
-    cells, offset, exact = 0, len(_HEADER_LINE), True
     for text in _line_blocks(fh):
         if (checked := _checked_block(text)) is None:
             return None
-        ends, keys, key_codes, names, name_codes, values, supported, written_by_repr = checked
+        _, keys, key_codes, names, name_codes, values, supported, _ = checked
         runs = np.array([run_ids.setdefault(key, len(run_ids)) for key in keys], dtype=np.intp)[key_codes]
         events = np.array([event_ids.setdefault(name, len(event_ids)) for name in names], dtype=np.intp)
-        last = np.flatnonzero(np.diff(runs, append=-1))  # the last line of each stretch of one run
-        blocks.append((runs, events[name_codes], values, supported, last + cells, ends[last] + offset))
-        cells, offset, exact = cells + len(ends), offset + len(text), exact and written_by_repr
-    rows, cols, values, supported, lasts, ends = (
+        blocks.append((runs, events[name_codes], values, supported))
+    rows, cols, values, supported = (
         np.concatenate([np.empty(0, dtype=dtype), *(block[i] for block in blocks)])
-        for i, dtype in enumerate((np.intp, np.intp, float, bool, np.intp, np.intp))
+        for i, dtype in enumerate((np.intp, np.intp, float, bool))
     )
     del blocks  # joined: free them before the checks, which would otherwise raise the peak of every read
-    runs, events, rows, cols = _codes(list(run_ids), rows, list(event_ids), cols)
-    starts = _starts(runs, events, rows, cols, lasts, ends, size) if exact else None
-    return runs, events, rows, cols, values, supported, starts
+    return (*_codes(list(run_ids), rows, list(event_ids), cols), values, supported)
 
 
 def _read_cells(path: str | Path) -> tuple:
     """The first six arguments of `Store.from_codes` for a store CSV, by bytes when its header is
-    `STORE_HEADER` and every block passes its checks, else through csv; the offset of each run's first line
-    when the file holds the bytes `save_canonical` would write for them, else None; and the file's `_Source`."""
+    `STORE_HEADER` and every block passes its checks, else through csv; and the file's `_Source`."""
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
         # a header without its newline ends the file
         header = fh.read(len(_HEADER_LINE))
-        if header in (_HEADER_LINE, _HEADER_LINE[:-1]) and (read := _plain_cells(fh, stamp[2])) is not None:
+        if header in (_HEADER_LINE, _HEADER_LINE[:-1]) and (read := _plain_cells(fh)) is not None:
             return (*read, _Source(os.fspath(path), stamp))
     collecting = gc.isenabled()
     gc.disable()  # the route keeps a tuple per cell until the end; collections would rescan them and find no cycle
     try:
         cells = _cell_codes(_parse_row(path, row_no, row) for row_no, row in _csv_rows(path, STORE_HEADER))
-        return (*cells, None, _Source(os.fspath(path), stamp))
+        return (*cells, _Source(os.fspath(path), stamp))
     finally:
         if collecting:
             gc.enable()
@@ -699,7 +683,7 @@ def read_store(path: str | Path, scores_path: str | Path | None = None) -> Store
     Rows are checked in file order, so the first bad row names the error.
     The store keeps the file's stamp (see `save_canonical`).
     """
-    runs, events, rows, cols, values, supported, _, source = _read_cells(path)
+    runs, events, rows, cols, values, supported, source = _read_cells(path)
     times = None if scores_path is None else _joined_scores(scores_path, runs)
     store = Store.from_codes(runs, events, rows, cols, values, supported)
     return replace(store if times is None else _timed(store, *times), _source=source)
@@ -730,14 +714,6 @@ def _joined_scores(path: str | Path, runs: Sequence[RunKey]) -> tuple[np.ndarray
             raise SchemaMismatch(f"{path}:{row_no}: bad numeric field") from exc
         scored[i] = True
     return clocks, marks, scored
-
-
-def _copied(fh, start: int, stop: int) -> Iterator[bytes]:
-    """Bytes [start, stop) of `fh`, read _READ_BYTES at a time as it is iterated."""
-    fh.seek(start)
-    yield from (fh.read(min(_READ_BYTES, stop - at)) for at in range(start, stop, _READ_BYTES))
-    if fh.tell() != stop:
-        raise OSError(f"{fh.name}: the store changed while it was copied")
 
 
 def _lines(store: Store) -> Iterator[str]:
@@ -809,40 +785,78 @@ def _merged(runs: tuple, events: tuple, rows: np.ndarray, cols: np.ndarray, valu
     )
 
 
+class _Unspliced(Exception):
+    """Raised by `_splice` for a store file it does not copy: one that is not canonical or holds the new run."""
+
+
+def _splice(fh, size: int, new: Store, out) -> None:
+    """Copy the store file of `size` bytes open in `fh` to the binary file `out` a block at a time, with the lines
+    of `new`, one run, before the first run that sorts after it (as tuples: ("a",) < ("a+b",) but "a," > "a+b,").
+    Raise _Unspliced, part of the copy written, when the file holds the run or is not canonical: its header is
+    not `_HEADER_LINE`, a block fails `_checked_block` or holds a value text other than `repr`'s or a name csv
+    would quote, its lines leave (run, event name) order, or it does not end in "\\n" at `size` bytes."""
+    (run,), lines = new.runs, "".join(_lines(new)).encode()
+    if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
+        raise _Unspliced
+    out.write(_HEADER_LINE)
+    read, last = len(_HEADER_LINE), ()  # bytes read; the (run, event name) of the last line read
+    for text in _line_blocks(fh):
+        if (checked := _checked_block(text)) is None or not checked[-1]:
+            raise _Unspliced
+        ends, keys, key_codes, names, name_codes = checked[:5]
+        if run in keys or not files.unquoted(list({*names, *chain.from_iterable(keys)})):
+            raise _Unspliced
+        order = _ranks(keys)[key_codes] * len(names) + _ranks(names)[name_codes]
+        if (keys[key_codes[0]], names[name_codes[0]]) <= last or (np.diff(order) <= 0).any():
+            raise _Unspliced
+        last = keys[key_codes[-1]], names[name_codes[-1]]
+        if lines and last[0] > run:  # the new run goes before the first line of a run after it
+            at = int(np.argmax(np.array([key > run for key in keys])[key_codes]))
+            cut = int(ends[at - 1]) + 1 if at else 0
+            out.writelines([memoryview(text)[:cut], lines, memoryview(text)[cut:]])
+            lines = b""
+        else:
+            out.write(text)
+        read += len(text)
+    if read != size:
+        raise _Unspliced
+    out.write(lines)
+
+
 def merge_into(path: str | Path, new: Store) -> None:
     """Write the cells of the store file at `path` and of `new` to that file,
     or raise the first error of reading it, of a repeated (run, event) cell
     (`_merged`) or of the save. A missing file is written as `new`.
 
-    The file is read once (`_read_cells`). When `new` is one run that a
-    canonical file does not hold, the file is spliced: its bytes before the
-    run's place in run order are copied as they are, streamed, then come the
-    run's lines (`_lines`), then the rest of its bytes; no store of its cells
-    is built. Any other file or `new` is merged from the cells already read.
-    Either way the file is replaced only while it has the stamp it had when
-    it was read (StoreChanged).
+    A new run is spliced in by one streamed read, memory bounded by one block
+    (`_splice`); a file that `_splice` refuses, or a `new` of several runs, is
+    read (`_read_cells`), merged and saved. Either way the file is replaced
+    only while it has the stamp it had when it was first opened (StoreChanged).
     """
     if not Path(path).exists():
         save_canonical(new, path)
         return
-    *cells, starts, source = _read_cells(path)
-    if starts is None or len(new.runs) != 1 or new.runs[0] in cells[0]:
-        save_canonical(replace(_merged(*cells, new), _source=source), path)
-        return
-    place = bisect_left(cells[0], new.runs[0])  # runs sort as tuples, not as bytes
-    end = source.stamp[2]  # the file's size when it was read
-    cut = int(starts[place]) if place < len(starts) else end  # where the new run's lines go
+    source = None
+    if len(new.runs) == 1:
+        with open(path, "rb") as fh:
+            source = _Source(os.fspath(path), _stamp(os.fstat(fh.fileno())))
+            began = []  # whether the splice began: a failure before it, such as of the temporary file, is the merge's
 
-    def write(fh: TextIO) -> None:
-        with open(source.path, "rb") as old:
-            _check_unchanged(source, os.fstat(old.fileno()))
-            fh.buffer.writelines(_copied(old, 0, cut))  # the header and the runs before the new one
-            fh.writelines(files.chunks(_lines(new)))
-            fh.flush()  # the new run's text goes before the runs after it
-            fh.buffer.writelines(_copied(old, cut, end))
-        _check_unchanged(source, os.stat(source.path))  # as in save_canonical
+            def write(out: TextIO) -> None:
+                began.append(True)
+                _splice(fh, source.stamp[2], new, out.buffer)
+                _check_unchanged(source, os.stat(source.path))  # as in save_canonical
 
-    files.commit([(path, write)])
+            try:
+                files.commit([(path, write)])
+                return
+            except _Unspliced:
+                pass
+            except OSError:
+                if began:
+                    raise
+    *cells, read = _read_cells(path)
+    save_canonical(replace(_merged(*cells, new), _source=source or read), path)
 
 
 def validate_store(store: Store) -> dict[str, dict[str, tuple[str, ...]]]:

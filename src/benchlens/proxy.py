@@ -206,9 +206,10 @@ class DistanceReport:
     metrics_used: tuple[str, ...]
 
 
-def _distances(values: np.ndarray, target: MetricVector, weights, scales) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's distance to the target and which of its metrics count; a row holds one blend's metrics."""
-    factors = np.zeros((len(METRIC_NAMES), 3))  # each counted metric's target, stdev and weight; else weight 0
+def _factors(target: MetricVector, weights, scales) -> np.ndarray:
+    """Each metric's target, stdev and weight in `_distances`, or a weight of 0 where the metric does not count;
+    a bad weight or stdev raises ValueError (see the module docstring)."""
+    factors = np.zeros((len(METRIC_NAMES), 3))
     for j, metric in enumerate(METRIC_NAMES):
         weight = weights.get(metric, 0.0)
         if not 0 <= weight < math.inf:  # a NaN distance would leave the ranking undefined
@@ -219,6 +220,12 @@ def _distances(values: np.ndarray, target: MetricVector, weights, scales) -> tup
         t = target.get(metric)
         if weight != 0 and t is not None and stdev > 0:  # stdev 0: constant over the pool
             factors[j] = t, stdev, weight
+    return factors
+
+
+def _distances(values: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distance to the target of `factors` (`_factors`) and which of its metrics count; a row holds
+    one blend's metrics."""
     t, stdev, weight = factors.T
     used = ~np.isnan(values) & (weight != 0)
     with np.errstate(all="ignore"):
@@ -248,7 +255,7 @@ def blend_distance(
     """
     blend_metrics = blend.metrics if isinstance(blend, BlendProfile) else blend
     row = [np.nan if (v := blend_metrics.get(m)) is None else v for m in METRIC_NAMES]
-    distances, used = _distances(np.array([row], dtype=float), target, weights, scales)
+    distances, used = _distances(np.array([row], dtype=float), _factors(target, weights, scales))
     metrics_used = tuple(m for m, counts in zip(METRIC_NAMES, used[0].tolist()) if counts)
     if not metrics_used:
         raise NoCommonMetrics("no weighted metric is available on both sides")
@@ -332,7 +339,7 @@ def search_mix(
     rates, events = _rate_array(pool)
     mixes = np.full((total, max_constituents), -1, dtype=np.min_scalar_type(-len(pool)))
     scored = np.empty((total, 1 + len(METRIC_NAMES)))  # each mix's distance, then its metrics
-    lo = 0
+    lo, factors = 0, None  # built at the first block whose first mix blends, where a bad weight raises
     for size in range(1, max_constituents + 1):
         steps = [((copy + step) % size, 1.0) for copy in range(size) for step in range(size)]
         for rows in subset_rows(len(pool), size, files.CHUNK):
@@ -342,7 +349,9 @@ def search_mix(
             scored[block, 1:], failure = metric_array(_blend(rates, rows, steps), events)
             failed = failure >= 0
             if not failed[0]:  # else the block's first mix raises before a weight is read
-                scored[block, 0], used = _distances(scored[block, 1:], target, weights, scales)
+                if factors is None:
+                    factors = _factors(target, weights, scales)
+                scored[block, 0], used = _distances(scored[block, 1:], factors)
                 failed |= ~used.any(axis=1)
             if failed.any():  # the first failing mix raises its blend's error, else NoCommonMetrics
                 i = np.argmax(failed)

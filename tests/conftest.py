@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import io
+import os
+
 import numpy as np
 import pytest
 
 from functools import partial
 from itertools import chain
 
-from benchlens import bundled, files
+from benchlens import bundled, dataset, files
 from benchlens.dataset import Store, read_store
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES
 from benchlens.metrics import MetricVector, derive_store
@@ -17,6 +20,19 @@ from oracles import cells
 def write_file(path, export, *args) -> None:
     """Write what `export(*args, fh)` writes into `fh` to `path`, through `files.commit` as the CLI does."""
     files.commit([(path, partial(export, *args))])
+
+
+def spliced(path, run=("\U0010ffff", "", "")) -> bytes | None:
+    """What `dataset._splice` copies the store file at `path` to with a one-line new run `run` (by default one
+    that sorts after every other), or None when it refuses the file: it splices only into a canonical file that
+    lacks the run, and `merge_into` merges any other."""
+    out = io.BytesIO()
+    with open(path, "rb") as fh:
+        try:
+            dataset._splice(fh, os.fstat(fh.fileno()).st_size, Store.from_cells([(*run, "cycles", 1.0, True)]), out)
+        except dataset._Unspliced:
+            return None
+    return out.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -95,6 +95,37 @@ class TestDerive:
         assert (out / "metrics.csv").read_bytes() == first
 
 
+class TestLoudClamps:
+    """A given --groups or --pcs that the data cannot honour is capped, and one `warning:` line per cap names the
+    value used; the defaults (4 groups, 8 components) are capped quietly. Exit codes and artifacts are those of
+    the capped value."""
+
+    def test_pcs_above_the_components_pca_can_give_warns_and_fits_as_many_as_it_can(self, tmp_path, capsys):
+        code, out, err = run(["pca", *base_args(tmp_path / "asked"), "--pcs", "1000"], capsys)
+        assert (code, err.splitlines()) == (0, ["warning: --pcs 1000 is above the 4 components PCA can give; using 4"])
+        assert run(["pca", *base_args(tmp_path / "capped"), "--pcs", "4"], capsys) == (0, out.replace("asked", "capped"), "")
+        assert tree_bytes(tmp_path / "asked") == tree_bytes(tmp_path / "capped")
+
+    def test_groups_above_a_suites_workload_count_warn_once_per_suite(self, tmp_path, capsys):
+        code, out, err = run(["subset", *base_args(tmp_path / "asked"), "--groups", "14"], capsys)
+        assert (code, err.splitlines()) == (0, [
+            "warning: --groups 14 is above the 12 workloads of suite fp_rate; using 12",
+            "warning: --groups 14 is above the 13 workloads of suite fp_speed; using 13",
+            "warning: --groups 14 is above the 13 workloads of suite int_speed; using 13",
+        ])  # int_rate has 14 workloads
+        assert run(["subset", *base_args(tmp_path / "capped"), "--groups", "90"], capsys)[0] == 0
+        assert tree_bytes(tmp_path / "asked") == tree_bytes(tmp_path / "capped")
+
+    def test_the_defaults_are_capped_quietly(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        records = combine(with_score(make_full_record("int_rate", f"i{i}", "M0", rng), 1.0 + i) for i in range(3))
+        store, scores = tmp_path / "store.csv", tmp_path / "scores.csv"
+        dataset.save_canonical(records, store)
+        dataset.save_scores(records, scores)
+        code, out, err = run(["subset", "--store", str(store), "--scores", str(scores), "--out", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")  # 3 workloads against 4 groups, and 3 components at most against 8
+
+
 class TestSubset:
     def test_groups_4_produces_four_representatives_with_accuracy(self, tmp_path, capsys):
         out = tmp_path / "out"

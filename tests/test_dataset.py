@@ -43,7 +43,7 @@ from benchlens.dataset import (
 from benchlens.errors import DuplicateKey, SchemaMismatch, StoreChanged
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES
 from benchlens.files import CHUNK as _CHUNK
-from conftest import combine, make_full_store
+from conftest import combine, make_full_store, spliced
 
 
 def write(path, text):
@@ -486,7 +486,7 @@ class TestChunkedRead:
             store = read_store(path)
         csv_rows.assert_called_once_with(path, STORE_HEADER)
         oracles.assert_same_runs(store, oracles.load_canonical(path))
-        assert dataset._read_cells(path)[-2] is None  # no run starts: not canonical
+        assert spliced(path) is None  # not canonical: merge_into merges it
 
     @pytest.mark.parametrize(
         "flaw",
@@ -533,7 +533,7 @@ class TestChunkedRead:
             "benchlens.dataset.open", lambda *args, **kwargs: Counted(real_open(*args, **kwargs)), create=True
         ):
             store = read_store(path)
-        assert dataset._read_cells(path)[-2] is not None  # read by bytes: each run's start
+        assert spliced(path) is not None  # read by bytes, and canonical: merge_into splices into it
         assert sum(read) == path.stat().st_size
 
     @pytest.mark.parametrize("read_bytes", [1024, 1 << 18])
@@ -823,23 +823,23 @@ class TestStoreMemory:
 
     def test_merging_one_run_into_36000_rows_stays_under_2_mib(self, tmp_path):
         save_canonical(generated_store(), tmp_path / "store.csv")
-        *cells, _, _ = dataset._read_cells(tmp_path / "store.csv")
+        *cells, _ = dataset._read_cells(tmp_path / "store.csv")
         new = cells_store(*(("suite0/new/M0", event, 1.0, True) for event in CANONICAL_EVENTS))
         merged, peak = traced_peak(lambda: dataset._merged(*cells, new))  # the merge route's step
         assert merged.cell_count == 36_020
         assert peak < 2 * 2**20
 
-    def test_saving_one_new_run_among_36000_read_rows_streams_the_file(self, tmp_path):
+    @pytest.mark.parametrize("runs", [1800, 9000], ids=["36000_rows", "180000_rows"])
+    def test_splicing_one_new_run_stays_under_2_5_mib(self, runs, tmp_path):
         path = tmp_path / "store.csv"
-        save_canonical(generated_store(), path)
+        save_canonical(generated_store(runs), path)
         new = cells_store(*(("suite0/new/M0", event, 1.0, True) for event in CANONICAL_EVENTS))
         merged = oracles.cell_merge_stores(read_store(path), new)
-        commit, peaks = files.commit, []
-        with mock.patch.object(files, "commit", lambda pairs: peaks.append(traced_peak(lambda: commit(pairs))[1])):
-            merge_into(path, new)  # the splice's write, traced apart from the read
-        (peak,) = peaks
+        with mock.patch.object(dataset, "_merged", side_effect=AssertionError("merged the cells")):
+            _, peak = traced_peak(lambda: merge_into(path, new))  # the whole call: the read and the write
         assert read_store(path) == merged
-        assert peak < 1.5 * 2**20 < path.stat().st_size  # formatting them all peaks at about 2.9 MiB
+        # one block at a time: holding the file's cells first peaked at about 2.6 and 10.2 MiB
+        assert peak < 2.5 * 2**20
 
 
 @contextmanager
@@ -874,13 +874,15 @@ class TestSafeSave:
         path = tmp_path / "store.csv"
         save_canonical(generated_store(runs=150), path)
         before = path.read_bytes()
-        copied = dataset._copied
+        line_blocks = dataset._line_blocks
 
-        def failing(fh, start, stop):
-            yield from islice(copied(fh, start, stop), 1)
+        def failing(fh):
+            yield from islice(line_blocks(fh), 1)
             raise error
 
-        with pytest.raises(type(error)), mock.patch.object(dataset, "_copied", failing):
+        with pytest.raises(type(error)), mock.patch.object(dataset, "_READ_BYTES", 4096), mock.patch.object(
+            dataset, "_line_blocks", failing
+        ):  # the splice fails after copying its first block
             merge_into(path, cells_store(("suite0/new/M0", "cycles", 1.0, True)))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["store.csv"]
@@ -908,20 +910,22 @@ class TestSafeSave:
 class TestSplicedSave:
     @staticmethod
     def splice(path, new):
-        """`merge_into(path, new)`, failing if it formats the whole store or merges the cells; and the calls
-        of `_copied` it made."""
-        with mock.patch.object(dataset, "_copied", wraps=dataset._copied) as copied, mock.patch.object(
+        """`merge_into(path, new)`, failing if it formats the whole store, reads its cells or merges them; and
+        the number of passes over the file's blocks (`_line_blocks` calls) it made."""
+        with mock.patch.object(dataset, "_line_blocks", wraps=dataset._line_blocks) as blocks, mock.patch.object(
             files, "write_csv", side_effect=AssertionError("formatted the whole store")
-        ), mock.patch.object(dataset, "_merged", side_effect=AssertionError("merged the cells")):
+        ), mock.patch.object(dataset, "_read_cells", side_effect=AssertionError("read the cells")), mock.patch.object(
+            dataset, "_merged", side_effect=AssertionError("merged the cells")
+        ):
             merge_into(path, new)
-        return copied.call_count
+        return blocks.call_count
 
     def test_the_runs_of_a_canonical_store_are_copied_and_a_new_run_is_formatted(self, tmp_path):
         path = tmp_path / "store.csv"
         save_canonical(generated_store(runs=150), path)
         new = cells_store(("suite1/new/M0", "cycles", 1.0, True))
         oracles.csv_save_canonical(oracles.cell_merge_stores(read_store(path), new), tmp_path / "expected.csv")
-        assert self.splice(path, new) == 2  # the runs before the new one, and the runs after it
+        assert self.splice(path, new) == 1  # one streamed pass: the runs before the new one, then those after it
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_runs_with_names_of_several_bytes_are_copied_as_the_oracle_writes_them(self, tmp_path):
@@ -935,8 +939,25 @@ class TestSplicedSave:
         with mock.patch("benchlens.dataset._READ_BYTES", 7):  # reads that end inside a character
             new = cells_store(("ünï/w20x/名前", "cycles", 1.0, True))
             oracles.csv_save_canonical(oracles.cell_merge_stores(read_store(path), new), tmp_path / "expected.csv")
-            assert self.splice(path, new) == 2
+            assert self.splice(path, new) == 1
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [("s,w1,m,cycles,-1.0,true", ValueError), ("s,w1,m,cycles,1.0,true", DuplicateKey),
+         ("s,w0,m,cycles,1.0,true", PermissionError)],
+        ids=["a_bad_row", "a_held_cell", "a_new_run"],
+    )
+    def test_a_temporary_file_that_cannot_be_made_fails_after_the_reads_and_the_merges_errors(
+        self, tmp_path, line, error
+    ):
+        """A splice whose temporary file cannot be made takes the merge route, which reads and merges before it
+        saves: a bad row's or a held cell's error is raised before the temporary file's."""
+        path = write(tmp_path / "store.csv", f"{','.join(STORE_HEADER)}\n{line}\n")
+        with pytest.raises(error), mock.patch.object(files.Path, "mkdir", side_effect=PermissionError("read-only")):
+            merge_into(path, cells_store(("s/w1/m", "cycles", 5.0, True)))
+        assert path.read_text() == f"{','.join(STORE_HEADER)}\n{line}\n"
+        assert os.listdir(tmp_path) == ["store.csv"]
 
     @pytest.mark.parametrize("change", ["replaced", "rewritten longer", "rewritten in place"])
     def test_a_source_changed_after_the_read_is_refused_and_kept(self, tmp_path, change):
@@ -944,10 +965,10 @@ class TestSplicedSave:
         store = generated_store(runs=150)
         save_canonical(store, path)
         before = path.stat()
-        read_cells, changed = dataset._read_cells, []
+        line_blocks, changed = dataset._line_blocks, []
 
-        def read_then_change(read_path):
-            cells = read_cells(read_path)
+        def read_then_change(fh):
+            yield from line_blocks(fh)
             if change == "replaced":  # another file of the same size and mtime in its place
                 other.write_bytes(path.read_bytes().replace(b"true", b"TRUE"))
                 os.replace(other, path)
@@ -960,10 +981,9 @@ class TestSplicedSave:
             later = 10**9 if change == "rewritten in place" else 0
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + later))
             changed.append(path.read_bytes())
-            return cells
 
         with pytest.raises(StoreChanged, match=re.escape(str(path))), mock.patch.object(
-            dataset, "_read_cells", read_then_change
+            dataset, "_line_blocks", read_then_change
         ), mock.patch.object(dataset, "_merged", side_effect=AssertionError("merged the cells")):
             merge_into(path, cells_store(("suite0/new/M0", "cycles", 1.0, True)))  # spliced
         assert path.read_bytes() == changed[0]

@@ -21,6 +21,7 @@ import pytest
 from benchlens import bundled, dataset, files
 from benchlens.cli import main
 from benchlens.errors import StoreChanged
+from conftest import spliced
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -67,7 +68,7 @@ def either_store(request, store) -> Path:
     merges and saves."""
     if request.param == "quoted":
         store.write_bytes(store.read_bytes().replace(b"\nfp_rate,", b'\n"fp,rate",'))
-    assert (dataset._read_cells(store)[-2] is None) == (request.param == "quoted")  # no run starts to splice at
+    assert (spliced(store) is None) == (request.param == "quoted")  # not canonical: merged, not spliced
     return store
 
 

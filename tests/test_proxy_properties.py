@@ -27,7 +27,8 @@ from benchlens.dataset import Store  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
 from benchlens.errors import NoCommonMetrics  # noqa: E402
 from benchlens.proxy import (  # noqa: E402
-    BlendProfile, RrrSchedule, WorkloadProfile, _distances, blend_distance, export_mixes_csv, search_mix, simulate_rrr,
+    BlendProfile, RrrSchedule, WorkloadProfile, _distances, _factors, blend_distance, export_mixes_csv, search_mix,
+    simulate_rrr,
 )
 from conftest import derive_one, make_full_record, write_file  # noqa: E402
 from oracles import (  # noqa: E402
@@ -242,7 +243,7 @@ def distance_blocks(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=distance_blocks())
 def test_distances_of_a_block_match_the_column_loop(case):
-    outcome = same_outcome(_distances, loop_distances, *case)
+    outcome = same_outcome(lambda values, *law: _distances(values, _factors(*law)), loop_distances, *case)
     if outcome is not None:
         (distances, used), (expected, expected_used) = outcome
         assert distances.tobytes() == expected.tobytes()

@@ -11,7 +11,6 @@ from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -25,6 +24,7 @@ from benchlens.dataset import (  # noqa: E402
 )
 from benchlens.errors import DuplicateKey  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS  # noqa: E402
+from conftest import spliced  # noqa: E402
 
 NAMES = st.sampled_from(["a", "b", "c,d", 'q"uote', "zz"])
 EVENTS = st.sampled_from(CANONICAL_EVENTS[:6] + ("raw.event", "Z-unmapped"))
@@ -281,7 +281,7 @@ def test_read_merge_save_writes_the_bytes_of_the_oracle(mutation, store, read_by
         # small reads: runs span blocks, and copies cut multi-byte names
         with mock.patch.object(dataset, "_READ_BYTES", read_bytes):
             existing = read_store(path)
-            assert (dataset._read_cells(path)[-2] is not None) == canonical
+            assert (spliced(path) is not None) == canonical
             cells = {cell[:4] for cell in oracles.cells(existing)}
             run = existing.runs[0] if into_existing and existing.runs else ("new", "run", "M9")
             run = ("new", "run", "M9") if (*run, event) in cells else run
@@ -342,6 +342,47 @@ def test_merge_into_writes_the_bytes_of_read_merge_save_or_raises_its_error(read
         assert os.listdir(tmp) == ["store.csv"]
 
 
+# a saved store made not canonical in its last lines, or a new run that it holds in its last lines: the splice
+# refuses the file only after it has copied most of it
+LATE = {
+    "last_runs_out_of_order": (lambda lines: [*lines[:-8], *lines[-4:], *lines[-8:-4]], ("s0", "a", "m"), "loads"),
+    "last_value_not_repr": (lambda lines: [*lines[:-1], lines[-1].replace(".0,", ".00,")], ("s0", "a", "m"), "loads"),
+    "new_run_held": (lambda lines: lines, ("s2", "w29", "m"), "zz.raw"),
+    "new_cell_held": (lambda lines: lines, ("s2", "w29", "m"), CANONICAL_EVENTS[0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE))
+def test_a_store_refused_late_is_merged_as_read_merge_save_merges_it(case, tmp_path):
+    path, expected = tmp_path / "store.csv", tmp_path / "expected.csv"
+    save_canonical(Store.from_cells(
+        (f"s{i % 3}", f"w{i:02d}", "m", event, float(i), True) for i in range(30) for event in CANONICAL_EVENTS[:4]
+    ), path)
+    edit, run, event = LATE[case]
+    header, *lines = path.read_text().split("\n")[:-1]
+    path.write_text("\n".join([header, *edit(lines)]) + "\n")
+    new = Store.from_cells([(*run, event, 7.0, True)])
+    splice, copied = dataset._splice, []  # the bytes each splice copied before it was refused
+
+    def splicing(fh, size, new, out):
+        try:
+            splice(fh, size, new, out)
+        finally:
+            copied.append(out.tell())
+
+    with mock.patch.object(dataset, "_READ_BYTES", 64):
+        expected.write_bytes(path.read_bytes())
+        _, expected_error = raised_or_none(
+            lambda: save_canonical(oracles.cell_merge_stores(read_store(expected), new), expected)
+        )
+        with mock.patch.object(dataset, "_splice", splicing):
+            _, error = raised_or_none(lambda: merge_into(path, new))
+    assert error == expected_error
+    assert path.read_bytes() == expected.read_bytes()
+    assert len(copied) == 1 and copied[0] > path.stat().st_size * 3 // 4
+    assert sorted(os.listdir(tmp_path)) == ["expected.csv", "store.csv"]
+
+
 @pytest.mark.parametrize(
     "runs, spliced",
     [
@@ -390,15 +431,20 @@ def test_value_texts_at_the_edges_of_the_whole_number_law_read_as_float_reads_th
         csv_route = mock.patch.object(dataset, "_csv_rows", side_effect=AssertionError("a plain store went through csv"))
         with mock.patch.object(dataset, "_READ_BYTES", read_bytes), csv_route if by_bytes else nullcontext():
             got, error = raised_or_none(lambda: read_store(path))
-            starts = None if error else dataset._read_cells(path)[-2]
+            # a new run before the first run, and one after each run
+            places = [("s", "w", "m"), *(("s", f"w{r:02d}+", "m") for r in range(-(-len(lines) // events)))]
+            copies = None if error else [spliced(path, run) for run in places]
     assert error == expected_error
     if expected is None:
         return
     oracles.assert_same_runs(got, expected)
     canonical = all(repr(float(text)) == text for text in texts)
     hypothesis.event("canonical" if canonical else "not canonical")
-    if canonical:  # the bytes save_canonical writes: where each run's lines start
-        stops = np.cumsum([len(header) + 1] + [len(line.encode()) + 1 for line in lines]).tolist()
-        assert starts.tolist() == [stops[i] for i in range(0, len(lines), events)]
+    if canonical:  # the bytes save_canonical writes: each new run's line goes in at its place
+        body = [f"{line}\n".encode() for line in [header, *lines]]
+        assert copies == [
+            b"".join([*body[: 1 + events * i], f"{','.join(run)},cycles,1.0,true\n".encode(), *body[1 + events * i :]])
+            for i, run in enumerate(places)
+        ]
     else:
-        assert starts is None
+        assert copies == [None] * len(places)
