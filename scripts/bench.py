@@ -37,7 +37,9 @@ Each curve carries the exponent b of a least-squares fit of time ~ size^b on
 log scales (size is n, the C(40, k) candidates, the mixes ranked, or the
 store's rows or runs). Each point of the two proxy curves, and each spliced
 merge, also carries the tracemalloc peak of one more call, in MiB: what the
-call allocates through Python and numpy, beyond what it was handed.
+call allocates through Python and numpy, beyond what it was handed. Each
+point of the ``search_mix`` curve also carries ``held_mib``, what the
+ranking that call returns still holds after it.
 It also splits start-up, the part of perfbench's ``setup_s`` before a
 command runs, in fresh interpreters with BLAS at one thread (medians of
 ``STARTUP_ROUNDS``): the bare interpreter (``-c pass``), then, timed in one
@@ -130,10 +132,14 @@ def merge_s(store_path, new, repeats):
     return statistics.median(times)
 
 def peak_mib(call):
+    return peak_held_mib(call)[0]
+
+def peak_held_mib(call):  # the tracemalloc peak of one call and what its result still holds after it
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        result = call()  # alive while what it holds is read
+        held, peak = tracemalloc.get_traced_memory()
+        return peak / 2**20, held / 2**20
     finally:
         tracemalloc.stop()
 
@@ -161,12 +167,14 @@ proxy = []
 with tempfile.TemporaryDirectory() as tmp:
     for k in (1, 2, 3):
         ranked = search_mix(pool, target, k, weights)
+        search_peak, held = peak_held_mib(lambda: search_mix(pool, target, k, weights))
         proxy.append({
             "k": k,
             "mixes": len(ranked),
             "search_median_s": median_s(lambda: search_mix(pool, target, k, weights), 5),
             "export_median_s": median_s(lambda: export(ranked, Path(tmp) / "mixes.csv"), 5),
-            "search_peak_mib": peak_mib(lambda: search_mix(pool, target, k, weights)),
+            "search_peak_mib": search_peak,
+            "search_held_mib": held,
             "export_peak_mib": peak_mib(lambda: export(ranked, Path(tmp) / "mixes.csv")),
         })
     quoted = search_mix([WorkloadProfile("w,00", pool[0].rates, 1.0), *pool[1:]], target, 3, weights)
@@ -311,15 +319,13 @@ def scaling_curves(points: dict) -> dict:
         **{
             name: {
                 "workloads": 50,
-                "points": [
-                    {"k": p["k"], "mixes": p["mixes"], **{f: p[f"{key}_{f}"] for f in ("median_s", "peak_mib")}}
-                    for p in proxy
-                ],
+                "points": [{"k": p["k"], "mixes": p["mixes"], **{f: p[f"{key}_{f}"] for f in kept}} for p in proxy],
                 "exponent_in_mixes": fitted_exponent(
                     [p["mixes"] for p in proxy], [p[f"{key}_median_s"] for p in proxy]
                 ),
             }
-            for name, key in (("search_mix", "search"), ("export_mixes_csv", "export"))
+            for name, key, kept in (("search_mix", "search", ("median_s", "peak_mib", "held_mib")),
+                                    ("export_mixes_csv", "export", ("median_s", "peak_mib")))
         },
         "export_mixes_csv_quoted": {"workloads": 50, "k": 3, "mixes": proxy[-1]["mixes"],
                                     "median_s": proxy[-1]["quoted_export_median_s"]},

@@ -72,7 +72,7 @@ class PipelineConfig:
     threshold: float | None = None
     groups: int | None = None
     subset_k: int | None = None
-    mix_k: int = 2
+    mix_k: int | None = None  # None: 2
     mix: str | None = None
     target: str | None = None
     weights: dict[str, float] | None = None
@@ -472,7 +472,10 @@ def cmd_proxy(run: Run) -> tuple[str, Artifacts]:
         derived.select(suite=pool_suite, machine=machine), [p.workload for p in profiles], [machine]
     )
     scales = features.normalize(pool_matrix).scales_for_machine(machine)
-    mix_k = min(cfg.mix_k, len(profiles))
+    if cfg.mix_k is not None and cfg.mix_k > len(profiles):  # normalize needs 2 workloads: 2 is never capped
+        print(f"warning: --mix-k {cfg.mix_k} is above the {len(profiles)} workloads of the pool; "
+              f"using {len(profiles)}", file=sys.stderr)
+    mix_k = min(2 if cfg.mix_k is None else cfg.mix_k, len(profiles))
     ranked = proxy.search_mix(profiles, target_vec, mix_k, weights, scales=scales, target_name=cfg.target,
                               budget=cfg.budget)
     best_order, best_blend = ranked[0]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -33,7 +34,10 @@ from .events import METRIC_DEFS, METRIC_NAMES
 
 BOUNDED_SHARES = ("load_pct", "store_pct", "branch_pct", "frontend_stall_pct", "backend_stall_pct")
 _NUMERATORS, _DENOMINATORS, _SCALES = zip(*METRIC_DEFS.values())  # in METRIC_NAMES order
-_SHARES = np.array([METRIC_NAMES.index(m) for m in BOUNDED_SHARES])
+_SCALES = np.array(_SCALES)  # one row that scales every block
+_BASES = ("instructions", "cycles")  # a run or blend without both positive fails
+# each metric's largest value within its bounds: 100 for a BOUNDED_SHARES one, else the largest finite float
+_UPPER = np.array([100.0 if name in BOUNDED_SHARES else np.finfo(float).max for name in METRIC_NAMES])
 _KERNEL, _USER = METRIC_NAMES.index("kernel_pct"), METRIC_NAMES.index("user_pct")
 # the bounds by code, in the order they are checked: metric j's are 2j and 2j + 1, then the sum
 _BOUNDS = (*(f"{name} must be {bound}" for name in METRIC_NAMES for bound in ("finite and >= 0", "<= 100")),
@@ -48,14 +52,20 @@ def _first_broken(values: np.ndarray, available: np.ndarray) -> np.ndarray:
     count. Metric by metric, an available value is finite and >= 0, and a
     BOUNDED_SHARES one <= 100; then kernel_pct + user_pct is within 1e-6 of 100.
     """
-    v, a = values.T, available.T  # bounds as rows, runs as columns: `any` over a run's bounds ORs whole rows
-    broken = np.zeros((len(_BOUNDS), len(values)), dtype=bool)
     with np.errstate(invalid="ignore", over="ignore"):
-        broken[0:-1:2] = a & ~(np.isfinite(v) & (v >= 0))
-        broken[1 + 2 * _SHARES] = a[_SHARES] & (v[_SHARES] > 100.0)
-        broken[-1] = a[_KERNEL] & a[_USER] & (np.abs(v[_KERNEL] + v[_USER] - 100.0) > 1e-6)
-    failure, failed = np.full(len(values), -1), broken.any(axis=0)
-    failure[failed] = broken[:, failed].argmax(axis=0)  # only a failing run is searched for its first bound
+        broken = values >= 0  # a NaN compares False
+        broken &= values <= _UPPER
+        np.greater(available, broken, out=broken)  # available and out of bounds
+        summed = available[:, _KERNEL] & available[:, _USER]
+        summed &= np.abs(values[:, _KERNEL] + values[:, _USER] - 100.0) > 1e-6
+    failure = np.full(len(values), -1)
+    failed = np.flatnonzero(broken.any(axis=1) | summed)
+    if len(failed):  # only a failing row is searched for its first bound: a metric's lower one, then its upper
+        first = broken[failed].argmax(axis=1)
+        value = values[failed, first]
+        with np.errstate(invalid="ignore"):
+            codes = 2 * first + (np.isfinite(value) & (value >= 0))
+        failure[failed] = np.where(broken[failed, first], codes, len(_BOUNDS) - 1)
     return failure
 
 
@@ -112,6 +122,16 @@ class MetricVector:
         return tuple(name for name in METRIC_NAMES if getattr(self, name) is not None)
 
 
+@lru_cache(maxsize=16)
+def _inputs(events: tuple[str, ...]) -> np.ndarray:
+    """The column of `events` that each numerator, each denominator, instructions and cycles read, in that
+    order; an event not in `events` reads the NaN column after them."""
+    column = {event: j for j, event in enumerate(events)}
+    inputs = np.array([column.get(event, len(events)) for event in (*_NUMERATORS, *_DENOMINATORS, *_BASES)])
+    inputs.setflags(write=False)  # every call with these events shares it
+    return inputs
+
+
 def metric_array(counts: np.ndarray, events: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The metrics of each row of `counts`, NaN where unavailable, and each row's `row_error` code, -1 if it passes.
 
@@ -120,15 +140,15 @@ def metric_array(counts: np.ndarray, events: Sequence[str]) -> tuple[np.ndarray,
     `scale * num / den` per METRIC_DEFS, unavailable when its numerator is
     NaN or its denominator is not positive. A row fails as the module docstring says.
     """
-    column = {event: j for j, event in enumerate(events)}  # an event not in `events` is the NaN column
-    inputs = [column.get(event, len(events)) for event in (*_NUMERATORS, *_DENOMINATORS, "instructions", "cycles")]
     padded = np.concatenate([counts, np.full((len(counts), 1), np.nan)], axis=1)
-    gathered = padded[:, inputs]
+    gathered = padded[:, _inputs(tuple(events))]
     num, den = gathered[:, :len(METRIC_NAMES)], gathered[:, len(METRIC_NAMES):-2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         available = ~np.isnan(num) & (den > 0)
         # scale first: keeps shares exact for integer counters at table precision
-        values = np.where(available, np.array(_SCALES) * num / den, np.nan)
+        values = _SCALES * num
+        values /= den
+    values[~available] = np.nan
     failure = _first_broken(values, available)  # a later line wins: it names an earlier failure
     failure[~(gathered[:, -2] > 0) | ~(gathered[:, -1] > 0)] = _NO_DENOMINATOR
     if np.isinf(counts).any():  # a blend's totals may overflow; a store's counts never do

@@ -33,7 +33,9 @@ distance, then puts each run of equal distances in order tuple order.
 `blend_markdown` blends each constituent over one pass. `search_mix` blends
 a pool's mixes as rows of arrays, one `stats.subset_rows` chunk at a time, on
 the equal-duration schedule (copy c runs slots c, c+1, ..., c-1 for one unit
-each), so its values are bit-identical to simulating each mix.
+each), so its values are bit-identical to simulating each mix. It keeps only
+each mix's distance; `RankedMixes.rows` blends a chunk of ranked mixes again
+on the same schedule for the export.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def _blend(rates: np.ndarray, mixes: np.ndarray, steps) -> np.ndarray:
     slot's rates are gathered once, and a step of 1.0 adds them as they are,
     which is exact.
     """
-    slots = [rates[mixes[:, slot]] for slot in range(mixes.shape[1])]
+    slots = [rates.take(column, axis=0) for column in mixes.T]
     totals = np.zeros((len(mixes), rates.shape[1]))
     with np.errstate(over="ignore"):
         for slot, step in steps:
@@ -263,21 +265,30 @@ def blend_distance(
     return DistanceReport(distance=float(distances[0]), relative_gaps=gaps, metrics_used=metrics_used)
 
 
+def _equal_steps(size: int) -> list[tuple[int, float]]:
+    """The (slot, step) pairs of the equal-duration schedule of `size` workloads: copy c runs slots c, c+1, ...,
+    c-1 for one unit each."""
+    return [((copy + step) % size, 1.0) for copy in range(size) for step in range(size)]
+
+
 class RankedMixes(Sequence):
     """The ranking `search_mix` returns: `(order, BlendProfile)` pairs, closest first.
 
     Each mix is one row of two arrays, in the order the search blended it:
-    `mixes` holds its pool indices (padded with -1), and `scored` its distance
-    followed by its metric values (NaN where unavailable), the floats of its
-    `export_mixes_csv` line. `rank` holds those rows closest first, and `rows`
-    gathers the ranked rows a slice at a time. A BlendProfile is simulated only
-    when its item is read, so ranking builds none.
+    `mixes` holds its pool indices (padded with -1), and `distances` its
+    distance. `rank` holds those rows closest first. `rows` gathers the ranked
+    rows a slice at a time and blends their metrics again from the pool's
+    `rates` over `events`, by the law and in the order the search used, so
+    they are the floats of their `export_mixes_csv` lines. A BlendProfile is
+    simulated only when its item is read, so ranking builds none.
     """
 
-    def __init__(self, pool, mixes, scored, rank, target_name):
+    def __init__(self, pool, rates, events, mixes, distances, rank, target_name):
         self._pool = pool  # equal-duration profiles, sorted by workload id
+        self._rates = rates
+        self._events = events
         self._mixes = mixes
-        self._scored = scored
+        self._distances = distances
         self._rank = rank
         self._target_name = target_name
 
@@ -285,9 +296,25 @@ class RankedMixes(Sequence):
         return len(self._rank)
 
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The `mixes` and `scored` rows of the ranked mixes lo to hi."""
+        """The `mixes` rows of the ranked mixes lo to hi, and each one's distance followed by its metric values
+        (NaN where unavailable).
+
+        The rows of each mix size are blended on that size's equal-duration
+        schedule, as `search_mix` blended them, into one array of totals that
+        one `metrics.metric_array` call derives; each operation is row by row.
+        """
         rows = self._rank[lo:hi]
-        return self._mixes[rows], self._scored[rows]
+        mixes = self._mixes[rows]
+        sizes = (mixes >= 0).sum(axis=1)
+        totals = np.empty((len(rows), len(self._events)))
+        for size in range(1, mixes.shape[1] + 1):
+            group = sizes == size
+            if group.any():
+                totals[group] = _blend(self._rates, mixes[group, :size], _equal_steps(size))
+        scored = np.empty((len(rows), 1 + len(METRIC_NAMES)))
+        scored[:, 0] = self._distances[rows]
+        scored[:, 1:] = metric_array(totals, self._events)[0]
+        return mixes, scored
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -296,7 +323,7 @@ class RankedMixes(Sequence):
         members = [self._pool[j] for j in self._mixes[row] if j >= 0]
         order = tuple(p.workload for p in members)
         blend = simulate_rrr(members, RrrSchedule(order=order, copies=len(order)))
-        return order, replace(blend, distance_to_target=float(self._scored[row, 0]), target=self._target_name)
+        return order, replace(blend, distance_to_target=float(self._distances[row]), target=self._target_name)
 
 
 def search_mix(
@@ -318,11 +345,13 @@ def search_mix(
 
     Mixes are blended, derived and measured as rows of arrays, size by size and
     one `stats.subset_rows` chunk (`files.CHUNK` mixes, or fewer than a pool
-    size more) at a time, into arrays that hold every mix: its distance
-    and metrics as 20 floats, its pool indices in the narrowest signed dtype
-    that holds -1 and the pool size (int8 up to 128 workloads). The first mix
-    that fails, in enumeration order, raises what simulating it would: its
-    blend's error, else a bad weight's or stdev's, else NoCommonMetrics.
+    size more) at a time, into temporaries. The ranking keeps only what it
+    needs of each mix: its distance as one float, its pool indices in the
+    narrowest signed dtype that holds -1 and the pool size (int8 up to 128
+    workloads) and its place in the rank, 8 + k + 8 bytes; `RankedMixes.rows`
+    blends a ranked chunk's metrics again. The first mix that fails, in
+    enumeration order, raises what simulating it would: its blend's error,
+    else a bad weight's or stdev's, else NoCommonMetrics.
     """
     if max_constituents < 1:
         raise ValueError("max_constituents must be >= 1")
@@ -338,32 +367,33 @@ def search_mix(
 
     rates, events = _rate_array(pool)
     mixes = np.full((total, max_constituents), -1, dtype=np.min_scalar_type(-len(pool)))
-    scored = np.empty((total, 1 + len(METRIC_NAMES)))  # each mix's distance, then its metrics
+    distances = np.empty(total)
     lo, factors = 0, None  # built at the first block whose first mix blends, where a bad weight raises
     for size in range(1, max_constituents + 1):
-        steps = [((copy + step) % size, 1.0) for copy in range(size) for step in range(size)]
+        steps = _equal_steps(size)
         for rows in subset_rows(len(pool), size, files.CHUNK):
             block = slice(lo, lo + len(rows))
             lo = block.stop
             mixes[block, :size] = rows
-            scored[block, 1:], failure = metric_array(_blend(rates, rows, steps), events)
+            values, failure = metric_array(_blend(rates, rows, steps), events)
             failed = failure >= 0
             if not failed[0]:  # else the block's first mix raises before a weight is read
                 if factors is None:
                     factors = _factors(target, weights, scales)
-                scored[block, 0], used = _distances(scored[block, 1:], factors)
+                distances[block], used = _distances(values, factors)
                 failed |= ~used.any(axis=1)
             if failed.any():  # the first failing mix raises its blend's error, else NoCommonMetrics
                 i = np.argmax(failed)
                 if failure[i] >= 0:
                     key = ("rrr", "+".join(names[j] for j in rows[i]), "blend")
-                    raise row_error(key, scored[block.start + i, 1:].tolist(), failure[i])
+                    raise row_error(key, values[i].tolist(), failure[i])
                 raise NoCommonMetrics("no weighted metric is available on both sides")
-    rank = np.argsort(scored[:, 0], kind="stable")
-    tied = np.append(scored[rank[1:], 0] == scored[rank[:-1], 0], False)  # rank[i] ties with rank[i + 1]
+    rank = np.argsort(distances, kind="stable")
+    ordered = distances[rank]
+    tied = np.append(ordered[1:] == ordered[:-1], False)  # rank[i] ties with rank[i + 1]
     tied = np.flatnonzero(tied | np.roll(tied, 1))  # the runs of equal distances, each put in order tuple order
-    rank[tied] = rank[tied][np.lexsort((*mixes[rank[tied]].T[::-1], scored[rank[tied], 0]))]
-    return RankedMixes([replace(p, duration=1.0) for p in pool], mixes, scored, rank, target_name)
+    rank[tied] = rank[tied][np.lexsort((*mixes[rank[tied]].T[::-1], ordered[tied]))]
+    return RankedMixes([replace(p, duration=1.0) for p in pool], rates, events, mixes, distances, rank, target_name)
 
 
 def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:

@@ -96,9 +96,9 @@ class TestDerive:
 
 
 class TestLoudClamps:
-    """A given --groups or --pcs that the data cannot honour is capped, and one `warning:` line per cap names the
-    value used; the defaults (4 groups, 8 components) are capped quietly. Exit codes and artifacts are those of
-    the capped value."""
+    """A given --groups, --pcs or --mix-k that the data cannot honour is capped, and one `warning:` line per cap
+    names the value used; the defaults (4 groups, 8 components) are capped quietly, and the default of 2
+    constituents fits every pool proxy can normalize. Exit codes and artifacts are those of the capped value."""
 
     def test_pcs_above_the_components_pca_can_give_warns_and_fits_as_many_as_it_can(self, tmp_path, capsys):
         code, out, err = run(["pca", *base_args(tmp_path / "asked"), "--pcs", "1000"], capsys)
@@ -114,6 +114,13 @@ class TestLoudClamps:
             "warning: --groups 14 is above the 13 workloads of suite int_speed; using 13",
         ])  # int_rate has 14 workloads
         assert run(["subset", *base_args(tmp_path / "capped"), "--groups", "90"], capsys)[0] == 0
+        assert tree_bytes(tmp_path / "asked") == tree_bytes(tmp_path / "capped")
+
+    def test_mix_k_above_the_pool_warns_and_ranks_every_mix_of_the_pool(self, tmp_path, capsys):
+        code, out, err = run([*PROXY_SEARCH, *base_args(tmp_path / "asked"), "--mix-k", "13"], capsys)
+        assert (code, err.splitlines()) == (0, ["warning: --mix-k 13 is above the 12 workloads of the pool; using 12"])
+        capped = run([*PROXY_SEARCH, *base_args(tmp_path / "capped"), "--mix-k", "12"], capsys)
+        assert capped == (0, out.replace("asked", "capped"), "")
         assert tree_bytes(tmp_path / "asked") == tree_bytes(tmp_path / "capped")
 
     def test_the_defaults_are_capped_quietly(self, tmp_path, capsys):

@@ -355,9 +355,10 @@ class TestSearchMix:
                 assert assert_matches_simulation(tmp_path, case_pool, target, k, case_weights) is None
             assert_matches_simulation(tmp_path, pool, target, 3, weights)
 
-    def test_a_k3_search_peaks_under_4_5_mib_and_its_export_adds_under_1_5_mib(self, tmp_path):
-        # blocks of 2,048 mixes and pool indices as intp peaked at 5.7 MiB searching and at 2.7 MiB more writing;
-        # whole-pool temporaries, a joined text or every cell listed at once peaked near 16 MiB for either
+    def test_a_k3_search_peaks_under_1_5_mib_holds_under_0_6_mib_and_its_export_adds_under_1_5_mib(self, tmp_path):
+        # each mix's distance and 19 metrics kept as floats peaked at 3.8 MiB searching and held 3.4 MiB; blocks of
+        # 2,048 mixes and pool indices as intp peaked at 5.7 MiB searching and at 2.7 MiB more writing; whole-pool
+        # temporaries, a joined text or every cell listed at once peaked near 16 MiB for either
         pool, target, weights = generated_case(50)
         tracemalloc.start()
         try:
@@ -371,8 +372,21 @@ class TestSearchMix:
             tracemalloc.stop()
         assert len(ranked) == 20_875
         assert len((tmp_path / "mixes.csv").read_text().splitlines()) == 1 + 20_875
-        assert search_peak < 4.5 * 2**20
+        assert search_peak < 1.5 * 2**20
+        assert held < 0.6 * 2**20
         assert export_peak - held < 1.5 * 2**20
+
+    def test_a_k3_ranking_of_100_workloads_holds_under_4_mib(self):
+        # 8 + 3 + 8 bytes for each of 166,750 mixes; their distances and metrics as floats held 27.2 MiB
+        pool, target, weights = generated_case(100)
+        tracemalloc.start()
+        try:
+            ranked = search_mix(pool, target, 3, weights)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == 166_750
+        assert held < 4 * 2**20
 
     @pytest.mark.parametrize("quoted", [False, True])
     @pytest.mark.parametrize("size", [128, 129])  # the largest pool of int8 indices, and the smallest of int16
@@ -382,10 +396,31 @@ class TestSearchMix:
         pool.append(replace(pool[0], workload="w,twin" if quoted else "wtwin"))
         ranked = search_mix(pool, target, 2, weights)
         assert ranked._mixes.dtype == (np.int8 if size == 128 else np.int16)
-        assert ranked._rank.tolist() == lexsort_rank(ranked._mixes, ranked._scored[:, 0]).tolist()
+        assert ranked._rank.tolist() == lexsort_rank(ranked._mixes, ranked._distances).tolist()
         write_file(tmp_path / "mixes.csv", export_mixes_csv, ranked)
         csv_export_mixes(ranked, tmp_path / "oracle.csv")
         assert (tmp_path / "mixes.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_ranked_rows_blend_the_simulated_metrics_again_bit_for_bit(self):
+        # chunks of 5 ranked rows hold mixes of sizes 1, 2 and 3 and cut their runs apart; w2 lacks l2_misses, so
+        # l2_mpki is NaN in every mix that holds it
+        rng = np.random.default_rng(251)
+        pool = [WorkloadProfile.from_store(make_full_record("s", f"w{i}", "m", rng), 0) for i in range(7)]
+        pool[2] = unsupported(pool[2], "l2_misses")
+        target = derive_one(make_full_record("s", "target", "m", rng))
+        weights = dict.fromkeys(target.available(), 1.0)
+        expected = search_mix_by_simulation(pool, target, 3, weights)
+        with mock.patch.object(files, "CHUNK", 5):
+            ranked = search_mix(pool, target, 3, weights)
+            chunks = [ranked.rows(lo, lo + files.CHUNK) for lo in range(0, len(ranked), files.CHUNK)]
+        assert any(len(np.unique((mixes >= 0).sum(axis=1))) == 3 for mixes, _ in chunks)
+        mixes, scored = (np.concatenate(arrays) for arrays in zip(*chunks))
+        assert [tuple(f"w{j}" for j in mix if j >= 0) for mix in mixes.tolist()] == [order for order, _ in expected]
+        simulated = np.array(
+            [[blend.distance_to_target, *map(blend.metrics.get, METRIC_NAMES)] for _, blend in expected], dtype=float
+        )
+        assert np.isnan(scored[:, 1 + METRIC_NAMES.index("l2_mpki")]).any()
+        assert scored.tobytes() == simulated.tobytes()
 
     def test_items_are_simulated_on_access(self):
         cactus, fotonik = icache_stress_pair()

@@ -118,7 +118,7 @@ def test_the_ranking_is_a_lexsort_by_distance_then_order(case, overflow):
     except NoCommonMetrics:
         event("no common metric")
         return
-    distances = ranked._scored[:, 0]
+    distances = ranked._distances
     sizes = (ranked._mixes >= 0).sum(axis=1)
     tied = (distances[:, None] == distances) & ~np.eye(len(distances), dtype=bool)
     event("ties across sizes" if (tied & (sizes[:, None] != sizes)).any() else "ties" if tied.any() else "no tie")

@@ -64,14 +64,26 @@ def mixes_file(ranked, path):
     write_file(path, export_mixes_csv, ranked)
 
 
+class GivenRows(RankedMixes):
+    """A `RankedMixes` whose `rows` gathers given metric rows, so the export is fed floats no blend yields."""
+
+    def __init__(self, pool, mixes, distances, metrics):
+        super().__init__(pool, None, (), mixes, distances, np.arange(len(mixes)), "t")
+        self._metrics = metrics
+
+    def rows(self, lo, hi):
+        rows = self._rank[lo:hi]
+        return self._mixes[rows], np.column_stack([self._distances[rows], self._metrics[rows]])
+
+
 def ranked_mixes(names, mixes, distances, metrics) -> RankedMixes:
-    """A ranking as `search_mix` returns it: pool indices padded with -1, one distance and metric row each."""
+    """A ranking as `search_mix` returns it (pool indices padded with -1, one distance each) and one given metric
+    row for each mix."""
     pool = [WorkloadProfile(workload=name, rates={}, duration=1.0) for name in names]
     width = max((len(mix) for mix in mixes), default=1)
     padded = np.array([mix + [-1] * (width - len(mix)) for mix in mixes], dtype=np.intp).reshape(-1, width)
     values = np.array(metrics, dtype=float).reshape(-1, len(METRIC_NAMES))
-    scored = np.column_stack([np.array(distances, dtype=float), values])
-    return RankedMixes(pool, padded, scored, np.arange(len(mixes)), "t")
+    return GivenRows(pool, padded, np.array(distances, dtype=float), values)
 
 
 @st.composite
