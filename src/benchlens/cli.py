@@ -35,7 +35,7 @@ import numpy as np
 from . import cluster as cluster_mod
 from . import compare as compare_mod
 from . import dataset, features, files, metrics, pca, proxy, render, subset
-from .errors import BenchlensError, BudgetExceeded, ConfigError, EmptyInput, SchemaMismatch
+from .errors import BenchlensError, BudgetExceeded, ConfigError, EmptyInput, SchemaMismatch, TooFewRows
 from .events import METRIC_NAMES
 
 DEFAULT_OUT_ENV = "BENCHLENS_OUT"
@@ -458,11 +458,11 @@ def cmd_proxy(run: Run) -> tuple[str, Artifacts]:
     if cfg.mix:
         chosen, schedule = proxy.apply_mix_spec(profiles, proxy.read_mix_file(cfg.mix))
         blend = proxy.simulate_rrr(chosen, schedule)
-        if target_vec is not None:
-            report = proxy.blend_distance(blend, target_vec, weights)
-            blend = replace(blend, distance_to_target=report.distance, target=cfg.target)
+        distance = None if target_vec is None else proxy.blend_distance(blend, target_vec, weights).distance
+        row = np.array([[distance, *map(blend.metrics.get, METRIC_NAMES)]], dtype=float)  # None is NaN, blank
+        line = f"1,{files.CsvText()['+'.join(schedule.order)]},{next(files.float_rows(row, ''))}\n"
         return f"proxy: simulated mix {'+'.join(schedule.order)} -> {run.out}", [
-            ("proxy_blend.csv", partial(proxy.export_mixes_csv, [(schedule.order, blend)])),
+            ("proxy_blend.csv", partial(files.write_csv, header=proxy.MIXES_HEADER, lines=[line])),
             ("proxy_blend.md", _text(proxy.blend_markdown, blend, target_vec, chosen)),
         ]
 
@@ -471,13 +471,16 @@ def cmd_proxy(run: Run) -> tuple[str, Artifacts]:
     pool_matrix = features.build_matrix(
         derived.select(suite=pool_suite, machine=machine), [p.workload for p in profiles], [machine]
     )
-    scales = features.normalize(pool_matrix).scales_for_machine(machine)
-    if cfg.mix_k is not None and cfg.mix_k > len(profiles):  # normalize needs 2 workloads: 2 is never capped
+    if len(profiles) < 2:  # a pool of one has no spread to scale by
+        raise TooFewRows(f"proxy pool of suite {pool_suite!r} on {machine!r} holds {len(profiles)} workload "
+                         f"besides target {cfg.target!r}; scaling needs at least 2")
+    moments = zip(pool_matrix.values.mean(axis=0).tolist(), pool_matrix.values.std(axis=0).tolist())
+    scales = {metric: pair for (metric, _), pair in zip(pool_matrix.cols, moments)}  # (mean, population stdev)
+    if cfg.mix_k is not None and cfg.mix_k > len(profiles):  # a pool holds 2 workloads or more: 2 is never capped
         print(f"warning: --mix-k {cfg.mix_k} is above the {len(profiles)} workloads of the pool; "
               f"using {len(profiles)}", file=sys.stderr)
     mix_k = min(2 if cfg.mix_k is None else cfg.mix_k, len(profiles))
-    ranked = proxy.search_mix(profiles, target_vec, mix_k, weights, scales=scales, target_name=cfg.target,
-                              budget=cfg.budget)
+    ranked = proxy.search_mix(profiles, target_vec, mix_k, weights, scales=scales, budget=cfg.budget)
     best_order, best_blend = ranked[0]
     constituents = [p for p in profiles if p.workload in best_order]
     return f"proxy: {len(ranked)} mixes ranked against {cfg.target} (best: {'+'.join(best_order)}) -> {run.out}", [

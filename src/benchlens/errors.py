@@ -38,10 +38,6 @@ class AlreadyNormalized(BenchlensError):
     pass
 
 
-class NotNormalized(BenchlensError):
-    pass
-
-
 class TooFewRows(BenchlensError):
     pass
 

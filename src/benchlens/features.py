@@ -4,6 +4,8 @@
 machine) pair is a distinct column, so a full store with 19 metrics on 9
 machines yields 171 features per workload. Columns where a metric is
 unavailable (NaN) for any workload on a machine are dropped, never imputed.
+`normalize` returns the z-scored matrix and keeps no moments: a caller that
+needs a column's mean or stdev, as `proxy` does, takes it from the raw matrix.
 """
 
 from __future__ import annotations
@@ -14,17 +16,11 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import files
-from .errors import AlreadyNormalized, DuplicateKey, EmptyInput, MissingCell, NotNormalized, TooFewRows
+from .errors import AlreadyNormalized, DuplicateKey, EmptyInput, MissingCell, TooFewRows
 from .events import METRIC_NAMES
 from .metrics import Metrics
 
 Column = tuple[str, str]  # (metric, machine)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -33,12 +29,12 @@ class FeatureMatrix:
     cols: tuple[Column, ...]
     values: np.ndarray  # shape (len(rows), len(cols)), read-only
     normalized: bool = False
-    col_means: np.ndarray | None = None
-    col_stdevs: np.ndarray | None = None
     dropped: tuple[Column, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
+        values = np.ascontiguousarray(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if self.values.shape != (len(self.rows), len(self.cols)):
             raise ValueError(
                 f"values shape {self.values.shape} does not match "
@@ -46,16 +42,6 @@ class FeatureMatrix:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("feature matrix contains NaN/Inf cells")
-
-    def scales_for_machine(self, machine: str) -> dict[str, tuple[float, float]]:
-        """Per-metric (mean, population stdev) of this machine's columns."""
-        if self.col_means is None or self.col_stdevs is None:
-            raise NotNormalized("normalization state is only recorded by normalize()")
-        return {
-            metric: (float(self.col_means[i]), float(self.col_stdevs[i]))
-            for i, (metric, m) in enumerate(self.cols)
-            if m == machine
-        }
 
 
 def build_matrix(metrics: Metrics, workloads: Sequence[str], machines: Sequence[str]) -> FeatureMatrix:
@@ -101,17 +87,9 @@ def normalize(matrix: FeatureMatrix) -> FeatureMatrix:
         raise AlreadyNormalized("matrix is already normalized")
     if len(matrix.rows) < 2:
         raise TooFewRows("normalization needs at least 2 rows")
-    means = matrix.values.mean(axis=0)
     stdevs = matrix.values.std(axis=0)  # population (n denominator)
-    safe = np.where(stdevs == 0.0, 1.0, stdevs)
-    values = (matrix.values - means) / safe
-    return replace(
-        matrix,
-        values=values,
-        normalized=True,
-        col_means=_frozen(means),
-        col_stdevs=_frozen(stdevs),
-    )
+    values = (matrix.values - matrix.values.mean(axis=0)) / np.where(stdevs == 0.0, 1.0, stdevs)
+    return replace(matrix, values=values, normalized=True)
 
 
 def export_csv(matrix: FeatureMatrix, fh: TextIO) -> None:

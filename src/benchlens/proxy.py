@@ -23,7 +23,8 @@ Two laws, each computed once, over rows of mixes (`_blend`, `_distances`):
   that is negative or not finite, or a stdev that is NaN or infinite, raises
   ValueError (the first metric in METRIC_NAMES order, its weight checked
   before its stdev); a blend with no metric that counts raises
-  NoCommonMetrics.
+  NoCommonMetrics. Each term that counts lies in [0, inf], so a distance is
+  never NaN; it is inf where a difference overflows.
 
 A ranking puts mixes closest first: by distance, then by order tuple (names
 in sorted order, a shorter prefix first). `search_mix` sorts stably by
@@ -35,7 +36,7 @@ a pool's mixes as rows of arrays, one `stats.subset_rows` chunk at a time, on
 the equal-duration schedule (copy c runs slots c, c+1, ..., c-1 for one unit
 each), so its values are bit-identical to simulating each mix. It keeps only
 each mix's distance; `RankedMixes.rows` blends a chunk of ranked mixes again
-on the same schedule for the export.
+on the same schedule for `export_mixes_csv`, whose one input is a ranking.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from .errors import BudgetExceeded, NoCommonMetrics, UnknownWorkload, ZeroHorizo
 from .events import METRIC_NAMES, event_vocabulary
 from .metrics import MetricVector, derive_rows, metric_array, row_error
 from .stats import subset_rows
+
+MIXES_HEADER = ("rank", "mix", "distance", *METRIC_NAMES)  # of proxy_mixes.csv and proxy_blend.csv
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,6 @@ class BlendProfile:
     copies: int
     horizon: float
     distance_to_target: float | None = None
-    target: str | None = None
 
 
 def simulate_rrr(profiles: Sequence[WorkloadProfile], schedule: RrrSchedule) -> BlendProfile:
@@ -250,10 +252,10 @@ def blend_distance(
 ) -> DistanceReport:
     """Weighted L2 distance over z-scored metric differences.
 
-    `scales` supplies per-metric (mean, stdev) normalization state, typically
-    from FeatureMatrix.scales_for_machine(); without it raw differences are
-    used. Metrics with zero weight, missing on either side, or z-scaled by a
-    stdev <= 0 are excluded; a NaN or infinite stdev raises ValueError.
+    `scales` supplies per-metric (mean, stdev) normalization state, such as a
+    pool's population moments; without it raw differences are used. Metrics
+    with zero weight, missing on either side, or z-scaled by a stdev <= 0 are
+    excluded; a NaN or infinite stdev raises ValueError.
     """
     blend_metrics = blend.metrics if isinstance(blend, BlendProfile) else blend
     row = [np.nan if (v := blend_metrics.get(m)) is None else v for m in METRIC_NAMES]
@@ -283,14 +285,13 @@ class RankedMixes(Sequence):
     simulated only when its item is read, so ranking builds none.
     """
 
-    def __init__(self, pool, rates, events, mixes, distances, rank, target_name):
+    def __init__(self, pool, rates, events, mixes, distances, rank):
         self._pool = pool  # equal-duration profiles, sorted by workload id
         self._rates = rates
         self._events = events
         self._mixes = mixes
         self._distances = distances
         self._rank = rank
-        self._target_name = target_name
 
     def __len__(self) -> int:
         return len(self._rank)
@@ -323,7 +324,7 @@ class RankedMixes(Sequence):
         members = [self._pool[j] for j in self._mixes[row] if j >= 0]
         order = tuple(p.workload for p in members)
         blend = simulate_rrr(members, RrrSchedule(order=order, copies=len(order)))
-        return order, replace(blend, distance_to_target=float(self._distances[row]), target=self._target_name)
+        return order, replace(blend, distance_to_target=float(self._distances[row]))
 
 
 def search_mix(
@@ -333,7 +334,6 @@ def search_mix(
     weights: Mapping[str, float],
     *,
     scales: Mapping[str, tuple[float, float]] | None = None,
-    target_name: str | None = None,
     budget: int = 2_000_000,
 ) -> RankedMixes:
     """Rank all mixes of 1..max_constituents profiles by distance to the target.
@@ -393,7 +393,7 @@ def search_mix(
     tied = np.append(ordered[1:] == ordered[:-1], False)  # rank[i] ties with rank[i + 1]
     tied = np.flatnonzero(tied | np.roll(tied, 1))  # the runs of equal distances, each put in order tuple order
     rank[tied] = rank[tied][np.lexsort((*mixes[rank[tied]].T[::-1], ordered[tied]))]
-    return RankedMixes([replace(p, duration=1.0) for p in pool], rates, events, mixes, distances, rank, target_name)
+    return RankedMixes([replace(p, duration=1.0) for p in pool], rates, events, mixes, distances, rank)
 
 
 def read_mix_file(path: str | Path) -> list[tuple[str, float | None]]:
@@ -456,47 +456,30 @@ def apply_mix_spec(
     return chosen, RrrSchedule(order=order, copies=len(order))
 
 
-def export_mixes_csv(ranked: Sequence[tuple[tuple[str, ...], BlendProfile]], fh: TextIO) -> None:
+def export_mixes_csv(ranked: RankedMixes, fh: TextIO) -> None:
     """Write "rank,mix,distance,<metrics...>" with empty cells for unavailable.
 
     Lines follow the one CSV line law (see `files`): the rank, the mix cell,
-    `repr` of the distance (never blanked; blank for a distance of None) and
-    `repr` of each metric, blank where unavailable. Each `files.CHUNK` (512)
-    rows are one byte template filled by one `%`: `files.float_json` writes
-    their floats `[[d,m,...],...]`, NaN blank, and a row it writes unlike
-    `repr`, or with a NaN distance, is spliced in from `files.float_rows`.
-    Each `]` becomes a line end and the next `%d` rank, each `[` the `%b`
-    pieces of a mix cell, so names never enter the template. The a+b+c cell
-    is csv's quoting of the joined text. A mix of bare names is bare, so its
-    pieces are the first name, then `+name` each, `b""` for padding; only a
-    mix that holds a name csv quotes asks csv, and its first piece is the
-    whole cell. A `RankedMixes` is written straight from its arrays, a chunk
-    of ranked rows at a time, without simulating a blend; any other sequence
-    from its BlendProfiles.
+    then `repr` of the distance and of each metric, blank where NaN. Each
+    `files.CHUNK` (512) ranked rows are one byte template filled by one `%`:
+    `RankedMixes.rows` gives their pool indices and floats, `files.float_json`
+    writes the floats `[[d,m,...],...]`, NaN blank, and a row it writes unlike
+    `repr` is spliced in from `files.float_rows`. Each `]` becomes a line end
+    and the next `%d` rank, each `[` the `%b` pieces of a mix cell, so names
+    never enter the template. The a+b+c cell is csv's quoting of the joined
+    text. A mix of bare names is bare, so its pieces are the first name, then
+    `+name` each, `b""` for padding; only a mix that holds a name csv quotes
+    asks csv, and its first piece is the whole cell.
     """
     text = files.CsvText()
-    starts = range(0, len(ranked), files.CHUNK)
-    if isinstance(ranked, RankedMixes):
-        names = [p.workload for p in ranked._pool]
-        chunks = ((lo, *ranked.rows(lo, lo + files.CHUNK), True) for lo in starts)
-    else:  # the same arrays: pool indices into the sorted names, the distance and metrics (None is NaN)
-        names = sorted({name for order, _ in ranked for name in order})
-        index = {name: j for j, name in enumerate(names)}
-        width = max((len(order) for order, _ in ranked), default=0)
-        mixes = np.array([[index[n] for n in order] + [-1] * (width - len(order)) for order, _ in ranked])
-        distances = [blend.distance_to_target for _, blend in ranked]
-        scored = np.array(
-            [[distance, *map(blend.metrics.get, METRIC_NAMES)] for distance, (_, blend) in zip(distances, ranked)],
-            dtype=float,
-        )
-        arrays = (mixes, scored, np.array([distance is not None for distance in distances]))  # last: written
-        chunks = ((lo, *(array[lo:lo + files.CHUNK] for array in arrays)) for lo in starts)
+    names = [p.workload for p in ranked._pool]
     quoted = np.array([text[name] != name for name in names] + [False])  # last: the -1 padding
     first, later = (np.array([*(name.encode() for name in cells), b""], dtype=object)
                     for cells in (names, [f"+{name}" for name in names]))
-    fh.write(",".join(["rank", "mix", "distance", *METRIC_NAMES]) + "\n")
+    fh.write(",".join(MIXES_HEADER) + "\n")
     fh.flush()  # the chunks go to the bytes below it
-    for lo, mixes, scored, written in chunks:
+    for lo in range(0, len(ranked), files.CHUNK):
+        mixes, scored = ranked.rows(lo, lo + files.CHUNK)
         # a -1 of the padding picks the last piece, b""
         pieces = [first[mixes[:, 0]], *(later[mixes[:, c]] for c in range(1, mixes.shape[1]))]
         for i in np.flatnonzero(quoted[mixes].any(axis=1)).tolist():  # csv quotes the whole cell, in one piece
@@ -506,12 +489,11 @@ def export_mixes_csv(ranked: Sequence[tuple[tuple[str, ...], BlendProfile]], fh:
         ranks = range(lo + 2, lo + len(mixes) + 2)  # each row's pieces are followed by the next row's rank
         args = np.array([*pieces, ranks], dtype=object).T.ravel()[:-1].tolist()
         body, unlike = files.float_json(scored, "")
-        nan = np.isnan(scored[:, 0]) & written  # a NaN distance is "nan"; one of None is blank
-        rows = np.flatnonzero(unlike | nan).tolist()
+        rows = np.flatnonzero(unlike).tolist()
         if rows:  # row i's text lies between the "]" of row i - 1 and its own
             ends, parts, at = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("]")).tolist(), [], 0
             for i, line in zip(rows, files.float_rows(scored[rows], "")):
-                parts += [body[at:ends[i - 1] + 3 if i else 2], (("nan" if nan[i] else "") + line).encode()]
+                parts += [body[at:ends[i - 1] + 3 if i else 2], line.encode()]
                 at = ends[i]
             body = b"".join([*parts, body[at:]])
         body = body[1:-2]  # one statement per copy, so no more than two copies are alive

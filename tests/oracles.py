@@ -368,10 +368,10 @@ def loop_blend_distance(
 
     Weighted L2 distance over z-scored metric differences.
 
-    `scales` supplies per-metric (mean, stdev) normalization state, typically
-    from FeatureMatrix.scales_for_machine(); without it raw differences are
-    used. Metrics with zero weight, missing on either side, or z-scaled by a
-    zero stdev are excluded; a NaN or infinite stdev raises ValueError.
+    `scales` supplies per-metric (mean, stdev) normalization state, such as a
+    pool's population moments; without it raw differences are used. Metrics
+    with zero weight, missing on either side, or z-scaled by a zero stdev are
+    excluded; a NaN or infinite stdev raises ValueError.
     """
     blend_metrics = blend.metrics if isinstance(blend, BlendProfile) else blend
     squared = 0.0
@@ -404,8 +404,7 @@ def loop_blend_distance(
     return DistanceReport(distance=math.sqrt(squared), relative_gaps=gaps, metrics_used=tuple(used))
 
 
-def search_mix_by_simulation(profiles, target, max_constituents, weights, *, scales=None,
-                             target_name=None, budget=2_000_000):
+def search_mix_by_simulation(profiles, target, max_constituents, weights, *, scales=None, budget=2_000_000):
     """`proxy.search_mix` as one loop_simulate_rrr + loop_blend_distance per candidate mix.
 
     Same checks, same equal-duration schedule and the same (distance, order)
@@ -433,7 +432,7 @@ def search_mix_by_simulation(profiles, target, max_constituents, weights, *, sca
             schedule = RrrSchedule(order=order, copies=size)
             blend = loop_simulate_rrr([equal[i] for i in mix], schedule)
             report = loop_blend_distance(blend, target, weights, scales=scales)
-            blend = replace(blend, distance_to_target=report.distance, target=target_name)
+            blend = replace(blend, distance_to_target=report.distance)
             ranked.append((report.distance, order, blend))
     ranked.sort(key=lambda item: (item[0], item[1]))
     return [(order, blend) for _, order, blend in ranked]
@@ -732,14 +731,18 @@ def repr_rows(values) -> list[str]:
     return [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
 
 
+def _distance_cell(distance) -> str:
+    return "" if distance is None or distance != distance else repr(distance)
+
+
 def repr_export_mixes(ranked, path):
-    """`export_mixes_csv` as one line per row, each float its repr: NaN metrics blank, the distance never."""
+    """`export_mixes_csv` as one line per row, each float its repr: NaN or None blank, the distance too."""
     text = files.CsvText()
     if isinstance(ranked, RankedMixes):
         names = [p.workload for p in ranked._pool]
         bare = all(text[name] == name for name in names)
         rows = (
-            ("+".join([names[j] for j in mix if j >= 0]), bare, repr(distance), values)
+            ("+".join([names[j] for j in mix if j >= 0]), bare, _distance_cell(distance), values)
             for mix, distance, values in zip(
                 ranked._mixes[ranked._rank].tolist(),
                 ranked_distances(ranked).tolist(),
@@ -751,7 +754,7 @@ def repr_export_mixes(ranked, path):
             (
                 "+".join(order),
                 all(text[name] == name for name in order),
-                "" if blend.distance_to_target is None else repr(blend.distance_to_target),
+                _distance_cell(blend.distance_to_target),
                 [math.nan if (v := blend.metrics.get(m)) is None else v for m in METRIC_NAMES],
             )
             for order, blend in ranked
@@ -808,7 +811,7 @@ def csv_export_mixes(ranked, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "mix", "distance", *METRIC_NAMES])
         for rank, (order, distance, values) in enumerate(rows, start=1):
-            row = [rank, "+".join(order), "" if distance is None else repr(distance)]
+            row = [rank, "+".join(order), _distance_cell(distance)]
             row += ["" if v is None else repr(v) for v in values]
             writer.writerow(row)
 

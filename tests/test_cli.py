@@ -98,7 +98,8 @@ class TestDerive:
 class TestLoudClamps:
     """A given --groups, --pcs or --mix-k that the data cannot honour is capped, and one `warning:` line per cap
     names the value used; the defaults (4 groups, 8 components) are capped quietly, and the default of 2
-    constituents fits every pool proxy can normalize. Exit codes and artifacts are those of the capped value."""
+    constituents fits every pool proxy searches (it refuses a pool of one). Exit codes and artifacts are those of
+    the capped value."""
 
     def test_pcs_above_the_components_pca_can_give_warns_and_fits_as_many_as_it_can(self, tmp_path, capsys):
         code, out, err = run(["pca", *base_args(tmp_path / "asked"), "--pcs", "1000"], capsys)
@@ -271,6 +272,37 @@ class TestCompareAndProxy:
         lines = (out / "proxy_mixes.csv").read_text().splitlines()
         assert len(lines) == 1 + 12 + 66  # singletons + pairs of the 12-workload pool
         assert (out / "proxy_best.md").exists()
+
+    def test_a_proxy_search_never_normalizes(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        normalize = cli.features.normalize
+        monkeypatch.setattr(cli.features, "normalize", lambda *args: calls.append(args) or normalize(*args))
+        assert run([*PROXY_SEARCH, *base_args(tmp_path / "out"), "--mix-k", "2"], capsys)[0] == 0
+        assert (tmp_path / "out" / "proxy_mixes.csv").exists() and calls == []
+
+    def test_a_pool_of_one_workload_is_refused_naming_it_and_a_mix_still_runs(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        dataset.save_canonical(
+            combine(make_full_record("int_rate", workload, "M0", rng) for workload in ("i0", "i1")),
+            tmp_path / "store.csv",
+        )
+        args = ["proxy", "--store", str(tmp_path / "store.csv"), "--target", "i0", "--out", str(tmp_path / "out")]
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "kept.txt").write_text("kept", encoding="utf-8")
+        before = tree_bytes(tmp_path / "out")
+        code, stdout, err = run(args, capsys)
+        assert (code, stdout, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {
+            "stage": "proxy", "error": "TooFewRows",
+            "message": "proxy pool of suite 'int_rate' on 'M0' holds 1 workload besides target 'i0'; "
+                       "scaling needs at least 2",
+        }
+        assert tree_bytes(tmp_path / "out") == before
+        (tmp_path / "mix.txt").write_text("i1\n", encoding="utf-8")
+        code, stdout, _ = run([*args, "--mix", str(tmp_path / "mix.txt")], capsys)
+        assert code == 0 and "simulated mix i1" in stdout
+        rank, mix, distance, *_ = (tmp_path / "out" / "proxy_blend.csv").read_text().splitlines()[1].split(",")
+        assert (rank, mix) == ("1", "i1") and float(distance) > 0
 
     def test_proxy_target_in_two_suites_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"

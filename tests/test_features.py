@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from benchlens.errors import AlreadyNormalized, EmptyInput, MissingCell, NotNormalized, TooFewRows
+from benchlens import cli, proxy
+from benchlens.errors import AlreadyNormalized, EmptyInput, MissingCell, TooFewRows
 from benchlens.events import METRIC_NAMES
 from benchlens.features import FeatureMatrix, build_matrix, export_csv, normalize
 from benchlens.metrics import Metrics, derive_store
@@ -69,9 +71,7 @@ class TestNormalize:
     def test_two_point_column(self):
         matrix = FeatureMatrix(rows=("a", "b"), cols=(("ipc", "m"),), values=np.array([[1.0], [3.0]]))
         normalized = normalize(matrix)
-        assert normalized.values.tolist() == [[-1.0], [1.0]]
-        assert normalized.col_means[0] == 2.0
-        assert normalized.col_stdevs[0] == 1.0  # population stdev
+        assert normalized.values.tolist() == [[-1.0], [1.0]]  # mean 2, population stdev 1
 
     def test_constant_column_becomes_flagged_zeros(self):
         matrix = FeatureMatrix(
@@ -94,8 +94,7 @@ class TestNormalize:
         normalized = normalize(matrix)
         for j in range(3):
             mean, stdev = loop_moments(list(values[:, j]))
-            assert normalized.col_means[j] == pytest.approx(mean, abs=1e-12)
-            assert normalized.col_stdevs[j] == pytest.approx(stdev, abs=1e-12)
+            assert normalized.values[:, j] == pytest.approx((values[:, j] - mean) / stdev, abs=1e-12)
             out_mean, out_std = loop_moments(list(normalized.values[:, j]))
             assert abs(out_mean) < 1e-9
             assert abs(out_std - 1.0) < 1e-9
@@ -107,16 +106,20 @@ class TestNormalize:
             normalize(normalized)
         with pytest.raises(TooFewRows):
             normalize(FeatureMatrix(rows=("a",), cols=(("ipc", "m"),), values=np.array([[1.0]])))
-        with pytest.raises(NotNormalized):
-            matrix.scales_for_machine("m")
 
-    def test_scales_for_machine(self):
-        metrics = full_metrics(WORKLOADS4, ["M0", "M1"])
-        normalized = normalize(build_matrix(metrics, WORKLOADS4, ["M0", "M1"]))
-        scales = normalized.scales_for_machine("M0")
-        assert set(scales) <= set(m for m, _ in normalized.cols)
-        j = normalized.cols.index(("ipc", "M0"))
-        assert scales["ipc"] == (normalized.col_means[j], normalized.col_stdevs[j])
+    def test_proxy_scales_are_the_pool_moments_that_normalize_divides_by(self):
+        # the pool is every workload but the target; its moments against the loop, and the z-scores they give
+        run = cli.Run(cli.PipelineConfig(target="target", mix_k=1))
+        run.store = make_full_store([*WORKLOADS4, "target"], ["M0"])
+        with mock.patch.object(proxy, "search_mix", wraps=proxy.search_mix) as search:
+            cli.cmd_proxy(run)
+        scales = search.call_args.kwargs["scales"]
+        pool = build_matrix(run.metrics, WORKLOADS4, ["M0"])
+        assert list(scales) == [metric for metric, _ in pool.cols]
+        for j, (metric, _) in enumerate(pool.cols):
+            assert scales[metric] == pytest.approx(loop_moments(list(pool.values[:, j])), abs=1e-12)
+        means, stdevs = np.array(list(scales.values())).T
+        assert normalize(pool).values.tobytes() == ((pool.values - means) / stdevs).tobytes()
 
 
 class TestCsvRoundTrip:

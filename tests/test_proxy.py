@@ -44,13 +44,13 @@ def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None
     When the simulation raises, search_mix raises the same error.
     """
     try:
-        expected = search_mix_by_simulation(profiles, target, k, weights, scales=scales, target_name="t")
+        expected = search_mix_by_simulation(profiles, target, k, weights, scales=scales)
     except Exception as exc:
         with pytest.raises(type(exc)) as raised:
-            search_mix(profiles, target, k, weights, scales=scales, target_name="t")
+            search_mix(profiles, target, k, weights, scales=scales)
         assert str(raised.value) == str(exc)
         return None
-    ranked = search_mix(profiles, target, k, weights, scales=scales, target_name="t")
+    ranked = search_mix(profiles, target, k, weights, scales=scales)
     assert len(ranked) == len(expected)
     assert [ranked_order(ranked, i) for i in range(len(ranked))] == [order for order, _ in expected]
     assert [repr(d) for d in ranked_distances(ranked).tolist()] == [
@@ -61,7 +61,7 @@ def assert_matches_simulation(tmp_dir, profiles, target, k, weights, scales=None
         for _, blend in expected
     ]
     assert list(ranked) == expected
-    write_file(tmp_dir / "simulated.csv", export_mixes_csv, expected)
+    csv_export_mixes(expected, tmp_dir / "simulated.csv")
     write_file(tmp_dir / "ranked.csv", export_mixes_csv, ranked)
     assert (tmp_dir / "ranked.csv").read_bytes() == (tmp_dir / "simulated.csv").read_bytes()
     return ranked
@@ -428,7 +428,7 @@ class TestSearchMix:
         order, blend = ranked[-1]
         assert ranked[2] == (order, blend)
         assert ranked[1:] == [ranked[1], ranked[2]]
-        assert blend.copies == len(order) and blend.target is None
+        assert blend.copies == len(order)
         with pytest.raises(IndexError):
             ranked[3]
 

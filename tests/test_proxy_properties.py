@@ -5,7 +5,8 @@ mixes are small enough to cut every size apart, and its order equals a
 lexsort over every key when distances tie within and across sizes;
 simulate_rrr equals the per-event loop on general schedules; `_distances`
 equals the per-metric column loop and blend_distance the scalar loop, value
-for value or error for error.
+for value or error for error; and no distance is NaN, over rates, stdevs and
+weights from the least float to the largest.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from hypothesis import strategies as st  # noqa: E402
 from benchlens import files  # noqa: E402
 from benchlens.dataset import Store  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
-from benchlens.errors import NoCommonMetrics  # noqa: E402
+from benchlens.errors import BenchlensError, NoCommonMetrics  # noqa: E402
+from benchlens.metrics import BOUNDED_SHARES, MetricVector  # noqa: E402
 from benchlens.proxy import (  # noqa: E402
     BlendProfile, RrrSchedule, WorkloadProfile, _distances, _factors, blend_distance, export_mixes_csv, search_mix,
     simulate_rrr,
 )
 from conftest import derive_one, make_full_record, write_file  # noqa: E402
 from oracles import (  # noqa: E402
-    cells, lexsort_rank, loop_blend_distance, loop_distances, loop_simulate_rrr, repr_export_mixes,
+    cells, lexsort_rank, loop_blend_distance, loop_distances, loop_simulate_rrr, ranked_distances, ranked_metrics,
+    repr_export_mixes,
 )
 from test_proxy import assert_matches_simulation  # noqa: E402
 
@@ -248,3 +251,65 @@ def test_distances_of_a_block_match_the_column_loop(case):
         (distances, used), (expected, expected_used) = outcome
         assert distances.tobytes() == expected.tobytes()
         assert used.tolist() == expected_used.tolist()
+
+
+# rates, stdevs and weights from the least to the largest a float holds; a share's event is a fraction of its
+# denominator's, and kernel + user instructions are all instructions, so most drawn pools blend within the bounds
+RATES = st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 1e300])
+STDEVS = st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308])
+WEIGHTS = st.floats(0.0, 1.7976931348623157e308) | st.sampled_from([0.0, 5e-324, 1e300, 1.7976931348623157e308])
+SHARE_OF = {"loads": "instructions", "stores": "instructions", "branches": "instructions",
+            "frontend_stall_cycles": "cycles", "backend_stall_cycles": "cycles"}
+
+
+@st.composite
+def extreme_profiles(draw, name: str) -> WorkloadProfile:
+    shares = {**SHARE_OF, "kernel_instructions": "instructions"}
+    rates = {event: draw(RATES) for event in CANONICAL_EVENTS if event not in shares and event != "user_instructions"}
+    rates.update({event: draw(st.floats(0.0, 1.0)) * rates[of] for event, of in shares.items()})
+    rates["user_instructions"] = rates["instructions"] - rates["kernel_instructions"]
+    return WorkloadProfile(name, rates, 1.0)
+
+
+@st.composite
+def extreme_vectors(draw) -> MetricVector:
+    """Any MetricVector within the bounds: each metric unavailable or from 0 to 1e300, a share at most 100."""
+    values = {}
+    for metric in METRIC_NAMES:
+        if draw(st.booleans()):
+            share = metric in (*BOUNDED_SHARES, "kernel_pct", "user_pct")
+            values[metric] = draw(st.floats(0.0, 100.0) if share else st.floats(0.0, 1e300))
+    if "kernel_pct" in values and "user_pct" in values:
+        values["user_pct"] = 100.0 - values["kernel_pct"]
+    return MetricVector(**values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pool=st.integers(1, 4).flatmap(lambda n: st.tuples(*(extreme_profiles(f"w{i}") for i in range(n)))),
+    target=extreme_vectors(),
+    blend=extreme_vectors(),
+    weights=st.fixed_dictionaries(dict.fromkeys(METRIC_NAMES, WEIGHTS)),
+    scales=st.none() | st.dictionaries(st.sampled_from(METRIC_NAMES), st.tuples(st.floats(-1e300, 1e300), STDEVS)),
+    k=st.integers(1, 3),
+)
+def test_distances_are_never_nan(pool, target, blend, weights, scales, k):
+    # each counted term is weight * diff * diff with weight in [0, inf) and diff finite or infinite: in [0, inf]
+    try:
+        report = blend_distance(blend, target, weights, scales=scales)
+    except NoCommonMetrics:
+        event("blend: no common metric")
+    else:
+        event("blend: inf" if report.distance == np.inf else "blend: finite")
+        assert report.distance >= 0  # NaN compares False
+    try:
+        ranked = search_mix(pool, target, min(k, len(pool)), weights, scales=scales)
+    except (ValueError, BenchlensError) as exc:  # a blend that overflows or breaks a bound, or no common metric
+        event(f"search: {type(exc).__name__}")
+        return
+    distances = ranked_distances(ranked)
+    event("search: inf" if np.isinf(distances).any() else "search: finite")
+    assert (distances >= 0).all()
+    for distance, row in zip(distances.tolist(), ranked_metrics(ranked).tolist()):
+        report = blend_distance(MetricVector.from_row(row), target, weights, scales=scales)
+        assert repr(report.distance) == repr(distance)

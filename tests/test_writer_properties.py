@@ -1,10 +1,10 @@
 """Property tests: the joined-line writers equal the csv.writer rows they replaced, byte for byte.
 
-`files.write_csv` itself, both `export_mixes_csv` paths (a `RankedMixes` and
-a list of BlendProfiles) and both store writers are compared with csv.writer
-or the referees in `oracles`, on names that csv quotes (or, like a lone
-"\\r" on Python 3.11, leaves bare), on the float cells whose repr is easy to
-get wrong, and on row counts around one write chunk. `files.float_rows` is
+`files.write_csv` itself, `export_mixes_csv`, the `proxy_blend.csv` row that
+`cli.cmd_proxy` writes for a given mix and both store writers are compared
+with csv.writer or the referees in `oracles`, on names that csv quotes (or,
+like a lone "\\r" on Python 3.11, leaves bare), on the float cells whose repr
+is easy to get wrong, and on row counts around one write chunk. `files.float_rows` is
 compared with repr on the cells where orjson's text and repr's part, and on
 a million doubles where they must agree.
 """
@@ -25,15 +25,17 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from conftest import write_file  # noqa: E402
+from conftest import make_full_store, write_file  # noqa: E402
+from benchlens import cli, files, proxy  # noqa: E402
 from benchlens.dataset import Store, save_canonical, save_scores  # noqa: E402
 from benchlens.events import CANONICAL_EVENTS, METRIC_NAMES  # noqa: E402
 from benchlens.features import FeatureMatrix, export_csv  # noqa: E402
-from benchlens import files  # noqa: E402
 from benchlens.files import CHUNK as _CHUNK  # noqa: E402
 from benchlens.metrics import BOUNDED_SHARES, MetricVector  # noqa: E402
 from benchlens.pca import export_scores_csv  # noqa: E402
-from benchlens.proxy import BlendProfile, RankedMixes, WorkloadProfile, export_mixes_csv  # noqa: E402
+from benchlens.proxy import (  # noqa: E402
+    BlendProfile, DistanceReport, RankedMixes, RrrSchedule, WorkloadProfile, export_mixes_csv,
+)
 
 NAMES = st.sampled_from(
     ["plain", "a,b", 'q"uote', "cr\rname", "nl\nname", "two words", "", "ünï", "名前", ",",
@@ -68,12 +70,31 @@ class GivenRows(RankedMixes):
     """A `RankedMixes` whose `rows` gathers given metric rows, so the export is fed floats no blend yields."""
 
     def __init__(self, pool, mixes, distances, metrics):
-        super().__init__(pool, None, (), mixes, distances, np.arange(len(mixes)), "t")
+        super().__init__(pool, None, (), mixes, distances, np.arange(len(mixes)))
         self._metrics = metrics
 
     def rows(self, lo, hi):
         rows = self._rank[lo:hi]
         return self._mixes[rows], np.column_stack([self._distances[rows], self._metrics[rows]])
+
+
+BLEND_STORE = make_full_store(["pool", "target"], ["m"])
+
+
+def blend_file(case, path):
+    """`proxy_blend.csv` as `cli.cmd_proxy --mix` writes it for the one (order, BlendProfile) of `case`: the mix
+    file names `order`, its blend simulates to the BlendProfile, and a distance that is not None is the one to the
+    target."""
+    ((order, blend),) = case
+    distance = blend.distance_to_target
+    run = cli.Run(cli.PipelineConfig(mix="mix.txt", target=None if distance is None else "target"))
+    run.store = BLEND_STORE
+    with mock.patch.object(proxy, "read_mix_file"), \
+            mock.patch.object(proxy, "apply_mix_spec", return_value=([], RrrSchedule(order, len(order)))), \
+            mock.patch.object(proxy, "simulate_rrr", return_value=blend), \
+            mock.patch.object(proxy, "blend_distance", return_value=DistanceReport(distance, {}, ())):
+        _, artifacts = cli.cmd_proxy(run)
+    files.commit([(path, dict(artifacts)["proxy_blend.csv"])])
 
 
 def ranked_mixes(names, mixes, distances, metrics) -> RankedMixes:
@@ -101,25 +122,22 @@ def rankings(draw):
 
 @st.composite
 def blends(draw):
-    """(order, BlendProfile) pairs as `proxy --mix` writes them: any MetricVector, a distance or None."""
-    rows = []
-    for _ in range(draw(st.integers(0, 3))):
-        order = tuple(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
-        values = {}
-        for metric in METRIC_NAMES:
-            if draw(st.booleans()):
-                continue
-            bounded = metric in BOUNDED_SHARES or metric in ("kernel_pct", "user_pct")
-            values[metric] = draw(FLOATS.filter(lambda v: v <= 100.0) if bounded else FLOATS)
-        if "kernel_pct" in values and "user_pct" in values:
-            values["user_pct"] = 100.0 - values["kernel_pct"]
-        distance = draw(st.none() | DISTANCES)
-        blend = BlendProfile(
-            metrics=MetricVector(**values), time_shares={}, totals={}, copies=len(order), horizon=1.0,
-            distance_to_target=distance,
-        )
-        rows.append((order, blend))
-    return rows
+    """The one (order, BlendProfile) of a `proxy --mix` run, in a list: any MetricVector, a distance or None."""
+    order = tuple(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
+    values = {}
+    for metric in METRIC_NAMES:
+        if draw(st.booleans()):
+            continue
+        bounded = metric in BOUNDED_SHARES or metric in ("kernel_pct", "user_pct")
+        values[metric] = draw(FLOATS.filter(lambda v: v <= 100.0) if bounded else FLOATS)
+    if "kernel_pct" in values and "user_pct" in values:
+        values["user_pct"] = 100.0 - values["kernel_pct"]
+    distance = draw(st.none() | DISTANCES)
+    blend = BlendProfile(
+        metrics=MetricVector(**values), time_shares={}, totals={}, copies=len(order), horizon=1.0,
+        distance_to_target=distance,
+    )
+    return [(order, blend)]
 
 
 @st.composite
@@ -162,9 +180,9 @@ def test_ranked_mixes_are_written_like_csv_writer(ranked):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(ranked=blends())
-def test_blend_profiles_are_written_like_csv_writer(ranked):
-    assert_same_bytes(mixes_file, oracles.csv_export_mixes, ranked)
+@given(case=blends())
+def test_the_blend_row_is_written_like_csv_writer(case):
+    assert_same_bytes(blend_file, oracles.csv_export_mixes, case)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -304,8 +322,9 @@ def test_mixes_are_written_by_the_per_row_repr_law(names):
         ((names[2],), BlendProfile(MetricVector(ipc=1.5), {}, {}, 1, 1.0, float("inf"))),
         (tuple(names[::-1]), BlendProfile(MetricVector(), {}, {}, 3, 1.0, None)),
     ]
-    assert_same_bytes(mixes_file, oracles.repr_export_mixes, blends)
-    assert_same_bytes(mixes_file, oracles.csv_export_mixes, blends)
+    for blend in blends:
+        assert_same_bytes(blend_file, oracles.repr_export_mixes, [blend])
+        assert_same_bytes(blend_file, oracles.csv_export_mixes, [blend])
 
 
 
@@ -321,16 +340,10 @@ def test_a_row_written_by_repr_first_or_last_in_a_chunk(names, at):
         distances = [0.5] * len(mixes)
         distances[at] = distance
         metrics[at, :2] = [value, small]
-        inputs = [ranked_mixes(names, mixes, distances, metrics)]
-        if value < np.inf:  # a MetricVector holds no infinity
-            inputs.append([
-                (tuple(names[j] for j in mix), BlendProfile(MetricVector.from_row(row), {}, {}, 1, 1.0, d))
-                for mix, row, d in zip(mixes, metrics.tolist(), distances)
-            ])
+        ranked = ranked_mixes(names, mixes, distances, metrics)
         with mock.patch.object(files, "CHUNK", 3):
-            for rows in inputs:
-                assert_same_bytes(mixes_file, oracles.csv_export_mixes, rows)
-                assert_same_bytes(mixes_file, oracles.repr_export_mixes, rows)
+            assert_same_bytes(mixes_file, oracles.csv_export_mixes, ranked)
+            assert_same_bytes(mixes_file, oracles.repr_export_mixes, ranked)
 
 
 @pytest.mark.parametrize("width", [0, 2])
